@@ -163,16 +163,15 @@ pub enum WalFsyncPolicy {
 /// prepare fan-out, the best-effort secondary commits, and abort fan-outs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitFanout {
-    /// Ask the transport whether parallelism pays
-    /// (`Transport::fanout_profitable`): worker-thread transports and
-    /// latency-sleeping or fault-injecting ones say yes; the plain direct
-    /// transport says no, keeping the single-threaded hot path free of
-    /// thread-pool overhead.
+    /// Fan out when a participant call blocks: on a worker-thread,
+    /// latency-sleeping or fault-injecting transport, or on a forced log
+    /// (`wal_dir` set and `wal_fsync` not `Off`), where every prepare ends
+    /// in a flush.  The plain direct transport over in-memory servers does
+    /// neither, and keeps its single-threaded hot path free of thread-pool
+    /// overhead.
     #[default]
     Auto,
-    /// Always visit participants one at a time (the pre-PR-8 behaviour).
-    Serial,
-    /// Always fan out concurrently, regardless of transport.
+    /// Always fan out concurrently, whatever the deployment.
     Parallel,
 }
 
@@ -186,8 +185,9 @@ pub struct KvConfig {
     /// Maximum number of times a prepare retries acquiring a lock before the
     /// transaction aborts with [`crate::Error::LockTimeout`].
     pub lock_acquire_retries: usize,
-    /// Microseconds to back off between lock-acquire retries (only used by
-    /// the threaded transport; the direct transport retries immediately).
+    /// Base backoff, in microseconds, slept between retries of a read that
+    /// found a prepare lock, on every transport: retry `n` sleeps `n` times
+    /// this (capped at 16 times).  Zero yields the thread instead.
     pub lock_backoff_us: u64,
     /// If true, single-server transactions skip the prepare phase and commit
     /// in one round trip (the standard one-phase-commit optimisation).

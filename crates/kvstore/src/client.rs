@@ -23,12 +23,19 @@ pub struct KvClient {
 impl KvClient {
     /// Creates a client from the deployment's shared pieces.  Most callers
     /// obtain clients from [`crate::KvDatabase::client`] instead.
+    ///
+    /// `transport_blocks` says whether a call through `transport` spends
+    /// wall-clock time blocked outside the server's own work — on a worker
+    /// queue, slept network latency, injected faults and retry backoffs.
+    /// Together with the log settings in `cfg` it decides whether the 2PC
+    /// coordinator overlaps its per-participant calls.
     pub fn new(
         transport: Arc<dyn Transport<KvServer>>,
         oracle: TimestampOracle,
         snapshots: SnapshotTracker,
         cfg: KvConfig,
         stats: StatsRegistry,
+        transport_blocks: bool,
     ) -> Self {
         // Enough workers that one commit round can cover every peer (the
         // calling thread takes one participant itself), without letting a
@@ -45,6 +52,7 @@ impl KvClient {
                 stats,
                 hot,
                 retry_salt: std::sync::atomic::AtomicU64::new(0),
+                transport_blocks,
                 fanout,
             }),
         }

@@ -24,6 +24,9 @@ pub struct KvDatabase {
     /// The transport clients (and the server-to-server reaper) actually use:
     /// the cluster transport, optionally wrapped in a [`FaultyTransport`].
     client_transport: Arc<dyn Transport<KvServer>>,
+    /// Whether a call through `client_transport` waits on something other
+    /// than the server's own work; see [`KvClient::new`].
+    transport_blocks: bool,
     faults: Option<Arc<FaultyTransport<KvServer>>>,
     oracle: TimestampOracle,
     snapshots: SnapshotTracker,
@@ -156,12 +159,24 @@ impl KvDatabase {
                 faulty
             }
         };
+        // A server rebuilt from its log replayed it before it had peers to
+        // ask; now that it does, a secondary whose unforced commit record
+        // died with the previous incarnation gets it back from its primary
+        // (which needs no peers to answer) before any client finds the lock.
         for srv in cluster.servers() {
             srv.set_peer_transport(&client_transport);
+            srv.adopt_recovered();
         }
+        // Calls through this deployment's transport spend wall-clock time
+        // blocked when a server has a worker queue, the modelled latency is
+        // really slept, or faults delay, reject and retry them.
+        let transport_blocks = matches!(transport, TransportKind::Threaded { .. })
+            || (config.net.sleep_latency && config.net.one_way_latency_us > 0)
+            || faults.is_some();
         Ok(KvDatabase {
             cluster,
             client_transport,
+            transport_blocks,
             faults,
             oracle,
             snapshots: SnapshotTracker::new(),
@@ -184,6 +199,7 @@ impl KvDatabase {
             self.snapshots.clone(),
             self.config.kv.clone(),
             self.stats.clone(),
+            self.transport_blocks,
         )
     }
 

@@ -1,17 +1,18 @@
 //! A small shared worker pool for the 2PC coordinator's parallel fan-outs.
 //!
 //! The commit path issues one prepare per participant, one best-effort
-//! commit per secondary, and (on failure) one abort per participant.  Over a
-//! transport where calls spend wall-clock time blocked — worker queues,
-//! slept latency, injected faults — issuing those rounds from one thread
-//! serialises the waits.  [`FanoutPool`] lets the coordinator overlap them:
+//! commit per secondary, and (on failure) one abort per participant.  Where
+//! calls spend wall-clock time blocked — worker queues, slept latency,
+//! injected faults, or a log flush at the end of every prepare — issuing
+//! those rounds from one thread serialises the waits.  [`FanoutPool`] lets
+//! the coordinator overlap them:
 //! all but one RPC of a round are handed to pool workers while the calling
 //! thread issues the last one itself, so a round costs roughly its slowest
 //! RPC instead of their sum.
 //!
 //! The pool is deliberately lazy: no thread exists until the first parallel
-//! round, so deployments on the plain direct transport (every unit test,
-//! every single-threaded benchmark) never pay for it.  Workers exit when the
+//! round, so in-memory deployments on the plain direct transport (most unit
+//! tests, the CPU-bound benchmarks) never pay for it.  Workers exit when the
 //! owning client core is dropped (the job channel disconnects).
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -37,25 +38,31 @@ impl FanoutPool {
 
     /// Hands `job` to a worker, spawning the pool on first use.  Jobs are
     /// independent (none ever waits on another pool job), so a full pool
-    /// only delays, never deadlocks.
-    pub(crate) fn submit(&self, job: Job) {
+    /// only delays, never deadlocks.  If no worker can take the job — the
+    /// system refused the threads, or every worker died — it comes back to
+    /// the caller, who still has the thread it is running on.
+    pub(crate) fn submit(&self, job: Job) -> Result<(), Job> {
         let mut guard = self.tx.lock();
         let tx = guard.get_or_insert_with(|| {
             let (tx, rx) = unbounded::<Job>();
             for w in 0..self.workers {
                 let rx: Receiver<Job> = rx.clone();
-                std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name(format!("yesquel-fanout-{w}"))
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
                             job();
                         }
-                    })
-                    .expect("failed to spawn fan-out worker thread");
+                    });
+                if spawned.is_err() {
+                    // Fewer workers than asked for still serve the queue;
+                    // with none, the send below hands the job back.
+                    break;
+                }
             }
             tx
         });
-        assert!(tx.send(job).is_ok(), "fan-out workers outlive their pool");
+        tx.send(job).map_err(|refused| refused.0)
     }
 }
 
@@ -74,10 +81,11 @@ mod tests {
         for _ in 0..64 {
             let counter = Arc::clone(&counter);
             let done = done_tx.clone();
-            pool.submit(Box::new(move || {
+            let submitted = pool.submit(Box::new(move || {
                 counter.fetch_add(1, Ordering::SeqCst);
                 let _ = done.send(());
             }));
+            assert!(submitted.is_ok(), "a live pool takes every job");
         }
         for _ in 0..64 {
             done_rx.recv().unwrap();

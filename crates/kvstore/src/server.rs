@@ -14,14 +14,25 @@
 //!   transport) what happened and **adopts** the primary's outcome:
 //!   committed → install, aborted/unknown → release.  If the primary is
 //!   unreachable the secondary conservatively stays prepared and retries on
-//!   a later pass.
+//!   a later pass;
+//! * a secondary **restored from its log** does not wait for the lease to
+//!   learn of a commit.  Its own `Commit` record is unforced (only the
+//!   primary's is waited for), so a crash can leave it prepared for a
+//!   transaction the primary has durably committed.  It asks the primary as
+//!   soon as it is back, and again whenever a read runs into such a lock,
+//!   and adopts `Committed` at once.  That is always safe: the primary
+//!   reports a commit only once it is on its disk, and a commit is never
+//!   revoked.  Anything else the primary says — pending, unknown, even
+//!   aborted — is acted on only after the lease, exactly as above:
+//!   "unknown" before the lease may just mean the coordinator's prepare has
+//!   not reached the primary yet.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use yesquel_common::{Error, KvConfig, Result, ServerId};
+use yesquel_common::{Error, KvConfig, Result, ServerId, TxnId};
 use yesquel_rpc::{Service, Transport};
 use yesquel_wal::Wal;
 
@@ -80,7 +91,7 @@ impl KvServer {
     ) -> Result<Self> {
         let server = KvServer {
             id,
-            store: ServerStore::with_wal(cfg.txn_outcome_retention, wal.clone()),
+            store: ServerStore::with_wal(id, cfg.txn_outcome_retention, wal.clone()),
             oracle,
             peer: Mutex::new(None),
             reap_interval_us: cfg.reap_interval_us.max(1),
@@ -102,7 +113,9 @@ impl KvServer {
     /// dropped, the log loses its never-fsynced tail (a power loss would
     /// have taken it), and the store is rebuilt by replaying the clean
     /// prefix.  Without a log this is a plain amnesia crash: everything
-    /// volatile is simply gone, as on a real diskless server.
+    /// volatile is simply gone, as on a real diskless server.  Prepared
+    /// transactions that come back undecided are looked up at their
+    /// primaries before the call returns ([`KvServer::adopt_recovered`]).
     pub fn amnesia_restart(&self) -> Result<()> {
         let wal = self.store().wal().cloned();
         self.store.wipe_volatile();
@@ -113,6 +126,7 @@ impl KvServer {
         let records = wal.recover()?;
         let recovered = self.store.replay(&records, self.recovery_lease);
         wal.note_recovered_txns(recovered);
+        self.adopt_recovered();
         Ok(())
     }
 
@@ -197,7 +211,6 @@ impl KvServer {
         if expired.is_empty() {
             return;
         }
-        let peer = self.peer.lock().as_ref().and_then(Weak::upgrade);
         for (txn, primary) in expired {
             if primary == self.id {
                 // Primary participant: the coordinator commits the primary
@@ -208,39 +221,56 @@ impl KvServer {
                 if self.store.abort(txn).is_ok() {
                     self.reaped_aborts.fetch_add(1, Ordering::Relaxed);
                 }
-                continue;
+            } else {
+                self.adopt_from_primary(txn, primary, true);
             }
-            // Secondary participant: adopt the primary's outcome.
-            let Some(peer) = peer.as_ref() else {
-                continue; // no peer transport wired up: stay prepared
-            };
-            // On an unreachable primary or a malformed answer, stay
-            // conservative: keep the locks and retry on a later pass.
-            if let Ok(KvResponse::TxnOutcome { status }) =
-                peer.call(primary, KvRequest::TxnStatus { txn })
-            {
-                match status {
-                    TxnStatusKind::Committed(commit_ts) => {
-                        // The commit to this participant was lost; install
-                        // it from the primary's record.
-                        if self.store.commit(txn, commit_ts).is_ok() {
-                            self.reaped_commits.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    TxnStatusKind::Aborted | TxnStatusKind::Unknown => {
-                        // Aborted, or the primary never heard of the
-                        // transaction (its prepare never landed, so the
-                        // coordinator can never have committed): release.
-                        if self.store.abort(txn).is_ok() {
-                            self.reaped_aborts.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    TxnStatusKind::Pending => {
-                        // The primary is still waiting on its own lease;
-                        // stay prepared and let a later pass resolve.
-                    }
-                }
+        }
+    }
+
+    /// Asks the primaries about every prepared transaction this server
+    /// restored from its log as a secondary, and installs the ones they have
+    /// committed.  Runs when the server comes back — from
+    /// [`KvServer::amnesia_restart`], and from the deployment once a freshly
+    /// built server has its peer transport — so that a commit whose unforced
+    /// record died with the crash is back before the first read.
+    pub fn adopt_recovered(&self) {
+        for (txn, primary) in self.store.recovered_prepared() {
+            self.adopt_from_primary(txn, primary, false);
+        }
+    }
+
+    /// Secondary participant: asks `primary` for `txn`'s fate and adopts it.
+    /// A commit is adopted whenever it is learnt; an abort is presumed —
+    /// from `Aborted`, or from a primary that never heard of the transaction
+    /// (its prepare never landed, so the coordinator cannot have committed)
+    /// — only once the coordinator's lease has expired.  On an unreachable
+    /// primary, a malformed answer, or a primary still waiting on its own
+    /// lease, stay conservative: keep the locks and ask again later.
+    fn adopt_from_primary(&self, txn: TxnId, primary: ServerId, lease_expired: bool) {
+        let Some(peer) = self.peer.lock().as_ref().and_then(Weak::upgrade) else {
+            return; // no peer transport wired up: stay prepared
+        };
+        let Ok(KvResponse::TxnOutcome { status }) =
+            peer.call(primary, KvRequest::TxnStatus { txn })
+        else {
+            return;
+        };
+        // A failed log append leaves the transaction prepared; a later pass
+        // asks again.
+        let (resolved, tally) = match status {
+            // The commit to this participant was lost, on the wire or with
+            // the log's tail; install it from the primary's record.
+            TxnStatusKind::Committed(commit_ts) => (
+                self.store.commit(txn, commit_ts).is_ok(),
+                &self.reaped_commits,
+            ),
+            TxnStatusKind::Aborted | TxnStatusKind::Unknown if lease_expired => {
+                (self.store.abort(txn).is_ok(), &self.reaped_aborts)
             }
+            _ => return,
+        };
+        if resolved {
+            tally.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -254,7 +284,7 @@ impl KvServer {
     }
 
     /// What this server knows about a transaction, for `TxnStatus`.
-    fn txn_status(&self, txn: yesquel_common::TxnId) -> TxnStatusKind {
+    fn txn_status(&self, txn: TxnId) -> TxnStatusKind {
         match self.store.outcome(txn) {
             Some(TxnOutcome::Committed(ts)) => TxnStatusKind::Committed(ts),
             Some(TxnOutcome::Aborted) => TxnStatusKind::Aborted,
@@ -281,10 +311,21 @@ impl Service for KvServer {
             self.maybe_reap();
         }
         match req {
-            KvRequest::Get { obj, ts } => match self.store.get(obj, ts) {
-                ReadOutcome::Value(v) => KvResponse::Value(v),
-                ReadOutcome::Locked => KvResponse::Locked,
-            },
+            KvRequest::Get { obj, ts } => {
+                let mut read = self.store.get(obj, ts);
+                if read == ReadOutcome::Locked {
+                    // A lock restored from the log may belong to a commit
+                    // this server has lost and the primary still has.
+                    if let Some((txn, primary)) = self.store.recovered_lock_holder(obj) {
+                        self.adopt_from_primary(txn, primary, false);
+                        read = self.store.get(obj, ts);
+                    }
+                }
+                match read {
+                    ReadOutcome::Value(v) => KvResponse::Value(v),
+                    ReadOutcome::Locked => KvResponse::Locked,
+                }
+            }
             KvRequest::Prepare {
                 txn,
                 start_ts,
@@ -312,15 +353,14 @@ impl Service for KvServer {
                 start_ts,
                 writes,
             } => {
-                // The commit timestamp is drawn while the request is being
-                // processed; the store applies validation and installation
-                // atomically under its lock, so any snapshot issued after
-                // this timestamp observes the installed versions.  A
-                // deduplicated retry reports the original timestamp instead.
-                let commit_ts = self.oracle.next_timestamp();
+                // The store draws the commit timestamp itself, once it holds
+                // the locks that make validation and installation atomic, so
+                // any snapshot issued after the timestamp observes the
+                // installed versions.  A deduplicated retry draws nothing
+                // and reports the original timestamp.
                 match self
                     .store
-                    .commit_one_phase(txn, start_ts, &writes, commit_ts)
+                    .commit_one_phase(txn, start_ts, &writes, || self.oracle.next_timestamp())
                 {
                     Ok(CommitOnePhaseOutcome::Committed(ts)) => {
                         KvResponse::Committed { commit_ts: ts }

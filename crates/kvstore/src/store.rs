@@ -28,20 +28,50 @@
 //!
 //! ## Durability
 //!
-//! When constructed with a write-ahead log ([`ServerStore::with_wal`]),
-//! every state transition a client can observe — a prepare ack, a commit, an
-//! abort, an allocation — is appended to the log **before** it is
-//! acknowledged or becomes visible, and the append returns only once the
-//! record is durable per the configured fsync policy.  2PC decision records
-//! (commit, abort, presumed abort) are appended while holding the outcomes
-//! lock, so log order always matches the order in which this store decided
-//! transaction fates; replaying the log after an amnesia crash therefore
-//! reconstructs exactly the acknowledged history.  One-phase commits append
-//! while holding their shard guards, which orders them against every
-//! conflicting operation for the same reason.  GC is the one deliberately
-//! volatile operation: versions it dropped reappear after recovery (a
-//! harmless superset of committed state) until the next checkpoint prunes
-//! them from the log.
+//! When constructed with a write-ahead log ([`ServerStore::with_wal`]), the
+//! store logs every state transition before it is acknowledged or becomes
+//! visible, and distinguishes the records somebody must **wait for** from
+//! the ones recovery can get back some other way:
+//!
+//! * **Forced** — appended, then waited for until an `fdatasync` covers
+//!   them: every prepare (the ack promises the coordinator that the locks
+//!   and staged writes survive a crash), the decision of a transaction at
+//!   its **primary** (commit, abort, presumed abort — the 2PC commit point,
+//!   which a `TxnStatus` probe may report only once it cannot be lost), the
+//!   presumed abort that answers a commit for an unknown transaction,
+//!   one-phase commits, allocations and bulk loads.
+//! * **Unforced** — appended in order and left to ride this log's next
+//!   flush: the decision of a transaction at a **secondary**, whether it
+//!   arrives from the coordinator or is adopted through the reaper, and an
+//!   abort of a transaction never prepared here.  If a crash drops such a
+//!   record, replay finds the transaction still prepared, and the server
+//!   re-derives the decision from the primary, whose copy was forced before
+//!   anyone heard of it.
+//!
+//! The safety argument for re-deriving is lopsided, and the code follows it.
+//! **Adopting a commit is always safe**: the primary reports `Committed`
+//! only once the record is on its disk, and never takes it back; so a
+//! restored prepare asks the primary at once — when the server restarts, and
+//! whenever a read finds its lock — and installs a commit without waiting
+//! for any lease.  **Presuming an abort is never safe before the lease**:
+//! "unknown" or "pending" at the primary may just mean the coordinator is
+//! alive and slow, so every other answer is acted on only after the lease
+//! the restored prepare was given has expired, exactly as for a live one.
+//!
+//! No lock is held across a flush.  Decision records are appended while
+//! holding the outcomes lock, so log order always matches the order in
+//! which this store decided transaction fates and replay reconstructs
+//! exactly that history; a forced decision then waits for the disk
+//! *outside* the lock, behind a `deciding` mark that keeps the reaper and
+//! duplicate deliveries from deciding the transaction again and keeps its
+//! fate unobservable until it is durable (see `ServerStore::decide`).
+//! Prepares wait after releasing their shard guards; the prepare locks
+//! already fence conflicting writers.  The exception is the one-phase
+//! commit, which appends and waits while holding its shard guards — they
+//! are what orders it against every conflicting operation.  GC is the one
+//! deliberately volatile operation: versions it dropped reappear after
+//! recovery (a harmless superset of committed state) until the next
+//! checkpoint prunes them from the log.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,8 +81,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use yesquel_common::ids::{shard_index, splitmix64};
-use yesquel_common::{ObjectId, Result, ServerId, Timestamp, TxnId};
-use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalRecord, WalWrite};
+use yesquel_common::{Error, ObjectId, Result, ServerId, Timestamp, TxnId};
+use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalPosition, WalRecord, WalWrite};
 
 use crate::mvcc::VersionChain;
 use crate::protocol::WriteOp;
@@ -113,6 +143,9 @@ struct PreparedTxn {
     primary: ServerId,
     /// When the coordinator's lease expires and the reaper may act.
     lease_deadline: Instant,
+    /// Restored from the log rather than prepared by a live coordinator:
+    /// the decision may have been taken, and lost here, before the crash.
+    recovered: bool,
 }
 
 /// Recorded fate of a finished transaction, kept in a bounded FIFO so that
@@ -160,11 +193,23 @@ impl std::hash::Hasher for TxnIdHasher {
 
 type TxnIdMap<V> = HashMap<TxnId, V, std::hash::BuildHasherDefault<TxnIdHasher>>;
 
-/// Bounded FIFO of transaction outcomes.
+/// A decision whose log record is written, in decision order, but not yet
+/// known durable.  Until it is, the transaction still reads as prepared;
+/// every other delivery that reaches it waits for the same position instead
+/// of deciding again.
+#[derive(Debug, Clone, Copy)]
+struct Deciding {
+    fate: TxnOutcome,
+    pos: WalPosition,
+}
+
+/// Bounded FIFO of transaction outcomes, plus the decisions on their way to
+/// the disk.
 struct OutcomeTable {
     map: TxnIdMap<TxnOutcome>,
     order: VecDeque<TxnId>,
     cap: usize,
+    deciding: TxnIdMap<Deciding>,
 }
 
 impl OutcomeTable {
@@ -173,6 +218,7 @@ impl OutcomeTable {
             map: TxnIdMap::default(),
             order: VecDeque::new(),
             cap: cap.max(16),
+            deciding: TxnIdMap::default(),
         }
     }
 
@@ -221,6 +267,7 @@ impl OutcomeTable {
     fn clear(&mut self) {
         self.map.clear();
         self.order.clear();
+        self.deciding.clear();
     }
 }
 
@@ -292,6 +339,9 @@ struct Shard {
 /// object state is partitioned over [`SHARD_COUNT`] independently locked
 /// shards, so requests for different objects proceed in parallel.
 pub struct ServerStore {
+    /// This server's id: a transaction whose primary it names is decided
+    /// here, and only those decisions are forced to disk.
+    id: ServerId,
     shards: Vec<Mutex<Shard>>,
     /// In-flight prepared transactions (objects locked, primary, lease), so
     /// commit and abort do not need to scan the whole store.  Touched once
@@ -335,15 +385,16 @@ impl ServerStore {
     /// Creates an empty store retaining up to `retention` transaction
     /// outcomes for message deduplication.
     pub fn with_outcome_retention(retention: usize) -> Self {
-        Self::with_wal(retention, None)
+        Self::with_wal(0, retention, None)
     }
 
-    /// Creates an empty store backed by `wal` (when `Some`): every
-    /// acknowledgeable state change is logged before it is acknowledged.
-    /// Call [`ServerStore::replay`] with the log's recovered records to
-    /// restore pre-crash state.
-    pub fn with_wal(retention: usize, wal: Option<Arc<Wal>>) -> Self {
+    /// Creates the empty store of server `id`, backed by `wal` (when
+    /// `Some`): every acknowledgeable state change is logged before it is
+    /// acknowledged.  Call [`ServerStore::replay`] with the log's recovered
+    /// records to restore pre-crash state.
+    pub fn with_wal(id: ServerId, retention: usize, wal: Option<Arc<Wal>>) -> Self {
         ServerStore {
+            id,
             shards: (0..SHARD_COUNT)
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
@@ -519,6 +570,7 @@ impl ServerStore {
                 start_ts,
                 primary,
                 lease_deadline: Instant::now() + lease,
+                recovered: false,
             },
         );
         if replaced.is_none() {
@@ -570,6 +622,123 @@ impl ServerStore {
         None
     }
 
+    /// Decides the fate of `txn` as `want` unless it already has one, and
+    /// returns the fate that holds, and whether this call is the one that
+    /// made it observable (and applied it to the objects).
+    ///
+    /// Every fate-deciding path comes through here and serializes on the
+    /// outcomes lock, under which the decision record is appended: the log's
+    /// record order is the decision order, so replay reconstructs the same
+    /// history even when a commit raced the reaper.  The lock is **not**
+    /// held while the record reaches the disk.  A decision that must be
+    /// durable before anyone may learn of it — this server is the
+    /// transaction's primary, or it answers a commit for a transaction it
+    /// does not know — leaves a [`Deciding`] mark instead: the transaction
+    /// keeps reading as prepared (`TxnStatus` says pending), a duplicate
+    /// delivery or the reaper finding the mark waits for the same log
+    /// position, and whoever sees it durable first records the outcome.
+    /// Decisions on one server therefore share flushes instead of queueing
+    /// for the lock behind one another's `fdatasync`.
+    ///
+    /// A decision at a secondary, and an abort of a transaction not
+    /// prepared here, is appended **unforced** and observable at once: the
+    /// record rides this log's next flush, and if a crash drops it first,
+    /// recovery finds the transaction prepared (or unknown) and resolves it
+    /// through the primary again.
+    fn decide(&self, txn: TxnId, want: TxnOutcome) -> Result<(TxnOutcome, bool)> {
+        let mut outcomes = self.outcomes.lock();
+        let mark = match outcomes.deciding.get(&txn) {
+            Some(mark) => *mark,
+            None => {
+                let primary = self.prepared.lock().get(&txn).map(|p| p.primary);
+                let recorded = outcomes.get(txn);
+                // A stale abort after the commit is ignored; anything for a
+                // transaction no longer prepared here is a duplicate
+                // delivery.  Both are answered from the table.
+                let stale_abort = want == TxnOutcome::Aborted
+                    && matches!(recorded, Some(TxnOutcome::Committed(_)));
+                if let Some(fate) = recorded.filter(|_| primary.is_none() || stale_abort) {
+                    self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok((fate, false));
+                }
+                let (fate, forced) = match primary {
+                    Some(primary) => (want, primary == self.id),
+                    // Never prepared here, or already reaped: presume abort.
+                    // Answering a *commit* that way is itself a decision the
+                    // coordinator will act on, so it must be durable before
+                    // the answer, or a post-crash duplicate of this commit
+                    // could succeed after its coordinator was told "aborted".
+                    None => (TxnOutcome::Aborted, want != TxnOutcome::Aborted),
+                };
+                let rec = match fate {
+                    TxnOutcome::Committed(commit_ts) => WalRecord::Commit { txn, commit_ts },
+                    TxnOutcome::Aborted => WalRecord::Abort { txn },
+                };
+                let pos = self
+                    .wal
+                    .as_ref()
+                    .map(|wal| wal.append_unforced(&rec))
+                    .transpose()?;
+                match pos.filter(|_| forced) {
+                    Some(pos) => {
+                        let mark = Deciding { fate, pos };
+                        outcomes.deciding.insert(txn, mark);
+                        mark
+                    }
+                    None => {
+                        self.settle(outcomes, txn, fate);
+                        return Ok((fate, true));
+                    }
+                }
+            }
+        };
+        drop(outcomes);
+        let wal = self.wal.as_ref().expect("only a logged decision is marked");
+        let waited = wal.wait_durable(mark.pos);
+        let mut outcomes = self.outcomes.lock();
+        if outcomes.deciding.remove(&txn).is_some() {
+            // First to see the wait end.  A failed flush leaves the
+            // transaction prepared and undecided, as before the attempt.
+            waited?;
+            self.settle(outcomes, txn, mark.fate);
+            return Ok((mark.fate, true));
+        }
+        // Another delivery saw it end first: its verdict stands.
+        match outcomes.get(txn) {
+            Some(fate) => Ok((fate, false)),
+            None => Err(waited
+                .err()
+                .unwrap_or_else(|| Error::Internal(format!("the decision of txn {txn} vanished")))),
+        }
+    }
+
+    /// Makes a decision observable — the outcome enters the table, the
+    /// transaction leaves the prepared set — then, with the outcomes lock
+    /// released, applies it to the objects: a commit installs the staged
+    /// values at its timestamp, an abort discards them; both release the
+    /// prepare locks.
+    fn settle(&self, mut outcomes: MutexGuard<'_, OutcomeTable>, txn: TxnId, fate: TxnOutcome) {
+        let entry = self.prepared.lock().remove(&txn);
+        if entry.is_some() {
+            self.prepared_hint.fetch_sub(1, Ordering::Relaxed);
+        }
+        outcomes.record(txn, fate);
+        drop(outcomes);
+        for obj in entry.map(|p| p.objs).unwrap_or_default() {
+            let mut shard = self.shards[self.shard_of(obj)].lock();
+            let Some(state) = shard.objects.get_mut(&obj) else {
+                continue;
+            };
+            // Locks are only released by their owner, so a lock of another
+            // transaction here would be a protocol bug; leave it alone.
+            if let Some(lock) = state.lock.take_if(|l| l.txn == txn) {
+                if let TxnOutcome::Committed(commit_ts) = fate {
+                    state.chain.install(commit_ts, lock.staged);
+                }
+            }
+        }
+    }
+
     /// Installs the versions staged by a successful prepare of `txn` at
     /// `commit_ts` and releases the locks.  Idempotent, as phase two must
     /// be: a re-delivered commit answers from the outcome table, and a
@@ -577,85 +746,36 @@ impl ServerStore {
     /// presumed-aborted (the only way a commit can reference an unknown
     /// transaction is that the reaper already expired its prepare).
     ///
-    /// Durable stores append the decision record — `Commit`, or `Abort` for
-    /// the presumed-abort branch — while holding the outcomes lock and
-    /// **before** recording it in memory.  Both halves of that ordering
-    /// matter: a fate must never be observable (by a `TxnStatus` probe, and
-    /// through it a secondary participant) before it is durable, and
-    /// because every fate-deciding path serializes on the outcomes lock,
-    /// the log's record order always matches the decision order, so replay
-    /// reconstructs the same history even when a commit raced the reaper.
+    /// On a durable store the decision record — `Commit`, or `Abort` for
+    /// the presumed-abort branch — is logged per `ServerStore::decide`: at
+    /// the transaction's primary the call returns, and the fate becomes
+    /// observable (to a `TxnStatus` probe, and through it to a secondary),
+    /// only once the record is durable; at a secondary the record is
+    /// unforced.
     pub fn commit(&self, txn: TxnId, commit_ts: Timestamp) -> Result<CommitOutcome> {
         let _ckpt = self.ckpt_gate.read();
-        let entry = {
-            let mut outcomes = self.outcomes.lock();
-            // Fast path first: a live prepared entry.  A duplicate commit
-            // racing us serializes on the outcomes lock, loses the removal,
-            // and falls through to the outcome table, which we fill while
-            // still holding that lock.  (Only fate-deciding paths remove
-            // prepared entries, and all of them hold the outcomes lock, so
-            // the entry cannot vanish between this check and the removal
-            // after the append.)
-            let is_prepared = self.prepared.lock().contains_key(&txn);
-            if is_prepared {
-                self.wal_append(&WalRecord::Commit { txn, commit_ts })?;
-            }
-            match self.prepared.lock().remove(&txn) {
-                Some(p) => {
-                    self.prepared_hint.fetch_sub(1, Ordering::Relaxed);
-                    outcomes.record(txn, TxnOutcome::Committed(commit_ts));
-                    p
+        match self.decide(txn, TxnOutcome::Committed(commit_ts))? {
+            (TxnOutcome::Committed(ts), settled) => {
+                if settled {
+                    self.stats.commits.fetch_add(1, Ordering::Relaxed);
                 }
-                None => {
-                    // Not prepared here: either a duplicate delivery
-                    // (answer from the outcome table) or a commit for a
-                    // transaction this store never prepared (presume abort).
-                    return match outcomes.get(txn) {
-                        Some(TxnOutcome::Committed(ts)) => {
-                            self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                            Ok(CommitOutcome::Committed(ts))
-                        }
-                        Some(TxnOutcome::Aborted) => {
-                            self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                            Ok(CommitOutcome::AlreadyAborted)
-                        }
-                        None => {
-                            // The presumed abort is itself a decision: make
-                            // it durable before answering, or a post-crash
-                            // duplicate of this commit could succeed after
-                            // its coordinator was already told "aborted".
-                            self.wal_append(&WalRecord::Abort { txn })?;
-                            outcomes.record(txn, TxnOutcome::Aborted);
-                            Ok(CommitOutcome::AlreadyAborted)
-                        }
-                    };
-                }
+                Ok(CommitOutcome::Committed(ts))
             }
-        };
-        for obj in entry.objs {
-            let mut shard = self.shards[self.shard_of(obj)].lock();
-            if let Some(state) = shard.objects.get_mut(&obj) {
-                match state.lock.take() {
-                    Some(lock) if lock.txn == txn => {
-                        state.chain.install(commit_ts, lock.staged);
-                    }
-                    other => {
-                        // Lock stolen or missing: put it back if it belongs
-                        // to someone else.  This cannot happen in the current
-                        // protocol (locks are only released by their owner),
-                        // but stay defensive.
-                        state.lock = other.filter(|l| l.txn != txn);
-                    }
-                }
-            }
+            (TxnOutcome::Aborted, _) => Ok(CommitOutcome::AlreadyAborted),
         }
-        self.stats.commits.fetch_add(1, Ordering::Relaxed);
-        Ok(CommitOutcome::Committed(commit_ts))
     }
 
-    /// Validates and installs `writes` in one step, assigning `commit_ts`.
-    /// Used by one-phase commit, where the caller obtains a commit timestamp
-    /// via the server-side oracle handle.
+    /// Validates and installs `writes` in one step, at the timestamp drawn
+    /// from `next_ts` (the server passes its oracle handle).
+    ///
+    /// The timestamp is drawn **while the shard guards are held**, after
+    /// validation.  Drawn any earlier, a transaction could begin between the
+    /// draw and the guards, read the old version at a snapshot *later* than
+    /// this commit, pass first-committer-wins against it (nothing newer than
+    /// its snapshot once this version lands below it) and overwrite: a lost
+    /// update.  Under the guards, every snapshot that can see past the
+    /// timestamp is issued after it, and reads of these objects queue behind
+    /// the guards until the versions are in.
     ///
     /// Durable stores append the record while still holding the shard
     /// guards, after validation and before installation: the guards order
@@ -668,7 +788,7 @@ impl ServerStore {
         txn: TxnId,
         start_ts: Timestamp,
         writes: &[WriteOp],
-        commit_ts: Timestamp,
+        next_ts: impl FnOnce() -> Timestamp,
     ) -> Result<CommitOnePhaseOutcome> {
         // Dedup: a retried one-phase commit (its first response was lost)
         // must report the original fate, not re-validate — re-validation
@@ -700,6 +820,7 @@ impl ServerStore {
                 return Ok(CommitOnePhaseOutcome::Conflict(reason));
             }
         }
+        let commit_ts = next_ts();
         self.wal_append(&WalRecord::CommitOnePhase {
             txn,
             commit_ts,
@@ -725,44 +846,15 @@ impl ServerStore {
     /// commit) so duplicate prepares and commits of this transaction are
     /// refused from then on.
     ///
-    /// Durable stores log the abort before it becomes observable (same
-    /// outcomes-lock ordering as [`ServerStore::commit`]); a duplicate
-    /// abort of an already-aborted, no-longer-prepared transaction is
-    /// answered without touching the log.
+    /// Durable stores log the abort per `ServerStore::decide` — forced,
+    /// and durable before it is observable, at the transaction's primary;
+    /// a duplicate abort of an already-aborted, no-longer-prepared
+    /// transaction is answered without touching the log.
     pub fn abort(&self, txn: TxnId) -> Result<()> {
         let _ckpt = self.ckpt_gate.read();
-        let entry = {
-            let mut outcomes = self.outcomes.lock();
-            if let Some(TxnOutcome::Committed(_)) = outcomes.get(txn) {
-                // A stale abort after the commit installed: ignore.
-                self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            let already_aborted = matches!(outcomes.get(txn), Some(TxnOutcome::Aborted));
-            let is_prepared = self.prepared.lock().contains_key(&txn);
-            if !already_aborted || is_prepared {
-                self.wal_append(&WalRecord::Abort { txn })?;
-            }
-            let entry = self.prepared.lock().remove(&txn);
-            if entry.is_some() {
-                self.prepared_hint.fetch_sub(1, Ordering::Relaxed);
-            }
-            outcomes.record(txn, TxnOutcome::Aborted);
-            entry
-        };
-        let Some(entry) = entry else {
+        if let (TxnOutcome::Aborted, _) = self.decide(txn, TxnOutcome::Aborted)? {
             self.stats.aborts.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        };
-        for obj in entry.objs {
-            let mut shard = self.shards[self.shard_of(obj)].lock();
-            if let Some(state) = shard.objects.get_mut(&obj) {
-                if state.lock.as_ref().map(|l| l.txn == txn).unwrap_or(false) {
-                    state.lock = None;
-                }
-            }
         }
-        self.stats.aborts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -801,6 +893,34 @@ impl ServerStore {
             .filter(|(_, p)| p.lease_deadline <= now)
             .map(|(txn, p)| (*txn, p.primary))
             .collect()
+    }
+
+    /// Prepared transactions restored from the log and still undecided
+    /// here, of which another server is the primary, with that primary:
+    /// what a restarted server asks the primaries about before it serves
+    /// traffic.
+    pub fn recovered_prepared(&self) -> Vec<(TxnId, ServerId)> {
+        self.prepared
+            .lock()
+            .iter()
+            .filter(|(_, p)| p.recovered && p.primary != self.id)
+            .map(|(txn, p)| (*txn, p.primary))
+            .collect()
+    }
+
+    /// The transaction holding the prepare lock on `obj`, with its primary
+    /// participant, if that transaction was restored from the log and its
+    /// primary is another server.  A read that finds such a lock may be
+    /// waiting on a decision this server lost in a crash; one that finds a
+    /// live coordinator's lock just retries.
+    pub fn recovered_lock_holder(&self, obj: ObjectId) -> Option<(TxnId, ServerId)> {
+        let txn = {
+            let shard = self.shards[self.shard_of(obj)].lock();
+            shard.objects.get(&obj)?.lock.as_ref()?.txn
+        };
+        let prepared = self.prepared.lock();
+        let p = prepared.get(&txn)?;
+        (p.recovered && p.primary != self.id).then_some((txn, p.primary))
     }
 
     /// Committed version history of `obj`, newest first, as
@@ -905,28 +1025,9 @@ impl ServerStore {
                     // commit record without one lost a race to an abort
                     // record earlier in the log and is skipped, exactly as
                     // the live path skipped it.
-                    let entry = {
-                        let mut outcomes = self.outcomes.lock();
-                        let p = self.prepared.lock().remove(txn);
-                        if p.is_some() {
-                            self.prepared_hint.fetch_sub(1, Ordering::Relaxed);
-                            outcomes.record(*txn, TxnOutcome::Committed(*commit_ts));
-                        }
-                        p
-                    };
-                    if let Some(entry) = entry {
-                        for obj in entry.objs {
-                            let mut shard = self.shards[self.shard_of(obj)].lock();
-                            if let Some(state) = shard.objects.get_mut(&obj) {
-                                if let Some(lock) = state.lock.take() {
-                                    if lock.txn == *txn {
-                                        state.chain.install(*commit_ts, lock.staged);
-                                    } else {
-                                        state.lock = Some(lock);
-                                    }
-                                }
-                            }
-                        }
+                    let outcomes = self.outcomes.lock();
+                    if self.prepared.lock().contains_key(txn) {
+                        self.settle(outcomes, *txn, TxnOutcome::Committed(*commit_ts));
                         recovered += 1;
                     }
                 }
@@ -956,20 +1057,11 @@ impl ServerStore {
                     recovered += 1;
                 }
                 WalRecord::Abort { txn } => {
-                    if matches!(
-                        self.outcomes.lock().get(*txn),
-                        Some(TxnOutcome::Committed(_))
-                    ) {
+                    let outcomes = self.outcomes.lock();
+                    if matches!(outcomes.get(*txn), Some(TxnOutcome::Committed(_))) {
                         continue;
                     }
-                    let entry = self.prepared.lock().remove(txn);
-                    if entry.is_some() {
-                        self.prepared_hint.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    if let Some(entry) = entry {
-                        self.release_locks_of(*txn, entry.objs.into_iter());
-                    }
-                    self.outcomes.lock().record(*txn, TxnOutcome::Aborted);
+                    self.settle(outcomes, *txn, TxnOutcome::Aborted);
                     recovered += 1;
                 }
                 WalRecord::Alloc { obj, value } => {
@@ -1016,6 +1108,7 @@ impl ServerStore {
                 start_ts,
                 primary,
                 lease_deadline: Instant::now() + lease,
+                recovered: true,
             },
         );
         if replaced.is_none() {
@@ -1310,7 +1403,7 @@ mod tests {
     fn one_phase_commit_validates_and_installs() {
         let s = ServerStore::new();
         assert_eq!(
-            s.commit_one_phase(1, 1, &[w(1, "a")], 5).unwrap(),
+            s.commit_one_phase(1, 1, &[w(1, "a")], || 5).unwrap(),
             CommitOnePhaseOutcome::Committed(5)
         );
         assert_eq!(
@@ -1318,7 +1411,7 @@ mod tests {
             ReadOutcome::Value(Some(Bytes::from_static(b"a")))
         );
         // Stale snapshot conflicts.
-        match s.commit_one_phase(2, 1, &[w(1, "b")], 6).unwrap() {
+        match s.commit_one_phase(2, 1, &[w(1, "b")], || 6).unwrap() {
             CommitOnePhaseOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
@@ -1449,23 +1542,23 @@ mod tests {
     fn one_phase_commit_retry_reports_original_fate() {
         let s = ServerStore::new();
         assert_eq!(
-            s.commit_one_phase(1, 1, &[w(1, "a")], 5).unwrap(),
+            s.commit_one_phase(1, 1, &[w(1, "a")], || 5).unwrap(),
             CommitOnePhaseOutcome::Committed(5)
         );
         // Retry with a fresh timestamp: the original fate is reported and
         // nothing is re-installed.
         assert_eq!(
-            s.commit_one_phase(1, 1, &[w(1, "a")], 9).unwrap(),
+            s.commit_one_phase(1, 1, &[w(1, "a")], || 9).unwrap(),
             CommitOnePhaseOutcome::Committed(5)
         );
         assert_eq!(s.version_count(), 1);
         // A conflicted one-phase commit is remembered as aborted.
-        match s.commit_one_phase(2, 1, &[w(1, "b")], 10).unwrap() {
+        match s.commit_one_phase(2, 1, &[w(1, "b")], || 10).unwrap() {
             CommitOnePhaseOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
         assert_eq!(s.outcome(2), Some(TxnOutcome::Aborted));
-        match s.commit_one_phase(2, 1, &[w(1, "b")], 11).unwrap() {
+        match s.commit_one_phase(2, 1, &[w(1, "b")], || 11).unwrap() {
             CommitOnePhaseOutcome::Conflict(_) => {}
             other => panic!("expected conflict on retry, got {other:?}"),
         }
@@ -1476,7 +1569,7 @@ mod tests {
         let s = ServerStore::with_outcome_retention(16);
         for i in 0..100u64 {
             assert_eq!(
-                s.commit_one_phase(i + 1, 2 * i + 1, &[w(i, "v")], 2 * i + 2)
+                s.commit_one_phase(i + 1, 2 * i + 1, &[w(i, "v")], || 2 * i + 2)
                     .unwrap(),
                 CommitOnePhaseOutcome::Committed(2 * i + 2)
             );
@@ -1540,7 +1633,8 @@ mod tests {
                     let txn = o + 1;
                     let ts = 2 * o + 1;
                     assert_eq!(
-                        s.commit_one_phase(txn, ts, &[w(o, "v")], ts + 1).unwrap(),
+                        s.commit_one_phase(txn, ts, &[w(o, "v")], || ts + 1)
+                            .unwrap(),
                         CommitOnePhaseOutcome::Committed(ts + 1)
                     );
                 }
@@ -1573,7 +1667,7 @@ mod tests {
                     let commit = ts.fetch_add(1, Ordering::SeqCst);
                     let txn = t * 1000 + i + 1;
                     match s
-                        .commit_one_phase(txn, start, &[w(7, "contended")], commit)
+                        .commit_one_phase(txn, start, &[w(7, "contended")], || commit)
                         .unwrap()
                     {
                         CommitOnePhaseOutcome::Committed(_) => wins.fetch_add(1, Ordering::SeqCst),

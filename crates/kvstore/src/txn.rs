@@ -13,7 +13,9 @@ use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, span, SpanKind, TraceCounter};
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::timeutil::sleep_backoff;
-use yesquel_common::{CommitFanout, Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};
+use yesquel_common::{
+    CommitFanout, Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId, WalFsyncPolicy,
+};
 use yesquel_rpc::Transport;
 
 use crate::fanout::FanoutPool;
@@ -74,6 +76,9 @@ pub(crate) struct ClientCore {
     /// Monotone salt for retry-backoff jitter, so concurrent RPCs from one
     /// client spread out while staying deterministic per deployment.
     pub(crate) retry_salt: AtomicU64,
+    /// Whether a call through `transport` blocks on something other than
+    /// the server's own work (see [`crate::KvClient::new`]).
+    pub(crate) transport_blocks: bool,
     /// Worker pool for the coordinator's parallel RPC rounds; lazy, so it
     /// costs nothing until the first parallel fan-out.
     pub(crate) fanout: FanoutPool,
@@ -160,17 +165,19 @@ impl ClientCore {
         }
     }
 
-    /// Whether a coordinator round over `participants` servers should fan
-    /// out concurrently: the configuration decides, with `Auto` delegating
-    /// to the transport's own judgement of whether independent calls
-    /// actually overlap (see [`yesquel_rpc::Transport::fanout_profitable`]).
-    pub(crate) fn parallel_fanout(&self, participants: usize) -> bool {
-        participants > 1
-            && match self.cfg.commit_fanout {
-                CommitFanout::Serial => false,
-                CommitFanout::Parallel => true,
-                CommitFanout::Auto => self.transport.fanout_profitable(),
-            }
+    /// Whether a call to a participant spends wall-clock time blocked, so
+    /// that a coordinator round — prepares, secondary commits, aborts — is
+    /// worth issuing from several threads at once: the transport makes
+    /// callers wait (worker queues, slept latency, injected faults), or the
+    /// servers force a log, in which case every prepare ends in an
+    /// `fdatasync` and a round of them costs one flush instead of one per
+    /// participant.  When neither holds a call is pure CPU on the caller's
+    /// thread and the round stays a plain loop: no pool thread is ever
+    /// spawned.  [`CommitFanout::Parallel`] overrides the judgement.
+    pub(crate) fn calls_block(&self) -> bool {
+        self.cfg.commit_fanout == CommitFanout::Parallel
+            || self.transport_blocks
+            || (self.cfg.wal_dir.is_some() && self.cfg.wal_fsync != WalFsyncPolicy::Off)
     }
 }
 
@@ -179,9 +186,10 @@ impl ClientCore {
 /// (so a round never needs more worker threads than it has peers), and the
 /// call returns once every result is in, sorted by server id.
 ///
-/// If a pool worker dies mid-round (a panic in the transport stack) its
-/// entry is simply missing from the result; callers that need every
-/// participant accounted for must check the length.
+/// A call the pool cannot take runs on the calling thread.  If a pool
+/// worker dies mid-round (a panic in the transport stack) its entry is
+/// simply missing from the result; callers that need every participant
+/// accounted for must check the length.
 pub(crate) fn fanout_calls(
     core: &Arc<ClientCore>,
     reqs: Vec<(ServerId, KvRequest)>,
@@ -196,10 +204,15 @@ pub(crate) fn fanout_calls(
     for (server, req) in reqs {
         let job_core = Arc::clone(core);
         let tx = tx.clone();
-        core.fanout.submit(Box::new(move || {
+        let job = Box::new(move || {
             let resp = job_core.call_retry(server, req, max_attempts);
             let _ = tx.send((server, resp));
-        }));
+        });
+        if let Err(job) = core.fanout.submit(job) {
+            // No worker can take it: the round loses its overlap for this
+            // call, not the call.
+            job();
+        }
     }
     drop(tx);
     let mut out = Vec::with_capacity(n);
@@ -478,7 +491,7 @@ impl Txn {
         self.core.hot.commit_2pc.inc();
         let prepare_t0 = timing.then(clock::now);
         let primary = participants[0];
-        let parallel = self.core.parallel_fanout(participants.len());
+        let parallel = participants.len() > 1 && self.core.calls_block();
         let prepare_req = |writes: Vec<WriteOp>| KvRequest::Prepare {
             txn: self.id,
             start_ts: self.start_ts,
@@ -650,8 +663,9 @@ impl Txn {
         // Phase two, secondaries: best-effort, fanned out concurrently when
         // the prepares were (the outcome no longer depends on these calls).
         // The transaction is durably committed at the primary; a secondary
-        // that misses its commit will adopt it from the primary through the
-        // reaper.
+        // logs its commit without waiting for the disk, and one that misses
+        // the message — or loses the record in a crash — adopts the commit
+        // from the primary.
         let secondary_commits: Vec<(ServerId, KvRequest)> = participants
             .iter()
             .filter(|&&s| s != primary)
@@ -708,7 +722,7 @@ impl Txn {
     /// under faults would otherwise serialise several full retry budgets).
     fn abort_participants(&self, participants: &[ServerId]) {
         let abort = |s: ServerId| (s, KvRequest::Abort { txn: self.id });
-        if self.core.parallel_fanout(participants.len()) {
+        if self.core.calls_block() && participants.len() > 1 {
             let reqs = participants.iter().map(|&s| abort(s)).collect();
             let _ = fanout_calls(&self.core, reqs, self.core.cfg.rpc_max_attempts);
         } else {

@@ -236,10 +236,6 @@ impl<S: BatchableService> Transport<S> for BatchingTransport<S> {
     fn num_servers(&self) -> usize {
         self.inner.num_servers()
     }
-
-    fn fanout_profitable(&self) -> bool {
-        self.inner.fanout_profitable()
-    }
 }
 
 #[cfg(test)]

@@ -488,13 +488,6 @@ where
     fn num_servers(&self) -> usize {
         self.inner.num_servers()
     }
-
-    fn fanout_profitable(&self) -> bool {
-        // Injected delays, retry backoffs, and crash-reject stalls all eat
-        // wall-clock time that independent calls can overlap — and chaos
-        // tests deliberately want the parallel coordinator paths exercised.
-        true
-    }
 }
 
 #[cfg(test)]

@@ -58,19 +58,6 @@ pub trait Transport<S: Service>: Send + Sync {
 
     /// Number of servers reachable through this transport.
     fn num_servers(&self) -> usize;
-
-    /// Whether issuing independent calls from several threads can finish
-    /// sooner than issuing them back to back on one thread.  False for a
-    /// transport whose `call` is a plain synchronous function call (nothing
-    /// overlaps, and spawning threads only adds overhead); true when calls
-    /// spend wall-clock time blocked — on server worker queues, slept
-    /// network latency, or injected faults and retry backoffs.  The 2PC
-    /// coordinator consults this under [`CommitFanout::Auto`].
-    ///
-    /// [`CommitFanout::Auto`]: yesquel_common::CommitFanout::Auto
-    fn fanout_profitable(&self) -> bool {
-        false
-    }
 }
 
 /// Book-keeping shared by both transports.
@@ -180,14 +167,6 @@ impl<S: Service> Transport<S> for DirectTransport<S> {
 
     fn num_servers(&self) -> usize {
         self.servers.len()
-    }
-
-    fn fanout_profitable(&self) -> bool {
-        // Direct calls only overlap when each one actually sleeps the
-        // modelled latency; otherwise they are pure CPU and parallel fan-out
-        // would just pay thread handoffs.
-        let cfg = self.net.config();
-        cfg.sleep_latency && cfg.one_way_latency_us > 0
     }
 }
 
@@ -316,12 +295,6 @@ impl<S: Service> Transport<S> for ThreadedTransport<S> {
 
     fn num_servers(&self) -> usize {
         self.queues.len()
-    }
-
-    fn fanout_profitable(&self) -> bool {
-        // Calls block on per-server worker queues, so independent requests
-        // to different servers genuinely proceed in parallel.
-        true
     }
 }
 

@@ -23,22 +23,40 @@
 //! tail is the expected shape of a crash mid-append and is silently
 //! recovered to the clean prefix; it is never an error and never a panic.
 //!
+//! ## Forced and unforced appends
+//!
+//! Appending and waiting are two steps.  [`Wal::append_unforced`] writes the
+//! frame at the end of the log — so the order of calls is the order of
+//! records — and returns its [`WalPosition`] without waiting for the disk;
+//! [`Wal::wait_durable`] blocks until a sync covers a position.
+//! [`Wal::append`] is both, for a record that must be durable before its
+//! effect is acknowledged.  A record that is only appended is *unforced*: it
+//! becomes durable with the next sync of this log, whoever asks for it, and
+//! [`Wal::power_loss`] drops it until then.
+//!
 //! ## Group commit
 //!
-//! [`Wal::append`] returns only once the record is durable per the
+//! [`Wal::wait_durable`] returns only once the position is durable per the
 //! configured [`WalFsyncPolicy`]:
 //!
-//! * `Always` — the appender syncs before returning (concurrent appenders
-//!   still coalesce: a sync that covers your offset counts).
-//! * `Group { window_us }` — the first appender that finds no sync in
-//!   flight becomes the *leader*: it waits `window_us` for concurrent
-//!   committers to append their frames, then issues **one** `fdatasync`
-//!   covering the whole group.  Followers block until a sync covers their
-//!   offset.  The `wal.fsyncs` / `wal.group_size` counters expose the
-//!   achieved batching (mean group size = group_size / fsyncs).
+//! * `Always` — the waiter syncs before returning (concurrent waiters still
+//!   coalesce: a sync that covers your position counts).
+//! * `Group { window_us }` — the first waiter that finds no sync in flight
+//!   becomes the *leader* and issues **one** `fdatasync` covering every
+//!   frame written so far; waiters arriving meanwhile block until a sync
+//!   covers their position, and the next leader takes all of them at once.
+//!   The leader lingers `window_us` first only if another append on this
+//!   log is in flight when it is elected (its frame is about to land and
+//!   can ride this sync); alone, it syncs at once.  The `wal.fsyncs` /
+//!   `wal.group_size` counters expose the achieved batching (mean group
+//!   size = group_size / fsyncs); `wal.group_solo` counts windows that were
+//!   slept and joined by nobody.
 //! * `Off` — no explicit sync; an acknowledged commit can be lost by
 //!   [`Wal::power_loss`].  Measures the log's CPU cost without its
 //!   durability cost.
+//!
+//! `fdatasync` runs outside the file mutex: appends — forced or not — never
+//! queue behind a flush in progress.
 //!
 //! ## Checkpoints and truncation
 //!
@@ -52,8 +70,9 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use yesquel_common::encoding::{Reader, Writer};
@@ -467,7 +486,9 @@ fn encode_frame(rec: &WalRecord) -> Vec<u8> {
 
 /// State behind the file mutex: the active segment and its write cursor.
 struct Inner {
-    file: File,
+    /// Shared so that a sync leader can `fdatasync` its own handle after
+    /// releasing the mutex; appenders write through `&File` under it.
+    file: Arc<File>,
     path: PathBuf,
     /// Active segment sequence number.
     seq: u64,
@@ -475,6 +496,11 @@ struct Inner {
     len: u64,
     /// Frames appended to the active segment (checkpoint included).
     frames: u64,
+    /// Bumped (together with [`SyncState::generation`], under both mutexes)
+    /// whenever the active segment is replaced or truncated: reload,
+    /// checkpoint, power loss.  Offsets of an older generation mean nothing
+    /// in the current file.
+    generation: u64,
 }
 
 /// State behind the sync mutex: what is known durable, and whether a group
@@ -484,9 +510,24 @@ struct SyncState {
     durable: u64,
     /// Frames of the active segment known to be on stable storage.
     durable_frames: u64,
-    /// True while some appender is sleeping out the group window or inside
+    /// True while some waiter is sleeping out the group window or inside
     /// `fdatasync`; followers wait instead of issuing their own sync.
     leader_active: bool,
+    /// Mirror of [`Inner::generation`].
+    generation: u64,
+}
+
+/// Where an appended record ends in the log: what [`Wal::wait_durable`]
+/// waits for.  A position taken before the segment was replaced or
+/// truncated has nothing left to wait for: a checkpoint synced everything
+/// before it, and a simulated power loss already decided what survived.
+#[derive(Debug, Clone, Copy)]
+pub struct WalPosition {
+    generation: u64,
+    end: u64,
+    /// When the append started, stamped only while `Obs::timing_on`, so the
+    /// wait can record the append's end-to-end latency.
+    started: Option<Instant>,
 }
 
 /// A per-server write-ahead log over one directory of segment files.
@@ -496,13 +537,21 @@ pub struct Wal {
     inner: Mutex<Inner>,
     sync: Mutex<SyncState>,
     sync_cv: Condvar,
+    /// Appends between entry and their frame being written: what a freshly
+    /// elected group leader looks at to decide whether lingering can pay.
+    appending: AtomicUsize,
+    /// Runs on the leader just before `fdatasync`, outside every lock; lets
+    /// a test hold a sync open while it appends.
+    #[cfg(test)]
+    before_sync: Mutex<Option<Box<dyn Fn() + Send>>>,
     appends: Arc<Counter>,
     fsyncs: Arc<Counter>,
     group_size: Arc<Counter>,
     group_solo: Arc<Counter>,
     recovered_txns: Arc<Counter>,
-    /// End-to-end append latency — the frame write plus this appender's
-    /// share of the group fsync (recorded only while `Obs::timing_on`).
+    /// End-to-end latency of a forced append — the frame write plus this
+    /// appender's share of the group fsync (recorded only while
+    /// `Obs::timing_on`).
     append_us: Arc<Histogram>,
     /// Latency of each `fdatasync` as observed by the group leader
     /// (recorded only while `Obs::timing_on`).
@@ -620,19 +669,26 @@ impl Wal {
             inner: Mutex::new(Inner {
                 // Placeholder until reload picks the real segment; reload
                 // runs before `open` returns, so this file is never used.
-                file: File::create(segment_path(&dir, u64::MAX))
-                    .map_err(|e| Error::io(dir.display(), e))?,
+                file: Arc::new(
+                    File::create(segment_path(&dir, u64::MAX))
+                        .map_err(|e| Error::io(dir.display(), e))?,
+                ),
                 path: segment_path(&dir, u64::MAX),
                 seq: 0,
                 len: 0,
                 frames: 0,
+                generation: 0,
             }),
             sync: Mutex::new(SyncState {
                 durable: 0,
                 durable_frames: 0,
                 leader_active: false,
+                generation: 0,
             }),
             sync_cv: Condvar::new(),
+            appending: AtomicUsize::new(0),
+            #[cfg(test)]
+            before_sync: Mutex::new(None),
             appends: registry.counter("wal.appends"),
             fsyncs: registry.counter("wal.fsyncs"),
             group_size: registry.counter("wal.group_size"),
@@ -758,7 +814,7 @@ impl Wal {
         let mut file = file;
         file.seek(SeekFrom::Start(scanned.clean_len))
             .map_err(|e| Error::io(scanned.path.display(), e))?;
-        inner.file = file;
+        inner.file = Arc::new(file);
         inner.path = scanned.path;
         inner.seq = scanned.seq;
         inner.len = scanned.clean_len;
@@ -767,47 +823,83 @@ impl Wal {
         sync.durable = scanned.clean_len;
         sync.durable_frames = scanned.frames;
         sync.leader_active = false;
+        Self::new_generation(&mut inner, &mut sync);
         Ok(scanned.records)
+    }
+
+    /// Marks the active segment as replaced or truncated.  Both guards are
+    /// taken by the caller, so a holder of either sees the counters move
+    /// together.
+    fn new_generation(inner: &mut Inner, sync: &mut SyncState) {
+        inner.generation += 1;
+        sync.generation = inner.generation;
     }
 
     /// Appends `rec` and returns once it is durable per the fsync policy.
     /// Under `Group`, concurrent appenders coalesce into one fsync.
     pub fn append(&self, rec: &WalRecord) -> Result<()> {
+        let pos = self.append_unforced(rec)?;
+        self.wait_durable(pos)
+    }
+
+    /// Writes `rec` at the end of the log without waiting for the disk and
+    /// returns where it ends.  Calls are ordered: a record appended after
+    /// another is never durable before it.  Until some sync covers the
+    /// returned position the record can be lost in a power failure, so
+    /// nothing that depends on it may be acknowledged without
+    /// [`Wal::wait_durable`].
+    pub fn append_unforced(&self, rec: &WalRecord) -> Result<WalPosition> {
         let _wal_span = span(SpanKind::Wal);
-        let t0 = self.stats.obs().timing_on().then(clock::now);
+        let started = self.stats.obs().timing_on().then(clock::now);
+        self.appending.fetch_add(1, Ordering::Relaxed);
         let frame = encode_frame(rec);
-        let upto = {
+        let written = {
             let mut g = self.inner.lock().unwrap();
-            g.file
-                .write_all(&frame)
-                .map_err(|e| Error::io(g.path.display(), e))?;
-            g.len += frame.len() as u64;
-            g.frames += 1;
-            g.len
+            match (&*g.file).write_all(&frame) {
+                Ok(()) => {
+                    g.len += frame.len() as u64;
+                    g.frames += 1;
+                    Ok(WalPosition {
+                        generation: g.generation,
+                        end: g.len,
+                        started,
+                    })
+                }
+                Err(e) => Err(Error::io(g.path.display(), e)),
+            }
         };
-        self.appends.inc();
+        self.appending.fetch_sub(1, Ordering::Relaxed);
+        if written.is_ok() {
+            self.appends.inc();
+        }
+        written
+    }
+
+    /// Blocks until `pos` is durable per the fsync policy: at once under
+    /// `Off`, otherwise until an `fdatasync` — this caller's or another's —
+    /// covers it.
+    pub fn wait_durable(&self, pos: WalPosition) -> Result<()> {
+        let _wal_span = span(SpanKind::Wal);
         let res = match self.policy {
             WalFsyncPolicy::Off => Ok(()),
-            WalFsyncPolicy::Always => self.ensure_durable(upto, Duration::ZERO),
+            WalFsyncPolicy::Always => self.flush_to(pos, Duration::ZERO),
             WalFsyncPolicy::Group { window_us } => {
-                self.ensure_durable(upto, Duration::from_micros(window_us))
+                self.flush_to(pos, Duration::from_micros(window_us))
             }
         };
-        if let Some(t0) = t0 {
-            if res.is_ok() {
-                self.append_us.record(clock::elapsed_us(t0));
-            }
+        if let (Some(t0), Ok(())) = (pos.started, &res) {
+            self.append_us.record(clock::elapsed_us(t0));
         }
         res
     }
 
-    /// Blocks until a sync covers byte offset `upto`, electing this thread
-    /// group leader (wait `window`, sync once, wake the group) if no sync is
-    /// in flight.
-    fn ensure_durable(&self, upto: u64, window: Duration) -> Result<()> {
+    /// Blocks until a sync covers `pos`, electing this thread group leader
+    /// (linger `window` if that can pay, sync once, wake the group) if no
+    /// sync is in flight.
+    fn flush_to(&self, pos: WalPosition, window: Duration) -> Result<()> {
         let mut s = self.sync.lock().unwrap();
         loop {
-            if s.durable >= upto {
+            if s.generation != pos.generation || s.durable >= pos.end {
                 return Ok(());
             }
             if !s.leader_active {
@@ -817,66 +909,71 @@ impl Wal {
             s = self.sync_cv.wait(s).unwrap();
         }
         drop(s);
-        if !window.is_zero() {
-            // Let concurrent committers append their frames into this group.
+        // Every frame already written rides this sync whether the leader
+        // waits or not; only an append caught between entry and its write
+        // can still join, so only then is the window worth sleeping.
+        let lingered = !window.is_zero() && self.appending.load(Ordering::Relaxed) > 0;
+        if lingered {
             std::thread::sleep(window);
         }
         let timing = self.stats.obs().timing_on();
-        let res = {
-            // Joiner re-check: the segment length is re-read *after* the
-            // window, so every frame appended while the leader slept — by
-            // followers now parked on the condvar — rides this one sync.
+        // The segment length is read after the window and the handle cloned
+        // with it, then the mutex is released: the sync covers at least
+        // `end`, and appends issued meanwhile land behind it without waiting.
+        let (file, end, frames, generation) = {
             let g = self.inner.lock().unwrap();
-            let end = (g.len, g.frames);
-            let t0 = timing.then(clock::now);
-            let synced = g
-                .file
-                .sync_data()
-                .map(|_| end)
-                .map_err(|e| Error::io(g.path.display(), e));
-            if let (Some(t0), Ok(_)) = (t0, &synced) {
-                self.fsync_us.record(clock::elapsed_us(t0));
-            }
-            synced
+            (Arc::clone(&g.file), g.len, g.frames, g.generation)
         };
+        #[cfg(test)]
+        if let Some(hook) = self.before_sync.lock().unwrap().as_ref() {
+            hook();
+        }
+        let t0 = timing.then(clock::now);
+        let synced = file
+            .sync_data()
+            .map_err(|e| Error::io(self.inner.lock().unwrap().path.display(), e));
+        if let (Some(t0), Ok(())) = (t0, &synced) {
+            self.fsync_us.record(clock::elapsed_us(t0));
+        }
         let mut s = self.sync.lock().unwrap();
         s.leader_active = false;
-        let out = match res {
-            Ok((end, frames)) => {
-                if end > s.durable {
-                    s.durable = end;
-                    self.fsyncs.inc();
-                    let group = frames.saturating_sub(s.durable_frames);
-                    self.group_size.add(group);
-                    if timing {
-                        self.group_size_dist.record(group);
-                    }
-                    if !window.is_zero() && group == 1 {
-                        // The leader re-read the segment length after its
-                        // window (the joiner check above) and still found
-                        // only its own frame: the window bought nothing this
-                        // round.  BENCH_*_LOAD reports use this to show how
-                        // often group commit actually amortises.
-                        self.group_solo.inc();
-                    }
-                    s.durable_frames = frames;
-                }
-                Ok(())
+        // A segment replaced or truncated under the sync keeps its own
+        // durability accounting; `end` says nothing about the new file.
+        if synced.is_ok() && s.generation == generation && end > s.durable {
+            s.durable = end;
+            self.fsyncs.inc();
+            let group = frames.saturating_sub(s.durable_frames);
+            self.group_size.add(group);
+            if timing {
+                self.group_size_dist.record(group);
             }
-            Err(e) => Err(e),
-        };
+            if lingered && group == 1 {
+                // The window was slept and the sync still covered only one
+                // frame: it bought nothing this round.  BENCH_*_LOAD reports
+                // use this to show how often group commit actually amortises.
+                self.group_solo.inc();
+            }
+            s.durable_frames = frames;
+        }
         // Wake followers in any case: on error one of them re-elects itself
-        // and retries the sync (bounded: each append attempts at most once
-        // as a follower-turned-leader before surfacing the error).
+        // and retries the sync (bounded: each waiter attempts at most once as
+        // a follower-turned-leader before surfacing the error).
         self.sync_cv.notify_all();
-        out
+        synced
     }
 
     /// Forces everything appended so far to stable storage, regardless of
     /// policy.
     pub fn sync(&self) -> Result<()> {
-        let upto = self.inner.lock().unwrap().len;
-        self.ensure_durable(upto, Duration::ZERO)
+        let pos = {
+            let g = self.inner.lock().unwrap();
+            WalPosition {
+                generation: g.generation,
+                end: g.len,
+                started: None,
+            }
+        };
+        self.flush_to(pos, Duration::ZERO)
     }
 
     /// Writes `snapshot` as the sole record of a fresh segment, syncs it,
@@ -902,13 +999,14 @@ impl Wal {
         // (it prefers the highest usable sequence number).
         let old_seq = inner.seq;
         let old_path = inner.path.clone();
-        inner.file = file;
+        inner.file = Arc::new(file);
         inner.path = path;
         inner.seq = new_seq;
         inner.len = buf.len() as u64;
         inner.frames = 1;
         sync.durable = buf.len() as u64;
         sync.durable_frames = 1;
+        Self::new_generation(&mut inner, &mut sync);
         let _ = std::fs::remove_file(old_path);
         for seq in list_segments(&self.dir)?
             .into_iter()
@@ -925,18 +1023,15 @@ impl Wal {
     /// only ever sees what a real machine would find on disk.
     pub fn power_loss(&self) -> Result<()> {
         let mut inner = self.inner.lock().unwrap();
-        let sync = self.sync.lock().unwrap();
+        let mut sync = self.sync.lock().unwrap();
         inner
             .file
             .set_len(sync.durable)
-            .map_err(|e| Error::io(inner.path.display(), e))?;
-        let durable = sync.durable;
-        inner
-            .file
-            .seek(SeekFrom::Start(durable))
+            .and_then(|()| (&*inner.file).seek(SeekFrom::Start(sync.durable)))
             .map_err(|e| Error::io(inner.path.display(), e))?;
         inner.len = sync.durable;
         inner.frames = sync.durable_frames;
+        Self::new_generation(&mut inner, &mut sync);
         Ok(())
     }
 }
@@ -1206,6 +1301,107 @@ mod tests {
         // Everything acknowledged is durable.
         assert_eq!(wal.durable_len(), wal.len());
         assert_eq!(wal.recover().unwrap().len(), appends as usize);
+    }
+
+    /// Makes the next sync leader announce itself on the returned receiver
+    /// and then hold its `fdatasync` until the returned sender fires; later
+    /// leaders pass straight through.
+    fn hold_next_sync(
+        wal: &Wal,
+    ) -> (
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::SyncSender<()>,
+    ) {
+        let (entered_tx, entered_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let (release_tx, release_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let release_rx = Mutex::new(Some(release_rx));
+        *wal.before_sync.lock().unwrap() = Some(Box::new(move || {
+            if let Some(rx) = release_rx.lock().unwrap().take() {
+                entered_tx.send(()).unwrap();
+                rx.recv().unwrap();
+            }
+        }));
+        (entered_rx, release_tx)
+    }
+
+    #[test]
+    fn append_does_not_queue_behind_a_sync_and_waits_for_its_own() {
+        let t = TempDir::new("wal-split").unwrap();
+        let reg = registry();
+        let wal = Arc::new(Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap());
+        let (entered, release) = hold_next_sync(&wal);
+        let first = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.append(&WalRecord::Abort { txn: 1 }))
+        };
+        entered.recv().unwrap();
+        // The first appender is now inside its sync, which covers the log as
+        // it was when the sync started.  An append issued now must not wait
+        // for it (this call would deadlock the test if it took a lock the
+        // leader holds across `fdatasync`) ...
+        let pos = wal.append_unforced(&WalRecord::Abort { txn: 2 }).unwrap();
+        assert_eq!(reg.counter("wal.fsyncs").get(), 0);
+        assert!(wal.durable_len() < wal.len());
+        // ... and is not covered by it: waiting for the new position needs a
+        // sync of its own, started after the first one returns.
+        let second = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.wait_durable(pos))
+        };
+        release.send(()).unwrap();
+        first.join().unwrap().unwrap();
+        second.join().unwrap().unwrap();
+        assert_eq!(reg.counter("wal.fsyncs").get(), 2);
+        assert_eq!(wal.durable_len(), wal.len());
+        // Waiting again for a position already covered syncs nothing.
+        wal.wait_durable(pos).unwrap();
+        assert_eq!(reg.counter("wal.fsyncs").get(), 2);
+    }
+
+    #[test]
+    fn unforced_append_rides_the_next_forced_one() {
+        let t = TempDir::new("wal-unforced").unwrap();
+        let reg = registry();
+        let wal = Wal::open(t.path(), WalFsyncPolicy::Group { window_us: 100 }, &reg).unwrap();
+        // Alone, an unforced record is lost with the power.
+        wal.append_unforced(&sample_records()[0]).unwrap();
+        assert_eq!(reg.counter("wal.fsyncs").get(), 0);
+        wal.power_loss().unwrap();
+        assert!(wal.recover().unwrap().is_empty());
+        // Followed by a forced one, it is durable with it, in order.
+        wal.append_unforced(&sample_records()[0]).unwrap();
+        wal.append(&sample_records()[1]).unwrap();
+        wal.append_unforced(&sample_records()[2]).unwrap();
+        assert_eq!(reg.counter("wal.fsyncs").get(), 1);
+        wal.power_loss().unwrap();
+        assert_eq!(wal.recover().unwrap(), sample_records()[..2].to_vec());
+    }
+
+    #[test]
+    fn solo_group_appender_never_sleeps_the_window() {
+        let t = TempDir::new("wal-solo").unwrap();
+        let reg = registry();
+        let n = 5u64;
+        let time_appends = |policy| {
+            let wal = Wal::open(t.path(), policy, &reg).unwrap();
+            let t0 = Instant::now();
+            for txn in 0..n {
+                wal.append(&WalRecord::Abort { txn }).unwrap();
+            }
+            t0.elapsed()
+        };
+        let always = time_appends(WalFsyncPolicy::Always);
+        // A window no disk is slow enough to hide: slept even once it shows.
+        let window = Duration::from_millis(400);
+        let group = time_appends(WalFsyncPolicy::Group {
+            window_us: window.as_micros() as u64,
+        });
+        assert!(
+            group < always + window,
+            "{n} solo appends took {group:?} under Group against {always:?} under Always"
+        );
+        assert_eq!(reg.counter("wal.fsyncs").get(), 2 * n);
+        assert_eq!(reg.counter("wal.group_solo").get(), 0);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use yesquel::common::tempdir::TempDir;
 use yesquel::kv::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
 use yesquel::kv::store::TxnOutcome;
-use yesquel::rpc::{FaultPlan, TransportKind};
+use yesquel::rpc::{FaultPlan, Transport, TransportKind};
 use yesquel::{Error, KvConfig, KvDatabase, ObjectId, YesquelConfig};
 
 /// First oid ≥ `from` in tree 1 homed at `server` in a `nservers` cluster.
@@ -430,4 +431,196 @@ fn full_outage_fails_cleanly_and_recovers() {
         );
     }
     t.commit().unwrap();
+}
+
+/// A deployment of `nservers` logging servers behind a fault layer that
+/// injects only what `plans` say, with the coordinator lease set to
+/// `lease_us` (recovered prepares get the same).
+fn logged(nservers: usize, lease_us: u64, plans: Vec<FaultPlan>) -> (TempDir, KvDatabase) {
+    let tmp = TempDir::new("yesquel-faults-wal").unwrap();
+    let mut cfg = YesquelConfig::with_servers(nservers);
+    cfg.kv.wal_dir = Some(tmp.path().to_path_buf());
+    cfg.kv.prepare_lease_us = lease_us;
+    let db = KvDatabase::try_with_faults(cfg, TransportKind::Direct, plans).unwrap();
+    (tmp, db)
+}
+
+/// A secondary logs its `Commit` without waiting for the disk, so a crash
+/// right after the acknowledgement takes the record with it and recovery
+/// finds the transaction merely prepared.  The primary forced its decision
+/// before anyone was told, and the secondary adopts it the moment it can
+/// ask: when it restarts, or — if the primary was unreachable then — when a
+/// read runs into the lock.  Never by waiting out the lease.
+#[test]
+fn unforced_secondary_commit_comes_back_from_the_primary() {
+    // A lease no test run outlives: anything that needed it would hang the
+    // reads below into `LockTimeout`.
+    let (_tmp, db) = logged(4, 600_000_000, vec![]);
+    let faults = Arc::clone(db.faults().unwrap());
+    let servers = db.cluster().servers();
+    let objs = [oid_on(0, 4, 0), oid_on(1, 4, 0), oid_on(2, 4, 0)];
+
+    let client = db.client();
+    let t = client.begin();
+    let txn = t.id();
+    for o in objs {
+        t.put(o, &b"durable"[..]).unwrap();
+    }
+    let commit_ts = t.commit().unwrap();
+
+    // The commit is acknowledged, yet both secondaries hold it in an
+    // unsynced log tail; the primary does not.
+    for (server, unsynced) in [(0, false), (1, true), (2, true)] {
+        let wal = servers[server].store().wal().unwrap();
+        assert_eq!(wal.durable_len() < wal.len(), unsynced, "server {server}");
+    }
+
+    // Secondary 1 loses its memory and its log tail, and comes back with
+    // the primary reachable: the commit is reinstalled during the restart.
+    servers[1].amnesia_restart().unwrap();
+    assert_eq!(servers[1].store().prepared_count(), 0);
+    assert_eq!(servers[1].reap_counts(), (1, 0));
+
+    // Secondary 2 comes back while the primary is unreachable, so it stays
+    // prepared — and must not guess.
+    faults.crash(0);
+    servers[2].amnesia_restart().unwrap();
+    assert!(servers[2].store().is_prepared(txn));
+    assert_eq!(servers[2].reap_counts(), (0, 0));
+    faults.restart(0);
+
+    // A fresh client's read finds the lock and gets the committed value at
+    // once: the server asked the primary instead of answering "locked".
+    let fresh = db.client();
+    let r = fresh.begin();
+    for o in objs {
+        assert_eq!(r.get(o).unwrap().as_deref(), Some(&b"durable"[..]));
+    }
+    r.commit().unwrap();
+    assert_eq!(db.stats().counter("kv.get_lock_retries").get(), 0);
+    assert_eq!(servers[2].reap_counts(), (1, 0));
+
+    // The primary says committed at the acknowledged timestamp, and every
+    // participant holds exactly that version.
+    match faults.call(0, KvRequest::TxnStatus { txn }).unwrap() {
+        KvResponse::TxnOutcome { status } => {
+            assert_eq!(status, TxnStatusKind::Committed(commit_ts))
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert_eq!(db.prepared_total(), 0);
+    for (server, o) in objs.iter().enumerate() {
+        assert_eq!(
+            servers[server].store().outcome(txn),
+            Some(TxnOutcome::Committed(commit_ts))
+        );
+        assert_eq!(
+            servers[server].store().dump_versions(*o),
+            vec![(commit_ts, Some(bytes::Bytes::from_static(b"durable")))]
+        );
+    }
+}
+
+/// The converse: a restarted secondary that cannot learn of a commit keeps
+/// its lock.  Its coordinator is alive and its prepare to the primary is
+/// merely slow (every message to the primary takes 30 ms), so the primary
+/// answers "unknown" or "pending" — and the transaction then commits.
+/// Releasing the lock on either answer would have torn it in half.
+#[test]
+fn restarted_secondary_keeps_its_lock_while_the_primary_is_undecided() {
+    let slow_primary = FaultPlan {
+        delay: 1.0,
+        delay_us: (30_000, 30_000),
+        ..FaultPlan::healthy()
+    };
+    let (_tmp, db) = logged(2, 600_000_000, vec![slow_primary]);
+    let faults = Arc::clone(db.faults().unwrap());
+    let servers = db.cluster().servers();
+    let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
+    let txn = 0xFEED;
+    let start_ts = db.oracle().next_timestamp();
+    let prepare = |obj| KvRequest::Prepare {
+        txn,
+        start_ts,
+        writes: vec![write(obj, b"whole")],
+        primary: 0,
+        lease_us: 600_000_000,
+    };
+
+    let resp = faults.call(1, prepare(o1)).unwrap();
+    assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+    std::thread::scope(|scope| {
+        // The coordinator's prepare to the primary, on its slow way ...
+        let in_flight = scope.spawn(|| faults.call(0, prepare(o0)).unwrap());
+        // ... while the secondary crashes, restarts and asks the primary.
+        servers[1].amnesia_restart().unwrap();
+        assert!(servers[1].store().is_prepared(txn));
+        let resp = in_flight.join().unwrap();
+        assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+    });
+    // Prepared at the primary now: "pending".  Reads and reaper passes at
+    // the secondary ask again and still keep the lock.
+    let ts = db.oracle().next_timestamp();
+    let resp = faults.call(1, KvRequest::Get { obj: o1, ts }).unwrap();
+    assert!(matches!(resp, KvResponse::Locked), "{resp:?}");
+    servers[1].reap();
+    assert!(servers[1].store().is_prepared(txn));
+    assert_eq!(servers[1].reap_counts(), (0, 0));
+
+    // The coordinator decides; the next read at the secondary adopts it.
+    let commit_ts = db.oracle().next_timestamp();
+    let resp = faults
+        .call(0, KvRequest::Commit { txn, commit_ts })
+        .unwrap();
+    assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");
+    let ts = db.oracle().next_timestamp();
+    match faults.call(1, KvRequest::Get { obj: o1, ts }).unwrap() {
+        KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"whole"),
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert_eq!(servers[1].reap_counts(), (1, 0));
+}
+
+/// Presuming abort still takes the lease: a restarted secondary whose
+/// primary never heard of the transaction holds its lock until the lease
+/// given to recovered prepares runs out, and only then lets go.
+#[test]
+fn restarted_secondary_presumes_abort_only_after_its_lease() {
+    let lease = Duration::from_millis(40);
+    let (_tmp, db) = logged(2, lease.as_micros() as u64, vec![]);
+    let faults = Arc::clone(db.faults().unwrap());
+    let servers = db.cluster().servers();
+    let o1 = oid_on(1, 2, 0);
+    let txn = 0xF00D;
+    let resp = faults
+        .call(
+            1,
+            KvRequest::Prepare {
+                txn,
+                start_ts: db.oracle().next_timestamp(),
+                writes: vec![write(o1, b"orphan")],
+                primary: 0,
+                lease_us: lease.as_micros() as u64,
+            },
+        )
+        .unwrap();
+    assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+
+    // Restarted; the primary answers "unknown"; the lease has just begun.
+    let restarted = std::time::Instant::now();
+    servers[1].amnesia_restart().unwrap();
+    servers[1].reap();
+    let ts = db.oracle().next_timestamp();
+    let resp = faults.call(1, KvRequest::Get { obj: o1, ts }).unwrap();
+    if restarted.elapsed() < lease {
+        assert!(matches!(resp, KvResponse::Locked), "{resp:?}");
+        assert_eq!(servers[1].reap_counts(), (0, 0));
+    }
+
+    std::thread::sleep(lease);
+    servers[1].reap();
+    assert_eq!(servers[1].reap_counts(), (0, 1));
+    assert_eq!(servers[1].store().outcome(txn), Some(TxnOutcome::Aborted));
+    let resp = faults.call(1, KvRequest::Get { obj: o1, ts }).unwrap();
+    assert!(matches!(resp, KvResponse::Value(None)), "{resp:?}");
 }

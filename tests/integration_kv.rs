@@ -3,7 +3,8 @@
 //! first-committer-wins rule, one-phase vs two-phase commit, and the
 //! no-communication read-only commit.
 
-use yesquel::{Error, KvDatabase, ObjectId};
+use yesquel::common::tempdir::TempDir;
+use yesquel::{Error, KvDatabase, ObjectId, YesquelConfig};
 
 fn obj(oid: u64) -> ObjectId {
     ObjectId::new(1, oid)
@@ -144,4 +145,90 @@ fn aborted_transaction_leaves_no_trace() {
     assert_eq!(r.get(obj(6)).unwrap(), None);
     r.commit().unwrap();
     assert_eq!(db.total_objects(), 0);
+}
+
+/// How many of this process's threads are fan-out pool workers (`None`
+/// where the system does not list threads under `/proc`).
+fn fanout_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            // The kernel keeps 15 bytes of a thread's name.
+            .filter(|name| name.starts_with("yesquel-fanout"))
+            .count(),
+    )
+}
+
+/// One object on each of the first `n` servers of a 4-server deployment.
+fn one_object_per_server(n: usize) -> Vec<ObjectId> {
+    (0..n)
+        .map(|server| {
+            (1_000..)
+                .map(obj)
+                .find(|o| o.home_server(4) == server)
+                .unwrap()
+        })
+        .collect()
+}
+
+/// What a three-participant commit costs, counted: in memory, nothing but
+/// the calls — one thread, no pool; over forced logs, one overlapped prepare
+/// round and four flushes — the three prepares and the primary's decision,
+/// the secondaries' commit records riding along unforced.  Both halves are
+/// one test because the first asserts something about the whole process: no
+/// other test in this file may fan out, or this one can see its threads.
+#[test]
+fn three_participant_commit_is_serial_in_memory_and_two_flush_waits_on_disk() {
+    // The client is handed back: its pool threads live as long as it does.
+    let commit_three = |db: &KvDatabase| {
+        let client = db.client();
+        let t = client.begin();
+        for o in one_object_per_server(3) {
+            t.put(o, b"three".to_vec()).unwrap();
+        }
+        t.commit().unwrap();
+        assert_eq!(db.stats().counter("kv.commit_participants").get(), 3);
+        assert_eq!(db.stats().counter("kv.commit_2pc").get(), 1);
+        client
+    };
+
+    let in_memory = KvDatabase::with_servers(4);
+    let _client = commit_three(&in_memory);
+    assert_eq!(
+        in_memory
+            .stats()
+            .counter("kv.prepare_parallel_fanouts")
+            .get(),
+        0
+    );
+    if let Some(n) = fanout_threads() {
+        assert_eq!(
+            n, 0,
+            "the in-memory commit path must not start pool threads"
+        );
+    }
+
+    let tmp = TempDir::new("yesquel-kv-fastpath").unwrap();
+    let mut cfg = YesquelConfig::with_servers(4);
+    cfg.kv.wal_dir = Some(tmp.path().to_path_buf());
+    let logged = KvDatabase::try_new(cfg).unwrap();
+    let c = |name: &str| logged.stats().counter(name).get();
+    let (fsyncs, appends) = (c("wal.fsyncs"), c("wal.appends"));
+    let _client = commit_three(&logged);
+    assert_eq!(c("kv.prepare_parallel_fanouts"), 1);
+    assert_eq!(
+        c("wal.appends") - appends,
+        6,
+        "a prepare and a decision each"
+    );
+    assert_eq!(
+        c("wal.fsyncs") - fsyncs,
+        4,
+        "prepares + the primary's decision"
+    );
+    assert_eq!(c("wal.group_solo"), 0, "a lone appender sleeps no window");
+    if let Some(n) = fanout_threads() {
+        assert!(n > 0, "the logged prepare round runs on the pool");
+    }
 }

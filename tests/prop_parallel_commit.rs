@@ -2,10 +2,11 @@
 //! batching enabled: four client threads run concurrent multi-server write
 //! transactions while a deterministic fault storm (dropped requests and
 //! responses, duplicates, transient errors, delays, one crash-looping
-//! server) batters the transport.  The commit path is forced onto
-//! `CommitFanout::Parallel`, so every multi-participant prepare round and
-//! secondary-commit round is issued from the fan-out pool, and the
-//! batching decorator coalesces whatever collides in its window.
+//! server) batters the transport.  Nothing forces the coordinator's hand:
+//! calls through a fault-injecting transport block, so the default
+//! `CommitFanout::Auto` issues every multi-participant prepare round and
+//! secondary-commit round from the fan-out pool, and the batching decorator
+//! coalesces whatever collides in its window.
 //!
 //! The safety bar is the same as `prop_chaos_commit`, now under real
 //! concurrency:
@@ -27,7 +28,7 @@ use std::time::Duration;
 
 use rand::Rng;
 use yesquel::common::rand_util::seeded_rng;
-use yesquel::common::{CommitFanout, RpcBatchConfig};
+use yesquel::common::RpcBatchConfig;
 use yesquel::kv::store::TxnOutcome;
 use yesquel::rpc::{FaultPlan, TransportKind};
 use yesquel::{Error, KvConfig, KvDatabase, ObjectId, YesquelConfig};
@@ -69,7 +70,6 @@ fn storm_case(seed: u64) {
     let mut rng = seeded_rng(seed, 0);
     let mut cfg = YesquelConfig::with_servers(SERVERS);
     cfg.kv = KvConfig::impatient();
-    cfg.kv.commit_fanout = CommitFanout::Parallel;
     cfg.rpc_batch = Some(RpcBatchConfig {
         window_us: 100,
         max_batch: 8,
