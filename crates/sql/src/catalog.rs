@@ -435,9 +435,9 @@ impl Catalog {
 
         // Create the trees and record the schema, all in the caller's
         // transaction.
-        self.create_tree_in_txn(txn, tree)?;
+        self.engine.create_tree_in_txn(txn, tree)?;
         for ix in &schema.indexes {
-            self.create_tree_in_txn(txn, ix.tree)?;
+            self.engine.create_tree_in_txn(txn, ix.tree)?;
         }
         self.tree
             .insert(txn, &Self::catalog_key(&stmt.name), &schema.encode())?;
@@ -447,19 +447,6 @@ impl Catalog {
             .insert(stmt.name.to_ascii_lowercase(), Arc::clone(&schema));
         self.bump_generation();
         Ok(schema)
-    }
-
-    /// Writes an empty root for a new tree inside the caller's transaction.
-    fn create_tree_in_txn(&self, txn: &Txn, tree: TreeId) -> Result<()> {
-        use yesquel_ydbt::{LeafNode, Node};
-        if txn.get(ObjectId::root(tree))?.is_some() {
-            return Err(Error::Internal(format!("tree {tree} already exists")));
-        }
-        txn.put(
-            ObjectId::root(tree),
-            Node::Leaf(LeafNode::empty_root()).encode(),
-        )?;
-        Ok(())
     }
 
     /// True if any table or index in the catalog already uses `name`
@@ -522,7 +509,7 @@ impl Catalog {
             columns: col_positions.clone(),
             unique: stmt.unique,
         };
-        self.create_tree_in_txn(txn, index.tree)?;
+        self.engine.create_tree_in_txn(txn, index.tree)?;
 
         // Backfill from existing rows.
         let table_tree = self.engine.tree(schema.tree);

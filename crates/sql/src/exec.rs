@@ -1760,14 +1760,15 @@ fn insert_index_entry(
     rid: i64,
 ) -> Result<()> {
     if ix.unique && !vals.iter().any(Value::is_null) {
+        // One descent decides and writes: the leaf's probe is the
+        // uniqueness check.
         let key = encode_index_key(vals, None);
-        if itree.lookup(txn, &key)?.is_some() {
+        if !itree.insert_if_absent(txn, &key, &encode_row(&[Value::Int(rid)]))? {
             return Err(Error::Constraint(format!(
                 "UNIQUE constraint failed: {table_name} index {}",
                 ix.name
             )));
         }
-        itree.insert(txn, &key, &encode_row(&[Value::Int(rid)]))?;
     } else {
         itree.insert(txn, &encode_index_key(vals, Some(rid)), &[])?;
     }
@@ -1791,39 +1792,46 @@ fn delete_index_entry(
     Ok(())
 }
 
-/// Picks the rowid for a new row: the explicit rowid-column value when
-/// given, otherwise the next free id from the table's allocator (skipping
-/// ids taken by explicit inserts).
-fn assign_rowid(
+/// Stores a new row under its rowid and returns it: the explicit
+/// rowid-column value when given, otherwise the next free id from the
+/// table's allocator (skipping ids taken by explicit inserts).  The row
+/// leaf's own probe is the occupancy check, so each candidate rowid costs
+/// one descent, and an occupied one buffers nothing.
+fn insert_row(
     catalog: &Catalog,
     txn: &Txn,
     schema: &TableSchema,
     table: &Dbt,
     row: &mut [Value],
 ) -> Result<i64> {
-    if let Some(rc) = schema.rowid_col {
-        if !row[rc].is_null() {
-            let rid = exact_rowid(&row[rc], &schema.name, &schema.columns[rc].name)?;
-            if table.lookup(txn, &encode_rowid_key(rid))?.is_some() {
-                return Err(Error::Constraint(format!(
-                    "UNIQUE constraint failed: {}.{}",
-                    schema.name, schema.columns[rc].name
-                )));
-            }
+    let explicit = match schema.rowid_col {
+        Some(rc) if !row[rc].is_null() => Some(exact_rowid(
+            &row[rc],
+            &schema.name,
+            &schema.columns[rc].name,
+        )?),
+        _ => None,
+    };
+    loop {
+        // The allocator is non-transactional (ids burned by aborts are lost,
+        // like SQLite's AUTOINCREMENT under concurrency); explicit inserts
+        // may have taken ids ahead of the counter, so skip occupied ones.
+        let rid = match explicit {
+            Some(rid) => rid,
+            None => catalog.allocate_rowids(schema, 1)?,
+        };
+        if let Some(rc) = schema.rowid_col {
             row[rc] = Value::Int(rid);
+        }
+        check_not_null(schema, row)?;
+        if table.insert_if_absent(txn, &encode_rowid_key(rid), &encode_row(row))? {
             return Ok(rid);
         }
-    }
-    // The allocator is non-transactional (ids burned by aborts are lost,
-    // like SQLite's AUTOINCREMENT under concurrency); explicit inserts may
-    // have taken ids ahead of the counter, so skip occupied ones.
-    loop {
-        let rid = catalog.allocate_rowids(schema, 1)?;
-        if table.lookup(txn, &encode_rowid_key(rid))?.is_none() {
-            if let Some(rc) = schema.rowid_col {
-                row[rc] = Value::Int(rid);
-            }
-            return Ok(rid);
+        if let (Some(_), Some(rc)) = (explicit, schema.rowid_col) {
+            return Err(Error::Constraint(format!(
+                "UNIQUE constraint failed: {}.{}",
+                schema.name, schema.columns[rc].name
+            )));
         }
     }
 }
@@ -1839,9 +1847,7 @@ fn exec_insert(cx: &ExecCtx<'_>, p: &InsertPlan) -> Result<ResultSet> {
             let col = p.columns[i];
             row[col] = const_eval(e, cx.params)?.coerce(schema.columns[col].ctype);
         }
-        let rid = assign_rowid(cx.catalog, cx.txn, schema, &table, &mut row)?;
-        check_not_null(schema, &row)?;
-        table.insert(cx.txn, &encode_rowid_key(rid), &encode_row(&row))?;
+        let rid = insert_row(cx.catalog, cx.txn, schema, &table, &mut row)?;
         for ix in &schema.indexes {
             let itree = cx.catalog.engine().tree(ix.tree);
             insert_index_entry(

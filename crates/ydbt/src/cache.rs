@@ -174,19 +174,13 @@ impl NodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Bound, InnerNode, Node};
-    use bytes::Bytes;
+    use crate::node::Bound;
 
     fn inner(children: Vec<Oid>) -> InnerView {
-        let node = InnerNode {
-            lower: Bound::NegInf,
-            upper: Bound::PosInf,
-            keys: vec![Bytes::from_static(b"m"); children.len().saturating_sub(1)],
-            children,
-            height: 1,
-            replicas: vec![],
-        };
-        InnerView::parse(Bytes::from(Node::Inner(node).encode())).unwrap()
+        let seps = vec![&b"m"[..]; children.len() - 1];
+        let page =
+            InnerView::build(Bound::NegInf, Bound::PosInf, 1, &[], &children, &seps).unwrap();
+        InnerView::parse(page).unwrap()
     }
 
     #[test]

@@ -17,7 +17,7 @@ use yesquel_kv::KvClient;
 use crate::alloc::OidAllocator;
 use crate::cache::NodeCache;
 use crate::load::LoadTracker;
-use crate::node::{LeafNode, Node};
+use crate::node::{LeafView, NodeView};
 use crate::replica::{PlacementTracker, ReplicaMap};
 use crate::split::{MaintRequest, SplitContext, SplitRequest, Splitter};
 use crate::tree::Dbt;
@@ -187,18 +187,21 @@ impl DbtEngine {
     /// already exists.
     pub fn create_tree(&self, tree: TreeId) -> Result<()> {
         let txn = self.kv.begin();
+        self.create_tree_in_txn(&txn, tree)?;
+        txn.commit()?;
+        Ok(())
+    }
+
+    /// Writes `tree`'s empty root leaf as part of the caller's transaction
+    /// (used by `CREATE TABLE`, which records the schema in the same
+    /// transaction).  Fails if the tree already exists at its snapshot.
+    pub fn create_tree_in_txn(&self, txn: &yesquel_kv::Txn, tree: TreeId) -> Result<()> {
         if txn.get(ObjectId::root(tree))?.is_some() {
-            txn.abort();
             return Err(Error::InvalidArgument(format!(
                 "tree {tree} already exists"
             )));
         }
-        txn.put(
-            ObjectId::root(tree),
-            Node::Leaf(LeafNode::empty_root()).encode(),
-        )?;
-        txn.commit()?;
-        Ok(())
+        txn.put(ObjectId::root(tree), LeafView::empty_root())
     }
 
     /// Removes every node of `tree` reachable from its root, in its own
@@ -218,12 +221,12 @@ impl DbtEngine {
         // Walk the tree and delete every node, including replica copies.
         let mut queue = vec![ROOT_OID];
         while let Some(oid) = queue.pop() {
-            if let Some(node) = crate::tree::fetch_node(txn, tree, oid)? {
-                if let Node::Inner(inner) = &node {
-                    queue.extend(inner.children.iter().copied());
+            if let Some(node) = crate::tree::fetch_view(txn, tree, oid)? {
+                if let NodeView::Inner(inner) = &node {
+                    queue.extend(inner.children());
                 }
                 for r in node.replicas() {
-                    txn.delete(ObjectId::new(tree, *r))?;
+                    txn.delete(ObjectId::new(tree, r))?;
                 }
             }
             txn.delete(ObjectId::new(tree, oid))?;

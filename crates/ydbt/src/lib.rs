@@ -40,7 +40,7 @@ pub use cache::NodeCache;
 pub use engine::DbtEngine;
 pub use iter::{DbtCursor, RawCursor};
 pub use load::{HotStats, LoadTracker};
-pub use node::{Bound, InnerNode, InnerView, LeafNode, LeafView, Node, NodeView};
+pub use node::{Bound, InnerView, LeafView, NodeView};
 pub use replica::{PlacementTracker, ReplicaMap};
 pub use split::{SplitReason, SplitRequest};
 pub use tree::{prefix_successor, Dbt};

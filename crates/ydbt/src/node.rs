@@ -1,8 +1,9 @@
-//! Tree-node representation and its binary encoding.
+//! Tree-node pages: the binary layout, lazy views over it, and the page
+//! edits the write path is made of.
 //!
 //! Every node of a YDBT is stored as one key-value pair in the transactional
 //! key-value store: the key is the node's [`ObjectId`](yesquel_common::ObjectId)
-//! and the value is the encoding defined here.  Nodes carry their **fence
+//! and the value is the page defined here.  Nodes carry their **fence
 //! interval** `[lower, upper)` — the range of keys the node is responsible
 //! for — which is what lets clients detect that a cached path is stale (the
 //! "back-down search" of the paper): if a search for key `k` arrives at a
@@ -50,49 +51,55 @@
 //! cell decode is bounded to its directory slot, so a corrupt page yields
 //! [`Error::Corruption`] — never a panic or an out-of-bounds read.
 //!
-//! ## Lazy views: decode one cell, not sixty-four
+//! ## One in-memory shape: the view
 //!
-//! The read path never materialises a node.  [`LeafView`] and [`InnerView`]
-//! wrap the fetched [`Bytes`] and answer `find`, `lower_bound`, `child_for`
-//! and `fence_contains` by binary search over the directory with **zero
+//! A node is never materialised.  [`LeafView`] and [`InnerView`] wrap the
+//! fetched [`Bytes`] and answer `find`, `lower_bound`, `child_for` and
+//! `fence_contains` by binary search over the directory with **zero
 //! per-cell allocation**; values and keys are handed out as `Bytes` slices
-//! of the page (reference-count bumps).  The mutable [`LeafNode`] /
-//! [`InnerNode`] structs are materialised from a view only when a write
-//! actually mutates the node — and even then their keys are `Bytes` slices
-//! of the page, so materialisation allocates the two `Vec`s and nothing
-//! per cell.
+//! of the page (reference-count bumps).
+//!
+//! ## Writes are page edits
+//!
+//! A write produces the node's next page straight from the bytes of the
+//! current one — the supervalue `ListAdd` / `ListDelRange` of the paper, done
+//! at the client.  [`LeafView::put`] / [`LeafView::remove`] find the cell
+//! with the probe reads use, allocate the result at its exact size
+//! ([`Bytes::build`]) and fill it in one pass: header, the directory with
+//! every offset rebased, fences and replica list as they were, the cells
+//! before, the new cell, the cells after — one allocation and one copy, no
+//! cell other than the probed keys decoded.  [`InnerView::insert_child_after`]
+//! does the same for a parent gaining a child.  The rare structural edits —
+//! [`LeafView::split`] / [`InnerView::split`] (cut the directory at the
+//! median, copy each half's cells as one run under new fences) and
+//! `with_replicas` (promotion / drop) — and the from-scratch builders
+//! ([`LeafView::build`], [`InnerView::build`]: a new tree's root, the new
+//! root of a root split, tests) share one page writer, so an edited page is
+//! byte-identical to the page the builder makes for the same contents.
+
+use std::ops::{Deref, Range};
 
 use bytes::Bytes;
-use yesquel_common::encoding::{Reader, Writer};
+use yesquel_common::encoding::Reader;
 use yesquel_common::{Error, Oid, Result};
 
-/// One endpoint of a fence interval.
-///
-/// Keys are held as [`Bytes`] so that cloning a bound (which splits do
-/// repeatedly when rebuilding fences) is a reference-count bump, and so that
-/// decoded bounds can share the node's backing buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Bound {
+/// One endpoint of a fence interval, borrowing its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound<'a> {
     /// Below every key.
     NegInf,
     /// An actual key.
-    Key(Bytes),
+    Key(&'a [u8]),
     /// Above every key.
     PosInf,
 }
 
-impl Bound {
-    /// A key bound copied from a slice (convenience for construction sites
-    /// that do not hold shared bytes).
-    pub fn key(k: &[u8]) -> Bound {
-        Bound::Key(Bytes::copy_from_slice(k))
-    }
-
+impl Bound<'_> {
     /// True if `key` is ≥ this bound when used as a lower bound.
     pub fn le_key(&self, key: &[u8]) -> bool {
         match self {
             Bound::NegInf => true,
-            Bound::Key(k) => &k[..] <= key,
+            Bound::Key(k) => *k <= key,
             Bound::PosInf => false,
         }
     }
@@ -101,7 +108,7 @@ impl Bound {
     pub fn gt_key(&self, key: &[u8]) -> bool {
         match self {
             Bound::NegInf => false,
-            Bound::Key(k) => key < &k[..],
+            Bound::Key(k) => key < *k,
             Bound::PosInf => true,
         }
     }
@@ -113,11 +120,14 @@ impl Bound {
             Bound::PosInf => 2,
         }
     }
-}
 
-/// Returns true if `key` lies in the fence interval `[lower, upper)`.
-pub fn fence_contains(lower: &Bound, upper: &Bound, key: &[u8]) -> bool {
-    lower.le_key(key) && upper.gt_key(key)
+    /// Bytes the bound occupies in a page (infinities live in the flags).
+    fn framed_len(&self) -> usize {
+        match self {
+            Bound::Key(k) => framed_len(k.len()),
+            _ => 0,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -135,10 +145,6 @@ const INNER_CHILDREN_START: usize = 7;
 const FLAG_HAS_NEXT: u8 = 0b1;
 const FLAG_HAS_REPLICAS: u8 = 0b10_0000;
 
-fn fence_flags(lower: &Bound, upper: &Bound) -> u8 {
-    (lower.kind_bits() << 1) | (upper.kind_bits() << 3)
-}
-
 // ---------------------------------------------------------------------------
 // Fence references (positions within a page, no allocation)
 // ---------------------------------------------------------------------------
@@ -154,34 +160,11 @@ enum FenceRef {
 }
 
 impl FenceRef {
-    fn key_slice<'p>(&self, page: &'p [u8]) -> Option<&'p [u8]> {
-        match self {
-            FenceRef::Key { start, len } => Some(&page[*start as usize..(*start + *len) as usize]),
-            _ => None,
-        }
-    }
-
-    fn le_key(&self, page: &[u8], key: &[u8]) -> bool {
-        match self {
-            FenceRef::NegInf => true,
-            FenceRef::Key { .. } => self.key_slice(page).expect("key fence") <= key,
-            FenceRef::PosInf => false,
-        }
-    }
-
-    fn gt_key(&self, page: &[u8], key: &[u8]) -> bool {
-        match self {
-            FenceRef::NegInf => false,
-            FenceRef::Key { .. } => key < self.key_slice(page).expect("key fence"),
-            FenceRef::PosInf => true,
-        }
-    }
-
-    fn to_bound(self, page: &Bytes) -> Bound {
+    fn get(self, page: &[u8]) -> Bound<'_> {
         match self {
             FenceRef::NegInf => Bound::NegInf,
             FenceRef::Key { start, len } => {
-                Bound::Key(page.slice(start as usize..(start + len) as usize))
+                Bound::Key(&page[start as usize..(start + len) as usize])
             }
             FenceRef::PosInf => Bound::PosInf,
         }
@@ -230,26 +213,250 @@ fn check_directory(page: &[u8], dir_start: usize, n: usize, floor: usize) -> Res
 }
 
 // ---------------------------------------------------------------------------
-// LeafView
+// The page writer
 // ---------------------------------------------------------------------------
 
-/// A lazy, zero-materialisation view of an encoded leaf page.
-///
-/// Construction validates the header and the offset directory (O(ncells)
-/// over the raw `u32` table); every accessor afterwards decodes **only the
-/// cells it touches**, bounded to their directory slots, and returns keys
-/// and values as `Bytes` slices of the page.  Cloning a view is one
-/// reference-count bump plus a few words.
+/// Length of `len` as an unsigned LEB128 varint (the cells' length prefix).
+fn varint_len(len: usize) -> usize {
+    let bits = usize::BITS - (len | 1).leading_zeros();
+    bits.div_ceil(7) as usize
+}
+
+/// Bytes a length-prefixed slice of `len` bytes occupies.
+fn framed_len(len: usize) -> usize {
+    varint_len(len) + len
+}
+
+/// What a page holds between its directory and its first cell — the fences
+/// and the replica list — together with the flag bits that announce them.
+#[derive(Clone, Copy)]
+struct Mid<'a> {
+    lower: Bound<'a>,
+    upper: Bound<'a>,
+    replicas: &'a [Oid],
+}
+
+impl Mid<'_> {
+    /// Bytes the section occupies; refuses a replica list the `u8` count
+    /// cannot hold (config caps the replica factor far below that).
+    fn len(&self) -> Result<usize> {
+        let reps = match self.replicas.len() {
+            0 => 0,
+            n if n <= u8::MAX as usize => 1 + 8 * n,
+            n => {
+                return Err(Error::InvalidArgument(format!(
+                    "replica set of {n} exceeds the page's u8 count"
+                )))
+            }
+        };
+        Ok(self.lower.framed_len() + self.upper.framed_len() + reps)
+    }
+
+    fn flags(&self) -> u8 {
+        let reps = if self.replicas.is_empty() {
+            0
+        } else {
+            FLAG_HAS_REPLICAS
+        };
+        (self.lower.kind_bits() << 1) | (self.upper.kind_bits() << 3) | reps
+    }
+}
+
+/// A cursor filling a page buffer that was allocated at its exact size.
+/// Writing past the end, or stopping short of it, is a bug in the length
+/// computed beforehand and panics.
+struct Out<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+}
+
+impl Out<'_> {
+    fn raw(&mut self, b: &[u8]) {
+        self.buf[self.pos..self.pos + b.len()].copy_from_slice(b);
+        self.pos += b.len();
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.raw(&[v]);
+    }
+
+    fn u32(&mut self, v: usize) {
+        // Every offset and count is below the page length, which
+        // `build_page` bounds by `u32::MAX`.
+        self.raw(&(v as u32).to_be_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.raw(&v.to_be_bytes());
+    }
+
+    /// A length-prefixed slice, framed exactly as `Reader::bytes` reads it.
+    fn framed(&mut self, b: &[u8]) {
+        let mut len = b.len();
+        while len >= 0x80 {
+            self.u8(len as u8 | 0x80);
+            len >>= 7;
+        }
+        self.u8(len as u8);
+        self.raw(b);
+    }
+
+    /// Directory entries `range` of `page`, each moved by `delta` bytes.
+    fn dir(&mut self, page: &[u8], dir_start: usize, range: Range<usize>, delta: isize) {
+        for i in range {
+            self.u32(dir_entry(page, dir_start, i).wrapping_add_signed(delta));
+        }
+    }
+
+    fn mid(&mut self, mid: Mid<'_>) {
+        for bound in [mid.lower, mid.upper] {
+            if let Bound::Key(k) = bound {
+                self.framed(k);
+            }
+        }
+        if !mid.replicas.is_empty() {
+            self.u8(mid.replicas.len() as u8);
+            for r in mid.replicas {
+                self.u64(*r);
+            }
+        }
+    }
+}
+
+/// Allocates a page of exactly `len` bytes and lets `fill` write all of it.
+fn build_page(len: usize, fill: impl FnOnce(&mut Out<'_>)) -> Result<Bytes> {
+    if u32::try_from(len).is_err() {
+        return Err(Error::InvalidArgument(format!(
+            "a node page of {len} bytes exceeds the u32 cell offsets"
+        )));
+    }
+    Ok(Bytes::build(len, |buf| {
+        let mut out = Out { buf, pos: 0 };
+        fill(&mut out);
+        assert_eq!(out.pos, len, "page length computed wrong");
+    }))
+}
+
+// ---------------------------------------------------------------------------
+// PageHead: what both node kinds share
+// ---------------------------------------------------------------------------
+
+/// The part of a parsed page leaves and inner nodes have in common: the
+/// page bytes, the fence interval and the replica list.  Both views (and
+/// [`NodeView`]) dereference to it.
 #[derive(Debug, Clone)]
-pub struct LeafView {
+pub struct PageHead {
     page: Bytes,
-    n: usize,
-    next: Option<Oid>,
     lower: FenceRef,
     upper: FenceRef,
     /// Page offset and count of the replica-oid array (0, 0 when absent).
     rep_start: u32,
     rep_n: u8,
+}
+
+impl PageHead {
+    /// Reads the fences and the replica header that follow the directory
+    /// ending at `dir_end`; also returns the offset of the first cell.
+    fn read(page: Bytes, flags: u8, dir_end: usize) -> Result<(PageHead, usize)> {
+        let mut r = Reader::new(&page[dir_end..]);
+        let lower = FenceRef::read((flags >> 1) & 0b11, &mut r, dir_end)?;
+        let upper = FenceRef::read((flags >> 3) & 0b11, &mut r, dir_end)?;
+        let (mut rep_start, mut rep_n) = (0, 0);
+        if flags & FLAG_HAS_REPLICAS != 0 {
+            rep_n = r.u8()?;
+            if rep_n == 0 {
+                return Err(Error::Corruption("replica flag set but count is 0".into()));
+            }
+            rep_start = (dir_end + r.pos()) as u32;
+            r.take(8 * rep_n as usize)?;
+        }
+        let cells_start = dir_end + r.pos();
+        let head = PageHead {
+            page,
+            lower,
+            upper,
+            rep_start,
+            rep_n,
+        };
+        Ok((head, cells_start))
+    }
+
+    /// The encoded page this view reads.
+    pub fn page(&self) -> &Bytes {
+        &self.page
+    }
+
+    /// True if the page carries a replica set (cheap flag check).
+    pub fn has_replicas(&self) -> bool {
+        self.rep_n != 0
+    }
+
+    /// The replica oids listed in the page (empty for most nodes).
+    pub fn replicas(&self) -> Vec<Oid> {
+        let oids = &self.page[self.rep_start as usize..][..8 * self.rep_n as usize];
+        oids.chunks_exact(8)
+            .map(|c| u64::from_be_bytes(c.try_into().expect("chunk of 8")))
+            .collect()
+    }
+
+    /// Inclusive lower fence.
+    pub fn lower(&self) -> Bound<'_> {
+        self.lower.get(&self.page)
+    }
+
+    /// Exclusive upper fence.
+    pub fn upper(&self) -> Bound<'_> {
+        self.upper.get(&self.page)
+    }
+
+    /// True if `key` is within the node's fence interval.
+    pub fn fence_contains(&self, key: &[u8]) -> bool {
+        self.lower().le_key(key) && self.upper().gt_key(key)
+    }
+
+    /// The fences as they are, over `replicas`.
+    fn mid<'a>(&'a self, replicas: &'a [Oid]) -> Mid<'a> {
+        Mid {
+            lower: self.lower(),
+            upper: self.upper(),
+            replicas,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// LeafView
+// ---------------------------------------------------------------------------
+
+/// A leaf node: a lazy view of its encoded page.
+///
+/// Construction validates the header and the offset directory (O(ncells)
+/// over the raw `u32` table); every accessor afterwards decodes **only the
+/// cells it touches**, bounded to their directory slots, and returns keys
+/// and values as `Bytes` slices of the page.  Cloning a view is one
+/// reference-count bump plus a few words.  The edits (`put`, `remove`,
+/// `split`, `with_replicas`) return the node's next page and leave the view
+/// as it was.
+#[derive(Debug, Clone)]
+pub struct LeafView {
+    head: PageHead,
+    n: usize,
+    next: Option<Oid>,
+}
+
+impl Deref for LeafView {
+    type Target = PageHead;
+    fn deref(&self) -> &PageHead {
+        &self.head
+    }
+}
+
+/// Where a page's cells come from.
+enum Cells<'a> {
+    /// Cells `range` of an existing leaf, copied as one run of bytes.
+    Run(&'a LeafView, Range<usize>),
+    /// Cells framed from scratch, in key order.
+    Pairs(&'a [(&'a [u8], &'a [u8])]),
 }
 
 impl LeafView {
@@ -281,31 +488,9 @@ impl LeafView {
             .ok_or_else(|| {
                 Error::Corruption(format!("leaf directory of {n} cells overflows page"))
             })?;
-        let mut r = Reader::new(&buf[dir_end..]);
-        let lower = FenceRef::read((flags >> 1) & 0b11, &mut r, dir_end)?;
-        let upper = FenceRef::read((flags >> 3) & 0b11, &mut r, dir_end)?;
-        let (rep_start, rep_n) = read_replica_header(flags, &mut r, dir_end)?;
-        let cells_start = dir_end + r.pos();
-        check_directory(buf, LEAF_DIR_START, n, cells_start)?;
-        Ok(LeafView {
-            page,
-            n,
-            next,
-            lower,
-            upper,
-            rep_start,
-            rep_n,
-        })
-    }
-
-    /// True if the page carries a replica set (cheap flag check).
-    pub fn has_replicas(&self) -> bool {
-        self.rep_n != 0
-    }
-
-    /// The replica oids listed in the page (empty for most nodes).
-    pub fn replicas(&self) -> Vec<Oid> {
-        read_replica_oids(&self.page, self.rep_start, self.rep_n)
+        let (head, cells_start) = PageHead::read(page, flags, dir_end)?;
+        check_directory(&head.page, LEAF_DIR_START, n, cells_start)?;
+        Ok(LeafView { head, n, next })
     }
 
     /// Number of cells.
@@ -323,36 +508,34 @@ impl LeafView {
         self.next
     }
 
-    /// True if `key` is within this leaf's fence interval.
-    pub fn fence_contains(&self, key: &[u8]) -> bool {
-        self.lower.le_key(&self.page, key) && self.upper.gt_key(&self.page, key)
-    }
-
     /// True if this leaf's upper fence is strictly below `key`, i.e. a right
     /// sibling could still hold keys `< key`.  Bounded cursors use this to
     /// stop at the end of their range without fetching the next leaf.
     pub fn upper_fence_below(&self, key: &[u8]) -> bool {
-        match &self.upper {
-            FenceRef::NegInf => true,
-            FenceRef::Key { .. } => self.upper.key_slice(&self.page).expect("key fence") < key,
-            FenceRef::PosInf => false,
+        match self.upper() {
+            Bound::NegInf => true,
+            Bound::Key(k) => k < key,
+            Bound::PosInf => false,
+        }
+    }
+
+    /// Page offset where cell `i` starts; the end of the page for `i == n`.
+    fn offset(&self, i: usize) -> usize {
+        if i < self.n {
+            dir_entry(&self.page, LEAF_DIR_START, i)
+        } else {
+            self.page.len()
         }
     }
 
     /// The byte range of cell `i` within the page: its directory slot, ending
     /// where the next cell starts (or at the end of the page for the last).
     fn slot(&self, i: usize) -> (usize, usize) {
-        let start = dir_entry(&self.page, LEAF_DIR_START, i);
-        let end = if i + 1 < self.n {
-            dir_entry(&self.page, LEAF_DIR_START, i + 1)
-        } else {
-            self.page.len()
-        };
-        (start, end)
+        (self.offset(i), self.offset(i + 1))
     }
 
     /// Key and value ranges of cell `i`, bounds-checked against its slot.
-    fn cell_ranges(&self, i: usize) -> Result<(std::ops::Range<usize>, std::ops::Range<usize>)> {
+    fn cell_ranges(&self, i: usize) -> Result<(Range<usize>, Range<usize>)> {
         debug_assert!(i < self.n);
         let (start, end) = self.slot(i);
         let mut r = Reader::new(&self.page[start..end]);
@@ -401,87 +584,183 @@ impl LeafView {
         Ok(lo)
     }
 
+    /// `lower_bound(key)`, and whether the cell there holds exactly `key`:
+    /// the one probe reads and edits share.
+    fn probe(&self, key: &[u8]) -> Result<(usize, bool)> {
+        let i = self.lower_bound(key)?;
+        Ok((i, i < self.n && self.key_at(i)? == key))
+    }
+
     /// Looks up `key`, returning its value as a zero-copy slice of the page.
     pub fn find(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        let i = self.lower_bound(key)?;
-        if i >= self.n {
+        let (i, hit) = self.probe(key)?;
+        if !hit {
             return Ok(None);
         }
-        let (kr, vr) = self.cell_ranges(i)?;
-        if &self.page[kr] != key {
-            return Ok(None);
-        }
+        let (_, vr) = self.cell_ranges(i)?;
         Ok(Some(self.page.slice(vr)))
     }
 
-    /// Materialises a mutable [`LeafNode`].  Cell keys and values are
-    /// `Bytes` slices of the page — the only fresh allocations are the two
-    /// `Vec`s, nothing per cell is copied.
-    pub fn to_leaf_node(&self) -> Result<LeafNode> {
-        let mut cells = Vec::with_capacity(self.n);
-        for i in 0..self.n {
-            let (kr, vr) = self.cell_ranges(i)?;
-            cells.push((self.page.slice(kr), self.page.slice(vr)));
+    /// The page with `key` → `value` inserted or replaced, and whether an
+    /// existing cell was replaced.
+    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(Bytes, bool)> {
+        let (i, hit) = self.probe(key)?;
+        Ok((self.splice(i, hit, Some((key, value)))?, hit))
+    }
+
+    /// The page with `key` → `value` inserted, or `None` if `key` is already
+    /// present (nothing is built).
+    pub fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<Option<Bytes>> {
+        match self.probe(key)? {
+            (_, true) => Ok(None),
+            (i, false) => self.splice(i, false, Some((key, value))).map(Some),
         }
-        Ok(LeafNode {
-            lower: self.lower.to_bound(&self.page),
-            upper: self.upper.to_bound(&self.page),
-            cells,
-            next: self.next,
-            replicas: self.replicas(),
+    }
+
+    /// The page without `key`, or `None` if `key` is absent.
+    pub fn remove(&self, key: &[u8]) -> Result<Option<Bytes>> {
+        match self.probe(key)? {
+            (i, true) => self.splice(i, true, None).map(Some),
+            (_, false) => Ok(None),
+        }
+    }
+
+    /// The one-cell edit: drops cell `i` if `drop_old`, then puts `new` at
+    /// index `i`.  One pass over the page: the header, the directory with
+    /// every entry rebased, then three runs of bytes — everything up to the
+    /// cut, the new cell, everything after it.
+    fn splice(&self, i: usize, drop_old: bool, new: Option<(&[u8], &[u8])>) -> Result<Bytes> {
+        let page: &[u8] = &self.page;
+        let (cut_start, cut_end) = (self.offset(i), self.offset(i + usize::from(drop_old)));
+        let new_len = new.map_or(0, |(k, v)| framed_len(k.len()) + framed_len(v.len()));
+        let n = self.n - usize::from(drop_old) + usize::from(new.is_some());
+        let dir_delta = 4 * n as isize - 4 * self.n as isize;
+        let tail_delta = dir_delta + new_len as isize - (cut_end - cut_start) as isize;
+        build_page(page.len().wrapping_add_signed(tail_delta), |o| {
+            o.raw(&page[..10]);
+            o.u32(n);
+            o.dir(page, LEAF_DIR_START, 0..i, dir_delta);
+            if new.is_some() {
+                o.u32(cut_start.wrapping_add_signed(dir_delta));
+            }
+            let after = i + usize::from(drop_old);
+            o.dir(page, LEAF_DIR_START, after..self.n, tail_delta);
+            o.raw(&page[LEAF_DIR_START + 4 * self.n..cut_start]);
+            if let Some((k, v)) = new {
+                o.framed(k);
+                o.framed(v);
+            }
+            o.raw(&page[cut_end..]);
         })
     }
+
+    /// Cuts the leaf at its median cell: returns the left page (cells below
+    /// the median, sibling pointer to `right_oid`), the right page (the
+    /// rest, under the old sibling pointer) and the median key that now
+    /// fences them.  Both halves start without replicas — they cover
+    /// different key ranges than the copies did.
+    pub fn split(&self, right_oid: Oid) -> Result<(Bytes, Bytes, Bytes)> {
+        if self.n < 2 {
+            return Err(Error::InvalidArgument(format!(
+                "cannot split a leaf of {} cells",
+                self.n
+            )));
+        }
+        let at = self.n / 2;
+        let sep = self.key_at(at)?;
+        let (mut left, mut right) = (self.mid(&[]), self.mid(&[]));
+        left.upper = Bound::Key(sep);
+        right.lower = Bound::Key(sep);
+        Ok((
+            leaf_page(Some(right_oid), left, Cells::Run(self, 0..at))?,
+            leaf_page(self.next, right, Cells::Run(self, at..self.n))?,
+            self.page.slice_ref(sep),
+        ))
+    }
+
+    /// The page with its replica list replaced by `replicas` (empty drops
+    /// the list); cells and fences are copied as they are.
+    pub fn with_replicas(&self, replicas: &[Oid]) -> Result<Bytes> {
+        leaf_page(self.next, self.mid(replicas), Cells::Run(self, 0..self.n))
+    }
+
+    /// Builds a leaf page from scratch; `cells` must be in key order.
+    pub fn build(
+        lower: Bound<'_>,
+        upper: Bound<'_>,
+        next: Option<Oid>,
+        replicas: &[Oid],
+        cells: &[(&[u8], &[u8])],
+    ) -> Result<Bytes> {
+        debug_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0));
+        let mid = Mid {
+            lower,
+            upper,
+            replicas,
+        };
+        leaf_page(next, mid, Cells::Pairs(cells))
+    }
+
+    /// The page of an empty leaf responsible for the whole key space: a new
+    /// tree's root.
+    pub fn empty_root() -> Bytes {
+        LeafView::build(Bound::NegInf, Bound::PosInf, None, &[], &[])
+            .expect("an empty page is below every limit")
+    }
 }
 
-/// Reads the replica-set header (count + oid array) if `flags` says one is
-/// present, returning the page offset of the oid array and the count.
-fn read_replica_header(flags: u8, r: &mut Reader<'_>, base: usize) -> Result<(u32, u8)> {
-    if flags & FLAG_HAS_REPLICAS == 0 {
-        return Ok((0, 0));
-    }
-    let count = r.u8()?;
-    if count == 0 {
-        return Err(Error::Corruption("replica flag set but count is 0".into()));
-    }
-    let start = base + r.pos();
-    for _ in 0..count {
-        r.u64()?;
-    }
-    Ok((start as u32, count))
-}
-
-/// Writes the replica-set header (count + oid array) if `replicas` is
-/// non-empty.  The count must fit the `u8` header; config caps the replica
-/// factor far below that.
-fn write_replicas(w: &mut Writer, replicas: &[Oid]) {
-    if replicas.is_empty() {
-        return;
-    }
-    assert!(replicas.len() <= u8::MAX as usize, "replica set too large");
-    w.u8(replicas.len() as u8);
-    for oid in replicas {
-        w.u64(*oid);
-    }
-}
-
-/// Decodes the `u64` replica oids at `start` (already bounds-checked at
-/// parse time).
-fn read_replica_oids(page: &[u8], start: u32, n: u8) -> Vec<Oid> {
-    let mut out = Vec::with_capacity(n as usize);
-    for i in 0..n as usize {
-        let at = start as usize + 8 * i;
-        out.push(u64::from_be_bytes(
-            page[at..at + 8].try_into().expect("validated"),
-        ));
-    }
-    out
+/// Writes a leaf page: the shared tail of `split`, `with_replicas` and
+/// `build`.
+fn leaf_page(next: Option<Oid>, mid: Mid<'_>, cells: Cells<'_>) -> Result<Bytes> {
+    let (n, cells_len) = match &cells {
+        Cells::Run(v, r) => (r.len(), v.offset(r.end) - v.offset(r.start)),
+        Cells::Pairs(p) => (
+            p.len(),
+            p.iter()
+                .map(|(k, v)| framed_len(k.len()) + framed_len(v.len()))
+                .sum(),
+        ),
+    };
+    let head = LEAF_DIR_START + 4 * n + mid.len()?;
+    build_page(head + cells_len, |o| {
+        o.u8(LEAF_TAG);
+        let has_next = if next.is_some() { FLAG_HAS_NEXT } else { 0 };
+        o.u8(mid.flags() | has_next);
+        o.u64(next.unwrap_or(0));
+        o.u32(n);
+        match &cells {
+            Cells::Run(v, r) => {
+                let delta = head as isize - v.offset(r.start) as isize;
+                o.dir(&v.page, LEAF_DIR_START, r.clone(), delta);
+            }
+            Cells::Pairs(p) => {
+                let mut at = head;
+                for (k, v) in *p {
+                    o.u32(at);
+                    at += framed_len(k.len()) + framed_len(v.len());
+                }
+            }
+        }
+        o.mid(mid);
+        match &cells {
+            Cells::Run(v, r) => o.raw(&v.page[v.offset(r.start)..v.offset(r.end)]),
+            Cells::Pairs(p) => {
+                for (k, v) in *p {
+                    o.framed(k);
+                    o.framed(v);
+                }
+            }
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // InnerView
 // ---------------------------------------------------------------------------
 
-/// A lazy view of an encoded inner page.
+/// An inner node: a lazy view of its encoded page.  Child `i` is
+/// responsible for keys in `[sep[i-1], sep[i])`, with the node's own fences
+/// standing in at the ends (one separator fewer than children).
 ///
 /// Child oids live in a fixed-width array (O(1) access); separator keys sit
 /// behind their own offset directory, so `child_for` is an O(log n) binary
@@ -489,16 +768,27 @@ fn read_replica_oids(page: &[u8], start: u32, n: u8) -> Vec<Oid> {
 /// client cache stores: cloning it is one reference-count bump.
 #[derive(Debug, Clone)]
 pub struct InnerView {
-    page: Bytes,
+    head: PageHead,
     /// Number of children (= separators + 1).
     n: usize,
     height: u8,
     dir_start: usize,
-    lower: FenceRef,
-    upper: FenceRef,
-    /// Page offset and count of the replica-oid array (0, 0 when absent).
-    rep_start: u32,
-    rep_n: u8,
+}
+
+impl Deref for InnerView {
+    type Target = PageHead;
+    fn deref(&self) -> &PageHead {
+        &self.head
+    }
+}
+
+/// Where an inner page's children and separators come from.
+enum Routes<'a> {
+    /// Children `range` of an existing node and the separators between
+    /// them, copied as runs of bytes.
+    Run(&'a InnerView, Range<usize>),
+    /// Children and the separators between them, framed from scratch.
+    Parts(&'a [Oid], &'a [&'a [u8]]),
 }
 
 impl InnerView {
@@ -532,32 +822,14 @@ impl InnerView {
             .ok_or_else(|| {
                 Error::Corruption(format!("inner node of {n} children overflows page"))
             })?;
-        let mut r = Reader::new(&buf[dir_end..]);
-        let lower = FenceRef::read((flags >> 1) & 0b11, &mut r, dir_end)?;
-        let upper = FenceRef::read((flags >> 3) & 0b11, &mut r, dir_end)?;
-        let (rep_start, rep_n) = read_replica_header(flags, &mut r, dir_end)?;
-        let keys_start = dir_end + r.pos();
-        check_directory(buf, dir_start, n - 1, keys_start)?;
+        let (head, keys_start) = PageHead::read(page, flags, dir_end)?;
+        check_directory(&head.page, dir_start, n - 1, keys_start)?;
         Ok(InnerView {
-            page,
+            head,
             n,
             height,
             dir_start,
-            lower,
-            upper,
-            rep_start,
-            rep_n,
         })
-    }
-
-    /// True if the page carries a replica set (cheap flag check).
-    pub fn has_replicas(&self) -> bool {
-        self.rep_n != 0
-    }
-
-    /// The replica oids listed in the page (empty for most nodes).
-    pub fn replicas(&self) -> Vec<Oid> {
-        read_replica_oids(&self.page, self.rep_start, self.rep_n)
     }
 
     /// Number of children.
@@ -575,11 +847,6 @@ impl InnerView {
         self.height
     }
 
-    /// True if `key` is within this node's fence interval.
-    pub fn fence_contains(&self, key: &[u8]) -> bool {
-        self.lower.le_key(&self.page, key) && self.upper.gt_key(&self.page, key)
-    }
-
     /// The `i`-th child oid — O(1) from the fixed-width array.
     pub fn child(&self, i: usize) -> Oid {
         debug_assert!(i < self.n);
@@ -587,20 +854,29 @@ impl InnerView {
         u64::from_be_bytes(self.page[at..at + 8].try_into().expect("validated"))
     }
 
+    /// The child oids, left to right.
+    pub fn children(&self) -> impl Iterator<Item = Oid> + '_ {
+        (0..self.n).map(|i| self.child(i))
+    }
+
     /// The leftmost child (used when descending for the smallest key).
     pub fn first_child(&self) -> Oid {
         self.child(0)
     }
 
-    /// Separator key `j`, borrowed from the page.
-    fn key_at(&self, j: usize) -> Result<&[u8]> {
-        let start = dir_entry(&self.page, self.dir_start, j);
-        let end = if j + 1 < self.n - 1 {
-            dir_entry(&self.page, self.dir_start, j + 1)
+    /// Page offset where separator `j` starts; the end of the page for
+    /// `j == n - 1`.
+    fn key_offset(&self, j: usize) -> usize {
+        if j + 1 < self.n {
+            dir_entry(&self.page, self.dir_start, j)
         } else {
             self.page.len()
-        };
-        let mut r = Reader::new(&self.page[start..end]);
+        }
+    }
+
+    /// Separator key `j`, borrowed from the page.
+    fn key_at(&self, j: usize) -> Result<&[u8]> {
+        let mut r = Reader::new(&self.page[self.key_offset(j)..self.key_offset(j + 1)]);
         r.bytes()
     }
 
@@ -624,37 +900,158 @@ impl InnerView {
         Ok(self.child(self.child_index(key)?))
     }
 
-    /// Materialises a mutable [`InnerNode`]; separator keys are `Bytes`
-    /// slices of the page.
-    pub fn to_inner_node(&self) -> Result<InnerNode> {
-        let mut children = Vec::with_capacity(self.n);
-        for i in 0..self.n {
-            children.push(self.child(i));
+    /// The page with separator `sep` and child `oid` inserted immediately
+    /// after child `i` (the child that was split at `sep`) — the same
+    /// one-pass copy as a leaf's one-cell edit, with the child array grown
+    /// by one entry as well.
+    pub fn insert_child_after(&self, i: usize, sep: &[u8], oid: Oid) -> Result<Bytes> {
+        if i >= self.n {
+            return Err(Error::InvalidArgument(format!(
+                "no child {i} in an inner node of {}",
+                self.n
+            )));
         }
-        let mut keys = Vec::with_capacity(self.n - 1);
-        for j in 0..self.n - 1 {
-            let k = self.key_at(j)?;
-            let start = k.as_ptr() as usize - self.page.as_ref().as_ptr() as usize;
-            keys.push(self.page.slice(start..start + k.len()));
-        }
-        Ok(InnerNode {
-            lower: self.lower.to_bound(&self.page),
-            upper: self.upper.to_bound(&self.page),
-            keys,
-            children,
-            height: self.height,
-            replicas: self.replicas(),
+        let page: &[u8] = &self.page;
+        // One child oid and one directory entry wider before the separators.
+        let grow = 12;
+        let sep_len = framed_len(sep.len());
+        let at = self.key_offset(i);
+        let after_child = INNER_CHILDREN_START + 8 * (i + 1);
+        build_page(page.len() + grow + sep_len, |o| {
+            o.raw(&page[..3]);
+            o.u32(self.n + 1);
+            o.raw(&page[INNER_CHILDREN_START..after_child]);
+            o.u64(oid);
+            o.raw(&page[after_child..self.dir_start]);
+            o.dir(page, self.dir_start, 0..i, grow as isize);
+            o.u32(at + grow);
+            o.dir(
+                page,
+                self.dir_start,
+                i..self.n - 1,
+                (grow + sep_len) as isize,
+            );
+            o.raw(&page[self.dir_start + 4 * (self.n - 1)..at]);
+            o.framed(sep);
+            o.raw(&page[at..]);
         })
+    }
+
+    /// Cuts the node at its median child: returns the left page, the right
+    /// page and the separator between them, which moves up to the parent
+    /// (it is in neither half).  Both halves start without replicas.
+    pub fn split(&self) -> Result<(Bytes, Bytes, Bytes)> {
+        if self.n < 3 {
+            return Err(Error::InvalidArgument(format!(
+                "cannot split an inner node of {} children",
+                self.n
+            )));
+        }
+        let at = self.n / 2;
+        let sep = self.key_at(at - 1)?;
+        let (mut left, mut right) = (self.mid(&[]), self.mid(&[]));
+        left.upper = Bound::Key(sep);
+        right.lower = Bound::Key(sep);
+        Ok((
+            inner_page(self.height, left, Routes::Run(self, 0..at))?,
+            inner_page(self.height, right, Routes::Run(self, at..self.n))?,
+            self.page.slice_ref(sep),
+        ))
+    }
+
+    /// The page with its replica list replaced by `replicas` (empty drops
+    /// the list); children, separators and fences are copied as they are.
+    pub fn with_replicas(&self, replicas: &[Oid]) -> Result<Bytes> {
+        let routes = Routes::Run(self, 0..self.n);
+        inner_page(self.height, self.mid(replicas), routes)
+    }
+
+    /// Builds an inner page from scratch: `seps[j]` separates `children[j]`
+    /// from `children[j + 1]`.
+    pub fn build(
+        lower: Bound<'_>,
+        upper: Bound<'_>,
+        height: u8,
+        replicas: &[Oid],
+        children: &[Oid],
+        seps: &[&[u8]],
+    ) -> Result<Bytes> {
+        if children.len() != seps.len() + 1 {
+            return Err(Error::InvalidArgument(format!(
+                "{} children need one separator fewer, got {}",
+                children.len(),
+                seps.len()
+            )));
+        }
+        let mid = Mid {
+            lower,
+            upper,
+            replicas,
+        };
+        inner_page(height, mid, Routes::Parts(children, seps))
     }
 }
 
-/// A parsed-but-not-materialised node: what the fetch path hands back.
+/// Writes an inner page: the shared tail of `split`, `with_replicas` and
+/// `build`.
+fn inner_page(height: u8, mid: Mid<'_>, routes: Routes<'_>) -> Result<Bytes> {
+    let (n, seps_len) = match &routes {
+        Routes::Run(v, r) => (r.len(), v.key_offset(r.end - 1) - v.key_offset(r.start)),
+        Routes::Parts(c, s) => (c.len(), s.iter().map(|k| framed_len(k.len())).sum()),
+    };
+    let head = INNER_CHILDREN_START + 8 * n + 4 * (n - 1) + mid.len()?;
+    build_page(head + seps_len, |o| {
+        o.u8(INNER_TAG);
+        o.u8(mid.flags());
+        o.u8(height);
+        o.u32(n);
+        match &routes {
+            Routes::Run(v, r) => {
+                let children = INNER_CHILDREN_START + 8 * r.start..INNER_CHILDREN_START + 8 * r.end;
+                o.raw(&v.page[children]);
+                let delta = head as isize - v.key_offset(r.start) as isize;
+                o.dir(&v.page, v.dir_start, r.start..r.end - 1, delta);
+            }
+            Routes::Parts(c, s) => {
+                for child in *c {
+                    o.u64(*child);
+                }
+                let mut at = head;
+                for k in *s {
+                    o.u32(at);
+                    at += framed_len(k.len());
+                }
+            }
+        }
+        o.mid(mid);
+        match &routes {
+            Routes::Run(v, r) => o.raw(&v.page[v.key_offset(r.start)..v.key_offset(r.end - 1)]),
+            Routes::Parts(_, s) => {
+                for k in *s {
+                    o.framed(k);
+                }
+            }
+        }
+    })
+}
+
+/// A parsed node of either kind: what the fetch path hands back.
 #[derive(Debug, Clone)]
 pub enum NodeView {
     /// Leaf page view.
     Leaf(LeafView),
     /// Inner page view.
     Inner(InnerView),
+}
+
+impl Deref for NodeView {
+    type Target = PageHead;
+    fn deref(&self) -> &PageHead {
+        match self {
+            NodeView::Leaf(l) => l,
+            NodeView::Inner(i) => i,
+        }
+    }
 }
 
 impl NodeView {
@@ -677,321 +1074,11 @@ impl NodeView {
         }
     }
 
-    /// True if the page carries a replica set (cheap flag check).
-    pub fn has_replicas(&self) -> bool {
+    /// The page with its replica list replaced by `replicas`.
+    pub fn with_replicas(&self, replicas: &[Oid]) -> Result<Bytes> {
         match self {
-            NodeView::Leaf(l) => l.has_replicas(),
-            NodeView::Inner(i) => i.has_replicas(),
-        }
-    }
-
-    /// The replica oids listed in the page (empty for most nodes).
-    pub fn replicas(&self) -> Vec<Oid> {
-        match self {
-            NodeView::Leaf(l) => l.replicas(),
-            NodeView::Inner(i) => i.replicas(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Materialised (mutable) nodes — the write path's working representation
-// ---------------------------------------------------------------------------
-
-/// A leaf node: sorted cells of `(key, value)` plus a pointer to the right
-/// sibling (used by range scans and by the stale-cache recovery path).
-///
-/// Keys and values are [`Bytes`]: a leaf materialised from a [`LeafView`]
-/// shares the fetched page (no per-cell copy), and splitting moves cells by
-/// reference-count bump.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeafNode {
-    /// Inclusive lower fence.
-    pub lower: Bound,
-    /// Exclusive upper fence.
-    pub upper: Bound,
-    /// Sorted cells.
-    pub cells: Vec<(Bytes, Bytes)>,
-    /// Right sibling, if any.
-    pub next: Option<Oid>,
-    /// Oids of the node's replicas (read-any/write-all; empty = unreplicated).
-    pub replicas: Vec<Oid>,
-}
-
-impl LeafNode {
-    /// An empty leaf responsible for the whole key space (a new tree's root).
-    pub fn empty_root() -> Self {
-        LeafNode {
-            lower: Bound::NegInf,
-            upper: Bound::PosInf,
-            cells: Vec::new(),
-            next: None,
-            replicas: Vec::new(),
-        }
-    }
-
-    /// True if `key` is within this leaf's fence interval.
-    pub fn fence_contains(&self, key: &[u8]) -> bool {
-        fence_contains(&self.lower, &self.upper, key)
-    }
-
-    /// Looks up `key` among the cells.
-    pub fn find(&self, key: &[u8]) -> Option<&Bytes> {
-        self.cells
-            .binary_search_by(|(k, _)| k.as_ref().cmp(key))
-            .ok()
-            .map(|i| &self.cells[i].1)
-    }
-
-    /// Index of the first cell with key ≥ `key`.
-    pub fn lower_bound(&self, key: &[u8]) -> usize {
-        self.cells.partition_point(|(k, _)| &k[..] < key)
-    }
-
-    /// Inserts or replaces a cell; returns true if an existing cell was
-    /// replaced.
-    ///
-    /// Takes the key by reference and only allocates when a new cell is
-    /// actually inserted: replacing an existing cell — the common case for
-    /// update-heavy workloads — is allocation-free.
-    pub fn insert_cell(&mut self, key: &[u8], value: Bytes) -> bool {
-        match self.cells.binary_search_by(|(k, _)| k.as_ref().cmp(key)) {
-            Ok(i) => {
-                self.cells[i].1 = value;
-                true
-            }
-            Err(i) => {
-                self.cells.insert(i, (Bytes::copy_from_slice(key), value));
-                false
-            }
-        }
-    }
-
-    /// Removes the cell with `key`; returns true if it existed.
-    pub fn remove_cell(&mut self, key: &[u8]) -> bool {
-        match self.cells.binary_search_by(|(k, _)| k.as_ref().cmp(key)) {
-            Ok(i) => {
-                self.cells.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if the leaf has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
-
-/// An inner node: `children[i]` is responsible for keys in
-/// `[keys[i-1], keys[i])`, with the node's own fences standing in at the
-/// ends (`keys.len() == children.len() - 1`).
-///
-/// Separator keys are [`Bytes`]: materialised inner nodes share their
-/// backing page (no per-key allocation) and splitting an inner node moves
-/// and clones separators by reference-count bump instead of `Vec` copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InnerNode {
-    /// Inclusive lower fence.
-    pub lower: Bound,
-    /// Exclusive upper fence.
-    pub upper: Bound,
-    /// Separator keys.
-    pub keys: Vec<Bytes>,
-    /// Child object ids.
-    pub children: Vec<Oid>,
-    /// Height above the leaves (1 = children are leaves).
-    pub height: u8,
-    /// Oids of the node's replicas (read-any/write-all; empty = unreplicated).
-    pub replicas: Vec<Oid>,
-}
-
-impl InnerNode {
-    /// True if `key` is within this node's fence interval.
-    pub fn fence_contains(&self, key: &[u8]) -> bool {
-        fence_contains(&self.lower, &self.upper, key)
-    }
-
-    /// Index of the child responsible for `key`.
-    pub fn child_index(&self, key: &[u8]) -> usize {
-        self.keys.partition_point(|k| &k[..] <= key)
-    }
-
-    /// Object id of the child responsible for `key`.
-    pub fn child_for(&self, key: &[u8]) -> Oid {
-        self.children[self.child_index(key)]
-    }
-
-    /// Inserts separator `key` and child `oid` immediately after child
-    /// `after_index` (the child that was split).
-    pub fn insert_child_after(&mut self, after_index: usize, key: Bytes, oid: Oid) {
-        debug_assert!(after_index < self.children.len());
-        self.keys.insert(after_index, key);
-        self.children.insert(after_index + 1, oid);
-    }
-
-    /// Number of children.
-    pub fn len(&self) -> usize {
-        self.children.len()
-    }
-
-    /// True if the node has no children (never the case for a valid node).
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
-    }
-
-    /// The leftmost child (used when descending for the smallest key).
-    pub fn first_child(&self) -> Oid {
-        self.children[0]
-    }
-}
-
-/// A tree node, as stored in the key-value store.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Node {
-    /// Leaf node.
-    Leaf(LeafNode),
-    /// Inner node.
-    Inner(InnerNode),
-}
-
-impl Node {
-    /// Height above the leaves (0 for a leaf).
-    pub fn height(&self) -> u8 {
-        match self {
-            Node::Leaf(_) => 0,
-            Node::Inner(i) => i.height,
-        }
-    }
-
-    /// Returns the leaf, or an error if this is an inner node.
-    pub fn into_leaf(self) -> Result<LeafNode> {
-        match self {
-            Node::Leaf(l) => Ok(l),
-            Node::Inner(_) => Err(Error::Corruption("expected leaf, found inner node".into())),
-        }
-    }
-
-    /// Returns the inner node, or an error if this is a leaf.
-    pub fn into_inner(self) -> Result<InnerNode> {
-        match self {
-            Node::Inner(i) => Ok(i),
-            Node::Leaf(_) => Err(Error::Corruption("expected inner node, found leaf".into())),
-        }
-    }
-
-    /// Serializes the node into its directory-page encoding (see the module
-    /// docs for the layout).  Cell offsets are backpatched into the
-    /// directory as the payloads are written.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Node::Leaf(l) => {
-                let mut w = Writer::with_capacity(
-                    LEAF_DIR_START + l.cells.len() * 8 + 64, // rough guess, Vec grows as needed
-                );
-                w.u8(LEAF_TAG);
-                let mut flags = fence_flags(&l.lower, &l.upper);
-                if l.next.is_some() {
-                    flags |= FLAG_HAS_NEXT;
-                }
-                if !l.replicas.is_empty() {
-                    flags |= FLAG_HAS_REPLICAS;
-                }
-                w.u8(flags);
-                w.u64(l.next.unwrap_or(0));
-                w.u32(l.cells.len() as u32);
-                let dir_pos = w.len();
-                for _ in &l.cells {
-                    w.u32(0);
-                }
-                if let Bound::Key(k) = &l.lower {
-                    w.bytes(k);
-                }
-                if let Bound::Key(k) = &l.upper {
-                    w.bytes(k);
-                }
-                write_replicas(&mut w, &l.replicas);
-                for (i, (k, v)) in l.cells.iter().enumerate() {
-                    let off = w.len() as u32;
-                    w.u32_at(dir_pos + 4 * i, off);
-                    w.bytes(k);
-                    w.bytes(v);
-                }
-                w.finish()
-            }
-            Node::Inner(inner) => {
-                let mut w =
-                    Writer::with_capacity(INNER_CHILDREN_START + inner.children.len() * 12 + 64);
-                w.u8(INNER_TAG);
-                let mut flags = fence_flags(&inner.lower, &inner.upper);
-                if !inner.replicas.is_empty() {
-                    flags |= FLAG_HAS_REPLICAS;
-                }
-                w.u8(flags);
-                w.u8(inner.height);
-                w.u32(inner.children.len() as u32);
-                for c in &inner.children {
-                    w.u64(*c);
-                }
-                let dir_pos = w.len();
-                for _ in &inner.keys {
-                    w.u32(0);
-                }
-                if let Bound::Key(k) = &inner.lower {
-                    w.bytes(k);
-                }
-                if let Bound::Key(k) = &inner.upper {
-                    w.bytes(k);
-                }
-                write_replicas(&mut w, &inner.replicas);
-                for (j, k) in inner.keys.iter().enumerate() {
-                    let off = w.len() as u32;
-                    w.u32_at(dir_pos + 4 * j, off);
-                    w.bytes(k);
-                }
-                w.finish()
-            }
-        }
-    }
-
-    /// The node's replica set (shared accessor over both variants).
-    pub fn replicas(&self) -> &[Oid] {
-        match self {
-            Node::Leaf(l) => &l.replicas,
-            Node::Inner(i) => &i.replicas,
-        }
-    }
-
-    /// Mutable access to the node's replica set.
-    pub fn replicas_mut(&mut self) -> &mut Vec<Oid> {
-        match self {
-            Node::Leaf(l) => &mut l.replicas,
-            Node::Inner(i) => &mut i.replicas,
-        }
-    }
-
-    /// Decodes a node from a bare slice.  Copies the buffer once and then
-    /// shares it; callers that already hold [`Bytes`] (everything on the
-    /// fetch path) should use [`Node::decode_shared`] instead.
-    pub fn decode(buf: &[u8]) -> Result<Node> {
-        Self::decode_shared(&Bytes::copy_from_slice(buf))
-    }
-
-    /// Decodes and **materialises** a node, sharing the backing buffer: cell
-    /// keys/values, fence-bound keys and inner separator keys are all slices
-    /// of `buf`, never copies.  The read path does not use this — it works
-    /// on [`NodeView`]s directly; this is for the write path (which is about
-    /// to mutate the node) and for splits.
-    pub fn decode_shared(buf: &Bytes) -> Result<Node> {
-        match NodeView::parse(buf.clone())? {
-            NodeView::Leaf(v) => Ok(Node::Leaf(v.to_leaf_node()?)),
-            NodeView::Inner(v) => Ok(Node::Inner(v.to_inner_node()?)),
+            NodeView::Leaf(l) => l.with_replicas(replicas),
+            NodeView::Inner(i) => i.with_replicas(replicas),
         }
     }
 }
@@ -1000,20 +1087,59 @@ impl Node {
 mod tests {
     use super::*;
 
-    fn k(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
+    type Cell = (Vec<u8>, Vec<u8>);
+
+    fn cell(k: &str, v: &str) -> Cell {
+        (k.as_bytes().to_vec(), v.as_bytes().to_vec())
     }
 
-    fn v(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
+    /// The from-scratch page for a leaf with these contents.
+    fn built(
+        lower: Bound<'_>,
+        upper: Bound<'_>,
+        next: Option<Oid>,
+        replicas: &[Oid],
+        cells: &[Cell],
+    ) -> Bytes {
+        let refs: Vec<(&[u8], &[u8])> = cells.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        LeafView::build(lower, upper, next, replicas, &refs).unwrap()
     }
 
-    fn leaf_view(l: &LeafNode) -> LeafView {
-        LeafView::parse(Bytes::from(Node::Leaf(l.clone()).encode())).unwrap()
+    fn leaf(page: &Bytes) -> LeafView {
+        LeafView::parse(page.clone()).unwrap()
     }
 
-    fn inner_view(i: &InnerNode) -> InnerView {
-        InnerView::parse(Bytes::from(Node::Inner(i.clone()).encode())).unwrap()
+    fn inner(page: &Bytes) -> InnerView {
+        InnerView::parse(page.clone()).unwrap()
+    }
+
+    fn built_inner(
+        lower: Bound<'_>,
+        upper: Bound<'_>,
+        height: u8,
+        replicas: &[Oid],
+        children: &[Oid],
+        seps: &[Vec<u8>],
+    ) -> Bytes {
+        let refs: Vec<&[u8]> = seps.iter().map(|k| &k[..]).collect();
+        InnerView::build(lower, upper, height, replicas, children, &refs).unwrap()
+    }
+
+    /// Every shape of the section between the directory and the cells:
+    /// fences of each kind, with and without a sibling and a replica list.
+    fn leaf_shapes() -> Vec<(Bound<'static>, Bound<'static>, Option<Oid>, Vec<Oid>)> {
+        vec![
+            (Bound::NegInf, Bound::PosInf, None, vec![]),
+            (Bound::NegInf, Bound::Key(b"zz"), Some(7), vec![]),
+            (Bound::Key(b"a"), Bound::PosInf, None, vec![900]),
+            (
+                Bound::Key(b"a"),
+                Bound::Key(b"zz"),
+                Some(42),
+                vec![900, 901, 902],
+            ),
+            (Bound::Key(b""), Bound::Key(b"zz"), Some(1), vec![]),
+        ]
     }
 
     #[test]
@@ -1022,142 +1148,94 @@ mod tests {
         assert!(!Bound::PosInf.le_key(b"zzz"));
         assert!(Bound::PosInf.gt_key(b"zzz"));
         assert!(!Bound::NegInf.gt_key(b""));
-        assert!(Bound::Key(k("m")).le_key(b"m"));
-        assert!(Bound::Key(k("m")).le_key(b"z"));
-        assert!(!Bound::Key(k("m")).le_key(b"a"));
-        assert!(Bound::Key(k("m")).gt_key(b"a"));
-        assert!(!Bound::Key(k("m")).gt_key(b"m"));
-        assert_eq!(Bound::key(b"m"), Bound::Key(k("m")));
+        assert!(Bound::Key(b"m").le_key(b"m"));
+        assert!(Bound::Key(b"m").le_key(b"z"));
+        assert!(!Bound::Key(b"m").le_key(b"a"));
+        assert!(Bound::Key(b"m").gt_key(b"a"));
+        assert!(!Bound::Key(b"m").gt_key(b"m"));
     }
 
     #[test]
-    fn fence_interval_semantics() {
-        let lower = Bound::Key(k("b"));
-        let upper = Bound::Key(k("f"));
-        assert!(fence_contains(&lower, &upper, b"b"));
-        assert!(fence_contains(&lower, &upper, b"e"));
-        assert!(!fence_contains(&lower, &upper, b"f"));
-        assert!(!fence_contains(&lower, &upper, b"a"));
-    }
-
-    #[test]
-    fn leaf_insert_find_remove() {
-        let mut l = LeafNode::empty_root();
-        assert!(!l.insert_cell(b"b", v("2")));
-        assert!(!l.insert_cell(b"a", v("1")));
-        assert!(!l.insert_cell(b"c", v("3")));
-        assert!(l.insert_cell(b"b", v("2b"))); // replace
-        assert_eq!(l.len(), 3);
-        assert_eq!(l.find(b"b"), Some(&v("2b")));
-        assert_eq!(l.find(b"z"), None);
-        assert_eq!(l.lower_bound(b"b"), 1);
-        assert_eq!(l.lower_bound(b"bb"), 2);
-        assert!(l.remove_cell(b"a"));
-        assert!(!l.remove_cell(b"a"));
-        assert_eq!(l.len(), 2);
-        // Cells stay sorted.
-        let keys: Vec<_> = l.cells.iter().map(|(k, _)| k.clone()).collect();
-        assert_eq!(keys, vec![k("b"), k("c")]);
-    }
-
-    #[test]
-    fn inner_child_routing() {
-        let inner = InnerNode {
-            lower: Bound::NegInf,
-            upper: Bound::PosInf,
-            keys: vec![k("g"), k("p")],
-            children: vec![10, 20, 30],
-            height: 1,
-            replicas: vec![],
-        };
-        assert_eq!(inner.child_for(b"a"), 10);
-        assert_eq!(inner.child_for(b"f"), 10);
-        assert_eq!(inner.child_for(b"g"), 20);
-        assert_eq!(inner.child_for(b"o"), 20);
-        assert_eq!(inner.child_for(b"p"), 30);
-        assert_eq!(inner.child_for(b"z"), 30);
-        assert_eq!(inner.first_child(), 10);
-    }
-
-    #[test]
-    fn inner_insert_child_after() {
-        let mut inner = InnerNode {
-            lower: Bound::NegInf,
-            upper: Bound::PosInf,
-            keys: vec![k("m")],
-            children: vec![1, 2],
-            height: 1,
-            replicas: vec![],
-        };
-        // Child 0 splits at "f": new right half gets oid 3.
-        inner.insert_child_after(0, k("f"), 3);
-        assert_eq!(inner.keys, vec![k("f"), k("m")]);
-        assert_eq!(inner.children, vec![1, 3, 2]);
-        assert_eq!(inner.child_for(b"a"), 1);
-        assert_eq!(inner.child_for(b"g"), 3);
-        assert_eq!(inner.child_for(b"x"), 2);
-    }
-
-    #[test]
-    fn node_encode_decode_roundtrip() {
-        let leaf = Node::Leaf(LeafNode {
-            lower: Bound::Key(k("b")),
-            upper: Bound::PosInf,
-            cells: vec![(k("b"), v("vb")), (k("c"), v("vc"))],
-            next: Some(42),
-            replicas: vec![],
-        });
-        let buf = leaf.encode();
-        assert_eq!(Node::decode(&buf).unwrap(), leaf);
-
-        let inner = Node::Inner(InnerNode {
-            lower: Bound::NegInf,
-            upper: Bound::Key(k("zz")),
-            keys: vec![k("g")],
-            children: vec![7, 9],
-            height: 3,
-            replicas: vec![],
-        });
-        let buf = inner.encode();
-        assert_eq!(Node::decode(&buf).unwrap(), inner);
-
-        // Empty leaf (a fresh root) roundtrips too.
-        let empty = Node::Leaf(LeafNode::empty_root());
-        assert_eq!(Node::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn leaf_view_probes_without_materialising() {
-        let mut l = LeafNode {
-            lower: Bound::Key(k("c000")),
-            upper: Bound::Key(k("c999")),
-            cells: Vec::new(),
-            next: Some(77),
-            replicas: vec![],
-        };
-        for i in 0..64 {
-            l.insert_cell(format!("c{:03}", i * 3).as_bytes(), v("val"));
+    fn varint_len_matches_the_framing() {
+        for len in [0usize, 1, 127, 128, 16_383, 16_384, 2_097_151, 2_097_152] {
+            let mut framed = Vec::new();
+            yesquel_common::encoding::put_uvarint(&mut framed, len as u64);
+            assert_eq!(varint_len(len), framed.len(), "len {len}");
         }
-        let view = leaf_view(&l);
+    }
+
+    #[test]
+    fn built_pages_report_what_was_built() {
+        for (lower, upper, next, replicas) in leaf_shapes() {
+            let cells = vec![cell("b", "vb"), cell("c", ""), cell("d", "vd")];
+            let view = leaf(&built(lower, upper, next, &replicas, &cells));
+            assert_eq!(view.len(), 3);
+            assert_eq!(view.lower(), lower);
+            assert_eq!(view.upper(), upper);
+            assert_eq!(view.next(), next);
+            assert_eq!(view.has_replicas(), !replicas.is_empty());
+            assert_eq!(view.replicas(), replicas);
+            for (i, (k, v)) in cells.iter().enumerate() {
+                assert_eq!(view.cell(i).unwrap(), (&k[..], &v[..]));
+                assert_eq!(view.find(k).unwrap().as_deref(), Some(&v[..]));
+            }
+        }
+        let page = built_inner(
+            Bound::NegInf,
+            Bound::Key(b"zz"),
+            3,
+            &[],
+            &[7, 9],
+            &[b"g".to_vec()],
+        );
+        let view = inner(&page);
+        assert_eq!((view.len(), view.height()), (2, 3));
+        assert_eq!(view.children().collect::<Vec<_>>(), vec![7, 9]);
+        assert_eq!(
+            (view.lower(), view.upper()),
+            (Bound::NegInf, Bound::Key(b"zz"))
+        );
+        // A child count that does not match the separators is refused.
+        assert!(InnerView::build(Bound::NegInf, Bound::PosInf, 1, &[], &[1, 2], &[]).is_err());
+        assert!(InnerView::build(Bound::NegInf, Bound::PosInf, 1, &[], &[], &[]).is_err());
+
+        // An empty root is an empty leaf over the whole key space.
+        let root = leaf(&LeafView::empty_root());
+        assert!(root.is_empty() && root.next().is_none() && !root.has_replicas());
+        assert!(root.fence_contains(b"") && root.fence_contains(b"\xff\xff"));
+        assert_eq!(root.find(b"a").unwrap(), None);
+    }
+
+    #[test]
+    fn leaf_view_probes_like_a_sorted_list() {
+        let cells: Vec<Cell> = (0..64)
+            .map(|i| cell(&format!("c{:03}", i * 3), "val"))
+            .collect();
+        let page = built(
+            Bound::Key(b"c000"),
+            Bound::Key(b"c999"),
+            Some(77),
+            &[],
+            &cells,
+        );
+        let view = leaf(&page);
         assert_eq!(view.len(), 64);
         assert_eq!(view.next(), Some(77));
         assert!(view.fence_contains(b"c000"));
         assert!(view.fence_contains(b"c500"));
         assert!(!view.fence_contains(b"c999"));
         assert!(!view.fence_contains(b"b"));
+        assert!(view.upper_fence_below(b"d") && !view.upper_fence_below(b"c999"));
         // Every present key is found; absent keys are not.
-        for i in 0..64 {
-            let key = format!("c{:03}", i * 3);
-            let got = view.find(key.as_bytes()).unwrap();
-            assert_eq!(got.as_deref(), Some(&b"val"[..]), "key {key}");
+        for (key, _) in &cells {
+            assert_eq!(view.find(key).unwrap().as_deref(), Some(&b"val"[..]));
         }
         assert_eq!(view.find(b"c001").unwrap(), None);
         assert_eq!(view.find(b"zzz").unwrap(), None);
-        // lower_bound agrees with the materialised node.
         for probe in ["c000", "c004", "c095", "c999", ""] {
             assert_eq!(
                 view.lower_bound(probe.as_bytes()).unwrap(),
-                l.lower_bound(probe.as_bytes()),
+                cells.partition_point(|(k, _)| &k[..] < probe.as_bytes()),
                 "probe {probe}"
             );
         }
@@ -1170,144 +1248,86 @@ mod tests {
 
     #[test]
     fn leaf_view_zero_copy() {
-        let leaf = LeafNode {
-            lower: Bound::Key(k("b")),
-            upper: Bound::PosInf,
-            cells: vec![(k("b"), v("value-b")), (k("c"), v("value-c"))],
-            next: None,
-            replicas: vec![],
+        let cells = [cell("b", "value-b"), cell("c", "value-c")];
+        let page = built(Bound::Key(b"b"), Bound::PosInf, None, &[], &cells);
+        let view = leaf(&page);
+        let base = page.as_ref().as_ptr() as usize;
+        let inside = |b: &[u8]| {
+            let p = b.as_ptr() as usize;
+            p >= base && p + b.len() <= base + page.len()
         };
-        let buf = Bytes::from(Node::Leaf(leaf).encode());
-        let view = LeafView::parse(buf.clone()).unwrap();
-        let base = buf.as_ref().as_ptr() as usize;
-        let end = base + buf.len();
-        let inside = |b: &Bytes| {
-            let p = b.as_ref().as_ptr() as usize;
-            p >= base && p + b.len() <= end
-        };
-        // find() hands out a slice of the page.
-        let found = view.find(b"b").unwrap().unwrap();
-        assert!(inside(&found), "value copied instead of sliced");
-        // cell_bytes() too.
+        // find() and cell_bytes() hand out slices of the page, and so do the
+        // fences and a split's separator.
+        assert!(inside(&view.find(b"b").unwrap().unwrap()), "value copied");
         let (ck, cv) = view.cell_bytes(1).unwrap();
         assert!(inside(&ck) && inside(&cv), "cell copied instead of sliced");
-        // Materialisation slices as well — keys included.
-        let node = view.to_leaf_node().unwrap();
-        for (key, value) in &node.cells {
-            assert!(inside(key) && inside(value), "materialised cell copied");
-        }
-        if let Bound::Key(bk) = &node.lower {
-            assert!(inside(bk), "bound key copied instead of sliced");
-        }
+        let Bound::Key(fence) = view.lower() else {
+            panic!("key fence expected")
+        };
+        assert!(inside(fence), "fence copied instead of borrowed");
+        assert!(inside(&view.split(5).unwrap().2), "separator copied");
     }
 
     #[test]
-    fn inner_view_routes_like_materialised_node() {
-        let inner = InnerNode {
-            lower: Bound::Key(k("aa")),
-            upper: Bound::PosInf,
-            keys: (1..64)
-                .map(|i| Bytes::from(format!("k{i:03}")))
-                .collect::<Vec<_>>(),
-            children: (0..64u64).map(|i| 100 + i).collect(),
-            height: 2,
-            replicas: vec![],
-        };
-        let view = inner_view(&inner);
+    fn inner_view_routes_like_a_sorted_list() {
+        let seps: Vec<Vec<u8>> = (1..64).map(|i| format!("k{i:03}").into_bytes()).collect();
+        let children: Vec<Oid> = (0..64u64).map(|i| 100 + i).collect();
+        let view = inner(&built_inner(
+            Bound::Key(b"aa"),
+            Bound::PosInf,
+            2,
+            &[],
+            &children,
+            &seps,
+        ));
         assert_eq!(view.len(), 64);
         assert_eq!(view.height(), 2);
         assert_eq!(view.first_child(), 100);
         for probe in ["", "aa", "k001", "k0015", "k032", "k063", "zz"] {
+            let i = seps.partition_point(|k| &k[..] <= probe.as_bytes());
             assert_eq!(
-                view.child_for(probe.as_bytes()).unwrap(),
-                inner.child_for(probe.as_bytes()),
+                view.child_index(probe.as_bytes()).unwrap(),
+                i,
                 "probe {probe}"
             );
-            assert_eq!(
-                view.fence_contains(probe.as_bytes()),
-                inner.fence_contains(probe.as_bytes()),
-                "fence {probe}"
-            );
-        }
-        // Round trip through materialisation.
-        assert_eq!(view.to_inner_node().unwrap(), inner);
-    }
-
-    #[test]
-    fn inner_view_separators_are_slices() {
-        let inner = InnerNode {
-            lower: Bound::NegInf,
-            upper: Bound::PosInf,
-            keys: vec![k("separator-g"), k("separator-p")],
-            children: vec![7, 9, 11],
-            height: 1,
-            replicas: vec![],
-        };
-        let buf = Bytes::from(Node::Inner(inner).encode());
-        let Node::Inner(i) = Node::decode_shared(&buf).unwrap() else {
-            panic!("inner expected")
-        };
-        let base = buf.as_ref().as_ptr() as usize;
-        let end = base + buf.len();
-        for key in &i.keys {
-            let p = key.as_ref().as_ptr() as usize;
-            assert!(
-                p >= base && p + key.len() <= end,
-                "separator copied instead of sliced"
-            );
+            assert_eq!(view.child_for(probe.as_bytes()).unwrap(), children[i]);
+            assert_eq!(view.fence_contains(probe.as_bytes()), probe >= "aa");
         }
     }
 
     #[test]
     fn node_view_dispatch() {
-        let leaf = Bytes::from(Node::Leaf(LeafNode::empty_root()).encode());
-        assert!(matches!(NodeView::parse(leaf).unwrap(), NodeView::Leaf(_)));
-        let inner = Bytes::from(
-            Node::Inner(InnerNode {
-                lower: Bound::NegInf,
-                upper: Bound::PosInf,
-                keys: vec![k("m")],
-                children: vec![1, 2],
-                height: 4,
-                replicas: vec![],
-            })
-            .encode(),
+        let page = LeafView::empty_root();
+        assert!(matches!(NodeView::parse(page).unwrap(), NodeView::Leaf(_)));
+        let page = built_inner(
+            Bound::NegInf,
+            Bound::PosInf,
+            4,
+            &[],
+            &[1, 2],
+            &[b"m".to_vec()],
         );
-        let view = NodeView::parse(inner).unwrap();
+        let view = NodeView::parse(page).unwrap();
         assert_eq!(view.height(), 4);
         assert!(NodeView::parse(Bytes::new()).is_err());
         assert!(NodeView::parse(Bytes::copy_from_slice(&[0x00, 0x01])).is_err());
     }
 
     #[test]
-    fn decode_rejects_garbage() {
-        assert!(Node::decode(&[]).is_err());
-        assert!(Node::decode(&[0x00, 0x01]).is_err());
-        // Truncations of a valid page must error, never panic.
-        let good = Node::Leaf(LeafNode {
-            lower: Bound::NegInf,
-            upper: Bound::Key(k("zz")),
-            cells: vec![(k("a"), v("1")), (k("b"), v("2"))],
-            next: Some(9),
-            replicas: vec![],
-        })
-        .encode();
+    fn parse_rejects_truncations() {
+        // Truncations of a valid page must error or parse, never panic.
+        let cells = [cell("a", "1"), cell("b", "2")];
+        let good = built(Bound::NegInf, Bound::Key(b"zz"), Some(9), &[], &cells);
         for cut in 0..good.len() {
-            let _ = Node::decode(&good[..cut]);
+            let _ = NodeView::parse(good.slice(..cut));
         }
-        assert!(Node::decode(&good).is_ok());
+        assert!(NodeView::parse(good).is_ok());
     }
 
     #[test]
     fn parse_rejects_bad_directory() {
-        let good = Node::Leaf(LeafNode {
-            lower: Bound::NegInf,
-            upper: Bound::PosInf,
-            cells: vec![(k("a"), v("1")), (k("b"), v("2"))],
-            next: None,
-            replicas: vec![],
-        })
-        .encode();
+        let cells = [cell("a", "1"), cell("b", "2")];
+        let good = built(Bound::NegInf, Bound::PosInf, None, &[], &cells).to_vec();
         // Directory entry 0 lives at LEAF_DIR_START; point it past the page.
         let mut bad = good.clone();
         bad[LEAF_DIR_START..LEAF_DIR_START + 4].copy_from_slice(&u32::MAX.to_be_bytes());
@@ -1326,77 +1346,232 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_cells_error_on_access() {
+    fn overlapping_cells_error_on_access_and_on_edit() {
         // Two cells; move cell 1's offset to one byte after cell 0's start:
         // the directory stays monotonic and in-range, but cell 0's slot is
-        // now a single byte, so decoding it must report corruption.
-        let good = Node::Leaf(LeafNode {
-            lower: Bound::NegInf,
-            upper: Bound::PosInf,
-            cells: vec![(k("aaaa"), v("1111")), (k("bbbb"), v("2222"))],
-            next: None,
-            replicas: vec![],
-        })
-        .encode();
-        let off0 = u32::from_be_bytes(good[LEAF_DIR_START..LEAF_DIR_START + 4].try_into().unwrap());
-        let mut bad = good;
+        // now a single byte, so decoding it must report corruption — to a
+        // read and to an edit that has to compare its key.
+        let cells = [cell("aaaa", "1111"), cell("bbbb", "2222")];
+        let mut bad = built(Bound::NegInf, Bound::PosInf, None, &[], &cells).to_vec();
+        let off0 = u32::from_be_bytes(bad[LEAF_DIR_START..LEAF_DIR_START + 4].try_into().unwrap());
         bad[LEAF_DIR_START + 4..LEAF_DIR_START + 8].copy_from_slice(&(off0 + 1).to_be_bytes());
         let view = LeafView::parse(Bytes::from(bad)).unwrap();
         assert!(view.cell(0).is_err(), "overlapping cell decoded");
+        assert!(matches!(view.put(b"a", b"x"), Err(Error::Corruption(_))));
+        assert!(matches!(view.remove(b"a"), Err(Error::Corruption(_))));
     }
 
     #[test]
     fn replica_set_roundtrips_and_stays_pay_as_you_go() {
-        // A leaf with replicas roundtrips through encode/parse, the view
-        // reports the set without materialising, and probes still work with
-        // the replica header between the fences and the cells.
-        let leaf = LeafNode {
-            lower: Bound::Key(k("b")),
-            upper: Bound::Key(k("x")),
-            cells: vec![(k("b"), v("vb")), (k("c"), v("vc"))],
-            next: Some(42),
-            replicas: vec![900, 901, 902],
-        };
-        let view = leaf_view(&leaf);
+        // The view reports the set, and probes still work with the replica
+        // header between the fences and the cells.
+        let cells = [cell("b", "vb"), cell("c", "vc")];
+        let reps = [900, 901, 902];
+        let page = built(Bound::Key(b"b"), Bound::Key(b"x"), Some(42), &reps, &cells);
+        let view = leaf(&page);
         assert!(view.has_replicas());
-        assert_eq!(view.replicas(), vec![900, 901, 902]);
+        assert_eq!(view.replicas(), reps);
         assert_eq!(view.find(b"c").unwrap().as_deref(), Some(&b"vc"[..]));
-        assert_eq!(
-            Node::decode(&Node::Leaf(leaf.clone()).encode()).unwrap(),
-            Node::Leaf(leaf)
-        );
 
-        let inner = InnerNode {
-            lower: Bound::NegInf,
-            upper: Bound::PosInf,
-            keys: vec![k("m")],
-            children: vec![1, 2],
-            height: 1,
-            replicas: vec![700],
-        };
-        let view = inner_view(&inner);
+        let seps = [b"m".to_vec()];
+        let page = built_inner(Bound::NegInf, Bound::PosInf, 1, &[700], &[1, 2], &seps);
+        let view = inner(&page);
         assert!(view.has_replicas());
         assert_eq!(view.replicas(), vec![700]);
         assert_eq!(view.child_for(b"z").unwrap(), 2);
-        assert_eq!(
-            Node::decode(&Node::Inner(inner.clone()).encode()).unwrap(),
-            Node::Inner(inner)
-        );
 
-        // Unreplicated pages do not pay a byte for the feature, and a page
-        // with the flag set but a zero count is rejected as corrupt.
-        let plain = Node::Leaf(LeafNode::empty_root()).encode();
-        assert_eq!(plain[1] & 0b10_0000, 0);
-        let mut bad = plain;
-        bad[1] |= 0b10_0000;
-        assert!(LeafView::parse(Bytes::from(bad)).is_err());
+        // Unreplicated pages do not pay a byte for the feature, a page with
+        // the flag set but a zero count is rejected as corrupt, and a set the
+        // u8 count cannot hold is refused.
+        let mut plain = LeafView::empty_root().to_vec();
+        assert_eq!(plain[1] & FLAG_HAS_REPLICAS, 0);
+        plain[1] |= FLAG_HAS_REPLICAS;
+        assert!(LeafView::parse(Bytes::from(plain)).is_err());
+        let too_many: Vec<Oid> = (0..256).collect();
+        assert!(leaf(&LeafView::empty_root())
+            .with_replicas(&too_many)
+            .is_err());
+    }
+
+    /// Applies `put` / `remove` to the page and to the sorted-list model and
+    /// requires the edited page to be the page the builder makes.
+    fn check_edit(
+        shape: &(Bound<'static>, Bound<'static>, Option<Oid>, Vec<Oid>),
+        cells: &mut Vec<Cell>,
+        page: &mut Bytes,
+        key: &str,
+        value: Option<&str>,
+    ) {
+        let view = leaf(page);
+        let at = cells.binary_search_by(|(k, _)| k[..].cmp(key.as_bytes()));
+        let edited = match value {
+            Some(v) => {
+                assert_eq!(
+                    view.put_if_absent(key.as_bytes(), v.as_bytes())
+                        .unwrap()
+                        .is_some(),
+                    at.is_err()
+                );
+                let (edited, replaced) = view.put(key.as_bytes(), v.as_bytes()).unwrap();
+                assert_eq!(replaced, at.is_ok(), "put {key}");
+                match at {
+                    Ok(i) => cells[i].1 = v.as_bytes().to_vec(),
+                    Err(i) => cells.insert(i, cell(key, v)),
+                }
+                edited
+            }
+            None => {
+                let edited = view.remove(key.as_bytes()).unwrap();
+                assert_eq!(edited.is_some(), at.is_ok(), "remove {key}");
+                if let Ok(i) = at {
+                    cells.remove(i);
+                }
+                edited.unwrap_or_else(|| page.clone())
+            }
+        };
+        let (lower, upper, next, replicas) = shape;
+        assert_eq!(
+            edited,
+            built(*lower, *upper, *next, replicas, cells),
+            "{key} -> {value:?} on {cells:?}"
+        );
+        *page = edited;
     }
 
     #[test]
-    fn into_leaf_and_inner_guards() {
-        let leaf = Node::Leaf(LeafNode::empty_root());
-        assert!(leaf.clone().into_leaf().is_ok());
-        assert!(leaf.into_inner().is_err());
-        assert_eq!(Node::Leaf(LeafNode::empty_root()).height(), 0);
+    fn one_cell_edits_at_every_edge_match_the_builder() {
+        let long = "x".repeat(300);
+        for shape in leaf_shapes() {
+            let (lower, upper, next, replicas) = &shape;
+            let mut cells: Vec<Cell> = Vec::new();
+            let mut page = built(*lower, *upper, *next, replicas, &cells);
+            let steps: [(&str, Option<&str>); 16] = [
+                ("m", None),          // remove from an empty leaf: absent
+                ("m", Some("only")),  // the only cell
+                ("m", Some("")),      // replace, shorter
+                ("m", Some("same")),  // replace, longer
+                ("m", Some("size")),  // replace, equal length
+                ("c", Some("first")), // before the first cell
+                ("t", Some("last")),  // after the last cell
+                ("p", Some(&long)),   // a two-byte length prefix, in the middle
+                ("c", Some(&long)),   // replace the first, longer
+                ("t", Some("l")),     // replace the last, shorter
+                ("d", None),          // absent, between cells
+                ("c", None),          // the first cell
+                ("t", None),          // the last cell
+                ("p", None),          // a middle cell
+                ("m", None),          // the only cell
+                ("m", None),          // absent again
+            ];
+            for (key, value) in steps {
+                check_edit(&shape, &mut cells, &mut page, key, value);
+            }
+            assert!(leaf(&page).is_empty());
+        }
+    }
+
+    #[test]
+    fn leaf_one_over_its_bound_splits_at_the_median() {
+        // 64 is the default `leaf_max_cells`; the insert that makes 65 is
+        // the one that splits.
+        for (lower, upper, next, replicas) in leaf_shapes() {
+            let cells: Vec<Cell> = (0..65).map(|i| cell(&format!("k{i:02}"), "v")).collect();
+            let view = leaf(&built(lower, upper, next, &replicas, &cells));
+            let (left, right, sep) = view.split(555).unwrap();
+            assert_eq!(&sep[..], b"k32");
+            // Halves drop the replica list; the left one points at the right.
+            assert_eq!(
+                left,
+                built(lower, Bound::Key(&sep), Some(555), &[], &cells[..32])
+            );
+            assert_eq!(
+                right,
+                built(Bound::Key(&sep), upper, next, &[], &cells[32..])
+            );
+            assert_eq!((leaf(&left).len(), leaf(&right).len()), (32, 33));
+        }
+        // Two cells is the least a leaf can split; one is refused.
+        let two = [cell("a", "1"), cell("b", "2")];
+        let (left, right, sep) = leaf(&built(Bound::NegInf, Bound::PosInf, None, &[], &two))
+            .split(9)
+            .unwrap();
+        assert_eq!(
+            (leaf(&left).len(), leaf(&right).len(), &sep[..]),
+            (1, 1, &b"b"[..])
+        );
+        let one = built(Bound::NegInf, Bound::PosInf, None, &[], &two[..1]);
+        assert!(leaf(&one).split(9).is_err());
+    }
+
+    #[test]
+    fn inner_edits_match_the_builder() {
+        for replicas in [vec![], vec![70, 71]] {
+            let (lower, upper) = (Bound::Key(b"a"), Bound::Key(b"zz"));
+            let mut seps = vec![b"m".to_vec()];
+            let mut children: Vec<Oid> = vec![1, 2];
+            let mut page = built_inner(lower, upper, 1, &replicas, &children, &seps);
+            // Child 0 splits at "f", then the last child at "t", then a
+            // middle one at "h"; the parent keeps its replica list.
+            for (after, sep, oid) in [(0usize, "f", 3u64), (2, "t", 4), (1, "h", 5)] {
+                page = inner(&page)
+                    .insert_child_after(after, sep.as_bytes(), oid)
+                    .unwrap();
+                seps.insert(after, sep.as_bytes().to_vec());
+                children.insert(after + 1, oid);
+                assert_eq!(
+                    page,
+                    built_inner(lower, upper, 1, &replicas, &children, &seps)
+                );
+            }
+            let view = inner(&page);
+            assert_eq!(children, vec![1, 3, 5, 2, 4]);
+            assert_eq!(view.child_for(b"a").unwrap(), 1);
+            assert_eq!(view.child_for(b"g").unwrap(), 3);
+            assert_eq!(view.child_for(b"x").unwrap(), 4);
+            assert!(view.insert_child_after(5, b"q", 6).is_err());
+
+            // Five children split 2 | 3; separator 1 moves up, in neither half.
+            let (left, right, sep) = view.split().unwrap();
+            assert_eq!(&sep[..], b"h");
+            let expect = built_inner(lower, Bound::Key(b"h"), 1, &[], &children[..2], &seps[..1]);
+            assert_eq!(left, expect);
+            let expect = built_inner(Bound::Key(b"h"), upper, 1, &[], &children[2..], &seps[2..]);
+            assert_eq!(right, expect);
+        }
+        // Three children is the least an inner node can split.
+        let seps = [b"g".to_vec(), b"p".to_vec()];
+        let three = built_inner(Bound::NegInf, Bound::PosInf, 2, &[], &[1, 2, 3], &seps);
+        let (left, right, sep) = inner(&three).split().unwrap();
+        assert_eq!(
+            (inner(&left).len(), inner(&right).len(), &sep[..]),
+            (1, 2, &b"g"[..])
+        );
+        assert!(inner(&left).split().is_err());
+    }
+
+    #[test]
+    fn replica_lists_are_set_and_cleared_in_the_header_only() {
+        for (lower, upper, next, replicas) in leaf_shapes() {
+            let cells = [cell("b", "vb"), cell("c", "vc")];
+            let view = leaf(&built(lower, upper, next, &replicas, &cells));
+            for reps in [&[][..], &[5], &[5, 6, 7]] {
+                let page = NodeView::Leaf(view.clone()).with_replicas(reps).unwrap();
+                assert_eq!(page, built(lower, upper, next, reps, &cells));
+            }
+        }
+        let seps = [b"m".to_vec()];
+        let view = inner(&built_inner(
+            Bound::NegInf,
+            Bound::Key(b"z"),
+            1,
+            &[9],
+            &[1, 2],
+            &seps,
+        ));
+        for reps in [&[][..], &[5, 6]] {
+            let page = NodeView::Inner(view.clone()).with_replicas(reps).unwrap();
+            let expect = built_inner(Bound::NegInf, Bound::Key(b"z"), 1, reps, &[1, 2], &seps);
+            assert_eq!(page, expect);
+        }
     }
 }

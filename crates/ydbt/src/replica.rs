@@ -7,10 +7,11 @@
 //! — and the primary page lists its replica oids in its header (see
 //! `node.rs`).  Reads go **read-any**: the client picks one copy by
 //! rotation and falls back to the primary if the copy has no version at
-//! its snapshot.  Writes go **write-all**: every writer materialises the
-//! node it rewrites, so it holds the replica list at its snapshot for free
-//! and rewrites every copy in its one transaction — the existing
-//! multi-shard 2PC makes all copies move atomically.
+//! its snapshot.  Writes go **write-all**: every writer edits the page it
+//! fetched, so it reads the replica list at its snapshot from that page's
+//! header for free and writes the edited page under every copy's oid in its
+//! one transaction — the existing multi-shard 2PC makes all copies move
+//! atomically.
 //!
 //! ## Why read-any is safe
 //!
@@ -36,9 +37,8 @@ use yesquel_common::stats::{Counter, StatsRegistry};
 use yesquel_common::{ObjectId, Oid, Result, ServerId, TreeId};
 use yesquel_kv::Txn;
 
-use crate::node::Node;
 use crate::split::SplitContext;
-use crate::tree::fetch_node;
+use crate::tree::fetch_view;
 
 const MAP_SHARDS: usize = 16;
 
@@ -160,26 +160,26 @@ impl ReplicaMap {
     }
 }
 
-/// Writes `node` under its primary oid **and** every replica oid it lists,
-/// as identical bytes, inside the caller's transaction — the write-all half
-/// of read-any/write-all.  One encode regardless of fan-out; the per-copy
-/// cost is a `Bytes` refcount bump.
+/// Writes `page` under its primary oid **and** every oid in `replicas` (the
+/// list the page itself carries), as identical bytes, inside the caller's
+/// transaction — the write-all half of read-any/write-all.  One page
+/// regardless of fan-out; the per-copy cost is a `Bytes` refcount bump.
 pub(crate) fn put_node_all(
     txn: &Txn,
     tree: TreeId,
     oid: Oid,
-    node: &Node,
+    page: Bytes,
+    replicas: &[Oid],
     fanout_writes: &Counter,
 ) -> Result<()> {
-    let replicas = node.replicas();
     if replicas.is_empty() {
-        return txn.put(ObjectId::new(tree, oid), node.encode());
+        return txn.put(ObjectId::new(tree, oid), page);
     }
     fanout_writes.inc();
     let objs = std::iter::once(oid)
         .chain(replicas.iter().copied())
         .map(|o| ObjectId::new(tree, o));
-    txn.put_many(objs, Bytes::from(node.encode()))
+    txn.put_many(objs, page)
 }
 
 /// Per-server load snapshot: windowed deltas of each server's request
@@ -243,12 +243,13 @@ pub(crate) fn execute_replication(ctx: &SplitContext, tree: TreeId, oid: Oid) ->
             std::thread::sleep(std::time::Duration::from_micros(200 << attempt));
         }
         let txn = ctx.kv.begin();
-        let Some(mut node) = fetch_node(&txn, tree, oid)? else {
+        let Some(node) = fetch_view(&txn, tree, oid)? else {
             // The node vanished (split away or tree dropped): nothing to do.
             txn.abort();
             return Ok(false);
         };
-        if node.replicas().len() >= factor {
+        let mut replicas = node.replicas();
+        if replicas.len() >= factor {
             txn.abort();
             return Ok(false);
         }
@@ -256,32 +257,33 @@ pub(crate) fn execute_replication(ctx: &SplitContext, tree: TreeId, oid: Oid) ->
         // server already holding a replica, then fill the least-loaded
         // servers first.
         let mut occupied: Vec<ServerId> = vec![ObjectId::new(tree, oid).home_server(nservers)];
-        for r in node.replicas() {
+        for r in &replicas {
             occupied.push(ObjectId::new(tree, *r).home_server(nservers));
         }
         let loads = ctx.placement.snapshot(&ctx.stats, nservers);
         let mut targets: Vec<ServerId> = (0..nservers).filter(|s| !occupied.contains(s)).collect();
         targets.sort_by_key(|s| loads[*s]);
-        targets.truncate(factor - node.replicas().len());
+        targets.truncate(factor - replicas.len());
         if targets.is_empty() {
             txn.abort();
             return Ok(false);
         }
         for target in targets {
-            let roid = ctx.alloc.allocate_on_server(tree, target)?;
-            node.replicas_mut().push(roid);
+            replicas.push(ctx.alloc.allocate_on_server(tree, target)?);
         }
+        // Only the header section changes; cells are copied as they are.
         put_node_all(
             &txn,
             tree,
             oid,
-            &node,
+            node.with_replicas(&replicas)?,
+            &replicas,
             &ctx.stats.counter("dbt.replica_fanout_writes"),
         )?;
         match txn.commit() {
             Ok(_) => {
                 ctx.stats.counter("dbt.replica_promotions").inc();
-                ctx.replicas.learn(tree, oid, node.replicas());
+                ctx.replicas.learn(tree, oid, &replicas);
                 ctx.load.forget(tree, oid);
                 return Ok(true);
             }

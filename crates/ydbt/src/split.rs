@@ -26,7 +26,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use yesquel_common::ids::ROOT_OID;
@@ -37,9 +36,9 @@ use yesquel_kv::{KvClient, Txn};
 use crate::alloc::OidAllocator;
 use crate::cache::NodeCache;
 use crate::load::LoadTracker;
-use crate::node::{Bound, InnerNode, LeafNode, Node};
+use crate::node::{Bound, InnerView, NodeView};
 use crate::replica::{execute_replication, put_node_all, PlacementTracker, ReplicaMap};
-use crate::tree::fetch_node;
+use crate::tree::fetch_view;
 
 /// Why a split was requested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,184 +115,99 @@ pub(crate) fn split_node_in_txn(
     reason: SplitReason,
 ) -> Result<()> {
     let oid = path[idx];
-    let mut node = fetch_node(txn, tree, oid)?
+    let node = fetch_view(txn, tree, oid)?
         .ok_or_else(|| Error::Internal(format!("node {tree}:{oid} vanished during split")))?;
+    // Re-check that the split is still warranted at this snapshot.
+    let (len, min_len, max_len) = match &node {
+        NodeView::Leaf(l) => (l.len(), 2, ctx.cfg.leaf_max_cells),
+        NodeView::Inner(i) => (i.len(), 3, ctx.cfg.inner_max_children),
+    };
+    if len < min_len {
+        return Ok(());
+    }
+    if reason == SplitReason::Size && len <= max_len {
+        // Someone else already split it.
+        ctx.stats.counter("dbt.split_skipped").inc();
+        return Ok(());
+    }
     // A split retires the node's replica set: the halves cover different key
     // ranges, so the old copies are meaningless.  Delete the replica objects
     // in the same transaction (atomic with the split) and let the halves
-    // start unreplicated — if they stay hot, the load tracker re-promotes
-    // them.
-    if !node.replicas().is_empty() {
+    // start unreplicated (the split edits write no replica list) — if they
+    // stay hot, the load tracker re-promotes them.
+    if node.has_replicas() {
         for r in node.replicas() {
-            txn.delete(ObjectId::new(tree, *r))?;
+            txn.delete(ObjectId::new(tree, r))?;
         }
-        node.replicas_mut().clear();
         ctx.replicas.forget(tree, oid);
     }
-    match node {
-        Node::Leaf(mut leaf) => {
-            if leaf.len() < 2 {
-                return Ok(());
-            }
-            if reason == SplitReason::Size && leaf.len() <= ctx.cfg.leaf_max_cells {
-                // Someone else already split it.
-                ctx.stats.counter("dbt.split_skipped").inc();
-                return Ok(());
-            }
-            let mid = leaf.len() / 2;
-            // Cell keys are shared bytes, so the separator and every
-            // bound/fence clone below is a reference-count bump, not a copy.
-            let split_key = leaf.cells[mid].0.clone();
-            let right_cells = leaf.cells.split_off(mid);
-            let new_oid = ctx.new_oid(tree, reason == SplitReason::Load)?;
-            let right = LeafNode {
-                lower: Bound::Key(split_key.clone()),
-                upper: leaf.upper.clone(),
-                cells: right_cells,
-                next: leaf.next,
-                replicas: Vec::new(),
-            };
-            leaf.upper = Bound::Key(split_key.clone());
-            leaf.next = Some(new_oid);
-            if reason == SplitReason::Load {
-                ctx.stats.counter("dbt.load_splits").inc();
-            }
-            finish_split(
-                ctx,
-                txn,
-                tree,
-                path,
-                idx,
-                oid,
-                Node::Leaf(leaf),
-                new_oid,
-                Node::Leaf(right),
-                split_key,
-            )
-        }
-        Node::Inner(mut inner) => {
-            if inner.len() < 3 {
-                return Ok(());
-            }
-            if reason == SplitReason::Size && inner.len() <= ctx.cfg.inner_max_children {
-                ctx.stats.counter("dbt.split_skipped").inc();
-                return Ok(());
-            }
-            let midc = inner.children.len() / 2;
-            let split_key = inner.keys[midc - 1].clone();
-            let right_children = inner.children.split_off(midc);
-            let right_keys = inner.keys.split_off(midc);
-            inner.keys.pop(); // the promoted separator
-            let new_oid = ctx.new_oid(tree, false)?;
-            let right = InnerNode {
-                lower: Bound::Key(split_key.clone()),
-                upper: inner.upper.clone(),
-                keys: right_keys,
-                children: right_children,
-                height: inner.height,
-                replicas: Vec::new(),
-            };
-            inner.upper = Bound::Key(split_key.clone());
-            finish_split(
-                ctx,
-                txn,
-                tree,
-                path,
-                idx,
-                oid,
-                Node::Inner(inner),
-                new_oid,
-                Node::Inner(right),
-                split_key,
-            )
-        }
+    let load_split = reason == SplitReason::Load && matches!(node, NodeView::Leaf(_));
+    let right_oid = ctx.new_oid(tree, load_split)?;
+    let (left, right, split_key) = match &node {
+        NodeView::Leaf(leaf) => leaf.split(right_oid)?,
+        NodeView::Inner(inner) => inner.split()?,
+    };
+    if load_split {
+        ctx.stats.counter("dbt.load_splits").inc();
     }
-}
-
-/// Writes the two halves of a split and links the new half into the parent
-/// (or grows the tree by one level when the root itself split).
-#[allow(clippy::too_many_arguments)]
-fn finish_split(
-    ctx: &SplitContext,
-    txn: &Txn,
-    tree: TreeId,
-    path: &[Oid],
-    idx: usize,
-    left_oid: Oid,
-    left: Node,
-    right_oid: Oid,
-    right: Node,
-    split_key: Bytes,
-) -> Result<()> {
     ctx.stats.counter("dbt.splits").inc();
+
     if idx == 0 {
         // The root split.  The root keeps its well-known object id, so both
         // halves move to fresh ids and the root becomes (or stays) an inner
         // node one level taller.
-        debug_assert_eq!(left_oid, ROOT_OID);
-        let new_left_oid = ctx.alloc.allocate(tree)?;
-        let height = left.height() + 1;
-        // If the left half is a leaf, its sibling pointer must reference the
-        // right half (it was set before the halves were materialised).
-        let left = match left {
-            Node::Leaf(mut l) => {
-                l.next = Some(right_oid);
-                Node::Leaf(l)
-            }
-            other => other,
-        };
-        let new_root = InnerNode {
-            lower: Bound::NegInf,
-            upper: Bound::PosInf,
-            keys: vec![split_key],
-            children: vec![new_left_oid, right_oid],
-            height,
-            replicas: Vec::new(),
-        };
-        txn.put(ObjectId::new(tree, new_left_oid), left.encode())?;
-        txn.put(ObjectId::new(tree, right_oid), right.encode())?;
-        txn.put(
-            ObjectId::new(tree, ROOT_OID),
-            Node::Inner(new_root).encode(),
+        debug_assert_eq!(oid, ROOT_OID);
+        let left_oid = ctx.alloc.allocate(tree)?;
+        let new_root = InnerView::build(
+            Bound::NegInf,
+            Bound::PosInf,
+            node.height() + 1,
+            &[],
+            &[left_oid, right_oid],
+            &[&split_key],
         )?;
+        txn.put(ObjectId::new(tree, left_oid), left)?;
+        txn.put(ObjectId::new(tree, right_oid), right)?;
+        txn.put(ObjectId::new(tree, ROOT_OID), new_root)?;
         ctx.cache.invalidate(tree, ROOT_OID);
         ctx.load.forget(tree, ROOT_OID);
         ctx.stats.counter("dbt.root_splits").inc();
         return Ok(());
     }
 
-    txn.put(ObjectId::new(tree, left_oid), left.encode())?;
-    txn.put(ObjectId::new(tree, right_oid), right.encode())?;
+    txn.put(ObjectId::new(tree, oid), left)?;
+    txn.put(ObjectId::new(tree, right_oid), right)?;
 
+    // Link the new half into the parent.
     let parent_oid = path[idx - 1];
-    let parent = fetch_node(txn, tree, parent_oid)?
-        .ok_or_else(|| Error::Internal(format!("parent {tree}:{parent_oid} vanished")))?
-        .into_inner()?;
-    let mut parent = parent;
-    let child_pos = parent
-        .children
-        .iter()
-        .position(|c| *c == left_oid)
-        .ok_or_else(|| {
-            Error::Internal(format!(
-                "parent {parent_oid} no longer references {left_oid}"
-            ))
-        })?;
-    parent.insert_child_after(child_pos, split_key, right_oid);
-    let parent_len = parent.len();
+    let parent = match fetch_view(txn, tree, parent_oid)? {
+        Some(NodeView::Inner(parent)) => parent,
+        Some(NodeView::Leaf(_)) => {
+            return Err(Error::Corruption("expected inner node, found leaf".into()))
+        }
+        None => {
+            return Err(Error::Internal(format!(
+                "parent {tree}:{parent_oid} vanished"
+            )))
+        }
+    };
+    let child_pos = parent.children().position(|c| c == oid).ok_or_else(|| {
+        Error::Internal(format!("parent {parent_oid} no longer references {oid}"))
+    })?;
     // The parent keeps its replica set across the child split, so its
     // rewrite must fan out to every copy (write-all).
     put_node_all(
         txn,
         tree,
         parent_oid,
-        &Node::Inner(parent),
+        parent.insert_child_after(child_pos, &split_key, right_oid)?,
+        &parent.replicas(),
         &ctx.stats.counter("dbt.replica_fanout_writes"),
     )?;
     ctx.cache.invalidate(tree, parent_oid);
-    ctx.load.forget(tree, left_oid);
+    ctx.load.forget(tree, oid);
 
-    if parent_len > ctx.cfg.inner_max_children {
+    if parent.len() + 1 > ctx.cfg.inner_max_children {
         split_node_in_txn(ctx, txn, tree, path, idx - 1, SplitReason::Size)?;
     }
     Ok(())
@@ -305,36 +219,28 @@ pub(crate) fn execute_delegated_split(ctx: &SplitContext, req: &SplitRequest) ->
     const ATTEMPTS: usize = 4;
     for attempt in 0..ATTEMPTS {
         let txn = ctx.kv.begin();
-        let Some(target) = fetch_node(&txn, req.tree, req.oid)? else {
+        let Some(target) = fetch_view(&txn, req.tree, req.oid)? else {
             txn.abort();
             return Ok(false);
         };
         // Re-check that the split is still warranted at this snapshot.
-        let nav_key: Bytes = match &target {
-            Node::Leaf(l) => {
-                if l.len() < 2
-                    || (req.reason == SplitReason::Size && l.len() <= ctx.cfg.leaf_max_cells)
-                {
-                    txn.abort();
-                    ctx.stats.counter("dbt.split_skipped").inc();
-                    return Ok(false);
-                }
-                match &l.lower {
-                    Bound::Key(k) => k.clone(),
-                    _ => Bytes::new(),
-                }
-            }
-            Node::Inner(i) => {
-                if i.len() <= ctx.cfg.inner_max_children {
-                    txn.abort();
-                    ctx.stats.counter("dbt.split_skipped").inc();
-                    return Ok(false);
-                }
-                match &i.lower {
-                    Bound::Key(k) => k.clone(),
-                    _ => Bytes::new(),
-                }
-            }
+        let (warranted, lower) = match &target {
+            NodeView::Leaf(l) => (
+                l.len() >= 2
+                    && (req.reason != SplitReason::Size || l.len() > ctx.cfg.leaf_max_cells),
+                l.lower(),
+            ),
+            NodeView::Inner(i) => (i.len() > ctx.cfg.inner_max_children, i.lower()),
+        };
+        if !warranted {
+            txn.abort();
+            ctx.stats.counter("dbt.split_skipped").inc();
+            return Ok(false);
+        }
+        // Any key of the target routes to it: its lower fence does.
+        let nav_key: &[u8] = match lower {
+            Bound::Key(k) => k,
+            _ => b"",
         };
 
         // Build the root-to-target path within this transaction's snapshot.
@@ -347,8 +253,8 @@ pub(crate) fn execute_delegated_split(ctx: &SplitContext, req: &SplitRequest) ->
             if path.len() > 64 {
                 break false;
             }
-            match fetch_node(&txn, req.tree, cur)? {
-                Some(Node::Inner(inner)) => path.push(inner.child_for(&nav_key)),
+            match fetch_view(&txn, req.tree, cur)? {
+                Some(NodeView::Inner(inner)) => path.push(inner.child_for(nav_key)?),
                 // Reached a leaf (or a hole) that is not the target: the
                 // tree changed since the request was made.
                 _ => break false,

@@ -26,15 +26,16 @@
 //! which is what lets Yesquel approach NOSQL key-value latency for point
 //! queries.
 //!
-//! ## Reads never materialise nodes
+//! ## Nodes are never materialised
 //!
 //! Both phases operate on [`NodeView`]s — lazy views over the encoded pages
 //! (see [`crate::node`]).  A warm point read therefore costs one node fetch
 //! plus an O(log n) binary search straight over the page bytes; no cell is
 //! decoded except the ones the search compares, and nothing is allocated
-//! per cell.  Only `insert`/`delete` materialise the destination leaf
-//! (into a [`LeafNode`] whose cells are `Bytes` slices of the page), because
-//! they are about to mutate and re-encode it.
+//! per cell.  `insert`/`delete` run the same search and the same probe, then
+//! **edit the page**: the destination leaf's next page is built from the
+//! fetched bytes in one allocation and one copy ([`LeafView::put`] /
+//! [`LeafView::remove`]) and buffered in the transaction as it is.
 
 use std::sync::Arc;
 
@@ -47,7 +48,7 @@ use yesquel_kv::Txn;
 
 use crate::engine::DbtEngine;
 use crate::iter::{DbtCursor, RawCursor};
-use crate::node::{LeafNode, LeafView, Node, NodeView};
+use crate::node::{LeafView, NodeView};
 use crate::replica::put_node_all;
 use crate::split::{split_node_in_txn, SplitReason, SplitRequest};
 
@@ -81,18 +82,6 @@ pub(crate) fn fetch_leaf_sibling(txn: &Txn, tree: TreeId, oid: Oid) -> Result<Le
         None => Err(Error::Corruption(format!(
             "leaf sibling pointer {tree}:{oid} dangles at this snapshot"
         ))),
-    }
-}
-
-/// Reads and **materialises** a node within a transaction (the write/split
-/// path, which is about to mutate it).  Returns `None` if the object has no
-/// visible version at the transaction's snapshot.
-pub(crate) fn fetch_node(txn: &Txn, tree: TreeId, oid: Oid) -> Result<Option<Node>> {
-    match txn.get(ObjectId::new(tree, oid))? {
-        // Shared decode: keys, values and bounds of the returned node are
-        // Bytes slices of the fetched buffer, not copies.
-        Some(bytes) => Ok(Some(Node::decode_shared(&bytes)?)),
-        None => Ok(None),
     }
 }
 
@@ -285,13 +274,6 @@ impl Dbt {
         }
     }
 
-    /// Finds the leaf for `key` and materialises it for mutation.
-    fn find_leaf_mut(&self, txn: &Txn, key: &[u8]) -> Result<(Vec<Oid>, LeafNode)> {
-        let lr = self.find_leaf(txn, key)?;
-        let leaf = lr.leaf.to_leaf_node()?;
-        Ok((lr.path, leaf))
-    }
-
     /// Records an access to a leaf and routes the node to the right remedy
     /// if it just became hot: **write-heavy** hot leaves are load-split
     /// (spreading the key range over servers), **read-heavy** hot leaves are
@@ -355,37 +337,63 @@ impl Dbt {
     pub fn insert(&self, txn: &Txn, key: &[u8], value: &[u8]) -> Result<bool> {
         let _dbt_span = span(SpanKind::Dbt);
         self.engine.counters().inserts.inc();
-        let (path, mut leaf) = self.find_leaf_mut(txn, key)?;
-        let leaf_oid = *path.last().expect("path never empty");
-        let replaced = leaf.insert_cell(key, Bytes::copy_from_slice(value));
-        let new_len = leaf.len();
-        // Write-all: a replicated leaf's rewrite covers every copy.
+        let lr = self.find_leaf(txn, key)?;
+        let (page, replaced) = lr.leaf.put(key, value)?;
+        self.write_leaf(txn, &lr, page, lr.leaf.len() + usize::from(!replaced))?;
+        Ok(replaced)
+    }
+
+    /// Inserts `key` → `value` unless `key` is already present; returns true
+    /// if it was inserted.  One descent and one probe decide and write —
+    /// what a uniqueness check followed by an insert would fetch twice — and
+    /// a `false` buffers nothing in the transaction.
+    pub fn insert_if_absent(&self, txn: &Txn, key: &[u8], value: &[u8]) -> Result<bool> {
+        let _dbt_span = span(SpanKind::Dbt);
+        self.engine.counters().inserts.inc();
+        let lr = self.find_leaf(txn, key)?;
+        match lr.leaf.put_if_absent(key, value)? {
+            Some(page) => {
+                self.write_leaf(txn, &lr, page, lr.leaf.len() + 1)?;
+                Ok(true)
+            }
+            None => {
+                self.track_access(lr.oid(), lr.leaf.len(), false);
+                Ok(false)
+            }
+        }
+    }
+
+    /// Buffers the edited `page` of the leaf `lr` found, under its primary
+    /// oid and every replica oid (write-all: the edit kept the replica list
+    /// the fetched page had).  A leaf left over its size bound is split in
+    /// this transaction, or the splitter is asked to.
+    fn write_leaf(&self, txn: &Txn, lr: &LeafRef, page: Bytes, new_len: usize) -> Result<()> {
         put_node_all(
             txn,
             self.tree,
-            leaf_oid,
-            &Node::Leaf(leaf),
+            lr.oid(),
+            page,
+            &lr.leaf.replicas(),
             &self.engine.counters().replica_fanout_writes,
         )?;
-        self.track_access(leaf_oid, new_len, true);
-
+        self.track_access(lr.oid(), new_len, true);
         if new_len > self.engine.config().leaf_max_cells {
             match self.engine.config().split_mode {
                 SplitMode::Synchronous => {
                     let ctx = self.engine.split_ctx();
-                    let idx = path.len() - 1;
-                    split_node_in_txn(&ctx, txn, self.tree, &path, idx, SplitReason::Size)?;
+                    let idx = lr.path.len() - 1;
+                    split_node_in_txn(&ctx, txn, self.tree, &lr.path, idx, SplitReason::Size)?;
                 }
                 SplitMode::Delegated => {
                     self.engine.request_split(SplitRequest {
                         tree: self.tree,
-                        oid: leaf_oid,
+                        oid: lr.oid(),
                         reason: SplitReason::Size,
                     });
                 }
             }
         }
-        Ok(replaced)
+        Ok(())
     }
 
     /// Deletes `key`.  Returns true if it existed.
@@ -393,25 +401,17 @@ impl Dbt {
         let _dbt_span = span(SpanKind::Dbt);
         self.engine.counters().deletes.inc();
         let lr = self.find_leaf(txn, key)?;
-        let leaf_oid = lr.oid();
-        // Probe the view first: a miss (the common case for blind deletes)
-        // never materialises or rewrites the leaf.
-        if lr.leaf.find(key)?.is_none() {
-            self.track_access(leaf_oid, lr.leaf.len(), false);
-            return Ok(false);
+        // A miss (the common case for blind deletes) rewrites nothing.
+        match lr.leaf.remove(key)? {
+            Some(page) => {
+                self.write_leaf(txn, &lr, page, lr.leaf.len() - 1)?;
+                Ok(true)
+            }
+            None => {
+                self.track_access(lr.oid(), lr.leaf.len(), false);
+                Ok(false)
+            }
         }
-        let mut leaf = lr.leaf.to_leaf_node()?;
-        leaf.remove_cell(key);
-        let len = leaf.len();
-        put_node_all(
-            txn,
-            self.tree,
-            leaf_oid,
-            &Node::Leaf(leaf),
-            &self.engine.counters().replica_fanout_writes,
-        )?;
-        self.track_access(leaf_oid, len, true);
-        Ok(true)
     }
 
     /// Opens a forward cursor over `[start, end)`.  `None` bounds mean
@@ -1035,13 +1035,13 @@ mod tests {
         let mut replicated_nodes = 0;
         while let Some(oid) = queue.pop() {
             let primary = txn.get(ObjectId::new(1, oid)).unwrap().expect("node");
-            let node = Node::decode_shared(&primary).unwrap();
-            if let Node::Inner(inner) = &node {
-                queue.extend(inner.children.iter().copied());
+            let node = NodeView::parse(primary.clone()).unwrap();
+            if let NodeView::Inner(inner) = &node {
+                queue.extend(inner.children());
             }
             for r in node.replicas() {
                 replicated_nodes += 1;
-                let copy = txn.get(ObjectId::new(1, *r)).unwrap().expect("replica");
+                let copy = txn.get(ObjectId::new(1, r)).unwrap().expect("replica");
                 assert_eq!(primary, copy, "replica {r} of node {oid} diverged");
             }
         }

@@ -6,8 +6,8 @@
 //! provides [`Bytes`]: a cheaply clonable, sliceable view into a
 //! reference-counted byte buffer.  Cloning and slicing never copy the
 //! underlying bytes — which is exactly the property the YDBT leaf-fetch hot
-//! path relies on (`Node::decode_shared` returns values that are slices of
-//! the fetched buffer).
+//! path relies on (a `LeafView` hands out values that are slices of the
+//! fetched page).
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -43,6 +43,22 @@ impl Bytes {
             data: Arc::from(b),
             start: 0,
             end: b.len(),
+        }
+    }
+
+    /// Allocates a shared buffer of exactly `len` zeroed bytes **once** and
+    /// lets `fill` write it in place — no intermediate `Vec`, no second copy
+    /// (`From<Vec<u8>>` shrinks, re-allocates and copies).  This is what the
+    /// YDBT page edits produce their result pages through.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        // Collecting an exact-size iterator into `Arc<[u8]>` allocates the
+        // reference-counted slice directly.
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        fill(Arc::get_mut(&mut data).expect("a fresh Arc has one owner"));
+        Bytes {
+            data,
+            start: 0,
+            end: len,
         }
     }
 
@@ -251,6 +267,37 @@ mod tests {
     fn slice_out_of_bounds_panics() {
         let b = Bytes::from(vec![1u8, 2]);
         let _ = b.slice(0..3);
+    }
+
+    #[test]
+    fn build_fills_in_place() {
+        let b = Bytes::build(5, |buf| {
+            assert_eq!(buf, &[0u8; 5], "buffer starts zeroed at its exact size");
+            for (i, x) in buf.iter_mut().enumerate() {
+                *x = i as u8 * 2;
+            }
+        });
+        assert_eq!(b.len(), 5);
+        assert_eq!(&b[..], &[0, 2, 4, 6, 8]);
+        assert_eq!(b, Bytes::from(vec![0u8, 2, 4, 6, 8]));
+        // Slices and clones of a built buffer share it like any other.
+        let s = b.slice(1..4);
+        assert_eq!(&s[..], &[2, 4, 6]);
+        assert_eq!(Arc::as_ptr(&b.data), Arc::as_ptr(&s.data));
+        assert_eq!(&b.slice_ref(&b[3..])[..], &[6, 8]);
+    }
+
+    #[test]
+    fn build_zero_length() {
+        let mut called = false;
+        let b = Bytes::build(0, |buf| {
+            called = true;
+            assert!(buf.is_empty());
+        });
+        assert!(called);
+        assert!(b.is_empty());
+        assert_eq!(b, Bytes::new());
+        assert!(b.slice(..).is_empty());
     }
 
     #[test]

@@ -1176,3 +1176,41 @@ fn autocommit_statements_retry_conflicts_to_success() {
     }
     assert_eq!(rows_i64(&y, "SELECT n FROM c"), vec![vec![100]]);
 }
+
+#[test]
+fn insert_probes_each_leaf_once() {
+    // The wiki fixture has one unique and one plain index.  An INSERT writes
+    // three leaves; the row leaf's and the unique-index leaf's own probes
+    // are the uniqueness checks, so a warm statement fetches three nodes —
+    // not five (a lookup and then an insert on two of the trees).
+    let y = wiki_fixture();
+    let stats = y.db().stats();
+    let insert = y
+        .prepare("INSERT INTO pages (id, title, views, body) VALUES (?, ?, ?, ?)")
+        .unwrap();
+    insert.execute(params![1000, "warm", 1, "b"]).unwrap();
+    y.engine().wait_for_splits();
+    let fetches = stats.counter("dbt.node_fetches").get();
+    insert.execute(params![1001, "measured", 2, "b"]).unwrap();
+    assert_eq!(stats.counter("dbt.node_fetches").get() - fetches, 3);
+    assert_eq!(
+        rows_i64(&y, "SELECT id FROM pages WHERE title = 'measured'"),
+        vec![vec![1001]]
+    );
+
+    // A duplicate primary key is refused by the row leaf's probe, before
+    // anything is buffered in the transaction.
+    let stmt = yesquel::sql::parse("INSERT INTO pages (id, title) VALUES (1001, 'other')").unwrap();
+    let txn = y.begin();
+    let writes = txn.write_count();
+    let err = yesquel::sql::execute(y.session().catalog(), &txn, &stmt, &[]).unwrap_err();
+    assert!(matches!(err, Error::Constraint(_)), "{err:?}");
+    assert_eq!(txn.write_count(), writes);
+    txn.abort();
+    // So is a duplicate of the unique index, by that index leaf's probe.
+    let err = insert
+        .execute(params![1002, "measured", 3, "b"])
+        .unwrap_err();
+    assert!(matches!(err, Error::Constraint(_)), "{err:?}");
+    assert_eq!(rows_i64(&y, "SELECT count(*) FROM pages").concat(), [52]);
+}
