@@ -39,7 +39,7 @@ use yesquel_common::config::SplitMode;
 use yesquel_common::stats::HistogramSummary;
 use yesquel_common::tempdir::TempDir;
 use yesquel_common::{
-    CommitFanout, DbtConfig, NetConfig, ObjectId, RpcBatchConfig, WalFsyncPolicy, YesquelConfig,
+    DbtConfig, NetConfig, ObjectId, RpcBatchConfig, WalFsyncPolicy, YesquelConfig,
 };
 use yesquel_kv::KvDatabase;
 use yesquel_rpc::TransportKind;
@@ -142,8 +142,6 @@ pub struct LoadSpec {
     pub net: Option<NetConfig>,
     /// Optional request-batching decorator configuration.
     pub rpc_batch: Option<RpcBatchConfig>,
-    /// 2PC fan-out strategy.
-    pub commit_fanout: CommitFanout,
     /// Seed for the per-thread operation generators.
     pub seed: u64,
     /// DBT configuration override.  `None` keeps the harness baseline
@@ -186,7 +184,6 @@ impl LoadSpec {
             transport: TransportKind::Direct,
             net: None,
             rpc_batch: None,
-            commit_fanout: CommitFanout::Auto,
             seed: 0x10ad,
             dbt: None,
             hot_select_range: None,
@@ -329,7 +326,6 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
             cfg.dbt.replicate_hot_nodes = false;
         }
     }
-    cfg.kv.commit_fanout = spec.commit_fanout;
     cfg.rpc_batch = spec.rpc_batch;
     if let Some(net) = &spec.net {
         cfg.net = net.clone();
@@ -800,9 +796,9 @@ mod tests {
     #[test]
     fn tiny_load_run_completes_and_counts_ops() {
         // A sub-100ms smoke of the whole closed loop: every op class, two
-        // threads, two servers, WAL in group mode, batching on, parallel
-        // fan-out forced so the path is exercised even on the direct
-        // transport.
+        // threads, two servers, batching on, and the WAL in group mode — a
+        // forced log, so the coordinator overlaps its rounds even on the
+        // direct transport.
         let mut spec = LoadSpec::new("unit", 2, 2, Duration::from_millis(60));
         spec.key_pool = 64;
         spec.wal = Some(WalFsyncPolicy::Group { window_us: 50 });
@@ -811,7 +807,6 @@ mod tests {
             max_batch: 8,
             linger_us: 0,
         });
-        spec.commit_fanout = CommitFanout::Parallel;
         let r = run_load(&spec);
         assert!(r.ops > 0, "closed loop made no progress: {r:?}");
         assert_eq!(r.classes.len(), 5, "all mixed classes present");
@@ -827,7 +822,7 @@ mod tests {
             .find(|(n, _)| n == "rpc.batched_requests")
             .map(|&(_, v)| v)
             .unwrap();
-        // 2PC ops ran on two servers with Parallel fan-out, so the
+        // 2PC ops ran on two servers that force their logs, so the
         // counter must move; batching is best-effort (two threads may
         // never collide in a 20us window), so only sanity-check presence.
         assert!(fanouts > 0, "parallel prepare fan-out never engaged");

@@ -1,9 +1,14 @@
 //! Configuration for every layer of the system.
 //!
-//! The benchmark harness sweeps these knobs to regenerate the paper's
-//! figures (number of servers, DBT technique ablations, network model), and
-//! the ablation experiments (F4, F8 in DESIGN.md) are expressed purely as
-//! configurations of [`DbtConfig`].
+//! What is here is what a deployment, a test or a benchmark actually sets
+//! to different values: the number of servers, the network model, the log's
+//! directory and flush policy, deadlines and leases (fault tests shorten
+//! them), tree fan-out, and the DBT technique ablations (F4, F8 in
+//! DESIGN.md), which are expressed purely as configurations of
+//! [`DbtConfig`].  A value with one setting in use is a constant beside the
+//! code that reads it, and a choice the code can make from what it observes
+//! (whether calls through the transport block, how many servers a
+//! transaction touched, which snapshots are open) is made there, not here.
 
 // NOTE: configurations were previously serde-derived; the offline build has
 // no serde, and the only consumer (benchmark reports) serializes via the
@@ -47,9 +52,6 @@ pub struct DbtConfig {
     /// Number of accesses within one load-tracking window that marks a leaf
     /// as hot and eligible for a load split.
     pub load_split_threshold: u64,
-    /// Whether hot nodes may be migrated to the least-loaded server after a
-    /// load split.
-    pub migrate_hot_nodes: bool,
     /// Whether nodes the load tracker flags as *read*-hot gain replicas on
     /// other servers (read-any/write-all).  Write-hot nodes still load-split;
     /// read-hot nodes replicate instead, so point reads of the hot node
@@ -59,9 +61,6 @@ pub struct DbtConfig {
     /// Number of replicas a promoted hot node gains, capped at
     /// `num_servers - 1` at promotion time (one copy per distinct server).
     pub replica_factor: usize,
-    /// Maximum number of search restarts before an operation reports an
-    /// internal error (guards against livelock under adversarial staleness).
-    pub max_search_restarts: usize,
 }
 
 impl Default for DbtConfig {
@@ -74,10 +73,8 @@ impl Default for DbtConfig {
             split_mode: SplitMode::Delegated,
             load_splits: true,
             load_split_threshold: 2000,
-            migrate_hot_nodes: true,
             replicate_hot_nodes: true,
             replica_factor: 2,
-            max_search_restarts: 64,
         }
     }
 }
@@ -102,12 +99,11 @@ impl DbtConfig {
     }
 
     /// Configuration for the "no load splits" ablation (F4, F8): all
-    /// load-driven reorganisation off — no load splits, no hot-node
-    /// migration, no hot-node replication.
+    /// load-driven reorganisation off — no load splits (and so no
+    /// least-loaded placement of their new halves), no hot-node replication.
     pub fn ablation_no_load_splits() -> Self {
         DbtConfig {
             load_splits: false,
-            migrate_hot_nodes: false,
             replicate_hot_nodes: false,
             ..Self::default()
         }
@@ -159,29 +155,9 @@ pub enum WalFsyncPolicy {
     Off,
 }
 
-/// How the 2PC coordinator issues its per-participant RPC rounds (the
-/// prepare fan-out, the best-effort secondary commits, and abort fan-outs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitFanout {
-    /// Fan out when a participant call blocks: on a worker-thread,
-    /// latency-sleeping or fault-injecting transport, or on a forced log
-    /// (`wal_dir` set and `wal_fsync` not `Off`), where every prepare ends
-    /// in a flush.  The plain direct transport over in-memory servers does
-    /// neither, and keeps its single-threaded hot path free of thread-pool
-    /// overhead.
-    #[default]
-    Auto,
-    /// Always fan out concurrently, whatever the deployment.
-    Parallel,
-}
-
 /// Configuration of the transactional key-value store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvConfig {
-    /// Number of committed versions of each object retained before the
-    /// garbage collector trims the version chain (the newest version is
-    /// always retained).
-    pub gc_keep_versions: usize,
     /// Maximum number of times a prepare retries acquiring a lock before the
     /// transaction aborts with [`crate::Error::LockTimeout`].
     pub lock_acquire_retries: usize,
@@ -189,9 +165,6 @@ pub struct KvConfig {
     /// found a prepare lock, on every transport: retry `n` sleeps `n` times
     /// this (capped at 16 times).  Zero yields the thread instead.
     pub lock_backoff_us: u64,
-    /// If true, single-server transactions skip the prepare phase and commit
-    /// in one round trip (the standard one-phase-commit optimisation).
-    pub one_phase_commit: bool,
     /// Maximum number of attempts for one RPC (first try plus retries)
     /// before the client gives up with [`crate::Error::Timeout`] /
     /// [`crate::Error::Unavailable`].  Every request is safe to retry:
@@ -219,11 +192,6 @@ pub struct KvConfig {
     /// Minimum interval, in microseconds, between reaper passes piggybacked
     /// on request processing at a server.
     pub reap_interval_us: u64,
-    /// Number of per-server transaction outcomes (committed/aborted)
-    /// retained for deduplicating retried or duplicated prepare / commit /
-    /// abort messages.  Bounded FIFO; must exceed the number of commits that
-    /// can land between a message and its last retry by a wide margin.
-    pub txn_outcome_retention: usize,
     /// Directory under which each storage server keeps its write-ahead log
     /// (server `i` logs in `<wal_dir>/server-<i>`).  `None` — the default —
     /// runs the store purely in memory, exactly as before durability was
@@ -232,27 +200,21 @@ pub struct KvConfig {
     /// Fsync policy of the write-ahead log; ignored when `wal_dir` is
     /// `None`.
     pub wal_fsync: WalFsyncPolicy,
-    /// How the 2PC coordinator's per-participant RPC rounds are issued.
-    pub commit_fanout: CommitFanout,
 }
 
 impl Default for KvConfig {
     fn default() -> Self {
         KvConfig {
-            gc_keep_versions: 8,
             lock_acquire_retries: 100,
             lock_backoff_us: 50,
-            one_phase_commit: true,
             rpc_max_attempts: 5,
             rpc_backoff_us: 100,
             rpc_backoff_cap_us: 10_000,
             commit_resolve_attempts: 12,
             prepare_lease_us: 500_000,
             reap_interval_us: 50_000,
-            txn_outcome_retention: 4_096,
             wal_dir: None,
             wal_fsync: WalFsyncPolicy::Group { window_us: 100 },
-            commit_fanout: CommitFanout::Auto,
         }
     }
 }
@@ -273,7 +235,6 @@ impl KvConfig {
             commit_resolve_attempts: 6,
             prepare_lease_us: 3_000,
             reap_interval_us: 300,
-            txn_outcome_retention: 4_096,
             ..Self::default()
         }
     }
@@ -424,7 +385,7 @@ mod tests {
         let c = YesquelConfig::default();
         assert_eq!(c.dbt.leaf_max_cells, 64);
         assert!(c.dbt.cache_inner_nodes);
-        assert!(c.kv.gc_keep_versions >= 1);
+        assert!(c.kv.rpc_max_attempts >= 1);
         assert_eq!(c.net.one_way_latency_us, 0);
     }
 

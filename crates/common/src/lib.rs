@@ -26,8 +26,7 @@ pub mod tempdir;
 pub mod timeutil;
 
 pub use config::{
-    CommitFanout, DbtConfig, KvConfig, NetConfig, ObsConfig, RpcBatchConfig, WalFsyncPolicy,
-    YesquelConfig,
+    DbtConfig, KvConfig, NetConfig, ObsConfig, RpcBatchConfig, WalFsyncPolicy, YesquelConfig,
 };
 pub use error::{Error, Result};
 pub use ids::{ObjectId, Oid, ServerId, Timestamp, TreeId, TxnId};

@@ -2,9 +2,8 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use yesquel_common::stats::StatsRegistry;
-use yesquel_common::{Error, KvConfig, ObjectId, Result, Timestamp};
+use yesquel_common::{Error, KvConfig, ObjectId, Result, WalFsyncPolicy};
 use yesquel_rpc::Transport;
 
 use crate::oracle::TimestampOracle;
@@ -27,8 +26,10 @@ impl KvClient {
     /// `transport_blocks` says whether a call through `transport` spends
     /// wall-clock time blocked outside the server's own work — on a worker
     /// queue, slept network latency, injected faults and retry backoffs.
-    /// Together with the log settings in `cfg` it decides whether the 2PC
-    /// coordinator overlaps its per-participant calls.
+    /// That, or servers that force a log (`cfg`: every prepare then ends in
+    /// an `fdatasync`), makes the 2PC coordinator overlap the calls of a
+    /// round; otherwise a call is pure CPU on the caller's thread and a
+    /// round is a plain loop.
     pub fn new(
         transport: Arc<dyn Transport<KvServer>>,
         oracle: TimestampOracle,
@@ -43,6 +44,8 @@ impl KvClient {
         // exists until the first parallel round.
         let fanout = crate::fanout::FanoutPool::new(transport.num_servers().clamp(1, 8));
         let hot = KvHot::resolve(&stats);
+        let calls_block =
+            transport_blocks || (cfg.wal_dir.is_some() && cfg.wal_fsync != WalFsyncPolicy::Off);
         KvClient {
             core: Arc::new(ClientCore {
                 transport,
@@ -52,7 +55,7 @@ impl KvClient {
                 stats,
                 hot,
                 retry_salt: std::sync::atomic::AtomicU64::new(0),
-                transport_blocks,
+                calls_block,
                 fanout,
             }),
         }
@@ -158,57 +161,24 @@ impl KvClient {
         }
     }
 
-    /// Installs `value` at `obj` with timestamp 0, bypassing concurrency
-    /// control.  Only for bulk-loading initial data before serving starts.
-    pub fn load_unchecked(&self, obj: ObjectId, value: impl Into<Bytes>) -> Result<()> {
-        let server = obj.home_server(self.num_servers());
-        match self.core.call_retry(
-            server,
-            KvRequest::LoadUnchecked {
-                obj,
-                ts: 0,
-                value: value.into(),
-            },
-            self.core.cfg.rpc_max_attempts,
-        )? {
-            KvResponse::Ok => Ok(()),
-            KvResponse::ServerError { message } => Err(Error::Io(message)),
-            other => Err(Error::Internal(format!(
-                "unexpected Load response: {other:?}"
-            ))),
-        }
-    }
-
-    /// Runs one round of multi-version garbage collection on every server,
-    /// bounded by the oldest active snapshot.
+    /// Runs one round of multi-version garbage collection: reads the
+    /// watermark — the oldest active snapshot, or the newest timestamp issued
+    /// when none is active — and has every server drop the versions no
+    /// snapshot at or above it reads.  A server that cannot be reached does
+    /// not stop the others from being swept; the first error is returned
+    /// once every server has been tried.
     pub fn run_gc(&self) -> Result<()> {
-        let min_active = self
-            .core
-            .snapshots
-            .min_active(self.core.oracle.last_timestamp());
-        let keep = self.core.cfg.gc_keep_versions;
+        let min_active_ts = self.core.snapshots.watermark(&self.core.oracle);
+        let mut first_err = None;
         for server in 0..self.num_servers() {
-            self.core.call_retry(
+            if let Err(e) = self.core.call_retry(
                 server,
-                KvRequest::Gc {
-                    min_active_ts: min_active,
-                    keep_versions: keep,
-                },
+                KvRequest::Gc { min_active_ts },
                 self.core.cfg.rpc_max_attempts,
-            )?;
+            ) {
+                first_err.get_or_insert(e);
+            }
         }
-        Ok(())
-    }
-
-    /// Fetches a server's statistics.
-    pub fn server_stats(&self, server: usize) -> Result<KvResponse> {
-        self.core
-            .call_retry(server, KvRequest::Stats, self.core.cfg.rpc_max_attempts)
-    }
-
-    /// Oldest active snapshot (diagnostics; `fallback` is returned when no
-    /// transaction is running).
-    pub fn min_active_snapshot(&self, fallback: Timestamp) -> Timestamp {
-        self.core.snapshots.min_active(fallback)
+        first_err.map_or(Ok(()), Err)
     }
 }

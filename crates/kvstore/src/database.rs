@@ -302,6 +302,7 @@ impl KvDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{KvRequest, KvResponse};
     use bytes::Bytes;
     use yesquel_common::{Error, ObjectId};
 
@@ -468,9 +469,7 @@ mod tests {
 
     #[test]
     fn gc_trims_versions() {
-        let mut cfg = YesquelConfig::with_servers(2);
-        cfg.kv.gc_keep_versions = 1;
-        let db = KvDatabase::new(cfg);
+        let db = KvDatabase::with_servers(2);
         let client = db.client();
         let obj = ObjectId::new(8, 1);
         for i in 0..10 {
@@ -488,9 +487,7 @@ mod tests {
 
     #[test]
     fn gc_preserves_active_snapshot_reads() {
-        let mut cfg = YesquelConfig::with_servers(2);
-        cfg.kv.gc_keep_versions = 1;
-        let db = KvDatabase::new(cfg);
+        let db = KvDatabase::with_servers(2);
         let client = db.client();
         let obj = ObjectId::new(8, 2);
 
@@ -514,19 +511,116 @@ mod tests {
     }
 
     #[test]
-    fn load_unchecked_visible_everywhere() {
-        let db = KvDatabase::with_servers(4);
+    fn gc_keeps_what_a_held_snapshot_reads_and_everything_newer() {
+        let db = KvDatabase::with_servers(2);
         let client = db.client();
-        for oid in 0..10u64 {
-            client
-                .load_unchecked(ObjectId::new(2, oid), Bytes::from_static(b"seed"))
-                .unwrap();
+        let obj = ObjectId::new(8, 3);
+        let put = |i: usize| {
+            let t = client.begin();
+            t.put(obj, Bytes::from(format!("v{i}"))).unwrap();
+            t.commit().unwrap();
+        };
+        for i in 0..500 {
+            put(i);
         }
-        let t = client.begin();
-        for oid in 0..10u64 {
-            assert!(t.get(ObjectId::new(2, oid)).unwrap().is_some());
+        // Held open from the middle of the overwrites.
+        let reader = client.begin();
+        assert_eq!(reader.get(obj).unwrap().as_deref(), Some(&b"v499"[..]));
+        for i in 500..1_000 {
+            put(i);
         }
-        t.commit().unwrap();
+        assert_eq!(db.total_versions(), 1_000);
+        // The version it reads and the 500 newer ones stay, sweep after
+        // sweep, and nothing else does.
+        for _ in 0..10 {
+            db.run_gc().unwrap();
+            assert_eq!(db.total_versions(), 501);
+            assert_eq!(reader.get(obj).unwrap().as_deref(), Some(&b"v499"[..]));
+        }
+        reader.commit().unwrap();
+        // They go on the first sweep after it ends.
+        db.run_gc().unwrap();
+        assert_eq!(db.total_versions(), 1);
+        let r = client.begin();
+        assert_eq!(r.get(obj).unwrap().as_deref(), Some(&b"v999"[..]));
+        r.commit().unwrap();
+    }
+
+    /// Forwards to the deployment's transport, but first sweeps every server
+    /// at the current watermark whenever a commit's validating message
+    /// (`Prepare` / `CommitOnePhase`) goes out: garbage collection landing
+    /// at the worst moment of every commit.
+    struct SweepBeforeValidate {
+        inner: Arc<dyn Transport<KvServer>>,
+        snapshots: SnapshotTracker,
+        oracle: TimestampOracle,
+    }
+
+    impl Transport<KvServer> for SweepBeforeValidate {
+        fn call(&self, server: usize, req: KvRequest) -> Result<KvResponse> {
+            if matches!(
+                req,
+                KvRequest::Prepare { .. } | KvRequest::CommitOnePhase { .. }
+            ) {
+                let min_active_ts = self.snapshots.watermark(&self.oracle);
+                for s in 0..self.inner.num_servers() {
+                    self.inner.call(s, KvRequest::Gc { min_active_ts })?;
+                }
+            }
+            self.inner.call(server, req)
+        }
+
+        fn num_servers(&self) -> usize {
+            self.inner.num_servers()
+        }
+    }
+
+    #[test]
+    fn sweep_during_commit_cannot_hide_a_delete_from_validation() {
+        for servers in [1, 3] {
+            let db = KvDatabase::with_servers(servers);
+            let client = KvClient::new(
+                Arc::new(SweepBeforeValidate {
+                    inner: Arc::clone(&db.client_transport),
+                    snapshots: db.snapshots.clone(),
+                    oracle: db.oracle.clone(),
+                }),
+                db.oracle.clone(),
+                db.snapshots.clone(),
+                db.config.kv.clone(),
+                db.stats.clone(),
+                false,
+            );
+            let objs: Vec<ObjectId> = (0..servers as u64).map(|o| ObjectId::new(9, o)).collect();
+            let t = client.begin();
+            for &o in &objs {
+                t.put(o, Bytes::from_static(b"v")).unwrap();
+            }
+            t.commit().unwrap();
+
+            // `late` reads, then somebody else deletes everything it read.
+            let late = client.begin();
+            assert!(late.get(objs[0]).unwrap().is_some());
+            let deleter = client.begin();
+            for &o in &objs {
+                deleter.delete(o).unwrap();
+            }
+            deleter.commit().unwrap();
+            // The sweep that runs as `late` validates must leave the
+            // tombstones (newer than its snapshot) for validation to find:
+            // were they collected as "fully dead", `late` would overwrite a
+            // delete it never saw.
+            for &o in &objs {
+                late.put(o, Bytes::from_static(b"late")).unwrap();
+            }
+            match late.commit() {
+                Err(Error::Conflict(_)) => {}
+                other => panic!("{servers} servers: expected a conflict, got {other:?}"),
+            }
+            db.run_gc().unwrap();
+            assert_eq!(db.total_objects(), 0);
+            assert_eq!(db.snapshots.active_count(), 0);
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!
 //! * Every transaction obtains a **start timestamp** from the timestamp
 //!   oracle and reads the newest committed version of each object with
-//!   timestamp ≤ start timestamp (its snapshot).
+//!   timestamp ≤ start timestamp (its snapshot).  Drawing the timestamp and
+//!   registering the snapshot are one step ([`snapshot::SnapshotTracker`]),
+//!   and the registration lasts until the transaction has finished
+//!   committing.
 //! * Writes are **buffered at the client** until commit; reads observe the
 //!   transaction's own buffered writes.
 //! * Commit runs **two-phase commit** over the storage servers holding
@@ -22,9 +25,9 @@
 //!   no committed version newer than the start timestamp) and locks the
 //!   written objects; the coordinator then obtains a **commit timestamp**
 //!   and tells participants to install the new versions and release locks.
-//! * Transactions that wrote to a single server use one-phase commit (the
-//!   server validates, assigns the commit timestamp and installs versions
-//!   in one round trip).
+//! * Transactions that wrote to a single server always use one-phase
+//!   commit (the server validates, assigns the commit timestamp and
+//!   installs versions in one round trip).
 //! * **Read-only transactions commit with no communication at all** — a
 //!   property the paper calls out, and which the latency table experiment
 //!   (T1 in DESIGN.md) checks.
@@ -38,12 +41,22 @@
 //! paper (write-write conflicts abort; write skew is permitted).  The
 //! `exp_si_semantics` experiment demonstrates both halves.
 //!
+//! ## Version retention
+//!
+//! A version lives while a snapshot can read it.  A sweep
+//! ([`KvClient::run_gc`]) carries a **watermark** — the oldest registered
+//! snapshot, or the newest timestamp issued when none is registered — that
+//! no current or future snapshot is below, and each server keeps, of every
+//! object, the newest version at or below the watermark and everything
+//! newer ([`mvcc::VersionChain::gc`]).  There is no retention setting:
+//! with no snapshot open, one sweep leaves one version per object.
+//!
 //! ## Non-transactional helpers
 //!
 //! Two deliberately non-transactional operations exist because the layers
 //! above need them: [`protocol::KvRequest::Allocate`] (a per-object atomic
 //! counter used to allocate fresh tree-node ids and row ids without creating
-//! write-write conflicts) and garbage collection of old versions.
+//! write-write conflicts) and the garbage-collection sweep above.
 
 pub mod client;
 pub mod database;

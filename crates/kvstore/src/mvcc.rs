@@ -71,16 +71,14 @@ impl VersionChain {
     ///
     /// Timestamps normally arrive in increasing order (commit timestamps are
     /// issued by a monotonic oracle and installation is serialized by the
-    /// per-object lock), but the bulk loader may install at timestamp 0, so
-    /// out-of-order installation is handled by insertion into the sorted
-    /// position.
+    /// per-object lock), but nothing here depends on it: a version that
+    /// arrives out of order is inserted at its sorted position, and one at
+    /// an existing timestamp replaces it.
     pub fn install(&mut self, ts: Timestamp, value: Option<Bytes>) {
         match self.versions.last() {
             Some(last) if last.ts < ts => self.versions.push(Version { ts, value }),
             _ => {
                 let pos = self.versions.partition_point(|v| v.ts < ts);
-                // Replace an existing version with the same timestamp (only
-                // possible through the bulk loader).
                 if pos < self.versions.len() && self.versions[pos].ts == ts {
                     self.versions[pos].value = value;
                 } else {
@@ -90,32 +88,20 @@ impl VersionChain {
         }
     }
 
-    /// Drops versions that no active snapshot can read.
-    ///
-    /// A version is reclaimable if it is not the newest version visible at
-    /// `min_active_ts` (every active or future snapshot reads at a timestamp
-    /// ≥ `min_active_ts`, so only the newest version ≤ `min_active_ts` and
-    /// anything newer can ever be read again).  Additionally the newest
-    /// `keep_versions` versions are always retained, which gives operators a
-    /// safety margin exactly like the paper's system retains a bounded
-    /// version history.
+    /// Drops the versions no snapshot can read, given the watermark
+    /// `min_active_ts` ([`crate::snapshot::SnapshotTracker::watermark`]):
+    /// every snapshot that exists or can still start reads at a timestamp
+    /// ≥ `min_active_ts`, so the newest version ≤ `min_active_ts` and
+    /// everything newer stay, and nothing else does.  A chain whose versions
+    /// are all newer than the watermark loses nothing.
     ///
     /// Returns the number of versions dropped.
-    pub fn gc(&mut self, min_active_ts: Timestamp, keep_versions: usize) -> usize {
-        if self.versions.len() <= keep_versions.max(1) {
-            return 0;
-        }
-        // Index of the newest version with ts <= min_active_ts.
-        let visible_idx = match self.versions.iter().rposition(|v| v.ts <= min_active_ts) {
-            Some(i) => i,
-            None => return 0, // every version is newer than the oldest snapshot
-        };
-        // Keep everything from visible_idx onward, and in any case the
-        // newest keep_versions versions.
-        let keep_from = visible_idx.min(self.versions.len().saturating_sub(keep_versions.max(1)));
-        if keep_from == 0 {
-            return 0;
-        }
+    pub fn gc(&mut self, min_active_ts: Timestamp) -> usize {
+        let keep_from = self
+            .versions
+            .iter()
+            .rposition(|v| v.ts <= min_active_ts)
+            .unwrap_or(0);
         self.versions.drain(..keep_from);
         keep_from
     }
@@ -182,7 +168,7 @@ mod tests {
         c.install(10, b("a"));
         assert_eq!(c.read_at(15), b("a"));
         assert_eq!(c.read_at(25), b("b"));
-        // Same-timestamp install replaces (bulk-load semantics).
+        // Same-timestamp install replaces.
         c.install(10, b("a2"));
         assert_eq!(c.read_at(15), b("a2"));
         assert_eq!(c.len(), 2);
@@ -194,17 +180,17 @@ mod tests {
         for ts in [10, 20, 30, 40, 50] {
             c.install(ts, b("v"));
         }
-        // Oldest active snapshot at 25: versions 10 is reclaimable (20 is the
-        // newest visible at 25 and must stay), with keep_versions=1.
-        let dropped = c.gc(25, 1);
+        // Oldest active snapshot at 25: version 10 is reclaimable (20 is the
+        // newest visible at 25 and must stay).
+        let dropped = c.gc(25);
         assert_eq!(dropped, 1);
         assert_eq!(c.read_at(25), b("v"));
         assert_eq!(c.len(), 4);
 
-        // min_active far in the future: only keep_versions newest survive.
-        let dropped = c.gc(1000, 2);
-        assert_eq!(dropped, 2);
-        assert_eq!(c.len(), 2);
+        // Watermark far in the future: only the newest version survives.
+        let dropped = c.gc(1000);
+        assert_eq!(dropped, 3);
+        assert_eq!(c.len(), 1);
         assert_eq!(c.read_at(1000), b("v"));
     }
 
@@ -214,8 +200,59 @@ mod tests {
         for ts in [10, 20, 30] {
             c.install(ts, b("v"));
         }
-        assert_eq!(c.gc(5, 1), 0);
+        assert_eq!(c.gc(5), 0);
         assert_eq!(c.len(), 3);
+    }
+
+    /// The retention rule, case by case: `(versions, watermark, kept)`.
+    #[test]
+    fn gc_keeps_the_newest_version_at_or_below_the_watermark_and_all_newer() {
+        let cases: &[(&[Timestamp], Timestamp, &[Timestamp])] = &[
+            // A version exactly at the watermark is the one it reads.
+            (&[10, 20, 30], 20, &[20, 30]),
+            // Watermark between two versions: the older of the two stays.
+            (&[10, 20, 30], 29, &[20, 30]),
+            (&[10, 20, 30], 19, &[10, 20, 30]),
+            // Every version newer than the watermark: nothing to drop.
+            (&[10, 20, 30], 9, &[10, 20, 30]),
+            // Watermark past the newest: the newest alone.
+            (&[10, 20, 30], 31, &[30]),
+            // A single version is never dropped, wherever the watermark is.
+            (&[10], 5, &[10]),
+            (&[10], 10, &[10]),
+            (&[10], 1000, &[10]),
+            (&[], 7, &[]),
+        ];
+        for (versions, watermark, kept) in cases {
+            let mut c = VersionChain::new();
+            for &ts in *versions {
+                c.install(ts, b(&format!("v{ts}")));
+            }
+            let dropped = c.gc(*watermark);
+            let left: Vec<Timestamp> = c.versions().iter().map(|v| v.ts).collect();
+            assert_eq!(left, *kept, "{versions:?} swept at {watermark}");
+            assert_eq!(dropped, versions.len() - kept.len());
+            // Whatever a snapshot at or above the watermark read before, it
+            // reads after.
+            for ts in *watermark..*watermark + 40 {
+                let want = versions.iter().rev().find(|&&v| v <= ts);
+                assert_eq!(c.read_at(ts), want.and_then(|v| b(&format!("v{v}"))));
+            }
+        }
+    }
+
+    #[test]
+    fn gc_keeps_a_tombstone_that_is_the_newest_visible_version() {
+        let mut c = VersionChain::new();
+        c.install(10, b("a"));
+        c.install(20, None);
+        c.install(30, b("c"));
+        // A snapshot at 25 must keep reading "deleted", so the tombstone
+        // stays though the value under it goes.
+        assert_eq!(c.gc(25), 1);
+        assert_eq!(c.read_at(25), None);
+        assert_eq!(c.len(), 2);
+        assert!(!c.is_fully_dead(25));
     }
 
     #[test]
@@ -224,7 +261,10 @@ mod tests {
         c.install(10, b("a"));
         c.install(20, None);
         assert!(!c.is_fully_dead(30));
-        c.gc(1000, 1);
+        // The tombstone is the newest visible version: gc keeps it, and the
+        // chain is dead only for a watermark that has reached it.
+        assert_eq!(c.gc(1000), 1);
+        assert_eq!(c.len(), 1);
         assert!(c.is_fully_dead(30));
         assert!(!c.is_fully_dead(10));
     }

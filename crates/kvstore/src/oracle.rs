@@ -20,8 +20,8 @@ pub struct TimestampOracle {
 
 #[derive(Default)]
 struct OracleInner {
-    // Timestamp 0 is reserved for "bootstrap" writes that load initial data
-    // outside any transaction, so the counter starts at 1.
+    // Starts at 1, so that `last_timestamp` (the counter minus one) is 0 —
+    // below every snapshot and every version — before anything is issued.
     next_ts: AtomicU64,
     next_txn: AtomicU64,
 }

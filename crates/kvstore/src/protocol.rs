@@ -84,25 +84,16 @@ pub enum KvRequest {
         /// Amount to add (the caller receives a block of this many ids).
         delta: u64,
     },
-    /// Trim versions that no active snapshot can read: every version older
-    /// than the newest version with timestamp ≤ `min_active_ts` is dropped,
-    /// except that at least `keep_versions` committed versions are retained.
+    /// Drop the versions no snapshot can read.  `min_active_ts` is the
+    /// watermark (`SnapshotTracker::watermark`): every snapshot that exists
+    /// or can still start reads at or above it.  Of each object the server
+    /// keeps the newest version with timestamp ≤ `min_active_ts` and every
+    /// newer one, and nothing else; an object left with only tombstones at or
+    /// below the watermark goes entirely.
     Gc {
-        /// Lower bound on the start timestamp of any active transaction.
+        /// Lower bound on the timestamp of every current and future
+        /// snapshot.
         min_active_ts: Timestamp,
-        /// Minimum number of committed versions to retain per object.
-        keep_versions: usize,
-    },
-    /// Load a value directly with a given timestamp, bypassing concurrency
-    /// control.  Only used to bulk-load initial data before serving begins
-    /// (the benchmark harness and tests use this; the SQL layer does not).
-    LoadUnchecked {
-        /// Object to write.
-        obj: ObjectId,
-        /// Version timestamp to install.
-        ts: Timestamp,
-        /// Value to install.
-        value: Bytes,
     },
     /// Ask this server (as a transaction's primary participant) what it
     /// knows about the transaction's fate.  Sent server-to-server by the
@@ -111,8 +102,6 @@ pub enum KvRequest {
         /// Transaction being resolved.
         txn: TxnId,
     },
-    /// Return this server's operation statistics (diagnostics).
-    Stats,
     /// Several requests coalesced into one frame by the batching transport
     /// (`yesquel_rpc::BatchingTransport`).  The server answers with a
     /// [`KvResponse::Batch`] of the same length and order.  Nested batches
@@ -176,7 +165,7 @@ pub enum KvResponse {
         /// Pre-increment counter value.
         start: u64,
     },
-    /// Generic acknowledgement (GC, bulk load).
+    /// Acknowledgement of a `Gc`.
     Ok,
     /// The server failed to process the request for a non-protocol reason —
     /// in practice a write-ahead-log append or fsync failure.  Nothing was
@@ -188,21 +177,6 @@ pub enum KvResponse {
     },
     /// Responses to a [`KvRequest::Batch`], in request order.
     Batch(Vec<KvResponse>),
-    /// Server statistics.
-    Stats {
-        /// Number of objects stored.
-        objects: u64,
-        /// Total number of committed versions stored.
-        versions: u64,
-        /// Number of `Get` requests served.
-        gets: u64,
-        /// Number of prepares served.
-        prepares: u64,
-        /// Number of commits applied (either phase-two or one-phase).
-        commits: u64,
-        /// Number of validation failures reported.
-        conflicts: u64,
-    },
 }
 
 impl KvRequest {
@@ -219,10 +193,8 @@ impl KvRequest {
             }
             KvRequest::Abort { .. } => 16,
             KvRequest::Allocate { .. } => 28,
-            KvRequest::Gc { .. } => 24,
-            KvRequest::LoadUnchecked { value, .. } => 28 + value.len(),
+            KvRequest::Gc { .. } => 16,
             KvRequest::TxnStatus { .. } => 16,
-            KvRequest::Stats => 8,
             // One frame header plus every enclosed request: batching saves
             // round trips, not payload bytes.
             KvRequest::Batch(reqs) => 8 + reqs.iter().map(KvRequest::wire_size).sum::<usize>(),
@@ -237,7 +209,6 @@ impl KvResponse {
             KvResponse::Value(v) => 16 + v.as_ref().map(|b| b.len()).unwrap_or(0),
             KvResponse::Conflict { reason } => 16 + reason.len(),
             KvResponse::ServerError { message } => 16 + message.len(),
-            KvResponse::Stats { .. } => 64,
             KvResponse::Batch(resps) => 8 + resps.iter().map(KvResponse::wire_size).sum::<usize>(),
             _ => 16,
         }

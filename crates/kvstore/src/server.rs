@@ -68,12 +68,12 @@ pub struct KvServer {
 
 impl KvServer {
     /// Creates server `id` sharing the deployment's timestamp oracle, with
-    /// default reaper and dedup settings.
+    /// default reaper settings.
     pub fn new(id: ServerId, oracle: TimestampOracle) -> Self {
         Self::with_config(id, oracle, &KvConfig::default())
     }
 
-    /// Creates server `id` with explicit reaper / dedup configuration.
+    /// Creates server `id` with explicit reaper configuration.
     pub fn with_config(id: ServerId, oracle: TimestampOracle, cfg: &KvConfig) -> Self {
         Self::with_wal(id, oracle, cfg, None).expect("in-memory server construction cannot fail")
     }
@@ -91,7 +91,7 @@ impl KvServer {
     ) -> Result<Self> {
         let server = KvServer {
             id,
-            store: ServerStore::with_wal(id, cfg.txn_outcome_retention, wal.clone()),
+            store: ServerStore::with_wal(id, wal.clone()),
             oracle,
             peer: Mutex::new(None),
             reap_interval_us: cfg.reap_interval_us.max(1),
@@ -150,13 +150,6 @@ impl KvServer {
     /// Called once at deployment build time.
     pub fn set_peer_transport(&self, transport: &Arc<dyn Transport<KvServer>>) {
         *self.peer.lock() = Some(Arc::downgrade(transport));
-    }
-
-    /// Creates `n` servers sharing one oracle, with default settings.
-    pub fn make_servers(n: usize, oracle: &TimestampOracle) -> Vec<Arc<KvServer>> {
-        (0..n)
-            .map(|id| Arc::new(KvServer::new(id, oracle.clone())))
-            .collect()
     }
 
     /// Creates `n` servers sharing one oracle and a configuration.
@@ -377,18 +370,9 @@ impl Service for KvServer {
                 Ok(start) => KvResponse::Allocated { start },
                 Err(e) => Self::server_error(e),
             },
-            KvRequest::Gc {
-                min_active_ts,
-                keep_versions,
-            } => {
-                self.store.gc(min_active_ts, keep_versions);
+            KvRequest::Gc { min_active_ts } => {
+                self.store.gc(min_active_ts);
                 KvResponse::Ok
-            }
-            KvRequest::LoadUnchecked { obj, ts, value } => {
-                match self.store.load_unchecked(obj, ts, value) {
-                    Ok(()) => KvResponse::Ok,
-                    Err(e) => Self::server_error(e),
-                }
             }
             KvRequest::TxnStatus { txn } => KvResponse::TxnOutcome {
                 status: self.txn_status(txn),
@@ -399,17 +383,6 @@ impl Service for KvServer {
                 // back to back (each sub-call runs its own reaper piggyback,
                 // dedup, and locking).
                 KvResponse::Batch(reqs.into_iter().map(|r| self.call(r)).collect())
-            }
-            KvRequest::Stats => {
-                let s = self.store.stats();
-                KvResponse::Stats {
-                    objects: self.store.object_count(),
-                    versions: self.store.version_count(),
-                    gets: s.gets,
-                    prepares: s.prepares,
-                    commits: s.commits,
-                    conflicts: s.conflicts,
-                }
             }
         }
     }
@@ -482,15 +455,8 @@ mod tests {
             KvResponse::Value(None) => {}
             other => panic!("unexpected response {other:?}"),
         }
-        match srv.call(KvRequest::Stats) {
-            KvResponse::Stats {
-                objects, commits, ..
-            } => {
-                assert_eq!(objects, 1);
-                assert_eq!(commits, 1);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert_eq!(srv.store().object_count(), 1);
+        assert_eq!(srv.store().stats().commits, 1);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!   its **primary** (commit, abort, presumed abort — the 2PC commit point,
 //!   which a `TxnStatus` probe may report only once it cannot be lost), the
 //!   presumed abort that answers a commit for an unknown transaction,
-//!   one-phase commits, allocations and bulk loads.
+//!   one-phase commits and allocations.
 //! * **Unforced** — appended in order and left to ride this log's next
 //!   flush: the decision of a transaction at a **secondary**, whether it
 //!   arrives from the coordinator or is adopted through the reaper, and an
@@ -203,25 +203,23 @@ struct Deciding {
     pos: WalPosition,
 }
 
-/// Bounded FIFO of transaction outcomes, plus the decisions on their way to
-/// the disk.
+/// Number of transaction outcomes (committed / aborted) a server retains for
+/// deduplicating retried or duplicated prepare / commit / abort messages and
+/// for answering `TxnStatus`.  It must exceed, by a wide margin, the number
+/// of decisions that can land between a message and its last retry — and
+/// between a secondary's prepare and the moment it asks its primary.
+const OUTCOME_RETENTION: usize = 4_096;
+
+/// FIFO of the last [`OUTCOME_RETENTION`] transaction outcomes, plus the
+/// decisions on their way to the disk.
+#[derive(Default)]
 struct OutcomeTable {
     map: TxnIdMap<TxnOutcome>,
     order: VecDeque<TxnId>,
-    cap: usize,
     deciding: TxnIdMap<Deciding>,
 }
 
 impl OutcomeTable {
-    fn new(cap: usize) -> Self {
-        OutcomeTable {
-            map: TxnIdMap::default(),
-            order: VecDeque::new(),
-            cap: cap.max(16),
-            deciding: TxnIdMap::default(),
-        }
-    }
-
     fn get(&self, txn: TxnId) -> Option<TxnOutcome> {
         self.map.get(&txn).copied()
     }
@@ -239,7 +237,7 @@ impl OutcomeTable {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(outcome);
                 self.order.push_back(txn);
-                if self.order.len() > self.cap {
+                if self.order.len() > OUTCOME_RETENTION {
                     if let Some(old) = self.order.pop_front() {
                         self.map.remove(&old);
                     }
@@ -377,22 +375,16 @@ impl Default for ServerStore {
 }
 
 impl ServerStore {
-    /// Creates an empty store with the default outcome retention.
+    /// Creates an empty in-memory store.
     pub fn new() -> Self {
-        Self::with_outcome_retention(4_096)
-    }
-
-    /// Creates an empty store retaining up to `retention` transaction
-    /// outcomes for message deduplication.
-    pub fn with_outcome_retention(retention: usize) -> Self {
-        Self::with_wal(0, retention, None)
+        Self::with_wal(0, None)
     }
 
     /// Creates the empty store of server `id`, backed by `wal` (when
     /// `Some`): every acknowledgeable state change is logged before it is
     /// acknowledged.  Call [`ServerStore::replay`] with the log's recovered
     /// records to restore pre-crash state.
-    pub fn with_wal(id: ServerId, retention: usize, wal: Option<Arc<Wal>>) -> Self {
+    pub fn with_wal(id: ServerId, wal: Option<Arc<Wal>>) -> Self {
         ServerStore {
             id,
             shards: (0..SHARD_COUNT)
@@ -400,7 +392,7 @@ impl ServerStore {
                 .collect(),
             prepared: Mutex::new(TxnIdMap::default()),
             prepared_hint: AtomicU64::new(0),
-            outcomes: Mutex::new(OutcomeTable::new(retention)),
+            outcomes: Mutex::new(OutcomeTable::default()),
             counters: Mutex::new(HashMap::new()),
             wal,
             ckpt_gate: RwLock::new(()),
@@ -962,22 +954,6 @@ impl ServerStore {
         Ok(start)
     }
 
-    /// Installs a version directly, bypassing concurrency control (bulk
-    /// loading only).
-    pub fn load_unchecked(&self, obj: ObjectId, ts: Timestamp, value: Bytes) -> Result<()> {
-        let _ckpt = self.ckpt_gate.read();
-        {
-            let mut shard = self.shards[self.shard_of(obj)].lock();
-            shard
-                .objects
-                .entry(obj)
-                .or_default()
-                .chain
-                .install(ts, Some(value.clone()));
-        }
-        self.wal_append(&WalRecord::Load { obj, ts, value })
-    }
-
     /// Drops every piece of volatile state — committed versions, prepare
     /// locks, the prepared table, the outcome table, allocation counters —
     /// as an amnesia crash would.  Statistics survive: they are
@@ -1068,15 +1044,6 @@ impl ServerStore {
                     let mut g = self.counters.lock();
                     let c = g.entry(*obj).or_insert(0);
                     *c = (*c).max(*value);
-                }
-                WalRecord::Load { obj, ts, value } => {
-                    let mut shard = self.shards[self.shard_of(*obj)].lock();
-                    shard
-                        .objects
-                        .entry(*obj)
-                        .or_default()
-                        .chain
-                        .install(*ts, Some(value.clone()));
                 }
             }
         }
@@ -1211,16 +1178,18 @@ impl ServerStore {
         wal.checkpoint(snap)
     }
 
-    /// Garbage-collects old versions given the oldest active snapshot.
-    /// Returns the number of versions dropped.  Shards are collected one at
-    /// a time so GC never stalls the whole store.
-    pub fn gc(&self, min_active_ts: Timestamp, keep_versions: usize) -> u64 {
+    /// Drops every version below the watermark `min_active_ts` that is not
+    /// the newest such version of its object ([`VersionChain::gc`]), and
+    /// every object that is nothing but tombstones at or below it.  Returns
+    /// the number of versions dropped.  Shards are collected one at a time
+    /// so GC never stalls the whole store.
+    pub fn gc(&self, min_active_ts: Timestamp) -> u64 {
         let mut dropped = 0u64;
         for shard in &self.shards {
             let mut g = shard.lock();
             let mut dead = Vec::new();
             for (obj, state) in g.objects.iter_mut() {
-                dropped += state.chain.gc(min_active_ts, keep_versions) as u64;
+                dropped += state.chain.gc(min_active_ts) as u64;
                 if state.lock.is_none() && state.chain.is_fully_dead(min_active_ts) {
                     dead.push(*obj);
                 }
@@ -1438,25 +1407,18 @@ mod tests {
             s.commit(i, 2 * i + 1).unwrap();
         }
         assert_eq!(s.version_count(), 5);
-        let dropped = s.gc(100, 1);
+        let dropped = s.gc(100);
         assert_eq!(dropped, 4);
         assert_eq!(s.version_count(), 1);
         // Delete the object entirely, then GC removes it from the map.
         s.prepare(10, 50, &[del(1)]).unwrap();
         s.commit(10, 51).unwrap();
-        s.gc(100, 1);
+        // A snapshot at 50 still reads the value: the object stays.
+        s.gc(50);
+        assert_eq!(s.object_count(), 1);
+        assert_eq!(s.version_count(), 2);
+        s.gc(100);
         assert_eq!(s.object_count(), 0);
-    }
-
-    #[test]
-    fn bulk_load_visible_to_all_snapshots() {
-        let s = ServerStore::new();
-        s.load_unchecked(obj(1), 0, Bytes::from_static(b"seed"))
-            .unwrap();
-        assert_eq!(
-            s.get(obj(1), 1),
-            ReadOutcome::Value(Some(Bytes::from_static(b"seed")))
-        );
     }
 
     #[test]
@@ -1566,8 +1528,9 @@ mod tests {
 
     #[test]
     fn outcome_table_is_bounded_and_keeps_commits_intact() {
-        let s = ServerStore::with_outcome_retention(16);
-        for i in 0..100u64 {
+        let s = ServerStore::new();
+        let n = OUTCOME_RETENTION as u64 + 100;
+        for i in 0..n {
             assert_eq!(
                 s.commit_one_phase(i + 1, 2 * i + 1, &[w(i, "v")], || 2 * i + 2)
                     .unwrap(),
@@ -1576,7 +1539,9 @@ mod tests {
         }
         // Old outcomes were evicted, recent ones retained.
         assert_eq!(s.outcome(1), None);
-        assert_eq!(s.outcome(100), Some(TxnOutcome::Committed(200)));
+        assert_eq!(s.outcome(100), None);
+        assert_eq!(s.outcome(101), Some(TxnOutcome::Committed(202)));
+        assert_eq!(s.outcome(n), Some(TxnOutcome::Committed(2 * n)));
     }
 
     #[test]

@@ -13,9 +13,7 @@ use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, span, SpanKind, TraceCounter};
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::timeutil::sleep_backoff;
-use yesquel_common::{
-    CommitFanout, Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId, WalFsyncPolicy,
-};
+use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_rpc::Transport;
 
 use crate::fanout::FanoutPool;
@@ -76,11 +74,13 @@ pub(crate) struct ClientCore {
     /// Monotone salt for retry-backoff jitter, so concurrent RPCs from one
     /// client spread out while staying deterministic per deployment.
     pub(crate) retry_salt: AtomicU64,
-    /// Whether a call through `transport` blocks on something other than
-    /// the server's own work (see [`crate::KvClient::new`]).
-    pub(crate) transport_blocks: bool,
-    /// Worker pool for the coordinator's parallel RPC rounds; lazy, so it
-    /// costs nothing until the first parallel fan-out.
+    /// Whether a call to a participant spends wall-clock time blocked — the
+    /// transport makes callers wait, or the servers force a log — so that a
+    /// coordinator round is worth issuing from several threads at once.
+    /// Computed once, in [`crate::KvClient::new`]; read by [`round`].
+    pub(crate) calls_block: bool,
+    /// Worker pool for the coordinator's overlapped RPC rounds; lazy, so it
+    /// costs nothing until the first one.
     pub(crate) fanout: FanoutPool,
 }
 
@@ -164,42 +164,50 @@ impl ClientCore {
             Err(last)
         }
     }
-
-    /// Whether a call to a participant spends wall-clock time blocked, so
-    /// that a coordinator round — prepares, secondary commits, aborts — is
-    /// worth issuing from several threads at once: the transport makes
-    /// callers wait (worker queues, slept latency, injected faults), or the
-    /// servers force a log, in which case every prepare ends in an
-    /// `fdatasync` and a round of them costs one flush instead of one per
-    /// participant.  When neither holds a call is pure CPU on the caller's
-    /// thread and the round stays a plain loop: no pool thread is ever
-    /// spawned.  [`CommitFanout::Parallel`] overrides the judgement.
-    pub(crate) fn calls_block(&self) -> bool {
-        self.cfg.commit_fanout == CommitFanout::Parallel
-            || self.transport_blocks
-            || (self.cfg.wal_dir.is_some() && self.cfg.wal_fsync != WalFsyncPolicy::Off)
-    }
 }
 
-/// Issues one `(server, request)` RPC per entry concurrently: all but the
-/// last are handed to the fan-out pool, the last runs on the calling thread
-/// (so a round never needs more worker threads than it has peers), and the
-/// call returns once every result is in, sorted by server id.
+/// Issues one coordinator round — prepares, secondary commits, aborts — of
+/// one `(server, request)` call per entry, and returns the outcomes in
+/// server order.  This is the one place that chooses how:
 ///
-/// A call the pool cannot take runs on the calling thread.  If a pool
-/// worker dies mid-round (a panic in the transport stack) its entry is
-/// simply missing from the result; callers that need every participant
-/// accounted for must check the length.
-pub(crate) fn fanout_calls(
+/// * **Calls block** ([`ClientCore::calls_block`]): every call is in flight
+///   at once, so the round costs its slowest participant instead of the sum
+///   (and, on a forced log, one flush instead of one per participant).  All
+///   but the last go to the fan-out pool and the last runs on the calling
+///   thread, so a round never needs more workers than it has peers; a call
+///   the pool cannot take runs on the calling thread too.  `stop_after` is
+///   not consulted: nothing is left to stop.  If a pool worker dies
+///   mid-round (a panic in the transport stack) its entry is simply missing
+///   from the result; callers that need every participant accounted for
+///   must check the length.
+/// * **Calls are pure CPU** on the caller's thread (direct transport, no
+///   forced log): a plain loop in server order, no pool thread ever
+///   spawned, ending early once `stop_after` says an outcome makes the rest
+///   of the round pointless — a failed prepare, so that later participants
+///   are never locked for a doomed transaction.
+pub(crate) fn round(
     core: &Arc<ClientCore>,
     reqs: Vec<(ServerId, KvRequest)>,
     max_attempts: usize,
+    stop_after: impl Fn(&Result<KvResponse>) -> bool,
 ) -> Vec<(ServerId, Result<KvResponse>)> {
     let n = reqs.len();
+    let mut out = Vec::with_capacity(n);
+    if !core.calls_block {
+        for (server, req) in reqs {
+            let resp = core.call_retry(server, req, max_attempts);
+            let stop = stop_after(&resp);
+            out.push((server, resp));
+            if stop {
+                break;
+            }
+        }
+        return out;
+    }
     let (tx, rx) = bounded::<(ServerId, Result<KvResponse>)>(n);
     let mut reqs = reqs.into_iter();
     let Some((last_server, last_req)) = reqs.next_back() else {
-        return Vec::new();
+        return out;
     };
     for (server, req) in reqs {
         let job_core = Arc::clone(core);
@@ -215,7 +223,6 @@ pub(crate) fn fanout_calls(
         }
     }
     drop(tx);
-    let mut out = Vec::with_capacity(n);
     out.push((
         last_server,
         core.call_retry(last_server, last_req, max_attempts),
@@ -257,14 +264,12 @@ pub struct Txn {
     writes: Mutex<BTreeMap<ObjectId, Option<Bytes>>>,
     /// Number of Get RPCs issued (used by the latency-table experiment).
     read_rpcs: AtomicU64,
-    snapshot_registered: Mutex<bool>,
 }
 
 impl Txn {
     pub(crate) fn begin(core: Arc<ClientCore>) -> Self {
         let id = core.oracle.next_txn_id();
-        let start_ts = core.oracle.next_timestamp();
-        core.snapshots.register(start_ts);
+        let start_ts = core.snapshots.begin(&core.oracle);
         core.hot.txn_started.inc();
         Txn {
             core,
@@ -273,7 +278,6 @@ impl Txn {
             state: Mutex::new(TxnState::Active),
             writes: Mutex::new(BTreeMap::new()),
             read_rpcs: AtomicU64::new(0),
-            snapshot_registered: Mutex::new(true),
         }
     }
 
@@ -396,7 +400,6 @@ impl Txn {
     /// one commit RPC per participant).
     pub fn commit(self) -> Result<Timestamp> {
         self.check_active()?;
-        self.release_snapshot();
 
         let writes = std::mem::take(&mut *self.writes.lock());
         if writes.is_empty() {
@@ -431,7 +434,7 @@ impl Txn {
         // Retries are deduplicated server-side, so a lost response does not
         // double-apply; only full exhaustion with a possible application
         // (timeout) escalates to `Indeterminate`.
-        if participants.len() == 1 && self.core.cfg.one_phase_commit {
+        if participants.len() == 1 {
             let (server, writes) = by_server.into_iter().next().expect("one participant");
             self.core.hot.commit_1pc.inc();
             let t0 = timing.then(clock::now);
@@ -491,41 +494,31 @@ impl Txn {
         self.core.hot.commit_2pc.inc();
         let prepare_t0 = timing.then(clock::now);
         let primary = participants[0];
-        let parallel = participants.len() > 1 && self.core.calls_block();
-        let prepare_req = |writes: Vec<WriteOp>| KvRequest::Prepare {
-            txn: self.id,
-            start_ts: self.start_ts,
-            writes,
-            primary,
-            lease_us: self.core.cfg.prepare_lease_us,
-        };
-        let outcomes: Vec<(ServerId, Result<KvResponse>)> = if parallel {
-            // All prepares in flight at once; the round costs its slowest
-            // participant instead of the sum.  Server-side nothing changes:
-            // each participant still validates, locks, and leases its own
-            // slice exactly as in the sequential round.
+        let prepares = by_server
+            .into_iter()
+            .map(|(server, writes)| {
+                let req = KvRequest::Prepare {
+                    txn: self.id,
+                    start_ts: self.start_ts,
+                    writes,
+                    primary,
+                    lease_us: self.core.cfg.prepare_lease_us,
+                };
+                (server, req)
+            })
+            .collect();
+        if self.core.calls_block {
+            // Reporting only: `round` is what acts on it.
             self.core.stats.counter("kv.prepare_parallel_fanouts").inc();
-            let reqs = by_server
-                .into_iter()
-                .map(|(server, ws)| (server, prepare_req(ws)))
-                .collect();
-            fanout_calls(&self.core, reqs, self.core.cfg.rpc_max_attempts)
-        } else {
-            // Sequential round, stopping at the first failure so later
-            // participants are never locked for a doomed transaction.
-            let mut outcomes = Vec::with_capacity(by_server.len());
-            for (server, ws) in by_server {
-                let resp =
-                    self.core
-                        .call_retry(server, prepare_req(ws), self.core.cfg.rpc_max_attempts);
-                let failed = !matches!(resp, Ok(KvResponse::Prepared));
-                outcomes.push((server, resp));
-                if failed {
-                    break;
-                }
-            }
-            outcomes
-        };
+        }
+        // Server-side nothing depends on how the round is issued: each
+        // participant validates, locks, and leases its own slice.
+        let outcomes = round(
+            &self.core,
+            prepares,
+            self.core.cfg.rpc_max_attempts,
+            |resp| !matches!(resp, Ok(KvResponse::Prepared)),
+        );
         if let Some(t0) = prepare_t0 {
             self.core
                 .hot
@@ -660,12 +653,11 @@ impl Txn {
             }
         };
 
-        // Phase two, secondaries: best-effort, fanned out concurrently when
-        // the prepares were (the outcome no longer depends on these calls).
-        // The transaction is durably committed at the primary; a secondary
-        // logs its commit without waiting for the disk, and one that misses
-        // the message — or loses the record in a crash — adopts the commit
-        // from the primary.
+        // Phase two, secondaries: best-effort (the outcome no longer depends
+        // on these calls).  The transaction is durably committed at the
+        // primary; a secondary logs its commit without waiting for the disk,
+        // and one that misses the message — or loses the record in a crash —
+        // adopts the commit from the primary.
         let secondary_commits: Vec<(ServerId, KvRequest)> = participants
             .iter()
             .filter(|&&s| s != primary)
@@ -680,23 +672,12 @@ impl Txn {
             })
             .collect();
         let apply_t0 = timing.then(clock::now);
-        let results = if parallel && secondary_commits.len() > 1 {
-            fanout_calls(
-                &self.core,
-                secondary_commits,
-                self.core.cfg.rpc_max_attempts,
-            )
-        } else {
-            secondary_commits
-                .into_iter()
-                .map(|(s, req)| {
-                    (
-                        s,
-                        self.core.call_retry(s, req, self.core.cfg.rpc_max_attempts),
-                    )
-                })
-                .collect()
-        };
+        let results = round(
+            &self.core,
+            secondary_commits,
+            self.core.cfg.rpc_max_attempts,
+            |_| false,
+        );
         if let Some(t0) = apply_t0 {
             self.core.hot.commit_apply_us.record(clock::elapsed_us(t0));
         }
@@ -715,22 +696,19 @@ impl Txn {
         Ok(commit_ts)
     }
 
-    /// Best-effort abort fan-out used when a prepare round fails.  Abort is
+    /// Best-effort abort round used when a prepare round fails.  Abort is
     /// idempotent and deduplicated server-side, and participants that miss
-    /// the message are cleaned up by the prepare-lease reaper.  Fanned out
-    /// concurrently on transports where calls block (a failed prepare round
-    /// under faults would otherwise serialise several full retry budgets).
+    /// the message are cleaned up by the prepare-lease reaper.  Overlapped
+    /// where calls block: a failed prepare round under faults would otherwise
+    /// serialise several full retry budgets.
     fn abort_participants(&self, participants: &[ServerId]) {
-        let abort = |s: ServerId| (s, KvRequest::Abort { txn: self.id });
-        if self.core.calls_block() && participants.len() > 1 {
-            let reqs = participants.iter().map(|&s| abort(s)).collect();
-            let _ = fanout_calls(&self.core, reqs, self.core.cfg.rpc_max_attempts);
-        } else {
-            for &s in participants {
-                let (s, req) = abort(s);
-                let _ = self.core.call_retry(s, req, self.core.cfg.rpc_max_attempts);
-            }
-        }
+        let aborts = participants
+            .iter()
+            .map(|&s| (s, KvRequest::Abort { txn: self.id }))
+            .collect();
+        let _ = round(&self.core, aborts, self.core.cfg.rpc_max_attempts, |_| {
+            false
+        });
     }
 
     /// Aborts the transaction, discarding its buffered writes.
@@ -742,24 +720,17 @@ impl Txn {
             *self.state.lock() = TxnState::Aborted;
             self.core.stats.counter("kv.txn_user_aborts").inc();
         }
-        self.release_snapshot();
-    }
-
-    fn release_snapshot(&self) {
-        let mut registered = self.snapshot_registered.lock();
-        if *registered {
-            self.core.snapshots.unregister(self.start_ts);
-            *registered = false;
-        }
     }
 }
 
 impl Drop for Txn {
     fn drop(&mut self) {
-        // A dropped active transaction holds no server-side state (writes
-        // are buffered locally and locks only exist during commit), so only
-        // the snapshot registration needs cleaning up.
-        self.release_snapshot();
+        // However the transaction ends — `commit` and `abort` consume it, or
+        // it is dropped while active, holding no server-side state — its
+        // snapshot ends here and not before: while a commit is validating,
+        // the versions (and tombstones) newer than `start_ts` that
+        // first-committer-wins must find have to survive a sweep.
+        self.core.snapshots.unregister(self.start_ts);
     }
 }
 

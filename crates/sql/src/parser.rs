@@ -14,7 +14,7 @@ pub fn parse(sql: &str) -> Result<Statement> {
 
 /// Parses one SQL statement together with its parameter table: the slot
 /// each `?` / `?NNN` / `:name` placeholder resolved to (see
-/// [`crate::params`]).  This is the entry point prepared statements use;
+/// [`mod@crate::params`]).  This is the entry point prepared statements use;
 /// [`parse`] is the convenience that discards the table.
 pub fn parse_with_params(sql: &str) -> Result<(Statement, ParamInfo)> {
     let tokens = tokenize(sql)?;

@@ -46,7 +46,7 @@
 //! ## Why predicate pushdown is exact
 //!
 //! The index-key encoding ([`crate::row`]) orders entries exactly as
-//! [`Value::sort_cmp`] orders values — one numeric class shared by integers
+//! [`crate::types::Value::sort_cmp`] orders values — one numeric class shared by integers
 //! and reals, then text, then blobs, with NULLs first.  A pushed-down bound
 //! therefore never excludes a row the predicate would accept, whatever the
 //! storage classes involved; the residual filter (the full WHERE clause is
@@ -166,9 +166,9 @@ pub enum AggFunc {
     Sum,
     /// `AVG(x)`: real mean of the non-NULL inputs; NULL over zero.
     Avg,
-    /// `MIN(x)` by [`Value::sort_cmp`], ignoring NULLs.
+    /// `MIN(x)` by [`crate::types::Value::sort_cmp`], ignoring NULLs.
     Min,
-    /// `MAX(x)` by [`Value::sort_cmp`], ignoring NULLs.
+    /// `MAX(x)` by [`crate::types::Value::sort_cmp`], ignoring NULLs.
     Max,
 }
 

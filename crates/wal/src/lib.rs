@@ -230,16 +230,6 @@ pub enum WalRecord {
         /// Counter value *after* the allocation.
         value: u64,
     },
-    /// A version installed by bulk loading (`load_unchecked`), outside
-    /// concurrency control and outside any transaction.
-    Load {
-        /// Object loaded.
-        obj: ObjectId,
-        /// Timestamp of the installed version.
-        ts: Timestamp,
-        /// The loaded value.
-        value: Bytes,
-    },
     /// A full store snapshot; always the first record of a segment.
     Checkpoint(Box<CheckpointSnapshot>),
 }
@@ -250,7 +240,8 @@ const TAG_COMMIT_1PC: u8 = 3;
 const TAG_ABORT: u8 = 4;
 const TAG_ALLOC: u8 = 5;
 const TAG_CHECKPOINT: u8 = 6;
-const TAG_LOAD: u8 = 7;
+// Tag 7 is retired: it marked a bulk-load record that nothing writes any
+// more.  It decodes as corruption like every unknown tag; do not reuse it.
 
 fn put_writes(w: &mut Writer, writes: &[WalWrite]) {
     w.uvarint(writes.len() as u64);
@@ -317,13 +308,6 @@ impl WalRecord {
             }
             WalRecord::Alloc { obj, value } => {
                 w.u8(TAG_ALLOC).u64(obj.tree).u64(obj.oid).u64(*value);
-            }
-            WalRecord::Load { obj, ts, value } => {
-                w.u8(TAG_LOAD)
-                    .u64(obj.tree)
-                    .u64(obj.oid)
-                    .u64(*ts)
-                    .bytes(value);
             }
             WalRecord::Checkpoint(snap) => {
                 w.u8(TAG_CHECKPOINT);
@@ -395,11 +379,6 @@ impl WalRecord {
             TAG_ALLOC => WalRecord::Alloc {
                 obj: ObjectId::new(r.u64()?, r.u64()?),
                 value: r.u64()?,
-            },
-            TAG_LOAD => WalRecord::Load {
-                obj: ObjectId::new(r.u64()?, r.u64()?),
-                ts: r.u64()?,
-                value: Bytes::copy_from_slice(r.bytes()?),
             },
             TAG_CHECKPOINT => {
                 let n_objects = r.uvarint()? as usize;
@@ -1084,10 +1063,13 @@ mod tests {
                 obj: obj(0),
                 value: 128,
             },
-            WalRecord::Load {
-                obj: obj(4),
-                ts: 3,
-                value: Bytes::from_static(b"seed"),
+            WalRecord::CommitOnePhase {
+                txn: 10,
+                commit_ts: 51,
+                writes: vec![WalWrite {
+                    obj: obj(4),
+                    value: None,
+                }],
             },
         ]
     }
@@ -1127,6 +1109,15 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(WalRecord::decode(&[]).is_err());
         assert!(WalRecord::decode(&[99]).is_err());
+        // The retired bulk-load tag, over what used to be a well-formed
+        // payload (object, timestamp, length-prefixed value): corruption,
+        // like any tag nothing writes.
+        let mut retired = Writer::with_capacity(32);
+        retired.u8(7).u64(1).u64(4).u64(3).bytes(b"seed");
+        assert!(matches!(
+            WalRecord::decode(&retired.finish()),
+            Err(Error::Corruption(_))
+        ));
         let mut enc = sample_records()[0].encode();
         enc.push(0); // trailing byte
         assert!(WalRecord::decode(&enc).is_err());

@@ -76,27 +76,28 @@ pub(crate) struct SplitContext {
 
 impl SplitContext {
     /// Chooses the least-loaded server as the placement target for the new
-    /// node of a load split, if hot-node migration is enabled.  "Least
-    /// loaded" is judged over the window since the previous placement
-    /// decision (see [`PlacementTracker`]), not over cumulative totals,
-    /// which would forever favour whichever server started latest.
-    fn pick_target_server(&self) -> Option<ServerId> {
-        if !self.cfg.migrate_hot_nodes {
-            return None;
-        }
+    /// node of a load split.  "Least loaded" is judged over the window since
+    /// the previous placement decision (see [`PlacementTracker`]), not over
+    /// cumulative totals, which would forever favour whichever server
+    /// started latest.
+    fn pick_target_server(&self) -> ServerId {
         let n = self.kv.num_servers();
         let loads = self.placement.snapshot(&self.stats, n);
-        (0..n).min_by_key(|i| loads[*i])
+        (0..n)
+            .min_by_key(|i| loads[*i])
+            .expect("a deployment has at least one server")
     }
 
-    /// Allocates the object id for the new (right) half of a split.
+    /// Allocates the object id for the new (right) half of a split: on the
+    /// least-loaded server for a load split, wherever the allocator's
+    /// rotation lands for a size split.
     fn new_oid(&self, tree: TreeId, load_split: bool) -> Result<Oid> {
         if load_split {
-            if let Some(target) = self.pick_target_server() {
-                return self.alloc.allocate_on_server(tree, target);
-            }
+            self.alloc
+                .allocate_on_server(tree, self.pick_target_server())
+        } else {
+            self.alloc.allocate(tree)
         }
-        self.alloc.allocate(tree)
     }
 }
 

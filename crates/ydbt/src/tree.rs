@@ -58,6 +58,11 @@ use crate::split::{split_node_in_txn, SplitReason, SplitRequest};
 /// hitting the bound always means a stale or corrupt path.
 const MAX_SEARCH_DEPTH: usize = 64;
 
+/// Number of search restarts (stale cached node: invalidate, back down or
+/// start over from the root) after which an operation reports an internal
+/// error — a guard against livelock under adversarial staleness.
+const MAX_SEARCH_RESTARTS: usize = 64;
+
 /// Reads a node page within a transaction and wraps it in a lazy view —
 /// no cells are decoded.  Returns `None` if the object has no visible
 /// version at the transaction's snapshot.
@@ -254,7 +259,7 @@ impl Dbt {
                     cache.invalidate(self.tree, oid);
                     restarts += 1;
                     counters.search_restarts.inc();
-                    if restarts > cfg.max_search_restarts {
+                    if restarts > MAX_SEARCH_RESTARTS {
                         return Err(Error::Internal(format!(
                             "search for key in tree {} did not converge after {restarts} restarts",
                             self.tree

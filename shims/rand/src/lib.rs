@@ -104,7 +104,7 @@ pub trait SeedableRng: Sized {
     fn seed_from_u64(seed: u64) -> Self;
 
     /// Builds a generator seeded from the system clock and address-space
-    /// entropy.  Deterministic tests should prefer [`seed_from_u64`].
+    /// entropy.  Deterministic tests should prefer [`Self::seed_from_u64`].
     fn from_entropy() -> Self {
         let t = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)

@@ -92,7 +92,7 @@ fn concurrent_counter_increments_never_lose_updates() {
 #[test]
 fn one_phase_commit_counter_totals_exactly() {
     // Two threads read-modify-write one object, each transaction a
-    // single-server one-phase commit (the default).  The server must fix
+    // single-server one-phase commit.  The server must fix
     // the commit timestamp only once it holds the object: drawn before, a
     // transaction that begins in between reads the old value at a snapshot
     // above that timestamp, passes first-committer-wins and overwrites.
@@ -101,7 +101,6 @@ fn one_phase_commit_counter_totals_exactly() {
     const THREADS: u64 = 2;
     const INCREMENTS: u64 = 60_000;
     let db = Arc::new(KvDatabase::with_servers(1));
-    assert!(db.config().kv.one_phase_commit);
     let obj = ObjectId::new(4, 1);
     let value_of = |v: &[u8]| u64::from_be_bytes(v[..8].try_into().unwrap());
     {
@@ -193,4 +192,130 @@ fn concurrent_readers_and_writers_on_one_tree() {
     let txn = client.begin();
     assert_eq!(dbt.count(&txn).unwrap(), total);
     txn.commit().unwrap();
+}
+
+#[test]
+fn gc_never_drops_what_a_starting_snapshot_reads() {
+    // Garbage collection against live traffic, at default settings: a
+    // collector thread sweeps in a loop while writers overwrite and readers
+    // start fresh snapshots.  A sweep keeps exactly what a snapshot at or
+    // above its watermark reads, so it is only safe if no snapshot can start
+    // below a watermark already taken — drawing a start timestamp and
+    // registering it must be one step.  Were they two, a reader descheduled
+    // between them would find its version gone: an object that has existed
+    // since before any thread started reads as `None`.
+    const SERVERS: usize = 4;
+    const OBJECTS: u64 = 32;
+    const RUN: std::time::Duration = std::time::Duration::from_secs(2);
+
+    let db = Arc::new(KvDatabase::with_servers(SERVERS));
+    let objs: Vec<ObjectId> = (0..OBJECTS).map(|i| ObjectId::new(5, i)).collect();
+    // One object per server for the three-object writer, so its commits are
+    // two-phase.
+    let spread: Vec<ObjectId> = (0..3)
+        .map(|s| {
+            *objs
+                .iter()
+                .find(|o| o.home_server(SERVERS) == s)
+                .expect("32 objects cover every server")
+        })
+        .collect();
+    let value_of = |v: &[u8]| u64::from_be_bytes(v[..8].try_into().unwrap());
+    {
+        let t = db.client().begin();
+        for &o in &objs {
+            t.put(o, 0u64.to_be_bytes().to_vec()).unwrap();
+        }
+        t.commit().unwrap();
+    }
+
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let increments = AtomicU64::new(0);
+    let missing = AtomicU64::new(0);
+    let backwards = AtomicU64::new(0);
+    let reads = AtomicU64::new(0);
+    let sweeps = AtomicU64::new(0);
+    let bump = |txn: &yesquel::Txn, obj: ObjectId| match txn.get(obj)? {
+        Some(cur) => txn.put(obj, (value_of(&cur) + 1).to_be_bytes().to_vec()),
+        None => {
+            // Counted, and retried at a fresh snapshot.
+            missing.fetch_add(1, Ordering::SeqCst);
+            Err(yesquel::Error::Conflict(format!("{obj} read as absent")))
+        }
+    };
+    std::thread::scope(|s| {
+        // Writer one: single-object increments (one-phase commits).
+        s.spawn(|| {
+            let client = db.client();
+            let mut i = 0;
+            while !stop.load(Ordering::SeqCst) {
+                let obj = objs[i % objs.len()];
+                client.run_txn(|txn| bump(txn, obj)).unwrap();
+                increments.fetch_add(1, Ordering::SeqCst);
+                i += 1;
+            }
+        });
+        // Writer two: three objects on three servers (two-phase commits).
+        s.spawn(|| {
+            let client = db.client();
+            while !stop.load(Ordering::SeqCst) {
+                client
+                    .run_txn(|txn| spread.iter().try_for_each(|&obj| bump(txn, obj)))
+                    .unwrap();
+                increments.fetch_add(3, Ordering::SeqCst);
+            }
+        });
+        // Readers: a fresh snapshot per pass over every object.
+        for _ in 0..2 {
+            s.spawn(|| {
+                let client = db.client();
+                let mut seen = vec![0u64; objs.len()];
+                while !stop.load(Ordering::SeqCst) {
+                    let txn = client.begin();
+                    for (i, &obj) in objs.iter().enumerate() {
+                        match txn.get(obj).unwrap() {
+                            None => {
+                                missing.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Some(v) if value_of(&v) < seen[i] => {
+                                backwards.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Some(v) => seen[i] = value_of(&v),
+                        }
+                    }
+                    reads.fetch_add(objs.len() as u64, Ordering::SeqCst);
+                    txn.commit().unwrap();
+                }
+            });
+        }
+        // The collector.
+        s.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                db.run_gc().unwrap();
+                sweeps.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        std::thread::sleep(RUN);
+        stop.store(true, Ordering::SeqCst);
+    });
+
+    let (reads, sweeps) = (reads.into_inner(), sweeps.into_inner());
+    assert!(reads > 0 && sweeps > 0, "{reads} reads, {sweeps} sweeps");
+    assert_eq!(
+        (missing.into_inner(), backwards.into_inner()),
+        (0, 0),
+        "(reads of an existing object that returned None, reads older than one \
+         already seen) out of {reads} reads against {sweeps} sweeps"
+    );
+    let r = db.client().begin();
+    let total: u64 = objs
+        .iter()
+        .map(|&o| value_of(&r.get(o).unwrap().expect("present")))
+        .sum();
+    r.commit().unwrap();
+    assert_eq!(total, increments.into_inner(), "an increment was lost");
+    // Quiescent: one sweep leaves one version of each object.
+    db.run_gc().unwrap();
+    assert_eq!(db.total_objects(), OBJECTS);
+    assert_eq!(db.total_versions(), db.total_objects());
 }

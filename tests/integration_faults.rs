@@ -433,6 +433,48 @@ fn full_outage_fails_cleanly_and_recovers() {
     t.commit().unwrap();
 }
 
+/// A sweep does not stop at the first server it cannot reach: with server 1
+/// down, `run_gc` reports the failure, and servers 0, 2 and 3 — the later
+/// ones included — are swept all the same.
+#[test]
+fn gc_sweeps_every_reachable_server_when_one_is_down() {
+    let db = KvDatabase::with_faults(impatient(4), TransportKind::Direct, vec![]);
+    let faults = Arc::clone(db.faults().unwrap());
+    let client = db.client();
+    let live = [0usize, 2, 3];
+
+    faults.crash(1);
+    for &server in &live {
+        let obj = oid_on(server, 4, 0);
+        for i in 0..10 {
+            let t = client.begin();
+            t.put(obj, format!("v{i}")).unwrap();
+            t.commit().unwrap();
+        }
+    }
+    let stores = db.cluster().servers();
+    for &server in &live {
+        assert_eq!(stores[server].store().version_count(), 10);
+    }
+
+    match db.run_gc() {
+        Err(e) if e.is_availability() => {}
+        other => panic!("expected server 1's availability error, got {other:?}"),
+    }
+    for &server in &live {
+        let store = stores[server].store();
+        assert_eq!(store.object_count(), 1);
+        assert_eq!(
+            store.version_count(),
+            store.object_count(),
+            "server {server} was not swept"
+        );
+    }
+
+    faults.heal_all();
+    db.run_gc().unwrap();
+}
+
 /// A deployment of `nservers` logging servers behind a fault layer that
 /// injects only what `plans` say, with the coordinator lease set to
 /// `lease_us` (recovered prepares get the same).

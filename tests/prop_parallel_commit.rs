@@ -3,10 +3,10 @@
 //! transactions while a deterministic fault storm (dropped requests and
 //! responses, duplicates, transient errors, delays, one crash-looping
 //! server) batters the transport.  Nothing forces the coordinator's hand:
-//! calls through a fault-injecting transport block, so the default
-//! `CommitFanout::Auto` issues every multi-participant prepare round and
-//! secondary-commit round from the fan-out pool, and the batching decorator
-//! coalesces whatever collides in its window.
+//! calls through a fault-injecting transport block, so the coordinator
+//! issues every prepare round and secondary-commit round from the fan-out
+//! pool, and the batching decorator coalesces whatever collides in its
+//! window.
 //!
 //! The safety bar is the same as `prop_chaos_commit`, now under real
 //! concurrency:
