@@ -158,13 +158,6 @@ pub enum WalFsyncPolicy {
 /// Configuration of the transactional key-value store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvConfig {
-    /// Maximum number of times a prepare retries acquiring a lock before the
-    /// transaction aborts with [`crate::Error::LockTimeout`].
-    pub lock_acquire_retries: usize,
-    /// Base backoff, in microseconds, slept between retries of a read that
-    /// found a prepare lock, on every transport: retry `n` sleeps `n` times
-    /// this (capped at 16 times).  Zero yields the thread instead.
-    pub lock_backoff_us: u64,
     /// Maximum number of attempts for one RPC (first try plus retries)
     /// before the client gives up with [`crate::Error::Timeout`] /
     /// [`crate::Error::Unavailable`].  Every request is safe to retry:
@@ -205,8 +198,6 @@ pub struct KvConfig {
 impl Default for KvConfig {
     fn default() -> Self {
         KvConfig {
-            lock_acquire_retries: 100,
-            lock_backoff_us: 50,
             rpc_max_attempts: 5,
             rpc_backoff_us: 100,
             rpc_backoff_cap_us: 10_000,
@@ -227,8 +218,6 @@ impl KvConfig {
     /// benchmarks (the lease is far too short for a loaded commit path).
     pub fn impatient() -> Self {
         KvConfig {
-            lock_acquire_retries: 40,
-            lock_backoff_us: 20,
             rpc_max_attempts: 4,
             rpc_backoff_us: 20,
             rpc_backoff_cap_us: 200,

@@ -79,39 +79,43 @@ impl KvClient {
     /// conflicts until the limit" and "the cluster is down" stay
     /// distinguishable.
     pub fn run_txn<T>(&self, mut body: impl FnMut(&Txn) -> Result<T>) -> Result<T> {
+        self.retry_txn(|txn| match body(&txn) {
+            Ok(value) => txn.commit().map(|_| value),
+            Err(e) => {
+                txn.abort();
+                Err(e)
+            }
+        })
+    }
+
+    /// The retry loop under [`KvClient::run_txn`], for callers that end the
+    /// transaction themselves: every attempt is handed a fresh transaction
+    /// by value, and whatever it returns on success is the result — a
+    /// committed value, or the transaction itself still open (a read-only
+    /// stream that outlives the call).  Failures are classified, counted
+    /// (`kv.txn_retries`), backed off and bounded exactly as for `run_txn`.
+    pub fn retry_txn<T>(&self, mut attempt: impl FnMut(Txn) -> Result<T>) -> Result<T> {
         const MAX_ATTEMPTS: usize = 24;
         let mut last_err = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            let txn = self.begin();
-            match body(&txn) {
-                Ok(value) => match txn.commit() {
-                    Ok(_) => return Ok(value),
-                    Err(e) if e.is_retryable() => {
-                        self.core.stats.counter("kv.txn_retries").inc();
-                        last_err = Some(e);
-                    }
-                    Err(e) => return Err(e),
-                },
+        for n in 0..MAX_ATTEMPTS {
+            match attempt(self.begin()) {
+                Ok(value) => return Ok(value),
                 Err(e) if e.is_retryable() => {
-                    txn.abort();
-                    self.core.stats.counter("kv.txn_retries").inc();
+                    self.core.hot.txn_retries.inc();
                     last_err = Some(e);
                 }
-                Err(e) => {
-                    txn.abort();
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
             // Back off so the conflicting transaction (or the recovering
             // server) gets a chance; availability failures wait from the
             // first retry, conflicts only once retries repeat.
             let availability = last_err.as_ref().is_some_and(Error::is_availability);
-            if availability || attempt > 2 {
+            if availability || n > 2 {
                 yesquel_common::timeutil::sleep_backoff(
-                    attempt,
+                    n,
                     self.core.cfg.rpc_backoff_us,
                     self.core.cfg.rpc_backoff_cap_us,
-                    0x5eed ^ attempt as u64,
+                    0x5eed ^ n as u64,
                 );
             }
         }

@@ -22,10 +22,17 @@ use crate::protocol::{KvRequest, KvResponse, WriteOp};
 use crate::server::KvServer;
 use crate::snapshot::SnapshotTracker;
 
+/// How many times [`Txn::get`] re-reads an object it found under a prepare
+/// lock before giving up with [`Error::LockTimeout`].
+const LOCK_READ_RETRIES: usize = 100;
+/// Base backoff, in microseconds, between those re-reads: retry `n` sleeps
+/// `n` times this, capped at 16 times.
+const LOCK_BACKOFF_US: u64 = 50;
+
 /// Pre-resolved statistics handles for the client's per-operation paths:
 /// one registry lookup at client construction instead of a mutex acquisition
 /// plus string allocation per call (the same discipline as the tree layer's
-/// `HotCounters`).  Error- and retry-path counters stay as name lookups.
+/// `HotCounters`).  Error-path counters stay as name lookups.
 pub(crate) struct KvHot {
     pub(crate) txn_started: Arc<Counter>,
     pub(crate) get_rpcs: Arc<Counter>,
@@ -35,6 +42,9 @@ pub(crate) struct KvHot {
     pub(crate) commit_participants: Arc<Counter>,
     pub(crate) commit_1pc: Arc<Counter>,
     pub(crate) commit_2pc: Arc<Counter>,
+    pub(crate) prepare_parallel_fanouts: Arc<Counter>,
+    pub(crate) get_lock_retries: Arc<Counter>,
+    pub(crate) txn_retries: Arc<Counter>,
     /// Commit-phase latencies, recorded only while `Obs::timing_on`:
     /// `prepare` is the whole phase-one round, `decide` the commit-point RPC
     /// at the primary (1PC charges its single round here too), `apply` the
@@ -55,6 +65,9 @@ impl KvHot {
             commit_participants: stats.counter("kv.commit_participants"),
             commit_1pc: stats.counter("kv.commit_1pc"),
             commit_2pc: stats.counter("kv.commit_2pc"),
+            prepare_parallel_fanouts: stats.counter("kv.prepare_parallel_fanouts"),
+            get_lock_retries: stats.counter("kv.get_lock_retries"),
+            txn_retries: stats.counter("kv.txn_retries"),
             commit_prepare_us: stats.histogram("kv.commit_prepare_us"),
             commit_decide_us: stats.histogram("kv.commit_decide_us"),
             commit_apply_us: stats.histogram("kv.commit_apply_us"),
@@ -346,13 +359,14 @@ impl Txn {
                 KvResponse::Value(v) => return Ok(v),
                 KvResponse::Locked => {
                     attempts += 1;
-                    self.core.stats.counter("kv.get_lock_retries").inc();
-                    if attempts > self.core.cfg.lock_acquire_retries {
+                    self.core.hot.get_lock_retries.inc();
+                    if attempts > LOCK_READ_RETRIES {
                         return Err(Error::LockTimeout(format!(
                             "object {obj} still locked after {attempts} read attempts"
                         )));
                     }
-                    backoff(self.core.cfg.lock_backoff_us, attempts);
+                    let us = LOCK_BACKOFF_US * attempts.min(16) as u64;
+                    std::thread::sleep(Duration::from_micros(us));
                 }
                 KvResponse::ServerError { message } => return Err(Error::Io(message)),
                 other => {
@@ -509,7 +523,7 @@ impl Txn {
             .collect();
         if self.core.calls_block {
             // Reporting only: `round` is what acts on it.
-            self.core.stats.counter("kv.prepare_parallel_fanouts").inc();
+            self.core.hot.prepare_parallel_fanouts.inc();
         }
         // Server-side nothing depends on how the round is issued: each
         // participant validates, locks, and leases its own slice.
@@ -731,16 +745,6 @@ impl Drop for Txn {
         // the versions (and tombstones) newer than `start_ts` that
         // first-committer-wins must find have to survive a sweep.
         self.core.snapshots.unregister(self.start_ts);
-    }
-}
-
-/// Exponential-ish backoff between lock retries.
-fn backoff(base_us: u64, attempt: usize) {
-    if base_us == 0 {
-        std::thread::yield_now();
-    } else {
-        let us = base_us.saturating_mul(attempt.min(16) as u64);
-        std::thread::sleep(Duration::from_micros(us));
     }
 }
 

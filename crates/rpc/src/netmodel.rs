@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use yesquel_common::stats::StatsRegistry;
+use yesquel_common::stats::{Counter, StatsRegistry};
 use yesquel_common::NetConfig;
 
 /// Shared network cost model; cheap to clone.
@@ -25,7 +25,8 @@ struct Inner {
     cfg: NetConfig,
     simulated_us: AtomicU64,
     messages: AtomicU64,
-    registry: StatsRegistry,
+    /// `net.charged_us`, resolved once: charging is on every RPC's path.
+    charged_us: Arc<Counter>,
 }
 
 impl NetworkModel {
@@ -36,7 +37,7 @@ impl NetworkModel {
                 cfg,
                 simulated_us: AtomicU64::new(0),
                 messages: AtomicU64::new(0),
-                registry,
+                charged_us: registry.counter("net.charged_us"),
             }),
         }
     }
@@ -69,7 +70,7 @@ impl NetworkModel {
             return 0;
         }
         self.inner.simulated_us.fetch_add(us, Ordering::Relaxed);
-        self.inner.registry.counter("net.charged_us").add(us);
+        self.inner.charged_us.add(us);
         if self.inner.cfg.sleep_latency {
             std::thread::sleep(Duration::from_micros(us));
         }

@@ -1,7 +1,8 @@
 //! Yesquel's SQL layer: tokenizer, parser, expression evaluation, typed
 //! rows, the catalog mapping tables and indexes onto distributed balanced
-//! trees, and the query processor ([`plan`] + [`exec`]) compiling
-//! statements into DBT operations.
+//! trees, the query processor ([`plan`] + [`exec`]) compiling statements
+//! into DBT operations, and the [`session`] an application talks to —
+//! statement cache, prepared statements, explicit transactions, autocommit.
 //!
 //! The layering follows Figure 1 of the paper: the SQL layer compiles
 //! statements into operations on DBTs (`yesquel-ydbt`), which in turn run
@@ -22,6 +23,7 @@ pub mod params;
 pub mod parser;
 pub mod plan;
 pub mod row;
+pub mod session;
 pub mod token;
 pub mod typed;
 pub mod types;
@@ -34,6 +36,7 @@ pub use exec::{
 pub use params::ParamInfo;
 pub use parser::{parse, parse_script, parse_with_params};
 pub use plan::{plan_statement, AccessPath, AggFunc, AggStrategy, Plan};
+pub use session::{Prepared, Rows, Session};
 pub use token::tokenize;
 pub use typed::{FromValue, Row, ToValue};
 pub use types::{ColumnType, Value};

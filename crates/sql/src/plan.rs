@@ -345,6 +345,17 @@ pub enum Plan {
 }
 
 impl Plan {
+    /// True if executing the plan performs DDL — it updates the session's
+    /// schema cache before its transaction commits, which is what the
+    /// session's invalidation rule keys on.
+    pub fn is_ddl(&self) -> bool {
+        match self {
+            Plan::CreateTable(_) | Plan::CreateIndex(_) | Plan::DropTable { .. } => true,
+            Plan::ExplainAnalyze(inner) => inner.is_ddl(),
+            _ => false,
+        }
+    }
+
     /// A one-line, EXPLAIN-style description of the plan (tests and
     /// diagnostics; the format is stable enough to assert on):
     ///

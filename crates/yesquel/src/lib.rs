@@ -8,16 +8,20 @@
 //! * [`sql`] — the SQL front end (parser, catalog, planner, executor);
 //! * [`baselines`] — single-node comparison stores.
 //!
-//! The application-facing shape is the prepared-statement API: a
-//! [`Session`] [`prepare`]s a statement once — parsed, bound against the
-//! catalog, the plan pinned in the returned [`Prepared`] handle — and then
-//! re-executes it with fresh parameters millions of times, paying zero
-//! parse and zero plan work per call.  Parameters bind positionally (`?`,
-//! `?NNN`) or by name (`:name`) through the [`params!`] macro and
-//! [`Prepared::execute_named`]; results come back as typed [`Row`]s
-//! (`row.get::<i64>("views")?`).  [`Yesquel::execute`] remains the ad-hoc
-//! entry point — SQL text in, [`ResultSet`] out, through a per-session
-//! statement cache — built on the same machinery.
+//! The application-facing shape is the prepared-statement API of
+//! [`sql::session`], re-exported here: a [`Session`] [`prepare`]s a statement
+//! once — parsed, bound against the catalog, the plan pinned in the returned
+//! [`Prepared`] handle — and then re-executes it with fresh parameters
+//! millions of times, paying zero parse and zero plan work per call.
+//! Parameters bind positionally (`?`, `?NNN`) or by name (`:name`) through
+//! the [`params!`] macro and [`Prepared::execute_named`]; results come back
+//! as typed [`Row`]s (`row.get::<i64>("views")?`).  [`Yesquel::execute`] is
+//! the ad-hoc entry point — SQL text in, [`ResultSet`] out — and runs the
+//! very same statement object, found in a per-session statement cache
+//! instead of a handle.
+//!
+//! This crate itself defines one type: [`Yesquel`], a deployment opened
+//! together with a client-side engine and a default session.
 //!
 //! [`prepare`]: Session::prepare
 
@@ -31,877 +35,12 @@ pub use yesquel_ydbt as ydbt;
 
 pub use yesquel_common::{DbtConfig, Error, KvConfig, NetConfig, ObjectId, Result, YesquelConfig};
 pub use yesquel_kv::{KvClient, KvDatabase, Txn};
-pub use yesquel_sql::{params, FromValue, ParamInfo, ResultSet, Row, ToValue, Value};
+pub use yesquel_sql::{
+    params, FromValue, ParamInfo, Prepared, ResultSet, Row, Rows, Session, ToValue, Value,
+};
 pub use yesquel_ydbt::{Dbt, DbtEngine};
 
-use std::collections::HashMap;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
-use yesquel_sql::ast::Statement;
-use yesquel_sql::{Catalog, ExecCtx, Plan, RowStream};
-
-/// Capacity of the per-session statement cache (parsed + planned statements
-/// keyed by SQL text).  Web workloads repeat a small set of statement
-/// shapes, so a small LRU captures nearly all of the parse/plan cost.
-const STMT_CACHE_CAP: usize = 128;
-
-/// One cached statement: its plan, its parameter table, and the catalog
-/// generation it was planned under (a generation mismatch — any DDL or
-/// schema-cache invalidation — forces a replan).
-struct CachedStmt {
-    plan: Arc<Plan>,
-    info: Arc<ParamInfo>,
-    generation: u64,
-    last_used: u64,
-}
-
-/// The per-session LRU of planned statements.
-#[derive(Default)]
-struct StmtCache {
-    map: HashMap<String, CachedStmt>,
-    tick: u64,
-    /// Catalog generation the cache was last swept against; when the
-    /// catalog moves past it, every resident entry is dead and gets evicted
-    /// in one pass on the next probe.
-    generation: u64,
-}
-
-/// One SQL connection: the catalog (schema cache), the statement cache, and
-/// the explicit transaction opened by `BEGIN`, if any.
-///
-/// Outside an explicit transaction every statement autocommits: it runs in
-/// its own snapshot-isolated transaction, retried on write-write conflicts.
-/// Inside `BEGIN`…`COMMIT` all statements share one transaction and a
-/// commit-time conflict surfaces as [`Error::Conflict`] from `COMMIT`.
-pub struct Session {
-    client: KvClient,
-    catalog: Arc<Catalog>,
-    current: Mutex<Option<Txn>>,
-    stmt_cache: Mutex<StmtCache>,
-}
-
-impl Session {
-    /// Opens a session over a client-side DBT engine (bootstrapping the
-    /// catalog tree on first use of the deployment).
-    pub fn new(engine: Arc<DbtEngine>) -> Result<Session> {
-        let client = engine.kv().clone();
-        let catalog = Arc::new(Catalog::open(engine)?);
-        Ok(Session {
-            client,
-            catalog,
-            current: Mutex::new(None),
-            stmt_cache: Mutex::new(StmtCache::default()),
-        })
-    }
-
-    /// The session's catalog.
-    pub fn catalog(&self) -> &Arc<Catalog> {
-        &self.catalog
-    }
-
-    /// True while an explicit transaction (`BEGIN`) is open.
-    pub fn in_transaction(&self) -> bool {
-        self.current.lock().is_some()
-    }
-
-    /// Number of statements resident in the statement cache (diagnostics).
-    pub fn stmt_cache_len(&self) -> usize {
-        self.stmt_cache.lock().map.len()
-    }
-
-    /// Prepares one statement for repeated execution: parses it, resolves
-    /// its placeholders into a [`ParamInfo`] table, plans it against the
-    /// catalog, and returns a [`Prepared`] handle that owns the plan.
-    ///
-    /// Re-executing the handle performs **zero** parse and **zero** plan
-    /// work — no statement-cache text hash either; the plan is reached
-    /// through the handle.  The pinned plan is revalidated against the
-    /// catalog generation on every use, so DDL (here or on another session
-    /// path that invalidates the schema cache) forces a replan from the
-    /// retained AST, never a reparse.
-    ///
-    /// Transaction control (`BEGIN`/`COMMIT`/`ROLLBACK`) cannot be
-    /// prepared; bind-time errors (arity, unknown names) surface as
-    /// [`Error::Bind`] from the handle's execute/query calls.
-    pub fn prepare(&self, sql_text: &str) -> Result<Prepared<'_>> {
-        self.catalog.counters().parses.inc();
-        let (stmt, info) = yesquel_sql::parse_with_params(sql_text)?;
-        if matches!(
-            stmt,
-            Statement::Begin | Statement::Commit | Statement::Rollback
-        ) {
-            return Err(Error::InvalidArgument(
-                "transaction control statements cannot be prepared".into(),
-            ));
-        }
-        let (plan, generation) = self.replan(&stmt)?;
-        Ok(Prepared {
-            session: self,
-            sql: sql_text.to_string(),
-            stmt,
-            info: Arc::new(info),
-            state: Mutex::new((plan, generation)),
-        })
-    }
-
-    /// Plans `stmt` inside the session's current transaction (or a
-    /// throwaway read-only one), returning the plan and the catalog
-    /// generation captured *before* planning — if a concurrent invalidation
-    /// moves the generation mid-plan, the pin is already stale and the next
-    /// use replans.
-    fn replan(&self, stmt: &Statement) -> Result<(Arc<Plan>, u64)> {
-        {
-            let cur = self.current.lock();
-            if let Some(txn) = cur.as_ref() {
-                let generation = self.catalog.generation();
-                let plan = Arc::new(yesquel_sql::plan_statement(&self.catalog, txn, stmt)?);
-                return Ok((plan, generation));
-            }
-        }
-        let txn = self.client.begin();
-        let generation = self.catalog.generation();
-        match yesquel_sql::plan_statement(&self.catalog, &txn, stmt) {
-            Ok(plan) => {
-                txn.commit()?;
-                Ok((Arc::new(plan), generation))
-            }
-            Err(e) => {
-                txn.abort();
-                Err(e)
-            }
-        }
-    }
-
-    /// Parses and executes one statement.
-    ///
-    /// Statements are planned through the session's statement cache: the
-    /// second execution of the same SQL text skips both the parse and the
-    /// plan (parameters still bind per execution, with bind-time arity
-    /// checking).  Cached plans are keyed by the catalog generation and
-    /// replanned after any DDL or schema-cache invalidation.  For a hot
-    /// statement, [`Session::prepare`] skips the text hash too.
-    pub fn execute(&self, sql_text: &str, params: &[Value]) -> Result<ResultSet> {
-        if let Some((plan, info)) = self.cached_plan(sql_text) {
-            // Transaction-control statements are never cached, so a hit
-            // means a plain planned statement.
-            if !matches!(&*plan, Plan::Explain(_)) {
-                info.check_arity(params.len())?;
-            }
-            return self.execute_planned(Some(sql_text), None, None, Some(plan), params);
-        }
-        self.catalog.counters().parses.inc();
-        let (stmt, info) = yesquel_sql::parse_with_params(sql_text)?;
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => {
-                self.execute_statement(&stmt, params)
-            }
-            other => {
-                // EXPLAIN describes the plan without evaluating parameters,
-                // so unbound placeholders are fine there.
-                if !matches!(other, Statement::Explain(_)) {
-                    info.check_arity(params.len())?;
-                }
-                self.execute_planned(
-                    Some(sql_text),
-                    Some(&other),
-                    Some(Arc::new(info)),
-                    None,
-                    params,
-                )
-            }
-        }
-    }
-
-    /// Opens a statement as a pulling [`Rows`] iterator instead of
-    /// materialising a [`ResultSet`].
-    ///
-    /// Only query statements (SELECT, EXPLAIN) can stream.  In autocommit
-    /// mode the iterator owns its read-only transaction and commits it when
-    /// the stream is drained (or abandons it on drop — read-only
-    /// transactions hold no server-side state).  Inside an explicit
-    /// transaction the result is materialised eagerly (the session's
-    /// transaction must stay available to subsequent statements) and the
-    /// iterator merely replays it.
-    pub fn query(&self, sql_text: &str, params: &[Value]) -> Result<Rows> {
-        if let Some((plan, info)) = self.cached_plan(sql_text) {
-            if !matches!(&*plan, Plan::Explain(_)) {
-                info.check_arity(params.len())?;
-            }
-            return self.query_planned(Some(sql_text), None, None, Some(plan), params);
-        }
-        self.catalog.counters().parses.inc();
-        let (stmt, info) = yesquel_sql::parse_with_params(sql_text)?;
-        if matches!(
-            stmt,
-            Statement::Begin | Statement::Commit | Statement::Rollback
-        ) {
-            return Err(Error::InvalidArgument(
-                "query() streams SELECT/EXPLAIN statements; use execute() for transaction control"
-                    .into(),
-            ));
-        }
-        if !matches!(stmt, Statement::Explain(_)) {
-            info.check_arity(params.len())?;
-        }
-        self.query_planned(
-            Some(sql_text),
-            Some(&stmt),
-            Some(Arc::new(info)),
-            None,
-            params,
-        )
-    }
-
-    /// Rejects non-query plans handed to [`Session::query`].
-    fn require_query_plan(plan: &Plan) -> Result<()> {
-        if matches!(
-            plan,
-            Plan::Select(_) | Plan::ConstSelect(_) | Plan::Explain(_) | Plan::ExplainAnalyze(_)
-        ) {
-            Ok(())
-        } else {
-            Err(Error::InvalidArgument(
-                "query() streams SELECT/EXPLAIN statements; use execute() for DML/DDL".into(),
-            ))
-        }
-    }
-
-    /// Opens a query from whatever the caller already has — a cached or
-    /// pinned plan (`first_plan`), a parsed statement, or SQL text — as a
-    /// [`Rows`] iterator.  The shared tail of [`Session::query`] and
-    /// [`Prepared::query`].
-    fn query_planned(
-        &self,
-        sql_text: Option<&str>,
-        stmt: Option<&Statement>,
-        info: Option<Arc<ParamInfo>>,
-        first_plan: Option<Arc<Plan>>,
-        params: &[Value],
-    ) -> Result<Rows> {
-        // Sampled trace covering open + the eager (explicit-transaction)
-        // execution; the streaming autocommit path finishes the trace when
-        // the open returns, charging the per-row pulls to the caller's
-        // iteration (which has no statement-shaped scope to trace).
-        let _trace = self
-            .catalog
-            .engine()
-            .stats()
-            .obs()
-            .maybe_trace(|| "sql.query".to_string());
-        {
-            let mut cur = self.current.lock();
-            if cur.is_some() {
-                let plan = match &first_plan {
-                    Some(p) => Arc::clone(p),
-                    None => {
-                        let txn = cur.as_ref().expect("checked above");
-                        self.plan_for(txn, sql_text, stmt, info)?
-                    }
-                };
-                Self::require_query_plan(&plan)?;
-                let txn = cur.as_ref().expect("checked above");
-                // Same failure policy as execute(): an execution error may
-                // have buffered partial state, so the transaction aborts.
-                let rs = match yesquel_sql::execute_plan(&self.catalog, txn, &plan, params) {
-                    Ok(rs) => rs,
-                    Err(e) => {
-                        if let Some(txn) = cur.take() {
-                            txn.abort();
-                        }
-                        self.catalog.invalidate_all();
-                        return Err(e);
-                    }
-                };
-                return Ok(Rows {
-                    catalog: Arc::clone(&self.catalog),
-                    params: params.to_vec(),
-                    header: Arc::from(rs.columns),
-                    state: RowsState::Collected {
-                        iter: rs.rows.into_iter(),
-                    },
-                });
-            }
-        }
-        let txn = self.client.begin();
-        let plan = match first_plan {
-            Some(p) => p,
-            None => match self.plan_for(&txn, sql_text, stmt, info) {
-                Ok(p) => p,
-                Err(e) => {
-                    txn.abort();
-                    return Err(e);
-                }
-            },
-        };
-        if let Err(e) = Self::require_query_plan(&plan) {
-            txn.abort();
-            return Err(e);
-        }
-        let stream = match yesquel_sql::open_stream(&self.catalog, &txn, &plan, params) {
-            Ok(s) => s,
-            Err(e) => {
-                txn.abort();
-                return Err(e);
-            }
-        };
-        Ok(Rows {
-            catalog: Arc::clone(&self.catalog),
-            params: params.to_vec(),
-            header: Arc::from(stream.columns().to_vec()),
-            state: RowsState::Streaming {
-                txn: Some(txn),
-                stream,
-                finished: false,
-            },
-        })
-    }
-
-    /// Looks `sql` up in the statement cache, counting the hit or miss; a
-    /// hit requires the catalog generation the plan was built under to
-    /// still be current.  When the catalog has moved since the last probe,
-    /// every resident entry planned under the old generation is dead and is
-    /// evicted in one sweep (counted in `sql.stmt_cache_evictions`) instead
-    /// of lingering until individually re-probed.  Callers that miss go on
-    /// to plan fresh (and must not probe again on the same call chain).
-    fn cached_plan(&self, sql: &str) -> Option<(Arc<Plan>, Arc<ParamInfo>)> {
-        let generation = self.catalog.generation();
-        let counters = self.catalog.counters();
-        let mut cache = self.stmt_cache.lock();
-        if cache.generation != generation {
-            let before = cache.map.len();
-            cache.map.retain(|_, e| e.generation == generation);
-            let evicted = (before - cache.map.len()) as u64;
-            if evicted > 0 {
-                counters.stmt_cache_evictions.add(evicted);
-            }
-            cache.generation = generation;
-        }
-        cache.tick += 1;
-        let tick = cache.tick;
-        let hit = match cache.map.get_mut(sql) {
-            Some(e) if e.generation == generation => {
-                e.last_used = tick;
-                Some((Arc::clone(&e.plan), Arc::clone(&e.info)))
-            }
-            // An entry that raced an invalidation while being planned can
-            // still carry an older generation than the swept cache: evict
-            // it on the spot.
-            Some(_) => {
-                cache.map.remove(sql);
-                counters.stmt_cache_evictions.inc();
-                None
-            }
-            None => None,
-        };
-        drop(cache);
-        if hit.is_some() {
-            counters.stmt_cache_hits.inc();
-        } else {
-            counters.stmt_cache_misses.inc();
-        }
-        hit
-    }
-
-    /// Caches a freshly built plan (planned statements only — DDL mutates
-    /// the schema it would be keyed under, and transaction control never
-    /// reaches the planner).
-    fn cache_plan(&self, sql: &str, plan: &Arc<Plan>, info: Arc<ParamInfo>, generation: u64) {
-        if !matches!(
-            &**plan,
-            Plan::Select(_)
-                | Plan::ConstSelect(_)
-                | Plan::Insert(_)
-                | Plan::Update(_)
-                | Plan::Delete(_)
-                | Plan::Explain(_)
-                | Plan::ExplainAnalyze(_)
-        ) {
-            return;
-        }
-        let mut cache = self.stmt_cache.lock();
-        cache.tick += 1;
-        let tick = cache.tick;
-        cache.map.insert(
-            sql.to_string(),
-            CachedStmt {
-                plan: Arc::clone(plan),
-                info,
-                generation,
-                last_used: tick,
-            },
-        );
-        if cache.map.len() > STMT_CACHE_CAP {
-            if let Some(evict) = cache
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                cache.map.remove(&evict);
-                self.catalog.counters().stmt_cache_evictions.inc();
-            }
-        }
-    }
-
-    /// Produces the plan for one statement: parses `sql_text` if no parsed
-    /// statement was supplied, plans inside `txn`, and populates the cache
-    /// on the way out (when the text — and hence a cache key — is known).
-    /// Callers probe the cache themselves before getting here.
-    fn plan_for(
-        &self,
-        txn: &Txn,
-        sql_text: Option<&str>,
-        stmt: Option<&Statement>,
-        info: Option<Arc<ParamInfo>>,
-    ) -> Result<Arc<Plan>> {
-        let parsed;
-        let (stmt, info) = match stmt {
-            Some(s) => (s, info),
-            None => {
-                let text = sql_text.expect("plan_for needs text or statement");
-                self.catalog.counters().parses.inc();
-                let (s, i) = yesquel_sql::parse_with_params(text)?;
-                parsed = s;
-                (&parsed, Some(Arc::new(i)))
-            }
-        };
-        // Captured before planning: if a concurrent invalidation bumps the
-        // generation mid-plan, the cached entry is already stale and the
-        // next lookup replans.
-        let generation = self.catalog.generation();
-        let plan = Arc::new(yesquel_sql::plan_statement(&self.catalog, txn, stmt)?);
-        if let (Some(text), Some(info)) = (sql_text, info) {
-            self.cache_plan(text, &plan, info, generation);
-        }
-        Ok(plan)
-    }
-
-    /// Executes every statement of a semicolon-separated script, returning
-    /// the result of each.
-    pub fn execute_script(&self, sql_text: &str) -> Result<Vec<ResultSet>> {
-        let stmts = yesquel_sql::parse_script(sql_text)?;
-        self.catalog.counters().parses.add(stmts.len() as u64);
-        let mut out = Vec::with_capacity(stmts.len());
-        for stmt in &stmts {
-            out.push(self.execute_statement(stmt, &[])?);
-        }
-        Ok(out)
-    }
-
-    /// Executes one parsed statement.
-    pub fn execute_statement(&self, stmt: &Statement, params: &[Value]) -> Result<ResultSet> {
-        match stmt {
-            Statement::Begin => {
-                let mut cur = self.current.lock();
-                if cur.is_some() {
-                    return Err(Error::InvalidArgument(
-                        "cannot BEGIN: a transaction is already open".into(),
-                    ));
-                }
-                *cur = Some(self.client.begin());
-                Ok(ResultSet::default())
-            }
-            Statement::Commit => {
-                let txn = self.current.lock().take().ok_or_else(|| {
-                    Error::InvalidArgument("cannot COMMIT: no open transaction".into())
-                })?;
-                match txn.commit() {
-                    Ok(_) => Ok(ResultSet::default()),
-                    Err(e) => {
-                        // The transaction is gone; any DDL it performed must
-                        // not survive in the schema cache.
-                        self.catalog.invalidate_all();
-                        Err(e)
-                    }
-                }
-            }
-            Statement::Rollback => {
-                let txn = self.current.lock().take().ok_or_else(|| {
-                    Error::InvalidArgument("cannot ROLLBACK: no open transaction".into())
-                })?;
-                txn.abort();
-                self.catalog.invalidate_all();
-                Ok(ResultSet::default())
-            }
-            other => self.execute_planned(None, Some(other), None, None, params),
-        }
-    }
-
-    /// Plans (through the cache, when the SQL text is available) and
-    /// executes one non-transaction-control statement.  `first_plan` is a
-    /// plan the caller already holds — a cache hit or a prepared pin — used
-    /// for the first attempt; retries always replan (the conflict handler
-    /// invalidates the schema cache, which also stales the statement cache).
-    fn execute_planned(
-        &self,
-        sql_text: Option<&str>,
-        stmt: Option<&Statement>,
-        info: Option<Arc<ParamInfo>>,
-        first_plan: Option<Arc<Plan>>,
-        params: &[Value],
-    ) -> Result<ResultSet> {
-        // Sampled op-scoped trace (1-in-N; one relaxed load when off).  The
-        // guard spans the whole statement, so span timings and trace
-        // counters from every layer beneath attribute to it.
-        let _trace = self
-            .catalog
-            .engine()
-            .stats()
-            .obs()
-            .maybe_trace(|| "sql.execute".to_string());
-        // Explicit transaction: run the statement inside it.  Planning
-        // errors (parse/schema/unsupported) write nothing and leave the
-        // transaction usable; an execution error may have buffered partial
-        // writes, so the whole transaction is aborted (statement-level
-        // rollback is not implemented).
-        let mut cur = self.current.lock();
-        if let Some(txn) = cur.as_ref() {
-            let plan = match first_plan {
-                Some(p) => p,
-                None => self.plan_for(txn, sql_text, stmt, info)?,
-            };
-            return match yesquel_sql::execute_plan(&self.catalog, txn, &plan, params) {
-                Ok(rs) => Ok(rs),
-                Err(e) => {
-                    if let Some(txn) = cur.take() {
-                        txn.abort();
-                    }
-                    self.catalog.invalidate_all();
-                    Err(e)
-                }
-            };
-        }
-        drop(cur);
-
-        // Autocommit: one transaction per statement, retried on conflicts
-        // and availability failures (RPC timeout, server temporarily down)
-        // — the documented recovery strategy under snapshot isolation with
-        // an unreliable network.  A failed attempt may have cached schemas
-        // from its aborted writes, so the schema cache is dropped before
-        // every retry — which bumps the catalog generation, so the retry
-        // also replans.
-        const MAX_ATTEMPTS: usize = 24;
-        let cfg = self.client.config().clone();
-        let mut last_err = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            let txn = self.client.begin();
-            let plan = match (&first_plan, attempt) {
-                (Some(p), 0) => Ok(Arc::clone(p)),
-                _ => self.plan_for(&txn, sql_text, stmt, info.clone()),
-            };
-            let result =
-                plan.and_then(|plan| yesquel_sql::execute_plan(&self.catalog, &txn, &plan, params));
-            match result {
-                Ok(rs) => match txn.commit() {
-                    Ok(_) => return Ok(rs),
-                    Err(e) if e.is_retryable() => {
-                        self.catalog.invalidate_all();
-                        last_err = Some(e);
-                    }
-                    Err(e) => {
-                        self.catalog.invalidate_all();
-                        return Err(e);
-                    }
-                },
-                Err(e) if e.is_retryable() => {
-                    txn.abort();
-                    self.catalog.invalidate_all();
-                    last_err = Some(e);
-                }
-                Err(e) => {
-                    txn.abort();
-                    self.catalog.invalidate_all();
-                    return Err(e);
-                }
-            }
-            // Conflicts back off only once retries repeat (the first two
-            // immediate retries usually win); availability failures back
-            // off from the first retry to let the server recover.
-            let availability = last_err.as_ref().is_some_and(Error::is_availability);
-            if availability || attempt > 2 {
-                yesquel_common::timeutil::sleep_backoff(
-                    attempt,
-                    cfg.rpc_backoff_us.max(50),
-                    cfg.rpc_backoff_cap_us,
-                    0x5a1_u64 ^ attempt as u64,
-                );
-            }
-        }
-        // Exhausted.  Availability failures degrade to a clean "service
-        // unavailable" the application can act on; everything else keeps
-        // the full retry context.
-        let last = last_err.expect("exhaustion implies a retryable error occurred");
-        if last.is_availability() {
-            Err(Error::Unavailable(format!(
-                "statement gave up after {MAX_ATTEMPTS} attempts: {last}"
-            )))
-        } else {
-            Err(Error::RetriesExhausted {
-                attempts: MAX_ATTEMPTS,
-                last: Box::new(last),
-            })
-        }
-    }
-}
-
-/// A prepared statement: the parsed AST, its parameter table, and the
-/// pinned [`Plan`], owned by the handle and re-executable with fresh
-/// parameters.
-///
-/// The handle holds its plan directly — re-execution performs **zero**
-/// parse and **zero** plan work, and never re-hashes the SQL text through
-/// the session's statement cache.  Before every use the pin is revalidated
-/// against the catalog generation: DDL or a schema-cache invalidation makes
-/// it stale, and the next call replans from the retained AST (still zero
-/// parse) and re-pins.
-///
-/// Binding is checked before execution: a positional arity mismatch or an
-/// unknown `:name` is an [`Error::Bind`], not a runtime expression error
-/// deep in the scan.
-pub struct Prepared<'s> {
-    session: &'s Session,
-    sql: String,
-    stmt: Statement,
-    info: Arc<ParamInfo>,
-    /// The pinned plan and the catalog generation it was planned under.
-    state: Mutex<(Arc<Plan>, u64)>,
-}
-
-impl std::fmt::Debug for Prepared<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Prepared")
-            .field("sql", &self.sql)
-            .field("params", &self.info.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Prepared<'_> {
-    /// The SQL text the statement was prepared from.
-    pub fn sql(&self) -> &str {
-        &self.sql
-    }
-
-    /// The statement's parameter table.
-    pub fn param_info(&self) -> &ParamInfo {
-        &self.info
-    }
-
-    /// Number of parameters the statement takes.
-    pub fn param_count(&self) -> usize {
-        self.info.len()
-    }
-
-    /// The planner's one-line description of the currently pinned plan
-    /// (what `EXPLAIN` would print), revalidating first — after a
-    /// `CREATE INDEX` this reflects the replanned access path.
-    pub fn describe(&self) -> Result<String> {
-        Ok(self.current_plan()?.describe())
-    }
-
-    /// The pinned plan if still current, else a fresh replan from the
-    /// retained AST (no parse), re-pinned for the next call.
-    fn current_plan(&self) -> Result<Arc<Plan>> {
-        let generation = self.session.catalog.generation();
-        {
-            let state = self.state.lock();
-            if state.1 == generation {
-                return Ok(Arc::clone(&state.0));
-            }
-        }
-        let (plan, generation) = self.session.replan(&self.stmt)?;
-        *self.state.lock() = (Arc::clone(&plan), generation);
-        Ok(plan)
-    }
-
-    /// Checks positional arity (EXPLAIN statements are exempt — they
-    /// describe the plan without evaluating parameters).
-    fn check_arity(&self, supplied: usize) -> Result<()> {
-        if matches!(self.stmt, Statement::Explain(_)) {
-            Ok(())
-        } else {
-            self.info.check_arity(supplied)
-        }
-    }
-
-    /// Resolves named pairs into the positional array.  The EXPLAIN
-    /// exemption matches [`Prepared::check_arity`]: unknown names and
-    /// double binds still error (they are mistakes), but unbound slots are
-    /// filled with NULL because EXPLAIN never evaluates them.
-    fn bind_named(&self, pairs: &[(&str, Value)]) -> Result<Vec<Value>> {
-        if matches!(self.stmt, Statement::Explain(_)) {
-            self.info.bind_named_lenient(pairs)
-        } else {
-            self.info.bind_named(pairs)
-        }
-    }
-
-    /// Executes the statement with positional parameters (see [`params!`]),
-    /// checking arity at bind time.
-    pub fn execute(&self, params: &[Value]) -> Result<ResultSet> {
-        self.check_arity(params.len())?;
-        let plan = self.current_plan()?;
-        self.session
-            .execute_planned(None, Some(&self.stmt), None, Some(plan), params)
-    }
-
-    /// Executes the statement with named parameters:
-    /// `prep.execute_named(&[(":title", title.into())])?`.  Every pair must
-    /// match a `:name` placeholder and every placeholder must be bound.
-    pub fn execute_named(&self, params: &[(&str, Value)]) -> Result<ResultSet> {
-        let values = self.bind_named(params)?;
-        let plan = self.current_plan()?;
-        self.session
-            .execute_planned(None, Some(&self.stmt), None, Some(plan), &values)
-    }
-
-    /// Opens the statement (SELECT/EXPLAIN) as a pulling [`Rows`] iterator
-    /// of typed [`Row`]s.
-    pub fn query(&self, params: &[Value]) -> Result<Rows> {
-        self.check_arity(params.len())?;
-        let plan = self.current_plan()?;
-        self.session
-            .query_planned(None, Some(&self.stmt), None, Some(plan), params)
-    }
-
-    /// [`Prepared::query`] with named parameters.
-    pub fn query_named(&self, params: &[(&str, Value)]) -> Result<Rows> {
-        let values = self.bind_named(params)?;
-        let plan = self.current_plan()?;
-        self.session
-            .query_planned(None, Some(&self.stmt), None, Some(plan), &values)
-    }
-
-    /// Runs the query and maps every [`Row`] through `f`:
-    ///
-    /// ```ignore
-    /// let titles: Vec<(String, i64)> =
-    ///     top.query_map(params![10], |r| Ok((r.get("title")?, r.get("views")?)))?;
-    /// ```
-    pub fn query_map<T>(
-        &self,
-        params: &[Value],
-        mut f: impl FnMut(&Row) -> Result<T>,
-    ) -> Result<Vec<T>> {
-        let rows = self.query(params)?;
-        let mut out = Vec::new();
-        for row in rows {
-            out.push(f(&row?)?);
-        }
-        Ok(out)
-    }
-}
-
-/// How an open [`Rows`] iterator produces its rows.
-enum RowsState {
-    /// Pulling straight out of the operator pipeline, inside an iterator-
-    /// owned autocommit transaction.
-    Streaming {
-        txn: Option<Txn>,
-        stream: RowStream,
-        finished: bool,
-    },
-    /// Materialised up front (queries inside an explicit transaction).
-    Collected {
-        iter: std::vec::IntoIter<Vec<Value>>,
-    },
-}
-
-/// A pulling result iterator returned by [`Session::query`] and
-/// [`Prepared::query`]: rows stream one at a time out of the executor's
-/// operator stack, so abandoning the iterator early leaves unvisited rows
-/// unread (a `LIMIT`-less query you stop consuming costs only what you
-/// consumed).
-///
-/// Yields `Result<Row>` — typed rows sharing one `Arc` column header, so
-/// each item costs its values plus a reference-count bump.  The first error
-/// ends the stream.  When the stream is drained the owned read-only
-/// transaction commits (a local no-op that cannot conflict); dropping the
-/// iterator mid-stream simply drops the transaction (client-buffered, no
-/// server-side state).
-pub struct Rows {
-    catalog: Arc<Catalog>,
-    params: Vec<Value>,
-    header: Arc<[String]>,
-    state: RowsState,
-}
-
-impl std::fmt::Debug for Rows {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Rows")
-            .field("columns", &self.header)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Rows {
-    /// Column headers of the result.
-    pub fn columns(&self) -> &[String] {
-        &self.header
-    }
-
-    /// Drains the remaining rows into a [`ResultSet`] (the collect-all
-    /// convenience the executor's `ResultSet` path is itself built on).
-    pub fn into_result_set(mut self) -> Result<ResultSet> {
-        let columns = self.header.to_vec();
-        let mut rows = Vec::new();
-        for row in &mut self {
-            rows.push(row?.into_values());
-        }
-        Ok(ResultSet {
-            columns,
-            rows,
-            rows_affected: 0,
-            last_rowid: None,
-        })
-    }
-}
-
-impl Iterator for Rows {
-    type Item = Result<Row>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.state {
-            RowsState::Collected { iter } => iter
-                .next()
-                .map(|v| Ok(Row::new(Arc::clone(&self.header), v))),
-            RowsState::Streaming {
-                txn,
-                stream,
-                finished,
-            } => {
-                if *finished {
-                    return None;
-                }
-                let cx = ExecCtx {
-                    catalog: &self.catalog,
-                    txn: txn.as_ref().expect("transaction lives until finish"),
-                    params: &self.params,
-                };
-                match stream.next_row(&cx) {
-                    Ok(Some(row)) => Some(Ok(Row::new(Arc::clone(&self.header), row))),
-                    Ok(None) => {
-                        *finished = true;
-                        if let Some(t) = txn.take() {
-                            if let Err(e) = t.commit() {
-                                return Some(Err(e));
-                            }
-                        }
-                        None
-                    }
-                    Err(e) => {
-                        *finished = true;
-                        if let Some(t) = txn.take() {
-                            t.abort();
-                        }
-                        Some(Err(e))
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// A whole Yesquel deployment plus one client-side DBT engine and a default
 /// SQL session — the shape an embedding application uses: open, `prepare`
@@ -1056,65 +195,6 @@ mod tests {
         ));
         // Transaction control cannot be prepared.
         assert!(y.prepare("BEGIN").is_err());
-    }
-
-    #[test]
-    fn autocommit_degrades_to_unavailable_and_recovers() {
-        let mut cfg = YesquelConfig::with_servers(2);
-        cfg.kv = KvConfig::impatient();
-        let db = KvDatabase::with_faults(cfg, rpc::TransportKind::Direct, vec![]);
-        let y = Yesquel::open_db(db).unwrap();
-        y.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)", &[])
-            .unwrap();
-        y.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
-
-        let faults = Arc::clone(y.db().faults().expect("fault-injected deployment"));
-        faults.crash(0);
-        faults.crash(1);
-        match y.execute("SELECT v FROM t WHERE id = 1", &[]) {
-            Err(Error::Unavailable(msg)) => {
-                assert!(msg.contains("attempts"), "degradation message: {msg}")
-            }
-            other => panic!("expected clean Unavailable, got {other:?}"),
-        }
-
-        // Service resumes transparently once the servers come back.
-        faults.restart(0);
-        faults.restart(1);
-        let rs = y.execute("SELECT v FROM t WHERE id = 1", &[]).unwrap();
-        assert_eq!(rs.rows, vec![vec![Value::Text("a".into())]]);
-    }
-
-    #[test]
-    fn autocommit_rides_out_transient_faults() {
-        let mut cfg = YesquelConfig::with_servers(2);
-        cfg.kv = KvConfig::impatient();
-        // Every server drops ~20% of requests and delays some others; the
-        // retry stack must hide all of it from SQL callers.
-        let plan = rpc::FaultPlan {
-            seed: 7,
-            drop_request: 0.15,
-            drop_response: 0.05,
-            transient_error: 0.05,
-            ..rpc::FaultPlan::healthy()
-        };
-        let db = KvDatabase::with_faults(cfg, rpc::TransportKind::Direct, vec![plan.clone(), plan]);
-        let y = Yesquel::open_db(db).unwrap();
-        y.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INT)", &[])
-            .unwrap();
-        let ins = y.prepare("INSERT INTO t VALUES (?, ?)").unwrap();
-        for i in 0..40i64 {
-            ins.execute(params![i, i * 10]).unwrap();
-        }
-        let rs = y.execute("SELECT COUNT(*), SUM(n) FROM t", &[]).unwrap();
-        assert_eq!(
-            rs.rows,
-            vec![vec![
-                Value::Int(40),
-                Value::Int((0..40).map(|i| i * 10).sum())
-            ]]
-        );
-        assert!(y.db().faults().unwrap().faults_injected() > 0);
     }
 
     #[test]

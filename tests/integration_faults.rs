@@ -18,7 +18,7 @@ use yesquel::common::tempdir::TempDir;
 use yesquel::kv::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
 use yesquel::kv::store::TxnOutcome;
 use yesquel::rpc::{FaultPlan, Transport, TransportKind};
-use yesquel::{Error, KvConfig, KvDatabase, ObjectId, YesquelConfig};
+use yesquel::{params, Error, KvConfig, KvDatabase, ObjectId, Value, Yesquel, YesquelConfig};
 
 /// First oid ≥ `from` in tree 1 homed at `server` in a `nservers` cluster.
 fn oid_on(server: usize, nservers: usize, from: u64) -> ObjectId {
@@ -665,4 +665,110 @@ fn restarted_secondary_presumes_abort_only_after_its_lease() {
     assert_eq!(servers[1].store().outcome(txn), Some(TxnOutcome::Aborted));
     let resp = faults.call(1, KvRequest::Get { obj: o1, ts }).unwrap();
     assert!(matches!(resp, KvResponse::Value(None)), "{resp:?}");
+}
+
+/// With every server down an autocommit statement gives up with a clean
+/// `Unavailable`, and service resumes once the servers are back.
+#[test]
+fn autocommit_degrades_to_unavailable_and_recovers() {
+    let db = KvDatabase::with_faults(impatient(2), TransportKind::Direct, vec![]);
+    let y = Yesquel::open_db(db).unwrap();
+    y.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)", &[])
+        .unwrap();
+    y.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
+
+    let faults = Arc::clone(y.db().faults().expect("fault-injected deployment"));
+    faults.crash(0);
+    faults.crash(1);
+    match y.execute("SELECT v FROM t WHERE id = 1", &[]) {
+        Err(Error::Unavailable(msg)) => {
+            assert!(msg.contains("attempts"), "degradation message: {msg}")
+        }
+        other => panic!("expected clean Unavailable, got {other:?}"),
+    }
+
+    // Service resumes transparently once the servers come back.
+    faults.restart(0);
+    faults.restart(1);
+    let rs = y.execute("SELECT v FROM t WHERE id = 1", &[]).unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Text("a".into())]]);
+}
+
+#[test]
+fn autocommit_rides_out_transient_faults() {
+    // Every server drops ~20% of requests and delays some others; the
+    // retry stack must hide all of it from SQL callers.
+    let plan = FaultPlan {
+        seed: 7,
+        drop_request: 0.15,
+        drop_response: 0.05,
+        transient_error: 0.05,
+        ..FaultPlan::healthy()
+    };
+    let db = KvDatabase::with_faults(
+        impatient(2),
+        TransportKind::Direct,
+        vec![plan.clone(), plan],
+    );
+    let y = Yesquel::open_db(db).unwrap();
+    y.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INT)", &[])
+        .unwrap();
+    let ins = y.prepare("INSERT INTO t VALUES (?, ?)").unwrap();
+    for i in 0..40i64 {
+        ins.execute(params![i, i * 10]).unwrap();
+    }
+    let rs = y.execute("SELECT COUNT(*), SUM(n) FROM t", &[]).unwrap();
+    assert_eq!(
+        rs.rows,
+        vec![vec![
+            Value::Int(40),
+            Value::Int((0..40).map(|i| i * 10).sum())
+        ]]
+    );
+    assert!(y.db().faults().unwrap().faults_injected() > 0);
+}
+
+/// Opening a stream is an autocommit statement like any other: no row has
+/// been handed out yet, so a transient fault during the open (where a point
+/// select does all of its reading) is retried, not returned.
+#[test]
+fn streamed_queries_ride_out_transient_faults() {
+    let db = KvDatabase::with_faults(impatient(2), TransportKind::Direct, vec![]);
+    let y = Yesquel::open_db(db).unwrap();
+    y.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INT)", &[])
+        .unwrap();
+    for i in 0..40i64 {
+        y.execute("INSERT INTO t VALUES (?, ?)", params![i, i * 10])
+            .unwrap();
+    }
+    let by_id = y.prepare("SELECT n FROM t WHERE id = ?").unwrap();
+
+    // Half of all requests now fail, so about one read in sixteen uses up
+    // the four attempts `impatient` gives an RPC and fails as a whole.
+    let faults = Arc::clone(y.db().faults().expect("fault-injected deployment"));
+    for server in 0..2 {
+        let plan = FaultPlan {
+            seed: 11 + server as u64,
+            transient_error: 0.5,
+            ..FaultPlan::healthy()
+        };
+        faults.set_plan(server, plan);
+    }
+    let retries = y.db().stats().counter("kv.txn_retries");
+    let before = retries.get();
+    for round in 0..10 {
+        for i in 0..40i64 {
+            let rows = if round % 2 == 0 {
+                y.query("SELECT n FROM t WHERE id = ?", params![i])
+            } else {
+                by_id.query(params![i])
+            };
+            let rs = rows.unwrap().into_result_set().unwrap();
+            assert_eq!(rs.rows, vec![vec![Value::Int(i * 10)]]);
+        }
+    }
+    assert!(
+        retries.get() > before,
+        "no open was retried: the faults never reached a statement"
+    );
 }

@@ -747,6 +747,27 @@ fn ordered_limit_reads_only_limit_entries() {
 }
 
 #[test]
+fn limit_reserves_the_result_rows_once() {
+    let y = wiki_fixture();
+    // Reserved up front from the LIMIT — a vector grown by `push` would
+    // have been reallocated at 4 and 8 rows and ended at capacity 16.
+    let rs = y
+        .execute("SELECT title FROM pages ORDER BY views LIMIT 10", &[])
+        .unwrap();
+    assert_eq!(rs.rows.len(), 10);
+    assert_eq!(rs.rows.capacity(), 10);
+    // The limit is an upper bound, not a promise: the reservation is capped.
+    let rs = y
+        .execute(
+            "SELECT title FROM pages WHERE views < 30 LIMIT 1000000",
+            &[],
+        )
+        .unwrap();
+    assert_eq!(rs.rows.len(), 3);
+    assert!(rs.rows.capacity() <= 64, "{}", rs.rows.capacity());
+}
+
+#[test]
 fn order_elision_respects_nullable_unique_indexes() {
     // Unique indexes store NULL-containing entries non-unique style (rowid
     // suffix, duplicates allowed), so consuming all columns of a unique
@@ -1116,16 +1137,19 @@ fn typed_row_access() {
 }
 
 #[test]
-fn stale_statement_cache_entries_are_swept() {
+fn stale_statement_cache_entries_replan_from_their_ast() {
     let y = Yesquel::open(2);
     y.execute("CREATE TABLE s (id INTEGER PRIMARY KEY, a INT)", &[])
         .unwrap();
+    y.execute("INSERT INTO s (a) VALUES (0), (0), (1)", &[])
+        .unwrap();
     let stats = y.db().stats();
+    let count = |name: &str| stats.counter(name).get();
 
     // Populate the cache with several distinct statement texts.
+    let text = |i: i64| format!("SELECT id FROM s WHERE a = {i}");
     for i in 0..6i64 {
-        y.execute(&format!("SELECT id FROM s WHERE a = {i}"), &[])
-            .unwrap();
+        y.execute(&text(i), &[]).unwrap();
     }
     let resident = y.session().stmt_cache_len();
     assert!(
@@ -1133,22 +1157,270 @@ fn stale_statement_cache_entries_are_swept() {
         "expected ≥6 cached statements, got {resident}"
     );
 
-    // DDL bumps the catalog generation: every resident entry is dead.  The
-    // next probe (any text) sweeps them all instead of leaving them
-    // resident until individually re-probed.
-    y.execute("CREATE TABLE s2 (id INTEGER PRIMARY KEY)", &[])
-        .unwrap();
-    let evictions = stats.counter("sql.stmt_cache_evictions").get();
-    y.execute("SELECT id FROM s WHERE a = 0", &[]).unwrap();
-    let swept = stats.counter("sql.stmt_cache_evictions").get() - evictions;
-    assert!(swept >= resident as u64, "swept only {swept} of {resident}");
-    // The probed statement was re-planned and re-cached; the other stale
-    // texts are gone.
+    // DDL bumps the catalog generation: every resident pin is stale.  The
+    // entries are not thrown away — a stale entry is what a stale
+    // `Prepared` is, and its next run replans from the AST it kept: one
+    // plan, no parse, no eviction, and the new access path.
+    y.execute("CREATE INDEX s_by_a ON s (a)", &[]).unwrap();
+    assert_eq!(y.session().stmt_cache_len(), resident + 1);
+    let (parses, plans, evictions, hits) = (
+        count("sql.parses"),
+        count("sql.plans"),
+        count("sql.stmt_cache_evictions"),
+        count("sql.stmt_cache_hits"),
+    );
+    for _ in 0..3 {
+        assert_eq!(y.execute(&text(0), &[]).unwrap().rows.len(), 2);
+    }
+    assert_eq!(
+        count("sql.parses"),
+        parses,
+        "a stale entry must not reparse"
+    );
+    assert_eq!(
+        count("sql.plans"),
+        plans + 1,
+        "one replan, then pinned again"
+    );
+    assert_eq!(count("sql.stmt_cache_hits"), hits + 3);
+    assert_eq!(count("sql.stmt_cache_evictions"), evictions);
+    assert_eq!(y.session().stmt_cache_len(), resident + 1);
+    // The replan picked up the index (both texts hit the cache: the first
+    // EXPLAIN of this text was planned before the index existed).
+    let explain = format!("EXPLAIN {}", text(0));
+    assert_eq!(
+        y.execute(&explain, &[]).unwrap().rows[0][0],
+        Value::Text("INDEX s USING s_by_a (eq=1) covering".into())
+    );
+
+    // What bounds the cache is its capacity, not the generation: dead texts
+    // age out of the LRU as live ones arrive.
+    for i in 0..200i64 {
+        y.execute(&format!("SELECT {i}"), &[]).unwrap();
+    }
     assert!(
-        y.session().stmt_cache_len() <= 2,
-        "stale entries still resident: {}",
+        y.session().stmt_cache_len() <= 128,
+        "cache over capacity: {}",
         y.session().stmt_cache_len()
     );
+    assert!(count("sql.stmt_cache_evictions") > evictions);
+}
+
+#[test]
+fn adhoc_and_prepared_are_one_path() {
+    let y = Yesquel::open(2);
+    y.execute(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, a INT, b TEXT)",
+        &[],
+    )
+    .unwrap();
+    for i in 0..20i64 {
+        y.execute(
+            "INSERT INTO t (a, b) VALUES (?, ?)",
+            params![i % 5, format!("b{i}")],
+        )
+        .unwrap();
+    }
+    let stats = y.db().stats();
+    let count = |name: &str| stats.counter(name).get();
+    let explain_line = |y: &Yesquel, sql: &str| match &y.execute(sql, &[]).unwrap().rows[0][0] {
+        Value::Text(line) => line.clone(),
+        other => panic!("EXPLAIN returned {other:?}"),
+    };
+
+    // The same text twice through execute(), then once through prepare():
+    // one parse for the cache entry, none for the hit, one for the handle.
+    let sql = "SELECT id, b FROM t WHERE a = ? ORDER BY id";
+    let explain = format!("EXPLAIN {sql}");
+    let parses = count("sql.parses");
+    let first = y.execute(sql, params![3]).unwrap();
+    assert_eq!(count("sql.parses"), parses + 1);
+    let second = y.execute(sql, params![3]).unwrap();
+    assert_eq!(count("sql.parses"), parses + 1);
+    let handle = y.prepare(sql).unwrap();
+    assert_eq!(count("sql.parses"), parses + 2);
+    let third = handle.execute(params![3]).unwrap();
+    let streamed = handle.query(params![3]).unwrap().into_result_set().unwrap();
+    assert_eq!(first.rows.len(), 4);
+    for other in [&second, &third, &streamed] {
+        assert_eq!(first.columns, other.columns);
+        assert_eq!(first.rows, other.rows);
+    }
+    assert_eq!(handle.describe().unwrap(), "SCAN t ordered by index");
+    assert_eq!(explain_line(&y, &explain), handle.describe().unwrap());
+
+    // DDL stales the cache entry and the handle alike, and both come back
+    // the same way: replanned from the AST each kept, onto the same plan.
+    y.execute("CREATE INDEX t_by_a ON t (a)", &[]).unwrap();
+    let (parses, plans) = (count("sql.parses"), count("sql.plans"));
+    let adhoc = y.execute(sql, params![3]).unwrap();
+    let prepared = handle.execute(params![3]).unwrap();
+    assert_eq!(count("sql.parses"), parses, "neither side reparses");
+    assert_eq!(count("sql.plans"), plans + 2, "each side replans once");
+    assert_eq!(adhoc.rows, first.rows);
+    assert_eq!(prepared.rows, first.rows);
+    let line = handle.describe().unwrap();
+    assert!(line.starts_with("INDEX t USING t_by_a (eq=1)"), "{line}");
+    assert_eq!(explain_line(&y, &explain), line);
+    // Bind errors are the same error from both.
+    assert!(matches!(y.execute(sql, &[]), Err(Error::Bind(_))));
+    assert!(matches!(handle.execute(&[]), Err(Error::Bind(_))));
+}
+
+#[test]
+fn conflicts_cost_retries_not_plans() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Barrier};
+    use std::time::{Duration, Instant};
+
+    let y = Arc::new(Yesquel::open(4));
+    y.execute("CREATE TABLE c (id INTEGER PRIMARY KEY, n INT)", &[])
+        .unwrap();
+    y.execute("INSERT INTO c VALUES (0, 0), (1, 0), (2, 0)", &[])
+        .unwrap();
+    let conflicts = y.db().stats().counter("kv.txn_conflicts");
+    // Two sessions on two threads, each with its own prepared UPDATE, over
+    // the same three rows (one leaf: every overlap in time is a conflict).
+    // The main thread reads the counters between the barriers, once both
+    // handles are prepared and warm.
+    let barrier = Arc::new(Barrier::new(3));
+    let acked: Arc<[AtomicU64; 3]> = Arc::default();
+    let threads: Vec<_> = (0..2u64)
+        .map(|t| {
+            let (y, barrier, acked, conflicts) = (
+                Arc::clone(&y),
+                Arc::clone(&barrier),
+                Arc::clone(&acked),
+                Arc::clone(&conflicts),
+            );
+            std::thread::spawn(move || {
+                let s = y.new_session().unwrap();
+                let bump = s.prepare("UPDATE c SET n = n + 1 WHERE id = ?").unwrap();
+                bump.execute(params![t as i64]).unwrap();
+                acked[t as usize].fetch_add(1, Ordering::Relaxed);
+                barrier.wait();
+                barrier.wait();
+                let base = conflicts.get();
+                let deadline = Instant::now() + Duration::from_secs(60);
+                let mut i = t;
+                while conflicts.get() < base + 50 && Instant::now() < deadline {
+                    let id = i % 3;
+                    bump.execute(params![id as i64]).unwrap();
+                    acked[id as usize].fetch_add(1, Ordering::Relaxed);
+                    i += 1;
+                }
+            })
+        })
+        .collect();
+    barrier.wait();
+    let stats = y.db().stats();
+    let (parses, plans, before) = (
+        stats.counter("sql.parses").get(),
+        stats.counter("sql.plans").get(),
+        conflicts.get(),
+    );
+    barrier.wait();
+    for t in threads {
+        t.join().unwrap();
+    }
+    let retried = conflicts.get() - before;
+    assert!(retried >= 50, "only {retried} conflicts in 60 s");
+    // A conflict says two transactions wrote the same node; it says nothing
+    // about any schema, so it stales no pin.
+    assert_eq!(
+        stats.counter("sql.plans").get(),
+        plans,
+        "conflicts replanned"
+    );
+    assert_eq!(stats.counter("sql.parses").get(), parses);
+    // Every acknowledged increment is in the final state, row by row.
+    let want: Vec<Vec<i64>> = acked
+        .iter()
+        .map(|n| vec![n.load(Ordering::Relaxed) as i64])
+        .collect();
+    assert_eq!(rows_i64(&y, "SELECT n FROM c ORDER BY id"), want);
+}
+
+/// The three ways a transaction that ran DDL can fail to commit.  After
+/// each: the table it created is not visible, creating it for real works,
+/// and a handle pinned before the transaction replans exactly once (the
+/// schema cache was cleared once, not per statement and not never).
+#[test]
+fn uncommitted_ddl_leaves_no_schema_behind() {
+    let y = Yesquel::open(2);
+    y.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INT)", &[])
+        .unwrap();
+    y.execute("INSERT INTO t VALUES (1, 0)", &[]).unwrap();
+    let stats = y.db().stats();
+    let plans = || stats.counter("sql.plans").get();
+    let s = y.session();
+    let pinned = s.prepare("SELECT n FROM t WHERE id = ?").unwrap();
+    let replans_of_pinned = || {
+        let before = plans();
+        for _ in 0..3 {
+            pinned.execute(params![1]).unwrap();
+        }
+        plans() - before
+    };
+    let assert_gone_then_creatable = |table: &str| {
+        let err = s
+            .execute(&format!("SELECT * FROM {table}"), &[])
+            .unwrap_err();
+        assert!(matches!(err, Error::Schema(_)), "{table}: {err:?}");
+        s.execute(
+            &format!("CREATE TABLE {table} (id INTEGER PRIMARY KEY)"),
+            &[],
+        )
+        .unwrap();
+        s.execute(&format!("INSERT INTO {table} VALUES (7)"), &[])
+            .unwrap();
+        pinned.execute(params![1]).unwrap();
+    };
+
+    // The converse first: a rollback (or a failed statement's retry) of a
+    // transaction that ran no DDL leaves every pin alone.
+    s.execute_script("BEGIN; UPDATE t SET n = n + 1 WHERE id = 1; ROLLBACK")
+        .unwrap();
+    assert_eq!(replans_of_pinned(), 0, "a DML rollback staled a pin");
+
+    // 1. ROLLBACK.
+    s.execute_script("BEGIN; CREATE TABLE rolled (id INTEGER PRIMARY KEY, v TEXT)")
+        .unwrap();
+    s.execute("INSERT INTO rolled VALUES (1, 'x')", &[])
+        .unwrap();
+    s.execute("ROLLBACK", &[]).unwrap();
+    assert_eq!(replans_of_pinned(), 1);
+    assert_gone_then_creatable("rolled");
+
+    // 2. A COMMIT that conflicts: another session commits a write to the
+    //    row this transaction updated after its snapshot was taken.
+    s.execute_script(
+        "BEGIN; CREATE TABLE conflicted (id INTEGER PRIMARY KEY);
+         UPDATE t SET n = n + 10 WHERE id = 1",
+    )
+    .unwrap();
+    let other = y.new_session().unwrap();
+    other
+        .execute("UPDATE t SET n = n + 100 WHERE id = 1", &[])
+        .unwrap();
+    let err = s.execute("COMMIT", &[]).unwrap_err();
+    assert!(matches!(err, Error::Conflict(_)), "{err:?}");
+    assert!(!s.in_transaction());
+    assert_eq!(replans_of_pinned(), 1);
+    assert_gone_then_creatable("conflicted");
+
+    // 3. An execution error inside the transaction (duplicate primary key),
+    //    which aborts the whole of it.
+    s.execute_script("BEGIN; CREATE TABLE killed (id INTEGER PRIMARY KEY)")
+        .unwrap();
+    let err = s.execute("INSERT INTO t VALUES (1, 5)", &[]).unwrap_err();
+    assert!(matches!(err, Error::Constraint(_)), "{err:?}");
+    assert!(!s.in_transaction());
+    assert_eq!(replans_of_pinned(), 1);
+    assert_gone_then_creatable("killed");
+
+    // Only the other session's committed write ever reached the row.
+    assert_eq!(rows_i64(&y, "SELECT n FROM t"), vec![vec![100]]);
 }
 
 #[test]
