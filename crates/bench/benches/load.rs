@@ -1,6 +1,6 @@
 //! The multi-threaded load harness entry point: sweeps closed-loop load
 //! cells over thread count, server count, `wal_fsync` policy, contention,
-//! and request batching, printing one JSON line per cell and (with
+//! hot-node replication and observability mode, printing one JSON line per cell and (with
 //! `LOAD_JSON_OUT=<path>`) writing the full `BENCH_*_LOAD.json` report.
 //!
 //! * `BENCH_SMOKE=1` or `LOAD_SMOKE=1`: a seconds-long CI smoke — two
@@ -15,7 +15,7 @@ use yesquel_bench::load::{
     commit_mix, read_heavy_mix, render_load_report, run_load, LoadResult, LoadSpec,
 };
 use yesquel_common::config::SplitMode;
-use yesquel_common::{DbtConfig, NetConfig, RpcBatchConfig, WalFsyncPolicy};
+use yesquel_common::{DbtConfig, NetConfig, WalFsyncPolicy};
 use yesquel_rpc::TransportKind;
 
 const WAL_POLICIES: [WalFsyncPolicy; 4] = [
@@ -93,16 +93,11 @@ fn main() {
 
     if smoke {
         // Tiny cells across all three fsync policies: the point is that
-        // every code path (WAL group commit, batching, parallel fan-out)
+        // every code path (WAL group commit, parallel fan-out)
         // executes, not that the numbers mean anything.
         for policy in WAL_POLICIES {
             let mut spec = LoadSpec::new("smoke", 2, 2, cell);
             spec.wal = Some(policy);
-            spec.rpc_batch = Some(RpcBatchConfig {
-                window_us: 20,
-                max_batch: 8,
-                linger_us: 0,
-            });
             run_cell(spec, &mut results);
         }
         // One replicated cell so the read-any/write-all path runs in CI:
@@ -179,36 +174,7 @@ fn main() {
         run_cell(spec, &mut results);
     }
 
-    // Sweep D — batching: many threads hammering two servers whose
-    // capacity is service-time bound, with and without the batching
-    // decorator, and with the Nagle-style linger on top.  A coalesced
-    // frame costs one service slot for the whole group, so batching buys
-    // back server capacity under pressure; lingering trades leader latency
-    // for fewer solo frames when concurrency trickles.
-    for &batch in &[
-        None,
-        Some(RpcBatchConfig {
-            window_us: 100,
-            max_batch: 16,
-            linger_us: 0,
-        }),
-        Some(RpcBatchConfig {
-            window_us: 100,
-            max_batch: 16,
-            linger_us: 200,
-        }),
-    ] {
-        let mut spec = LoadSpec::new("batching", 16, 2, cell);
-        spec.mix = commit_mix();
-        spec.rpc_batch = batch;
-        spec.transport = TransportKind::Threaded {
-            workers_per_server: 1,
-        };
-        spec.net = Some(modelled_net());
-        run_cell(spec, &mut results);
-    }
-
-    // Sweep E — replication: point selects aimed at a SINGLE hot row,
+    // Sweep D — replication: point selects aimed at a SINGLE hot row,
     // over server count, with hot-node replication on vs off and
     // everything else — delegated maintenance, load splits, threshold —
     // held identical.  One row is the case load splits cannot help: a
@@ -242,7 +208,7 @@ fn main() {
         }
     }
 
-    // Sweep E' — the same hot-range read traffic with a 10% trickle of
+    // Sweep D' — the same hot-range read traffic with a 10% trickle of
     // scattered-id inserts, at a fixed deployment: the honest cost view.
     // Inserts conflict-retry on the tail leaf and stall the closed loop
     // in both cells (too few land per heat window to trip a load split);
@@ -269,7 +235,7 @@ fn main() {
         run_cell(spec, &mut results);
     }
 
-    // Sweep F — observability overhead: the same mixed workload at a
+    // Sweep E — observability overhead: the same mixed workload at a
     // fixed deployment with (1) timing histograms off entirely, (2) the
     // default pay-as-you-go mode (histograms on, tracing off — the
     // configuration every other sweep above runs under), and (3) 1-in-64
@@ -298,8 +264,8 @@ fn maybe_write_report(results: &[LoadResult], kind: &str) {
                 "Closed-loop multi-threaded load harness ({kind}): ops/sec, \
                  nearest-rank p50/p99/p999 per op class, and full per-subsystem \
                  latency histograms (log-bucketed, rel err <= 1/64) per cell, swept \
-                 over threads, servers, wal_fsync policy, contention, request \
-                 batching (incl. Nagle-style linger), hot-node replication, and \
+                 over threads, servers, wal_fsync policy, contention, hot-node \
+                 replication, and \
                  observability mode (timing off / histograms on / 1-in-64 sampled \
                  tracing). One JSON object per cell under 'runs'."
             ),

@@ -2,8 +2,8 @@
 //!
 //! The criterion benches measure single-threaded operation latency; this
 //! module measures what they cannot: throughput and tail latency under
-//! **concurrent** clients, which is where group commit, request batching,
-//! and the parallel 2PC fan-out actually earn their keep.  `N` client
+//! **concurrent** clients, which is where group commit and the parallel
+//! 2PC fan-out actually earn their keep.  `N` client
 //! threads each run a closed loop (issue an operation, wait for it, issue
 //! the next) against one in-process deployment of `M` storage servers,
 //! drawing operations from a weighted mix of op classes:
@@ -21,10 +21,10 @@
 //! write-write conflicts (visible as `kv.txn_conflicts` in the report).
 //! Every run reports ops/sec, exact nearest-rank p50/p99/p999 latency per
 //! op class, the deployment counters that explain the numbers (fsyncs,
-//! group sizes, batched requests, parallel fan-outs, replica reads and
-//! promotions), and — since PR 10 — every non-empty latency histogram
-//! (log-bucketed, relative error ≤ 1/64) so each cell carries full
-//! per-subsystem distributions, not just per-class percentiles.  The
+//! group sizes, parallel fan-outs, replica reads and promotions), and
+//! every non-empty latency histogram (log-bucketed, relative error
+//! ≤ 1/64) so each cell carries full per-subsystem distributions, not just
+//! per-class percentiles.  The
 //! `load` bench binary sweeps these specs and writes
 //! `BENCH_10_LOAD.json`.
 
@@ -38,9 +38,7 @@ use yesquel::{params, Yesquel};
 use yesquel_common::config::SplitMode;
 use yesquel_common::stats::HistogramSummary;
 use yesquel_common::tempdir::TempDir;
-use yesquel_common::{
-    DbtConfig, NetConfig, ObjectId, RpcBatchConfig, WalFsyncPolicy, YesquelConfig,
-};
+use yesquel_common::{DbtConfig, NetConfig, ObjectId, WalFsyncPolicy, YesquelConfig};
 use yesquel_kv::KvDatabase;
 use yesquel_rpc::TransportKind;
 
@@ -140,8 +138,6 @@ pub struct LoadSpec {
     /// The scale-out sweeps set slept latency + per-request service time
     /// so the bottleneck is modelled server capacity, not host cores.
     pub net: Option<NetConfig>,
-    /// Optional request-batching decorator configuration.
-    pub rpc_batch: Option<RpcBatchConfig>,
     /// Seed for the per-thread operation generators.
     pub seed: u64,
     /// DBT configuration override.  `None` keeps the harness baseline
@@ -183,7 +179,6 @@ impl LoadSpec {
             wal: None,
             transport: TransportKind::Direct,
             net: None,
-            rpc_batch: None,
             seed: 0x10ad,
             dbt: None,
             hot_select_range: None,
@@ -234,8 +229,6 @@ pub struct LoadResult {
     pub wal: String,
     /// KV write key-pool size.
     pub key_pool: u64,
-    /// Whether request batching was on.
-    pub batched: bool,
     /// Measured wall-clock duration, seconds.
     pub elapsed_s: f64,
     /// Total successful operations across all classes.
@@ -284,9 +277,9 @@ pub fn latency_summary(samples: &mut [u64]) -> (u64, u64, u64) {
 }
 
 /// The counters worth reporting alongside throughput: they explain *why*
-/// a cell is fast or slow (fsyncs amortised, requests coalesced, prepares
-/// overlapped, conflicts suffered).
-const REPORT_COUNTERS: [&str; 14] = [
+/// a cell is fast or slow (fsyncs amortised, prepares overlapped, conflicts
+/// suffered).
+const REPORT_COUNTERS: [&str; 11] = [
     "wal.appends",
     "wal.fsyncs",
     "wal.group_size",
@@ -294,9 +287,6 @@ const REPORT_COUNTERS: [&str; 14] = [
     "kv.txn_conflicts",
     "kv.txn_retries",
     "kv.prepare_parallel_fanouts",
-    "rpc.batches",
-    "rpc.batched_requests",
-    "rpc.batch_linger_waits",
     "dbt.replica_reads",
     "dbt.replica_fanout_writes",
     "dbt.replica_promotions",
@@ -326,7 +316,6 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
             cfg.dbt.replicate_hot_nodes = false;
         }
     }
-    cfg.rpc_batch = spec.rpc_batch;
     if let Some(net) = &spec.net {
         cfg.net = net.clone();
     }
@@ -445,7 +434,6 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
         servers: spec.servers,
         wal: spec.wal_label(),
         key_pool: spec.key_pool,
-        batched: spec.rpc_batch.is_some(),
         elapsed_s,
         ops: total_ops,
         ops_per_sec: total_ops as f64 / elapsed_s.max(1e-9),
@@ -590,17 +578,9 @@ pub fn render_result(r: &LoadResult) -> String {
     let _ = write!(
         out,
         "{{\"workload\": \"{}\", \"threads\": {}, \"servers\": {}, \"wal\": \"{}\", \
-         \"key_pool\": {}, \"batched\": {}, \"elapsed_s\": {:.3}, \"ops\": {}, \
+         \"key_pool\": {}, \"elapsed_s\": {:.3}, \"ops\": {}, \
          \"ops_per_sec\": {:.1}, \"classes\": [",
-        r.workload,
-        r.threads,
-        r.servers,
-        r.wal,
-        r.key_pool,
-        r.batched,
-        r.elapsed_s,
-        r.ops,
-        r.ops_per_sec
+        r.workload, r.threads, r.servers, r.wal, r.key_pool, r.elapsed_s, r.ops, r.ops_per_sec
     );
     for (i, c) in r.classes.iter().enumerate() {
         let comma = if i + 1 == r.classes.len() { "" } else { ", " };
@@ -754,7 +734,6 @@ mod tests {
             servers: 2,
             wal: "group100".into(),
             key_pool: 64,
-            batched: true,
             elapsed_s: 0.5,
             ops: 10,
             ops_per_sec: 20.0,
@@ -796,17 +775,12 @@ mod tests {
     #[test]
     fn tiny_load_run_completes_and_counts_ops() {
         // A sub-100ms smoke of the whole closed loop: every op class, two
-        // threads, two servers, batching on, and the WAL in group mode — a
+        // threads, two servers, and the WAL in group mode — a
         // forced log, so the coordinator overlaps its rounds even on the
         // direct transport.
         let mut spec = LoadSpec::new("unit", 2, 2, Duration::from_millis(60));
         spec.key_pool = 64;
         spec.wal = Some(WalFsyncPolicy::Group { window_us: 50 });
-        spec.rpc_batch = Some(RpcBatchConfig {
-            window_us: 20,
-            max_batch: 8,
-            linger_us: 0,
-        });
         let r = run_load(&spec);
         assert!(r.ops > 0, "closed loop made no progress: {r:?}");
         assert_eq!(r.classes.len(), 5, "all mixed classes present");
@@ -816,17 +790,9 @@ mod tests {
             .find(|(n, _)| n == "kv.prepare_parallel_fanouts")
             .map(|&(_, v)| v)
             .unwrap();
-        let batched = r
-            .counters
-            .iter()
-            .find(|(n, _)| n == "rpc.batched_requests")
-            .map(|&(_, v)| v)
-            .unwrap();
         // 2PC ops ran on two servers that force their logs, so the
-        // counter must move; batching is best-effort (two threads may
-        // never collide in a 20us window), so only sanity-check presence.
+        // counter must move.
         assert!(fanouts > 0, "parallel prepare fan-out never engaged");
-        let _ = batched;
     }
 
     #[test]

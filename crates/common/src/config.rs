@@ -3,16 +3,13 @@
 //! What is here is what a deployment, a test or a benchmark actually sets
 //! to different values: the number of servers, the network model, the log's
 //! directory and flush policy, deadlines and leases (fault tests shorten
-//! them), tree fan-out, and the DBT technique ablations (F4, F8 in
-//! DESIGN.md), which are expressed purely as configurations of
-//! [`DbtConfig`].  A value with one setting in use is a constant beside the
-//! code that reads it, and a choice the code can make from what it observes
+//! them), tree fan-out, and the DBT technique ablations (no client cache,
+//! no back-down search, no load splits, no replication, synchronous
+//! splits), which are expressed purely as configurations of [`DbtConfig`].
+//! A value with one setting in use is a constant beside the code that
+//! reads it, and a choice the code can make from what it observes
 //! (whether calls through the transport block, how many servers a
 //! transaction touched, which snapshots are open) is made there, not here.
-
-// NOTE: configurations were previously serde-derived; the offline build has
-// no serde, and the only consumer (benchmark reports) serializes via the
-// hand-rolled JSON writer in `yesquel-bench`, so the derives were dropped.
 
 /// How splits of over-full or overloaded DBT nodes are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,8 +162,9 @@ pub struct KvConfig {
     /// abort are deduplicated server-side by transaction id.
     pub rpc_max_attempts: usize,
     /// Base backoff, in microseconds, between RPC retries.  Doubled per
-    /// attempt (capped at [`KvConfig::rpc_backoff_cap_us`]) with
-    /// deterministic jitter so concurrent clients do not retry in lockstep.
+    /// attempt (capped at [`KvConfig::rpc_backoff_cap_us`]) with jitter
+    /// salted once per retry loop, so concurrent clients do not retry in
+    /// lockstep.
     pub rpc_backoff_us: u64,
     /// Upper bound on the per-retry backoff, in microseconds.
     pub rpc_backoff_cap_us: u64,
@@ -250,57 +248,9 @@ pub struct NetConfig {
     /// workers for this long, so per-server throughput is capped at
     /// `workers_per_server / service_time` regardless of host CPU count.
     /// This is what lets a scale-out experiment show server capacity on a
-    /// small machine — the bottleneck is slept time, not host cores.  A
-    /// batched frame counts as one request, so coalescing genuinely saves
-    /// server capacity.  Zero disables the term.
+    /// small machine — the bottleneck is slept time, not host cores.  Zero
+    /// disables the term.
     pub service_time_us: u64,
-}
-
-impl NetConfig {
-    /// A model of an intra-datacenter network: 50us one-way latency and
-    /// roughly 10 Gbit/s of bandwidth, accounted but not slept.
-    pub fn datacenter() -> Self {
-        NetConfig {
-            one_way_latency_us: 50,
-            bytes_per_us: 1250,
-            sleep_latency: false,
-            service_time_us: 0,
-        }
-    }
-}
-
-/// Configuration of the request-batching transport decorator.
-///
-/// When present on a [`YesquelConfig`], client requests to the same server
-/// that arrive within `window_us` of each other are coalesced into one
-/// multi-request frame — one transport round trip, one network-model charge —
-/// mirroring the write-ahead log's group commit on the RPC plane.  Only pays
-/// off with several client threads; `None` (the default) keeps the
-/// single-threaded request path untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpcBatchConfig {
-    /// How long the first request of a batch waits for companions, in
-    /// microseconds.  Zero still coalesces whatever is already queued.
-    pub window_us: u64,
-    /// Maximum number of requests per frame (at least 2).
-    pub max_batch: usize,
-    /// Nagle-style cross-call linger: if the collection window closed with
-    /// **no** companions, the leader waits up to this much longer for a
-    /// later call to arrive before shipping solo.  Raises batch occupancy at
-    /// moderate load (where requests just miss each other's windows) at the
-    /// cost of added latency on a genuinely idle connection.  Zero — the
-    /// default — disables the second wait.
-    pub linger_us: u64,
-}
-
-impl Default for RpcBatchConfig {
-    fn default() -> Self {
-        RpcBatchConfig {
-            window_us: 50,
-            max_batch: 16,
-            linger_us: 0,
-        }
-    }
 }
 
 /// Observability knobs applied to a deployment's stats registry at build
@@ -347,8 +297,6 @@ pub struct YesquelConfig {
     pub kv: KvConfig,
     /// Network model.
     pub net: NetConfig,
-    /// Same-server request batching; `None` disables it.
-    pub rpc_batch: Option<RpcBatchConfig>,
     /// Observability: latency-histogram timing gate, trace sampling and the
     /// slow-op threshold.
     pub obs: ObsConfig,

@@ -25,8 +25,6 @@ pub mod stats;
 pub mod tempdir;
 pub mod timeutil;
 
-pub use config::{
-    DbtConfig, KvConfig, NetConfig, ObsConfig, RpcBatchConfig, WalFsyncPolicy, YesquelConfig,
-};
+pub use config::{DbtConfig, KvConfig, NetConfig, ObsConfig, WalFsyncPolicy, YesquelConfig};
 pub use error::{Error, Result};
 pub use ids::{ObjectId, Oid, ServerId, Timestamp, TreeId, TxnId};

@@ -1,5 +1,6 @@
 //! The key-value client library linked into every Yesquel client process.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use yesquel_common::stats::StatsRegistry;
@@ -11,6 +12,11 @@ use crate::protocol::{KvRequest, KvResponse};
 use crate::server::KvServer;
 use crate::snapshot::SnapshotTracker;
 use crate::txn::{ClientCore, KvHot, Txn};
+
+/// Clients created so far in this process: each client's retry-salt
+/// counter starts in its own 2^32 range, so loops of different clients
+/// draw different salts too.
+static CLIENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Client handle to a key-value deployment.  Cheap to clone; each clone can
 /// be used from its own thread.
@@ -54,7 +60,7 @@ impl KvClient {
                 cfg,
                 stats,
                 hot,
-                retry_salt: std::sync::atomic::AtomicU64::new(0),
+                retry_salt: AtomicU64::new(CLIENTS.fetch_add(1, Ordering::Relaxed) << 32),
                 calls_block,
                 fanout,
             }),
@@ -97,6 +103,7 @@ impl KvClient {
     pub fn retry_txn<T>(&self, mut attempt: impl FnMut(Txn) -> Result<T>) -> Result<T> {
         const MAX_ATTEMPTS: usize = 24;
         let mut last_err = None;
+        let mut salt = None;
         for n in 0..MAX_ATTEMPTS {
             match attempt(self.begin()) {
                 Ok(value) => return Ok(value),
@@ -111,12 +118,7 @@ impl KvClient {
             // first retry, conflicts only once retries repeat.
             let availability = last_err.as_ref().is_some_and(Error::is_availability);
             if availability || n > 2 {
-                yesquel_common::timeutil::sleep_backoff(
-                    n,
-                    self.core.cfg.rpc_backoff_us,
-                    self.core.cfg.rpc_backoff_cap_us,
-                    0x5eed ^ n as u64,
-                );
+                self.core.backoff(n, &mut salt);
             }
         }
         Err(Error::RetriesExhausted {

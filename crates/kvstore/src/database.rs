@@ -4,10 +4,7 @@ use std::sync::Arc;
 
 use yesquel_common::stats::StatsRegistry;
 use yesquel_common::{Result, YesquelConfig};
-use yesquel_rpc::{
-    BatchingTransport, Cluster, ClusterBuilder, FaultPlan, FaultyTransport, Transport,
-    TransportKind,
-};
+use yesquel_rpc::{Cluster, ClusterBuilder, FaultPlan, FaultyTransport, Transport, TransportKind};
 use yesquel_wal::Wal;
 
 use crate::client::KvClient;
@@ -131,19 +128,15 @@ impl KvDatabase {
             .network(config.net.clone())
             .stats(stats.clone())
             .build();
-        // Batching sits directly above the wire: requests that survive the
-        // fault injector coalesce into multi-request frames, so chaos plans
-        // and the network model keep seeing (and charging) logical messages
-        // while the frame saves transport round trips.
-        let wire: Arc<dyn Transport<KvServer>> = match config.rpc_batch {
-            None => cluster.transport(),
-            Some(batch) => Arc::new(BatchingTransport::new(cluster.transport(), batch, &stats)),
-        };
         let mut faults = None;
         let client_transport: Arc<dyn Transport<KvServer>> = match plans {
-            None => wire,
+            None => cluster.transport(),
             Some(plans) => {
-                let faulty = Arc::new(FaultyTransport::new(wire, plans, stats.clone()));
+                let faulty = Arc::new(FaultyTransport::new(
+                    cluster.transport(),
+                    plans,
+                    stats.clone(),
+                ));
                 // A restart of a crashed server under an amnesia plan kills
                 // the "process": volatile state is dropped and the store is
                 // rebuilt from the write-ahead log before any request gets

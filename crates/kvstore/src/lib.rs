@@ -29,8 +29,9 @@
 //!   commit (the server validates, assigns the commit timestamp and
 //!   installs versions in one round trip).
 //! * **Read-only transactions commit with no communication at all** — a
-//!   property the paper calls out, and which the latency table experiment
-//!   (T1 in DESIGN.md) checks.
+//!   property the paper calls out, and which
+//!   `read_only_commit_needs_no_communication` in `tests/integration_kv.rs`
+//!   checks.
 //! * Readers that encounter an object locked by a preparing transaction
 //!   retry briefly: the lock window only spans the coordinator's commit
 //!   round trip.  This preserves snapshot correctness: if a transaction's

@@ -102,11 +102,6 @@ pub enum KvRequest {
         /// Transaction being resolved.
         txn: TxnId,
     },
-    /// Several requests coalesced into one frame by the batching transport
-    /// (`yesquel_rpc::BatchingTransport`).  The server answers with a
-    /// [`KvResponse::Batch`] of the same length and order.  Nested batches
-    /// never occur: only the transport layer builds envelopes.
-    Batch(Vec<KvRequest>),
 }
 
 /// What a server knows about a transaction's fate, in response to
@@ -175,8 +170,6 @@ pub enum KvResponse {
         /// Rendered error (includes the failing path and the OS error).
         message: String,
     },
-    /// Responses to a [`KvRequest::Batch`], in request order.
-    Batch(Vec<KvResponse>),
 }
 
 impl KvRequest {
@@ -195,9 +188,6 @@ impl KvRequest {
             KvRequest::Allocate { .. } => 28,
             KvRequest::Gc { .. } => 16,
             KvRequest::TxnStatus { .. } => 16,
-            // One frame header plus every enclosed request: batching saves
-            // round trips, not payload bytes.
-            KvRequest::Batch(reqs) => 8 + reqs.iter().map(KvRequest::wire_size).sum::<usize>(),
         }
     }
 }
@@ -209,7 +199,6 @@ impl KvResponse {
             KvResponse::Value(v) => 16 + v.as_ref().map(|b| b.len()).unwrap_or(0),
             KvResponse::Conflict { reason } => 16 + reason.len(),
             KvResponse::ServerError { message } => 16 + message.len(),
-            KvResponse::Batch(resps) => 8 + resps.iter().map(KvResponse::wire_size).sum::<usize>(),
             _ => 16,
         }
     }

@@ -377,13 +377,6 @@ impl Service for KvServer {
             KvRequest::TxnStatus { txn } => KvResponse::TxnOutcome {
                 status: self.txn_status(txn),
             },
-            KvRequest::Batch(reqs) => {
-                // One coalesced frame from the batching transport: serve the
-                // enclosed requests in order, exactly as if they had arrived
-                // back to back (each sub-call runs its own reaper piggyback,
-                // dedup, and locking).
-                KvResponse::Batch(reqs.into_iter().map(|r| self.call(r)).collect())
-            }
         }
     }
 
@@ -393,19 +386,6 @@ impl Service for KvServer {
 
     fn response_wire_size(resp: &KvResponse) -> usize {
         resp.wire_size()
-    }
-}
-
-impl yesquel_rpc::BatchableService for KvServer {
-    fn make_batch(reqs: Vec<KvRequest>) -> KvRequest {
-        KvRequest::Batch(reqs)
-    }
-
-    fn split_batch(resp: KvResponse) -> Option<Vec<KvResponse>> {
-        match resp {
-            KvResponse::Batch(resps) => Some(resps),
-            _ => None,
-        }
     }
 }
 

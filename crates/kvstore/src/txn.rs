@@ -9,6 +9,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use crossbeam::channel::bounded;
 use parking_lot::Mutex;
+use yesquel_common::ids::splitmix64;
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, span, SpanKind, TraceCounter};
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
@@ -84,8 +85,8 @@ pub(crate) struct ClientCore {
     pub(crate) cfg: KvConfig,
     pub(crate) stats: StatsRegistry,
     pub(crate) hot: KvHot,
-    /// Monotone salt for retry-backoff jitter, so concurrent RPCs from one
-    /// client spread out while staying deterministic per deployment.
+    /// Counter the retry loops draw their jitter salts from (see
+    /// [`ClientCore::backoff`]).
     pub(crate) retry_salt: AtomicU64,
     /// Whether a call to a participant spends wall-clock time blocked — the
     /// transport makes callers wait, or the servers force a log — so that a
@@ -105,6 +106,23 @@ impl ClientCore {
     /// Home server of an object in this deployment.
     pub(crate) fn home(&self, obj: ObjectId) -> ServerId {
         obj.home_server(self.num_servers())
+    }
+
+    /// Sleeps before retry `attempt` of one retry loop: exponential backoff
+    /// from [`KvConfig::rpc_backoff_us`] with jitter.  `salt` is the loop's
+    /// jitter salt, `None` until the loop first backs off; it is drawn then,
+    /// once per loop, from the client's counter, so concurrent loops do not
+    /// sleep in lockstep and a loop that never retries touches no shared
+    /// state.
+    pub(crate) fn backoff(&self, attempt: usize, salt: &mut Option<u64>) {
+        let salt = *salt
+            .get_or_insert_with(|| splitmix64(self.retry_salt.fetch_add(1, Ordering::Relaxed)));
+        sleep_backoff(
+            attempt,
+            self.cfg.rpc_backoff_us,
+            self.cfg.rpc_backoff_cap_us,
+            salt,
+        );
     }
 
     /// Issues one RPC with a deadline-and-retry policy: availability-class
@@ -151,16 +169,7 @@ impl ClientCore {
                     if attempt + 1 < max {
                         self.stats.counter("rpc.retries").inc();
                         count(TraceCounter::Retries, 1);
-                        // Drawn lazily: the fault-free fast path never
-                        // touches the shared salt counter.
-                        let salt = *salt
-                            .get_or_insert_with(|| self.retry_salt.fetch_add(1, Ordering::Relaxed));
-                        sleep_backoff(
-                            attempt,
-                            self.cfg.rpc_backoff_us,
-                            self.cfg.rpc_backoff_cap_us,
-                            salt,
-                        );
+                        self.backoff(attempt, &mut salt);
                     }
                 }
                 Err(e) => return Err(e),

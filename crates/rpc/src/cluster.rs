@@ -179,7 +179,7 @@ mod tests {
             })
             .build();
         assert_eq!(cluster.call(1, 5).unwrap(), 10);
-        assert!(cluster.network().simulated_us() >= 20);
+        assert_eq!(cluster.stats().counter("net.charged_us").get(), 20);
         assert_eq!(cluster.stats().counter("rpc.calls").get(), 1);
     }
 

@@ -11,24 +11,23 @@
 //!   used for unit tests and throughput experiments) or through per-server
 //!   worker threads fed by bounded channels ([`ThreadedTransport`], which
 //!   models per-server CPU capacity and request queueing),
-//! * a [`NetworkModel`] that charges each message a configurable latency and
-//!   bandwidth cost, either merely accounted (for simulated-latency tables)
-//!   or actually slept (for closed-loop latency experiments), and
-//! * per-server load metrics used by the load-balancing experiments.
+//! * a [`NetworkModel`] that charges each round trip a configurable latency
+//!   and bandwidth cost, either merely accounted in the `net.charged_us`
+//!   counter or actually slept (for closed-loop latency experiments), and
+//! * per-server request counters (`rpc.server.<i>.requests`) used by the
+//!   load-balancing experiments.
 //!
-//! Substitution note (see DESIGN.md): replacing real machines with in-process
-//! shards preserves everything the paper's evaluation measures about the
+//! Substitution note: replacing real machines with in-process shards
+//! preserves everything the paper's evaluation measures about the
 //! *algorithms* — RPC counts per operation, contention on hot nodes, load
 //! imbalance across servers, scalability with the number of servers — while
 //! absolute wall-clock numbers necessarily differ.
 
-pub mod batch;
 pub mod cluster;
 pub mod fault;
 pub mod netmodel;
 pub mod transport;
 
-pub use batch::{BatchableService, BatchingTransport};
 pub use cluster::{Cluster, ClusterBuilder};
 pub use fault::{FaultPlan, FaultyTransport};
 pub use netmodel::NetworkModel;

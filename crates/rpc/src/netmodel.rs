@@ -3,12 +3,10 @@
 //! The simulated cluster runs inside one process, so the real network is
 //! absent.  To keep the *shape* of the paper's latency results, every RPC is
 //! charged a configurable cost: a fixed one-way latency per message plus a
-//! bandwidth term proportional to message size.  The cost can either be
-//! accumulated in a simulated-time counter (throughput experiments, latency
-//! tables computed analytically from RPC counts) or actually slept
+//! bandwidth term proportional to message size.  The cost is always added to
+//! the `net.charged_us` counter and, if so configured, actually slept
 //! (closed-loop latency experiments).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,8 +21,6 @@ pub struct NetworkModel {
 
 struct Inner {
     cfg: NetConfig,
-    simulated_us: AtomicU64,
-    messages: AtomicU64,
     /// `net.charged_us`, resolved once: charging is on every RPC's path.
     charged_us: Arc<Counter>,
 }
@@ -35,8 +31,6 @@ impl NetworkModel {
         NetworkModel {
             inner: Arc::new(Inner {
                 cfg,
-                simulated_us: AtomicU64::new(0),
-                messages: AtomicU64::new(0),
                 charged_us: registry.counter("net.charged_us"),
             }),
         }
@@ -65,26 +59,14 @@ impl NetworkModel {
     /// modelled latency.
     pub fn charge_round_trip(&self, req_bytes: usize, resp_bytes: usize) -> u64 {
         let us = self.one_way_cost_us(req_bytes) + self.one_way_cost_us(resp_bytes);
-        self.inner.messages.fetch_add(2, Ordering::Relaxed);
         if us == 0 {
             return 0;
         }
-        self.inner.simulated_us.fetch_add(us, Ordering::Relaxed);
         self.inner.charged_us.add(us);
         if self.inner.cfg.sleep_latency {
             std::thread::sleep(Duration::from_micros(us));
         }
         us
-    }
-
-    /// Total simulated network time charged so far, in microseconds.
-    pub fn simulated_us(&self) -> u64 {
-        self.inner.simulated_us.load(Ordering::Relaxed)
-    }
-
-    /// Total number of messages charged so far (2 per round trip).
-    pub fn messages(&self) -> u64 {
-        self.inner.messages.load(Ordering::Relaxed)
     }
 }
 
@@ -94,10 +76,10 @@ mod tests {
 
     #[test]
     fn free_model_charges_nothing() {
-        let m = NetworkModel::free(StatsRegistry::new());
+        let reg = StatsRegistry::new();
+        let m = NetworkModel::free(reg.clone());
         assert_eq!(m.charge_round_trip(1000, 1000), 0);
-        assert_eq!(m.simulated_us(), 0);
-        assert_eq!(m.messages(), 2);
+        assert_eq!(reg.counter("net.charged_us").get(), 0);
     }
 
     #[test]
@@ -108,18 +90,12 @@ mod tests {
             sleep_latency: false,
             service_time_us: 0,
         };
-        let m = NetworkModel::new(cfg, StatsRegistry::new());
+        let reg = StatsRegistry::new();
+        let m = NetworkModel::new(cfg, reg.clone());
         // 1000 bytes at 100 B/us = 10us + 50us latency each way.
         assert_eq!(m.one_way_cost_us(1000), 60);
         let rt = m.charge_round_trip(1000, 0);
         assert_eq!(rt, 60 + 50);
-        assert_eq!(m.simulated_us(), 110);
-    }
-
-    #[test]
-    fn datacenter_profile() {
-        let m = NetworkModel::new(NetConfig::datacenter(), StatsRegistry::new());
-        assert!(m.one_way_cost_us(0) >= 50);
-        assert!(m.one_way_cost_us(1_250_000) > m.one_way_cost_us(0));
+        assert_eq!(reg.counter("net.charged_us").get(), 110);
     }
 }

@@ -62,9 +62,8 @@ pub trait Transport<S: Service>: Send + Sync {
 
 /// Book-keeping shared by both transports.
 ///
-/// Per-server request counts are exposed both through the vector returned by
-/// `per_server_request_counts` and as registry counters named
-/// `rpc.server.<id>.requests`, so that code holding only the shared
+/// Per-server request counts are registry counters named
+/// `rpc.server.<id>.requests`, so code holding only the shared
 /// [`StatsRegistry`] (e.g. the load-imbalance experiment) can read them.
 struct TransportStats {
     registry: StatsRegistry,
@@ -136,15 +135,6 @@ impl<S: Service> DirectTransport<S> {
             net,
             stats,
         }
-    }
-
-    /// Requests handled so far by each server (for load-imbalance reports).
-    pub fn per_server_request_counts(&self) -> Vec<u64> {
-        self.stats
-            .per_server_requests
-            .iter()
-            .map(|c| c.get())
-            .collect()
     }
 }
 
@@ -260,15 +250,6 @@ impl<S: Service> ThreadedTransport<S> {
             _servers: servers,
         }
     }
-
-    /// Requests handled so far by each server (for load-imbalance reports).
-    pub fn per_server_request_counts(&self) -> Vec<u64> {
-        self.stats
-            .per_server_requests
-            .iter()
-            .map(|c| c.get())
-            .collect()
-    }
 }
 
 impl<S: Service> Transport<S> for ThreadedTransport<S> {
@@ -331,7 +312,9 @@ mod tests {
         assert_eq!(t.call(2, 1).unwrap(), 2);
         assert!(t.call(7, 1).is_err());
         assert_eq!(reg.counter("rpc.calls").get(), 2);
-        let per = t.per_server_request_counts();
+        let per: Vec<u64> = (0..3)
+            .map(|i| reg.counter(&format!("rpc.server.{i}.requests")).get())
+            .collect();
         assert_eq!(per, vec![1, 0, 1]);
     }
 
@@ -350,8 +333,10 @@ mod tests {
         }
         assert!(t.call(9, 1).is_err());
         assert_eq!(reg.counter("rpc.calls").get(), 100);
-        let per = t.per_server_request_counts();
-        assert_eq!(per.iter().sum::<u64>(), 100);
+        let per: u64 = (0..2)
+            .map(|i| reg.counter(&format!("rpc.server.{i}.requests")).get())
+            .sum();
+        assert_eq!(per, 100);
     }
 
     #[test]

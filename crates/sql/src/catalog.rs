@@ -204,8 +204,9 @@ pub struct SqlCounters {
     pub stmt_cache_hits: Arc<Counter>,
     /// Statement-cache misses (fresh parse + plan).
     pub stmt_cache_misses: Arc<Counter>,
-    /// Statement-cache entries evicted: generation-stale entries swept on
-    /// lookup plus capacity evictions.
+    /// Statement-cache entries evicted because the cache was full (the
+    /// least recently used one goes).  A stale entry is not evicted: its
+    /// next run replans it.
     pub stmt_cache_evictions: Arc<Counter>,
     /// SQL texts parsed by the session layer.  Re-executing a prepared
     /// handle performs zero parses; tests assert on the delta.

@@ -3,8 +3,8 @@
 //! Each Yesquel client caches the inner nodes of the trees it uses, so that
 //! a warm lookup needs to fetch only the leaf (one RPC) instead of walking
 //! the whole tree through the root.  Without this cache the server holding
-//! the root becomes a bottleneck — the "no caching" ablation (F4 in
-//! DESIGN.md) demonstrates exactly that.
+//! the root becomes a bottleneck — the "no caching" ablation
+//! (`DbtConfig::ablation_no_cache`) demonstrates exactly that.
 //!
 //! Cache entries can be stale: splits performed by other clients change the
 //! tree underneath the cache.  Staleness is *detected*, not prevented: every

@@ -1,12 +1,12 @@
-//! Seeded chaos test of the **parallel** 2PC prepare fan-out with request
-//! batching enabled: four client threads run concurrent multi-server write
-//! transactions while a deterministic fault storm (dropped requests and
-//! responses, duplicates, transient errors, delays, one crash-looping
-//! server) batters the transport.  Nothing forces the coordinator's hand:
-//! calls through a fault-injecting transport block, so the coordinator
-//! issues every prepare round and secondary-commit round from the fan-out
-//! pool, and the batching decorator coalesces whatever collides in its
-//! window.
+//! Seeded chaos test of the **parallel** 2PC prepare fan-out: four client
+//! threads run concurrent multi-server write transactions while a
+//! deterministic fault storm (dropped requests and responses, duplicates,
+//! transient errors, delays, one crash-looping server) batters the
+//! transport.  Nothing forces the coordinator's hand: calls through a
+//! fault-injecting transport block, so the coordinator issues every prepare
+//! round and secondary-commit round from the fan-out pool.  Each seed runs
+//! over both transports: direct calls, and per-server worker threads
+//! answering on reply channels.
 //!
 //! The safety bar is the same as `prop_chaos_commit`, now under real
 //! concurrency:
@@ -19,8 +19,8 @@
 //!   multiset, the writes of the transactions that actually committed it;
 //! * after healing, the reaper clears every orphaned prepare.
 //!
-//! The test also asserts the new machinery actually engaged: the parallel
-//! fan-out counter and the batched-request counter both moved.
+//! The test also asserts the machinery actually engaged: the parallel
+//! fan-out counter moved on every transport.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,7 +28,6 @@ use std::time::Duration;
 
 use rand::Rng;
 use yesquel::common::rand_util::seeded_rng;
-use yesquel::common::RpcBatchConfig;
 use yesquel::kv::store::TxnOutcome;
 use yesquel::rpc::{FaultPlan, TransportKind};
 use yesquel::{Error, KvConfig, KvDatabase, ObjectId, YesquelConfig};
@@ -66,22 +65,25 @@ fn participants(writes: &[(ObjectId, Vec<u8>)]) -> Vec<usize> {
     ps
 }
 
-fn storm_case(seed: u64) {
+/// The transports every seed runs over.
+const TRANSPORTS: [TransportKind; 2] = [
+    TransportKind::Direct,
+    TransportKind::Threaded {
+        workers_per_server: 2,
+    },
+];
+
+fn storm_case(seed: u64, transport: TransportKind) {
     let mut rng = seeded_rng(seed, 0);
     let mut cfg = YesquelConfig::with_servers(SERVERS);
     cfg.kv = KvConfig::impatient();
-    cfg.rpc_batch = Some(RpcBatchConfig {
-        window_us: 100,
-        max_batch: 8,
-        linger_us: 0,
-    });
 
     let mut plans = vec![FaultPlan::storm(seed); SERVERS];
     let looper = rng.gen_range(0..SERVERS as u64) as usize;
     plans[looper].crash_after_requests = Some(rng.gen_range(40..80));
     plans[looper].restart_after_rejects = Some(rng.gen_range(4..12));
 
-    let db = KvDatabase::with_faults(cfg, TransportKind::Direct, plans);
+    let db = KvDatabase::with_faults(cfg, transport, plans);
     let faults = Arc::clone(db.faults().unwrap());
     let keys = key_pool();
 
@@ -152,14 +154,9 @@ fn storm_case(seed: u64) {
     );
     // The machinery under test must actually have engaged.
     let fanouts = db.stats().counter("kv.prepare_parallel_fanouts").get();
-    let batched = db.stats().counter("rpc.batched_requests").get();
     assert!(
         fanouts > 0,
-        "seed {seed}: no prepare round used the parallel fan-out"
-    );
-    assert!(
-        batched > 0,
-        "seed {seed}: no requests were ever coalesced into a batch frame"
+        "seed {seed} {transport:?}: no prepare round used the parallel fan-out"
     );
     {
         let (na, mb, ok) = records
@@ -170,7 +167,7 @@ fn storm_case(seed: u64) {
                 Reported::Committed(_) => (a, m, o + 1),
             });
         eprintln!(
-            "seed {seed}: ok={ok} notapplied={na} maybe={mb} faults={} fanouts={fanouts} batched={batched}",
+            "seed {seed} {transport:?}: ok={ok} notapplied={na} maybe={mb} faults={} fanouts={fanouts}",
             faults.faults_injected(),
         );
     }
@@ -295,11 +292,13 @@ fn storm_case(seed: u64) {
 #[test]
 fn parallel_commit_seed_matrix() {
     // CI pins CHAOS_SEED to fan seeds out across jobs; locally all run.
-    if let Ok(seed) = std::env::var("CHAOS_SEED") {
-        storm_case(seed.parse().expect("CHAOS_SEED must be a u64"));
-        return;
-    }
-    for seed in [13, 29, 53, 103, 911] {
-        storm_case(seed);
+    let seeds = match std::env::var("CHAOS_SEED") {
+        Ok(seed) => vec![seed.parse().expect("CHAOS_SEED must be a u64")],
+        Err(_) => vec![13, 29, 53, 103, 911],
+    };
+    for seed in seeds {
+        for transport in TRANSPORTS {
+            storm_case(seed, transport);
+        }
     }
 }
