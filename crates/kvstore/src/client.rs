@@ -32,10 +32,12 @@ impl KvClient {
     /// `transport_blocks` says whether a call through `transport` spends
     /// wall-clock time blocked outside the server's own work — on a worker
     /// queue, slept network latency, injected faults and retry backoffs.
-    /// That, or servers that force a log (`cfg`: every prepare then ends in
-    /// an `fdatasync`), makes the 2PC coordinator overlap the calls of a
-    /// round; otherwise a call is pure CPU on the caller's thread and a
-    /// round is a plain loop.
+    /// Then the 2PC coordinator overlaps the calls of a round, sends the
+    /// secondaries' decisions without waiting for them, and a transaction
+    /// fetches what it is told to prefetch in one round.  Servers that force
+    /// a log (`cfg`: every prepare then ends in an `fdatasync`) overlap the
+    /// prepare round too.  Otherwise a call is pure CPU on the caller's
+    /// thread and a round is a plain loop.
     pub fn new(
         transport: Arc<dyn Transport<KvServer>>,
         oracle: TimestampOracle,
@@ -47,11 +49,10 @@ impl KvClient {
         // Enough workers that one commit round can cover every peer (the
         // calling thread takes one participant itself), without letting a
         // wide deployment spawn an unbounded thread count.  Lazy: no thread
-        // exists until the first parallel round.
+        // exists until the first overlapped call.
         let fanout = crate::fanout::FanoutPool::new(transport.num_servers().clamp(1, 8));
         let hot = KvHot::resolve(&stats);
-        let calls_block =
-            transport_blocks || (cfg.wal_dir.is_some() && cfg.wal_fsync != WalFsyncPolicy::Off);
+        let forced_log = cfg.wal_dir.is_some() && cfg.wal_fsync != WalFsyncPolicy::Off;
         KvClient {
             core: Arc::new(ClientCore {
                 transport,
@@ -61,7 +62,8 @@ impl KvClient {
                 stats,
                 hot,
                 retry_salt: AtomicU64::new(CLIENTS.fetch_add(1, Ordering::Relaxed) << 32),
-                calls_block,
+                transport_blocks,
+                forced_log,
                 fanout,
             }),
         }

@@ -1,19 +1,21 @@
-//! A small shared worker pool for the 2PC coordinator's parallel fan-outs.
+//! A small shared worker pool for a client's overlapped RPCs.
 //!
 //! The commit path issues one prepare per participant, one best-effort
-//! commit per secondary, and (on failure) one abort per participant.  Where
-//! calls spend wall-clock time blocked — worker queues, slept latency,
-//! injected faults, or a log flush at the end of every prepare — issuing
-//! those rounds from one thread serialises the waits.  [`FanoutPool`] lets
-//! the coordinator overlap them:
-//! all but one RPC of a round are handed to pool workers while the calling
+//! decision per secondary, and (on failure) one abort per participant; a
+//! statement may prefetch several leaves.  Where calls spend wall-clock
+//! time blocked — worker queues, slept latency, injected faults, or a log
+//! flush at the end of every prepare — issuing those calls from one thread
+//! serialises the waits.  [`FanoutPool`] lets the client overlap them: all
+//! but one RPC of a round are handed to pool workers while the calling
 //! thread issues the last one itself, so a round costs roughly its slowest
-//! RPC instead of their sum.
+//! RPC instead of their sum; and a secondary's decision is handed to a
+//! worker and not waited for at all.
 //!
 //! The pool is deliberately lazy: no thread exists until the first parallel
 //! round, so in-memory deployments on the plain direct transport (most unit
 //! tests, the CPU-bound benchmarks) never pay for it.  Workers exit when the
-//! owning client core is dropped (the job channel disconnects).
+//! owning client core is dropped (the job channel disconnects); a decision
+//! still in flight holds the core, so it lands first.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;

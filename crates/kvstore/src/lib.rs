@@ -19,12 +19,19 @@
 //!   and the registration lasts until the transaction has finished
 //!   committing.
 //! * Writes are **buffered at the client** until commit; reads observe the
-//!   transaction's own buffered writes.
+//!   transaction's own buffered writes, and a value once fetched is served
+//!   again from the transaction (exact under snapshot isolation: a value at
+//!   the start timestamp never changes).  Where the transport makes calls
+//!   wait, a caller can fetch several objects in one round
+//!   ([`Txn::prefetch`]).
 //! * Commit runs **two-phase commit** over the storage servers holding
 //!   written objects: each participant validates (first-committer-wins:
 //!   no committed version newer than the start timestamp) and locks the
 //!   written objects; the coordinator then obtains a **commit timestamp**
-//!   and tells participants to install the new versions and release locks.
+//!   and tells participants to install the new versions and release locks —
+//!   the primary first, the commit point, after which the commit returns;
+//!   where calls block, the other participants' decisions are sent and not
+//!   waited for.
 //! * Transactions that wrote to a single server always use one-phase
 //!   commit (the server validates, assigns the commit timestamp and
 //!   installs versions in one round trip).

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::bounded;
@@ -29,6 +29,9 @@ const LOCK_READ_RETRIES: usize = 100;
 /// Base backoff, in microseconds, between those re-reads: retry `n` sleeps
 /// `n` times this, capped at 16 times.
 const LOCK_BACKOFF_US: u64 = 50;
+/// How many fetched values a transaction remembers (see [`ReadMemo`]): a
+/// statement's leaves, a few times over.
+const READ_MEMO: usize = 16;
 
 /// Pre-resolved statistics handles for the client's per-operation paths:
 /// one registry lookup at client construction instead of a mutex acquisition
@@ -48,8 +51,9 @@ pub(crate) struct KvHot {
     pub(crate) txn_retries: Arc<Counter>,
     /// Commit-phase latencies, recorded only while `Obs::timing_on`:
     /// `prepare` is the whole phase-one round, `decide` the commit-point RPC
-    /// at the primary (1PC charges its single round here too), `apply` the
-    /// best-effort secondary fan-out.
+    /// at the primary (1PC charges its single round here too), `apply` one
+    /// secondary's decision, from its hand-off to its landing — off the
+    /// commit's critical path where decisions are not waited for.
     pub(crate) commit_prepare_us: Arc<Histogram>,
     pub(crate) commit_decide_us: Arc<Histogram>,
     pub(crate) commit_apply_us: Arc<Histogram>,
@@ -88,17 +92,28 @@ pub(crate) struct ClientCore {
     /// Counter the retry loops draw their jitter salts from (see
     /// [`ClientCore::backoff`]).
     pub(crate) retry_salt: AtomicU64,
-    /// Whether a call to a participant spends wall-clock time blocked — the
-    /// transport makes callers wait, or the servers force a log — so that a
-    /// coordinator round is worth issuing from several threads at once.
-    /// Computed once, in [`crate::KvClient::new`]; read by [`round`].
-    pub(crate) calls_block: bool,
-    /// Worker pool for the coordinator's overlapped RPC rounds; lazy, so it
+    /// Whether a call through the transport spends wall-clock time blocked
+    /// outside the server's own work: a worker queue, slept latency,
+    /// injected faults.  Then rounds overlap, a transaction's reads can be
+    /// fetched together ([`Txn::prefetch`]) and secondaries' decisions are
+    /// sent without waiting for them.
+    pub(crate) transport_blocks: bool,
+    /// Whether the servers force a log, so every prepare ends in an
+    /// `fdatasync`: the prepare round then overlaps too, so that the
+    /// participants' flushes do.
+    pub(crate) forced_log: bool,
+    /// Worker pool for overlapped rounds and unwaited decisions; lazy, so it
     /// costs nothing until the first one.
     pub(crate) fanout: FanoutPool,
 }
 
 impl ClientCore {
+    /// Whether a coordinator round is worth issuing from several threads at
+    /// once (see [`round`]).
+    fn overlaps_rounds(&self) -> bool {
+        self.transport_blocks || self.forced_log
+    }
+
     pub(crate) fn num_servers(&self) -> usize {
         self.transport.num_servers()
     }
@@ -188,55 +203,56 @@ impl ClientCore {
     }
 }
 
-/// Issues one coordinator round — prepares, secondary commits, aborts — of
-/// one `(server, request)` call per entry, and returns the outcomes in
-/// server order.  This is the one place that chooses how:
+/// Issues one round — a transaction's prefetch, or the coordinator's
+/// prepares or aborts — of one `(server, request)` call per entry, and
+/// returns each outcome with its entry's index, in entry order.  This is
+/// the one place that chooses how:
 ///
-/// * **Calls block** ([`ClientCore::calls_block`]): every call is in flight
-///   at once, so the round costs its slowest participant instead of the sum
+/// * **Calls block** ([`ClientCore::overlaps_rounds`]): every call is in
+///   flight at once, so the round costs its slowest call instead of the sum
 ///   (and, on a forced log, one flush instead of one per participant).  All
 ///   but the last go to the fan-out pool and the last runs on the calling
-///   thread, so a round never needs more workers than it has peers; a call
+///   thread, so a round never needs more workers than it has calls; a call
 ///   the pool cannot take runs on the calling thread too.  `stop_after` is
 ///   not consulted: nothing is left to stop.  If a pool worker dies
 ///   mid-round (a panic in the transport stack) its entry is simply missing
-///   from the result; callers that need every participant accounted for
-///   must check the length.
+///   from the result; callers that need every entry accounted for must
+///   check the length.
 /// * **Calls are pure CPU** on the caller's thread (direct transport, no
-///   forced log): a plain loop in server order, no pool thread ever
-///   spawned, ending early once `stop_after` says an outcome makes the rest
-///   of the round pointless — a failed prepare, so that later participants
-///   are never locked for a doomed transaction.
+///   forced log): a plain loop in entry order, no pool thread ever spawned,
+///   ending early once `stop_after` says an outcome makes the rest of the
+///   round pointless — a failed prepare, so that later participants are
+///   never locked for a doomed transaction.
 pub(crate) fn round(
     core: &Arc<ClientCore>,
     reqs: Vec<(ServerId, KvRequest)>,
     max_attempts: usize,
     stop_after: impl Fn(&Result<KvResponse>) -> bool,
-) -> Vec<(ServerId, Result<KvResponse>)> {
+) -> Vec<(usize, Result<KvResponse>)> {
     let n = reqs.len();
     let mut out = Vec::with_capacity(n);
-    if !core.calls_block {
-        for (server, req) in reqs {
+    if !core.overlaps_rounds() {
+        for (i, (server, req)) in reqs.into_iter().enumerate() {
             let resp = core.call_retry(server, req, max_attempts);
             let stop = stop_after(&resp);
-            out.push((server, resp));
+            out.push((i, resp));
             if stop {
                 break;
             }
         }
         return out;
     }
-    let (tx, rx) = bounded::<(ServerId, Result<KvResponse>)>(n);
-    let mut reqs = reqs.into_iter();
-    let Some((last_server, last_req)) = reqs.next_back() else {
+    let (tx, rx) = bounded::<(usize, Result<KvResponse>)>(n);
+    let mut reqs = reqs.into_iter().enumerate();
+    let Some((last, (last_server, last_req))) = reqs.next_back() else {
         return out;
     };
-    for (server, req) in reqs {
+    for (i, (server, req)) in reqs {
         let job_core = Arc::clone(core);
         let tx = tx.clone();
         let job = Box::new(move || {
             let resp = job_core.call_retry(server, req, max_attempts);
-            let _ = tx.send((server, resp));
+            let _ = tx.send((i, resp));
         });
         if let Err(job) = core.fanout.submit(job) {
             // No worker can take it: the round loses its overlap for this
@@ -245,15 +261,36 @@ pub(crate) fn round(
         }
     }
     drop(tx);
-    out.push((
-        last_server,
-        core.call_retry(last_server, last_req, max_attempts),
-    ));
+    out.push((last, core.call_retry(last_server, last_req, max_attempts)));
     while let Ok(pair) = rx.recv() {
         out.push(pair);
     }
-    out.sort_by_key(|(s, _)| *s);
+    out.sort_by_key(|(i, _)| *i);
     out
+}
+
+/// Delivers a commit decision to one secondary: the commit already stands
+/// at the primary, so a failure only makes the participant lagging (the
+/// reaper converges it).  `handed_off` is when the decision left the
+/// coordinator, if phase timing is on.
+fn deliver_decision(
+    core: &ClientCore,
+    server: ServerId,
+    txn: TxnId,
+    commit_ts: Timestamp,
+    handed_off: Option<Instant>,
+) {
+    let resp = core.call_retry(
+        server,
+        KvRequest::Commit { txn, commit_ts },
+        core.cfg.rpc_max_attempts,
+    );
+    if let Some(t0) = handed_off {
+        core.hot.commit_apply_us.record(clock::elapsed_us(t0));
+    }
+    if !matches!(resp, Ok(KvResponse::Committed { .. })) {
+        core.stats.counter("kv.commit_lagging_participants").inc();
+    }
 }
 
 /// Lifecycle state of a transaction.
@@ -267,11 +304,63 @@ pub enum TxnState {
     Aborted,
 }
 
+/// The values a transaction fetched, so that reading one again costs no RPC.
+///
+/// Exact under snapshot isolation: a value read at `start_ts` cannot change
+/// later.  A prepared writer answers `Locked`, never a value, and nothing
+/// that answer carries is remembered; any commit that had not prepared at
+/// the server when it answered draws its timestamp afterwards, above
+/// `start_ts` (1PC draws it under the server's shard guards).  Bounded:
+/// the newest [`READ_MEMO`] values, oldest replaced first.
+#[derive(Default)]
+struct ReadMemo {
+    entries: Vec<(ObjectId, Option<Bytes>)>,
+    /// The entry the next value replaces once `entries` is full.
+    next: usize,
+}
+
+impl ReadMemo {
+    fn get(&self, obj: ObjectId) -> Option<&Option<Bytes>> {
+        self.entries.iter().find(|(o, _)| *o == obj).map(|(_, v)| v)
+    }
+
+    fn remember(&mut self, obj: ObjectId, value: Option<Bytes>) {
+        if self.get(obj).is_some() {
+            return;
+        }
+        if self.entries.len() < READ_MEMO {
+            // One allocation for the whole memo, not one per doubling.
+            self.entries.reserve_exact(READ_MEMO - self.entries.len());
+            self.entries.push((obj, value));
+        } else {
+            self.entries[self.next] = (obj, value);
+            self.next = (self.next + 1) % READ_MEMO;
+        }
+    }
+}
+
+/// What a transaction can answer without a server: its buffered writes and
+/// the values it fetched, under one lock.
+#[derive(Default)]
+struct Local {
+    writes: BTreeMap<ObjectId, Option<Bytes>>,
+    reads: ReadMemo,
+}
+
+impl Local {
+    /// `obj` at this transaction's snapshot as it knows it: its own write
+    /// first, else a value it fetched; `None` if it has to ask.
+    fn read(&self, obj: ObjectId) -> Option<&Option<Bytes>> {
+        self.writes.get(&obj).or_else(|| self.reads.get(obj))
+    }
+}
+
 /// A transaction with snapshot-isolation semantics.
 ///
 /// Reads observe the snapshot defined by the start timestamp plus the
 /// transaction's own buffered writes; writes are buffered locally and sent
-/// to the storage servers only at commit.
+/// to the storage servers only at commit.  An object is fetched at most
+/// once while its value stays in the transaction's read memo.
 ///
 /// All access methods take `&self`: the write buffer is internally
 /// synchronized so that the layers above (tree cursors, SQL operators) can
@@ -283,9 +372,7 @@ pub struct Txn {
     id: TxnId,
     start_ts: Timestamp,
     state: Mutex<TxnState>,
-    writes: Mutex<BTreeMap<ObjectId, Option<Bytes>>>,
-    /// Number of Get RPCs issued (used by the latency-table experiment).
-    read_rpcs: AtomicU64,
+    local: Mutex<Local>,
 }
 
 impl Txn {
@@ -298,8 +385,7 @@ impl Txn {
             id,
             start_ts,
             state: Mutex::new(TxnState::Active),
-            writes: Mutex::new(BTreeMap::new()),
-            read_rpcs: AtomicU64::new(0),
+            local: Mutex::new(Local::default()),
         }
     }
 
@@ -321,18 +407,12 @@ impl Txn {
     /// True if the transaction has not written anything (such transactions
     /// commit without any communication).
     pub fn is_read_only(&self) -> bool {
-        self.writes.lock().is_empty()
+        self.local.lock().writes.is_empty()
     }
 
     /// Number of objects written so far.
     pub fn write_count(&self) -> usize {
-        self.writes.lock().len()
-    }
-
-    /// Number of read RPCs issued so far (diagnostics; reads served from the
-    /// local write buffer do not count).
-    pub fn read_rpcs(&self) -> u64 {
-        self.read_rpcs.load(Ordering::Relaxed)
+        self.local.lock().writes.len()
     }
 
     fn check_active(&self) -> Result<()> {
@@ -345,17 +425,17 @@ impl Txn {
         }
     }
 
-    /// Reads `obj` at this transaction's snapshot (observing its own writes).
+    /// Reads `obj` at this transaction's snapshot (observing its own writes,
+    /// and fetching it only if it has not already).
     pub fn get(&self, obj: ObjectId) -> Result<Option<Bytes>> {
         self.check_active()?;
-        if let Some(v) = self.writes.lock().get(&obj) {
-            return Ok(v.clone());
+        if let Some(v) = self.local.lock().read(obj).cloned() {
+            return Ok(v);
         }
         let _get_span = span(SpanKind::KvGet);
         let server = self.core.home(obj);
         let mut attempts = 0usize;
         loop {
-            self.read_rpcs.fetch_add(1, Ordering::Relaxed);
             self.core.hot.get_rpcs.inc();
             match self.core.call_retry(
                 server,
@@ -365,7 +445,10 @@ impl Txn {
                 },
                 self.core.cfg.rpc_max_attempts,
             )? {
-                KvResponse::Value(v) => return Ok(v),
+                KvResponse::Value(v) => {
+                    self.local.lock().reads.remember(obj, v.clone());
+                    return Ok(v);
+                }
                 KvResponse::Locked => {
                     attempts += 1;
                     self.core.hot.get_lock_retries.inc();
@@ -387,10 +470,62 @@ impl Txn {
         }
     }
 
+    /// Fetches `objs` at this transaction's snapshot in one round, so that
+    /// the [`Txn::get`]s that follow are answered from the transaction.
+    ///
+    /// Only where the transport makes a call wait: the round then costs one
+    /// round trip instead of one per object.  Elsewhere a call is CPU on
+    /// this thread, and `get` pays the same later, so nothing is fetched.
+    /// Advisory: objects the transaction wrote or already fetched are
+    /// skipped, and only values are remembered — a locked object, or a call
+    /// that failed, is left to `get`, which waits or reports it.
+    pub fn prefetch(&self, objs: &[ObjectId]) {
+        if !self.prefetches() || self.state() != TxnState::Active {
+            return;
+        }
+        let mut wanted: Vec<ObjectId> = Vec::with_capacity(objs.len());
+        {
+            let local = self.local.lock();
+            for &obj in objs {
+                if local.read(obj).is_none() && !wanted.contains(&obj) {
+                    wanted.push(obj);
+                }
+            }
+        }
+        if wanted.is_empty() {
+            return;
+        }
+        let _get_span = span(SpanKind::KvGet);
+        let gets = wanted
+            .iter()
+            .map(|&obj| {
+                let get = KvRequest::Get {
+                    obj,
+                    ts: self.start_ts,
+                };
+                (self.core.home(obj), get)
+            })
+            .collect();
+        self.core.hot.get_rpcs.add(wanted.len() as u64);
+        let outcomes = round(&self.core, gets, self.core.cfg.rpc_max_attempts, |_| false);
+        let mut local = self.local.lock();
+        for (i, resp) in outcomes {
+            if let Ok(KvResponse::Value(v)) = resp {
+                local.reads.remember(wanted[i], v);
+            }
+        }
+    }
+
+    /// Whether [`Txn::prefetch`] fetches anything in this deployment, so a
+    /// caller can skip working out what to name.
+    pub fn prefetches(&self) -> bool {
+        self.core.transport_blocks
+    }
+
     /// Buffers a write of `value` to `obj`.
     pub fn put(&self, obj: ObjectId, value: impl Into<Bytes>) -> Result<()> {
         self.check_active()?;
-        self.writes.lock().insert(obj, Some(value.into()));
+        self.local.lock().writes.insert(obj, Some(value.into()));
         Ok(())
     }
 
@@ -401,9 +536,9 @@ impl Txn {
     /// path: either every copy becomes visible or none does.
     pub fn put_many(&self, objs: impl IntoIterator<Item = ObjectId>, value: Bytes) -> Result<()> {
         self.check_active()?;
-        let mut writes = self.writes.lock();
+        let mut local = self.local.lock();
         for obj in objs {
-            writes.insert(obj, Some(value.clone()));
+            local.writes.insert(obj, Some(value.clone()));
         }
         Ok(())
     }
@@ -411,20 +546,25 @@ impl Txn {
     /// Buffers a deletion of `obj`.
     pub fn delete(&self, obj: ObjectId) -> Result<()> {
         self.check_active()?;
-        self.writes.lock().insert(obj, None);
+        self.local.lock().writes.insert(obj, None);
         Ok(())
     }
 
     /// Commits the transaction, returning its commit timestamp.
     ///
     /// Read-only transactions commit locally with no communication.  Single-
-    /// participant transactions use one-phase commit (one RPC); multi-
-    /// participant transactions use two-phase commit (one prepare RPC and
-    /// one commit RPC per participant).
+    /// participant transactions use one-phase commit (one RPC).  Multi-
+    /// participant transactions use two-phase commit: one prepare RPC per
+    /// participant, then the decision at the primary — the commit point,
+    /// after which this returns — and at every other participant.  Where
+    /// the transport makes calls wait, the secondaries' decisions are sent
+    /// without being waited for: a secondary that misses one adopts the
+    /// commit from the primary, and a reader that meets its lock meanwhile
+    /// waits for it.
     pub fn commit(self) -> Result<Timestamp> {
         self.check_active()?;
 
-        let writes = std::mem::take(&mut *self.writes.lock());
+        let writes = std::mem::take(&mut self.local.lock().writes);
         if writes.is_empty() {
             *self.state.lock() = TxnState::Committed;
             self.core.hot.readonly_commits.inc();
@@ -530,7 +670,7 @@ impl Txn {
                 (server, req)
             })
             .collect();
-        if self.core.calls_block {
+        if self.core.overlaps_rounds() {
             // Reporting only: `round` is what acts on it.
             self.core.hot.prepare_parallel_fanouts.inc();
         }
@@ -555,7 +695,8 @@ impl Txn {
                 .iter()
                 .all(|(_, r)| matches!(r, Ok(KvResponse::Prepared)));
         if !all_prepared {
-            for (server, resp) in outcomes {
+            for (i, resp) in outcomes {
+                let server = participants[i];
                 match resp {
                     Ok(KvResponse::Prepared) => {}
                     Ok(KvResponse::Conflict { reason }) => {
@@ -676,47 +817,38 @@ impl Txn {
             }
         };
 
-        // Phase two, secondaries: best-effort (the outcome no longer depends
-        // on these calls).  The transaction is durably committed at the
-        // primary; a secondary logs its commit without waiting for the disk,
-        // and one that misses the message — or loses the record in a crash —
-        // adopts the commit from the primary.
-        let secondary_commits: Vec<(ServerId, KvRequest)> = participants
-            .iter()
-            .filter(|&&s| s != primary)
-            .map(|&s| {
-                (
-                    s,
-                    KvRequest::Commit {
-                        txn: self.id,
-                        commit_ts,
-                    },
-                )
-            })
-            .collect();
-        let apply_t0 = timing.then(clock::now);
-        let results = round(
-            &self.core,
-            secondary_commits,
-            self.core.cfg.rpc_max_attempts,
-            |_| false,
-        );
-        if let Some(t0) = apply_t0 {
-            self.core.hot.commit_apply_us.record(clock::elapsed_us(t0));
-        }
-        for (_, resp) in results {
-            if !matches!(resp, Ok(KvResponse::Committed { .. })) {
-                // Lost or refused: the reaper will converge this
-                // participant.  The commit itself already succeeded.
-                self.core
-                    .stats
-                    .counter("kv.commit_lagging_participants")
-                    .inc();
-            }
-        }
+        self.decide_secondaries(&participants[1..], commit_ts, timing);
         *self.state.lock() = TxnState::Committed;
         self.core.hot.txn_committed.inc();
         Ok(commit_ts)
+    }
+
+    /// Phase two at the secondaries: best-effort, because the outcome no
+    /// longer depends on these calls.  The transaction is durably committed
+    /// at the primary; a secondary logs its decision without waiting for the
+    /// disk, and one that misses the message — or loses the record in a
+    /// crash — adopts the commit from the primary (a reader that meets its
+    /// lock meanwhile waits, never reads around it).
+    ///
+    /// Where the transport makes a call wait, each decision goes to the
+    /// fan-out pool and the commit returns without waiting for any of them:
+    /// the round trip leaves the commit's critical path.  Elsewhere a
+    /// decision is CPU on this thread, or an unforced log append, and runs
+    /// inline.
+    fn decide_secondaries(&self, secondaries: &[ServerId], commit_ts: Timestamp, timing: bool) {
+        for &server in secondaries {
+            let handed_off = timing.then(clock::now);
+            if !self.core.transport_blocks {
+                deliver_decision(&self.core, server, self.id, commit_ts, handed_off);
+                continue;
+            }
+            let core = Arc::clone(&self.core);
+            let txn = self.id;
+            let job = Box::new(move || deliver_decision(&core, server, txn, commit_ts, handed_off));
+            if let Err(job) = self.core.fanout.submit(job) {
+                job();
+            }
+        }
     }
 
     /// Best-effort abort round used when a prepare round fails.  Abort is
@@ -796,13 +928,38 @@ mod tests {
     fn read_rpcs_counted() {
         let db = KvDatabase::with_servers(2);
         let client = db.client();
+        let get_rpcs = db.stats().counter("kv.get_rpcs");
+        let before = get_rpcs.get();
         let t = client.begin();
         let _ = t.get(ObjectId::new(1, 1)).unwrap();
         let _ = t.get(ObjectId::new(1, 2)).unwrap();
+        assert_eq!(get_rpcs.get() - before, 2);
+        // A re-read of a fetched object is answered by the transaction.
+        let _ = t.get(ObjectId::new(1, 1)).unwrap();
+        let _ = t.get(ObjectId::new(1, 2)).unwrap();
+        assert_eq!(get_rpcs.get() - before, 2);
+        // So is a read of a buffered write.
         t.put(ObjectId::new(1, 3), Bytes::from_static(b"x"))
             .unwrap();
-        let _ = t.get(ObjectId::new(1, 3)).unwrap(); // served from write buffer
-        assert_eq!(t.read_rpcs(), 2);
+        assert_eq!(
+            t.get(ObjectId::new(1, 3)).unwrap().as_deref(),
+            Some(&b"x"[..])
+        );
+        assert_eq!(get_rpcs.get() - before, 2);
         t.commit().unwrap();
+    }
+
+    #[test]
+    fn read_memo_keeps_the_newest_values() {
+        let mut memo = ReadMemo::default();
+        for oid in 0..READ_MEMO as u64 + 2 {
+            memo.remember(ObjectId::new(1, oid), None);
+        }
+        assert_eq!(memo.entries.len(), READ_MEMO);
+        assert!(memo.get(ObjectId::new(1, 0)).is_none());
+        assert!(memo.get(ObjectId::new(1, 1)).is_none());
+        for oid in 2..READ_MEMO as u64 + 2 {
+            assert!(memo.get(ObjectId::new(1, oid)).is_some(), "oid {oid}");
+        }
     }
 }

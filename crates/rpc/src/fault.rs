@@ -156,11 +156,32 @@ struct FaultState {
     delivered: AtomicU64,
     /// Requests rejected since the last crash, for `restart_after_rejects`.
     rejected_while_down: AtomicU64,
+    /// Calls that found the server up and have not returned yet.  An
+    /// amnesia restart waits for them, so a kill lands between two requests
+    /// and never inside one: state a request is still changing is not
+    /// wiped and replayed under it.
+    in_flight: AtomicU64,
     /// Runs when a crashed server restarts under an amnesia plan, *before*
     /// the server accepts requests again.  The lock is held across the whole
     /// restart sequence so concurrent scripted restarts run the hook exactly
     /// once and callers never observe a half-recovered server.
     restart_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+}
+
+/// One call counted in its server's [`FaultState::in_flight`] until dropped.
+struct InFlight<'a>(&'a AtomicU64);
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicU64) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        InFlight(count)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl FaultState {
@@ -176,6 +197,7 @@ impl FaultState {
             crashed: AtomicBool::new(false),
             delivered: AtomicU64::new(0),
             rejected_while_down: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
             restart_hook: Mutex::new(None),
         }
     }
@@ -284,17 +306,30 @@ where
     pub fn restart(&self, server: ServerId) {
         if let Some(st) = self.states.get(server) {
             let hook = st.restart_hook.lock();
-            if st.crashed.load(Ordering::SeqCst) {
-                if st.plan.lock().amnesia {
-                    if let Some(h) = hook.as_ref() {
-                        h();
-                    }
-                }
-                st.crashed.store(false, Ordering::SeqCst);
-            }
+            Self::revive(st, &hook);
             st.rejected_while_down.store(0, Ordering::SeqCst);
             st.delivered.store(0, Ordering::SeqCst);
         }
+    }
+
+    /// Brings a crashed server back; the caller holds its hook lock.  Under
+    /// an amnesia plan, the calls still executing in the server return
+    /// first, then the hook runs, and only then do calls flow again.
+    fn revive(st: &FaultState, hook: &Option<Box<dyn Fn() + Send + Sync>>) {
+        if !st.crashed.load(Ordering::SeqCst) {
+            return;
+        }
+        if st.plan.lock().amnesia {
+            while st.in_flight.load(Ordering::SeqCst) != 0 {
+                std::thread::yield_now();
+            }
+            if let Some(h) = hook.as_ref() {
+                h();
+            }
+        }
+        st.crashed.store(false, Ordering::SeqCst);
+        st.rejected_while_down.store(0, Ordering::SeqCst);
+        st.delivered.store(0, Ordering::SeqCst);
     }
 
     /// Installs the hook run when `server` restarts from a crash under an
@@ -402,36 +437,34 @@ where
             return self.inner.call(server, req);
         };
 
-        if st.crashed.load(Ordering::SeqCst) {
+        // Counted in flight before the crash check: a restart that finds the
+        // server crashed then also finds every call that saw it up.
+        let _in_flight = loop {
+            let entered = InFlight::enter(&st.in_flight);
+            if !st.crashed.load(Ordering::SeqCst) {
+                break entered;
+            }
+            drop(entered);
             let rejected = st.rejected_while_down.fetch_add(1, Ordering::SeqCst) + 1;
-            let (restart_at, amnesia) = {
-                let plan = st.plan.lock();
-                (plan.restart_after_rejects, plan.amnesia)
+            let restart_at = st.plan.lock().restart_after_rejects;
+            // Scripted recovery: this call restarts the server and goes
+            // through.  A call that finds another restart under way is
+            // refused as if the server were still down: waiting for that
+            // restart could close a cycle of restarts, each waiting for a
+            // call the other holds up.
+            let hook = match restart_at {
+                Some(n) if rejected >= n => st.restart_hook.try_lock(),
+                _ => None,
             };
-            match restart_at {
-                Some(n) if rejected >= n => {
-                    // Scripted recovery: this call goes through.  The hook
-                    // lock serialises racing restarts; the re-check makes
-                    // the losers find the server already up.
-                    let hook = st.restart_hook.lock();
-                    if st.crashed.load(Ordering::SeqCst) {
-                        if amnesia {
-                            if let Some(h) = hook.as_ref() {
-                                h();
-                            }
-                        }
-                        st.crashed.store(false, Ordering::SeqCst);
-                        st.rejected_while_down.store(0, Ordering::SeqCst);
-                        st.delivered.store(0, Ordering::SeqCst);
-                    }
-                }
-                _ => {
+            match hook {
+                Some(hook) => Self::revive(st, &hook),
+                None => {
                     self.counters.crash_reject.inc();
                     self.counters.injected.inc();
                     return Err(Error::Unavailable(format!("server {server} is down")));
                 }
             }
-        }
+        };
 
         let d = self.draw(st);
 

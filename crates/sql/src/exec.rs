@@ -57,7 +57,7 @@ use std::sync::Arc;
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, counter_value, TraceCounter};
 use yesquel_common::stats::Histogram;
-use yesquel_common::{Error, Result};
+use yesquel_common::{Error, ObjectId, Result};
 use yesquel_kv::Txn;
 use yesquel_ydbt::{Dbt, RawCursor};
 
@@ -1765,9 +1765,21 @@ fn index_values(ix: &IndexInfo, row: &[Value]) -> Vec<Value> {
     ix.columns.iter().map(|&c| row[c].clone()).collect()
 }
 
-/// Inserts one index entry, enforcing uniqueness.  Unique entries with any
-/// NULL value are stored with a rowid suffix like non-unique entries (SQL
-/// treats NULLs as distinct, so they never conflict).
+/// The key of the entry a row with rowid `rid` and indexed values `vals`
+/// has in `ix`, and whether it is a unique key — the bare values, mapping
+/// to the rowid — rather than values plus a rowid suffix mapping to
+/// nothing.  Unique entries with any NULL value take the suffix like
+/// non-unique ones (SQL treats NULLs as distinct, so they never conflict).
+/// Every reader and writer of index entries goes through here.
+fn index_entry_key(ix: &IndexInfo, vals: &[Value], rid: i64) -> (Vec<u8>, bool) {
+    if ix.unique && !vals.iter().any(Value::is_null) {
+        (encode_index_key(vals, None), true)
+    } else {
+        (encode_index_key(vals, Some(rid)), false)
+    }
+}
+
+/// Inserts one index entry, enforcing uniqueness.
 fn insert_index_entry(
     itree: &Dbt,
     txn: &Txn,
@@ -1776,18 +1788,20 @@ fn insert_index_entry(
     vals: &[Value],
     rid: i64,
 ) -> Result<()> {
-    if ix.unique && !vals.iter().any(Value::is_null) {
-        // One descent decides and writes: the leaf's probe is the
-        // uniqueness check.
-        let key = encode_index_key(vals, None);
-        if !itree.insert_if_absent(txn, &key, &encode_row(&[Value::Int(rid)]))? {
-            return Err(Error::Constraint(format!(
-                "UNIQUE constraint failed: {table_name} index {}",
-                ix.name
-            )));
+    match index_entry_key(ix, vals, rid) {
+        (key, true) => {
+            // One descent decides and writes: the leaf's probe is the
+            // uniqueness check.
+            if !itree.insert_if_absent(txn, &key, &encode_row(&[Value::Int(rid)]))? {
+                return Err(Error::Constraint(format!(
+                    "UNIQUE constraint failed: {table_name} index {}",
+                    ix.name
+                )));
+            }
         }
-    } else {
-        itree.insert(txn, &encode_index_key(vals, Some(rid)), &[])?;
+        (key, false) => {
+            itree.insert(txn, &key, &[])?;
+        }
     }
     Ok(())
 }
@@ -1800,62 +1814,90 @@ fn delete_index_entry(
     vals: &[Value],
     rid: i64,
 ) -> Result<()> {
-    let key = if ix.unique && !vals.iter().any(Value::is_null) {
-        encode_index_key(vals, None)
-    } else {
-        encode_index_key(vals, Some(rid))
-    };
-    itree.delete(txn, &key)?;
+    itree.delete(txn, &index_entry_key(ix, vals, rid).0)?;
     Ok(())
 }
 
-/// Stores a new row under its rowid and returns it: the explicit
-/// rowid-column value when given, otherwise the next free id from the
-/// table's allocator (skipping ids taken by explicit inserts).  The row
-/// leaf's own probe is the occupancy check, so each candidate rowid costs
-/// one descent, and an occupied one buffers nothing.
+/// Fetches, in one round, the leaves a statement is about to search for
+/// `keys`, each `(tree, key)` — the row leaf and the index leaves of one
+/// row, which are independent of each other — so that the searches that
+/// follow cost no round trip each.  Only where the transaction prefetches
+/// ([`Txn::prefetches`]); elsewhere not even the keys are built.
+fn prefetch_leaves<'t>(cx: &ExecCtx<'_>, keys: impl FnOnce() -> Vec<(&'t Dbt, Vec<u8>)>) {
+    if !cx.txn.prefetches() {
+        return;
+    }
+    let leaves: Vec<ObjectId> = keys()
+        .iter()
+        .filter_map(|(tree, key)| tree.leaf_to_fetch(key))
+        .collect();
+    cx.txn.prefetch(&leaves);
+}
+
+/// The rowid a new row asks for first, and whether it was given: its
+/// rowid-column value, or else the next id from the table's allocator.
+/// The row's rowid column is set to it, and the row is checked complete.
+fn first_rowid(catalog: &Catalog, schema: &TableSchema, row: &mut [Value]) -> Result<(i64, bool)> {
+    let picked = match schema.rowid_col {
+        Some(rc) if !row[rc].is_null() => (
+            exact_rowid(&row[rc], &schema.name, &schema.columns[rc].name)?,
+            true,
+        ),
+        _ => (catalog.allocate_rowids(schema, 1)?, false),
+    };
+    if let Some(rc) = schema.rowid_col {
+        row[rc] = Value::Int(picked.0);
+    }
+    check_not_null(schema, row)?;
+    Ok(picked)
+}
+
+/// Stores a new row under its rowid and returns it: `rid` from
+/// [`first_rowid`], and if that was allocated and is taken, the next free id
+/// from the table's allocator.  The row leaf's own probe is the occupancy
+/// check, so each candidate rowid costs one descent, and an occupied one
+/// buffers nothing.
 fn insert_row(
     catalog: &Catalog,
     txn: &Txn,
     schema: &TableSchema,
     table: &Dbt,
     row: &mut [Value],
+    (mut rid, explicit): (i64, bool),
 ) -> Result<i64> {
-    let explicit = match schema.rowid_col {
-        Some(rc) if !row[rc].is_null() => Some(exact_rowid(
-            &row[rc],
-            &schema.name,
-            &schema.columns[rc].name,
-        )?),
-        _ => None,
-    };
     loop {
-        // The allocator is non-transactional (ids burned by aborts are lost,
-        // like SQLite's AUTOINCREMENT under concurrency); explicit inserts
-        // may have taken ids ahead of the counter, so skip occupied ones.
-        let rid = match explicit {
-            Some(rid) => rid,
-            None => catalog.allocate_rowids(schema, 1)?,
-        };
-        if let Some(rc) = schema.rowid_col {
-            row[rc] = Value::Int(rid);
-        }
-        check_not_null(schema, row)?;
         if table.insert_if_absent(txn, &encode_rowid_key(rid), &encode_row(row))? {
             return Ok(rid);
         }
-        if let (Some(_), Some(rc)) = (explicit, schema.rowid_col) {
+        if let (true, Some(rc)) = (explicit, schema.rowid_col) {
             return Err(Error::Constraint(format!(
                 "UNIQUE constraint failed: {}.{}",
                 schema.name, schema.columns[rc].name
             )));
         }
+        // The allocator is non-transactional (ids burned by aborts are lost,
+        // like SQLite's AUTOINCREMENT under concurrency); explicit inserts
+        // may have taken ids ahead of the counter, so skip occupied ones.
+        rid = catalog.allocate_rowids(schema, 1)?;
+        if let Some(rc) = schema.rowid_col {
+            row[rc] = Value::Int(rid);
+        }
     }
+}
+
+/// The trees of a table's secondary indexes, in `schema.indexes` order.
+fn index_trees(cx: &ExecCtx<'_>, schema: &TableSchema) -> Vec<Dbt> {
+    schema
+        .indexes
+        .iter()
+        .map(|ix| cx.catalog.engine().tree(ix.tree))
+        .collect()
 }
 
 fn exec_insert(cx: &ExecCtx<'_>, p: &InsertPlan) -> Result<ResultSet> {
     let schema = &p.schema;
     let table = cx.catalog.engine().tree(schema.tree);
+    let itrees = index_trees(cx, schema);
     let mut affected = 0u64;
     let mut last_rowid = None;
     for value_exprs in &p.rows {
@@ -1864,11 +1906,21 @@ fn exec_insert(cx: &ExecCtx<'_>, p: &InsertPlan) -> Result<ResultSet> {
             let col = p.columns[i];
             row[col] = const_eval(e, cx.params)?.coerce(schema.columns[col].ctype);
         }
-        let rid = insert_row(cx.catalog, cx.txn, schema, &table, &mut row)?;
-        for ix in &schema.indexes {
-            let itree = cx.catalog.engine().tree(ix.tree);
+        let first = first_rowid(cx.catalog, schema, &mut row)?;
+        prefetch_leaves(cx, || {
+            let mut keys = vec![(&table, encode_rowid_key(first.0))];
+            for (ix, itree) in schema.indexes.iter().zip(&itrees) {
+                keys.push((
+                    itree,
+                    index_entry_key(ix, &index_values(ix, &row), first.0).0,
+                ));
+            }
+            keys
+        });
+        let rid = insert_row(cx.catalog, cx.txn, schema, &table, &mut row, first)?;
+        for (ix, itree) in schema.indexes.iter().zip(&itrees) {
             insert_index_entry(
-                &itree,
+                itree,
                 cx.txn,
                 ix,
                 &schema.name,
@@ -1907,9 +1959,14 @@ fn collect_matches(cx: &ExecCtx<'_>, target: &DmlTarget) -> Result<Vec<(i64, Vec
     Ok(matches)
 }
 
+/// Every row an UPDATE (or a DELETE) changes was fetched by
+/// [`collect_matches`], so rewriting its row leaf costs no round trip — the
+/// transaction remembers the leaf — and the index leaves it changes are
+/// fetched together, first.
 fn exec_update(cx: &ExecCtx<'_>, p: &crate::plan::UpdatePlan) -> Result<ResultSet> {
     let schema = &p.target.schema;
     let table = cx.catalog.engine().tree(schema.tree);
+    let itrees = index_trees(cx, schema);
     let layout = p.target.layout.clone();
     let matches = collect_matches(cx, &p.target)?;
     let mut affected = 0u64;
@@ -1932,6 +1989,32 @@ fn exec_update(cx: &ExecCtx<'_>, p: &crate::plan::UpdatePlan) -> Result<ResultSe
         }
         check_not_null(schema, &new_row)?;
 
+        // The indexes whose entry moves, with the old and the new values.
+        let moved: Vec<_> = schema
+            .indexes
+            .iter()
+            .zip(&itrees)
+            .map(|(ix, itree)| {
+                let (old, new) = (index_values(ix, &old_row), index_values(ix, &new_row));
+                (ix, itree, old, new)
+            })
+            .filter(|(_, _, old, new)| old != new || new_rid != rid)
+            .collect();
+        prefetch_leaves(cx, || {
+            let mut keys: Vec<_> = moved
+                .iter()
+                .flat_map(|(ix, itree, old, new)| {
+                    [
+                        (*itree, index_entry_key(ix, old, rid).0),
+                        (*itree, index_entry_key(ix, new, new_rid).0),
+                    ]
+                })
+                .collect();
+            if new_rid != rid {
+                keys.push((&table, encode_rowid_key(new_rid)));
+            }
+            keys
+        });
         if new_rid != rid {
             if table.lookup(cx.txn, &encode_rowid_key(new_rid))?.is_some() {
                 return Err(Error::Constraint(format!(
@@ -1942,15 +2025,9 @@ fn exec_update(cx: &ExecCtx<'_>, p: &crate::plan::UpdatePlan) -> Result<ResultSe
             }
             table.delete(cx.txn, &encode_rowid_key(rid))?;
         }
-        for ix in &schema.indexes {
-            let old_vals = index_values(ix, &old_row);
-            let new_vals = index_values(ix, &new_row);
-            if old_vals == new_vals && new_rid == rid {
-                continue;
-            }
-            let itree = cx.catalog.engine().tree(ix.tree);
-            delete_index_entry(&itree, cx.txn, ix, &old_vals, rid)?;
-            insert_index_entry(&itree, cx.txn, ix, &schema.name, &new_vals, new_rid)?;
+        for (ix, itree, old_vals, new_vals) in &moved {
+            delete_index_entry(itree, cx.txn, ix, old_vals, rid)?;
+            insert_index_entry(itree, cx.txn, ix, &schema.name, new_vals, new_rid)?;
         }
         table.insert(cx.txn, &encode_rowid_key(new_rid), &encode_row(&new_row))?;
         affected += 1;
@@ -1964,12 +2041,20 @@ fn exec_update(cx: &ExecCtx<'_>, p: &crate::plan::UpdatePlan) -> Result<ResultSe
 fn exec_delete(cx: &ExecCtx<'_>, p: &crate::plan::DeletePlan) -> Result<ResultSet> {
     let schema = &p.target.schema;
     let table = cx.catalog.engine().tree(schema.tree);
+    let itrees = index_trees(cx, schema);
     let matches = collect_matches(cx, &p.target)?;
     let mut affected = 0u64;
     for (rid, row) in matches {
-        for ix in &schema.indexes {
-            let itree = cx.catalog.engine().tree(ix.tree);
-            delete_index_entry(&itree, cx.txn, ix, &index_values(ix, &row), rid)?;
+        prefetch_leaves(cx, || {
+            schema
+                .indexes
+                .iter()
+                .zip(&itrees)
+                .map(|(ix, itree)| (itree, index_entry_key(ix, &index_values(ix, &row), rid).0))
+                .collect()
+        });
+        for (ix, itree) in schema.indexes.iter().zip(&itrees) {
+            delete_index_entry(itree, cx.txn, ix, &index_values(ix, &row), rid)?;
         }
         table.delete(cx.txn, &encode_rowid_key(rid))?;
         affected += 1;

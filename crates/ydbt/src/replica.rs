@@ -106,6 +106,15 @@ impl ReplicaMap {
         }
     }
 
+    /// Whether `(tree, oid)` has a known replica set, so that [`Self::choose`]
+    /// rotates over its copies.
+    pub fn lists(&self, tree: TreeId, oid: Oid) -> bool {
+        self.entries.load(Ordering::Relaxed) != 0
+            && self.shards[Self::shard_of(tree, oid)]
+                .lock()
+                .contains_key(&(tree, oid))
+    }
+
     /// Records (or refreshes) the replica set of `(tree, oid)` as learned
     /// from a fetched primary page.
     pub fn learn(&self, tree: TreeId, oid: Oid, replicas: &[Oid]) {

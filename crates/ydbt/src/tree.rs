@@ -24,7 +24,10 @@
 //!
 //! With a warm cache the common case fetches exactly one node — the leaf —
 //! which is what lets Yesquel approach NOSQL key-value latency for point
-//! queries.
+//! queries.  Phase 1 alone names that node ([`Dbt::leaf_to_fetch`]), so a
+//! statement that is about to search several trees can fetch their leaves
+//! in one round first ([`Txn::prefetch`]); the searches then find them in
+//! the transaction.
 //!
 //! ## Nodes are never materialised
 //!
@@ -180,19 +183,19 @@ impl Dbt {
         Ok(view)
     }
 
-    /// Finds the leaf responsible for `key` at the transaction's snapshot.
-    pub(crate) fn find_leaf(&self, txn: &Txn, key: &[u8]) -> Result<LeafRef> {
-        let cfg = self.engine.config();
-        let counters = self.engine.counters();
+    /// Phase 1 of a search for `key`: the path from the root as far as the
+    /// inner-node cache routes it, with no RPC.  Its last oid is the node
+    /// phase 2 fetches first — the leaf, when the cache is warm and right.
+    ///
+    /// Termination is guaranteed by the depth bound alone — O(depth), unlike
+    /// a per-step scan of the whole path, which made deep descents
+    /// O(depth²).  The `child != cur` guard only short-circuits the trivial
+    /// self-loop a corrupt cache entry could produce; longer cycles run into
+    /// the depth bound.
+    fn cached_path(&self, key: &[u8]) -> Vec<Oid> {
         let cache = self.engine.cache();
-
-        // Phase 1: cached descent (no RPCs).  Termination is guaranteed by
-        // the depth bound alone — O(depth), unlike a per-step scan of the
-        // whole path, which made deep descents O(depth²).  The `child != cur`
-        // guard only short-circuits the trivial self-loop a corrupt cache
-        // entry could produce; longer cycles run into the depth bound.
         let mut path: Vec<Oid> = vec![ROOT_OID];
-        if cfg.cache_inner_nodes {
+        if self.engine.config().cache_inner_nodes {
             while path.len() < MAX_SEARCH_DEPTH {
                 let cur = *path.last().expect("path never empty");
                 match cache.get(self.tree, cur) {
@@ -209,6 +212,26 @@ impl Dbt {
                 }
             }
         }
+        path
+    }
+
+    /// The object a search for `key` fetches first — with a warm cache, the
+    /// leaf — named from the cache alone, with no RPC, so that a statement
+    /// can [`Txn::prefetch`] the leaves it is about to search together.
+    /// `None` for a node the client knows to be replicated: the search picks
+    /// one of its copies by rotation, and which one cannot be named ahead.
+    pub fn leaf_to_fetch(&self, key: &[u8]) -> Option<ObjectId> {
+        let oid = *self.cached_path(key).last().expect("path never empty");
+        (!self.engine.replicas().lists(self.tree, oid)).then(|| ObjectId::new(self.tree, oid))
+    }
+
+    /// Finds the leaf responsible for `key` at the transaction's snapshot.
+    pub(crate) fn find_leaf(&self, txn: &Txn, key: &[u8]) -> Result<LeafRef> {
+        let cfg = self.engine.config();
+        let counters = self.engine.counters();
+        let cache = self.engine.cache();
+
+        let mut path = self.cached_path(key);
 
         // Phase 2: verified descent.
         let mut idx = path.len() - 1;

@@ -34,6 +34,21 @@ fn impatient(nservers: usize) -> YesquelConfig {
     cfg
 }
 
+/// Waits up to five seconds for `done`.  Over a transport that makes calls
+/// wait — a fault layer counts — a commit returns once its primary has
+/// decided, with the secondaries' decisions still in flight, so what a test
+/// inspects at a secondary has to be waited for.
+fn eventually(mut done: impl FnMut() -> bool) -> bool {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !done() {
+        if std::time::Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
 fn write(obj: ObjectId, val: &[u8]) -> WriteOp {
     WriteOp {
         obj,
@@ -267,9 +282,14 @@ fn lost_secondary_commit_converges_to_committed() {
     t.put(o0, &b"kept"[..]).unwrap();
     t.put(o1, &b"kept"[..]).unwrap();
     // The commit succeeds: the primary confirmed it; the secondary's lost
-    // ack only makes it a lagging participant.
+    // ack only makes it a lagging participant, once its retries run out
+    // against the crashed server.
     let commit_ts = t.commit().unwrap();
-    assert!(db.stats().counter("kv.commit_lagging_participants").get() >= 1);
+    assert!(eventually(|| db
+        .stats()
+        .counter("kv.commit_lagging_participants")
+        .get()
+        >= 1));
 
     // Did the secondary apply before crashing, or is it still prepared?
     // Either is legal; what matters is convergence after restart.
@@ -510,8 +530,11 @@ fn unforced_secondary_commit_comes_back_from_the_primary() {
     }
     let commit_ts = t.commit().unwrap();
 
-    // The commit is acknowledged, yet both secondaries hold it in an
-    // unsynced log tail; the primary does not.
+    // The commit is acknowledged, and once the secondaries' decisions land
+    // both hold it in an unsynced log tail; the primary does not.
+    assert!(eventually(
+        || (1..3).all(|s| !servers[s].store().dump_versions(objs[s]).is_empty())
+    ));
     for (server, unsynced) in [(0, false), (1, true), (2, true)] {
         let wal = servers[server].store().wal().unwrap();
         assert_eq!(wal.durable_len() < wal.len(), unsynced, "server {server}");

@@ -4,6 +4,7 @@
 //! no-communication read-only commit.
 
 use yesquel::common::tempdir::TempDir;
+use yesquel::kv::protocol::{KvRequest, KvResponse, WriteOp};
 use yesquel::{Error, KvDatabase, ObjectId, YesquelConfig};
 
 fn obj(oid: u64) -> ObjectId {
@@ -33,6 +34,90 @@ fn snapshot_isolation_holds_across_concurrent_commit() {
     let fresh = client.begin();
     assert_eq!(fresh.get(obj(1)).unwrap().as_deref(), Some(&b"v2"[..]));
     fresh.commit().unwrap();
+}
+
+/// A re-read is answered by the transaction: after another transaction
+/// commits a newer version, the reader gets the same bytes again without
+/// asking a server.
+#[test]
+fn repeatable_read_across_a_concurrent_commit_costs_no_get() {
+    let db = KvDatabase::with_servers(4);
+    let client = db.client();
+    let gets = db.stats().counter("kv.get_rpcs");
+
+    let setup = client.begin();
+    setup.put(obj(7), b"v1".to_vec()).unwrap();
+    setup.commit().unwrap();
+
+    let reader = client.begin();
+    let first = reader.get(obj(7)).unwrap();
+    assert_eq!(first.as_deref(), Some(&b"v1"[..]));
+
+    let writer = client.begin();
+    writer.put(obj(7), b"v2".to_vec()).unwrap();
+    writer.commit().unwrap();
+
+    let before = gets.get();
+    assert_eq!(reader.get(obj(7)).unwrap(), first);
+    assert_eq!(gets.get(), before, "the re-read asked a server");
+    reader.commit().unwrap();
+}
+
+/// A read that gives up on a prepare lock remembers nothing: once the
+/// writer has committed, the next read asks the server again, and gets the
+/// value at the reader's snapshot — not the writer's.
+#[test]
+fn a_read_that_timed_out_on_a_lock_remembers_nothing() {
+    let db = KvDatabase::with_servers(1);
+    let client = db.client();
+    let gets = db.stats().counter("kv.get_rpcs");
+    let transport = db.cluster().transport();
+
+    let setup = client.begin();
+    setup.put(obj(8), b"before".to_vec()).unwrap();
+    setup.commit().unwrap();
+    let reader = client.begin();
+
+    // A writer prepares, and its coordinator goes quiet.
+    let writer = 0xABBA;
+    let prepared = transport
+        .call(
+            0,
+            KvRequest::Prepare {
+                txn: writer,
+                start_ts: db.oracle().next_timestamp(),
+                writes: vec![WriteOp {
+                    obj: obj(8),
+                    value: Some(bytes::Bytes::from_static(b"after")),
+                }],
+                primary: 0,
+                lease_us: 600_000_000,
+            },
+        )
+        .unwrap();
+    assert!(matches!(prepared, KvResponse::Prepared), "{prepared:?}");
+    match reader.get(obj(8)) {
+        Err(Error::LockTimeout(_)) => {}
+        other => panic!("expected a lock timeout, got {other:?}"),
+    }
+
+    let committed = transport
+        .call(
+            0,
+            KvRequest::Commit {
+                txn: writer,
+                commit_ts: db.oracle().next_timestamp(),
+            },
+        )
+        .unwrap();
+    assert!(
+        matches!(committed, KvResponse::Committed { .. }),
+        "{committed:?}"
+    );
+    let before = gets.get();
+    assert_eq!(reader.get(obj(8)).unwrap().as_deref(), Some(&b"before"[..]));
+    assert_eq!(gets.get() - before, 1, "the read after the lock asks again");
+    reader.commit().unwrap();
 }
 
 #[test]

@@ -4,8 +4,11 @@
 //! point/range/filtered queries, explicit transactions and conflict
 //! handling.
 
+use std::time::Instant;
+
+use yesquel::rpc::TransportKind;
 use yesquel::sql::{plan_statement, Value};
-use yesquel::{params, Error, Yesquel};
+use yesquel::{params, Error, KvDatabase, NetConfig, Yesquel, YesquelConfig};
 
 fn rows_i64(y: &Yesquel, sql: &str) -> Vec<Vec<i64>> {
     y.execute(sql, &[])
@@ -1504,4 +1507,129 @@ fn insert_probes_each_leaf_once() {
         .unwrap_err();
     assert!(matches!(err, Error::Constraint(_)), "{err:?}");
     assert_eq!(rows_i64(&y, "SELECT count(*) FROM pages").concat(), [52]);
+}
+
+/// The wiki fixture's table over per-server worker threads, on a network
+/// that sleeps `one_way_latency_us` each way: every call blocks, as on a
+/// real network, so a statement fetches its leaves together and a commit
+/// does not wait for its secondaries' decisions.  Rowids are explicit, so
+/// no statement below pays an allocation round trip.
+fn threaded_wiki(one_way_latency_us: u64) -> Yesquel {
+    let mut cfg = YesquelConfig::with_servers(4);
+    cfg.net = NetConfig {
+        one_way_latency_us,
+        sleep_latency: one_way_latency_us > 0,
+        ..NetConfig::default()
+    };
+    let workers = TransportKind::Threaded {
+        workers_per_server: 2,
+    };
+    let y = Yesquel::open_db(KvDatabase::with_transport(cfg, workers)).unwrap();
+    y.execute_script(
+        "CREATE TABLE pages (id INTEGER PRIMARY KEY, title TEXT NOT NULL, views INT, body TEXT);
+         CREATE UNIQUE INDEX by_title ON pages (title);
+         CREATE INDEX by_views ON pages (views);",
+    )
+    .unwrap();
+    {
+        let insert = y.prepare(WIKI_INSERT).unwrap();
+        for i in 0..8i64 {
+            insert
+                .execute(params![i, format!("page-{i:02}"), i * 10, "body"])
+                .unwrap();
+        }
+    }
+    y
+}
+
+const WIKI_INSERT: &str = "INSERT INTO pages (id, title, views, body) VALUES (?, ?, ?, ?)";
+
+/// A statement's round trips, counted as `Get`s on warm caches.  A row an
+/// UPDATE changes was fetched by the scan that found it, so rewriting its
+/// leaf is not a second fetch; a transaction that read the row already
+/// holds the leaf, so its UPDATE fetches nothing.
+#[test]
+fn warm_updates_fetch_the_row_leaf_once() {
+    let y = threaded_wiki(0);
+    let gets = y.db().stats().counter("kv.get_rpcs");
+    let update = y.prepare("UPDATE pages SET body = ? WHERE id = ?").unwrap();
+    let read = y.prepare("SELECT body FROM pages WHERE id = ?").unwrap();
+    update.execute(params!["warm", 3]).unwrap();
+
+    let before = gets.get();
+    assert_eq!(
+        update
+            .execute(params!["measured", 3])
+            .unwrap()
+            .rows_affected,
+        1
+    );
+    assert_eq!(
+        gets.get() - before,
+        1,
+        "an UPDATE fetches its row leaf once"
+    );
+
+    let before = gets.get();
+    y.execute("BEGIN", &[]).unwrap();
+    let rs = read.execute(params![3]).unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Text("measured".into())]]);
+    assert_eq!(
+        update.execute(params!["edited", 3]).unwrap().rows_affected,
+        1
+    );
+    y.execute("COMMIT", &[]).unwrap();
+    assert_eq!(
+        gets.get() - before,
+        1,
+        "the SELECT's fetch serves the UPDATE of the same row"
+    );
+    let rs = read.execute(params![3]).unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Text("edited".into())]]);
+}
+
+/// Over a slept network an INSERT into a two-index table fetches its three
+/// leaves in one round and returns once the primary has decided: three
+/// round trips (two when one server holds every leaf), where fetching the
+/// leaves one by one and waiting for the secondaries' decisions took six.
+/// A round trip is what a warm point select takes on the same network.
+#[test]
+fn an_insert_into_a_two_index_table_takes_under_four_round_trips() {
+    let y = threaded_wiki(1_000);
+    let point = y.prepare("SELECT id FROM pages WHERE id = ?").unwrap();
+    let insert = y.prepare(WIKI_INSERT).unwrap();
+    point.execute(params![3]).unwrap();
+    insert
+        .execute(params![100, "new-100", 100, "body"])
+        .unwrap();
+    let timed = |op: &mut dyn FnMut()| {
+        let started = Instant::now();
+        op();
+        started.elapsed()
+    };
+    let round_trip = (0..5)
+        .map(|_| {
+            timed(&mut || {
+                assert_eq!(point.execute(params![3]).unwrap().rows.len(), 1);
+            })
+        })
+        .min()
+        .unwrap();
+    let insert_time = (101..106i64)
+        .map(|id| {
+            // The last insert's decisions land first: a leaf still locked
+            // by them would cost this one a wait that is not its own.
+            std::thread::sleep(round_trip * 2);
+            timed(&mut || {
+                insert
+                    .execute(params![id, format!("new-{id}"), id, "body"])
+                    .unwrap();
+            })
+        })
+        .min()
+        .unwrap();
+    assert!(
+        insert_time < round_trip * 4,
+        "an INSERT took {insert_time:?}, a round trip {round_trip:?}"
+    );
 }

@@ -4,9 +4,12 @@
 //! transient errors, delays, one crash-looping server) batters the
 //! transport.  Nothing forces the coordinator's hand: calls through a
 //! fault-injecting transport block, so the coordinator issues every prepare
-//! round and secondary-commit round from the fan-out pool.  Each seed runs
-//! over both transports: direct calls, and per-server worker threads
-//! answering on reply channels.
+//! round from the fan-out pool and hands every secondary's decision to it
+//! without waiting.  Each seed runs over both transports: direct calls, and
+//! per-server worker threads answering on reply channels over a slept
+//! network (50 µs one way, as the `net_mixed` benchmark deploys), so that a
+//! thread's next transaction starts while its last one's decisions are
+//! still in flight.
 //!
 //! The safety bar is the same as `prop_chaos_commit`, now under real
 //! concurrency:
@@ -24,13 +27,13 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::Rng;
 use yesquel::common::rand_util::seeded_rng;
 use yesquel::kv::store::TxnOutcome;
 use yesquel::rpc::{FaultPlan, TransportKind};
-use yesquel::{Error, KvConfig, KvDatabase, ObjectId, YesquelConfig};
+use yesquel::{Error, KvConfig, KvDatabase, NetConfig, ObjectId, YesquelConfig};
 
 const SERVERS: usize = 4;
 const KEYS: usize = 24;
@@ -77,6 +80,13 @@ fn storm_case(seed: u64, transport: TransportKind) {
     let mut rng = seeded_rng(seed, 0);
     let mut cfg = YesquelConfig::with_servers(SERVERS);
     cfg.kv = KvConfig::impatient();
+    if matches!(transport, TransportKind::Threaded { .. }) {
+        cfg.net = NetConfig {
+            one_way_latency_us: 50,
+            sleep_latency: true,
+            ..NetConfig::default()
+        };
+    }
 
     let mut plans = vec![FaultPlan::storm(seed); SERVERS];
     let looper = rng.gen_range(0..SERVERS as u64) as usize;
@@ -172,12 +182,11 @@ fn storm_case(seed: u64, transport: TransportKind) {
         );
     }
 
-    // Heal and let the reaper converge every in-doubt prepare.
+    // Heal and let the reaper — and the decisions still in flight —
+    // converge every in-doubt prepare.
     faults.heal_all();
-    for _ in 0..10 {
-        if db.prepared_total() == 0 {
-            break;
-        }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while db.prepared_total() != 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
         db.reap_all();
     }
