@@ -2,8 +2,8 @@
 //!
 //! The criterion benches measure single-threaded operation latency; this
 //! module measures what they cannot: throughput and tail latency under
-//! **concurrent** clients, which is where group commit and the parallel
-//! 2PC fan-out actually earn their keep.  `N` client
+//! **concurrent** clients, which is where group commit and overlapped 2PC
+//! rounds actually earn their keep.  `N` client
 //! threads each run a closed loop (issue an operation, wait for it, issue
 //! the next) against one in-process deployment of `M` storage servers,
 //! drawing operations from a weighted mix of op classes:
@@ -14,14 +14,14 @@
 //! * `kv_1pc` — a raw KV transaction writing objects on one server
 //!   (one-phase commit),
 //! * `kv_2pc` — a raw KV transaction writing objects on two distinct
-//!   servers (two-phase commit, exercising the parallel prepare fan-out).
+//!   servers (two-phase commit, its prepares submitted as one round).
 //!
 //! Contention is controlled by `key_pool`: KV writes pick their objects
 //! uniformly from a pool of that many keys, so a small pool forces
 //! write-write conflicts (visible as `kv.txn_conflicts` in the report).
 //! Every run reports ops/sec, exact nearest-rank p50/p99/p999 latency per
 //! op class, the deployment counters that explain the numbers (fsyncs,
-//! group sizes, parallel fan-outs, replica reads and promotions), and
+//! group sizes, two-phase commits, replica reads and promotions), and
 //! every non-empty latency histogram (log-bucketed, relative error
 //! ≤ 1/64) so each cell carries full per-subsystem distributions, not just
 //! per-class percentiles.  The
@@ -277,8 +277,8 @@ pub fn latency_summary(samples: &mut [u64]) -> (u64, u64, u64) {
 }
 
 /// The counters worth reporting alongside throughput: they explain *why*
-/// a cell is fast or slow (fsyncs amortised, prepares overlapped, conflicts
-/// suffered).
+/// a cell is fast or slow (fsyncs amortised, commits that took two phases,
+/// conflicts suffered).
 const REPORT_COUNTERS: [&str; 11] = [
     "wal.appends",
     "wal.fsyncs",
@@ -286,7 +286,7 @@ const REPORT_COUNTERS: [&str; 11] = [
     "wal.group_solo",
     "kv.txn_conflicts",
     "kv.txn_retries",
-    "kv.prepare_parallel_fanouts",
+    "kv.commit_2pc",
     "dbt.replica_reads",
     "dbt.replica_fanout_writes",
     "dbt.replica_promotions",
@@ -775,24 +775,21 @@ mod tests {
     #[test]
     fn tiny_load_run_completes_and_counts_ops() {
         // A sub-100ms smoke of the whole closed loop: every op class, two
-        // threads, two servers, and the WAL in group mode — a
-        // forced log, so the coordinator overlaps its rounds even on the
-        // direct transport.
+        // threads, two servers, and the WAL in group mode — a forced log,
+        // so every prepare round waits for flushes on both servers' logs.
         let mut spec = LoadSpec::new("unit", 2, 2, Duration::from_millis(60));
         spec.key_pool = 64;
         spec.wal = Some(WalFsyncPolicy::Group { window_us: 50 });
         let r = run_load(&spec);
         assert!(r.ops > 0, "closed loop made no progress: {r:?}");
         assert_eq!(r.classes.len(), 5, "all mixed classes present");
-        let fanouts = r
+        let two_phase = r
             .counters
             .iter()
-            .find(|(n, _)| n == "kv.prepare_parallel_fanouts")
+            .find(|(n, _)| n == "kv.commit_2pc")
             .map(|&(_, v)| v)
             .unwrap();
-        // 2PC ops ran on two servers that force their logs, so the
-        // counter must move.
-        assert!(fanouts > 0, "parallel prepare fan-out never engaged");
+        assert!(two_phase > 0, "no commit took two phases");
     }
 
     #[test]

@@ -4,14 +4,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use yesquel_common::stats::StatsRegistry;
-use yesquel_common::{Error, KvConfig, ObjectId, Result, WalFsyncPolicy};
+use yesquel_common::{Error, KvConfig, ObjectId, Result};
 use yesquel_rpc::Transport;
 
 use crate::oracle::TimestampOracle;
 use crate::protocol::{KvRequest, KvResponse};
 use crate::server::KvServer;
 use crate::snapshot::SnapshotTracker;
-use crate::txn::{ClientCore, KvHot, Txn};
+use crate::txn::{round, ClientCore, KvHot, Txn};
 
 /// Clients created so far in this process: each client's retry-salt
 /// counter starts in its own 2^32 range, so loops of different clients
@@ -29,30 +29,18 @@ impl KvClient {
     /// Creates a client from the deployment's shared pieces.  Most callers
     /// obtain clients from [`crate::KvDatabase::client`] instead.
     ///
-    /// `transport_blocks` says whether a call through `transport` spends
-    /// wall-clock time blocked outside the server's own work — on a worker
-    /// queue, slept network latency, injected faults and retry backoffs.
-    /// Then the 2PC coordinator overlaps the calls of a round, sends the
-    /// secondaries' decisions without waiting for them, and a transaction
-    /// fetches what it is told to prefetch in one round.  Servers that force
-    /// a log (`cfg`: every prepare then ends in an `fdatasync`) overlap the
-    /// prepare round too.  Otherwise a call is pure CPU on the caller's
-    /// thread and a round is a plain loop.
+    /// Every RPC the client issues is submitted through `transport` and
+    /// waited for on the calling thread — a round of them submitted
+    /// together, so their waits overlap — except the secondaries' commit
+    /// decisions, which nobody waits for.  The client starts no thread.
     pub fn new(
         transport: Arc<dyn Transport<KvServer>>,
         oracle: TimestampOracle,
         snapshots: SnapshotTracker,
         cfg: KvConfig,
         stats: StatsRegistry,
-        transport_blocks: bool,
     ) -> Self {
-        // Enough workers that one commit round can cover every peer (the
-        // calling thread takes one participant itself), without letting a
-        // wide deployment spawn an unbounded thread count.  Lazy: no thread
-        // exists until the first overlapped call.
-        let fanout = crate::fanout::FanoutPool::new(transport.num_servers().clamp(1, 8));
         let hot = KvHot::resolve(&stats);
-        let forced_log = cfg.wal_dir.is_some() && cfg.wal_fsync != WalFsyncPolicy::Off;
         KvClient {
             core: Arc::new(ClientCore {
                 transport,
@@ -62,9 +50,6 @@ impl KvClient {
                 stats,
                 hot,
                 retry_salt: AtomicU64::new(CLIENTS.fetch_add(1, Ordering::Relaxed) << 32),
-                transport_blocks,
-                forced_log,
-                fanout,
             }),
         }
     }
@@ -172,21 +157,16 @@ impl KvClient {
     /// Runs one round of multi-version garbage collection: reads the
     /// watermark — the oldest active snapshot, or the newest timestamp issued
     /// when none is active — and has every server drop the versions no
-    /// snapshot at or above it reads.  A server that cannot be reached does
-    /// not stop the others from being swept; the first error is returned
-    /// once every server has been tried.
+    /// snapshot at or above it reads.  The sweeps are one round: a server
+    /// that cannot be reached does not stop the others from being swept, and
+    /// the first error is returned once every server has answered.
     pub fn run_gc(&self) -> Result<()> {
         let min_active_ts = self.core.snapshots.watermark(&self.core.oracle);
-        let mut first_err = None;
-        for server in 0..self.num_servers() {
-            if let Err(e) = self.core.call_retry(
-                server,
-                KvRequest::Gc { min_active_ts },
-                self.core.cfg.rpc_max_attempts,
-            ) {
-                first_err.get_or_insert(e);
-            }
-        }
-        first_err.map_or(Ok(()), Err)
+        let sweeps = (0..self.num_servers()).map(|s| (s, KvRequest::Gc { min_active_ts }));
+        round(&self.core, sweeps, self.core.cfg.rpc_max_attempts, |_| {
+            false
+        })
+        .into_iter()
+        .try_for_each(|swept| swept.map(drop))
     }
 }

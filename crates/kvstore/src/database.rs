@@ -21,9 +21,6 @@ pub struct KvDatabase {
     /// The transport clients (and the server-to-server reaper) actually use:
     /// the cluster transport, optionally wrapped in a [`FaultyTransport`].
     client_transport: Arc<dyn Transport<KvServer>>,
-    /// Whether a call through `client_transport` waits on something other
-    /// than the server's own work; see [`KvClient::new`].
-    transport_blocks: bool,
     faults: Option<Arc<FaultyTransport<KvServer>>>,
     oracle: TimestampOracle,
     snapshots: SnapshotTracker,
@@ -48,7 +45,7 @@ impl KvDatabase {
 
     /// Creates a deployment with an explicit transport choice.
     pub fn with_transport(config: YesquelConfig, transport: TransportKind) -> Self {
-        Self::build(config, transport, None).expect("failed to open write-ahead logs")
+        Self::build(config, transport, None).expect("failed to build the deployment")
     }
 
     /// Creates a deployment whose transport injects faults according to
@@ -64,10 +61,11 @@ impl KvDatabase {
         transport: TransportKind,
         plans: Vec<FaultPlan>,
     ) -> Self {
-        Self::build(config, transport, Some(plans)).expect("failed to open write-ahead logs")
+        Self::build(config, transport, Some(plans)).expect("failed to build the deployment")
     }
 
-    /// Fallible variant of [`KvDatabase::with_faults`].
+    /// Fallible variant of [`KvDatabase::with_faults`]: a log that cannot be
+    /// opened, or a server worker thread the system refuses, is an error.
     pub fn try_with_faults(
         config: YesquelConfig,
         transport: TransportKind,
@@ -127,7 +125,7 @@ impl KvDatabase {
             .transport(transport)
             .network(config.net.clone())
             .stats(stats.clone())
-            .build();
+            .build()?;
         let mut faults = None;
         let client_transport: Arc<dyn Transport<KvServer>> = match plans {
             None => cluster.transport(),
@@ -160,16 +158,9 @@ impl KvDatabase {
             srv.set_peer_transport(&client_transport);
             srv.adopt_recovered();
         }
-        // Calls through this deployment's transport spend wall-clock time
-        // blocked when a server has a worker queue, the modelled latency is
-        // really slept, or faults delay, reject and retry them.
-        let transport_blocks = matches!(transport, TransportKind::Threaded { .. })
-            || (config.net.sleep_latency && config.net.one_way_latency_us > 0)
-            || faults.is_some();
         Ok(KvDatabase {
             cluster,
             client_transport,
-            transport_blocks,
             faults,
             oracle,
             snapshots: SnapshotTracker::new(),
@@ -192,7 +183,6 @@ impl KvDatabase {
             self.snapshots.clone(),
             self.config.kv.clone(),
             self.stats.clone(),
-            self.transport_blocks,
         )
     }
 
@@ -298,6 +288,7 @@ mod tests {
     use crate::protocol::{KvRequest, KvResponse};
     use bytes::Bytes;
     use yesquel_common::{Error, ObjectId};
+    use yesquel_rpc::Completion;
 
     #[test]
     fn put_get_commit_across_servers() {
@@ -550,17 +541,23 @@ mod tests {
     }
 
     impl Transport<KvServer> for SweepBeforeValidate {
-        fn call(&self, server: usize, req: KvRequest) -> Result<KvResponse> {
+        fn submit(&self, server: usize, req: KvRequest) -> Completion<KvResponse> {
             if matches!(
                 req,
                 KvRequest::Prepare { .. } | KvRequest::CommitOnePhase { .. }
             ) {
                 let min_active_ts = self.snapshots.watermark(&self.oracle);
                 for s in 0..self.inner.num_servers() {
-                    self.inner.call(s, KvRequest::Gc { min_active_ts })?;
+                    if let Err(e) = self.inner.call(s, KvRequest::Gc { min_active_ts }) {
+                        return Completion::ready(Err(e));
+                    }
                 }
             }
-            self.inner.call(server, req)
+            self.inner.submit(server, req)
+        }
+
+        fn finishes_after_submit(&self) -> bool {
+            self.inner.finishes_after_submit()
         }
 
         fn num_servers(&self) -> usize {
@@ -582,7 +579,6 @@ mod tests {
                 db.snapshots.clone(),
                 db.config.kv.clone(),
                 db.stats.clone(),
-                false,
             );
             let objs: Vec<ObjectId> = (0..servers as u64).map(|o| ObjectId::new(9, o)).collect();
             let t = client.begin();

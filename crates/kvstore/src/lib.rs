@@ -21,8 +21,8 @@
 //! * Writes are **buffered at the client** until commit; reads observe the
 //!   transaction's own buffered writes, and a value once fetched is served
 //!   again from the transaction (exact under snapshot isolation: a value at
-//!   the start timestamp never changes).  Where the transport makes calls
-//!   wait, a caller can fetch several objects in one round
+//!   the start timestamp never changes).  Where a call finishes after it is
+//!   submitted, a caller can fetch several objects in one round
 //!   ([`Txn::prefetch`]).
 //! * Commit runs **two-phase commit** over the storage servers holding
 //!   written objects: each participant validates (first-committer-wins:
@@ -30,8 +30,15 @@
 //!   written objects; the coordinator then obtains a **commit timestamp**
 //!   and tells participants to install the new versions and release locks —
 //!   the primary first, the commit point, after which the commit returns;
-//!   where calls block, the other participants' decisions are sent and not
-//!   waited for.
+//!   the other participants' decisions are submitted and not waited for.
+//! * Every RPC is submitted through the transport and answered on a
+//!   [`Completion`](yesquel_rpc::Completion).  A round — a prefetch, the
+//!   prepares, the aborts — is submitted whole and then waited for on the
+//!   caller's thread, so its waits overlap: one round trip on a slept
+//!   network, one flush wait when every participant forces its log (a
+//!   server acknowledges a prepare once its log's flusher has synced the
+//!   record).  On the direct transport without a log every call is answered
+//!   inline and the client starts no thread.
 //! * Transactions that wrote to a single server always use one-phase
 //!   commit (the server validates, assigns the commit timestamp and
 //!   installs versions in one round trip).
@@ -68,7 +75,6 @@
 
 pub mod client;
 pub mod database;
-pub(crate) mod fanout;
 pub mod mvcc;
 pub mod oracle;
 pub mod protocol;

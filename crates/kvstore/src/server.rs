@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use yesquel_common::{Error, KvConfig, Result, ServerId, TxnId};
-use yesquel_rpc::{Service, Transport};
-use yesquel_wal::Wal;
+use yesquel_rpc::{Completion, Service, Transport};
+use yesquel_wal::{Wal, WalPosition};
 
 use crate::oracle::TimestampOracle;
 use crate::protocol::{KvRequest, KvResponse, TxnStatusKind};
@@ -290,20 +290,37 @@ impl KvServer {
             }
         }
     }
+
+    /// Acknowledges a prepare once its log record is durable: the log's
+    /// flusher resolves the returned completion, and no thread waits for it
+    /// meanwhile.  A failed flush answers `ServerError`.
+    fn ack_when_durable(&self, pos: WalPosition) -> Completion<KvResponse> {
+        let Some(wal) = self.store.wal() else {
+            return Completion::ready(Ok(KvResponse::Prepared));
+        };
+        let (ack, resolver) = Completion::pending();
+        wal.on_durable(pos, move |flushed| {
+            resolver.resolve(Ok(match flushed {
+                Ok(()) => KvResponse::Prepared,
+                Err(e) => Self::server_error(e),
+            }))
+        });
+        ack
+    }
 }
 
 impl Service for KvServer {
     type Request = KvRequest;
     type Response = KvResponse;
 
-    fn call(&self, req: KvRequest) -> KvResponse {
+    fn call(&self, req: KvRequest) -> Completion<KvResponse> {
         // Piggyback the reaper on ordinary traffic — but not on TxnStatus,
         // which the reaper itself sends (bounding reaper recursion to one
         // hop: secondary reap → primary status, never further).
         if !matches!(req, KvRequest::TxnStatus { .. }) {
             self.maybe_reap();
         }
-        match req {
+        let resp = match req {
             KvRequest::Get { obj, ts } => {
                 let mut read = self.store.get(obj, ts);
                 if read == ReadOutcome::Locked {
@@ -332,8 +349,9 @@ impl Service for KvServer {
                 primary,
                 Duration::from_micros(lease_us.max(1)),
             ) {
-                Ok(PrepareOutcome::Prepared) => KvResponse::Prepared,
-                Ok(PrepareOutcome::Conflict(reason)) => KvResponse::Conflict { reason },
+                Ok((PrepareOutcome::Prepared, Some(pos))) => return self.ack_when_durable(pos),
+                Ok((PrepareOutcome::Prepared, None)) => KvResponse::Prepared,
+                Ok((PrepareOutcome::Conflict(reason), _)) => KvResponse::Conflict { reason },
                 Err(e) => Self::server_error(e),
             },
             KvRequest::Commit { txn, commit_ts } => match self.store.commit(txn, commit_ts) {
@@ -377,7 +395,8 @@ impl Service for KvServer {
             KvRequest::TxnStatus { txn } => KvResponse::TxnOutcome {
                 status: self.txn_status(txn),
             },
-        }
+        };
+        Completion::ready(Ok(resp))
     }
 
     fn request_wire_size(req: &KvRequest) -> usize {
@@ -394,6 +413,10 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use yesquel_common::ObjectId;
+
+    fn call(srv: &KvServer, req: KvRequest) -> KvResponse {
+        Service::call(srv, req).wait().expect("a server answers")
+    }
 
     fn prepare_req(txn: u64, start_ts: u64, writes: Vec<crate::protocol::WriteOp>) -> KvRequest {
         KvRequest::Prepare {
@@ -412,26 +435,32 @@ mod tests {
         let obj = ObjectId::new(5, 7);
 
         // One-phase commit a value, then read it back.
-        let resp = srv.call(KvRequest::CommitOnePhase {
-            txn: 1,
-            start_ts: oracle.next_timestamp(),
-            writes: vec![crate::protocol::WriteOp {
-                obj,
-                value: Some(Bytes::from_static(b"x")),
-            }],
-        });
+        let resp = call(
+            &srv,
+            KvRequest::CommitOnePhase {
+                txn: 1,
+                start_ts: oracle.next_timestamp(),
+                writes: vec![crate::protocol::WriteOp {
+                    obj,
+                    value: Some(Bytes::from_static(b"x")),
+                }],
+            },
+        );
         let commit_ts = match resp {
             KvResponse::Committed { commit_ts } => commit_ts,
             other => panic!("unexpected response {other:?}"),
         };
-        match srv.call(KvRequest::Get { obj, ts: commit_ts }) {
+        match call(&srv, KvRequest::Get { obj, ts: commit_ts }) {
             KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"x"),
             other => panic!("unexpected response {other:?}"),
         }
-        match srv.call(KvRequest::Get {
-            obj,
-            ts: commit_ts - 1,
-        }) {
+        match call(
+            &srv,
+            KvRequest::Get {
+                obj,
+                ts: commit_ts - 1,
+            },
+        ) {
             KvResponse::Value(None) => {}
             other => panic!("unexpected response {other:?}"),
         }
@@ -445,27 +474,33 @@ mod tests {
         let srv = KvServer::new(0, oracle.clone());
         let obj = ObjectId::new(1, 1);
         let start = oracle.next_timestamp();
-        match srv.call(prepare_req(
-            7,
-            start,
-            vec![crate::protocol::WriteOp {
-                obj,
-                value: Some(Bytes::from_static(b"v")),
-            }],
-        )) {
+        match call(
+            &srv,
+            prepare_req(
+                7,
+                start,
+                vec![crate::protocol::WriteOp {
+                    obj,
+                    value: Some(Bytes::from_static(b"v")),
+                }],
+            ),
+        ) {
             KvResponse::Prepared => {}
             other => panic!("unexpected response {other:?}"),
         }
-        match srv.call(KvRequest::Get { obj, ts: start }) {
+        match call(&srv, KvRequest::Get { obj, ts: start }) {
             KvResponse::Locked => {}
             other => panic!("unexpected response {other:?}"),
         }
         let cts = oracle.next_timestamp();
-        srv.call(KvRequest::Commit {
-            txn: 7,
-            commit_ts: cts,
-        });
-        match srv.call(KvRequest::Get { obj, ts: cts }) {
+        call(
+            &srv,
+            KvRequest::Commit {
+                txn: 7,
+                commit_ts: cts,
+            },
+        );
+        match call(&srv, KvRequest::Get { obj, ts: cts }) {
             KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"v"),
             other => panic!("unexpected response {other:?}"),
         }
@@ -476,11 +511,11 @@ mod tests {
         let oracle = TimestampOracle::new();
         let srv = KvServer::new(0, oracle);
         let obj = ObjectId::meta(3);
-        match srv.call(KvRequest::Allocate { obj, delta: 100 }) {
+        match call(&srv, KvRequest::Allocate { obj, delta: 100 }) {
             KvResponse::Allocated { start } => assert_eq!(start, 0),
             other => panic!("unexpected response {other:?}"),
         }
-        match srv.call(KvRequest::Allocate { obj, delta: 1 }) {
+        match call(&srv, KvRequest::Allocate { obj, delta: 1 }) {
             KvResponse::Allocated { start } => assert_eq!(start, 100),
             other => panic!("unexpected response {other:?}"),
         }
@@ -496,15 +531,15 @@ mod tests {
             value: Some(Bytes::from_static(b"v")),
         };
         // Unknown before anything happens.
-        match srv.call(KvRequest::TxnStatus { txn: 42 }) {
+        match call(&srv, KvRequest::TxnStatus { txn: 42 }) {
             KvResponse::TxnOutcome {
                 status: TxnStatusKind::Unknown,
             } => {}
             other => panic!("unexpected response {other:?}"),
         }
         // Pending while prepared.
-        srv.call(prepare_req(42, oracle.next_timestamp(), vec![w]));
-        match srv.call(KvRequest::TxnStatus { txn: 42 }) {
+        call(&srv, prepare_req(42, oracle.next_timestamp(), vec![w]));
+        match call(&srv, KvRequest::TxnStatus { txn: 42 }) {
             KvResponse::TxnOutcome {
                 status: TxnStatusKind::Pending,
             } => {}
@@ -512,19 +547,22 @@ mod tests {
         }
         // Committed after commit.
         let cts = oracle.next_timestamp();
-        srv.call(KvRequest::Commit {
-            txn: 42,
-            commit_ts: cts,
-        });
-        match srv.call(KvRequest::TxnStatus { txn: 42 }) {
+        call(
+            &srv,
+            KvRequest::Commit {
+                txn: 42,
+                commit_ts: cts,
+            },
+        );
+        match call(&srv, KvRequest::TxnStatus { txn: 42 }) {
             KvResponse::TxnOutcome {
                 status: TxnStatusKind::Committed(ts),
             } => assert_eq!(ts, cts),
             other => panic!("unexpected response {other:?}"),
         }
         // Aborted for an aborted transaction.
-        srv.call(KvRequest::Abort { txn: 43 });
-        match srv.call(KvRequest::TxnStatus { txn: 43 }) {
+        call(&srv, KvRequest::Abort { txn: 43 });
+        match call(&srv, KvRequest::TxnStatus { txn: 43 }) {
             KvResponse::TxnOutcome {
                 status: TxnStatusKind::Aborted,
             } => {}
@@ -542,33 +580,39 @@ mod tests {
         };
         let srv = KvServer::with_config(0, oracle.clone(), &cfg);
         let obj = ObjectId::new(1, 1);
-        match srv.call(KvRequest::Prepare {
-            txn: 9,
-            start_ts: oracle.next_timestamp(),
-            writes: vec![crate::protocol::WriteOp {
-                obj,
-                value: Some(Bytes::from_static(b"v")),
-            }],
-            primary: 0, // this server is the primary
-            lease_us: 1,
-        }) {
+        match call(
+            &srv,
+            KvRequest::Prepare {
+                txn: 9,
+                start_ts: oracle.next_timestamp(),
+                writes: vec![crate::protocol::WriteOp {
+                    obj,
+                    value: Some(Bytes::from_static(b"v")),
+                }],
+                primary: 0, // this server is the primary
+                lease_us: 1,
+            },
+        ) {
             KvResponse::Prepared => {}
             other => panic!("unexpected response {other:?}"),
         }
         std::thread::sleep(Duration::from_millis(2));
         // Any ordinary request piggybacks the reaper.
-        let _ = srv.call(KvRequest::Get { obj, ts: 1 });
+        let _ = call(&srv, KvRequest::Get { obj, ts: 1 });
         assert_eq!(srv.store().prepared_count(), 0, "reaper must have fired");
         assert_eq!(srv.reap_counts().1, 1);
         // The coordinator's late commit is refused.
-        match srv.call(KvRequest::Commit {
-            txn: 9,
-            commit_ts: oracle.next_timestamp(),
-        }) {
+        match call(
+            &srv,
+            KvRequest::Commit {
+                txn: 9,
+                commit_ts: oracle.next_timestamp(),
+            },
+        ) {
             KvResponse::Aborted => {}
             other => panic!("unexpected response {other:?}"),
         }
-        match srv.call(KvRequest::Get { obj, ts: 1_000 }) {
+        match call(&srv, KvRequest::Get { obj, ts: 1_000 }) {
             KvResponse::Value(None) => {}
             other => panic!("unexpected response {other:?}"),
         }

@@ -65,13 +65,15 @@
 //! *outside* the lock, behind a `deciding` mark that keeps the reaper and
 //! duplicate deliveries from deciding the transaction again and keeps its
 //! fate unobservable until it is durable (see `ServerStore::decide`).
-//! Prepares wait after releasing their shard guards; the prepare locks
-//! already fence conflicting writers.  The exception is the one-phase
-//! commit, which appends and waits while holding its shard guards — they
-//! are what orders it against every conflicting operation.  GC is the one
-//! deliberately volatile operation: versions it dropped reappear after
-//! recovery (a harmless superset of committed state) until the next
-//! checkpoint prunes them from the log.
+//! A prepare does not wait at all: it returns its record's position, and
+//! the server acknowledges it once the log's flusher reports the position
+//! durable, so neither a lock nor a thread is held across that flush (the
+//! prepare locks already fence conflicting writers).  The exception is the
+//! one-phase commit, which appends and waits while holding its shard
+//! guards — they are what orders it against every conflicting operation.
+//! GC is the one deliberately volatile operation: versions it dropped
+//! reappear after recovery (a harmless superset of committed state) until
+//! the next checkpoint prunes them from the log.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,7 +83,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use yesquel_common::ids::{shard_index, splitmix64};
-use yesquel_common::{Error, ObjectId, Result, ServerId, Timestamp, TxnId};
+use yesquel_common::{Error, ObjectId, Result, ServerId, Timestamp, TxnId, WalFsyncPolicy};
 use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalPosition, WalRecord, WalWrite};
 
 use crate::mvcc::VersionChain;
@@ -462,16 +464,22 @@ impl ServerStore {
     }
 
     /// Validates and locks `writes` on behalf of transaction `txn` reading
-    /// at `start_ts`, with a generous lease and this server as primary.
-    /// Convenience wrapper used by single-store tests; the server dispatch
-    /// path goes through [`ServerStore::prepare_leased`].
+    /// at `start_ts`, with a generous lease and this server as primary, and
+    /// waits for the prepare record to be durable.  Convenience wrapper used
+    /// by single-store tests; the server dispatch path goes through
+    /// [`ServerStore::prepare_leased`].
     pub fn prepare(
         &self,
         txn: TxnId,
         start_ts: Timestamp,
         writes: &[WriteOp],
     ) -> Result<PrepareOutcome> {
-        self.prepare_leased(txn, start_ts, writes, 0, Duration::from_secs(3600))
+        let (outcome, pos) =
+            self.prepare_leased(txn, start_ts, writes, 0, Duration::from_secs(3600))?;
+        if let (Some(wal), Some(pos)) = (&self.wal, pos) {
+            wal.wait_durable(pos)?;
+        }
+        Ok(outcome)
     }
 
     /// Validates and locks `writes` on behalf of transaction `txn` reading
@@ -488,10 +496,14 @@ impl ServerStore {
     /// coordinator cannot resurrect a reaped transaction.
     ///
     /// Durable stores log the prepare — staged writes, primary, snapshot —
-    /// **before** reporting `Prepared`, so a crash after the ack leaves the
-    /// prepared state (and the coordinator's ability to commit it)
-    /// recoverable.  An `Err` means the log append failed; nothing is
-    /// acknowledged and the locks taken for this prepare are released.
+    /// before returning, and a log that forces its records also returns the
+    /// record's position: `Prepared` may be reported only once that
+    /// position is durable ([`Wal::on_durable`]), so a crash after the ack
+    /// leaves the prepared state (and the coordinator's ability to commit
+    /// it) recoverable.  An `Err` means the log append failed; nothing is
+    /// acknowledged and the locks taken for this prepare are released.  A
+    /// flush that fails later leaves the prepare in place, unacknowledged,
+    /// for the coordinator's abort or the reaper to release.
     pub fn prepare_leased(
         &self,
         txn: TxnId,
@@ -499,17 +511,20 @@ impl ServerStore {
         writes: &[WriteOp],
         primary: ServerId,
         lease: Duration,
-    ) -> Result<PrepareOutcome> {
+    ) -> Result<(PrepareOutcome, Option<WalPosition>)> {
         match self.outcomes.lock().get(txn) {
             Some(TxnOutcome::Committed(_)) => {
                 self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(PrepareOutcome::Prepared);
+                return Ok((PrepareOutcome::Prepared, None));
             }
             Some(TxnOutcome::Aborted) => {
                 self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(PrepareOutcome::Conflict(format!(
-                    "txn {txn} was already aborted (presumed abort)"
-                )));
+                return Ok((
+                    PrepareOutcome::Conflict(format!(
+                        "txn {txn} was already aborted (presumed abort)"
+                    )),
+                    None,
+                ));
             }
             None => {}
         }
@@ -521,7 +536,7 @@ impl ServerStore {
             let shard = self.guard_for(&mut guards, w.obj);
             if let Some(reason) = Self::validate_one(shard, txn, start_ts, w) {
                 self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
-                return Ok(PrepareOutcome::Conflict(reason));
+                return Ok((PrepareOutcome::Conflict(reason), None));
             }
         }
         // Lock pass.
@@ -537,21 +552,29 @@ impl ServerStore {
         }
         drop(guards);
         // Log before the ack, but after dropping the shard guards: the
-        // prepare locks already block conflicting validations, so nothing
-        // can slip past while the (possibly fsync-blocking) append runs, and
-        // same-shard readers are not stalled behind the disk.  The
+        // prepare locks already block conflicting validations, and
+        // same-shard readers are not stalled behind the append.  The
         // checkpoint gate is still held, so a checkpoint cannot rotate the
         // log between this append and the prepared-table insert below.
-        if let Err(e) = self.wal_append(&WalRecord::Prepare {
-            txn,
-            start_ts,
-            primary,
-            writes: Self::to_wal_writes(writes),
-        }) {
-            // The prepare is not acknowledged; roll the locks back.
-            self.release_locks_of(txn, writes.iter().map(|w| w.obj));
-            return Err(e);
-        }
+        let pos = match &self.wal {
+            None => None,
+            Some(wal) => {
+                let rec = WalRecord::Prepare {
+                    txn,
+                    start_ts,
+                    primary,
+                    writes: Self::to_wal_writes(writes),
+                };
+                match wal.append_unforced(&rec) {
+                    Ok(pos) => (wal.policy() != WalFsyncPolicy::Off).then_some(pos),
+                    Err(e) => {
+                        // The prepare is not acknowledged; roll the locks back.
+                        self.release_locks_of(txn, writes.iter().map(|w| w.obj));
+                        return Err(e);
+                    }
+                }
+            }
+        };
         // Insert (not extend): a duplicate prepare carries the same writes,
         // so replacing the entry both deduplicates the object list and
         // refreshes the coordinator's lease.
@@ -569,7 +592,7 @@ impl ServerStore {
             self.prepared_hint.fetch_add(1, Ordering::Relaxed);
         }
         self.stats.prepares.fetch_add(1, Ordering::Relaxed);
-        Ok(PrepareOutcome::Prepared)
+        Ok((PrepareOutcome::Prepared, pos))
     }
 
     /// Converts protocol write-ops into their log representation.
@@ -1477,7 +1500,8 @@ mod tests {
         let s = ServerStore::new();
         assert_eq!(
             s.prepare_leased(7, 5, &[w(1, "a")], 3, Duration::from_micros(1))
-                .unwrap(),
+                .unwrap()
+                .0,
             PrepareOutcome::Prepared
         );
         std::thread::sleep(Duration::from_millis(1));
@@ -1492,6 +1516,7 @@ mod tests {
         match s
             .prepare_leased(7, 5, &[w(1, "a")], 3, Duration::from_secs(10))
             .unwrap()
+            .0
         {
             PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),

@@ -4,20 +4,18 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use yesquel_common::ids::splitmix64;
 use yesquel_common::obs::clock;
-use yesquel_common::obs::trace::{count, span, SpanKind, TraceCounter};
+use yesquel_common::obs::trace::{count, span, Span, SpanKind, TraceCounter};
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::timeutil::sleep_backoff;
 use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};
-use yesquel_rpc::Transport;
+use yesquel_rpc::{Completion, Transport};
 
-use crate::fanout::FanoutPool;
 use crate::oracle::TimestampOracle;
 use crate::protocol::{KvRequest, KvResponse, WriteOp};
 use crate::server::KvServer;
@@ -46,14 +44,13 @@ pub(crate) struct KvHot {
     pub(crate) commit_participants: Arc<Counter>,
     pub(crate) commit_1pc: Arc<Counter>,
     pub(crate) commit_2pc: Arc<Counter>,
-    pub(crate) prepare_parallel_fanouts: Arc<Counter>,
     pub(crate) get_lock_retries: Arc<Counter>,
     pub(crate) txn_retries: Arc<Counter>,
     /// Commit-phase latencies, recorded only while `Obs::timing_on`:
     /// `prepare` is the whole phase-one round, `decide` the commit-point RPC
     /// at the primary (1PC charges its single round here too), `apply` one
-    /// secondary's decision, from its hand-off to its landing — off the
-    /// commit's critical path where decisions are not waited for.
+    /// secondary's decision, from its submit to its landing — off the
+    /// commit's critical path wherever it lands after the submit returns.
     pub(crate) commit_prepare_us: Arc<Histogram>,
     pub(crate) commit_decide_us: Arc<Histogram>,
     pub(crate) commit_apply_us: Arc<Histogram>,
@@ -70,7 +67,6 @@ impl KvHot {
             commit_participants: stats.counter("kv.commit_participants"),
             commit_1pc: stats.counter("kv.commit_1pc"),
             commit_2pc: stats.counter("kv.commit_2pc"),
-            prepare_parallel_fanouts: stats.counter("kv.prepare_parallel_fanouts"),
             get_lock_retries: stats.counter("kv.get_lock_retries"),
             txn_retries: stats.counter("kv.txn_retries"),
             commit_prepare_us: stats.histogram("kv.commit_prepare_us"),
@@ -92,28 +88,9 @@ pub(crate) struct ClientCore {
     /// Counter the retry loops draw their jitter salts from (see
     /// [`ClientCore::backoff`]).
     pub(crate) retry_salt: AtomicU64,
-    /// Whether a call through the transport spends wall-clock time blocked
-    /// outside the server's own work: a worker queue, slept latency,
-    /// injected faults.  Then rounds overlap, a transaction's reads can be
-    /// fetched together ([`Txn::prefetch`]) and secondaries' decisions are
-    /// sent without waiting for them.
-    pub(crate) transport_blocks: bool,
-    /// Whether the servers force a log, so every prepare ends in an
-    /// `fdatasync`: the prepare round then overlaps too, so that the
-    /// participants' flushes do.
-    pub(crate) forced_log: bool,
-    /// Worker pool for overlapped rounds and unwaited decisions; lazy, so it
-    /// costs nothing until the first one.
-    pub(crate) fanout: FanoutPool,
 }
 
 impl ClientCore {
-    /// Whether a coordinator round is worth issuing from several threads at
-    /// once (see [`round`]).
-    fn overlaps_rounds(&self) -> bool {
-        self.transport_blocks || self.forced_log
-    }
-
     pub(crate) fn num_servers(&self) -> usize {
         self.transport.num_servers()
     }
@@ -160,137 +137,213 @@ impl ClientCore {
     ) -> Result<KvResponse> {
         let _rpc_span = span(SpanKind::Rpc);
         count(TraceCounter::Rpcs, 1);
-        let max = max_attempts.max(1);
-        let mut salt: Option<u64> = None;
-        let mut saw_timeout = false;
-        let mut last: Option<Error> = None;
-        let mut req = Some(req);
-        for attempt in 0..max {
-            // The final attempt consumes the request; earlier ones clone it.
-            let this_req = if attempt + 1 < max {
-                req.clone()
-                    .expect("request present until the final attempt")
-            } else {
-                req.take().expect("request present until the final attempt")
-            };
-            match self.transport.call(server, this_req) {
-                Ok(resp) => return Ok(resp),
-                Err(e) if e.is_availability() => {
-                    if matches!(e, Error::Timeout(_)) {
-                        saw_timeout = true;
-                        self.stats.counter("rpc.timeouts").inc();
-                    }
-                    last = Some(e);
-                    if attempt + 1 < max {
-                        self.stats.counter("rpc.retries").inc();
-                        count(TraceCounter::Retries, 1);
-                        self.backoff(attempt, &mut salt);
-                    }
-                }
-                Err(e) => return Err(e),
+        let mut retry = Retry::new(server, req, max_attempts);
+        loop {
+            match self.transport.call(server, retry.request()) {
+                Err(e) if e.is_availability() && retry.again(self, &e) => {}
+                Err(e) if e.is_availability() => return Err(retry.exhausted(e)),
+                done => return done,
             }
         }
-        let last = last.expect("loop ran at least once and only exits retryably");
-        if saw_timeout && !matches!(last, Error::Timeout(_)) {
+    }
+
+    /// [`ClientCore::call_retry`]'s policy for a call that is submitted now
+    /// and waited for, or left to finish, later: a failure reported at
+    /// submit — the request was never delivered — is retried before this
+    /// returns, one that arrives later in [`Call::wait`].
+    pub(crate) fn submit(&self, server: ServerId, req: KvRequest, max_attempts: usize) -> Call {
+        count(TraceCounter::Rpcs, 1);
+        let span = span(SpanKind::Rpc);
+        let mut retry = Retry::new(server, req, max_attempts);
+        let reply = Call::send(&mut retry, self);
+        Call {
+            retry,
+            reply,
+            _span: span,
+        }
+    }
+}
+
+/// The retry budget of one RPC.
+struct Retry {
+    server: ServerId,
+    /// Kept for retries; the final attempt consumes it.
+    req: Option<KvRequest>,
+    max: usize,
+    attempt: usize,
+    salt: Option<u64>,
+    saw_timeout: bool,
+}
+
+impl Retry {
+    fn new(server: ServerId, req: KvRequest, max_attempts: usize) -> Self {
+        Retry {
+            server,
+            req: Some(req),
+            max: max_attempts.max(1),
+            attempt: 0,
+            salt: None,
+            saw_timeout: false,
+        }
+    }
+
+    fn last_attempt(&self) -> bool {
+        self.attempt + 1 >= self.max
+    }
+
+    /// The request for the next attempt.
+    fn request(&mut self) -> KvRequest {
+        if self.last_attempt() {
+            self.req.take()
+        } else {
+            self.req.clone()
+        }
+        .expect("a request is kept until the final attempt")
+    }
+
+    /// Notes a failed attempt and, if the budget allows another, backs off
+    /// and returns true.
+    fn again(&mut self, core: &ClientCore, e: &Error) -> bool {
+        if matches!(e, Error::Timeout(_)) {
+            self.saw_timeout = true;
+            core.stats.counter("rpc.timeouts").inc();
+        }
+        if self.last_attempt() {
+            return false;
+        }
+        core.stats.counter("rpc.retries").inc();
+        count(TraceCounter::Retries, 1);
+        core.backoff(self.attempt, &mut self.salt);
+        self.attempt += 1;
+        true
+    }
+
+    /// The error a call that ran out of attempts reports.
+    fn exhausted(&self, last: Error) -> Error {
+        if self.saw_timeout && !matches!(last, Error::Timeout(_)) {
             // An earlier attempt may have been applied even though the final
             // one failed differently; report the in-doubt flavour.
-            Err(Error::Timeout(format!(
-                "server {server}: {last} (an earlier attempt timed out)"
-            )))
+            Error::Timeout(format!(
+                "server {}: {last} (an earlier attempt timed out)",
+                self.server
+            ))
         } else {
-            Err(last)
+            last
         }
+    }
+}
+
+/// One RPC in flight under [`ClientCore::submit`].
+pub(crate) struct Call {
+    retry: Retry,
+    /// The latest attempt's reply.
+    reply: Completion<KvResponse>,
+    /// Charges the call, retries included, to the op's trace.
+    _span: Span,
+}
+
+impl Call {
+    /// Submits the next attempt, and another after each the transport
+    /// rejects at submit while the budget allows.
+    fn send(retry: &mut Retry, core: &ClientCore) -> Completion<KvResponse> {
+        loop {
+            let reply = core.transport.submit(retry.server, retry.request());
+            match reply.resolved() {
+                Some(Err(e)) if e.is_availability() && !retry.last_attempt() => {
+                    let e = e.clone();
+                    retry.again(core, &e);
+                }
+                _ => return reply,
+            }
+        }
+    }
+
+    /// The result, if the call was answered before `submit` returned.
+    fn resolved(&self) -> Option<&Result<KvResponse>> {
+        self.reply.resolved()
+    }
+
+    /// Waits for the response, retrying availability failures that arrive
+    /// while waiting.
+    pub(crate) fn wait(self, core: &ClientCore) -> Result<KvResponse> {
+        let Call {
+            mut retry,
+            mut reply,
+            _span,
+        } = self;
+        loop {
+            match reply.wait() {
+                Err(e) if e.is_availability() && retry.again(core, &e) => {
+                    reply = Call::send(&mut retry, core);
+                }
+                Err(e) if e.is_availability() => return Err(retry.exhausted(e)),
+                done => return done,
+            }
+        }
+    }
+
+    /// Leaves the call to finish on its own: `then` runs with its result
+    /// once the server answers, wherever that happens.  Failures reported
+    /// at submit have been retried already; one that arrives later is
+    /// handed to `then`.
+    fn then(self, then: impl FnOnce(Result<KvResponse>) + Send + 'static) {
+        self.reply.then(then);
     }
 }
 
 /// Issues one round — a transaction's prefetch, or the coordinator's
 /// prepares or aborts — of one `(server, request)` call per entry, and
-/// returns each outcome with its entry's index, in entry order.  This is
-/// the one place that chooses how:
-///
-/// * **Calls block** ([`ClientCore::overlaps_rounds`]): every call is in
-///   flight at once, so the round costs its slowest call instead of the sum
-///   (and, on a forced log, one flush instead of one per participant).  All
-///   but the last go to the fan-out pool and the last runs on the calling
-///   thread, so a round never needs more workers than it has calls; a call
-///   the pool cannot take runs on the calling thread too.  `stop_after` is
-///   not consulted: nothing is left to stop.  If a pool worker dies
-///   mid-round (a panic in the transport stack) its entry is simply missing
-///   from the result; callers that need every entry accounted for must
-///   check the length.
-/// * **Calls are pure CPU** on the caller's thread (direct transport, no
-///   forced log): a plain loop in entry order, no pool thread ever spawned,
-///   ending early once `stop_after` says an outcome makes the rest of the
-///   round pointless — a failed prepare, so that later participants are
-///   never locked for a doomed transaction.
+/// returns each outcome in entry order.  Every call is submitted before any
+/// is waited for, so the round costs its slowest call rather than the sum:
+/// one round trip on a slept network, one flush wait when the servers force
+/// their logs.  Submitting stops early once a call that came back answered
+/// satisfies `stop_after` (a failed prepare, so that later participants are
+/// never locked for a doomed transaction); the outcomes then end with it.
 pub(crate) fn round(
-    core: &Arc<ClientCore>,
-    reqs: Vec<(ServerId, KvRequest)>,
+    core: &ClientCore,
+    reqs: impl IntoIterator<Item = (ServerId, KvRequest)>,
     max_attempts: usize,
     stop_after: impl Fn(&Result<KvResponse>) -> bool,
-) -> Vec<(usize, Result<KvResponse>)> {
-    let n = reqs.len();
-    let mut out = Vec::with_capacity(n);
-    if !core.overlaps_rounds() {
-        for (i, (server, req)) in reqs.into_iter().enumerate() {
-            let resp = core.call_retry(server, req, max_attempts);
-            let stop = stop_after(&resp);
-            out.push((i, resp));
-            if stop {
-                break;
-            }
-        }
-        return out;
-    }
-    let (tx, rx) = bounded::<(usize, Result<KvResponse>)>(n);
-    let mut reqs = reqs.into_iter().enumerate();
-    let Some((last, (last_server, last_req))) = reqs.next_back() else {
-        return out;
-    };
-    for (i, (server, req)) in reqs {
-        let job_core = Arc::clone(core);
-        let tx = tx.clone();
-        let job = Box::new(move || {
-            let resp = job_core.call_retry(server, req, max_attempts);
-            let _ = tx.send((i, resp));
-        });
-        if let Err(job) = core.fanout.submit(job) {
-            // No worker can take it: the round loses its overlap for this
-            // call, not the call.
-            job();
+) -> Vec<Result<KvResponse>> {
+    let mut calls = Vec::new();
+    for (server, req) in reqs {
+        let call = core.submit(server, req, max_attempts);
+        let stop = call.resolved().is_some_and(&stop_after);
+        calls.push(call);
+        if stop {
+            break;
         }
     }
-    drop(tx);
-    out.push((last, core.call_retry(last_server, last_req, max_attempts)));
-    while let Ok(pair) = rx.recv() {
-        out.push(pair);
-    }
-    out.sort_by_key(|(i, _)| *i);
-    out
+    calls.into_iter().map(|call| call.wait(core)).collect()
 }
 
-/// Delivers a commit decision to one secondary: the commit already stands
-/// at the primary, so a failure only makes the participant lagging (the
-/// reaper converges it).  `handed_off` is when the decision left the
-/// coordinator, if phase timing is on.
-fn deliver_decision(
-    core: &ClientCore,
+/// Sends a commit decision to one secondary without waiting for it: the
+/// commit already stands at the primary, so the outcome only matters to
+/// bookkeeping, done where the answer lands.  A failure makes the
+/// participant lagging (the reaper converges it).  `kv.commit_apply_us` is
+/// the time from submit to landing, if phase timing is on.
+fn decide_secondary(
+    core: &Arc<ClientCore>,
     server: ServerId,
     txn: TxnId,
     commit_ts: Timestamp,
-    handed_off: Option<Instant>,
+    timing: bool,
 ) {
-    let resp = core.call_retry(
+    let submitted = timing.then(clock::now);
+    let call = core.submit(
         server,
         KvRequest::Commit { txn, commit_ts },
         core.cfg.rpc_max_attempts,
     );
-    if let Some(t0) = handed_off {
-        core.hot.commit_apply_us.record(clock::elapsed_us(t0));
-    }
-    if !matches!(resp, Ok(KvResponse::Committed { .. })) {
-        core.stats.counter("kv.commit_lagging_participants").inc();
-    }
+    let core = Arc::clone(core);
+    call.then(move |resp| {
+        if let Some(t0) = submitted {
+            core.hot.commit_apply_us.record(clock::elapsed_us(t0));
+        }
+        if !matches!(resp, Ok(KvResponse::Committed { .. })) {
+            core.stats.counter("kv.commit_lagging_participants").inc();
+        }
+    });
 }
 
 /// Lifecycle state of a transaction.
@@ -473,9 +526,10 @@ impl Txn {
     /// Fetches `objs` at this transaction's snapshot in one round, so that
     /// the [`Txn::get`]s that follow are answered from the transaction.
     ///
-    /// Only where the transport makes a call wait: the round then costs one
-    /// round trip instead of one per object.  Elsewhere a call is CPU on
-    /// this thread, and `get` pays the same later, so nothing is fetched.
+    /// Only where a call finishes after it is submitted: the round then
+    /// costs one round trip instead of one per object.  Elsewhere a call is
+    /// CPU on this thread, and `get` pays the same later, so nothing is
+    /// fetched.
     /// Advisory: objects the transaction wrote or already fetched are
     /// skipped, and only values are remembered — a locked object, or a call
     /// that failed, is left to `get`, which waits or reports it.
@@ -496,30 +550,28 @@ impl Txn {
             return;
         }
         let _get_span = span(SpanKind::KvGet);
-        let gets = wanted
-            .iter()
-            .map(|&obj| {
-                let get = KvRequest::Get {
-                    obj,
-                    ts: self.start_ts,
-                };
-                (self.core.home(obj), get)
-            })
-            .collect();
+        let gets = wanted.iter().map(|&obj| {
+            let get = KvRequest::Get {
+                obj,
+                ts: self.start_ts,
+            };
+            (self.core.home(obj), get)
+        });
         self.core.hot.get_rpcs.add(wanted.len() as u64);
         let outcomes = round(&self.core, gets, self.core.cfg.rpc_max_attempts, |_| false);
         let mut local = self.local.lock();
-        for (i, resp) in outcomes {
+        for (obj, resp) in wanted.into_iter().zip(outcomes) {
             if let Ok(KvResponse::Value(v)) = resp {
-                local.reads.remember(wanted[i], v);
+                local.reads.remember(obj, v);
             }
         }
     }
 
-    /// Whether [`Txn::prefetch`] fetches anything in this deployment, so a
-    /// caller can skip working out what to name.
+    /// Whether [`Txn::prefetch`] fetches anything in this deployment — the
+    /// transport's calls finish after they are submitted — so a caller can
+    /// skip working out what to name.
     pub fn prefetches(&self) -> bool {
-        self.core.transport_blocks
+        self.core.transport.finishes_after_submit()
     }
 
     /// Buffers a write of `value` to `obj`.
@@ -556,11 +608,10 @@ impl Txn {
     /// participant transactions use one-phase commit (one RPC).  Multi-
     /// participant transactions use two-phase commit: one prepare RPC per
     /// participant, then the decision at the primary — the commit point,
-    /// after which this returns — and at every other participant.  Where
-    /// the transport makes calls wait, the secondaries' decisions are sent
-    /// without being waited for: a secondary that misses one adopts the
-    /// commit from the primary, and a reader that meets its lock meanwhile
-    /// waits for it.
+    /// after which this returns — and at every other participant.  The
+    /// secondaries' decisions are submitted and not waited for: a secondary
+    /// that misses one adopts the commit from the primary, and a reader that
+    /// meets its lock meanwhile waits for it.
     pub fn commit(self) -> Result<Timestamp> {
         self.check_active()?;
 
@@ -657,25 +708,18 @@ impl Txn {
         self.core.hot.commit_2pc.inc();
         let prepare_t0 = timing.then(clock::now);
         let primary = participants[0];
-        let prepares = by_server
-            .into_iter()
-            .map(|(server, writes)| {
-                let req = KvRequest::Prepare {
-                    txn: self.id,
-                    start_ts: self.start_ts,
-                    writes,
-                    primary,
-                    lease_us: self.core.cfg.prepare_lease_us,
-                };
-                (server, req)
-            })
-            .collect();
-        if self.core.overlaps_rounds() {
-            // Reporting only: `round` is what acts on it.
-            self.core.hot.prepare_parallel_fanouts.inc();
-        }
-        // Server-side nothing depends on how the round is issued: each
-        // participant validates, locks, and leases its own slice.
+        let prepares = by_server.into_iter().map(|(server, writes)| {
+            let req = KvRequest::Prepare {
+                txn: self.id,
+                start_ts: self.start_ts,
+                writes,
+                primary,
+                lease_us: self.core.cfg.prepare_lease_us,
+            };
+            (server, req)
+        });
+        // Each participant validates, locks, and leases its own slice; over
+        // a forced log the prepares' flushes overlap, one per server.
         let outcomes = round(
             &self.core,
             prepares,
@@ -688,70 +732,44 @@ impl Txn {
                 .commit_prepare_us
                 .record(clock::elapsed_us(t0));
         }
-        // Judge the round in server order, so the reported failure matches
-        // what the sequential round would have surfaced first.
-        let all_prepared = outcomes.len() == participants.len()
-            && outcomes
-                .iter()
-                .all(|(_, r)| matches!(r, Ok(KvResponse::Prepared)));
-        if !all_prepared {
-            for (i, resp) in outcomes {
-                let server = participants[i];
-                match resp {
-                    Ok(KvResponse::Prepared) => {}
-                    Ok(KvResponse::Conflict { reason }) => {
-                        self.abort_participants(&participants);
-                        *self.state.lock() = TxnState::Aborted;
-                        self.core.hot.txn_conflicts.inc();
-                        count(TraceCounter::Conflicts, 1);
-                        return Err(Error::Conflict(reason));
-                    }
-                    Ok(KvResponse::ServerError { message }) => {
-                        // The participant could not make the prepare durable,
-                        // so it holds no locks for us; nothing can have
-                        // committed.
-                        self.abort_participants(&participants);
-                        *self.state.lock() = TxnState::Aborted;
-                        return Err(Error::Io(message));
-                    }
-                    Ok(other) => {
-                        self.abort_participants(&participants);
-                        *self.state.lock() = TxnState::Aborted;
-                        return Err(Error::Internal(format!(
-                            "unexpected prepare response: {other:?}"
-                        )));
-                    }
-                    Err(e) => {
-                        // Coordinator deadline: a participant stayed
-                        // unreachable through the retry budget.  No commit
-                        // was sent, so the transaction cannot have committed
-                        // anywhere — abort the others (best-effort; the
-                        // reaper collects whatever the aborts miss) and
-                        // report a clean retryable failure.
-                        self.abort_participants(&participants);
-                        *self.state.lock() = TxnState::Aborted;
-                        self.core.stats.counter("kv.prepare_deadline_aborts").inc();
-                        return Err(if e.is_availability() {
-                            Error::Unavailable(format!(
-                                "prepare of txn {} at server {server} failed ({e}); \
-                                 transaction aborted",
-                                self.id
-                            ))
-                        } else {
-                            e
-                        });
-                    }
-                }
-            }
-            // Every collected outcome was `Prepared`, yet a participant is
-            // missing (a fan-out worker died): the transaction's locks may
-            // be partially held, so abort cleanly.
+        // Judge the round in server order: the first failure is reported.
+        let failed = outcomes
+            .into_iter()
+            .enumerate()
+            .find(|(_, r)| !matches!(r, Ok(KvResponse::Prepared)));
+        if let Some((i, resp)) = failed {
+            let server = participants[i];
             self.abort_participants(&participants);
             *self.state.lock() = TxnState::Aborted;
-            return Err(Error::Internal(format!(
-                "prepare round of txn {} lost a participant outcome",
-                self.id
-            )));
+            return Err(match resp {
+                Ok(KvResponse::Conflict { reason }) => {
+                    self.core.hot.txn_conflicts.inc();
+                    count(TraceCounter::Conflicts, 1);
+                    Error::Conflict(reason)
+                }
+                // The participant could not make the prepare durable, so
+                // nothing can have committed.
+                Ok(KvResponse::ServerError { message }) => Error::Io(message),
+                Ok(other) => Error::Internal(format!("unexpected prepare response: {other:?}")),
+                Err(e) => {
+                    // Coordinator deadline: a participant stayed unreachable
+                    // through the retry budget.  No commit was sent, so the
+                    // transaction cannot have committed anywhere — the
+                    // others are aborted (best-effort; the reaper collects
+                    // whatever the aborts miss) and the failure is a clean,
+                    // retryable one.
+                    self.core.stats.counter("kv.prepare_deadline_aborts").inc();
+                    if e.is_availability() {
+                        Error::Unavailable(format!(
+                            "prepare of txn {} at server {server} failed ({e}); \
+                             transaction aborted",
+                            self.id
+                        ))
+                    } else {
+                        e
+                    }
+                }
+            });
         }
 
         // All participants prepared: the transaction is committed as soon as
@@ -817,50 +835,23 @@ impl Txn {
             }
         };
 
-        self.decide_secondaries(&participants[1..], commit_ts, timing);
+        for &server in &participants[1..] {
+            decide_secondary(&self.core, server, self.id, commit_ts, timing);
+        }
         *self.state.lock() = TxnState::Committed;
         self.core.hot.txn_committed.inc();
         Ok(commit_ts)
     }
 
-    /// Phase two at the secondaries: best-effort, because the outcome no
-    /// longer depends on these calls.  The transaction is durably committed
-    /// at the primary; a secondary logs its decision without waiting for the
-    /// disk, and one that misses the message — or loses the record in a
-    /// crash — adopts the commit from the primary (a reader that meets its
-    /// lock meanwhile waits, never reads around it).
-    ///
-    /// Where the transport makes a call wait, each decision goes to the
-    /// fan-out pool and the commit returns without waiting for any of them:
-    /// the round trip leaves the commit's critical path.  Elsewhere a
-    /// decision is CPU on this thread, or an unforced log append, and runs
-    /// inline.
-    fn decide_secondaries(&self, secondaries: &[ServerId], commit_ts: Timestamp, timing: bool) {
-        for &server in secondaries {
-            let handed_off = timing.then(clock::now);
-            if !self.core.transport_blocks {
-                deliver_decision(&self.core, server, self.id, commit_ts, handed_off);
-                continue;
-            }
-            let core = Arc::clone(&self.core);
-            let txn = self.id;
-            let job = Box::new(move || deliver_decision(&core, server, txn, commit_ts, handed_off));
-            if let Err(job) = self.core.fanout.submit(job) {
-                job();
-            }
-        }
-    }
-
     /// Best-effort abort round used when a prepare round fails.  Abort is
     /// idempotent and deduplicated server-side, and participants that miss
-    /// the message are cleaned up by the prepare-lease reaper.  Overlapped
-    /// where calls block: a failed prepare round under faults would otherwise
-    /// serialise several full retry budgets.
+    /// the message are cleaned up by the prepare-lease reaper.  One round:
+    /// a failed prepare round under faults would otherwise serialise several
+    /// full retry budgets.
     fn abort_participants(&self, participants: &[ServerId]) {
         let aborts = participants
             .iter()
-            .map(|&s| (s, KvRequest::Abort { txn: self.id }))
-            .collect();
+            .map(|&s| (s, KvRequest::Abort { txn: self.id }));
         let _ = round(&self.core, aborts, self.core.cfg.rpc_max_attempts, |_| {
             false
         });

@@ -18,9 +18,10 @@
 //! [`TraceReport`] — into the bounded [`SlowOpRing`] it was created with,
 //! where it can be dumped as JSON for postmortems and CI smoke checks.
 //!
-//! Known limit: spans are attributed to the thread they run on.  Work the
-//! 2PC coordinator hands to fan-out pool workers is not charged to the
-//! calling trace (the counters it bumps on its own thread still are).
+//! Known limit: spans are attributed to the thread they run on.  Every RPC
+//! a client issues is submitted and counted on the op's thread, but the
+//! server work behind it — a worker of the threaded transport, a log's
+//! flusher — runs on threads of its own and is not charged to the trace.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

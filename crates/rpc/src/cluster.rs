@@ -1,8 +1,8 @@
 //! A cluster of storage servers behind a single transport handle.
 //!
-//! [`Cluster`] owns the server objects, the chosen [`Transport`], the
-//! [`NetworkModel`] and the [`StatsRegistry`], and hands out cheap clones of
-//! the transport handle to any number of clients.  It is the in-process
+//! [`Cluster`] owns the server objects, the chosen [`Transport`] (which
+//! holds the [`NetworkModel`]) and the [`StatsRegistry`], and hands out cheap
+//! clones of the transport handle to any number of clients.  It is the in-process
 //! equivalent of "deploy N storage servers and give every client their
 //! addresses".
 
@@ -51,28 +51,28 @@ impl<S: Service> ClusterBuilder<S> {
         self
     }
 
-    /// Builds the cluster.
-    pub fn build(self) -> Cluster<S> {
+    /// Builds the cluster.  Fails if a threaded transport cannot start its
+    /// workers.
+    pub fn build(self) -> Result<Cluster<S>> {
         let net = NetworkModel::new(self.net, self.registry.clone());
         let transport: Arc<dyn Transport<S>> = match self.kind {
             TransportKind::Direct => Arc::new(DirectTransport::new(
                 self.servers.clone(),
-                net.clone(),
+                net,
                 self.registry.clone(),
             )),
             TransportKind::Threaded { workers_per_server } => Arc::new(ThreadedTransport::new(
                 self.servers.clone(),
                 workers_per_server,
-                net.clone(),
+                net,
                 self.registry.clone(),
-            )),
+            )?),
         };
-        Cluster {
+        Ok(Cluster {
             servers: self.servers,
             transport,
-            net,
             registry: self.registry,
-        }
+        })
     }
 }
 
@@ -81,16 +81,10 @@ impl<S: Service> ClusterBuilder<S> {
 pub struct Cluster<S: Service> {
     servers: Vec<Arc<S>>,
     transport: Arc<dyn Transport<S>>,
-    net: NetworkModel,
     registry: StatsRegistry,
 }
 
 impl<S: Service> Cluster<S> {
-    /// Builds a cluster with default transport (direct) and no network cost.
-    pub fn direct(servers: Vec<Arc<S>>) -> Self {
-        ClusterBuilder::new(servers).build()
-    }
-
     /// Number of storage servers.
     pub fn num_servers(&self) -> usize {
         self.servers.len()
@@ -113,11 +107,6 @@ impl<S: Service> Cluster<S> {
         &self.servers
     }
 
-    /// The network cost model shared by every RPC of this cluster.
-    pub fn network(&self) -> &NetworkModel {
-        &self.net
-    }
-
     /// The statistics registry shared by the cluster's transports.
     pub fn stats(&self) -> &StatsRegistry {
         &self.registry
@@ -134,7 +123,6 @@ impl<S: Service> Clone for Cluster<S> {
         Cluster {
             servers: self.servers.clone(),
             transport: Arc::clone(&self.transport),
-            net: self.net.clone(),
             registry: self.registry.clone(),
         }
     }
@@ -143,20 +131,21 @@ impl<S: Service> Clone for Cluster<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Completion;
 
     struct Doubler;
     impl Service for Doubler {
         type Request = u64;
         type Response = u64;
-        fn call(&self, req: u64) -> u64 {
-            req * 2
+        fn call(&self, req: u64) -> Completion<u64> {
+            Completion::ready(Ok(req * 2))
         }
     }
 
     #[test]
     fn builder_direct() {
         let servers = (0..4).map(|_| Arc::new(Doubler)).collect();
-        let cluster = ClusterBuilder::new(servers).build();
+        let cluster = ClusterBuilder::new(servers).build().unwrap();
         assert_eq!(cluster.num_servers(), 4);
         assert_eq!(cluster.call(3, 21).unwrap(), 42);
         assert!(cluster.call(4, 21).is_err());
@@ -177,7 +166,8 @@ mod tests {
                 sleep_latency: false,
                 service_time_us: 0,
             })
-            .build();
+            .build()
+            .unwrap();
         assert_eq!(cluster.call(1, 5).unwrap(), 10);
         assert_eq!(cluster.stats().counter("net.charged_us").get(), 20);
         assert_eq!(cluster.stats().counter("rpc.calls").get(), 1);
@@ -186,7 +176,7 @@ mod tests {
     #[test]
     fn cluster_clone_shares_servers() {
         let servers = (0..1).map(|_| Arc::new(Doubler)).collect();
-        let cluster = Cluster::direct(servers);
+        let cluster = ClusterBuilder::new(servers).build().unwrap();
         let c2 = cluster.clone();
         assert_eq!(c2.call(0, 2).unwrap(), 4);
         assert_eq!(cluster.stats().counter("rpc.calls").get(), 1);

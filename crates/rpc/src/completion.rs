@@ -1,0 +1,253 @@
+//! Completions: the reply to a submitted call, possibly still to come.
+//!
+//! A call answered before [`crate::Transport::submit`] returns comes back
+//! resolved, with no allocation and no lock; one that a server worker or a
+//! log flusher answers later comes back pending, and whoever answers it
+//! holds its [`Resolver`].  A completion also carries the instant the
+//! modelled network delivers the reply — when the server answered plus the
+//! round trip — and [`Completion::wait`] sleeps until then, so calls
+//! submitted together overlap their round trips.
+
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
+
+use yesquel_common::{Error, Result};
+
+/// A result and the instant the reply carrying it is due.
+type Reply<T> = (Result<T>, Option<Instant>);
+
+/// Work parked on a pending completion, run by whoever answers it.
+type Continuation<T> = Box<dyn FnOnce(Reply<T>) + Send>;
+
+/// The eventual reply to one submitted call.
+pub struct Completion<T>(State<T>);
+
+enum State<T> {
+    Ready(Reply<T>),
+    Pending(Arc<Slot<T>>),
+}
+
+/// Where a pending completion's answer meets whoever waits for it.
+struct Slot<T> {
+    state: Mutex<Parked<T>>,
+    answered: Condvar,
+}
+
+enum Parked<T> {
+    /// Not answered yet; a continuation may be waiting for the answer.
+    Waiting(Option<Continuation<T>>),
+    /// Answered, and not taken yet.
+    Answered(Reply<T>),
+    /// The answer went to its one consumer.
+    Taken,
+}
+
+impl<T> Slot<T> {
+    fn lock(&self) -> MutexGuard<'_, Parked<T>> {
+        // A panicking continuation leaves the state valid.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn answer(&self, reply: Reply<T>) {
+        let mut parked = self.lock();
+        match std::mem::replace(&mut *parked, Parked::Taken) {
+            Parked::Waiting(Some(then)) => {
+                drop(parked);
+                then(reply);
+            }
+            Parked::Waiting(None) => {
+                *parked = Parked::Answered(reply);
+                self.answered.notify_all();
+            }
+            // A second answer is ignored.
+            first => *parked = first,
+        }
+    }
+
+    /// Runs `then` with the answer: now if it has come, else when it does.
+    fn then(&self, then: Continuation<T>) {
+        let mut parked = self.lock();
+        match std::mem::replace(&mut *parked, Parked::Taken) {
+            Parked::Answered(reply) => {
+                drop(parked);
+                then(reply);
+            }
+            _ => *parked = Parked::Waiting(Some(then)),
+        }
+    }
+
+    fn take(&self) -> Reply<T> {
+        let mut parked = self.lock();
+        loop {
+            match std::mem::replace(&mut *parked, Parked::Taken) {
+                Parked::Answered(reply) => return reply,
+                waiting => *parked = waiting,
+            }
+            parked = self
+                .answered
+                .wait(parked)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// The answering end of a pending [`Completion`].  Dropped unanswered, it
+/// answers [`Error::ServerUnavailable`], as a server that dies with the
+/// request would.
+pub struct Resolver<T>(Option<Arc<Slot<T>>>);
+
+impl<T> Resolver<T> {
+    /// Answers the completion; continuations parked on it run on this
+    /// thread.
+    pub fn resolve(self, result: Result<T>) {
+        self.resolve_due(result, None);
+    }
+
+    pub(crate) fn resolve_due(mut self, result: Result<T>, due: Option<Instant>) {
+        if let Some(slot) = self.0.take() {
+            slot.answer((result, due));
+        }
+    }
+}
+
+impl<T> Drop for Resolver<T> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            let dropped = Error::ServerUnavailable("the server dropped the request".into());
+            slot.answer((Err(dropped), None));
+        }
+    }
+}
+
+impl<T: Send + 'static> Completion<T> {
+    /// A completion answered already.
+    pub fn ready(result: Result<T>) -> Self {
+        Completion(State::Ready((result, None)))
+    }
+
+    /// A completion answered later through the returned [`Resolver`].
+    pub fn pending() -> (Self, Resolver<T>) {
+        let slot = Arc::new(Slot {
+            state: Mutex::new(Parked::Waiting(None)),
+            answered: Condvar::new(),
+        });
+        let resolver = Resolver(Some(Arc::clone(&slot)));
+        (Completion(State::Pending(slot)), resolver)
+    }
+
+    /// The result, if the call was answered before `submit` returned.
+    pub fn resolved(&self) -> Option<&Result<T>> {
+        match &self.0 {
+            State::Ready((result, _)) => Some(result),
+            State::Pending(_) => None,
+        }
+    }
+
+    /// Blocks until the call is answered and its reply is due.  A completion
+    /// answered with no modelled latency returns at once, reading no clock.
+    pub fn wait(self) -> Result<T> {
+        let (result, due) = self.settle();
+        if let Some(left) = due.and_then(|due| due.checked_duration_since(Instant::now())) {
+            std::thread::sleep(left);
+        }
+        result
+    }
+
+    /// Runs `then` with the result once the call is answered — now if it
+    /// is, else on the answering thread — without waiting for the reply's
+    /// due instant.  `then` must not block.
+    pub fn then(self, then: impl FnOnce(Result<T>) + Send + 'static) {
+        match self.0 {
+            State::Ready((result, _)) => then(result),
+            State::Pending(slot) => slot.then(Box::new(move |(result, _)| then(result))),
+        }
+    }
+
+    /// Blocks until the call is answered, but not until its reply is due.
+    pub(crate) fn settled(self) -> Self {
+        Completion(State::Ready(self.settle()))
+    }
+
+    fn settle(self) -> Reply<T> {
+        match self.0 {
+            State::Ready(reply) => reply,
+            State::Pending(slot) => slot.take(),
+        }
+    }
+
+    /// The completion answered with `f` of this one's reply: at once if this
+    /// one is answered, else on its answering thread.
+    pub(crate) fn chain<U: Send + 'static>(
+        self,
+        f: impl FnOnce(Reply<T>) -> Reply<U> + Send + 'static,
+    ) -> Completion<U> {
+        match self.0 {
+            State::Ready(reply) => Completion(State::Ready(f(reply))),
+            State::Pending(slot) => {
+                let (chained, resolver) = Completion::pending();
+                slot.then(Box::new(move |reply| {
+                    let (result, due) = f(reply);
+                    resolver.resolve_due(result, due);
+                }));
+                chained
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
+
+    #[test]
+    fn ready_completions_answer_at_once() {
+        let c = Completion::ready(Ok(7u64));
+        assert_eq!(c.resolved(), Some(&Ok(7)));
+        assert_eq!(c.wait(), Ok(7));
+        let seen = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&seen);
+        Completion::ready(Ok(3u64)).then(move |r| {
+            s.store(r.unwrap(), Ordering::SeqCst);
+        });
+        assert_eq!(seen.load(Ordering::SeqCst), 3, "ran inline");
+    }
+
+    #[test]
+    fn pending_completions_answer_from_another_thread() {
+        let (c, resolver) = Completion::pending();
+        assert!(c.resolved().is_none());
+        let answerer = std::thread::spawn(move || resolver.resolve(Ok(42u64)));
+        assert_eq!(c.wait(), Ok(42));
+        answerer.join().unwrap();
+    }
+
+    #[test]
+    fn continuations_run_where_the_answer_arrives() {
+        let (c, resolver) = Completion::pending();
+        let seen = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&seen);
+        c.chain(|(r, due): Reply<u64>| (r.map(|v| v * 2), due))
+            .then(move |r| s.store(r.unwrap(), Ordering::SeqCst));
+        assert_eq!(seen.load(Ordering::SeqCst), 0);
+        resolver.resolve(Ok(21));
+        assert_eq!(seen.load(Ordering::SeqCst), 42);
+    }
+
+    #[test]
+    fn a_dropped_resolver_fails_the_completion() {
+        let (c, resolver) = Completion::<u64>::pending();
+        drop(resolver);
+        assert!(matches!(c.wait(), Err(Error::ServerUnavailable(_))));
+    }
+
+    #[test]
+    fn wait_sleeps_until_the_reply_is_due() {
+        let due = Instant::now() + Duration::from_millis(20);
+        let started = Instant::now();
+        let c = Completion(State::Ready((Ok(1u64), Some(due))));
+        assert_eq!(c.wait(), Ok(1));
+        assert!(started.elapsed() >= Duration::from_millis(20));
+    }
+}

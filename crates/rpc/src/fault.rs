@@ -8,7 +8,9 @@
 //! counts), so fault injection composes with both [`crate::DirectTransport`]
 //! and [`crate::ThreadedTransport`] and with the [`crate::NetworkModel`].
 //!
-//! Fault semantics over a synchronous request/response transport:
+//! The decorator wraps [`Transport::submit`].  A fault that keeps a request
+//! from being delivered resolves its completion before `submit` returns; a
+//! fault that strikes after delivery shows when the completion resolves:
 //!
 //! * **drop request** — the message never reaches the server; the caller
 //!   observes [`Error::Timeout`] and the operation was *not* applied.
@@ -17,11 +19,11 @@
 //!   *was* applied.  This is the case that exercises server-side
 //!   deduplication of retried non-idempotent operations.
 //! * **duplicate** — the message is delivered twice back-to-back (a model of
-//!   a retransmission racing the original); the caller sees the first
-//!   response, the duplicate's response is discarded.
+//!   a retransmission following the original once it is answered); the
+//!   caller sees the first response, the duplicate's response is discarded.
 //! * **transient error** — the connection fails before the message is sent;
 //!   the caller observes [`Error::Unavailable`] and may retry immediately.
-//! * **delay** — the call sleeps for a bounded random time before delivery.
+//! * **delay** — `submit` sleeps for a bounded random time before delivery.
 //! * **crash** — the server stops accepting requests ([`Error::Unavailable`]
 //!   on every call) until [`FaultyTransport::restart`] is called or a
 //!   scripted restart triggers.  By default the store behind the transport
@@ -30,8 +32,10 @@
 //!   crashed server first runs that server's restart hook (see
 //!   [`FaultyTransport::set_restart_hook`]), which the deployment wires to
 //!   drop the server's volatile state and recover from its write-ahead log —
-//!   a process kill rather than a stall.  ROADMAP.md § "Fault model"
-//!   discusses the distinction.
+//!   a process kill rather than a stall.  A restart waits until the server
+//!   has answered every call it was delivered — including calls whose
+//!   completions nobody waits for — so the kill lands between requests.
+//!   ROADMAP.md § "Fault model" discusses the distinction.
 //!
 //! All randomness comes from per-server xoshiro generators seeded from the
 //! plan, so a fixed seed reproduces the exact same fault schedule — the
@@ -44,8 +48,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use yesquel_common::stats::{Counter, StatsRegistry};
-use yesquel_common::{Error, Result, ServerId};
+use yesquel_common::{Error, ServerId};
 
+use crate::completion::Completion;
 use crate::transport::{Service, Transport};
 
 /// Fault schedule for one server, mixing probabilistic faults (per-message
@@ -156,11 +161,11 @@ struct FaultState {
     delivered: AtomicU64,
     /// Requests rejected since the last crash, for `restart_after_rejects`.
     rejected_while_down: AtomicU64,
-    /// Calls that found the server up and have not returned yet.  An
-    /// amnesia restart waits for them, so a kill lands between two requests
-    /// and never inside one: state a request is still changing is not
-    /// wiped and replayed under it.
-    in_flight: AtomicU64,
+    /// Calls that found the server up and that it has not answered yet,
+    /// waited for or not.  An amnesia restart waits for them, so a kill
+    /// lands between two requests and never inside one: state a request is
+    /// still changing is not wiped and replayed under it.
+    in_flight: Arc<AtomicU64>,
     /// Runs when a crashed server restarts under an amnesia plan, *before*
     /// the server accepts requests again.  The lock is held across the whole
     /// restart sequence so concurrent scripted restarts run the hook exactly
@@ -169,16 +174,16 @@ struct FaultState {
 }
 
 /// One call counted in its server's [`FaultState::in_flight`] until dropped.
-struct InFlight<'a>(&'a AtomicU64);
+struct InFlight(Arc<AtomicU64>);
 
-impl<'a> InFlight<'a> {
-    fn enter(count: &'a AtomicU64) -> Self {
+impl InFlight {
+    fn enter(count: &Arc<AtomicU64>) -> Self {
         count.fetch_add(1, Ordering::SeqCst);
-        InFlight(count)
+        InFlight(Arc::clone(count))
     }
 }
 
-impl Drop for InFlight<'_> {
+impl Drop for InFlight {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
     }
@@ -197,7 +202,7 @@ impl FaultState {
             crashed: AtomicBool::new(false),
             delivered: AtomicU64::new(0),
             rejected_while_down: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
+            in_flight: Arc::new(AtomicU64::new(0)),
             restart_hook: Mutex::new(None),
         }
     }
@@ -276,13 +281,6 @@ where
         }
     }
 
-    /// Wraps `inner` with the same plan template on every server (each still
-    /// gets an independent per-server schedule via seed mixing).
-    pub fn uniform(inner: Arc<dyn Transport<S>>, plan: FaultPlan, registry: StatsRegistry) -> Self {
-        let n = inner.num_servers();
-        Self::new(inner, vec![plan; n], registry)
-    }
-
     /// Crashes `server`: every subsequent call fails with
     /// [`Error::Unavailable`] until [`restart`](Self::restart) (or a
     /// scripted auto-restart) revives it.  The server's memory is kept.
@@ -313,7 +311,7 @@ where
     }
 
     /// Brings a crashed server back; the caller holds its hook lock.  Under
-    /// an amnesia plan, the calls still executing in the server return
+    /// an amnesia plan, the calls the server has not answered yet finish
     /// first, then the hook runs, and only then do calls flow again.
     fn revive(st: &FaultState, hook: &Option<Box<dyn Fn() + Send + Sync>>) {
         if !st.crashed.load(Ordering::SeqCst) {
@@ -384,11 +382,6 @@ where
         self.counters.injected.get()
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &Arc<dyn Transport<S>> {
-        &self.inner
-    }
-
     /// Draws this call's fault decisions from the server's seeded generator.
     fn draw(&self, st: &FaultState) -> Decisions {
         let plan = st.plan.lock();
@@ -431,15 +424,15 @@ impl<S: Service> Transport<S> for FaultyTransport<S>
 where
     S::Request: Clone,
 {
-    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
+    fn submit(&self, server: ServerId, req: S::Request) -> Completion<S::Response> {
         let Some(st) = self.states.get(server) else {
             // Unknown server: let the inner transport produce its usual error.
-            return self.inner.call(server, req);
+            return self.inner.submit(server, req);
         };
 
         // Counted in flight before the crash check: a restart that finds the
         // server crashed then also finds every call that saw it up.
-        let _in_flight = loop {
+        let in_flight = loop {
             let entered = InFlight::enter(&st.in_flight);
             if !st.crashed.load(Ordering::SeqCst) {
                 break entered;
@@ -461,7 +454,9 @@ where
                 None => {
                     self.counters.crash_reject.inc();
                     self.counters.injected.inc();
-                    return Err(Error::Unavailable(format!("server {server} is down")));
+                    return Completion::ready(Err(Error::Unavailable(format!(
+                        "server {server} is down"
+                    ))));
                 }
             }
         };
@@ -471,16 +466,16 @@ where
         if d.transient {
             self.counters.transient.inc();
             self.counters.injected.inc();
-            return Err(Error::Unavailable(format!(
+            return Completion::ready(Err(Error::Unavailable(format!(
                 "transient fault talking to server {server}"
-            )));
+            ))));
         }
         if d.drop_request {
             self.counters.drop_request.inc();
             self.counters.injected.inc();
-            return Err(Error::Timeout(format!(
+            return Completion::ready(Err(Error::Timeout(format!(
                 "request to server {server} dropped"
-            )));
+            ))));
         }
         if d.delay_us > 0 {
             self.counters.delay.inc();
@@ -489,33 +484,46 @@ where
         }
 
         let dup_req = if d.duplicate { Some(req.clone()) } else { None };
-        let resp = self.inner.call(server, req)?;
+        let mut reply = self.inner.submit(server, req);
         let crashed_now = self.note_delivery(st);
 
         if let Some(dup) = dup_req {
             if !st.crashed.load(Ordering::SeqCst) {
                 self.counters.duplicate.inc();
                 self.counters.injected.inc();
-                // The duplicate's response is discarded, as a retransmission
-                // racing the original would be.
-                let _ = self.inner.call(server, dup);
+                // The retransmission reaches the server once the original
+                // has been answered; its own response is discarded.
+                reply = reply.settled();
+                let dup_in_flight = InFlight::enter(&st.in_flight);
+                self.inner
+                    .submit(server, dup)
+                    .then(move |_| drop(dup_in_flight));
                 self.note_delivery(st);
             }
         }
 
-        if crashed_now {
-            return Err(Error::Timeout(format!(
-                "server {server} crashed before responding"
-            )));
-        }
-        if d.drop_response {
+        let lost = if crashed_now {
+            Some("crashed before responding")
+        } else if d.drop_response {
             self.counters.drop_response.inc();
             self.counters.injected.inc();
-            return Err(Error::Timeout(format!(
-                "response from server {server} dropped"
-            )));
-        }
-        Ok(resp)
+            Some("dropped the response")
+        } else {
+            None
+        };
+        // The call stays in flight until the server has answered it, whether
+        // or not anybody waits for the answer.
+        reply.chain(move |(resp, due)| {
+            drop(in_flight);
+            match lost {
+                Some(what) => (Err(Error::Timeout(format!("server {server} {what}"))), due),
+                None => (resp, due),
+            }
+        })
+    }
+
+    fn finishes_after_submit(&self) -> bool {
+        self.inner.finishes_after_submit()
     }
 
     fn num_servers(&self) -> usize {
@@ -538,9 +546,9 @@ mod tests {
     impl Service for Counting {
         type Request = u64;
         type Response = u64;
-        fn call(&self, req: u64) -> u64 {
+        fn call(&self, req: u64) -> Completion<u64> {
             self.handled.fetch_add(1, Ordering::SeqCst);
-            req + 1
+            Completion::ready(Ok(req + 1))
         }
     }
 
@@ -714,6 +722,67 @@ mod tests {
         // Restarting a server that is already up must not wipe it.
         t.restart(0);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    /// A service that takes a while and says how many calls it is in.
+    struct Slow {
+        executing: AtomicU64,
+        handled: AtomicU64,
+    }
+
+    impl Service for Slow {
+        type Request = u64;
+        type Response = u64;
+        fn call(&self, req: u64) -> Completion<u64> {
+            self.executing.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            self.handled.fetch_add(1, Ordering::SeqCst);
+            self.executing.fetch_sub(1, Ordering::SeqCst);
+            Completion::ready(Ok(req + 1))
+        }
+    }
+
+    #[test]
+    fn amnesia_restart_waits_for_a_call_nobody_waits_for() {
+        let reg = StatsRegistry::new();
+        let srv = Arc::new(Slow {
+            executing: AtomicU64::new(0),
+            handled: AtomicU64::new(0),
+        });
+        let inner: Arc<dyn Transport<Slow>> = Arc::new(
+            crate::transport::ThreadedTransport::new(
+                vec![Arc::clone(&srv)],
+                1,
+                NetworkModel::free(reg.clone()),
+                reg.clone(),
+            )
+            .unwrap(),
+        );
+        let plan = FaultPlan {
+            amnesia: true,
+            ..FaultPlan::healthy()
+        };
+        let t = FaultyTransport::new(inner, vec![plan], reg);
+        let seen_executing = Arc::new(AtomicU64::new(u64::MAX));
+        {
+            let (srv, seen) = (Arc::clone(&srv), Arc::clone(&seen_executing));
+            t.set_restart_hook(0, move || {
+                seen.store(srv.executing.load(Ordering::SeqCst), Ordering::SeqCst);
+            });
+        }
+        // Submitted, and its completion dropped at once.
+        drop(t.submit(0, 1));
+        while srv.executing.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        t.crash(0);
+        t.restart(0);
+        assert_eq!(
+            seen_executing.load(Ordering::SeqCst),
+            0,
+            "the restart wiped the server under a call it was executing"
+        );
+        assert_eq!(srv.handled.load(Ordering::SeqCst), 1);
     }
 
     #[test]

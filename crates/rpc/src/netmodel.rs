@@ -5,10 +5,11 @@
 //! charged a configurable cost: a fixed one-way latency per message plus a
 //! bandwidth term proportional to message size.  The cost is always added to
 //! the `net.charged_us` counter and, if so configured, actually slept
-//! (closed-loop latency experiments).
+//! (closed-loop latency experiments): the transport dates the reply's
+//! [`Completion`](crate::Completion) that far after the server answered, and
+//! whoever waits for it sleeps until then.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use yesquel_common::stats::{Counter, StatsRegistry};
 use yesquel_common::NetConfig;
@@ -53,18 +54,20 @@ impl NetworkModel {
         cfg.one_way_latency_us + bw
     }
 
+    /// Whether the modelled latency is really slept, so that a reply is due
+    /// some time after its server answered.
+    pub fn sleeps(&self) -> bool {
+        let cfg = &self.inner.cfg;
+        cfg.sleep_latency && (cfg.one_way_latency_us > 0 || cfg.bytes_per_us > 0)
+    }
+
     /// Charges a full request/response round trip and returns the charged
-    /// microseconds.  If the model is configured to sleep, the calling
-    /// thread sleeps for that long, so closed-loop clients observe the
-    /// modelled latency.
+    /// microseconds.  Nothing sleeps here: the transport makes the reply due
+    /// that much later when the model [`sleeps`](Self::sleeps).
     pub fn charge_round_trip(&self, req_bytes: usize, resp_bytes: usize) -> u64 {
         let us = self.one_way_cost_us(req_bytes) + self.one_way_cost_us(resp_bytes);
-        if us == 0 {
-            return 0;
-        }
-        self.inner.charged_us.add(us);
-        if self.inner.cfg.sleep_latency {
-            std::thread::sleep(Duration::from_micros(us));
+        if us > 0 {
+            self.inner.charged_us.add(us);
         }
         us
     }

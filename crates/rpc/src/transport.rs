@@ -1,15 +1,24 @@
 //! RPC transports: how a client request reaches a storage server.
+//!
+//! A transport has one way to issue a call: [`Transport::submit`] hands the
+//! request over and returns its [`Completion`]; [`Transport::call`] is
+//! submit, then wait.  [`DirectTransport`] runs the server on the caller's
+//! thread, so its completions come back resolved unless the server itself
+//! answers later (a prepare waiting for its log flush); [`ThreadedTransport`]
+//! queues the request to a server worker, which resolves the completion.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use crossbeam::channel::{bounded, Sender};
 use yesquel_common::obs::clock;
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::{Error, Result, ServerId};
 
+use crate::completion::{Completion, Resolver};
 use crate::netmodel::NetworkModel;
 
-/// A storage-server "process": receives a request, returns a response.
+/// A storage-server "process": receives a request, answers it.
 ///
 /// Implementations must be callable concurrently from many client threads;
 /// internal synchronization is the server's responsibility (exactly as a
@@ -20,8 +29,10 @@ pub trait Service: Send + Sync + 'static {
     /// Response message type.
     type Response: Send + 'static;
 
-    /// Handles one request.
-    fn call(&self, req: Self::Request) -> Self::Response;
+    /// Handles one request.  The response may come later: the server then
+    /// returns a pending completion and resolves it from whatever thread
+    /// finishes the work, leaving the caller's thread free.
+    fn call(&self, req: Self::Request) -> Completion<Self::Response>;
 
     /// Approximate wire size of a request, for the bandwidth model.
     fn request_wire_size(_req: &Self::Request) -> usize {
@@ -51,25 +62,37 @@ pub enum TransportKind {
 
 /// A connection from clients to every server of the cluster.
 pub trait Transport<S: Service>: Send + Sync {
+    /// Sends `req` to server `server` and returns the completion its
+    /// response arrives on.  Every call counts as one RPC round trip for the
+    /// network model.
+    fn submit(&self, server: ServerId, req: S::Request) -> Completion<S::Response>;
+
     /// Sends `req` to server `server` and waits for its response.
-    ///
-    /// Every call counts as one RPC round trip for the network model.
-    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response>;
+    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
+        self.submit(server, req).wait()
+    }
+
+    /// Whether a submitted call can finish after `submit` returns — a
+    /// server worker answers it, or its reply travels a slept network — so
+    /// that calls submitted together overlap.
+    fn finishes_after_submit(&self) -> bool;
 
     /// Number of servers reachable through this transport.
     fn num_servers(&self) -> usize;
 }
 
-/// Book-keeping shared by both transports.
+/// Book-keeping shared by both transports, and the network model that dates
+/// each reply.
 ///
 /// Per-server request counts are registry counters named
 /// `rpc.server.<id>.requests`, so code holding only the shared
 /// [`StatsRegistry`] (e.g. the load-imbalance experiment) can read them.
 struct TransportStats {
     registry: StatsRegistry,
-    // Every handle below is resolved once here: `record` runs on every RPC,
-    // and a by-name lookup per call is a mutex acquisition plus a string
-    // allocation.
+    net: NetworkModel,
+    // Every handle below is resolved once here: `answered` runs on every
+    // RPC, and a by-name lookup per call is a mutex acquisition plus a
+    // string allocation.
     calls: Arc<Counter>,
     bytes_sent: Arc<Counter>,
     bytes_received: Arc<Counter>,
@@ -77,14 +100,14 @@ struct TransportStats {
     /// Time a request waited in a server worker queue before being picked
     /// up (threaded transport; recorded only while `Obs::timing_on`).
     queue_us: Arc<Histogram>,
-    /// Time the server object spent handling a request (recorded only while
-    /// `Obs::timing_on`).
+    /// Time from the server taking a request to its answer, a log flush it
+    /// waits for included (recorded only while `Obs::timing_on`).
     service_us: Arc<Histogram>,
     per_server_requests: Vec<Arc<Counter>>,
 }
 
 impl TransportStats {
-    fn new(registry: StatsRegistry, nservers: usize) -> Self {
+    fn new(registry: StatsRegistry, net: NetworkModel, nservers: usize) -> Self {
         let per_server_requests = (0..nservers)
             .map(|i| registry.counter(&format!("rpc.server.{i}.requests")))
             .collect();
@@ -96,63 +119,88 @@ impl TransportStats {
             queue_us: registry.histogram("rpc.queue_us"),
             service_us: registry.histogram("rpc.service_us"),
             registry,
+            net,
             per_server_requests,
         }
     }
 
-    fn timing_on(&self) -> bool {
-        self.registry.obs().timing_on()
+    /// Stamps the start of a server's work when timing is on.
+    fn started(&self) -> Option<Instant> {
+        self.registry.obs().timing_on().then(clock::now)
     }
 
-    fn record(&self, server: ServerId, req_bytes: usize, resp_bytes: usize, net: &NetworkModel) {
+    /// Accounts one answered call and returns when its reply is due: the
+    /// modelled round trip from now, if the model sleeps.
+    fn answered<S: Service>(
+        &self,
+        server: ServerId,
+        req_bytes: usize,
+        resp: &Result<S::Response>,
+        started: Option<Instant>,
+    ) -> Option<Instant> {
+        if let Some(t0) = started {
+            self.service_us.record(clock::elapsed_us(t0));
+        }
+        let resp_bytes = resp.as_ref().map_or(0, S::response_wire_size);
         self.calls.inc();
         self.bytes_sent.add(req_bytes as u64);
         self.bytes_received.add(resp_bytes as u64);
         if let Some(c) = self.per_server_requests.get(server) {
             c.inc();
         }
-        let lat = net.charge_round_trip(req_bytes, resp_bytes);
-        if lat > 0 {
-            self.simulated_latency_us.record(lat);
+        let lat = self.net.charge_round_trip(req_bytes, resp_bytes);
+        if lat == 0 {
+            return None;
         }
+        self.simulated_latency_us.record(lat);
+        self.net
+            .sleeps()
+            .then(|| Instant::now() + std::time::Duration::from_micros(lat))
     }
+}
+
+fn no_server<R: Send + 'static>(server: ServerId) -> Completion<R> {
+    Completion::ready(Err(Error::ServerUnavailable(format!("no server {server}"))))
 }
 
 /// Transport that executes requests by calling the server object directly on
 /// the caller's thread.
 pub struct DirectTransport<S: Service> {
     servers: Vec<Arc<S>>,
-    net: NetworkModel,
-    stats: TransportStats,
+    stats: Arc<TransportStats>,
 }
 
 impl<S: Service> DirectTransport<S> {
     /// Creates a direct transport over the given server objects.
     pub fn new(servers: Vec<Arc<S>>, net: NetworkModel, registry: StatsRegistry) -> Self {
-        let stats = TransportStats::new(registry, servers.len());
-        DirectTransport {
-            servers,
-            net,
-            stats,
-        }
+        let stats = Arc::new(TransportStats::new(registry, net, servers.len()));
+        DirectTransport { servers, stats }
     }
 }
 
 impl<S: Service> Transport<S> for DirectTransport<S> {
-    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
-        let srv = self
-            .servers
-            .get(server)
-            .ok_or_else(|| Error::ServerUnavailable(format!("no server {server}")))?;
+    fn submit(&self, server: ServerId, req: S::Request) -> Completion<S::Response> {
+        let Some(srv) = self.servers.get(server) else {
+            return no_server(server);
+        };
         let req_bytes = S::request_wire_size(&req);
-        let t0 = self.stats.timing_on().then(clock::now);
-        let resp = srv.call(req);
-        if let Some(t0) = t0 {
-            self.stats.service_us.record(clock::elapsed_us(t0));
+        let started = self.stats.started();
+        let reply = srv.call(req);
+        if let Some(resp) = reply.resolved() {
+            // The common case allocates nothing and, with no latency slept
+            // and timing off, reads no clock.
+            let due = self.stats.answered::<S>(server, req_bytes, resp, started);
+            return reply.chain(move |(resp, _)| (resp, due));
         }
-        let resp_bytes = S::response_wire_size(&resp);
-        self.stats.record(server, req_bytes, resp_bytes, &self.net);
-        Ok(resp)
+        let stats = Arc::clone(&self.stats);
+        reply.chain(move |(resp, _)| {
+            let due = stats.answered::<S>(server, req_bytes, &resp, started);
+            (resp, due)
+        })
+    }
+
+    fn finishes_after_submit(&self) -> bool {
+        self.stats.net.sleeps()
     }
 
     fn num_servers(&self) -> usize {
@@ -160,14 +208,15 @@ impl<S: Service> Transport<S> for DirectTransport<S> {
     }
 }
 
-/// A request queued to a server worker thread, paired with the channel on
-/// which the worker sends back the response.
+/// A request queued to a server worker thread, with the resolver of the
+/// completion its caller holds.
 struct Envelope<S: Service> {
     req: S::Request,
-    reply: Sender<S::Response>,
+    req_bytes: usize,
+    reply: Resolver<S::Response>,
     /// Stamped at enqueue when `Obs::timing_on`; the worker turns it into a
     /// queue-wait observation.  `None` (the default) costs nothing.
-    enqueued_at: Option<std::time::Instant>,
+    enqueued_at: Option<Instant>,
 }
 
 /// Transport that runs a fixed pool of worker threads per server and
@@ -177,30 +226,30 @@ struct Envelope<S: Service> {
 /// each storage server has a bounded amount of CPU, so when many clients
 /// target one server (for example, the root server when client caching is
 /// disabled) requests queue up and per-operation latency grows, while other
-/// servers sit idle.
+/// servers sit idle.  A worker hands a request to its server and moves on:
+/// a response the server gives later resolves the caller's completion from
+/// wherever it is produced.
 pub struct ThreadedTransport<S: Service> {
-    queues: Vec<Sender<Envelope<S>>>,
-    net: NetworkModel,
-    stats: TransportStats,
     // Worker threads are detached; they exit when the queue senders are
     // dropped (the channel disconnects and `recv` returns Err).
-    _servers: Vec<Arc<S>>,
+    queues: Vec<Sender<Envelope<S>>>,
+    stats: Arc<TransportStats>,
 }
 
 impl<S: Service> ThreadedTransport<S> {
     /// Creates the transport and spawns `workers_per_server` threads per
-    /// server.
+    /// server.  Fails if the system refuses a thread; the workers already
+    /// started then exit.
     pub fn new(
         servers: Vec<Arc<S>>,
         workers_per_server: usize,
         net: NetworkModel,
         registry: StatsRegistry,
-    ) -> Self {
+    ) -> Result<Self> {
         assert!(
             workers_per_server >= 1,
             "need at least one worker per server"
         );
-        let stats = TransportStats::new(registry, servers.len());
         // Modelled per-request service time: each request occupies this
         // worker for `service_time_us`, capping per-server throughput at
         // `workers_per_server / service_time` independent of host CPUs.
@@ -210,68 +259,72 @@ impl<S: Service> ThreadedTransport<S> {
         } else {
             0
         };
+        let stats = Arc::new(TransportStats::new(registry, net, servers.len()));
         let mut queues = Vec::with_capacity(servers.len());
         for (sid, srv) in servers.iter().enumerate() {
             let (tx, rx) = bounded::<Envelope<S>>(1024);
             for w in 0..workers_per_server {
                 let rx = rx.clone();
                 let srv = Arc::clone(srv);
-                let queue_hist = Arc::clone(&stats.queue_us);
-                let service_hist = Arc::clone(&stats.service_us);
+                let stats = Arc::clone(&stats);
                 std::thread::Builder::new()
                     .name(format!("yesquel-server-{sid}-worker-{w}"))
                     .spawn(move || {
                         while let Ok(env) = rx.recv() {
                             // The enqueue stamp doubles as the timing switch:
                             // absent (timing off) the worker reads no clock.
-                            let t0 = env.enqueued_at.map(|at| {
-                                queue_hist.record(clock::elapsed_us(at));
+                            let started = env.enqueued_at.map(|at| {
+                                stats.queue_us.record(clock::elapsed_us(at));
                                 clock::now()
                             });
                             if service_us > 0 {
                                 std::thread::sleep(std::time::Duration::from_micros(service_us));
                             }
-                            let resp = srv.call(env.req);
-                            if let Some(t0) = t0 {
-                                service_hist.record(clock::elapsed_us(t0));
-                            }
-                            // The client may have given up; ignore send errors.
-                            let _ = env.reply.send(resp);
+                            let Envelope {
+                                req,
+                                req_bytes,
+                                reply,
+                                ..
+                            } = env;
+                            let stats = Arc::clone(&stats);
+                            srv.call(req).then(move |resp| {
+                                let due = stats.answered::<S>(sid, req_bytes, &resp, started);
+                                reply.resolve_due(resp, due);
+                            });
                         }
                     })
-                    .expect("failed to spawn server worker thread");
+                    .map_err(|e| {
+                        Error::Io(format!("cannot start a worker of server {sid}: {e}"))
+                    })?;
             }
             queues.push(tx);
         }
-        ThreadedTransport {
-            queues,
-            net,
-            stats,
-            _servers: servers,
-        }
+        Ok(ThreadedTransport { queues, stats })
     }
 }
 
 impl<S: Service> Transport<S> for ThreadedTransport<S> {
-    fn call(&self, server: ServerId, req: S::Request) -> Result<S::Response> {
-        let q = self
-            .queues
-            .get(server)
-            .ok_or_else(|| Error::ServerUnavailable(format!("no server {server}")))?;
-        let req_bytes = S::request_wire_size(&req);
-        let (reply_tx, reply_rx) = bounded(1);
-        q.send(Envelope {
+    fn submit(&self, server: ServerId, req: S::Request) -> Completion<S::Response> {
+        let Some(q) = self.queues.get(server) else {
+            return no_server(server);
+        };
+        let (reply, resolver) = Completion::pending();
+        let env = Envelope {
+            req_bytes: S::request_wire_size(&req),
             req,
-            reply: reply_tx,
-            enqueued_at: self.stats.timing_on().then(clock::now),
-        })
-        .map_err(|_| Error::ServerUnavailable(format!("server {server} shut down")))?;
-        let resp = reply_rx
-            .recv()
-            .map_err(|_| Error::ServerUnavailable(format!("server {server} dropped request")))?;
-        let resp_bytes = S::response_wire_size(&resp);
-        self.stats.record(server, req_bytes, resp_bytes, &self.net);
-        Ok(resp)
+            reply: resolver,
+            enqueued_at: self.stats.started(),
+        };
+        if q.send(env).is_err() {
+            return Completion::ready(Err(Error::ServerUnavailable(format!(
+                "server {server} shut down"
+            ))));
+        }
+        reply
+    }
+
+    fn finishes_after_submit(&self) -> bool {
+        true
     }
 
     fn num_servers(&self) -> usize {
@@ -290,8 +343,8 @@ mod tests {
     impl Service for AddOne {
         type Request = u64;
         type Response = u64;
-        fn call(&self, req: u64) -> u64 {
-            req + 1
+        fn call(&self, req: u64) -> Completion<u64> {
+            Completion::ready(Ok(req + 1))
         }
     }
 
@@ -326,7 +379,8 @@ mod tests {
             2,
             NetworkModel::new(NetConfig::default(), reg.clone()),
             reg.clone(),
-        );
+        )
+        .unwrap();
         assert_eq!(t.num_servers(), 2);
         for i in 0..100u64 {
             assert_eq!(t.call((i % 2) as usize, i).unwrap(), i + 1);
@@ -342,12 +396,15 @@ mod tests {
     #[test]
     fn threaded_transport_concurrent_clients() {
         let reg = StatsRegistry::new();
-        let t = Arc::new(ThreadedTransport::new(
-            servers(4),
-            2,
-            NetworkModel::new(NetConfig::default(), reg.clone()),
-            reg.clone(),
-        ));
+        let t = Arc::new(
+            ThreadedTransport::new(
+                servers(4),
+                2,
+                NetworkModel::new(NetConfig::default(), reg.clone()),
+                reg.clone(),
+            )
+            .unwrap(),
+        );
         let mut handles = Vec::new();
         for c in 0..8u64 {
             let t = Arc::clone(&t);

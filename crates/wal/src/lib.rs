@@ -27,33 +27,34 @@
 //!
 //! Appending and waiting are two steps.  [`Wal::append_unforced`] writes the
 //! frame at the end of the log — so the order of calls is the order of
-//! records — and returns its [`WalPosition`] without waiting for the disk;
-//! [`Wal::wait_durable`] blocks until a sync covers a position.
-//! [`Wal::append`] is both, for a record that must be durable before its
-//! effect is acknowledged.  A record that is only appended is *unforced*: it
-//! becomes durable with the next sync of this log, whoever asks for it, and
-//! [`Wal::power_loss`] drops it until then.
+//! records — and returns its [`WalPosition`] without waiting for the disk.
+//! [`Wal::on_durable`] runs a callback once a sync covers a position, and
+//! [`Wal::wait_durable`] blocks until then; [`Wal::append`] is append plus
+//! wait, for a record that must be durable before its effect is
+//! acknowledged.  A record that is only appended is *unforced*: it becomes
+//! durable with the next sync of this log, whoever asks for it, and
+//! [`Wal::power_loss`] drops it until then — a wait for it then fails.
 //!
-//! ## Group commit
+//! ## The flusher and group commit
 //!
-//! [`Wal::wait_durable`] returns only once the position is durable per the
-//! configured [`WalFsyncPolicy`]:
+//! Every sync of a log runs on that log's one **flusher thread**, started by
+//! the first wait that needs it and stopped when the log is dropped.  While
+//! anybody waits, the flusher issues one `fdatasync` covering every frame
+//! written so far and answers every wait it covers; waits arriving during a
+//! sync ride the next one.  So concurrent appenders share flushes, and the
+//! logs of different servers flush in parallel with no caller thread
+//! blocked on any of them.  Per [`WalFsyncPolicy`]:
 //!
-//! * `Always` — the waiter syncs before returning (concurrent waiters still
-//!   coalesce: a sync that covers your position counts).
-//! * `Group { window_us }` — the first waiter that finds no sync in flight
-//!   becomes the *leader* and issues **one** `fdatasync` covering every
-//!   frame written so far; waiters arriving meanwhile block until a sync
-//!   covers their position, and the next leader takes all of them at once.
-//!   The leader lingers `window_us` first only if another append on this
-//!   log is in flight when it is elected (its frame is about to land and
-//!   can ride this sync); alone, it syncs at once.  The `wal.fsyncs` /
-//!   `wal.group_size` counters expose the achieved batching (mean group
-//!   size = group_size / fsyncs); `wal.group_solo` counts windows that were
-//!   slept and joined by nobody.
-//! * `Off` — no explicit sync; an acknowledged commit can be lost by
-//!   [`Wal::power_loss`].  Measures the log's CPU cost without its
-//!   durability cost.
+//! * `Always` — the flusher syncs as soon as somebody waits.
+//! * `Group { window_us }` — the same, except that the flusher first
+//!   lingers `window_us` when another append on this log is in flight (its
+//!   frame is about to land and can ride this sync); alone, it syncs at
+//!   once.  The `wal.fsyncs` / `wal.group_size` counters expose the
+//!   achieved batching (mean group size = group_size / fsyncs);
+//!   `wal.group_solo` counts windows that were slept and joined by nobody.
+//! * `Off` — no flusher and no sync; every wait is answered at once, so an
+//!   acknowledged commit can be lost by [`Wal::power_loss`].  Measures the
+//!   log's CPU cost without its durability cost.
 //!
 //! `fdatasync` runs outside the file mutex: appends — forced or not — never
 //! queue behind a flush in progress.
@@ -465,7 +466,7 @@ fn encode_frame(rec: &WalRecord) -> Vec<u8> {
 
 /// State behind the file mutex: the active segment and its write cursor.
 struct Inner {
-    /// Shared so that a sync leader can `fdatasync` its own handle after
+    /// Shared so that the flusher can `fdatasync` its own handle after
     /// releasing the mutex; appenders write through `&File` under it.
     file: Arc<File>,
     path: PathBuf,
@@ -482,24 +483,58 @@ struct Inner {
     generation: u64,
 }
 
-/// State behind the sync mutex: what is known durable, and whether a group
-/// leader is currently collecting a batch.
+/// A wait for a position to become durable, answered by the flusher (or by
+/// the end of its generation).
+struct Waiter {
+    generation: u64,
+    end: u64,
+    done: Box<dyn FnOnce(Result<()>) + Send>,
+}
+
+/// State behind the sync mutex: what is known durable, and who waits for
+/// more.
 struct SyncState {
     /// Bytes of the active segment known to be on stable storage.
     durable: u64,
     /// Frames of the active segment known to be on stable storage.
     durable_frames: u64,
-    /// True while some waiter is sleeping out the group window or inside
-    /// `fdatasync`; followers wait instead of issuing their own sync.
-    leader_active: bool,
     /// Mirror of [`Inner::generation`].
     generation: u64,
+    /// Generations a power loss or a reload cut short, each with the bytes
+    /// of it that survived.  A generation that ended otherwise (a
+    /// checkpoint, which synced everything first) lost nothing.
+    cuts: Vec<(u64, u64)>,
+    /// Waits the flusher has not answered yet.
+    waiters: Vec<Waiter>,
+    /// The flusher thread, once started.
+    flusher: Option<std::thread::JoinHandle<()>>,
+    /// Set when the [`Wal`] is dropped: the flusher fails what is left and
+    /// exits.
+    closed: bool,
+}
+
+impl SyncState {
+    /// What waiting for `end` of `generation` comes to without another
+    /// flush: `Some` once a flush covered it or its generation ended, `None`
+    /// while it needs a flush.
+    fn settled(&self, generation: u64, end: u64) -> Option<Result<()>> {
+        if generation == self.generation {
+            return (end <= self.durable).then_some(Ok(()));
+        }
+        Some(match self.cuts.iter().find(|(g, _)| *g == generation) {
+            Some(&(_, kept)) if end > kept => Err(Error::Io(format!(
+                "log record ending at byte {end} was lost in a power failure before it was synced"
+            ))),
+            _ => Ok(()),
+        })
+    }
 }
 
 /// Where an appended record ends in the log: what [`Wal::wait_durable`]
 /// waits for.  A position taken before the segment was replaced or
-/// truncated has nothing left to wait for: a checkpoint synced everything
-/// before it, and a simulated power loss already decided what survived.
+/// truncated is judged by how its generation ended: a checkpoint synced
+/// everything before it, and a simulated power loss kept only what was
+/// synced.
 #[derive(Debug, Clone, Copy)]
 pub struct WalPosition {
     generation: u64,
@@ -513,27 +548,36 @@ pub struct WalPosition {
 pub struct Wal {
     dir: PathBuf,
     policy: WalFsyncPolicy,
+    /// Everything the flusher thread shares with the appenders.
+    log: Arc<Log>,
+    recovered_txns: Arc<Counter>,
+}
+
+/// The state of a [`Wal`] its flusher thread shares.
+struct Log {
     inner: Mutex<Inner>,
     sync: Mutex<SyncState>,
-    sync_cv: Condvar,
-    /// Appends between entry and their frame being written: what a freshly
-    /// elected group leader looks at to decide whether lingering can pay.
+    /// Wakes the flusher when a wait arrives or the log closes.
+    wanted: Condvar,
+    /// How long the flusher lingers before a sync that another append can
+    /// still join (`Group`), zero otherwise.
+    window: Duration,
+    /// Appends between entry and their frame being written: what the
+    /// flusher looks at to decide whether lingering can pay.
     appending: AtomicUsize,
-    /// Runs on the leader just before `fdatasync`, outside every lock; lets
-    /// a test hold a sync open while it appends.
+    /// Runs on the flusher just before `fdatasync`, outside every lock;
+    /// lets a test hold a sync open while it appends.
     #[cfg(test)]
     before_sync: Mutex<Option<Box<dyn Fn() + Send>>>,
     appends: Arc<Counter>,
     fsyncs: Arc<Counter>,
     group_size: Arc<Counter>,
     group_solo: Arc<Counter>,
-    recovered_txns: Arc<Counter>,
-    /// End-to-end latency of a forced append — the frame write plus this
-    /// appender's share of the group fsync (recorded only while
+    /// End-to-end latency of a forced append — the frame write plus the
+    /// wait for the flush that covers it (recorded only while
     /// `Obs::timing_on`).
     append_us: Arc<Histogram>,
-    /// Latency of each `fdatasync` as observed by the group leader
-    /// (recorded only while `Obs::timing_on`).
+    /// Latency of each `fdatasync` (recorded only while `Obs::timing_on`).
     fsync_us: Arc<Histogram>,
     /// Frames made durable per fsync — the group-commit amortisation
     /// distribution (recorded only while `Obs::timing_on`).
@@ -631,6 +675,124 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>> {
     Ok(seqs)
 }
 
+/// Answers waits outside every lock.
+fn answer(answers: Vec<(Waiter, Result<()>)>) {
+    for (w, r) in answers {
+        (w.done)(r);
+    }
+}
+
+impl Log {
+    /// Ends the active generation — the segment is being replaced or
+    /// truncated — and returns the waits it leaves answered.  `kept` is how
+    /// many of its bytes survive, when not all of them do.  Both guards are
+    /// taken by the caller, so a holder of either sees the counters move
+    /// together.
+    fn end_generation(
+        inner: &mut Inner,
+        sync: &mut SyncState,
+        kept: Option<u64>,
+    ) -> Vec<(Waiter, Result<()>)> {
+        if let Some(kept) = kept {
+            sync.cuts.push((inner.generation, kept));
+        }
+        inner.generation += 1;
+        sync.generation = inner.generation;
+        std::mem::take(&mut sync.waiters)
+            .into_iter()
+            .map(|w| {
+                let r = sync.settled(w.generation, w.end).unwrap_or(Ok(()));
+                (w, r)
+            })
+            .collect()
+    }
+
+    /// Syncs everything written so far, on the calling thread.
+    fn sync_written(&self, lingered: bool) -> Result<()> {
+        let timing = self.stats.obs().timing_on();
+        let (file, end, frames, generation) = {
+            let g = self.inner.lock().unwrap();
+            (Arc::clone(&g.file), g.len, g.frames, g.generation)
+        };
+        #[cfg(test)]
+        if let Some(hook) = self.before_sync.lock().unwrap().as_ref() {
+            hook();
+        }
+        let t0 = timing.then(clock::now);
+        let synced = file
+            .sync_data()
+            .map_err(|e| Error::io(self.inner.lock().unwrap().path.display(), e));
+        if let (Some(t0), Ok(())) = (t0, &synced) {
+            self.fsync_us.record(clock::elapsed_us(t0));
+        }
+        let mut s = self.sync.lock().unwrap();
+        // A segment replaced or truncated under the sync keeps its own
+        // durability accounting; `end` says nothing about the new file.
+        if synced.is_ok() && s.generation == generation && end > s.durable {
+            s.durable = end;
+            self.fsyncs.inc();
+            let group = frames.saturating_sub(s.durable_frames);
+            self.group_size.add(group);
+            if timing {
+                self.group_size_dist.record(group);
+            }
+            if lingered && group == 1 {
+                // The window was slept and the sync still covered only one
+                // frame: it bought nothing this round.
+                self.group_solo.inc();
+            }
+            s.durable_frames = frames;
+        }
+        synced
+    }
+
+    /// The flusher thread: while somebody waits, syncs everything written
+    /// and answers every wait the sync covers; a wait that arrived after the
+    /// sync read the log's length rides the next one.  A failed sync fails
+    /// every wait, as does closing the log.
+    fn flush_loop(&self) {
+        loop {
+            let mut s = self.sync.lock().unwrap();
+            while s.waiters.is_empty() && !s.closed {
+                s = self.wanted.wait(s).unwrap();
+            }
+            let closed = s.closed;
+            drop(s);
+            let synced = if closed {
+                Err(Error::Io("the log was closed".into()))
+            } else {
+                // Every frame already written rides this sync whether the
+                // flusher waits or not; only an append caught between entry
+                // and its write can still join, so only then is the window
+                // worth sleeping.
+                let lingered = !self.window.is_zero() && self.appending.load(Ordering::Relaxed) > 0;
+                if lingered {
+                    std::thread::sleep(self.window);
+                }
+                self.sync_written(lingered)
+            };
+            let mut s = self.sync.lock().unwrap();
+            let mut answers = Vec::new();
+            for w in std::mem::take(&mut s.waiters) {
+                match synced
+                    .clone()
+                    .err()
+                    .map(Err)
+                    .or_else(|| s.settled(w.generation, w.end))
+                {
+                    Some(r) => answers.push((w, r)),
+                    None => s.waiters.push(w),
+                }
+            }
+            drop(s);
+            answer(answers);
+            if closed {
+                return;
+            }
+        }
+    }
+}
+
 impl Wal {
     /// Opens (creating if necessary) the log in `dir` and performs
     /// file-level recovery: the highest-numbered usable segment is selected,
@@ -644,7 +806,11 @@ impl Wal {
     ) -> Result<Wal> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| Error::io(dir.display(), e))?;
-        let wal = Wal {
+        let window = match policy {
+            WalFsyncPolicy::Group { window_us } => Duration::from_micros(window_us),
+            _ => Duration::ZERO,
+        };
+        let log = Log {
             inner: Mutex::new(Inner {
                 // Placeholder until reload picks the real segment; reload
                 // runs before `open` returns, so this file is never used.
@@ -661,10 +827,14 @@ impl Wal {
             sync: Mutex::new(SyncState {
                 durable: 0,
                 durable_frames: 0,
-                leader_active: false,
                 generation: 0,
+                cuts: Vec::new(),
+                waiters: Vec::new(),
+                flusher: None,
+                closed: false,
             }),
-            sync_cv: Condvar::new(),
+            wanted: Condvar::new(),
+            window,
             appending: AtomicUsize::new(0),
             #[cfg(test)]
             before_sync: Mutex::new(None),
@@ -672,11 +842,14 @@ impl Wal {
             fsyncs: registry.counter("wal.fsyncs"),
             group_size: registry.counter("wal.group_size"),
             group_solo: registry.counter("wal.group_solo"),
-            recovered_txns: registry.counter("wal.recovered_txns"),
             append_us: registry.histogram("wal.append_us"),
             fsync_us: registry.histogram("wal.fsync_us"),
             group_size_dist: registry.histogram("wal.group_size_dist"),
             stats: registry.clone(),
+        };
+        let wal = Wal {
+            log: Arc::new(log),
+            recovered_txns: registry.counter("wal.recovered_txns"),
             dir,
             policy,
         };
@@ -700,22 +873,22 @@ impl Wal {
     /// Path of the segment currently being appended to (tests use this to
     /// inflict targeted damage).
     pub fn active_segment(&self) -> PathBuf {
-        self.inner.lock().unwrap().path.clone()
+        self.log.inner.lock().unwrap().path.clone()
     }
 
     /// Bytes written to the active segment, header included.
     pub fn len(&self) -> u64 {
-        self.inner.lock().unwrap().len
+        self.log.inner.lock().unwrap().len
     }
 
     /// True if the active segment holds no records.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().unwrap().frames == 0
+        self.log.inner.lock().unwrap().frames == 0
     }
 
     /// Bytes of the active segment known durable (advanced by fsyncs).
     pub fn durable_len(&self) -> u64 {
-        self.sync.lock().unwrap().durable
+        self.log.sync.lock().unwrap().durable
     }
 
     /// Selects and repairs the active segment, then returns its records for
@@ -732,8 +905,8 @@ impl Wal {
     }
 
     fn reload(&self) -> Result<Vec<WalRecord>> {
-        let mut inner = self.inner.lock().unwrap();
-        let mut sync = self.sync.lock().unwrap();
+        let mut inner = self.log.inner.lock().unwrap();
+        let mut sync = self.log.sync.lock().unwrap();
         let seqs = list_segments(&self.dir)?;
         let mut chosen: Option<ScannedSegment> = None;
         let mut unusable: Vec<u64> = Vec::new();
@@ -793,6 +966,13 @@ impl Wal {
         let mut file = file;
         file.seek(SeekFrom::Start(scanned.clean_len))
             .map_err(|e| Error::io(scanned.path.display(), e))?;
+        // What was appended to the segment being replaced survives only up
+        // to the clean prefix, and only if recovery kept that segment.
+        let kept = if scanned.seq == inner.seq {
+            scanned.clean_len
+        } else {
+            0
+        };
         inner.file = Arc::new(file);
         inner.path = scanned.path;
         inner.seq = scanned.seq;
@@ -801,21 +981,14 @@ impl Wal {
         // The surviving prefix is on stable storage by definition.
         sync.durable = scanned.clean_len;
         sync.durable_frames = scanned.frames;
-        sync.leader_active = false;
-        Self::new_generation(&mut inner, &mut sync);
+        let answers = Log::end_generation(&mut inner, &mut sync, Some(kept));
+        drop((inner, sync));
+        answer(answers);
         Ok(scanned.records)
     }
 
-    /// Marks the active segment as replaced or truncated.  Both guards are
-    /// taken by the caller, so a holder of either sees the counters move
-    /// together.
-    fn new_generation(inner: &mut Inner, sync: &mut SyncState) {
-        inner.generation += 1;
-        sync.generation = inner.generation;
-    }
-
     /// Appends `rec` and returns once it is durable per the fsync policy.
-    /// Under `Group`, concurrent appenders coalesce into one fsync.
+    /// Concurrent appenders share one flush.
     pub fn append(&self, rec: &WalRecord) -> Result<()> {
         let pos = self.append_unforced(rec)?;
         self.wait_durable(pos)
@@ -825,15 +998,16 @@ impl Wal {
     /// returns where it ends.  Calls are ordered: a record appended after
     /// another is never durable before it.  Until some sync covers the
     /// returned position the record can be lost in a power failure, so
-    /// nothing that depends on it may be acknowledged without
-    /// [`Wal::wait_durable`].
+    /// nothing that depends on it may be acknowledged before
+    /// [`Wal::wait_durable`] or [`Wal::on_durable`] says it is durable.
     pub fn append_unforced(&self, rec: &WalRecord) -> Result<WalPosition> {
         let _wal_span = span(SpanKind::Wal);
-        let started = self.stats.obs().timing_on().then(clock::now);
-        self.appending.fetch_add(1, Ordering::Relaxed);
+        let log = &self.log;
+        let started = log.stats.obs().timing_on().then(clock::now);
+        log.appending.fetch_add(1, Ordering::Relaxed);
         let frame = encode_frame(rec);
         let written = {
-            let mut g = self.inner.lock().unwrap();
+            let mut g = log.inner.lock().unwrap();
             match (&*g.file).write_all(&frame) {
                 Ok(()) => {
                     g.len += frame.len() as u64;
@@ -847,112 +1021,75 @@ impl Wal {
                 Err(e) => Err(Error::io(g.path.display(), e)),
             }
         };
-        self.appending.fetch_sub(1, Ordering::Relaxed);
+        log.appending.fetch_sub(1, Ordering::Relaxed);
         if written.is_ok() {
-            self.appends.inc();
+            log.appends.inc();
         }
         written
     }
 
     /// Blocks until `pos` is durable per the fsync policy: at once under
-    /// `Off`, otherwise until an `fdatasync` — this caller's or another's —
-    /// covers it.
+    /// `Off`, otherwise until the flusher's `fdatasync` covers it.  `Err`
+    /// if that sync failed, or if a power loss took the record first.
     pub fn wait_durable(&self, pos: WalPosition) -> Result<()> {
         let _wal_span = span(SpanKind::Wal);
-        let res = match self.policy {
-            WalFsyncPolicy::Off => Ok(()),
-            WalFsyncPolicy::Always => self.flush_to(pos, Duration::ZERO),
-            WalFsyncPolicy::Group { window_us } => {
-                self.flush_to(pos, Duration::from_micros(window_us))
-            }
-        };
-        if let (Some(t0), Ok(())) = (pos.started, &res) {
-            self.append_us.record(clock::elapsed_us(t0));
-        }
-        res
+        let (answer, answered) = std::sync::mpsc::sync_channel(1);
+        self.on_durable(pos, move |r| {
+            let _ = answer.send(r);
+        });
+        answered
+            .recv()
+            .unwrap_or_else(|_| Err(Error::Io("the log flusher exited".into())))
     }
 
-    /// Blocks until a sync covers `pos`, electing this thread group leader
-    /// (linger `window` if that can pay, sync once, wake the group) if no
-    /// sync is in flight.
-    fn flush_to(&self, pos: WalPosition, window: Duration) -> Result<()> {
-        let mut s = self.sync.lock().unwrap();
-        loop {
-            if s.generation != pos.generation || s.durable >= pos.end {
-                return Ok(());
+    /// Runs `done` once `pos` is durable per the fsync policy — at once
+    /// under `Off` or when a flush already covered it, else on this log's
+    /// flusher thread — with `Err` if that sync failed or a power loss took
+    /// the record first.  `done` must not block.  The flusher starts with
+    /// the first wait that needs it and exits when the log is dropped; if it
+    /// cannot be started the wait fails with [`Error::Io`].
+    pub fn on_durable(&self, pos: WalPosition, done: impl FnOnce(Result<()>) + Send + 'static) {
+        let append_us = pos.started.map(|t0| (t0, Arc::clone(&self.log.append_us)));
+        let done = move |r: Result<()>| {
+            if let (Some((t0, hist)), Ok(())) = (append_us, &r) {
+                hist.record(clock::elapsed_us(t0));
             }
-            if !s.leader_active {
-                s.leader_active = true;
-                break;
-            }
-            s = self.sync_cv.wait(s).unwrap();
+            done(r);
+        };
+        if self.policy == WalFsyncPolicy::Off {
+            return done(Ok(()));
         }
+        let mut s = self.log.sync.lock().unwrap();
+        if let Some(r) = s.settled(pos.generation, pos.end) {
+            drop(s);
+            return done(r);
+        }
+        if s.flusher.is_none() {
+            let log = Arc::clone(&self.log);
+            match std::thread::Builder::new()
+                .name("yesquel-wal-flusher".into())
+                .spawn(move || log.flush_loop())
+            {
+                Ok(flusher) => s.flusher = Some(flusher),
+                Err(e) => {
+                    drop(s);
+                    return done(Err(Error::Io(format!("cannot start the log flusher: {e}"))));
+                }
+            }
+        }
+        s.waiters.push(Waiter {
+            generation: pos.generation,
+            end: pos.end,
+            done: Box::new(done),
+        });
         drop(s);
-        // Every frame already written rides this sync whether the leader
-        // waits or not; only an append caught between entry and its write
-        // can still join, so only then is the window worth sleeping.
-        let lingered = !window.is_zero() && self.appending.load(Ordering::Relaxed) > 0;
-        if lingered {
-            std::thread::sleep(window);
-        }
-        let timing = self.stats.obs().timing_on();
-        // The segment length is read after the window and the handle cloned
-        // with it, then the mutex is released: the sync covers at least
-        // `end`, and appends issued meanwhile land behind it without waiting.
-        let (file, end, frames, generation) = {
-            let g = self.inner.lock().unwrap();
-            (Arc::clone(&g.file), g.len, g.frames, g.generation)
-        };
-        #[cfg(test)]
-        if let Some(hook) = self.before_sync.lock().unwrap().as_ref() {
-            hook();
-        }
-        let t0 = timing.then(clock::now);
-        let synced = file
-            .sync_data()
-            .map_err(|e| Error::io(self.inner.lock().unwrap().path.display(), e));
-        if let (Some(t0), Ok(())) = (t0, &synced) {
-            self.fsync_us.record(clock::elapsed_us(t0));
-        }
-        let mut s = self.sync.lock().unwrap();
-        s.leader_active = false;
-        // A segment replaced or truncated under the sync keeps its own
-        // durability accounting; `end` says nothing about the new file.
-        if synced.is_ok() && s.generation == generation && end > s.durable {
-            s.durable = end;
-            self.fsyncs.inc();
-            let group = frames.saturating_sub(s.durable_frames);
-            self.group_size.add(group);
-            if timing {
-                self.group_size_dist.record(group);
-            }
-            if lingered && group == 1 {
-                // The window was slept and the sync still covered only one
-                // frame: it bought nothing this round.  BENCH_*_LOAD reports
-                // use this to show how often group commit actually amortises.
-                self.group_solo.inc();
-            }
-            s.durable_frames = frames;
-        }
-        // Wake followers in any case: on error one of them re-elects itself
-        // and retries the sync (bounded: each waiter attempts at most once as
-        // a follower-turned-leader before surfacing the error).
-        self.sync_cv.notify_all();
-        synced
+        self.log.wanted.notify_one();
     }
 
-    /// Forces everything appended so far to stable storage, regardless of
-    /// policy.
+    /// Forces everything appended so far to stable storage, on the calling
+    /// thread, regardless of policy.
     pub fn sync(&self) -> Result<()> {
-        let pos = {
-            let g = self.inner.lock().unwrap();
-            WalPosition {
-                generation: g.generation,
-                end: g.len,
-                started: None,
-            }
-        };
-        self.flush_to(pos, Duration::ZERO)
+        self.log.sync_written(false)
     }
 
     /// Writes `snapshot` as the sole record of a fresh segment, syncs it,
@@ -960,8 +1097,8 @@ impl Wal {
     /// checkpointing.  The caller must guarantee no append is in flight
     /// (the kv store holds its checkpoint gate across this call).
     pub fn checkpoint(&self, snapshot: CheckpointSnapshot) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
-        let mut sync = self.sync.lock().unwrap();
+        let mut inner = self.log.inner.lock().unwrap();
+        let mut sync = self.log.sync.lock().unwrap();
         let new_seq = inner.seq + 1;
         let path = segment_path(&self.dir, new_seq);
         let mut file = File::create(&path).map_err(|e| Error::io(path.display(), e))?;
@@ -972,7 +1109,7 @@ impl Wal {
         file.write_all(&buf)
             .and_then(|_| file.sync_all())
             .map_err(|e| Error::io(path.display(), e))?;
-        self.fsyncs.inc();
+        self.log.fsyncs.inc();
         // The new segment is durable: older segments are now garbage.  A
         // crash before these deletes leaves extra files that recovery skips
         // (it prefers the highest usable sequence number).
@@ -985,7 +1122,9 @@ impl Wal {
         inner.frames = 1;
         sync.durable = buf.len() as u64;
         sync.durable_frames = 1;
-        Self::new_generation(&mut inner, &mut sync);
+        let answers = Log::end_generation(&mut inner, &mut sync, None);
+        drop((inner, sync));
+        answer(answers);
         let _ = std::fs::remove_file(old_path);
         for seq in list_segments(&self.dir)?
             .into_iter()
@@ -999,10 +1138,11 @@ impl Wal {
     /// Simulates a power loss: everything not yet fsynced is discarded by
     /// truncating the active segment to its durable length.  The fault
     /// layer's amnesia restart calls this before replaying, so recovery
-    /// only ever sees what a real machine would find on disk.
+    /// only ever sees what a real machine would find on disk.  A wait for a
+    /// record the loss took fails.
     pub fn power_loss(&self) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
-        let mut sync = self.sync.lock().unwrap();
+        let mut inner = self.log.inner.lock().unwrap();
+        let mut sync = self.log.sync.lock().unwrap();
         inner
             .file
             .set_len(sync.durable)
@@ -1010,8 +1150,27 @@ impl Wal {
             .map_err(|e| Error::io(inner.path.display(), e))?;
         inner.len = sync.durable;
         inner.frames = sync.durable_frames;
-        Self::new_generation(&mut inner, &mut sync);
+        let kept = sync.durable;
+        let answers = Log::end_generation(&mut inner, &mut sync, Some(kept));
+        drop((inner, sync));
+        answer(answers);
         Ok(())
+    }
+}
+
+impl Drop for Wal {
+    fn drop(&mut self) {
+        let flusher = {
+            let mut s = self.log.sync.lock().unwrap_or_else(|e| e.into_inner());
+            s.closed = true;
+            s.flusher.take()
+        };
+        self.log.wanted.notify_one();
+        // The thread dropping the log may be its flusher, answering a wait
+        // whose continuation held the last handle.
+        if let Some(flusher) = flusher.filter(|f| f.thread().id() != std::thread::current().id()) {
+            let _ = flusher.join();
+        }
     }
 }
 
@@ -1294,9 +1453,9 @@ mod tests {
         assert_eq!(wal.recover().unwrap().len(), appends as usize);
     }
 
-    /// Makes the next sync leader announce itself on the returned receiver
-    /// and then hold its `fdatasync` until the returned sender fires; later
-    /// leaders pass straight through.
+    /// Makes the flusher announce its next sync on the returned receiver
+    /// and then hold that `fdatasync` until the returned sender fires; later
+    /// syncs pass straight through.
     fn hold_next_sync(
         wal: &Wal,
     ) -> (
@@ -1306,7 +1465,7 @@ mod tests {
         let (entered_tx, entered_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let (release_tx, release_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let release_rx = Mutex::new(Some(release_rx));
-        *wal.before_sync.lock().unwrap() = Some(Box::new(move || {
+        *wal.log.before_sync.lock().unwrap() = Some(Box::new(move || {
             if let Some(rx) = release_rx.lock().unwrap().take() {
                 entered_tx.send(()).unwrap();
                 rx.recv().unwrap();
@@ -1329,7 +1488,7 @@ mod tests {
         // The first appender is now inside its sync, which covers the log as
         // it was when the sync started.  An append issued now must not wait
         // for it (this call would deadlock the test if it took a lock the
-        // leader holds across `fdatasync`) ...
+        // flusher holds across `fdatasync`) ...
         let pos = wal.append_unforced(&WalRecord::Abort { txn: 2 }).unwrap();
         assert_eq!(reg.counter("wal.fsyncs").get(), 0);
         assert!(wal.durable_len() < wal.len());
@@ -1366,6 +1525,42 @@ mod tests {
         assert_eq!(reg.counter("wal.fsyncs").get(), 1);
         wal.power_loss().unwrap();
         assert_eq!(wal.recover().unwrap(), sample_records()[..2].to_vec());
+    }
+
+    #[test]
+    fn a_wait_for_a_record_older_than_a_checkpoint_succeeds() {
+        let t = TempDir::new("wal-wait-ckpt").unwrap();
+        let reg = registry();
+        let wal = Wal::open(t.path(), WalFsyncPolicy::Group { window_us: 100 }, &reg).unwrap();
+        let pos = wal.append_unforced(&sample_records()[0]).unwrap();
+        // The checkpoint syncs its own segment, which holds everything the
+        // old one did: the record is safe although nobody flushed it.
+        wal.checkpoint(CheckpointSnapshot::default()).unwrap();
+        wal.wait_durable(pos).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        wal.on_durable(pos, move |r| tx.send(r).unwrap());
+        rx.recv().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_wait_for_a_record_a_power_loss_took_fails() {
+        let t = TempDir::new("wal-wait-loss").unwrap();
+        let reg = registry();
+        let wal = Wal::open(t.path(), WalFsyncPolicy::Group { window_us: 100 }, &reg).unwrap();
+        let synced = wal.append_unforced(&sample_records()[0]).unwrap();
+        wal.sync().unwrap();
+        let lost = wal.append_unforced(&sample_records()[1]).unwrap();
+        wal.power_loss().unwrap();
+        // What was synced before the loss is still acknowledged ...
+        wal.wait_durable(synced).unwrap();
+        // ... and what the loss truncated never is, whichever way it is
+        // waited for.
+        assert!(matches!(wal.wait_durable(lost), Err(Error::Io(_))));
+        let (tx, rx) = std::sync::mpsc::channel();
+        wal.on_durable(lost, move |r| tx.send(r).unwrap());
+        assert!(matches!(rx.recv().unwrap(), Err(Error::Io(_))));
+        assert_eq!(wal.recover().unwrap(), sample_records()[..1].to_vec());
+        assert!(matches!(wal.wait_durable(lost), Err(Error::Io(_))));
     }
 
     #[test]

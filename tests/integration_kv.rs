@@ -232,15 +232,15 @@ fn aborted_transaction_leaves_no_trace() {
     assert_eq!(db.total_objects(), 0);
 }
 
-/// How many of this process's threads are fan-out pool workers (`None`
-/// where the system does not list threads under `/proc`).
-fn fanout_threads() -> Option<usize> {
+/// How many of this process's threads have a name starting with `prefix`
+/// (`None` where the system does not list threads under `/proc`).
+fn threads_named(prefix: &str) -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     Some(
         tasks
             .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
             // The kernel keeps 15 bytes of a thread's name.
-            .filter(|name| name.starts_with("yesquel-fanout"))
+            .filter(|name| name.starts_with(prefix))
             .count(),
     )
 }
@@ -258,14 +258,15 @@ fn one_object_per_server(n: usize) -> Vec<ObjectId> {
 }
 
 /// What a three-participant commit costs, counted: in memory, nothing but
-/// the calls — one thread, no pool; over forced logs, one overlapped prepare
-/// round and four flushes — the three prepares and the primary's decision,
-/// the secondaries' commit records riding along unforced.  Both halves are
-/// one test because the first asserts something about the whole process: no
-/// other test in this file may fan out, or this one can see its threads.
+/// the calls, all on the committing thread — no thread is started at all;
+/// over forced logs, one prepare round whose three flushes overlap on the
+/// logs' flushers, plus the primary's decision: four flushes, the
+/// secondaries' commit records riding along unforced.  Both halves are one
+/// test because the first asserts something about the whole process: no
+/// other test in this file may start a thread of the system's, or this one
+/// can see it.
 #[test]
 fn three_participant_commit_is_serial_in_memory_and_two_flush_waits_on_disk() {
-    // The client is handed back: its pool threads live as long as it does.
     let commit_three = |db: &KvDatabase| {
         let client = db.client();
         let t = client.begin();
@@ -275,23 +276,12 @@ fn three_participant_commit_is_serial_in_memory_and_two_flush_waits_on_disk() {
         t.commit().unwrap();
         assert_eq!(db.stats().counter("kv.commit_participants").get(), 3);
         assert_eq!(db.stats().counter("kv.commit_2pc").get(), 1);
-        client
     };
 
     let in_memory = KvDatabase::with_servers(4);
-    let _client = commit_three(&in_memory);
-    assert_eq!(
-        in_memory
-            .stats()
-            .counter("kv.prepare_parallel_fanouts")
-            .get(),
-        0
-    );
-    if let Some(n) = fanout_threads() {
-        assert_eq!(
-            n, 0,
-            "the in-memory commit path must not start pool threads"
-        );
+    commit_three(&in_memory);
+    if let Some(n) = threads_named("yesquel-") {
+        assert_eq!(n, 0, "the in-memory commit path must not start any thread");
     }
 
     let tmp = TempDir::new("yesquel-kv-fastpath").unwrap();
@@ -300,8 +290,7 @@ fn three_participant_commit_is_serial_in_memory_and_two_flush_waits_on_disk() {
     let logged = KvDatabase::try_new(cfg).unwrap();
     let c = |name: &str| logged.stats().counter(name).get();
     let (fsyncs, appends) = (c("wal.fsyncs"), c("wal.appends"));
-    let _client = commit_three(&logged);
-    assert_eq!(c("kv.prepare_parallel_fanouts"), 1);
+    commit_three(&logged);
     assert_eq!(
         c("wal.appends") - appends,
         6,
@@ -313,7 +302,13 @@ fn three_participant_commit_is_serial_in_memory_and_two_flush_waits_on_disk() {
         "prepares + the primary's decision"
     );
     assert_eq!(c("wal.group_solo"), 0, "a lone appender sleeps no window");
-    if let Some(n) = fanout_threads() {
-        assert!(n > 0, "the logged prepare round runs on the pool");
+    if let (Some(flushers), Some(all)) =
+        (threads_named("yesquel-wal-flu"), threads_named("yesquel-"))
+    {
+        assert!(
+            (3..=4).contains(&flushers),
+            "one flusher per participant's log, at most one per server: {flushers}"
+        );
+        assert_eq!(all, flushers, "the flushers are the only threads started");
     }
 }

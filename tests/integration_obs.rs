@@ -5,10 +5,13 @@
 //! into the slow-op ring, and the unified reset + windowed snapshot flow
 //! the load harness relies on between cells.
 
+use std::time::{Duration, Instant};
+
 use yesquel::common::config::{ObsConfig, YesquelConfig};
 use yesquel::common::obs::clock;
+use yesquel::rpc::TransportKind;
 use yesquel::sql::Value;
-use yesquel::{params, Yesquel};
+use yesquel::{params, DbtConfig, KvDatabase, Yesquel};
 
 /// 50 rows, 5 per `views` value, with a secondary index on `views`.
 fn fixture() -> Yesquel {
@@ -260,5 +263,81 @@ fn unified_reset_clears_counters_histograms_and_ring() {
         stats.histogram_snapshot()["sql.stmt_us.select"].count,
         1,
         "one select since the reset"
+    );
+}
+
+/// Every RPC an op issues is counted on its trace, wherever it completes:
+/// the calls of a prefetch or prepare round and the secondaries' decisions
+/// nobody waits for are all submitted on the op's thread.  Over the
+/// threaded transport, a sampled INSERT into a two-index table reports as
+/// many `rpcs` as `rpc.calls` moved once its decisions have landed.
+#[test]
+fn a_sampled_insert_counts_every_rpc_of_its_rounds() {
+    let mut config = YesquelConfig::with_servers(4);
+    config.obs = ObsConfig {
+        timing: false,
+        trace_sample_every: 1,
+        slow_threshold_us: 0,
+    };
+    // Nothing but the statement issues RPCs: splits run inside it, and
+    // neither load splits nor replication start background work.
+    config.dbt = DbtConfig {
+        load_splits: false,
+        replicate_hot_nodes: false,
+        ..DbtConfig::ablation_sync_splits()
+    };
+    let workers = TransportKind::Threaded {
+        workers_per_server: 2,
+    };
+    let y = Yesquel::open_db(KvDatabase::with_transport(config, workers)).unwrap();
+    y.execute_script(
+        "CREATE TABLE pages (id INTEGER PRIMARY KEY, title TEXT NOT NULL, views INT);
+         CREATE UNIQUE INDEX by_title ON pages (title);
+         CREATE INDEX by_views ON pages (views);",
+    )
+    .unwrap();
+    const INSERT: &str = "INSERT INTO pages (id, title, views) VALUES (?, ?, ?)";
+    let calls = y.db().stats().counter("rpc.calls");
+    // Waits until no RPC has landed for a while: the decisions of the last
+    // commit are in.
+    let settle = || {
+        let mut last = calls.get();
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = calls.get();
+            if now == last {
+                return now;
+            }
+            last = now;
+        }
+    };
+    for i in 0..4i64 {
+        y.execute(INSERT, params![i, format!("page-{i}"), i * 10])
+            .unwrap();
+    }
+    let ring = y.db().stats().obs().slow_ring();
+    let two_phase = y.db().stats().counter("kv.commit_2pc");
+    let (before, two_phase_before) = (settle(), two_phase.get());
+    ring.clear();
+    y.execute(INSERT, params![100, "page-100", 1000]).unwrap();
+    let traced = ring
+        .snapshot()
+        .into_iter()
+        .find(|r| r.label == "sql.execute")
+        .expect("the sampled INSERT is in the ring")
+        .counter("rpcs");
+    assert_eq!(
+        two_phase.get() - two_phase_before,
+        1,
+        "an insert into three trees commits on several servers"
+    );
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while calls.get() - before < traced && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        calls.get() - before,
+        traced,
+        "the trace must count every RPC the INSERT issued"
     );
 }

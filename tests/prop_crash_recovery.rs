@@ -19,11 +19,17 @@
 //! * in-doubt transactions resolve to exactly one fate, decided by the
 //!   primary, even when the deciding state was itself recovered from a log.
 //!
+//! Each seed runs over two deployments: direct calls, and per-server worker
+//! threads (two per server) over a slept network of 50 µs one way.  On the
+//! second, prepares answered by the logs' flushers, secondaries' decisions
+//! still landing after their commit returned, and amnesia restarts that
+//! must wait for both meet in one run.
+//!
 //! All randomness flows from the per-case seed, so a failure reproduces.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::Rng;
 use yesquel::common::rand_util::seeded_rng;
@@ -31,7 +37,7 @@ use yesquel::common::tempdir::TempDir;
 use yesquel::common::WalFsyncPolicy;
 use yesquel::kv::store::TxnOutcome;
 use yesquel::rpc::{FaultPlan, TransportKind};
-use yesquel::{Error, KvConfig, KvDatabase, ObjectId, YesquelConfig};
+use yesquel::{Error, KvConfig, KvDatabase, NetConfig, ObjectId, YesquelConfig};
 
 const SERVERS: usize = 4;
 const KEYS: usize = 24;
@@ -99,13 +105,28 @@ fn assert_acks_survived(db: &KvDatabase, records: &[TxnRecord], server: usize, s
     }
 }
 
-fn recovery_case(seed: u64) {
+/// The transports every seed runs over.
+const TRANSPORTS: [TransportKind; 2] = [
+    TransportKind::Direct,
+    TransportKind::Threaded {
+        workers_per_server: 2,
+    },
+];
+
+fn recovery_case(seed: u64, transport: TransportKind) {
     let mut rng = seeded_rng(seed, 1);
     let tmp = TempDir::new("yesquel-crash-recovery").unwrap();
     let mut cfg = YesquelConfig::with_servers(SERVERS);
     cfg.kv = KvConfig::impatient();
     cfg.kv.wal_dir = Some(tmp.path().to_path_buf());
     cfg.kv.wal_fsync = WalFsyncPolicy::Group { window_us: 50 };
+    if matches!(transport, TransportKind::Threaded { .. }) {
+        cfg.net = NetConfig {
+            one_way_latency_us: 50,
+            sleep_latency: true,
+            ..NetConfig::default()
+        };
+    }
 
     // Every server weathers the same storm under an amnesia plan; one
     // additionally crash-loops on a scripted schedule, losing its memory on
@@ -120,7 +141,7 @@ fn recovery_case(seed: u64) {
     plans[looper].crash_after_requests = Some(rng.gen_range(40..80));
     plans[looper].restart_after_rejects = Some(rng.gen_range(4..12));
 
-    let db = KvDatabase::with_faults(cfg, TransportKind::Direct, plans);
+    let db = KvDatabase::with_faults(cfg, transport, plans);
     let faults = Arc::clone(db.faults().unwrap());
     let client = db.client();
     let keys = key_pool();
@@ -228,10 +249,8 @@ fn recovery_case(seed: u64) {
     // Heal and let the reaper resolve whatever came back prepared (its
     // coordinator is long gone; recovered prepares carry a fresh lease).
     faults.heal_all();
-    for _ in 0..50 {
-        if db.prepared_total() == 0 {
-            break;
-        }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while db.prepared_total() != 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
         db.reap_all();
     }
@@ -250,7 +269,7 @@ fn recovery_case(seed: u64) {
                 Reported::Committed(_) => (a, m, o + 1),
             });
         eprintln!(
-            "seed {seed}: ok={ok} notapplied={na} maybe={mb} restarts={restarts} \
+            "seed {seed} {transport:?}: ok={ok} notapplied={na} maybe={mb} restarts={restarts} \
              checkpoints={checkpoints} appends={} fsyncs={} recovered={}",
             wal("appends"),
             wal("fsyncs"),
@@ -367,11 +386,13 @@ fn recovery_case(seed: u64) {
 fn crash_recovery_seed_matrix() {
     // The CI recovery job pins RECOVERY_SEED to fan the matrix out across
     // jobs; locally all seeds run in sequence.
-    if let Ok(seed) = std::env::var("RECOVERY_SEED") {
-        recovery_case(seed.parse().expect("RECOVERY_SEED must be a u64"));
-        return;
-    }
-    for seed in [11, 23, 47, 101, 907] {
-        recovery_case(seed);
+    let seeds = match std::env::var("RECOVERY_SEED") {
+        Ok(seed) => vec![seed.parse().expect("RECOVERY_SEED must be a u64")],
+        Err(_) => vec![11, 23, 47, 101, 907],
+    };
+    for seed in seeds {
+        for transport in TRANSPORTS {
+            recovery_case(seed, transport);
+        }
     }
 }

@@ -1,15 +1,13 @@
-//! Seeded chaos test of the **parallel** 2PC prepare fan-out: four client
-//! threads run concurrent multi-server write transactions while a
-//! deterministic fault storm (dropped requests and responses, duplicates,
-//! transient errors, delays, one crash-looping server) batters the
-//! transport.  Nothing forces the coordinator's hand: calls through a
-//! fault-injecting transport block, so the coordinator issues every prepare
-//! round from the fan-out pool and hands every secondary's decision to it
-//! without waiting.  Each seed runs over both transports: direct calls, and
-//! per-server worker threads answering on reply channels over a slept
-//! network (50 µs one way, as the `net_mixed` benchmark deploys), so that a
-//! thread's next transaction starts while its last one's decisions are
-//! still in flight.
+//! Seeded chaos test of concurrent 2PC: four client threads run concurrent
+//! multi-server write transactions while a deterministic fault storm
+//! (dropped requests and responses, duplicates, transient errors, delays,
+//! one crash-looping server) batters the transport.  Every prepare round is
+//! submitted whole before it is waited for, and every secondary's decision
+//! is submitted and not waited for.  Each seed runs over both transports:
+//! direct calls, and per-server worker threads resolving completions over a
+//! slept network (50 µs one way, as the `net_mixed` benchmark deploys), so
+//! that a thread's next transaction starts while its last one's decisions
+//! are still in flight.
 //!
 //! The safety bar is the same as `prop_chaos_commit`, now under real
 //! concurrency:
@@ -22,8 +20,8 @@
 //!   multiset, the writes of the transactions that actually committed it;
 //! * after healing, the reaper clears every orphaned prepare.
 //!
-//! The test also asserts the machinery actually engaged: the parallel
-//! fan-out counter moved on every transport.
+//! The test also asserts the machinery actually engaged: two-phase commits
+//! happened on every transport.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -111,7 +109,7 @@ fn storm_case(seed: u64, transport: TransportKind) {
                     for i in 0..TXNS_PER_THREAD {
                         // 2-4 keys drawn across the whole pool: with 4
                         // servers nearly every transaction spans several
-                        // participants, forcing the parallel prepare.
+                        // participants, forcing a prepare round.
                         let n = rng.gen_range(2..=4u64) as usize;
                         let mut dedup: HashMap<ObjectId, Vec<u8>> = HashMap::new();
                         for j in 0..n {
@@ -163,10 +161,10 @@ fn storm_case(seed: u64, transport: TransportKind) {
         "seed {seed}: the storm never injected anything"
     );
     // The machinery under test must actually have engaged.
-    let fanouts = db.stats().counter("kv.prepare_parallel_fanouts").get();
+    let two_phase = db.stats().counter("kv.commit_2pc").get();
     assert!(
-        fanouts > 0,
-        "seed {seed} {transport:?}: no prepare round used the parallel fan-out"
+        two_phase > 0,
+        "seed {seed} {transport:?}: no commit took two phases"
     );
     {
         let (na, mb, ok) = records
@@ -177,7 +175,7 @@ fn storm_case(seed: u64, transport: TransportKind) {
                 Reported::Committed(_) => (a, m, o + 1),
             });
         eprintln!(
-            "seed {seed} {transport:?}: ok={ok} notapplied={na} maybe={mb} faults={} fanouts={fanouts}",
+            "seed {seed} {transport:?}: ok={ok} notapplied={na} maybe={mb} faults={} two_phase={two_phase}",
             faults.faults_injected(),
         );
     }
