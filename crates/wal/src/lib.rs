@@ -2,11 +2,12 @@
 //!
 //! The paper's storage servers "log updates to stable storage", so a server
 //! crash loses no committed transaction.  This crate supplies that log for
-//! the reproduction: an append-only file of checksummed, length-prefixed
-//! records (reusing `common::encoding` for the payloads), written
-//! **before** the corresponding state change is acknowledged, and replayed
-//! into a fresh [`ServerStore`](../yesquel_kv/store/struct.ServerStore.html)
-//! after an amnesia crash.
+//! the reproduction: a file of checksummed, length-prefixed records (reusing
+//! `common::encoding` for the payloads), written in order at a cursor that
+//! only moves forward, **before** the corresponding state change is
+//! acknowledged, and replayed into a fresh
+//! [`ServerStore`](../yesquel_kv/store/struct.ServerStore.html) after an
+//! amnesia crash.
 //!
 //! ## Record framing
 //!
@@ -17,11 +18,25 @@
 //! [u32 payload_len][u32 crc32(payload)][payload bytes]
 //! ```
 //!
-//! Recovery scans frames until the first torn or corrupt one — a short
-//! header, a length running past end-of-file, a checksum mismatch, or a
-//! payload that does not decode — and **truncates** the file there.  A torn
-//! tail is the expected shape of a crash mid-append and is silently
-//! recovered to the clean prefix; it is never an error and never a panic.
+//! No record encodes to an empty payload, so a frame header with
+//! `payload_len == 0` is the **end of the log**.  Past the last frame, the
+//! active segment holds a zero tail: the log's flusher keeps a chunk of
+//! zero-filled, already synced file ahead of the write cursor, so a frame
+//! lands inside the file and the `fdatasync` that makes it durable flushes
+//! data blocks only, never a new file size through the file system's
+//! journal (which costs a sync about as much again).  The flusher refills
+//! the chunk after answering the waits a sync covered, one bounded piece at
+//! a time and never below the cursor.  An append that outruns the zeros
+//! grows the file as it would without them: correctness never depends on
+//! the tail.  [`Wal::len`] is the end of the frames, not the file's size.
+//!
+//! Recovery scans frames until the end of the log or the first torn or
+//! corrupt one — a short header, a length running past end-of-file, a
+//! checksum mismatch, or a payload that does not decode — and
+//! **truncates** the file there, zero tail included.  A torn tail is the
+//! expected shape of a crash mid-append (in a preallocated segment, a torn
+//! frame followed by zeros) and is silently recovered to the clean prefix;
+//! it is never an error and never a panic.
 //!
 //! ## Forced and unforced appends
 //!
@@ -57,19 +72,24 @@
 //!   log's CPU cost without its durability cost.
 //!
 //! `fdatasync` runs outside the file mutex: appends — forced or not — never
-//! queue behind a flush in progress.
+//! queue behind a flush in progress.  Once a round's waits are answered, the
+//! flusher tops up the zero tail when less than half of it is left, and
+//! syncs the fill once; `wal.prealloc_syncs` counts those syncs, which
+//! `wal.fsyncs` does not.  Under `Off` there is no flusher and no tail.
 //!
 //! ## Checkpoints and truncation
 //!
 //! [`Wal::checkpoint`] writes a [`CheckpointSnapshot`] of the entire store
-//! state as the first record of a **new** segment file, syncs it, and only
-//! then deletes the older segments — so a crash at any point leaves either
-//! the old segments (checkpoint not yet durable) or the new one.  Recovery
-//! prefers the highest-numbered usable segment and falls back across torn
-//! checkpoints.
+//! state as the first record of a **new** segment file, syncs it and the log
+//! directory (a new file's name is not durable until its directory is), and
+//! only then deletes the older segments — so a crash at any point leaves
+//! either the old segments (checkpoint not yet durable) or the new one.
+//! Recovery prefers the highest-numbered usable segment and falls back
+//! across torn checkpoints.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -90,6 +110,14 @@ pub const SEGMENT_HEADER_LEN: u64 = 16;
 
 /// Size of a frame header: payload length plus checksum.
 pub const FRAME_HEADER_LEN: u64 = 8;
+
+/// Zero-filled, synced bytes the flusher keeps ahead of the write cursor of
+/// the active segment, topped up once less than half of them is left.
+const PREALLOC_LEN: u64 = 4 << 20;
+
+/// What a fill writes at a time, under the file mutex: the most an append
+/// can wait behind it.
+static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), table-driven; the offline build has no crc crate.
@@ -472,8 +500,12 @@ struct Inner {
     path: PathBuf,
     /// Active segment sequence number.
     seq: u64,
-    /// Bytes written to the active segment (including the header).
+    /// Bytes of frames written to the active segment (including the
+    /// header): the write cursor.  The file may be longer by its zero tail.
     len: u64,
+    /// End of the zeros written ahead of the cursor; at or below `len` when
+    /// none are left.
+    zeroed: u64,
     /// Frames appended to the active segment (checkpoint included).
     frames: u64,
     /// Bumped (together with [`SyncState::generation`], under both mutexes)
@@ -573,6 +605,8 @@ struct Log {
     fsyncs: Arc<Counter>,
     group_size: Arc<Counter>,
     group_solo: Arc<Counter>,
+    /// Syncs of a zero fill, kept out of `fsyncs`.
+    prealloc_syncs: Arc<Counter>,
     /// End-to-end latency of a forced append — the frame write plus the
     /// wait for the flush that covers it (recorded only while
     /// `Obs::timing_on`).
@@ -625,6 +659,9 @@ fn scan_segment(path: &Path, seq: u64) -> Result<Option<ScannedSegment>> {
             break; // torn frame header (or exactly end-of-log)
         }
         let len = u32::from_be_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
+        if len == 0 {
+            break; // the zero tail of a preallocated segment: end of the log
+        }
         let crc = u32::from_be_bytes(data[pos + 4..pos + 8].try_into().unwrap());
         let body_start = pos + FRAME_HEADER_LEN as usize;
         if data.len() - body_start < len {
@@ -684,10 +721,11 @@ fn answer(answers: Vec<(Waiter, Result<()>)>) {
 
 impl Log {
     /// Ends the active generation — the segment is being replaced or
-    /// truncated — and returns the waits it leaves answered.  `kept` is how
-    /// many of its bytes survive, when not all of them do.  Both guards are
-    /// taken by the caller, so a holder of either sees the counters move
-    /// together.
+    /// truncated, its zero tail with it — and returns the waits it leaves
+    /// answered.  The caller has set `inner.len` to the new segment's end.
+    /// `kept` is how many of the old segment's bytes survive, when not all
+    /// of them do.  Both guards are taken by the caller, so a holder of
+    /// either sees the counters move together.
     fn end_generation(
         inner: &mut Inner,
         sync: &mut SyncState,
@@ -696,6 +734,7 @@ impl Log {
         if let Some(kept) = kept {
             sync.cuts.push((inner.generation, kept));
         }
+        inner.zeroed = inner.len;
         inner.generation += 1;
         sync.generation = inner.generation;
         std::mem::take(&mut sync.waiters)
@@ -789,8 +828,52 @@ impl Log {
             if closed {
                 return;
             }
+            self.fill_ahead();
         }
     }
+
+    /// Tops the zero tail of the active segment up to [`PREALLOC_LEN`] past
+    /// the cursor once less than half of it is left, then syncs it, so the
+    /// next forced sync finds the file's size already durable.  Each piece
+    /// is written under the file mutex at or beyond the cursor: zeros never
+    /// land on a frame, and an append waits for one piece at most.  A fill
+    /// that fails is dropped — an append past the zeros grows the file — and
+    /// one whose segment was replaced or cut stops: that file's tail is gone.
+    fn fill_ahead(&self) {
+        let (file, generation, end) = {
+            let g = self.inner.lock().unwrap();
+            if g.zeroed.saturating_sub(g.len) >= PREALLOC_LEN / 2 {
+                return;
+            }
+            (Arc::clone(&g.file), g.generation, g.len + PREALLOC_LEN)
+        };
+        loop {
+            let mut g = self.inner.lock().unwrap();
+            if g.generation != generation {
+                return;
+            }
+            let at = g.zeroed.max(g.len);
+            if at >= end {
+                break;
+            }
+            let piece = &ZEROS[..(end - at).min(ZEROS.len() as u64) as usize];
+            if g.file.write_all_at(piece, at).is_err() {
+                return;
+            }
+            g.zeroed = at + piece.len() as u64;
+        }
+        if file.sync_data().is_ok() {
+            self.prealloc_syncs.inc();
+        }
+    }
+}
+
+/// Makes the entries of `dir` durable: a segment created in it survives a
+/// crash only once this returns.
+fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| Error::io(dir.display(), e))
 }
 
 impl Wal {
@@ -821,6 +904,7 @@ impl Wal {
                 path: segment_path(&dir, u64::MAX),
                 seq: 0,
                 len: 0,
+                zeroed: 0,
                 frames: 0,
                 generation: 0,
             }),
@@ -842,6 +926,7 @@ impl Wal {
             fsyncs: registry.counter("wal.fsyncs"),
             group_size: registry.counter("wal.group_size"),
             group_solo: registry.counter("wal.group_solo"),
+            prealloc_syncs: registry.counter("wal.prealloc_syncs"),
             append_us: registry.histogram("wal.append_us"),
             fsync_us: registry.histogram("wal.fsync_us"),
             group_size_dist: registry.histogram("wal.group_size_dist"),
@@ -876,7 +961,8 @@ impl Wal {
         self.log.inner.lock().unwrap().path.clone()
     }
 
-    /// Bytes written to the active segment, header included.
+    /// Bytes of frames written to the active segment, header included: the
+    /// end of the log, not the file's size, which counts its zero tail too.
     pub fn len(&self) -> u64 {
         self.log.inner.lock().unwrap().len
     }
@@ -941,6 +1027,7 @@ impl Wal {
                 file.write_all(&header)
                     .and_then(|_| file.sync_all())
                     .map_err(|e| Error::io(path.display(), e))?;
+                sync_dir(&self.dir)?;
                 ScannedSegment {
                     seq: 0,
                     path,
@@ -960,7 +1047,8 @@ impl Wal {
             .write(true)
             .open(&scanned.path)
             .map_err(|e| Error::io(scanned.path.display(), e))?;
-        // Truncate the torn tail so appends continue after the clean prefix.
+        // Truncate the torn tail and the zeros so appends continue after the
+        // clean prefix; the flusher lays a new zero tail.
         file.set_len(scanned.clean_len)
             .map_err(|e| Error::io(scanned.path.display(), e))?;
         let mut file = file;
@@ -1110,9 +1198,10 @@ impl Wal {
             .and_then(|_| file.sync_all())
             .map_err(|e| Error::io(path.display(), e))?;
         self.log.fsyncs.inc();
-        // The new segment is durable: older segments are now garbage.  A
-        // crash before these deletes leaves extra files that recovery skips
-        // (it prefers the highest usable sequence number).
+        sync_dir(&self.dir)?;
+        // The new segment and its name are durable: older segments are now
+        // garbage.  A crash before these deletes leaves extra files that
+        // recovery skips (it prefers the highest usable sequence number).
         let old_seq = inner.seq;
         let old_path = inner.path.clone();
         inner.file = Arc::new(file);
@@ -1136,10 +1225,10 @@ impl Wal {
     }
 
     /// Simulates a power loss: everything not yet fsynced is discarded by
-    /// truncating the active segment to its durable length.  The fault
-    /// layer's amnesia restart calls this before replaying, so recovery
-    /// only ever sees what a real machine would find on disk.  A wait for a
-    /// record the loss took fails.
+    /// truncating the active segment to its durable length, zero tail
+    /// included.  The fault layer's amnesia restart calls this before
+    /// replaying, so recovery only ever sees what a real machine would find
+    /// on disk.  A wait for a record the loss took fails.
     pub fn power_loss(&self) -> Result<()> {
         let mut inner = self.log.inner.lock().unwrap();
         let mut sync = self.log.sync.lock().unwrap();
@@ -1316,7 +1405,7 @@ mod tests {
         drop(wal);
         // Cut the last record in half: a torn append.
         let data = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &data[..data.len() - 4]).unwrap();
+        std::fs::write(&path, &data[..full as usize - 4]).unwrap();
         let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
         let recs = wal.recover().unwrap();
         let n = sample_records().len();
@@ -1363,11 +1452,12 @@ mod tests {
         let seg0_bytes = std::fs::read(&seg0).unwrap();
         wal.checkpoint(CheckpointSnapshot::default()).unwrap();
         let seg1 = wal.active_segment();
+        let seg1_len = wal.len() as usize;
         drop(wal);
         // Simulate a crash mid-checkpoint: segment 1's record is torn and
         // segment 0 was not yet deleted.
         let seg1_bytes = std::fs::read(&seg1).unwrap();
-        std::fs::write(&seg1, &seg1_bytes[..seg1_bytes.len() - 2]).unwrap();
+        std::fs::write(&seg1, &seg1_bytes[..seg1_len - 2]).unwrap();
         std::fs::write(&seg0, &seg0_bytes).unwrap();
         let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
         assert_eq!(wal.recover().unwrap(), sample_records());
@@ -1402,6 +1492,9 @@ mod tests {
         wal.sync().unwrap();
         wal.append(&sample_records()[1]).unwrap(); // never synced
         assert!(wal.durable_len() < wal.len());
+        // No flusher, so no zero tail either.
+        let size = std::fs::metadata(wal.active_segment()).unwrap().len();
+        assert_eq!(size, wal.len());
         wal.power_loss().unwrap();
         let recs = wal.recover().unwrap();
         assert_eq!(recs, sample_records()[..1].to_vec());
@@ -1599,11 +1692,12 @@ mod tests {
             wal.append(&rec).unwrap();
         }
         let path = wal.active_segment();
+        let full = wal.len() as usize;
         drop(wal);
         let mut data = std::fs::read(&path).unwrap();
-        // Flip a byte in the middle of the file: every record from the
+        // Flip a byte in the middle of the frames: every record from the
         // damaged frame onward is dropped.
-        let mid = data.len() / 2;
+        let mid = full / 2;
         data[mid] ^= 0x40;
         std::fs::write(&path, &data).unwrap();
         let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
@@ -1612,5 +1706,146 @@ mod tests {
         for (got, want) in recs.iter().zip(sample_records().iter()) {
             assert_eq!(got, want, "recovered prefix must match what was logged");
         }
+    }
+
+    /// Waits until the flusher has synced `n` zero fills in all.
+    fn await_prealloc_syncs(reg: &StatsRegistry, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while reg.counter("wal.prealloc_syncs").get() < n {
+            assert!(Instant::now() < deadline, "no zero fill was synced");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_zero_frame_header_ends_the_log() {
+        let t = TempDir::new("wal-zero-tail").unwrap();
+        let reg = registry();
+        let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
+        for rec in sample_records() {
+            wal.append(&rec).unwrap();
+        }
+        let path = wal.active_segment();
+        let full = wal.len() as usize;
+        drop(wal);
+        let frames = std::fs::read(&path).unwrap()[..full].to_vec();
+        let last = full - encode_frame(sample_records().last().unwrap()).len();
+        let n = sample_records().len();
+        // The empty payload's checksum is 0, so only the length says that
+        // an all-zero header is no record.
+        assert_eq!(crc32(&[]), 0);
+        assert!(WalRecord::decode(&[]).is_err());
+        let with_zeros = |mut data: Vec<u8>| {
+            data.extend_from_slice(&[0u8; 4096]);
+            data
+        };
+        let mut beyond = frames[..last].to_vec();
+        beyond.extend_from_slice(&[0u8; FRAME_HEADER_LEN as usize]);
+        beyond.extend_from_slice(&encode_frame(&WalRecord::Abort { txn: 99 }));
+        for (damage, data, kept) in [
+            (
+                "a zero tail after the last frame",
+                with_zeros(frames.clone()),
+                n,
+            ),
+            (
+                "a torn frame followed by zeros",
+                with_zeros(frames[..full - 5].to_vec()),
+                n - 1,
+            ),
+            ("a frame beyond a zero header", with_zeros(beyond), n - 1),
+        ] {
+            std::fs::write(&path, &data).unwrap();
+            let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
+            assert_eq!(
+                wal.recover().unwrap(),
+                sample_records()[..kept].to_vec(),
+                "{damage}"
+            );
+            let clean = if kept == n { full } else { last };
+            assert_eq!(wal.len(), clean as u64, "{damage}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), clean as u64);
+        }
+    }
+
+    #[test]
+    fn a_forced_sync_into_the_zero_tail_writes_no_file_size() {
+        let t = TempDir::new("wal-prealloc").unwrap();
+        let reg = registry();
+        let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
+        let size = || std::fs::metadata(wal.active_segment()).unwrap().len();
+        assert_eq!(size(), SEGMENT_HEADER_LEN, "opening a log writes no zeros");
+        wal.append(&sample_records()[0]).unwrap();
+        await_prealloc_syncs(&reg, 1);
+        let filled = size();
+        assert_eq!(filled, wal.len() + PREALLOC_LEN);
+        let fsyncs = reg.counter("wal.fsyncs").get();
+        let n = 20;
+        for txn in 0..n {
+            wal.append(&WalRecord::Abort { txn }).unwrap();
+        }
+        assert_eq!(size(), filled, "every frame landed in the zero tail");
+        assert_eq!(reg.counter("wal.fsyncs").get(), fsyncs + n);
+        assert_eq!(reg.counter("wal.prealloc_syncs").get(), 1);
+        // Recovery cuts the zero tail with the clean prefix, and the
+        // flusher lays it again.
+        assert_eq!(wal.recover().unwrap().len(), 1 + n as usize);
+        wal.append(&sample_records()[1]).unwrap();
+        await_prealloc_syncs(&reg, 2);
+        assert!(size() >= wal.len() + PREALLOC_LEN / 2);
+    }
+
+    #[test]
+    fn an_append_that_outruns_the_zeros_grows_the_file() {
+        let t = TempDir::new("wal-prealloc-outrun").unwrap();
+        let reg = registry();
+        let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
+        wal.append(&sample_records()[0]).unwrap();
+        await_prealloc_syncs(&reg, 1);
+        let big = WalRecord::CommitOnePhase {
+            txn: 1,
+            commit_ts: 2,
+            writes: vec![WalWrite {
+                obj: obj(1),
+                value: Some(Bytes::from(vec![7u8; PREALLOC_LEN as usize + 4096])),
+            }],
+        };
+        wal.append(&big).unwrap();
+        // The next fill starts at the cursor, past the record, not where
+        // the last one ended.
+        await_prealloc_syncs(&reg, 2);
+        wal.append(&sample_records()[1]).unwrap();
+        drop(wal);
+        let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
+        let want = vec![
+            sample_records()[0].clone(),
+            big,
+            sample_records()[1].clone(),
+        ];
+        assert_eq!(wal.recover().unwrap(), want);
+    }
+
+    #[test]
+    fn an_append_after_a_power_loss_is_recovered() {
+        let t = TempDir::new("wal-prealloc-loss").unwrap();
+        let reg = registry();
+        let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
+        wal.append(&sample_records()[0]).unwrap();
+        await_prealloc_syncs(&reg, 1);
+        wal.append_unforced(&sample_records()[1]).unwrap();
+        wal.power_loss().unwrap();
+        assert_eq!(
+            std::fs::metadata(wal.active_segment()).unwrap().len(),
+            wal.len(),
+            "the cut takes the zero tail"
+        );
+        // The cursor and the fill start again from the cut.
+        wal.append(&sample_records()[2]).unwrap();
+        await_prealloc_syncs(&reg, 2);
+        wal.append(&sample_records()[3]).unwrap();
+        drop(wal);
+        let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
+        let want = [0, 2, 3].map(|i| sample_records()[i].clone());
+        assert_eq!(wal.recover().unwrap(), want.to_vec());
     }
 }

@@ -6,8 +6,10 @@
 //! not acknowledged (no phantoms).
 //!
 //! The reference history is produced by a real single-server deployment
-//! (fsync policy `Always`, so the file content *is* the durable state);
-//! each case then mutilates a copy of the log and rebuilds a server from it.
+//! (fsync policy `Always`, so the frames *are* the durable state), cut at the
+//! end of its frames; each case then mutilates a copy of the frames, lays a
+//! zero tail after them — what a crash leaves in a preallocated segment —
+//! and rebuilds a server from it.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -34,7 +36,7 @@ struct Acked {
 /// Runs `n` acknowledged single-key commits against a one-server durable
 /// deployment (checkpointing after `checkpoint_after` commits when `Some`),
 /// and returns the history plus the bytes of every surviving segment file,
-/// ordered by sequence number.
+/// ordered by sequence number, the active one up to the end of its frames.
 fn build_reference(
     n: usize,
     checkpoint_after: Option<usize>,
@@ -66,18 +68,32 @@ fn build_reference(
         }
     }
     let server_dir = tmp.path().join("server-0");
+    let (active, frames_end) = {
+        let wal = Wal::open(&server_dir, WalFsyncPolicy::Always, &StatsRegistry::new()).unwrap();
+        (wal.active_segment(), wal.len() as usize)
+    };
     let mut segments: Vec<(String, Vec<u8>)> = std::fs::read_dir(&server_dir)
         .unwrap()
         .map(|e| {
             let e = e.unwrap();
-            (
-                e.file_name().to_string_lossy().into_owned(),
-                std::fs::read(e.path()).unwrap(),
-            )
+            let mut bytes = std::fs::read(e.path()).unwrap();
+            if e.path() == active {
+                bytes.truncate(frames_end);
+            }
+            (e.file_name().to_string_lossy().into_owned(), bytes)
         })
         .collect();
     segments.sort();
     (acked, segments)
+}
+
+/// `frames` followed by zeros: the shape of a preallocated segment after a
+/// crash.  How far the zeros run does not matter to recovery, which stops at
+/// the first zero frame header.
+fn with_zero_tail(frames: &[u8]) -> Vec<u8> {
+    let mut bytes = frames.to_vec();
+    bytes.resize(frames.len() + 4096, 0);
+    bytes
 }
 
 /// Writes the given segment files into a fresh directory and rebuilds a
@@ -184,7 +200,7 @@ fn truncation_at_every_byte_boundary() {
     let (name, bytes) = &segments[0];
     let mut recovered_counts = Vec::new();
     for len in 0..=bytes.len() {
-        let cut = vec![(name.clone(), bytes[..len].to_vec())];
+        let cut = vec![(name.clone(), with_zero_tail(&bytes[..len]))];
         let (_tmp, result) = rebuild(&cut);
         let ctx = format!("truncate to {len}/{} bytes", bytes.len());
         if let Some(k) = assert_recovers_or_typed_error(result, &acked, &ctx) {
@@ -212,7 +228,7 @@ fn byte_flip_storms_recover_prefix_or_fail_typed() {
                 let mask = rng.gen_range(1..=255u64) as u8;
                 corrupt[pos] ^= mask;
             }
-            let case = vec![(name.clone(), corrupt)];
+            let case = vec![(name.clone(), with_zero_tail(&corrupt))];
             let (_tmp, result) = rebuild(&case);
             let ctx = format!("seed {seed} round {round} ({flips} flips)");
             assert_recovers_or_typed_error(result, &acked, &ctx);
@@ -232,7 +248,7 @@ fn garbage_tail_is_dropped_without_losing_history() {
             for _ in 0..tail {
                 padded.push(rng.gen_range(0..=255u64) as u8);
             }
-            let case = vec![(name.clone(), padded)];
+            let case = vec![(name.clone(), with_zero_tail(&padded))];
             let (_tmp, result) = rebuild(&case);
             let server = result.expect("a garbage tail is a torn write, not corruption");
             let k = assert_clean_prefix(&server, &acked, "garbage tail");
@@ -262,7 +278,7 @@ fn corrupted_checkpoint_is_a_typed_error_not_a_panic() {
     // header): the segment is unusable and recovery must say so, typed.
     let mut corrupt = bytes.clone();
     corrupt[24] ^= 0xff;
-    let case = vec![(name.clone(), corrupt)];
+    let case = vec![(name.clone(), with_zero_tail(&corrupt))];
     let (_tmp, result) = rebuild(&case);
     match result {
         Err(Error::WalCorrupt(_)) => {}
@@ -273,14 +289,14 @@ fn corrupted_checkpoint_is_a_typed_error_not_a_panic() {
     // Truncating *after* the checkpoint instead keeps at least the
     // checkpointed prefix: sweep a few cuts through the tail half.
     for len in (bytes.len() / 2..=bytes.len()).step_by(7) {
-        let cut = vec![(name.clone(), bytes[..len].to_vec())];
+        let cut = vec![(name.clone(), with_zero_tail(&bytes[..len]))];
         let (_tmp, result) = rebuild(&cut);
         let ctx = format!("post-checkpoint truncate to {len}");
         assert_recovers_or_typed_error(result, &acked, &ctx);
     }
 
     // And the intact file recovers everything.
-    let (_tmp, result) = rebuild(&segments);
+    let (_tmp, result) = rebuild(&[(name.clone(), with_zero_tail(bytes))]);
     let server = result.unwrap();
     assert_eq!(
         assert_clean_prefix(&server, &acked, "intact checkpointed log"),
