@@ -175,14 +175,14 @@ pub struct KvConfig {
     /// [`crate::Error::Indeterminate`].
     pub commit_resolve_attempts: usize,
     /// Lease, in microseconds, granted to the coordinator by each prepare.
-    /// A participant that is still prepared after the lease expires presumes
-    /// the coordinator dead and runs the reaper protocol (the primary
-    /// participant aborts; the others adopt the primary's outcome).  Must
-    /// comfortably exceed the worst-case prepare-to-commit latency.
+    /// Once it expires, a participant presumes the coordinator dead and
+    /// resolves the prepare when a request runs into it — a read that meets
+    /// its lock, a write that conflicts on it, a status probe at its
+    /// primary — or, at the latest, on the first request a tenth of a lease
+    /// after the server's last sweep: the primary participant aborts; the
+    /// others adopt the primary's outcome.  Must comfortably exceed the
+    /// worst-case prepare-to-commit latency.
     pub prepare_lease_us: u64,
-    /// Minimum interval, in microseconds, between reaper passes piggybacked
-    /// on request processing at a server.
-    pub reap_interval_us: u64,
     /// Directory under which each storage server keeps its write-ahead log
     /// (server `i` logs in `<wal_dir>/server-<i>`).  `None` — the default —
     /// runs the store purely in memory, exactly as before durability was
@@ -201,7 +201,6 @@ impl Default for KvConfig {
             rpc_backoff_cap_us: 10_000,
             commit_resolve_attempts: 12,
             prepare_lease_us: 500_000,
-            reap_interval_us: 50_000,
             wal_dir: None,
             wal_fsync: WalFsyncPolicy::Group { window_us: 100 },
         }
@@ -211,9 +210,10 @@ impl Default for KvConfig {
 impl KvConfig {
     /// A configuration with short deadlines, leases and backoffs, sized for
     /// fault-injection tests: failed RPCs give up in microseconds instead of
-    /// milliseconds and orphaned prepares are reaped almost immediately, so
-    /// a chaos run converges quickly.  Not meant for production-shaped
-    /// benchmarks (the lease is far too short for a loaded commit path).
+    /// milliseconds and an orphaned prepare is resolved 3 ms on, by the
+    /// first request that runs into it or sweeps, so a chaos run converges
+    /// quickly.  Not meant for production-shaped benchmarks (the lease is
+    /// far too short for a loaded commit path).
     pub fn impatient() -> Self {
         KvConfig {
             rpc_max_attempts: 4,
@@ -221,7 +221,6 @@ impl KvConfig {
             rpc_backoff_cap_us: 200,
             commit_resolve_attempts: 6,
             prepare_lease_us: 3_000,
-            reap_interval_us: 300,
             ..Self::default()
         }
     }

@@ -18,7 +18,7 @@ use crate::snapshot::SnapshotTracker;
 /// harness instantiate.
 pub struct KvDatabase {
     cluster: Cluster<KvServer>,
-    /// The transport clients (and the server-to-server reaper) actually use:
+    /// The transport clients (and servers asking a primary) actually use:
     /// the cluster transport, optionally wrapped in a [`FaultyTransport`].
     client_transport: Arc<dyn Transport<KvServer>>,
     faults: Option<Arc<FaultyTransport<KvServer>>>,
@@ -50,8 +50,8 @@ impl KvDatabase {
 
     /// Creates a deployment whose transport injects faults according to
     /// `plans` (one [`FaultPlan`] per server; missing entries are healthy).
-    /// Everything — client RPCs and the server-to-server transaction-status
-    /// traffic of the prepare-lease reaper — goes through the faulty
+    /// Everything — client RPCs and the `TxnStatus` probes a server sends
+    /// a primary to resolve a prepare — goes through the faulty
     /// transport, so crashes partition a server from its peers too.  When a
     /// plan has [`FaultPlan::amnesia`] set, restarting that crashed server
     /// wipes its volatile state and recovers from its write-ahead log (or
@@ -156,7 +156,7 @@ impl KvDatabase {
         // (which needs no peers to answer) before any client finds the lock.
         for srv in cluster.servers() {
             srv.set_peer_transport(&client_transport);
-            srv.adopt_recovered();
+            srv.reap();
         }
         Ok(KvDatabase {
             cluster,
@@ -193,10 +193,9 @@ impl KvDatabase {
         self.faults.as_ref()
     }
 
-    /// Forces a reaper pass on every server, resolving any prepared
-    /// transaction whose lease has expired.  Tests call this after healing
-    /// faults instead of waiting for request traffic to trigger the
-    /// piggybacked reaper.
+    /// Resolves, on every server, each prepared transaction that is due
+    /// ([`KvServer::reap`]).  Tests call this after healing faults instead
+    /// of waiting for request traffic to trigger a sweep.
     pub fn reap_all(&self) {
         for srv in self.cluster.servers() {
             srv.reap();

@@ -1,10 +1,8 @@
 //! The storage-server process: dispatches protocol requests to the store.
 //!
-//! Besides plain dispatch, the server owns the **prepare-lease reaper**: a
-//! pass, piggybacked on request processing (and callable explicitly), that
-//! resolves prepared transactions whose coordinator went silent.  The
-//! protocol is presumed-abort with a primary participant acting as the
-//! commit point:
+//! Besides plain dispatch, the server **resolves undecided prepares**
+//! whose coordinator may have gone silent.  The protocol is presumed-abort
+//! with a primary participant acting as the commit point:
 //!
 //! * the coordinator commits the **primary first**; only after the primary
 //!   acknowledges does it commit the remaining participants;
@@ -13,67 +11,89 @@
 //! * a secondary whose lease expires asks the primary (over the peer
 //!   transport) what happened and **adopts** the primary's outcome:
 //!   committed → install, aborted/unknown → release.  If the primary is
-//!   unreachable the secondary conservatively stays prepared and retries on
-//!   a later pass;
+//!   unreachable the secondary conservatively stays prepared and asks
+//!   again on a later sweep or meeting;
 //! * a secondary **restored from its log** does not wait for the lease to
 //!   learn of a commit.  Its own `Commit` record is unforced (only the
 //!   primary's is waited for), so a crash can leave it prepared for a
-//!   transaction the primary has durably committed.  It asks the primary as
-//!   soon as it is back, and again whenever a read runs into such a lock,
-//!   and adopts `Committed` at once.  That is always safe: the primary
+//!   transaction the primary has durably committed.  It asks the primary
+//!   at once and adopts `Committed`.  That is always safe: the primary
 //!   reports a commit only once it is on its disk, and a commit is never
 //!   revoked.  Anything else the primary says — pending, unknown, even
 //!   aborted — is acted on only after the lease, exactly as above:
 //!   "unknown" before the lease may just mean the coordinator's prepare has
 //!   not reached the primary yet.
+//!
+//! One routine, `KvServer::resolve`, applies these rules, and it runs
+//! where an undecided prepare is met: a `Get` that finds its lock, a
+//! `Prepare` or one-phase commit that conflicts on it, a `TxnStatus` probe
+//! at its primary (local: the primary sends nothing), and
+//! [`KvServer::reap`], which restart and deployment build call.  A live
+//! lock inside its lease costs a holder lookup on a path that is already
+//! slow, and nothing else.
+//!
+//! **An orphan nobody meets is still resolved in bounded time.**  Every
+//! request but a `TxnStatus` sweeps the due prepares once a tenth of the
+//! lease has passed since the last sweep, while anything is prepared.  The
+//! bound matters: a primary remembers an outcome only for its next
+//! `OUTCOME_RETENTION` decisions, so a secondary that asked only when met
+//! could find its primary's commit forgotten, hear `Unknown`, and presume
+//! abort on a transaction the primary committed.
+//!
+//! **A server keeps a worker free.**  Only one resolution that must ask
+//! another server runs at a time per server; a request that finds one
+//! under way answers as it would for a live lock instead of waiting.  With
+//! two workers per server, two servers whose workers all waited on each
+//! other's `TxnStatus` would otherwise deadlock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use yesquel_common::{Error, KvConfig, Result, ServerId, TxnId};
+use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, TxnId};
 use yesquel_rpc::{Completion, Service, Transport};
 use yesquel_wal::{Wal, WalPosition};
 
 use crate::oracle::TimestampOracle;
-use crate::protocol::{KvRequest, KvResponse, TxnStatusKind};
+use crate::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
 use crate::store::{
     CommitOnePhaseOutcome, CommitOutcome, PrepareOutcome, ReadOutcome, ServerStore, TxnOutcome,
 };
 
 /// One storage server: a [`ServerStore`], a handle to the timestamp oracle
 /// (used only for one-phase commits, where the server assigns the commit
-/// timestamp itself), and the reaper state.
+/// timestamp itself), and what resolving an undecided prepare needs.
 pub struct KvServer {
     id: ServerId,
     store: ServerStore,
     oracle: TimestampOracle,
-    /// Transport to the sibling servers, used by the reaper to ask a
-    /// transaction's primary for its outcome.  `Weak` because the transport
-    /// owns the servers — an `Arc` here would leak the whole cluster.
+    /// Transport to the sibling servers, used to ask a transaction's
+    /// primary for its outcome.  `Weak` because the transport owns the
+    /// servers — an `Arc` here would leak the whole cluster.
     peer: Mutex<Option<Weak<dyn Transport<KvServer>>>>,
-    /// Minimum microseconds between piggybacked reaper passes.
-    reap_interval_us: u64,
-    /// Elapsed-microsecond timestamp (relative to `started`) of the last
-    /// reaper pass.
-    last_reap_us: AtomicU64,
+    /// Held while a resolution asks another server: one at a time, so the
+    /// other workers stay free to answer the `TxnStatus` probes of peers.
+    asking: Mutex<()>,
+    /// When the last sweep ran, in microseconds since `started`.
+    last_sweep_us: AtomicU64,
     started: Instant,
     reaped_aborts: AtomicU64,
     reaped_commits: AtomicU64,
-    /// Lease granted to prepared transactions restored from the log; their
-    /// coordinator may be gone, so after this long the reaper takes over.
-    recovery_lease: Duration,
+    /// The configured prepare lease.  Prepared transactions restored from
+    /// the log get it, since their coordinator may be gone; and sweeps run
+    /// at most once per tenth of it.
+    lease: Duration,
 }
 
 impl KvServer {
     /// Creates server `id` sharing the deployment's timestamp oracle, with
-    /// default reaper settings.
+    /// the default configuration.
     pub fn new(id: ServerId, oracle: TimestampOracle) -> Self {
         Self::with_config(id, oracle, &KvConfig::default())
     }
 
-    /// Creates server `id` with explicit reaper configuration.
+    /// Creates server `id` with an explicit configuration.
     pub fn with_config(id: ServerId, oracle: TimestampOracle, cfg: &KvConfig) -> Self {
         Self::with_wal(id, oracle, cfg, None).expect("in-memory server construction cannot fail")
     }
@@ -94,16 +114,16 @@ impl KvServer {
             store: ServerStore::with_wal(id, wal.clone()),
             oracle,
             peer: Mutex::new(None),
-            reap_interval_us: cfg.reap_interval_us.max(1),
-            last_reap_us: AtomicU64::new(0),
+            asking: Mutex::new(()),
+            last_sweep_us: AtomicU64::new(0),
             started: Instant::now(),
             reaped_aborts: AtomicU64::new(0),
             reaped_commits: AtomicU64::new(0),
-            recovery_lease: Duration::from_micros(cfg.prepare_lease_us.max(1)),
+            lease: Duration::from_micros(cfg.prepare_lease_us.max(1)),
         };
         if let Some(wal) = wal {
             let records = wal.recover()?;
-            let recovered = server.store.replay(&records, server.recovery_lease);
+            let recovered = server.store.replay(&records, server.lease);
             wal.note_recovered_txns(recovered);
         }
         Ok(server)
@@ -115,7 +135,7 @@ impl KvServer {
     /// prefix.  Without a log this is a plain amnesia crash: everything
     /// volatile is simply gone, as on a real diskless server.  Prepared
     /// transactions that come back undecided are looked up at their
-    /// primaries before the call returns ([`KvServer::adopt_recovered`]).
+    /// primaries before the call returns ([`KvServer::reap`]).
     pub fn amnesia_restart(&self) -> Result<()> {
         let wal = self.store().wal().cloned();
         self.store.wipe_volatile();
@@ -124,9 +144,9 @@ impl KvServer {
         };
         wal.power_loss()?;
         let records = wal.recover()?;
-        let recovered = self.store.replay(&records, self.recovery_lease);
+        let recovered = self.store.replay(&records, self.lease);
         wal.note_recovered_txns(recovered);
-        self.adopt_recovered();
+        self.reap();
         Ok(())
     }
 
@@ -146,7 +166,7 @@ impl KvServer {
         &self.store
     }
 
-    /// Connects this server to its siblings for reaper resolution calls.
+    /// Connects this server to its siblings, to ask primaries for outcomes.
     /// Called once at deployment build time.
     pub fn set_peer_transport(&self, transport: &Arc<dyn Transport<KvServer>>) {
         *self.peer.lock() = Some(Arc::downgrade(transport));
@@ -163,8 +183,8 @@ impl KvServer {
             .collect()
     }
 
-    /// Transactions resolved by this server's reaper so far, as
-    /// `(adopted commits, presumed aborts)`.
+    /// Transactions resolved by this server so far, as `(adopted commits,
+    /// presumed aborts)`.
     pub fn reap_counts(&self) -> (u64, u64) {
         (
             self.reaped_commits.load(Ordering::Relaxed),
@@ -172,99 +192,118 @@ impl KvServer {
         )
     }
 
-    /// Runs a reaper pass if at least `reap_interval_us` elapsed since the
-    /// previous one.  The fast path is one relaxed atomic load: unless some
-    /// transaction is actually sitting in the prepared state, neither the
-    /// monotonic clock (tens of nanoseconds — measurable on a
+    /// Resolves every prepared transaction that is due: overdue, or
+    /// restored from the log with another server as its primary.  Restart
+    /// and deployment build call it, and tests force convergence with it
+    /// after healing faults.  Unlike a request, it waits its turn to ask a
+    /// primary.
+    pub fn reap(&self) {
+        self.resolve(None, true);
+    }
+
+    /// Sweeps the due prepares, without waiting for a turn to ask, if a
+    /// tenth of the lease has passed since the last sweep.  The fast path
+    /// is one relaxed atomic load: unless some transaction is actually
+    /// prepared, neither the clock (tens of nanoseconds — measurable on a
     /// sub-microsecond Get) nor any lock is touched.
-    fn maybe_reap(&self) {
+    fn maybe_sweep(&self) {
         if !self.store.has_prepared() {
             return;
         }
         let now_us = self.started.elapsed().as_micros() as u64;
-        let last = self.last_reap_us.load(Ordering::Relaxed);
-        if now_us.saturating_sub(last) < self.reap_interval_us {
-            return;
-        }
+        let every_us = self.lease.as_micros() as u64 / 10;
+        let due = |last: u64| (now_us.saturating_sub(last) >= every_us).then_some(now_us);
+        // One request per interval wins the sweep.
         if self
-            .last_reap_us
-            .compare_exchange(last, now_us, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
+            .last_sweep_us
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, due)
+            .is_ok()
         {
-            return; // another request's piggyback won the race
+            self.resolve(None, false);
         }
-        self.reap();
     }
 
-    /// Resolves every prepared transaction whose coordinator lease expired.
-    /// Normally piggybacked on request processing; exposed so tests and the
-    /// deployment can force convergence after healing a partition.
-    pub fn reap(&self) {
-        let expired = self.store.expired_prepared(Instant::now());
-        if expired.is_empty() {
-            return;
-        }
-        for (txn, primary) in expired {
-            if primary == self.id {
-                // Primary participant: the coordinator commits the primary
-                // before any secondary, so if we are still prepared past the
-                // lease, no secondary has committed — presumed abort is safe.
-                // A log append failure leaves the transaction prepared (the
-                // abort is durable before it is observable); retry later.
-                if self.store.abort(txn).is_ok() {
-                    self.reaped_aborts.fetch_add(1, Ordering::Relaxed);
-                }
+    /// The one routine that resolves an undecided prepare: `txn` — one
+    /// somebody just met — or, when `None`, every one that is due; `wait`
+    /// queues for the turn to ask a primary instead of skipping the ask.  At its
+    /// primary an overdue prepare is presumed aborted: the coordinator
+    /// commits the primary before any secondary, so none can have
+    /// committed.  A secondary asks the primary and adopts `Committed` at
+    /// once — always safe, the primary reports it only once durable — but
+    /// releases on `Aborted` or `Unknown` only once overdue: before the
+    /// lease, "unknown" may just mean the coordinator's prepare has not
+    /// reached the primary yet.  On an unreachable primary, a `Pending`
+    /// answer, a failed log append, or another resolution already asking,
+    /// the prepare stays as it is for the next meeting.  Returns whether a
+    /// fate was settled, so a caller it blocked can look again.
+    fn resolve(&self, txn: Option<TxnId>, wait: bool) -> bool {
+        let mut settled = false;
+        for (txn, primary, overdue) in self.store.due(txn) {
+            let want = if primary == self.id {
+                TxnOutcome::Aborted
             } else {
-                self.adopt_from_primary(txn, primary, true);
+                match self.ask_primary(txn, primary, wait) {
+                    Some(TxnStatusKind::Committed(ts)) => TxnOutcome::Committed(ts),
+                    Some(TxnStatusKind::Aborted | TxnStatusKind::Unknown) if overdue => {
+                        TxnOutcome::Aborted
+                    }
+                    _ => continue,
+                }
+            };
+            let fate = match want {
+                TxnOutcome::Committed(ts) => self.store.commit(txn, ts).map(|o| match o {
+                    CommitOutcome::Committed(ts) => TxnOutcome::Committed(ts),
+                    CommitOutcome::AlreadyAborted => TxnOutcome::Aborted,
+                }),
+                TxnOutcome::Aborted => self.store.abort(txn),
+            };
+            let Ok(fate) = fate else { continue };
+            settled = true;
+            // Tally only the fate this call reached for: a presumed abort
+            // that lost to a commit is no presumed abort.
+            if fate == want {
+                let tally = match fate {
+                    TxnOutcome::Committed(_) => &self.reaped_commits,
+                    TxnOutcome::Aborted => &self.reaped_aborts,
+                };
+                tally.fetch_add(1, Ordering::Relaxed);
             }
+        }
+        settled
+    }
+
+    /// Asks `primary` for `txn`'s fate, holding the `asking` turn for the
+    /// call: `wait` queues for it, otherwise a turn already taken means no
+    /// answer.  `None` too on no peer transport, an unreachable primary or
+    /// a malformed answer.
+    fn ask_primary(&self, txn: TxnId, primary: ServerId, wait: bool) -> Option<TxnStatusKind> {
+        let _turn = if wait {
+            self.asking.lock()
+        } else {
+            self.asking.try_lock()?
+        };
+        let peer = self.peer.lock().as_ref().and_then(Weak::upgrade)?;
+        match peer.call(primary, KvRequest::TxnStatus { txn }) {
+            Ok(KvResponse::TxnOutcome { status }) => Some(status),
+            _ => None,
         }
     }
 
-    /// Asks the primaries about every prepared transaction this server
-    /// restored from its log as a secondary, and installs the ones they have
-    /// committed.  Runs when the server comes back — from
-    /// [`KvServer::amnesia_restart`], and from the deployment once a freshly
-    /// built server has its peer transport — so that a commit whose unforced
-    /// record died with the crash is back before the first read.
-    pub fn adopt_recovered(&self) {
-        for (txn, primary) in self.store.recovered_prepared() {
-            self.adopt_from_primary(txn, primary, false);
+    /// Resolves the prepare holding `obj`'s lock, unless it is `own`'s.
+    fn resolve_holder(&self, obj: ObjectId, own: Option<TxnId>) -> bool {
+        match self.store.lock_holder(obj) {
+            Some(holder) if Some(holder) != own => self.resolve(Some(holder), false),
+            _ => false,
         }
     }
 
-    /// Secondary participant: asks `primary` for `txn`'s fate and adopts it.
-    /// A commit is adopted whenever it is learnt; an abort is presumed —
-    /// from `Aborted`, or from a primary that never heard of the transaction
-    /// (its prepare never landed, so the coordinator cannot have committed)
-    /// — only once the coordinator's lease has expired.  On an unreachable
-    /// primary, a malformed answer, or a primary still waiting on its own
-    /// lease, stay conservative: keep the locks and ask again later.
-    fn adopt_from_primary(&self, txn: TxnId, primary: ServerId, lease_expired: bool) {
-        let Some(peer) = self.peer.lock().as_ref().and_then(Weak::upgrade) else {
-            return; // no peer transport wired up: stay prepared
-        };
-        let Ok(KvResponse::TxnOutcome { status }) =
-            peer.call(primary, KvRequest::TxnStatus { txn })
-        else {
-            return;
-        };
-        // A failed log append leaves the transaction prepared; a later pass
-        // asks again.
-        let (resolved, tally) = match status {
-            // The commit to this participant was lost, on the wire or with
-            // the log's tail; install it from the primary's record.
-            TxnStatusKind::Committed(commit_ts) => (
-                self.store.commit(txn, commit_ts).is_ok(),
-                &self.reaped_commits,
-            ),
-            TxnStatusKind::Aborted | TxnStatusKind::Unknown if lease_expired => {
-                (self.store.abort(txn).is_ok(), &self.reaped_aborts)
-            }
-            _ => return,
-        };
-        if resolved {
-            tally.fetch_add(1, Ordering::Relaxed);
+    /// Answers a write that conflicted, once the prepares whose locks it
+    /// met are resolved where due: its retry finds those locks gone.
+    fn conflict(&self, txn: TxnId, writes: &[WriteOp], reason: String) -> KvResponse {
+        for w in writes {
+            self.resolve_holder(w.obj, Some(txn));
         }
+        KvResponse::Conflict { reason }
     }
 
     /// Renders a store-level failure (log append / fsync) as a response.
@@ -281,13 +320,8 @@ impl KvServer {
         match self.store.outcome(txn) {
             Some(TxnOutcome::Committed(ts)) => TxnStatusKind::Committed(ts),
             Some(TxnOutcome::Aborted) => TxnStatusKind::Aborted,
-            None => {
-                if self.store.is_prepared(txn) {
-                    TxnStatusKind::Pending
-                } else {
-                    TxnStatusKind::Unknown
-                }
-            }
+            None if self.store.is_prepared(txn) => TxnStatusKind::Pending,
+            None => TxnStatusKind::Unknown,
         }
     }
 
@@ -314,22 +348,15 @@ impl Service for KvServer {
     type Response = KvResponse;
 
     fn call(&self, req: KvRequest) -> Completion<KvResponse> {
-        // Piggyback the reaper on ordinary traffic — but not on TxnStatus,
-        // which the reaper itself sends (bounding reaper recursion to one
-        // hop: secondary reap → primary status, never further).
+        // A probe never sweeps, so it never asks another server.
         if !matches!(req, KvRequest::TxnStatus { .. }) {
-            self.maybe_reap();
+            self.maybe_sweep();
         }
         let resp = match req {
             KvRequest::Get { obj, ts } => {
                 let mut read = self.store.get(obj, ts);
-                if read == ReadOutcome::Locked {
-                    // A lock restored from the log may belong to a commit
-                    // this server has lost and the primary still has.
-                    if let Some((txn, primary)) = self.store.recovered_lock_holder(obj) {
-                        self.adopt_from_primary(txn, primary, false);
-                        read = self.store.get(obj, ts);
-                    }
+                if read == ReadOutcome::Locked && self.resolve_holder(obj, None) {
+                    read = self.store.get(obj, ts);
                 }
                 match read {
                     ReadOutcome::Value(v) => KvResponse::Value(v),
@@ -351,7 +378,7 @@ impl Service for KvServer {
             ) {
                 Ok((PrepareOutcome::Prepared, Some(pos))) => return self.ack_when_durable(pos),
                 Ok((PrepareOutcome::Prepared, None)) => KvResponse::Prepared,
-                Ok((PrepareOutcome::Conflict(reason), _)) => KvResponse::Conflict { reason },
+                Ok((PrepareOutcome::Conflict(reason), _)) => self.conflict(txn, &writes, reason),
                 Err(e) => Self::server_error(e),
             },
             KvRequest::Commit { txn, commit_ts } => match self.store.commit(txn, commit_ts) {
@@ -376,12 +403,14 @@ impl Service for KvServer {
                     Ok(CommitOnePhaseOutcome::Committed(ts)) => {
                         KvResponse::Committed { commit_ts: ts }
                     }
-                    Ok(CommitOnePhaseOutcome::Conflict(reason)) => KvResponse::Conflict { reason },
+                    Ok(CommitOnePhaseOutcome::Conflict(reason)) => {
+                        self.conflict(txn, &writes, reason)
+                    }
                     Err(e) => Self::server_error(e),
                 }
             }
             KvRequest::Abort { txn } => match self.store.abort(txn) {
-                Ok(()) => KvResponse::Aborted,
+                Ok(_) => KvResponse::Aborted,
                 Err(e) => Self::server_error(e),
             },
             KvRequest::Allocate { obj, delta } => match self.store.allocate(obj, delta) {
@@ -392,9 +421,12 @@ impl Service for KvServer {
                 self.store.gc(min_active_ts);
                 KvResponse::Ok
             }
-            KvRequest::TxnStatus { txn } => KvResponse::TxnOutcome {
-                status: self.txn_status(txn),
-            },
+            KvRequest::TxnStatus { txn } => {
+                self.resolve(Some(txn), false);
+                KvResponse::TxnOutcome {
+                    status: self.txn_status(txn),
+                }
+            }
         };
         Completion::ready(Ok(resp))
     }
@@ -412,7 +444,6 @@ impl Service for KvServer {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use yesquel_common::ObjectId;
 
     fn call(srv: &KvServer, req: KvRequest) -> KvResponse {
         Service::call(srv, req).wait().expect("a server answers")
@@ -426,6 +457,53 @@ mod tests {
             primary: 0,
             lease_us: 1_000_000,
         }
+    }
+
+    /// An overdue probe at a primary whose decision is on its way to the
+    /// disk answers `Pending` at once: the fate is taken, and resolving it
+    /// would only hold this worker for the flush.
+    #[test]
+    fn a_probe_does_not_wait_for_a_decision_in_flight() {
+        let dir = yesquel_common::tempdir::TempDir::new("srv-deciding").unwrap();
+        let stats = yesquel_common::stats::StatsRegistry::new();
+        let wal = Wal::open(dir.path(), yesquel_common::WalFsyncPolicy::Always, &stats).unwrap();
+        let oracle = TimestampOracle::new();
+        let cfg = KvConfig::default();
+        let srv = KvServer::with_wal(0, oracle.clone(), &cfg, Some(Arc::new(wal))).unwrap();
+        let obj = ObjectId::new(1, 1);
+        let (txn, start_ts) = (9, oracle.next_timestamp());
+        let prepare = KvRequest::Prepare {
+            txn,
+            start_ts,
+            writes: vec![WriteOp {
+                obj,
+                value: Some(Bytes::from_static(b"v")),
+            }],
+            primary: 0,
+            lease_us: 1,
+        };
+        assert!(matches!(call(&srv, prepare), KvResponse::Prepared));
+        let commit_ts = oracle.next_timestamp();
+        srv.store()
+            .start_deciding(txn, TxnOutcome::Committed(commit_ts));
+        std::thread::sleep(Duration::from_millis(2));
+
+        let status = |srv: &KvServer| match call(srv, KvRequest::TxnStatus { txn }) {
+            KvResponse::TxnOutcome { status } => status,
+            other => panic!("unexpected response {other:?}"),
+        };
+        assert_eq!(status(&srv), TxnStatusKind::Pending);
+        let ts = oracle.next_timestamp();
+        let read = call(&srv, KvRequest::Get { obj, ts });
+        assert!(matches!(read, KvResponse::Locked), "{read:?}");
+        assert_eq!(srv.store().prepared_count(), 1);
+        assert_eq!(srv.reap_counts(), (0, 0));
+        // The flush ends; the commit stands.
+        assert_eq!(
+            srv.store().commit(txn, commit_ts).unwrap(),
+            CommitOutcome::Committed(commit_ts)
+        );
+        assert_eq!(status(&srv), TxnStatusKind::Committed(commit_ts));
     }
 
     #[test]
@@ -575,7 +653,6 @@ mod tests {
         let oracle = TimestampOracle::new();
         let cfg = KvConfig {
             prepare_lease_us: 1,
-            reap_interval_us: 1,
             ..Default::default()
         };
         let srv = KvServer::with_config(0, oracle.clone(), &cfg);
@@ -597,7 +674,7 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         }
         std::thread::sleep(Duration::from_millis(2));
-        // Any ordinary request piggybacks the reaper.
+        // Any ordinary request sweeps the overdue prepare.
         let _ = call(&srv, KvRequest::Get { obj, ts: 1 });
         assert_eq!(srv.store().prepared_count(), 0, "reaper must have fired");
         assert_eq!(srv.reap_counts().1, 1);

@@ -42,7 +42,7 @@
 //!   one-phase commits and allocations.
 //! * **Unforced** — appended in order and left to ride this log's next
 //!   flush: the decision of a transaction at a **secondary**, whether it
-//!   arrives from the coordinator or is adopted through the reaper, and an
+//!   arrives from the coordinator or is adopted from the primary, and an
 //!   abort of a transaction never prepared here.  If a crash drops such a
 //!   record, replay finds the transaction still prepared, and the server
 //!   re-derives the decision from the primary, whose copy was forced before
@@ -51,9 +51,10 @@
 //! The safety argument for re-deriving is lopsided, and the code follows it.
 //! **Adopting a commit is always safe**: the primary reports `Committed`
 //! only once the record is on its disk, and never takes it back; so a
-//! restored prepare asks the primary at once — when the server restarts, and
-//! whenever a read finds its lock — and installs a commit without waiting
-//! for any lease.  **Presuming an abort is never safe before the lease**:
+//! restored prepare is due for resolution at once ([`ServerStore::due`]):
+//! the server asks the primary when it restarts, on its next sweep, and
+//! whenever a read or a write runs into the lock, and installs a commit
+//! without waiting for any lease.  **Presuming an abort is never safe before the lease**:
 //! "unknown" or "pending" at the primary may just mean the coordinator is
 //! alive and slow, so every other answer is acted on only after the lease
 //! the restored prepare was given has expired, exactly as for a live one.
@@ -62,7 +63,7 @@
 //! holding the outcomes lock, so log order always matches the order in
 //! which this store decided transaction fates and replay reconstructs
 //! exactly that history; a forced decision then waits for the disk
-//! *outside* the lock, behind a `deciding` mark that keeps the reaper and
+//! *outside* the lock, behind a `deciding` mark that keeps resolutions and
 //! duplicate deliveries from deciding the transaction again and keeps its
 //! fate unobservable until it is durable (see `ServerStore::decide`).
 //! A prepare does not wait at all: it returns its record's position, and
@@ -143,7 +144,8 @@ struct PreparedTxn {
     start_ts: Timestamp,
     /// The transaction's primary participant (2PC commit point).
     primary: ServerId,
-    /// When the coordinator's lease expires and the reaper may act.
+    /// When the coordinator's lease expires and whoever the prepare blocks
+    /// may resolve it.
     lease_deadline: Instant,
     /// Restored from the log rather than prepared by a live coordinator:
     /// the decision may have been taken, and lost here, before the crash.
@@ -167,8 +169,8 @@ pub enum CommitOutcome {
     /// The staged writes were installed (or had already been installed by an
     /// earlier delivery of the same commit) at this timestamp.
     Committed(Timestamp),
-    /// The transaction was already aborted here — its lease expired and the
-    /// reaper presumed abort — so there was nothing to install.
+    /// The transaction was already aborted here — presumed aborted once its
+    /// lease expired — so there was nothing to install.
     AlreadyAborted,
 }
 
@@ -348,10 +350,10 @@ pub struct ServerStore {
     /// per prepare/commit/abort, never per object, so one small mutex
     /// suffices.
     prepared: Mutex<TxnIdMap<PreparedTxn>>,
-    /// Lock-free hint mirroring `prepared.len()`, so the piggybacked reaper
-    /// can skip clock reads and locking entirely while no transaction is in
-    /// the prepared state (the overwhelmingly common case).  Only a hint:
-    /// the reaper re-checks under the real lock.
+    /// Lock-free hint mirroring `prepared.len()`, so the server's sweep of
+    /// overdue prepares skips clock reads and locking entirely while no
+    /// transaction is in the prepared state (the overwhelmingly common
+    /// case).  Only a hint: the sweep re-checks under the real lock.
     prepared_hint: AtomicU64,
     /// Fates of finished transactions, for deduplicating retried and
     /// duplicated prepare / commit / abort messages.
@@ -485,8 +487,8 @@ impl ServerStore {
     /// Validates and locks `writes` on behalf of transaction `txn` reading
     /// at `start_ts`.  Either all writes are locked or none are.  The locks
     /// are leased: if neither `Commit` nor `Abort` arrives within `lease`,
-    /// the reaper may resolve the transaction through its `primary`
-    /// participant (presumed abort).
+    /// whoever the locks block may resolve the transaction through its
+    /// `primary` participant (presumed abort).
     ///
     /// Idempotent under retries and duplicate deliveries: re-preparing an
     /// already-prepared transaction refreshes its lease and reports
@@ -503,7 +505,7 @@ impl ServerStore {
     /// it) recoverable.  An `Err` means the log append failed; nothing is
     /// acknowledged and the locks taken for this prepare are released.  A
     /// flush that fails later leaves the prepare in place, unacknowledged,
-    /// for the coordinator's abort or the reaper to release.
+    /// for the coordinator's abort or a resolution to release.
     pub fn prepare_leased(
         &self,
         txn: TxnId,
@@ -644,13 +646,13 @@ impl ServerStore {
     /// Every fate-deciding path comes through here and serializes on the
     /// outcomes lock, under which the decision record is appended: the log's
     /// record order is the decision order, so replay reconstructs the same
-    /// history even when a commit raced the reaper.  The lock is **not**
+    /// history even when a commit raced a presumed abort.  The lock is **not**
     /// held while the record reaches the disk.  A decision that must be
     /// durable before anyone may learn of it — this server is the
     /// transaction's primary, or it answers a commit for a transaction it
     /// does not know — leaves a [`Deciding`] mark instead: the transaction
     /// keeps reading as prepared (`TxnStatus` says pending), a duplicate
-    /// delivery or the reaper finding the mark waits for the same log
+    /// delivery or a resolution finding the mark waits for the same log
     /// position, and whoever sees it durable first records the outcome.
     /// Decisions on one server therefore share flushes instead of queueing
     /// for the lock behind one another's `fdatasync`.
@@ -759,7 +761,7 @@ impl ServerStore {
     /// be: a re-delivered commit answers from the outcome table, and a
     /// commit for a transaction this store has never heard of is treated as
     /// presumed-aborted (the only way a commit can reference an unknown
-    /// transaction is that the reaper already expired its prepare).
+    /// transaction is that a presumed abort already released its prepare).
     ///
     /// On a durable store the decision record — `Commit`, or `Abort` for
     /// the presumed-abort branch — is logged per `ServerStore::decide`: at
@@ -856,21 +858,25 @@ impl ServerStore {
         Ok(CommitOnePhaseOutcome::Committed(commit_ts))
     }
 
-    /// Releases every lock held by `txn` and discards its staged writes.
-    /// Idempotent; records an `Aborted` outcome (never overwriting a
-    /// commit) so duplicate prepares and commits of this transaction are
-    /// refused from then on.
+    /// Releases every lock held by `txn` and discards its staged writes,
+    /// and returns the fate that holds: `Aborted`, or `Committed` when the
+    /// transaction had already committed here — a commit that landed first,
+    /// or one this call found on its way to the disk — in which case the
+    /// commit stands.  Idempotent; records an `Aborted` outcome (never
+    /// overwriting a commit) so duplicate prepares and commits of this
+    /// transaction are refused from then on.
     ///
     /// Durable stores log the abort per `ServerStore::decide` — forced,
     /// and durable before it is observable, at the transaction's primary;
     /// a duplicate abort of an already-aborted, no-longer-prepared
     /// transaction is answered without touching the log.
-    pub fn abort(&self, txn: TxnId) -> Result<()> {
+    pub fn abort(&self, txn: TxnId) -> Result<TxnOutcome> {
         let _ckpt = self.ckpt_gate.read();
-        if let (TxnOutcome::Aborted, _) = self.decide(txn, TxnOutcome::Aborted)? {
+        let (fate, _) = self.decide(txn, TxnOutcome::Aborted)?;
+        if fate == TxnOutcome::Aborted {
             self.stats.aborts.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(())
+        Ok(fate)
     }
 
     /// What this store knows about `txn`'s fate (outcome table only; a
@@ -890,52 +896,49 @@ impl ServerStore {
         self.prepared.lock().len()
     }
 
-    /// Lock-free check for "is anything prepared at all", the reaper's
-    /// fast-path gate.  Approximate during concurrent prepare/commit, exact
+    /// The transaction holding the prepare lock on `obj`, if any.
+    pub fn lock_holder(&self, obj: ObjectId) -> Option<TxnId> {
+        let shard = self.shards[self.shard_of(obj)].lock();
+        Some(shard.objects.get(&obj)?.lock.as_ref()?.txn)
+    }
+
+    /// Lock-free check for "is anything prepared at all", the gate of the
+    /// server's sweep.  Approximate during concurrent prepare/commit, exact
     /// when quiescent.
     pub fn has_prepared(&self) -> bool {
         self.prepared_hint.load(Ordering::Relaxed) != 0
     }
 
-    /// Prepared transactions whose coordinator lease expired before `now`,
-    /// with their primary participant.  Collected under the lock and
-    /// returned by value so the caller (the reaper) can resolve them — which
-    /// involves RPCs — without holding any store lock.
-    pub fn expired_prepared(&self, now: Instant) -> Vec<(TxnId, ServerId)> {
-        self.prepared
-            .lock()
-            .iter()
-            .filter(|(_, p)| p.lease_deadline <= now)
-            .map(|(txn, p)| (*txn, p.primary))
-            .collect()
-    }
-
-    /// Prepared transactions restored from the log and still undecided
-    /// here, of which another server is the primary, with that primary:
-    /// what a restarted server asks the primaries about before it serves
-    /// traffic.
-    pub fn recovered_prepared(&self) -> Vec<(TxnId, ServerId)> {
-        self.prepared
-            .lock()
-            .iter()
-            .filter(|(_, p)| p.recovered && p.primary != self.id)
-            .map(|(txn, p)| (*txn, p.primary))
-            .collect()
-    }
-
-    /// The transaction holding the prepare lock on `obj`, with its primary
-    /// participant, if that transaction was restored from the log and its
-    /// primary is another server.  A read that finds such a lock may be
-    /// waiting on a decision this server lost in a crash; one that finds a
-    /// live coordinator's lock just retries.
-    pub fn recovered_lock_holder(&self, obj: ObjectId) -> Option<(TxnId, ServerId)> {
-        let txn = {
-            let shard = self.shards[self.shard_of(obj)].lock();
-            shard.objects.get(&obj)?.lock.as_ref()?.txn
+    /// The prepared transactions due for resolution — `txn` alone, or all
+    /// of them when `None` — each with its primary participant and whether
+    /// its lease has expired.  A prepare is due once its lease has expired,
+    /// and at once if it was restored from the log and another server is
+    /// its primary: that server may have committed it, and this one lost
+    /// the record in a crash.  A transaction whose decision is on its way
+    /// to the disk is not due: it is decided, and resolving it would only
+    /// wait for that flush.  Returned by value so the server can resolve
+    /// them, RPCs included, without holding any store lock.
+    pub fn due(&self, txn: Option<TxnId>) -> Vec<(TxnId, ServerId, bool)> {
+        let now = Instant::now();
+        let mut due: Vec<_> = {
+            let prepared = self.prepared.lock();
+            let due = |(txn, p): (&TxnId, &PreparedTxn)| {
+                let overdue = p.lease_deadline <= now;
+                (overdue || p.recovered && p.primary != self.id)
+                    .then_some((*txn, p.primary, overdue))
+            };
+            match txn {
+                Some(txn) => Vec::from_iter(prepared.get_key_value(&txn).and_then(due)),
+                None => prepared.iter().filter_map(due).collect(),
+            }
         };
-        let prepared = self.prepared.lock();
-        let p = prepared.get(&txn)?;
-        (p.recovered && p.primary != self.id).then_some((txn, p.primary))
+        // Not under the prepared lock: a checkpoint takes the two the other
+        // way round.
+        if !due.is_empty() {
+            let outcomes = self.outcomes.lock();
+            due.retain(|(txn, ..)| !outcomes.deciding.contains_key(txn));
+        }
+        due
     }
 
     /// Committed version history of `obj`, newest first, as
@@ -996,8 +999,8 @@ impl ServerStore {
     /// Replays the clean-prefix records recovered from the log into this
     /// store.  Must run on a freshly wiped (or freshly constructed) store
     /// before it serves traffic.  Recovered prepares get `lease` from now:
-    /// their coordinators may be gone, and the presumed-abort reaper
-    /// resolves them through their primary once the lease runs out.
+    /// their coordinators may be gone, so once the lease runs out they are
+    /// resolved through their primary ([`ServerStore::due`]).
     /// Returns the number of transaction fates restored.
     pub fn replay(&self, records: &[WalRecord], lease: Duration) -> u64 {
         let mut recovered = 0u64;
@@ -1287,6 +1290,23 @@ impl ServerStore {
 }
 
 #[cfg(test)]
+impl ServerStore {
+    /// Takes `fate` for `txn` as the first half of [`ServerStore::decide`]
+    /// does at a primary, and stops there: the record is appended and the
+    /// transaction marked, as while a real decision's flush is under way.
+    pub(crate) fn start_deciding(&self, txn: TxnId, fate: TxnOutcome) {
+        let rec = match fate {
+            TxnOutcome::Committed(commit_ts) => WalRecord::Commit { txn, commit_ts },
+            TxnOutcome::Aborted => WalRecord::Abort { txn },
+        };
+        let mut outcomes = self.outcomes.lock();
+        let wal = self.wal.as_ref().expect("only a logged decision is marked");
+        let pos = wal.append_unforced(&rec).expect("append");
+        outcomes.deciding.insert(txn, Deciding { fate, pos });
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1477,6 +1497,25 @@ mod tests {
     }
 
     #[test]
+    fn abort_reports_the_fate_that_holds() {
+        let s = ServerStore::new();
+        s.prepare(1, 5, &[w(1, "a")]).unwrap();
+        s.commit(1, 10).unwrap();
+        // A presumed abort that lost to the commit: the commit stands.
+        assert_eq!(s.abort(1).unwrap(), TxnOutcome::Committed(10));
+        assert_eq!(
+            s.dump_versions(obj(1)),
+            vec![(10, Some(Bytes::from_static(b"a")))]
+        );
+        s.prepare(2, 11, &[w(1, "b")]).unwrap();
+        assert_eq!(s.abort(2).unwrap(), TxnOutcome::Aborted);
+        assert_eq!(
+            s.get(obj(1), 20),
+            ReadOutcome::Value(Some(Bytes::from_static(b"a")))
+        );
+    }
+
+    #[test]
     fn duplicate_prepare_is_idempotent() {
         let s = ServerStore::new();
         assert_eq!(
@@ -1505,8 +1544,7 @@ mod tests {
             PrepareOutcome::Prepared
         );
         std::thread::sleep(Duration::from_millis(1));
-        let expired = s.expired_prepared(Instant::now());
-        assert_eq!(expired, vec![(7, 3)]);
+        assert_eq!(s.due(None), vec![(7, 3, true)]);
         // The reaper presumes abort...
         s.abort(7).unwrap();
         assert_eq!(s.prepared_count(), 0);

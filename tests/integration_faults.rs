@@ -11,14 +11,16 @@
 //! primary participant is eventually committed everywhere; and in every
 //! scenario the outcome is all-or-nothing across shards.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use yesquel::common::tempdir::TempDir;
 use yesquel::kv::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
 use yesquel::kv::store::TxnOutcome;
 use yesquel::rpc::{FaultPlan, Transport, TransportKind};
-use yesquel::{params, Error, KvConfig, KvDatabase, ObjectId, Value, Yesquel, YesquelConfig};
+use yesquel::{
+    params, Error, KvConfig, KvDatabase, NetConfig, ObjectId, Value, Yesquel, YesquelConfig,
+};
 
 /// First oid ≥ `from` in tree 1 homed at `server` in a `nservers` cluster.
 fn oid_on(server: usize, nservers: usize, from: u64) -> ObjectId {
@@ -688,6 +690,250 @@ fn restarted_secondary_presumes_abort_only_after_its_lease() {
     assert_eq!(servers[1].store().outcome(txn), Some(TxnOutcome::Aborted));
     let resp = faults.call(1, KvRequest::Get { obj: o1, ts }).unwrap();
     assert!(matches!(resp, KvResponse::Value(None)), "{resp:?}");
+}
+
+/// The lease an orphaned prepare is given below, and how long a test waits
+/// for it to lapse.
+const ORPHAN_LEASE_US: u64 = 20_000;
+const ORPHAN_OVERDUE: Duration = Duration::from_millis(25);
+
+/// A prepare of `obj` for `txn`, decided at `primary`, whose coordinator is
+/// never heard from again.
+fn orphan(txn: u64, start_ts: u64, obj: ObjectId, primary: usize) -> KvRequest {
+    KvRequest::Prepare {
+        txn,
+        start_ts,
+        writes: vec![write(obj, b"orphan")],
+        primary,
+        lease_us: ORPHAN_LEASE_US,
+    }
+}
+
+/// A read that meets an orphaned prepare past its lease resolves it then
+/// and there, with no `reap()` and no other request coming by first: it
+/// answers the committed value under the lock.
+#[test]
+fn a_read_resolves_the_overdue_prepare_it_meets() {
+    let db = KvDatabase::with_servers(1);
+    let transport = db.cluster().transport();
+    let obj = oid_on(0, 1, 0);
+    let t = db.client().begin();
+    t.put(obj, &b"before"[..]).unwrap();
+    t.commit().unwrap();
+    let resp = transport
+        .call(0, orphan(0xA1, db.oracle().next_timestamp(), obj, 0))
+        .unwrap();
+    assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+
+    std::thread::sleep(ORPHAN_OVERDUE);
+    let ts = db.oracle().next_timestamp();
+    match transport.call(0, KvRequest::Get { obj, ts }).unwrap() {
+        KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"before"),
+        other => panic!("expected the committed value, got {other:?}"),
+    }
+    assert_eq!(db.prepared_total(), 0);
+    assert_eq!(db.cluster().servers()[0].reap_counts(), (0, 1));
+}
+
+/// A status probe at the primary of an overdue prepare resolves it there,
+/// without asking anyone: a secondary asking learns `Aborted`, not
+/// `Pending`.
+#[test]
+fn a_status_probe_at_an_overdue_primary_answers_aborted() {
+    let db = KvDatabase::with_servers(1);
+    let transport = db.cluster().transport();
+    let txn = 0xB2;
+    let start_ts = db.oracle().next_timestamp();
+    let resp = transport
+        .call(0, orphan(txn, start_ts, oid_on(0, 1, 0), 0))
+        .unwrap();
+    assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+
+    std::thread::sleep(ORPHAN_OVERDUE);
+    match transport.call(0, KvRequest::TxnStatus { txn }).unwrap() {
+        KvResponse::TxnOutcome { status } => assert_eq!(status, TxnStatusKind::Aborted),
+        other => panic!("expected TxnOutcome, got {other:?}"),
+    }
+    assert_eq!(db.prepared_total(), 0);
+}
+
+/// A blind write — no read first, the way replica copies are written —
+/// whose prepare conflicts with an overdue orphan at a secondary resolves
+/// the orphan through its primary, and `run_txn`'s retry commits.
+#[test]
+fn a_blind_write_resolves_the_overdue_prepare_it_conflicts_with() {
+    let db = KvDatabase::with_servers(2);
+    let transport = db.cluster().transport();
+    let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
+    let txn = 0xC3;
+    let start_ts = db.oracle().next_timestamp();
+    for (server, obj) in [(0, o0), (1, o1)] {
+        let resp = transport
+            .call(server, orphan(txn, start_ts, obj, 0))
+            .unwrap();
+        assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+    }
+
+    std::thread::sleep(ORPHAN_OVERDUE);
+    let beside = oid_on(0, 2, o0.oid + 1);
+    let client = db.client();
+    client
+        .run_txn(|t| {
+            t.put(o1, &b"blind"[..])?;
+            t.put(beside, &b"blind"[..])
+        })
+        .unwrap();
+    assert_eq!(db.prepared_total(), 0);
+    for srv in db.cluster().servers() {
+        assert_eq!(srv.store().outcome(txn), Some(TxnOutcome::Aborted));
+    }
+    let t = client.begin();
+    assert_eq!(t.get(o1).unwrap().as_deref(), Some(&b"blind"[..]));
+    assert_eq!(t.get(o0).unwrap(), None);
+    t.commit().unwrap();
+}
+
+/// A secondary whose `Commit` was lost learns the commit from its primary
+/// while the primary still remembers it, even though nobody reads the
+/// locked object: any request sweeps the overdue prepares.  The primary then
+/// decides more transactions than it keeps outcomes for, and a read of the
+/// secondary's object still answers the committed value — had the secondary
+/// waited to be met, it would have heard `Unknown` and presumed abort on a
+/// transaction its primary committed.
+#[test]
+fn a_lost_commit_is_learnt_before_the_primary_forgets_it() {
+    let db = KvDatabase::new(impatient(2));
+    let transport = db.cluster().transport();
+    let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
+    let txn = 0xE5;
+    let start_ts = db.oracle().next_timestamp();
+    for (server, obj) in [(0, o0), (1, o1)] {
+        let resp = transport
+            .call(server, orphan(txn, start_ts, obj, 0))
+            .unwrap();
+        assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+    }
+    // The coordinator commits the primary, and its commit to the secondary
+    // is lost.
+    let commit_ts = db.oracle().next_timestamp();
+    let resp = transport
+        .call(0, KvRequest::Commit { txn, commit_ts })
+        .unwrap();
+    assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");
+    assert_eq!(
+        db.cluster().servers()[0].store().outcome(txn),
+        Some(TxnOutcome::Committed(commit_ts))
+    );
+
+    std::thread::sleep(ORPHAN_OVERDUE);
+    let elsewhere = oid_on(1, 2, o1.oid + 1);
+    let ts = db.oracle().next_timestamp();
+    let resp = transport
+        .call(1, KvRequest::Get { obj: elsewhere, ts })
+        .unwrap();
+    assert!(matches!(resp, KvResponse::Value(None)), "{resp:?}");
+
+    // More decisions at the primary than it retains outcomes for (4 096).
+    let mut from = o0.oid + 1;
+    for i in 0..5_000 {
+        let obj = oid_on(0, 2, from);
+        from = obj.oid + 1;
+        let req = KvRequest::CommitOnePhase {
+            txn: 0x10_000 + i,
+            start_ts: db.oracle().next_timestamp(),
+            writes: vec![write(obj, b"filler")],
+        };
+        let resp = transport.call(0, req).unwrap();
+        assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");
+    }
+
+    let ts = db.oracle().next_timestamp();
+    for (server, obj) in [(0, o0), (1, o1)] {
+        match transport.call(server, KvRequest::Get { obj, ts }).unwrap() {
+            KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"orphan"),
+            other => panic!("server {server}: expected the committed value, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        db.cluster().servers()[1].store().outcome(txn),
+        Some(TxnOutcome::Committed(commit_ts))
+    );
+    assert_eq!(db.prepared_total(), 0);
+}
+
+/// Resolutions that must ask another server take one worker at a time.
+/// Two servers with two workers each hold orphans whose primaries cross —
+/// locks on server 1 decided at server 0, locks on server 0 decided at
+/// server 1 — and four readers per server run into them at once.  A
+/// millisecond of service time per request lines the workers up.  Every
+/// read gets a value, because each server keeps a worker free to answer
+/// its peer's `TxnStatus`; were all four workers waiting on each other,
+/// none would.
+#[test]
+fn crossing_resolutions_keep_a_worker_free() {
+    let mut cfg = YesquelConfig::with_servers(2);
+    cfg.net = NetConfig {
+        sleep_latency: true,
+        service_time_us: 1_000,
+        ..NetConfig::default()
+    };
+    let db = KvDatabase::with_transport(
+        cfg,
+        TransportKind::Threaded {
+            workers_per_server: 2,
+        },
+    );
+    let transport = db.cluster().transport();
+    let mut locked = Vec::new();
+    let mut from = 0;
+    for i in 0..8u64 {
+        let (primary, secondary) = if i % 2 == 0 { (0, 1) } else { (1, 0) };
+        let (at_primary, at_secondary) = (oid_on(primary, 2, from), oid_on(secondary, 2, from));
+        from = at_primary.oid.max(at_secondary.oid) + 1;
+        let start_ts = db.oracle().next_timestamp();
+        for (server, obj) in [(primary, at_primary), (secondary, at_secondary)] {
+            let resp = transport
+                .call(server, orphan(0xD0 + i, start_ts, obj, primary))
+                .unwrap();
+            assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+        }
+        locked.push((secondary, at_secondary));
+    }
+    assert_eq!(db.prepared_total(), 16);
+
+    std::thread::sleep(ORPHAN_OVERDUE);
+    let (tx, rx) = mpsc::channel();
+    let start = Arc::new(Barrier::new(locked.len()));
+    let readers: Vec<_> = locked
+        .into_iter()
+        .map(|(server, obj)| {
+            let (transport, tx, start) = (Arc::clone(&transport), tx.clone(), Arc::clone(&start));
+            let ts = db.oracle().next_timestamp();
+            std::thread::spawn(move || {
+                start.wait();
+                loop {
+                    match transport.call(server, KvRequest::Get { obj, ts }) {
+                        Ok(KvResponse::Locked) => std::thread::sleep(Duration::from_millis(1)),
+                        read => return tx.send(read).unwrap(),
+                    }
+                }
+            })
+        })
+        .collect();
+    // A reader stuck behind deadlocked workers is never joined: the test
+    // fails on the deadline instead of hanging.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    for _ in 0..readers.len() {
+        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(Ok(KvResponse::Value(None))) => {}
+            Ok(read) => panic!("expected a value, got {read:?}"),
+            Err(_) => panic!("a reader got no value within 5 s"),
+        }
+    }
+    for reader in readers {
+        reader.join().unwrap();
+    }
+    assert!(eventually(|| db.prepared_total() == 0));
 }
 
 /// With every server down an autocommit statement gives up with a clean
