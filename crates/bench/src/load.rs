@@ -325,9 +325,9 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
         cfg.kv.wal_fsync = policy;
         tmp
     });
-    cfg.obs.timing = spec.obs_timing;
-    cfg.obs.trace_sample_every = spec.trace_sample_every;
     let db = KvDatabase::with_transport(cfg, spec.transport);
+    db.stats().obs().set_timing(spec.obs_timing);
+    db.stats().obs().set_sample_every(spec.trace_sample_every);
     let y = Yesquel::open_db(db).expect("load harness bootstrap");
 
     // Preload the SQL side.

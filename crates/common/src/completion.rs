@@ -1,25 +1,27 @@
-//! Completions: the reply to a submitted call, possibly still to come.
+//! Completions: the one way to wait, from an RPC down to the disk.
 //!
-//! A call answered before [`crate::Transport::submit`] returns comes back
-//! resolved, with no allocation and no lock; one that a server worker or a
-//! log flusher answers later comes back pending, and whoever answers it
-//! holds its [`Resolver`].  A completion also carries the instant the
-//! modelled network delivers the reply — when the server answered plus the
-//! round trip — and [`Completion::wait`] sleeps until then, so calls
-//! submitted together overlap their round trips.
+//! A completion is the answer to a request, possibly still to come: the
+//! reply to a call submitted through a transport, or a log position
+//! becoming durable.  One answered at once comes back resolved, with no
+//! allocation and no lock; one that a server worker or a log flusher
+//! answers later comes back pending, and whoever answers it holds its
+//! [`Resolver`].  A completion also carries the instant the modelled
+//! network delivers the reply — when the server answered plus the round
+//! trip — and [`Completion::wait`] sleeps until then, so calls submitted
+//! together overlap their round trips.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use yesquel_common::{Error, Result};
+use crate::{Error, Result};
 
 /// A result and the instant the reply carrying it is due.
-type Reply<T> = (Result<T>, Option<Instant>);
+pub type Reply<T> = (Result<T>, Option<Instant>);
 
 /// Work parked on a pending completion, run by whoever answers it.
 type Continuation<T> = Box<dyn FnOnce(Reply<T>) + Send>;
 
-/// The eventual reply to one submitted call.
+/// The eventual answer to one request.
 pub struct Completion<T>(State<T>);
 
 enum State<T> {
@@ -103,7 +105,8 @@ impl<T> Resolver<T> {
         self.resolve_due(result, None);
     }
 
-    pub(crate) fn resolve_due(mut self, result: Result<T>, due: Option<Instant>) {
+    /// Answers the completion with a reply due at `due` (`None`: at once).
+    pub fn resolve_due(mut self, result: Result<T>, due: Option<Instant>) {
         if let Some(slot) = self.0.take() {
             slot.answer((result, due));
         }
@@ -135,7 +138,8 @@ impl<T: Send + 'static> Completion<T> {
         (Completion(State::Pending(slot)), resolver)
     }
 
-    /// The result, if the call was answered before `submit` returned.
+    /// The result, if answered already: a call answered before `submit`
+    /// returned, or a log position durable when the wait was asked for.
     pub fn resolved(&self) -> Option<&Result<T>> {
         match &self.0 {
             State::Ready((result, _)) => Some(result),
@@ -164,7 +168,7 @@ impl<T: Send + 'static> Completion<T> {
     }
 
     /// Blocks until the call is answered, but not until its reply is due.
-    pub(crate) fn settled(self) -> Self {
+    pub fn settled(self) -> Self {
         Completion(State::Ready(self.settle()))
     }
 
@@ -177,7 +181,7 @@ impl<T: Send + 'static> Completion<T> {
 
     /// The completion answered with `f` of this one's reply: at once if this
     /// one is answered, else on its answering thread.
-    pub(crate) fn chain<U: Send + 'static>(
+    pub fn chain<U: Send + 'static>(
         self,
         f: impl FnOnce(Reply<T>) -> Reply<U> + Send + 'static,
     ) -> Completion<U> {

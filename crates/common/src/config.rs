@@ -10,6 +10,10 @@
 //! reads it, and a choice the code can make from what it observes
 //! (whether calls through the transport block, how many servers a
 //! transaction touched, which snapshots are open) is made there, not here.
+//! The observability switches — latency timing, trace sampling, the
+//! slow-op threshold — are not configuration: they are flipped at runtime
+//! through the deployment's stats registry (`StatsRegistry::obs`), and a
+//! new deployment starts with all of them off.
 
 /// How splits of over-full or overloaded DBT nodes are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,39 +256,6 @@ pub struct NetConfig {
     pub service_time_us: u64,
 }
 
-/// Observability knobs applied to a deployment's stats registry at build
-/// time (see `yesquel_obs::Obs`; they can also be flipped at runtime via
-/// `StatsRegistry::obs`).
-///
-/// Everything defaults to **off**, which the fast paths rely on: with
-/// timing off and sampling off, instrumentation costs one relaxed atomic
-/// load per site — no clock reads, no allocations (a counter-asserted
-/// property, see the `obs` integration tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Record latency histograms (SQL statement latency, KV commit phases,
-    /// RPC queue/service time, WAL append/fsync, …).  Each enabled site
-    /// costs two clock reads per operation.
-    pub timing: bool,
-    /// Sample 1 in N operations into an op-scoped trace; 0 disables
-    /// sampling.  Sampled traces slower than `slow_threshold_us` land in
-    /// the slow-op ring.
-    pub trace_sample_every: u32,
-    /// Completed traces at least this slow (µs) are kept in the slow-op
-    /// ring buffer.
-    pub slow_threshold_us: u64,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            timing: false,
-            trace_sample_every: 0,
-            slow_threshold_us: 1_000,
-        }
-    }
-}
-
 /// Top-level configuration of a Yesquel deployment.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct YesquelConfig {
@@ -296,9 +267,6 @@ pub struct YesquelConfig {
     pub kv: KvConfig,
     /// Network model.
     pub net: NetConfig,
-    /// Observability: latency-histogram timing gate, trace sampling and the
-    /// slow-op threshold.
-    pub obs: ObsConfig,
 }
 
 impl YesquelConfig {

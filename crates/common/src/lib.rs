@@ -16,6 +16,7 @@
 /// (`yesquel_common::obs::…`) without its own dependency edge.
 pub use yesquel_obs as obs;
 
+pub mod completion;
 pub mod config;
 pub mod encoding;
 pub mod error;
@@ -25,6 +26,7 @@ pub mod stats;
 pub mod tempdir;
 pub mod timeutil;
 
-pub use config::{DbtConfig, KvConfig, NetConfig, ObsConfig, WalFsyncPolicy, YesquelConfig};
+pub use completion::{Completion, Resolver};
+pub use config::{DbtConfig, KvConfig, NetConfig, WalFsyncPolicy, YesquelConfig};
 pub use error::{Error, Result};
 pub use ids::{ObjectId, Oid, ServerId, Timestamp, TreeId, TxnId};

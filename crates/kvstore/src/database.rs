@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use yesquel_common::stats::StatsRegistry;
-use yesquel_common::{Result, YesquelConfig};
+use yesquel_common::{Error, Result, YesquelConfig};
 use yesquel_rpc::{Cluster, ClusterBuilder, FaultPlan, FaultyTransport, Transport, TransportKind};
 use yesquel_wal::Wal;
 
@@ -36,9 +36,9 @@ impl KvDatabase {
         Self::with_transport(config, TransportKind::Direct)
     }
 
-    /// Fallible variant of [`KvDatabase::new`]: opening or recovering a
-    /// per-server write-ahead log surfaces as a typed error instead of a
-    /// panic.
+    /// Fallible variant of [`KvDatabase::new`]: a configuration with no
+    /// server, or a per-server write-ahead log that cannot be opened or
+    /// recovered, surfaces as a typed error instead of a panic.
     pub fn try_new(config: YesquelConfig) -> Result<Self> {
         Self::build(config, TransportKind::Direct, None)
     }
@@ -64,8 +64,9 @@ impl KvDatabase {
         Self::build(config, transport, Some(plans)).expect("failed to build the deployment")
     }
 
-    /// Fallible variant of [`KvDatabase::with_faults`]: a log that cannot be
-    /// opened, or a server worker thread the system refuses, is an error.
+    /// Fallible variant of [`KvDatabase::with_faults`]: no server, no worker
+    /// per server, a log that cannot be opened, or a server worker thread
+    /// the system refuses, is an error.
     pub fn try_with_faults(
         config: YesquelConfig,
         transport: TransportKind,
@@ -79,16 +80,21 @@ impl KvDatabase {
         transport: TransportKind,
         plans: Option<Vec<FaultPlan>>,
     ) -> Result<Self> {
-        assert!(
-            config.num_servers > 0,
-            "deployment needs at least one storage server"
-        );
+        // Refused before any log is opened or thread started.
+        if config.num_servers == 0 {
+            return Err(Error::InvalidArgument(
+                "a deployment needs at least one storage server".into(),
+            ));
+        }
+        if let TransportKind::Threaded {
+            workers_per_server: 0,
+        } = transport
+        {
+            return Err(Error::InvalidArgument(
+                "a threaded transport needs at least one worker per server".into(),
+            ));
+        }
         let stats = StatsRegistry::new();
-        stats.obs().set_timing(config.obs.timing);
-        stats.obs().set_sample_every(config.obs.trace_sample_every);
-        stats
-            .obs()
-            .set_slow_threshold_us(config.obs.slow_threshold_us);
         let oracle = TimestampOracle::new();
         let servers = match &config.kv.wal_dir {
             None => KvServer::make_servers_with(config.num_servers, &oracle, &config.kv),

@@ -32,13 +32,18 @@
 //!   the primary first, the commit point, after which the commit returns;
 //!   the other participants' decisions are submitted and not waited for.
 //! * Every RPC is submitted through the transport and answered on a
-//!   [`Completion`](yesquel_rpc::Completion).  A round — a prefetch, the
+//!   [`Completion`](yesquel_rpc::Completion), and so is every wait for the
+//!   log: a server acknowledges a prepare with the completion its log's
+//!   flusher answers once the record is synced
+//!   ([`Wal::durable`](yesquel_wal::Wal::durable)), mapped to `Prepared`
+//!   or, when the sync fails, `ServerError`.  A round — a prefetch, the
 //!   prepares, the aborts — is submitted whole and then waited for on the
 //!   caller's thread, so its waits overlap: one round trip on a slept
-//!   network, one flush wait when every participant forces its log (a
-//!   server acknowledges a prepare once its log's flusher has synced the
-//!   record).  On the direct transport without a log every call is answered
-//!   inline and the client starts no thread.
+//!   network, one flush wait when every participant forces its log.  On
+//!   the direct transport without a log every call is answered inline and
+//!   the client starts no thread.  A write travels as the log's own type
+//!   ([`WriteOp`] is [`yesquel_wal::WalWrite`]), so a participant logs what
+//!   it received without converting it.
 //! * Transactions that wrote to a single server always use one-phase
 //!   commit (the server validates, assigns the commit timestamp and
 //!   installs versions in one round trip).

@@ -8,20 +8,16 @@
 use bytes::Bytes;
 use yesquel_common::{ObjectId, ServerId, Timestamp, TxnId};
 
-/// A buffered write shipped to a participant at prepare time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteOp {
-    /// Object being written.
-    pub obj: ObjectId,
-    /// New value, or `None` to delete the object.
-    pub value: Option<Bytes>,
-}
+/// A buffered write shipped to a participant at prepare time: the log's
+/// write type, so a participant logs what it received as is.
+pub use yesquel_wal::WalWrite as WriteOp;
 
-impl WriteOp {
-    /// Approximate number of bytes this write occupies on the wire.
-    pub fn wire_size(&self) -> usize {
-        16 + self.value.as_ref().map(|v| v.len()).unwrap_or(0)
-    }
+/// Approximate number of bytes `writes` occupy on the wire.
+fn writes_wire_size(writes: &[WriteOp]) -> usize {
+    writes
+        .iter()
+        .map(|w| 16 + w.value.as_ref().map_or(0, |v| v.len()))
+        .sum()
 }
 
 /// Requests a client can send to one storage server.
@@ -177,13 +173,9 @@ impl KvRequest {
     pub fn wire_size(&self) -> usize {
         match self {
             KvRequest::Get { .. } => 32,
-            KvRequest::Prepare { writes, .. } => {
-                32 + writes.iter().map(WriteOp::wire_size).sum::<usize>()
-            }
+            KvRequest::Prepare { writes, .. } => 32 + writes_wire_size(writes),
             KvRequest::Commit { .. } => 24,
-            KvRequest::CommitOnePhase { writes, .. } => {
-                32 + writes.iter().map(WriteOp::wire_size).sum::<usize>()
-            }
+            KvRequest::CommitOnePhase { writes, .. } => 32 + writes_wire_size(writes),
             KvRequest::Abort { .. } => 16,
             KvRequest::Allocate { .. } => 28,
             KvRequest::Gc { .. } => 16,
@@ -238,6 +230,6 @@ mod tests {
             obj: ObjectId::new(1, 2),
             value: None,
         };
-        assert_eq!(del.wire_size(), 16);
+        assert_eq!(writes_wire_size(&[del]), 16);
     }
 }

@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, TxnId};
 use yesquel_rpc::{Completion, Service, Transport};
-use yesquel_wal::{Wal, WalPosition};
+use yesquel_wal::Wal;
 
 use crate::oracle::TimestampOracle;
 use crate::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
@@ -324,23 +324,6 @@ impl KvServer {
             None => TxnStatusKind::Unknown,
         }
     }
-
-    /// Acknowledges a prepare once its log record is durable: the log's
-    /// flusher resolves the returned completion, and no thread waits for it
-    /// meanwhile.  A failed flush answers `ServerError`.
-    fn ack_when_durable(&self, pos: WalPosition) -> Completion<KvResponse> {
-        let Some(wal) = self.store.wal() else {
-            return Completion::ready(Ok(KvResponse::Prepared));
-        };
-        let (ack, resolver) = Completion::pending();
-        wal.on_durable(pos, move |flushed| {
-            resolver.resolve(Ok(match flushed {
-                Ok(()) => KvResponse::Prepared,
-                Err(e) => Self::server_error(e),
-            }))
-        });
-        ack
-    }
 }
 
 impl Service for KvServer {
@@ -376,7 +359,15 @@ impl Service for KvServer {
                 primary,
                 Duration::from_micros(lease_us.max(1)),
             ) {
-                Ok((PrepareOutcome::Prepared, Some(pos))) => return self.ack_when_durable(pos),
+                Ok((PrepareOutcome::Prepared, Some(durable))) => {
+                    // Acknowledged once the record is durable: the log's
+                    // flusher answers, and no thread waits meanwhile.
+                    return durable.chain(|(flushed, due)| {
+                        let ack =
+                            flushed.map_or_else(Self::server_error, |()| KvResponse::Prepared);
+                        (Ok(ack), due)
+                    });
+                }
                 Ok((PrepareOutcome::Prepared, None)) => KvResponse::Prepared,
                 Ok((PrepareOutcome::Conflict(reason), _)) => self.conflict(txn, &writes, reason),
                 Err(e) => Self::server_error(e),

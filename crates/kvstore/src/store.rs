@@ -66,10 +66,11 @@
 //! *outside* the lock, behind a `deciding` mark that keeps resolutions and
 //! duplicate deliveries from deciding the transaction again and keeps its
 //! fate unobservable until it is durable (see `ServerStore::decide`).
-//! A prepare does not wait at all: it returns its record's position, and
-//! the server acknowledges it once the log's flusher reports the position
-//! durable, so neither a lock nor a thread is held across that flush (the
-//! prepare locks already fence conflicting writers).  The exception is the
+//! A prepare does not wait at all: it returns the completion the log's
+//! flusher answers once its record is durable ([`Wal::durable`]), and the
+//! server acknowledges the prepare with it, so neither a lock nor a thread
+//! is held across that flush (the prepare locks already fence conflicting
+//! writers).  The exception is the
 //! one-phase commit, which appends and waits while holding its shard
 //! guards — they are what orders it against every conflicting operation.
 //! GC is the one deliberately volatile operation: versions it dropped
@@ -84,8 +85,9 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use yesquel_common::ids::{shard_index, splitmix64};
-use yesquel_common::{Error, ObjectId, Result, ServerId, Timestamp, TxnId, WalFsyncPolicy};
-use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalPosition, WalRecord, WalWrite};
+use yesquel_common::obs::trace::{span, SpanKind};
+use yesquel_common::{Completion, Error, ObjectId, Result, ServerId, Timestamp, TxnId};
+use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalPosition, WalRecord};
 
 use crate::mvcc::VersionChain;
 use crate::protocol::WriteOp;
@@ -476,10 +478,10 @@ impl ServerStore {
         start_ts: Timestamp,
         writes: &[WriteOp],
     ) -> Result<PrepareOutcome> {
-        let (outcome, pos) =
+        let (outcome, durable) =
             self.prepare_leased(txn, start_ts, writes, 0, Duration::from_secs(3600))?;
-        if let (Some(wal), Some(pos)) = (&self.wal, pos) {
-            wal.wait_durable(pos)?;
+        if let Some(durable) = durable {
+            durable.wait()?;
         }
         Ok(outcome)
     }
@@ -498,14 +500,14 @@ impl ServerStore {
     /// coordinator cannot resurrect a reaped transaction.
     ///
     /// Durable stores log the prepare — staged writes, primary, snapshot —
-    /// before returning, and a log that forces its records also returns the
-    /// record's position: `Prepared` may be reported only once that
-    /// position is durable ([`Wal::on_durable`]), so a crash after the ack
-    /// leaves the prepared state (and the coordinator's ability to commit
-    /// it) recoverable.  An `Err` means the log append failed; nothing is
-    /// acknowledged and the locks taken for this prepare are released.  A
-    /// flush that fails later leaves the prepare in place, unacknowledged,
-    /// for the coordinator's abort or a resolution to release.
+    /// before returning, and return the log's completion for the record
+    /// ([`Wal::durable`]): `Prepared` may be reported only once it answers
+    /// `Ok`, so a crash after the ack leaves the prepared state (and the
+    /// coordinator's ability to commit it) recoverable.  An `Err` means the
+    /// log append failed; nothing is acknowledged and the locks taken for
+    /// this prepare are released.  A flush that fails later leaves the
+    /// prepare in place, unacknowledged, for the coordinator's abort or a
+    /// resolution to release.
     pub fn prepare_leased(
         &self,
         txn: TxnId,
@@ -513,7 +515,7 @@ impl ServerStore {
         writes: &[WriteOp],
         primary: ServerId,
         lease: Duration,
-    ) -> Result<(PrepareOutcome, Option<WalPosition>)> {
+    ) -> Result<(PrepareOutcome, Option<Completion<()>>)> {
         match self.outcomes.lock().get(txn) {
             Some(TxnOutcome::Committed(_)) => {
                 self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
@@ -558,17 +560,17 @@ impl ServerStore {
         // same-shard readers are not stalled behind the append.  The
         // checkpoint gate is still held, so a checkpoint cannot rotate the
         // log between this append and the prepared-table insert below.
-        let pos = match &self.wal {
+        let durable = match &self.wal {
             None => None,
             Some(wal) => {
                 let rec = WalRecord::Prepare {
                     txn,
                     start_ts,
                     primary,
-                    writes: Self::to_wal_writes(writes),
+                    writes: writes.to_vec(),
                 };
                 match wal.append_unforced(&rec) {
-                    Ok(pos) => (wal.policy() != WalFsyncPolicy::Off).then_some(pos),
+                    Ok(pos) => Some(wal.durable(pos)),
                     Err(e) => {
                         // The prepare is not acknowledged; roll the locks back.
                         self.release_locks_of(txn, writes.iter().map(|w| w.obj));
@@ -594,18 +596,7 @@ impl ServerStore {
             self.prepared_hint.fetch_add(1, Ordering::Relaxed);
         }
         self.stats.prepares.fetch_add(1, Ordering::Relaxed);
-        Ok((PrepareOutcome::Prepared, pos))
-    }
-
-    /// Converts protocol write-ops into their log representation.
-    fn to_wal_writes(writes: &[WriteOp]) -> Vec<WalWrite> {
-        writes
-            .iter()
-            .map(|w| WalWrite {
-                obj: w.obj,
-                value: w.value.clone(),
-            })
-            .collect()
+        Ok((PrepareOutcome::Prepared, durable))
     }
 
     /// Releases any prepare locks held by `txn` on `objs` (rollback path).
@@ -711,7 +702,10 @@ impl ServerStore {
         };
         drop(outcomes);
         let wal = self.wal.as_ref().expect("only a logged decision is marked");
-        let waited = wal.wait_durable(mark.pos);
+        let waited = {
+            let _wal_span = span(SpanKind::Wal);
+            wal.durable(mark.pos).wait()
+        };
         let mut outcomes = self.outcomes.lock();
         if outcomes.deciding.remove(&txn).is_some() {
             // First to see the wait end.  A failed flush leaves the
@@ -841,7 +835,7 @@ impl ServerStore {
         self.wal_append(&WalRecord::CommitOnePhase {
             txn,
             commit_ts,
-            writes: Self::to_wal_writes(writes),
+            writes: writes.to_vec(),
         })?;
         for w in writes {
             let shard = self.guard_for(&mut guards, w.obj);
@@ -1083,7 +1077,7 @@ impl ServerStore {
         txn: TxnId,
         start_ts: Timestamp,
         primary: ServerId,
-        writes: &[WalWrite],
+        writes: &[WriteOp],
         lease: Duration,
     ) {
         for w in writes {
@@ -1187,7 +1181,7 @@ impl ServerStore {
                             .get(obj)
                             .and_then(|state| state.lock.as_ref())
                             .filter(|lock| lock.txn == *txn)
-                            .map(|lock| WalWrite {
+                            .map(|lock| WriteOp {
                                 obj: *obj,
                                 value: lock.staged.clone(),
                             })

@@ -1,7 +1,7 @@
 //! A cluster of storage servers behind a single transport handle.
 //!
 //! [`Cluster`] owns the server objects, the chosen [`Transport`] (which
-//! holds the [`NetworkModel`]) and the [`StatsRegistry`], and hands out cheap
+//! charges the network cost) and the [`StatsRegistry`], and hands out cheap
 //! clones of the transport handle to any number of clients.  It is the in-process
 //! equivalent of "deploy N storage servers and give every client their
 //! addresses".
@@ -11,7 +11,6 @@ use std::sync::Arc;
 use yesquel_common::stats::StatsRegistry;
 use yesquel_common::{NetConfig, Result, ServerId};
 
-use crate::netmodel::NetworkModel;
 use crate::transport::{DirectTransport, Service, ThreadedTransport, Transport, TransportKind};
 
 /// Builder for a [`Cluster`].
@@ -54,17 +53,16 @@ impl<S: Service> ClusterBuilder<S> {
     /// Builds the cluster.  Fails if a threaded transport cannot start its
     /// workers.
     pub fn build(self) -> Result<Cluster<S>> {
-        let net = NetworkModel::new(self.net, self.registry.clone());
         let transport: Arc<dyn Transport<S>> = match self.kind {
             TransportKind::Direct => Arc::new(DirectTransport::new(
                 self.servers.clone(),
-                net,
+                self.net,
                 self.registry.clone(),
             )),
             TransportKind::Threaded { workers_per_server } => Arc::new(ThreadedTransport::new(
                 self.servers.clone(),
                 workers_per_server,
-                net,
+                self.net,
                 self.registry.clone(),
             )?),
         };

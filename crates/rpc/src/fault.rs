@@ -4,9 +4,9 @@
 //! destination server, consults a seeded [`FaultPlan`] to decide whether a
 //! request is dropped, delayed, duplicated, rejected with a transient error,
 //! or refused because the server is "crashed".  The wrapped transport still
-//! performs all of its own accounting (network model, per-server request
+//! performs all of its own accounting (network cost, per-server request
 //! counts), so fault injection composes with both [`crate::DirectTransport`]
-//! and [`crate::ThreadedTransport`] and with the [`crate::NetworkModel`].
+//! and [`crate::ThreadedTransport`] and with any network configuration.
 //!
 //! The decorator wraps [`Transport::submit`].  A fault that keeps a request
 //! from being delivered resolves its completion before `submit` returns; a
@@ -50,8 +50,8 @@ use rand::{Rng, SeedableRng};
 use yesquel_common::stats::{Counter, StatsRegistry};
 use yesquel_common::{Error, ServerId};
 
-use crate::completion::Completion;
 use crate::transport::{Service, Transport};
+use crate::Completion;
 
 /// Fault schedule for one server, mixing probabilistic faults (per-message
 /// coin flips) with scripted ones (crash after the n-th delivered request).
@@ -534,7 +534,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netmodel::NetworkModel;
     use crate::transport::DirectTransport;
     use yesquel_common::NetConfig;
 
@@ -570,7 +569,7 @@ mod tests {
         let reg = StatsRegistry::new();
         let inner: Arc<dyn Transport<Counting>> = Arc::new(DirectTransport::new(
             servers.clone(),
-            NetworkModel::new(NetConfig::default(), reg.clone()),
+            NetConfig::default(),
             reg.clone(),
         ));
         let faulty = FaultyTransport::new(inner, plans, reg.clone());
@@ -753,7 +752,7 @@ mod tests {
             crate::transport::ThreadedTransport::new(
                 vec![Arc::clone(&srv)],
                 1,
-                NetworkModel::free(reg.clone()),
+                NetConfig::default(),
                 reg.clone(),
             )
             .unwrap(),

@@ -6,17 +6,25 @@
 //! thread, so its completions come back resolved unless the server itself
 //! answers later (a prepare waiting for its log flush); [`ThreadedTransport`]
 //! queues the request to a server worker, which resolves the completion.
+//!
+//! The simulated cluster runs inside one process, so the real network is
+//! absent.  To keep the *shape* of the paper's latency results, both
+//! transports charge every round trip the cost their [`NetConfig`] gives it:
+//! per message, a fixed one-way latency plus a bandwidth term proportional
+//! to its size.  The cost is always added to the `net.charged_us` counter
+//! and, if `sleep_latency` is set, dates the reply: its completion is due
+//! that far after the server answered, and whoever waits for it sleeps
+//! until then.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender};
 use yesquel_common::obs::clock;
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
-use yesquel_common::{Error, Result, ServerId};
+use yesquel_common::{Error, NetConfig, Result, ServerId};
 
-use crate::completion::{Completion, Resolver};
-use crate::netmodel::NetworkModel;
+use crate::{Completion, Resolver};
 
 /// A storage-server "process": receives a request, answers it.
 ///
@@ -81,7 +89,7 @@ pub trait Transport<S: Service>: Send + Sync {
     fn num_servers(&self) -> usize;
 }
 
-/// Book-keeping shared by both transports, and the network model that dates
+/// Book-keeping shared by both transports, and the network cost that dates
 /// each reply.
 ///
 /// Per-server request counts are registry counters named
@@ -89,14 +97,15 @@ pub trait Transport<S: Service>: Send + Sync {
 /// [`StatsRegistry`] (e.g. the load-imbalance experiment) can read them.
 struct TransportStats {
     registry: StatsRegistry,
-    net: NetworkModel,
+    net: NetConfig,
     // Every handle below is resolved once here: `answered` runs on every
     // RPC, and a by-name lookup per call is a mutex acquisition plus a
     // string allocation.
     calls: Arc<Counter>,
     bytes_sent: Arc<Counter>,
     bytes_received: Arc<Counter>,
-    simulated_latency_us: Arc<Histogram>,
+    /// Modelled network cost of every round trip, slept or not.
+    charged_us: Arc<Counter>,
     /// Time a request waited in a server worker queue before being picked
     /// up (threaded transport; recorded only while `Obs::timing_on`).
     queue_us: Arc<Histogram>,
@@ -107,7 +116,7 @@ struct TransportStats {
 }
 
 impl TransportStats {
-    fn new(registry: StatsRegistry, net: NetworkModel, nservers: usize) -> Self {
+    fn new(registry: StatsRegistry, net: NetConfig, nservers: usize) -> Self {
         let per_server_requests = (0..nservers)
             .map(|i| registry.counter(&format!("rpc.server.{i}.requests")))
             .collect();
@@ -115,7 +124,7 @@ impl TransportStats {
             calls: registry.counter("rpc.calls"),
             bytes_sent: registry.counter("rpc.bytes_sent"),
             bytes_received: registry.counter("rpc.bytes_received"),
-            simulated_latency_us: registry.histogram("rpc.simulated_latency_us"),
+            charged_us: registry.counter("net.charged_us"),
             queue_us: registry.histogram("rpc.queue_us"),
             service_us: registry.histogram("rpc.service_us"),
             registry,
@@ -124,13 +133,29 @@ impl TransportStats {
         }
     }
 
+    /// Cost in microseconds of sending one message of `bytes` bytes one way.
+    fn one_way_cost_us(&self, bytes: usize) -> u64 {
+        let bw = (bytes as u64)
+            .checked_div(self.net.bytes_per_us)
+            .unwrap_or(0);
+        self.net.one_way_latency_us + bw
+    }
+
+    /// Whether the modelled cost is really slept, so that a reply is due
+    /// some time after its server answered.
+    fn sleeps(&self) -> bool {
+        let net = &self.net;
+        net.sleep_latency && (net.one_way_latency_us > 0 || net.bytes_per_us > 0)
+    }
+
     /// Stamps the start of a server's work when timing is on.
     fn started(&self) -> Option<Instant> {
         self.registry.obs().timing_on().then(clock::now)
     }
 
-    /// Accounts one answered call and returns when its reply is due: the
-    /// modelled round trip from now, if the model sleeps.
+    /// Accounts one answered call, its network cost included, and returns
+    /// when its reply is due: the modelled round trip from now, if it is
+    /// slept.
     fn answered<S: Service>(
         &self,
         server: ServerId,
@@ -148,14 +173,13 @@ impl TransportStats {
         if let Some(c) = self.per_server_requests.get(server) {
             c.inc();
         }
-        let lat = self.net.charge_round_trip(req_bytes, resp_bytes);
+        let lat = self.one_way_cost_us(req_bytes) + self.one_way_cost_us(resp_bytes);
         if lat == 0 {
             return None;
         }
-        self.simulated_latency_us.record(lat);
-        self.net
-            .sleeps()
-            .then(|| Instant::now() + std::time::Duration::from_micros(lat))
+        self.charged_us.add(lat);
+        self.sleeps()
+            .then(|| Instant::now() + Duration::from_micros(lat))
     }
 }
 
@@ -171,8 +195,9 @@ pub struct DirectTransport<S: Service> {
 }
 
 impl<S: Service> DirectTransport<S> {
-    /// Creates a direct transport over the given server objects.
-    pub fn new(servers: Vec<Arc<S>>, net: NetworkModel, registry: StatsRegistry) -> Self {
+    /// Creates a direct transport over the given server objects, charging
+    /// each call the network cost `net` gives it.
+    pub fn new(servers: Vec<Arc<S>>, net: NetConfig, registry: StatsRegistry) -> Self {
         let stats = Arc::new(TransportStats::new(registry, net, servers.len()));
         DirectTransport { servers, stats }
     }
@@ -200,7 +225,7 @@ impl<S: Service> Transport<S> for DirectTransport<S> {
     }
 
     fn finishes_after_submit(&self) -> bool {
-        self.stats.net.sleeps()
+        self.stats.sleeps()
     }
 
     fn num_servers(&self) -> usize {
@@ -238,24 +263,25 @@ pub struct ThreadedTransport<S: Service> {
 
 impl<S: Service> ThreadedTransport<S> {
     /// Creates the transport and spawns `workers_per_server` threads per
-    /// server.  Fails if the system refuses a thread; the workers already
-    /// started then exit.
+    /// server, charging each call the network cost `net` gives it.  Fails
+    /// with [`Error::InvalidArgument`] on zero workers, and if the system
+    /// refuses a thread; the workers already started then exit.
     pub fn new(
         servers: Vec<Arc<S>>,
         workers_per_server: usize,
-        net: NetworkModel,
+        net: NetConfig,
         registry: StatsRegistry,
     ) -> Result<Self> {
-        assert!(
-            workers_per_server >= 1,
-            "need at least one worker per server"
-        );
+        if workers_per_server == 0 {
+            return Err(Error::InvalidArgument(
+                "a threaded transport needs at least one worker per server".into(),
+            ));
+        }
         // Modelled per-request service time: each request occupies this
         // worker for `service_time_us`, capping per-server throughput at
         // `workers_per_server / service_time` independent of host CPUs.
-        let net_cfg = net.config();
-        let service_us = if net_cfg.sleep_latency {
-            net_cfg.service_time_us
+        let service_us = if net.sleep_latency {
+            net.service_time_us
         } else {
             0
         };
@@ -278,7 +304,7 @@ impl<S: Service> ThreadedTransport<S> {
                                 clock::now()
                             });
                             if service_us > 0 {
-                                std::thread::sleep(std::time::Duration::from_micros(service_us));
+                                std::thread::sleep(Duration::from_micros(service_us));
                             }
                             let Envelope {
                                 req,
@@ -335,7 +361,6 @@ impl<S: Service> Transport<S> for ThreadedTransport<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yesquel_common::NetConfig;
 
     /// A toy service that echoes the request plus one.
     struct AddOne;
@@ -352,14 +377,78 @@ mod tests {
         (0..n).map(|_| Arc::new(AddOne)).collect()
     }
 
+    /// A service whose messages are as big as the request says: it
+    /// answers `(request bytes, response bytes)` with the response size.
+    struct Sizes;
+
+    impl Service for Sizes {
+        type Request = (usize, usize);
+        type Response = usize;
+        fn call(&self, (_, resp): (usize, usize)) -> Completion<usize> {
+            Completion::ready(Ok(resp))
+        }
+        fn request_wire_size(req: &(usize, usize)) -> usize {
+            req.0
+        }
+        fn response_wire_size(resp: &usize) -> usize {
+            *resp
+        }
+    }
+
+    /// Both transports over one `Sizes` server, charging per `net`.
+    fn sized_transports(net: NetConfig) -> Vec<(Box<dyn Transport<Sizes>>, StatsRegistry)> {
+        let direct = StatsRegistry::new();
+        let threaded = StatsRegistry::new();
+        vec![
+            (
+                Box::new(DirectTransport::new(
+                    vec![Arc::new(Sizes)],
+                    net.clone(),
+                    direct.clone(),
+                )) as Box<dyn Transport<Sizes>>,
+                direct,
+            ),
+            (
+                Box::new(
+                    ThreadedTransport::new(vec![Arc::new(Sizes)], 1, net, threaded.clone())
+                        .unwrap(),
+                ),
+                threaded,
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_free_network_charges_nothing() {
+        for (t, reg) in sized_transports(NetConfig::default()) {
+            assert_eq!(t.call(0, (1000, 1000)).unwrap(), 1000);
+            assert_eq!(reg.counter("net.charged_us").get(), 0);
+        }
+    }
+
+    #[test]
+    fn a_round_trip_costs_latency_and_bandwidth_each_way() {
+        let net = NetConfig {
+            one_way_latency_us: 50,
+            bytes_per_us: 100,
+            sleep_latency: false,
+            service_time_us: 0,
+        };
+        for (t, reg) in sized_transports(net) {
+            // 1000 bytes at 100 B/us = 10us + 50us latency out, and an
+            // empty reply's 50us latency back.
+            t.call(0, (1000, 0)).unwrap();
+            assert_eq!(reg.counter("net.charged_us").get(), 60 + 50);
+            // The bandwidth term applies to the reply the same way.
+            t.call(0, (0, 1000)).unwrap();
+            assert_eq!(reg.counter("net.charged_us").get(), 110 + 50 + 60);
+        }
+    }
+
     #[test]
     fn direct_transport_routes_and_counts() {
         let reg = StatsRegistry::new();
-        let t = DirectTransport::new(
-            servers(3),
-            NetworkModel::new(NetConfig::default(), reg.clone()),
-            reg.clone(),
-        );
+        let t = DirectTransport::new(servers(3), NetConfig::default(), reg.clone());
         assert_eq!(t.num_servers(), 3);
         assert_eq!(t.call(0, 41).unwrap(), 42);
         assert_eq!(t.call(2, 1).unwrap(), 2);
@@ -374,19 +463,15 @@ mod tests {
     #[test]
     fn threaded_transport_routes_and_counts() {
         let reg = StatsRegistry::new();
-        let t = ThreadedTransport::new(
-            servers(2),
-            2,
-            NetworkModel::new(NetConfig::default(), reg.clone()),
-            reg.clone(),
-        )
-        .unwrap();
+        let t = ThreadedTransport::new(servers(2), 2, NetConfig::default(), reg.clone()).unwrap();
         assert_eq!(t.num_servers(), 2);
         for i in 0..100u64 {
             assert_eq!(t.call((i % 2) as usize, i).unwrap(), i + 1);
         }
         assert!(t.call(9, 1).is_err());
         assert_eq!(reg.counter("rpc.calls").get(), 100);
+        let none = ThreadedTransport::new(servers(1), 0, NetConfig::default(), reg.clone());
+        assert!(matches!(none.err(), Some(Error::InvalidArgument(_))));
         let per: u64 = (0..2)
             .map(|i| reg.counter(&format!("rpc.server.{i}.requests")).get())
             .sum();
@@ -397,13 +482,7 @@ mod tests {
     fn threaded_transport_concurrent_clients() {
         let reg = StatsRegistry::new();
         let t = Arc::new(
-            ThreadedTransport::new(
-                servers(4),
-                2,
-                NetworkModel::new(NetConfig::default(), reg.clone()),
-                reg.clone(),
-            )
-            .unwrap(),
+            ThreadedTransport::new(servers(4), 2, NetConfig::default(), reg.clone()).unwrap(),
         );
         let mut handles = Vec::new();
         for c in 0..8u64 {

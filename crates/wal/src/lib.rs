@@ -43,12 +43,14 @@
 //! Appending and waiting are two steps.  [`Wal::append_unforced`] writes the
 //! frame at the end of the log — so the order of calls is the order of
 //! records — and returns its [`WalPosition`] without waiting for the disk.
-//! [`Wal::on_durable`] runs a callback once a sync covers a position, and
-//! [`Wal::wait_durable`] blocks until then; [`Wal::append`] is append plus
-//! wait, for a record that must be durable before its effect is
-//! acknowledged.  A record that is only appended is *unforced*: it becomes
-//! durable with the next sync of this log, whoever asks for it, and
-//! [`Wal::power_loss`] drops it until then — a wait for it then fails.
+//! [`Wal::durable`] returns the [`Completion`] that answers once a sync
+//! covers a position — the same type an RPC's reply arrives on, so a caller
+//! waits for it, or leaves a continuation on it, as for any call;
+//! [`Wal::append`] is append plus wait, for a record that must be durable
+//! before its effect is acknowledged.  A record that is only appended is
+//! *unforced*: it becomes durable with the next sync of this log, whoever
+//! asks for it, and [`Wal::power_loss`] drops it until then — a wait for it
+//! then fails.
 //!
 //! ## The flusher and group commit
 //!
@@ -100,7 +102,9 @@ use yesquel_common::encoding::{Reader, Writer};
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{span, SpanKind};
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
-use yesquel_common::{Error, ObjectId, Result, ServerId, Timestamp, TxnId, WalFsyncPolicy};
+use yesquel_common::{
+    Completion, Error, ObjectId, Resolver, Result, ServerId, Timestamp, TxnId, WalFsyncPolicy,
+};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"YWALSEG1";
@@ -158,9 +162,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 // Records
 // ---------------------------------------------------------------------------
 
-/// One write of a transaction as logged: the object and its new value
-/// (`None` deletes the object).  Mirrors the kv layer's `WriteOp`, re-stated
-/// here so the log crate stays below the kv crate in the dependency graph.
+/// One write of a transaction: the object and its new value (`None`
+/// deletes the object).  The one write type below SQL: the kv layer ships
+/// it to a participant as its `WriteOp` and logs it as is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalWrite {
     /// Object being written.
@@ -520,7 +524,19 @@ struct Inner {
 struct Waiter {
     generation: u64,
     end: u64,
-    done: Box<dyn FnOnce(Result<()>) + Send>,
+    /// When the append started, if timing was on then.
+    started: Option<Instant>,
+    done: Option<Resolver<()>>,
+}
+
+impl Drop for Waiter {
+    fn drop(&mut self) {
+        // A wait nobody answered fails as the log's own error, not as a
+        // request a server dropped.
+        if let Some(done) = self.done.take() {
+            done.resolve(Err(Error::Io("the log flusher exited".into())));
+        }
+    }
 }
 
 /// State behind the sync mutex: what is known durable, and who waits for
@@ -562,9 +578,9 @@ impl SyncState {
     }
 }
 
-/// Where an appended record ends in the log: what [`Wal::wait_durable`]
-/// waits for.  A position taken before the segment was replaced or
-/// truncated is judged by how its generation ended: a checkpoint synced
+/// Where an appended record ends in the log: what [`Wal::durable`] waits
+/// for.  A position taken before the segment was replaced or truncated is
+/// judged by how its generation ended: a checkpoint synced
 /// everything before it, and a simulated power loss kept only what was
 /// synced.
 #[derive(Debug, Clone, Copy)]
@@ -572,7 +588,7 @@ pub struct WalPosition {
     generation: u64,
     end: u64,
     /// When the append started, stamped only while `Obs::timing_on`, so the
-    /// wait can record the append's end-to-end latency.
+    /// answer to its wait can record the append's end-to-end latency.
     started: Option<Instant>,
 }
 
@@ -712,14 +728,25 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>> {
     Ok(seqs)
 }
 
-/// Answers waits outside every lock.
-fn answer(answers: Vec<(Waiter, Result<()>)>) {
-    for (w, r) in answers {
-        (w.done)(r);
-    }
-}
-
 impl Log {
+    /// Answers waits outside every lock, recording the latency of each
+    /// timed append made durable.
+    fn answer(&self, answers: Vec<(Waiter, Result<()>)>) {
+        for (mut w, r) in answers {
+            self.record_append(w.started, &r);
+            if let Some(done) = w.done.take() {
+                done.resolve(r);
+            }
+        }
+    }
+
+    /// Records a timed append's end-to-end latency once it is durable.
+    fn record_append(&self, started: Option<Instant>, durable: &Result<()>) {
+        if let (Some(t0), Ok(())) = (started, durable) {
+            self.append_us.record(clock::elapsed_us(t0));
+        }
+    }
+
     /// Ends the active generation — the segment is being replaced or
     /// truncated, its zero tail with it — and returns the waits it leaves
     /// answered.  The caller has set `inner.len` to the new segment's end.
@@ -824,7 +851,7 @@ impl Log {
                 }
             }
             drop(s);
-            answer(answers);
+            self.answer(answers);
             if closed {
                 return;
             }
@@ -1071,7 +1098,7 @@ impl Wal {
         sync.durable_frames = scanned.frames;
         let answers = Log::end_generation(&mut inner, &mut sync, Some(kept));
         drop((inner, sync));
-        answer(answers);
+        self.log.answer(answers);
         Ok(scanned.records)
     }
 
@@ -1079,7 +1106,8 @@ impl Wal {
     /// Concurrent appenders share one flush.
     pub fn append(&self, rec: &WalRecord) -> Result<()> {
         let pos = self.append_unforced(rec)?;
-        self.wait_durable(pos)
+        let _wal_span = span(SpanKind::Wal);
+        self.durable(pos).wait()
     }
 
     /// Writes `rec` at the end of the log without waiting for the disk and
@@ -1087,7 +1115,7 @@ impl Wal {
     /// another is never durable before it.  Until some sync covers the
     /// returned position the record can be lost in a power failure, so
     /// nothing that depends on it may be acknowledged before
-    /// [`Wal::wait_durable`] or [`Wal::on_durable`] says it is durable.
+    /// [`Wal::durable`] says it is.
     pub fn append_unforced(&self, rec: &WalRecord) -> Result<WalPosition> {
         let _wal_span = span(SpanKind::Wal);
         let log = &self.log;
@@ -1116,41 +1144,27 @@ impl Wal {
         written
     }
 
-    /// Blocks until `pos` is durable per the fsync policy: at once under
-    /// `Off`, otherwise until the flusher's `fdatasync` covers it.  `Err`
-    /// if that sync failed, or if a power loss took the record first.
-    pub fn wait_durable(&self, pos: WalPosition) -> Result<()> {
-        let _wal_span = span(SpanKind::Wal);
-        let (answer, answered) = std::sync::mpsc::sync_channel(1);
-        self.on_durable(pos, move |r| {
-            let _ = answer.send(r);
-        });
-        answered
-            .recv()
-            .unwrap_or_else(|_| Err(Error::Io("the log flusher exited".into())))
-    }
-
-    /// Runs `done` once `pos` is durable per the fsync policy — at once
-    /// under `Off` or when a flush already covered it, else on this log's
-    /// flusher thread — with `Err` if that sync failed or a power loss took
-    /// the record first.  `done` must not block.  The flusher starts with
-    /// the first wait that needs it and exits when the log is dropped; if it
-    /// cannot be started the wait fails with [`Error::Io`].
-    pub fn on_durable(&self, pos: WalPosition, done: impl FnOnce(Result<()>) + Send + 'static) {
-        let append_us = pos.started.map(|t0| (t0, Arc::clone(&self.log.append_us)));
-        let done = move |r: Result<()>| {
-            if let (Some((t0, hist)), Ok(())) = (append_us, &r) {
-                hist.record(clock::elapsed_us(t0));
-            }
-            done(r);
+    /// The completion that answers once `pos` is durable per the fsync
+    /// policy: ready at once, allocating nothing, under `Off` or when a sync
+    /// already covers it; otherwise pending until this log's flusher syncs
+    /// it and answers, outside its locks — so a continuation left on it
+    /// runs on the flusher and must not block.  The answer is
+    /// [`Error::Io`] if that sync failed, if a power loss took the record
+    /// first, or if the flusher cannot start or has exited.  The flusher
+    /// starts with the first wait that needs it and exits when the log is
+    /// dropped.
+    pub fn durable(&self, pos: WalPosition) -> Completion<()> {
+        let answered = |r: Result<()>| {
+            self.log.record_append(pos.started, &r);
+            Completion::ready(r)
         };
         if self.policy == WalFsyncPolicy::Off {
-            return done(Ok(()));
+            return answered(Ok(()));
         }
         let mut s = self.log.sync.lock().unwrap();
         if let Some(r) = s.settled(pos.generation, pos.end) {
             drop(s);
-            return done(r);
+            return answered(r);
         }
         if s.flusher.is_none() {
             let log = Arc::clone(&self.log);
@@ -1161,17 +1175,20 @@ impl Wal {
                 Ok(flusher) => s.flusher = Some(flusher),
                 Err(e) => {
                     drop(s);
-                    return done(Err(Error::Io(format!("cannot start the log flusher: {e}"))));
+                    return answered(Err(Error::Io(format!("cannot start the log flusher: {e}"))));
                 }
             }
         }
+        let (durable, done) = Completion::pending();
         s.waiters.push(Waiter {
             generation: pos.generation,
             end: pos.end,
-            done: Box::new(done),
+            started: pos.started,
+            done: Some(done),
         });
         drop(s);
         self.log.wanted.notify_one();
+        durable
     }
 
     /// Forces everything appended so far to stable storage, on the calling
@@ -1213,7 +1230,7 @@ impl Wal {
         sync.durable_frames = 1;
         let answers = Log::end_generation(&mut inner, &mut sync, None);
         drop((inner, sync));
-        answer(answers);
+        self.log.answer(answers);
         let _ = std::fs::remove_file(old_path);
         for seq in list_segments(&self.dir)?
             .into_iter()
@@ -1242,7 +1259,7 @@ impl Wal {
         let kept = sync.durable;
         let answers = Log::end_generation(&mut inner, &mut sync, Some(kept));
         drop((inner, sync));
-        answer(answers);
+        self.log.answer(answers);
         Ok(())
     }
 }
@@ -1490,8 +1507,10 @@ mod tests {
         let wal = Wal::open(t.path(), WalFsyncPolicy::Off, &reg).unwrap();
         wal.append(&sample_records()[0]).unwrap();
         wal.sync().unwrap();
-        wal.append(&sample_records()[1]).unwrap(); // never synced
+        let pos = wal.append_unforced(&sample_records()[1]).unwrap(); // never synced
         assert!(wal.durable_len() < wal.len());
+        // Off answers every wait at once.
+        assert_eq!(wal.durable(pos).resolved(), Some(&Ok(())));
         // No flusher, so no zero tail either.
         let size = std::fs::metadata(wal.active_segment()).unwrap().len();
         assert_eq!(size, wal.len());
@@ -1589,15 +1608,16 @@ mod tests {
         // sync of its own, started after the first one returns.
         let second = {
             let wal = Arc::clone(&wal);
-            std::thread::spawn(move || wal.wait_durable(pos))
+            std::thread::spawn(move || wal.durable(pos).wait())
         };
         release.send(()).unwrap();
         first.join().unwrap().unwrap();
         second.join().unwrap().unwrap();
         assert_eq!(reg.counter("wal.fsyncs").get(), 2);
         assert_eq!(wal.durable_len(), wal.len());
-        // Waiting again for a position already covered syncs nothing.
-        wal.wait_durable(pos).unwrap();
+        // Waiting again for a position already covered syncs nothing: the
+        // completion comes back answered.
+        assert_eq!(wal.durable(pos).resolved(), Some(&Ok(())));
         assert_eq!(reg.counter("wal.fsyncs").get(), 2);
     }
 
@@ -1629,9 +1649,9 @@ mod tests {
         // The checkpoint syncs its own segment, which holds everything the
         // old one did: the record is safe although nobody flushed it.
         wal.checkpoint(CheckpointSnapshot::default()).unwrap();
-        wal.wait_durable(pos).unwrap();
+        wal.durable(pos).wait().unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
-        wal.on_durable(pos, move |r| tx.send(r).unwrap());
+        wal.durable(pos).then(move |r| tx.send(r).unwrap());
         rx.recv().unwrap().unwrap();
     }
 
@@ -1645,15 +1665,15 @@ mod tests {
         let lost = wal.append_unforced(&sample_records()[1]).unwrap();
         wal.power_loss().unwrap();
         // What was synced before the loss is still acknowledged ...
-        wal.wait_durable(synced).unwrap();
+        wal.durable(synced).wait().unwrap();
         // ... and what the loss truncated never is, whichever way it is
         // waited for.
-        assert!(matches!(wal.wait_durable(lost), Err(Error::Io(_))));
+        assert!(matches!(wal.durable(lost).wait(), Err(Error::Io(_))));
         let (tx, rx) = std::sync::mpsc::channel();
-        wal.on_durable(lost, move |r| tx.send(r).unwrap());
+        wal.durable(lost).then(move |r| tx.send(r).unwrap());
         assert!(matches!(rx.recv().unwrap(), Err(Error::Io(_))));
         assert_eq!(wal.recover().unwrap(), sample_records()[..1].to_vec());
-        assert!(matches!(wal.wait_durable(lost), Err(Error::Io(_))));
+        assert!(matches!(wal.durable(lost).wait(), Err(Error::Io(_))));
     }
 
     #[test]

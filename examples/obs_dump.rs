@@ -1,24 +1,23 @@
-//! Observability smoke dump: open a deployment with timing histograms and
-//! trace sampling on, run a small mixed workload, then print the two
+//! Observability smoke dump: open a deployment, turn timing histograms and
+//! trace sampling on through its stats registry (the only place the
+//! switches exist), run a small mixed workload, then print the two
 //! artifacts an operator would actually look at — the full metrics
 //! snapshot (counters + latency histograms) and the slow-op ring — as
 //! JSON.  CI runs this to prove the whole `obs` pipeline (histogram
 //! records on every layer's hot path, sampled traces, span accounting,
-//! ring capture, JSON export) works end to end.
+//! ring capture, JSON export) works end to end: it exits non-zero if
+//! timing recorded no statement latency or sampling kept no trace.
 //!
 //! Run with: `cargo run --release --example obs_dump`
 
-use yesquel::common::config::{ObsConfig, YesquelConfig};
 use yesquel::{params, Result, Yesquel};
 
 fn main() -> Result<()> {
-    let mut config = YesquelConfig::with_servers(4);
-    config.obs = ObsConfig {
-        timing: true,
-        trace_sample_every: 4, // sample aggressively: this is a demo
-        slow_threshold_us: 0,  // keep every sampled trace in the ring
-    };
-    let y = Yesquel::open_with(config);
+    let y = Yesquel::open(4);
+    let obs = y.db().stats().obs();
+    obs.set_timing(true);
+    obs.set_sample_every(4); // sample aggressively: this is a demo
+    obs.set_slow_threshold_us(0); // keep every sampled trace in the ring
 
     y.execute_script(
         "CREATE TABLE events (id INTEGER PRIMARY KEY, kind TEXT NOT NULL, weight INT NOT NULL);
@@ -58,5 +57,18 @@ fn main() -> Result<()> {
     println!();
     println!("-- slow-op ring (sampled traces over the slow threshold)");
     println!("{}", stats.obs().slow_ring().dump_json());
+
+    let timed = stats
+        .histogram_snapshot()
+        .iter()
+        .any(|(name, h)| name.starts_with("sql.stmt_us.") && h.count > 0);
+    if !timed {
+        eprintln!("obs_dump: timing on, yet no sql.stmt_us.* histogram has a sample");
+        std::process::exit(1);
+    }
+    if stats.obs().slow_ring().is_empty() {
+        eprintln!("obs_dump: sampling on, yet the slow-op ring is empty");
+        std::process::exit(1);
+    }
     Ok(())
 }

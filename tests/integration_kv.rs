@@ -5,6 +5,7 @@
 
 use yesquel::common::tempdir::TempDir;
 use yesquel::kv::protocol::{KvRequest, KvResponse, WriteOp};
+use yesquel::rpc::TransportKind;
 use yesquel::{Error, KvDatabase, ObjectId, YesquelConfig};
 
 fn obj(oid: u64) -> ObjectId {
@@ -311,4 +312,27 @@ fn three_participant_commit_is_serial_in_memory_and_two_flush_waits_on_disk() {
         );
         assert_eq!(all, flushers, "the flushers are the only threads started");
     }
+}
+
+/// The fallible constructors refuse a zero in the configuration with an
+/// error, not a panic, before opening a log or starting a thread (so these
+/// tests start none).
+#[test]
+fn try_new_refuses_a_deployment_without_servers() {
+    let built = KvDatabase::try_new(YesquelConfig::with_servers(0));
+    assert!(matches!(built.err(), Some(Error::InvalidArgument(_))));
+}
+
+#[test]
+fn try_with_faults_refuses_a_threaded_transport_without_workers() {
+    let tmp = TempDir::new("yesquel-kv-no-workers").unwrap();
+    let mut cfg = YesquelConfig::with_servers(2);
+    cfg.kv.wal_dir = Some(tmp.path().to_path_buf());
+    let none = TransportKind::Threaded {
+        workers_per_server: 0,
+    };
+    let built = KvDatabase::try_with_faults(cfg, none, vec![]);
+    assert!(matches!(built.err(), Some(Error::InvalidArgument(_))));
+    let logs = std::fs::read_dir(tmp.path()).unwrap().count();
+    assert_eq!(logs, 0, "no log was opened");
 }

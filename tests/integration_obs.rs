@@ -7,11 +7,11 @@
 
 use std::time::{Duration, Instant};
 
-use yesquel::common::config::{ObsConfig, YesquelConfig};
+use yesquel::common::config::YesquelConfig;
 use yesquel::common::obs::clock;
 use yesquel::rpc::TransportKind;
 use yesquel::sql::Value;
-use yesquel::{params, DbtConfig, KvDatabase, Yesquel};
+use yesquel::{params, DbtConfig, KvDatabase, NetConfig, Yesquel};
 
 /// 50 rows, 5 per `views` value, with a secondary index on `views`.
 fn fixture() -> Yesquel {
@@ -196,17 +196,44 @@ fn untraced_fast_path_reads_no_clocks_and_allocates_nothing() {
         allocs,
         "untraced ops must not allocate for observability"
     );
+
+    // Off means off on a network with a modelled cost too: the cost is
+    // charged, and no histogram records it or anything else.
+    let y = Yesquel::open_with(YesquelConfig {
+        net: NetConfig {
+            one_way_latency_us: 50,
+            sleep_latency: false,
+            ..NetConfig::default()
+        },
+        ..YesquelConfig::with_servers(2)
+    });
+    y.execute_script("CREATE TABLE kvt (id INTEGER PRIMARY KEY, v INT)")
+        .unwrap();
+    for i in 0..5i64 {
+        y.execute("INSERT INTO kvt (id, v) VALUES (?, ?)", params![i, i])
+            .unwrap();
+        y.execute("SELECT v FROM kvt WHERE id = ?", params![i])
+            .unwrap();
+    }
+    let stats = y.db().stats();
+    assert!(stats.counter("net.charged_us").get() > 0);
+    for (name, h) in stats.histogram_snapshot() {
+        assert_eq!(h.count, 0, "{name} recorded with timing off");
+    }
+}
+
+/// Turns timing on or off, traces every op and keeps every trace.
+fn trace_everything(y: &Yesquel, timing: bool) {
+    let obs = y.db().stats().obs();
+    obs.set_timing(timing);
+    obs.set_sample_every(1);
+    obs.set_slow_threshold_us(0);
 }
 
 #[test]
 fn sampled_tracing_populates_the_slow_op_ring() {
-    let mut config = YesquelConfig::with_servers(2);
-    config.obs = ObsConfig {
-        timing: true,
-        trace_sample_every: 1, // trace everything
-        slow_threshold_us: 0,  // and keep everything
-    };
-    let y = Yesquel::open_with(config);
+    let y = Yesquel::open(2);
+    trace_everything(&y, true);
     y.execute_script("CREATE TABLE t (id INTEGER PRIMARY KEY, v INT)")
         .unwrap();
     for i in 0..10i64 {
@@ -227,13 +254,8 @@ fn sampled_tracing_populates_the_slow_op_ring() {
 
 #[test]
 fn unified_reset_clears_counters_histograms_and_ring() {
-    let mut config = YesquelConfig::with_servers(2);
-    config.obs = ObsConfig {
-        timing: true,
-        trace_sample_every: 1,
-        slow_threshold_us: 0,
-    };
-    let y = Yesquel::open_with(config);
+    let y = Yesquel::open(2);
+    trace_everything(&y, true);
     y.execute_script("CREATE TABLE t (id INTEGER PRIMARY KEY, v INT)")
         .unwrap();
     y.execute("INSERT INTO t (v) VALUES (1)", &[]).unwrap();
@@ -274,11 +296,6 @@ fn unified_reset_clears_counters_histograms_and_ring() {
 #[test]
 fn a_sampled_insert_counts_every_rpc_of_its_rounds() {
     let mut config = YesquelConfig::with_servers(4);
-    config.obs = ObsConfig {
-        timing: false,
-        trace_sample_every: 1,
-        slow_threshold_us: 0,
-    };
     // Nothing but the statement issues RPCs: splits run inside it, and
     // neither load splits nor replication start background work.
     config.dbt = DbtConfig {
@@ -290,6 +307,7 @@ fn a_sampled_insert_counts_every_rpc_of_its_rounds() {
         workers_per_server: 2,
     };
     let y = Yesquel::open_db(KvDatabase::with_transport(config, workers)).unwrap();
+    trace_everything(&y, false);
     y.execute_script(
         "CREATE TABLE pages (id INTEGER PRIMARY KEY, title TEXT NOT NULL, views INT);
          CREATE UNIQUE INDEX by_title ON pages (title);
