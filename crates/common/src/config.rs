@@ -2,8 +2,8 @@
 //!
 //! What is here is what a deployment, a test or a benchmark actually sets
 //! to different values: the number of servers, the network model, the log's
-//! directory and flush policy, deadlines and leases (fault tests shorten
-//! them), tree fan-out, and the DBT technique ablations (no client cache,
+//! directory and flush policy, the statement deadline and the prepare lease
+//! (fault tests shorten both), tree fan-out, and the DBT technique ablations (no client cache,
 //! no back-down search, no load splits, no replication, synchronous
 //! splits), which are expressed purely as configurations of [`DbtConfig`].
 //! A value with one setting in use is a constant beside the code that
@@ -159,25 +159,18 @@ pub enum WalFsyncPolicy {
 /// Configuration of the transactional key-value store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvConfig {
-    /// Maximum number of attempts for one RPC (first try plus retries)
-    /// before the client gives up with [`crate::Error::Timeout`] /
-    /// [`crate::Error::Unavailable`].  Every request is safe to retry:
-    /// reads and timestamp operations are idempotent, and prepare / commit /
-    /// abort are deduplicated server-side by transaction id.
-    pub rpc_max_attempts: usize,
-    /// Base backoff, in microseconds, between RPC retries.  Doubled per
-    /// attempt (capped at [`KvConfig::rpc_backoff_cap_us`]) with jitter
-    /// salted once per retry loop, so concurrent clients do not retry in
-    /// lockstep.
-    pub rpc_backoff_us: u64,
-    /// Upper bound on the per-retry backoff, in microseconds.
-    pub rpc_backoff_cap_us: u64,
-    /// Extra attempt budget for the commit-point RPC of a two-phase commit
-    /// (the commit to the primary participant).  Once every participant has
-    /// prepared, the cheapest way out of an outage is to keep knocking on
-    /// the primary: giving up there surfaces the expensive
-    /// [`crate::Error::Indeterminate`].
-    pub commit_resolve_attempts: usize,
+    /// How long, in microseconds, a statement keeps retrying once it first
+    /// has to retry or wait: the one time budget of the client's retry
+    /// loops.  A statement is one `KvClient::run_txn` / `retry_txn` call;
+    /// its restarts, an RPC's retries of [`crate::Error::Timeout`] and
+    /// [`crate::Error::Unavailable`], a read's waits on a prepare lock and
+    /// the commit at the primary all stop at its deadline, and a KV call
+    /// made outside a statement gets one of its own.  Every call makes at
+    /// least one attempt.  The backoff between retries starts at a
+    /// ten-thousandth of this and is capped at a hundredth.  Every request
+    /// is safe to retry: reads are idempotent, and prepare / commit / abort
+    /// are deduplicated server-side by transaction id.
+    pub op_deadline_us: u64,
     /// Lease, in microseconds, granted to the coordinator by each prepare.
     /// Once it expires, a participant presumes the coordinator dead and
     /// resolves the prepare when a request runs into it — a read that meets
@@ -198,12 +191,12 @@ pub struct KvConfig {
 }
 
 impl Default for KvConfig {
+    /// A one-second statement deadline — two leases, so a reader that meets
+    /// a coordinator's abandoned lock outwaits its lease and resolves it —
+    /// which makes the backoff run from 100 µs to 10 ms.
     fn default() -> Self {
         KvConfig {
-            rpc_max_attempts: 5,
-            rpc_backoff_us: 100,
-            rpc_backoff_cap_us: 10_000,
-            commit_resolve_attempts: 12,
+            op_deadline_us: 1_000_000,
             prepare_lease_us: 500_000,
             wal_dir: None,
             wal_fsync: WalFsyncPolicy::Group { window_us: 100 },
@@ -212,18 +205,16 @@ impl Default for KvConfig {
 }
 
 impl KvConfig {
-    /// A configuration with short deadlines, leases and backoffs, sized for
-    /// fault-injection tests: failed RPCs give up in microseconds instead of
-    /// milliseconds and an orphaned prepare is resolved 3 ms on, by the
-    /// first request that runs into it or sweeps, so a chaos run converges
-    /// quickly.  Not meant for production-shaped benchmarks (the lease is
-    /// far too short for a loaded commit path).
+    /// A configuration with a short deadline and lease, sized for
+    /// fault-injection tests: a statement that cannot succeed gives up
+    /// 20 ms after it first retried (its backoff runs from 2 µs to 200 µs)
+    /// and an orphaned prepare is resolved 3 ms on, by the first request
+    /// that runs into it or sweeps, so a chaos run converges quickly.  Not
+    /// meant for production-shaped benchmarks (the lease is far too short
+    /// for a loaded commit path).
     pub fn impatient() -> Self {
         KvConfig {
-            rpc_max_attempts: 4,
-            rpc_backoff_us: 20,
-            rpc_backoff_cap_us: 200,
-            commit_resolve_attempts: 6,
+            op_deadline_us: 20_000,
             prepare_lease_us: 3_000,
             ..Self::default()
         }
@@ -289,7 +280,8 @@ mod tests {
         let c = YesquelConfig::default();
         assert_eq!(c.dbt.leaf_max_cells, 64);
         assert!(c.dbt.cache_inner_nodes);
-        assert!(c.kv.rpc_max_attempts >= 1);
+        assert!(c.kv.op_deadline_us >= 2 * c.kv.prepare_lease_us);
+        assert!(KvConfig::impatient().op_deadline_us < c.kv.op_deadline_us);
         assert_eq!(c.net.one_way_latency_us, 0);
     }
 

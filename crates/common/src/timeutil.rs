@@ -1,45 +1,4 @@
-//! Small time helpers shared by the benchmark harness and the network model.
-
-use std::time::{Duration, Instant};
-
-/// A stopwatch measuring elapsed wall-clock microseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
-impl Stopwatch {
-    /// Starts a new stopwatch.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time since start, in microseconds.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
-    /// Elapsed time since start.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Restarts the stopwatch and returns the elapsed microseconds since the
-    /// previous start.
-    pub fn lap_us(&mut self) -> u64 {
-        let e = self.elapsed_us();
-        self.start = Instant::now();
-        e
-    }
-}
+//! The retry backoff shared by the client's retry loops.
 
 /// Backoff for retry attempt `attempt` (0-based): exponential in the attempt
 /// number from `base_us`, capped at `cap_us`, with deterministic jitter drawn
@@ -59,40 +18,9 @@ pub fn retry_backoff_us(attempt: usize, base_us: u64, cap_us: u64, salt: u64) ->
     half + jitter
 }
 
-/// Sleeps for [`retry_backoff_us`] microseconds (yields when the backoff is
-/// zero), the shared retry-pacing primitive of the client layers.
-pub fn sleep_backoff(attempt: usize, base_us: u64, cap_us: u64, salt: u64) {
-    let us = retry_backoff_us(attempt, base_us, cap_us, salt);
-    if us == 0 {
-        std::thread::yield_now();
-    } else {
-        std::thread::sleep(Duration::from_micros(us));
-    }
-}
-
-/// Converts an operation count and an elapsed duration into operations per
-/// second, guarding against a zero-duration denominator.
-pub fn ops_per_sec(ops: u64, elapsed: Duration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs <= 0.0 {
-        return ops as f64;
-    }
-    ops as f64 / secs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopwatch_monotone() {
-        let mut sw = Stopwatch::start();
-        let a = sw.elapsed_us();
-        let b = sw.elapsed_us();
-        assert!(b >= a);
-        let lap = sw.lap_us();
-        assert!(lap >= b);
-    }
 
     #[test]
     fn backoff_grows_caps_and_jitters_deterministically() {
@@ -115,13 +43,5 @@ mod tests {
         );
         // Zero base means "yield, don't sleep".
         assert_eq!(retry_backoff_us(5, 0, 10_000, 1), 0);
-    }
-
-    #[test]
-    fn ops_per_sec_basic() {
-        let r = ops_per_sec(1000, Duration::from_secs(2));
-        assert!((r - 500.0).abs() < 1e-9);
-        // Zero duration does not divide by zero.
-        assert_eq!(ops_per_sec(7, Duration::from_secs(0)), 7.0);
     }
 }

@@ -11,7 +11,7 @@ use crate::oracle::TimestampOracle;
 use crate::protocol::{KvRequest, KvResponse};
 use crate::server::KvServer;
 use crate::snapshot::SnapshotTracker;
-use crate::txn::{round, ClientCore, KvHot, Txn};
+use crate::txn::{round, ClientCore, Deadline, KvHot, Statement, Txn};
 
 /// Clients created so far in this process: each client's retry-salt
 /// counter starts in its own 2^32 range, so loops of different clients
@@ -54,23 +54,26 @@ impl KvClient {
         }
     }
 
-    /// Starts a new transaction.
+    /// Starts a new transaction.  Each of its calls retries until a
+    /// deadline of its own ([`KvConfig::op_deadline_us`]).
     pub fn begin(&self) -> Txn {
-        Txn::begin(Arc::clone(&self.core))
+        Txn::begin(Arc::clone(&self.core), false)
     }
 
     /// Runs `body` inside a transaction, committing it afterwards, and
-    /// retries the whole transaction (up to a bounded number of attempts)
-    /// when it aborts for a retryable reason — a write-write conflict, a
-    /// lock timeout, or an availability failure (RPC timeout / server
-    /// temporarily unreachable).  This is the standard usage pattern under
-    /// snapshot isolation and what the layers above use for auto-commit
-    /// operations.
+    /// retries the whole transaction when it aborts for a retryable reason
+    /// — a write-write conflict, a lock timeout, or an availability failure
+    /// (RPC timeout / server temporarily unreachable).  This is the standard
+    /// usage pattern under snapshot isolation and what the layers above use
+    /// for auto-commit operations.
     ///
-    /// On exhaustion the caller receives [`Error::RetriesExhausted`] with
-    /// the attempt count and the error from the final attempt, so "retried
-    /// conflicts until the limit" and "the cluster is down" stay
-    /// distinguishable.
+    /// The call is one statement with one deadline: its attempts, and every
+    /// KV call inside them, retry until [`KvConfig::op_deadline_us`] after
+    /// the statement first had to retry or wait.  Once a failure finds no
+    /// time left the caller receives [`Error::RetriesExhausted`] with the
+    /// number of attempts made and the error from the final one, so
+    /// "retried conflicts until the deadline" and "the cluster is down"
+    /// stay distinguishable.
     pub fn run_txn<T>(&self, mut body: impl FnMut(&Txn) -> Result<T>) -> Result<T> {
         self.retry_txn(|txn| match body(&txn) {
             Ok(value) => txn.commit().map(|_| value),
@@ -85,33 +88,36 @@ impl KvClient {
     /// transaction themselves: every attempt is handed a fresh transaction
     /// by value, and whatever it returns on success is the result — a
     /// committed value, or the transaction itself still open (a read-only
-    /// stream that outlives the call).  Failures are classified, counted
+    /// stream that outlives the call, which it detaches with
+    /// [`Txn::leave_statement`]).  Failures are classified, counted
     /// (`kv.txn_retries`), backed off and bounded exactly as for `run_txn`.
     pub fn retry_txn<T>(&self, mut attempt: impl FnMut(Txn) -> Result<T>) -> Result<T> {
-        const MAX_ATTEMPTS: usize = 24;
-        let mut last_err = None;
-        let mut salt = None;
-        for n in 0..MAX_ATTEMPTS {
-            match attempt(self.begin()) {
+        let _statement = Statement::enter();
+        let deadline = Deadline::new(&self.core.cfg, true);
+        let (mut attempts, mut salt) = (0, None);
+        loop {
+            attempts += 1;
+            let last = match attempt(Txn::begin(Arc::clone(&self.core), true)) {
                 Ok(value) => return Ok(value),
-                Err(e) if e.is_retryable() => {
-                    self.core.hot.txn_retries.inc();
-                    last_err = Some(e);
-                }
+                Err(e) if e.is_retryable() => e,
                 Err(e) => return Err(e),
-            }
+            };
+            self.core.hot.txn_retries.inc();
             // Back off so the conflicting transaction (or the recovering
             // server) gets a chance; availability failures wait from the
             // first retry, conflicts only once retries repeat.
-            let availability = last_err.as_ref().is_some_and(Error::is_availability);
-            if availability || n > 2 {
-                self.core.backoff(n, &mut salt);
+            let again = if last.is_availability() || attempts > 3 {
+                self.core.backoff(attempts - 1, &mut salt, &deadline)
+            } else {
+                deadline.allows(0)
+            };
+            if !again {
+                return Err(Error::RetriesExhausted {
+                    attempts,
+                    last: Box::new(last),
+                });
             }
         }
-        Err(Error::RetriesExhausted {
-            attempts: MAX_ATTEMPTS,
-            last: Box::new(last_err.expect("exhaustion implies a retryable error occurred")),
-        })
     }
 
     /// Number of storage servers in the deployment.
@@ -124,8 +130,8 @@ impl KvClient {
         &self.core.stats
     }
 
-    /// The key-value configuration this client operates under (retry
-    /// budgets, backoff parameters; read-only).
+    /// The key-value configuration this client operates under (the
+    /// statement deadline, which also sets the backoff; read-only).
     pub fn config(&self) -> &KvConfig {
         &self.core.cfg
     }
@@ -137,15 +143,14 @@ impl KvClient {
 
     /// Atomically allocates a block of `count` ids from the non-
     /// transactional counter stored at `obj`, returning the first id.
-    /// Retried on availability failures: a retry after a lost response
-    /// wastes a block of ids but never hands the same id out twice.
+    /// Retried on availability failures until a deadline of its own: a
+    /// retry after a lost response wastes a block of ids but never hands
+    /// the same id out twice.
     pub fn allocate(&self, obj: ObjectId, count: u64) -> Result<u64> {
         let server = obj.home_server(self.num_servers());
-        match self.core.call_retry(
-            server,
-            KvRequest::Allocate { obj, delta: count },
-            self.core.cfg.rpc_max_attempts,
-        )? {
+        let req = KvRequest::Allocate { obj, delta: count };
+        let deadline = Deadline::new(&self.core.cfg, false);
+        match self.core.call_retry(server, req, &deadline)? {
             KvResponse::Allocated { start } => Ok(start),
             KvResponse::ServerError { message } => Err(Error::Io(message)),
             other => Err(Error::Internal(format!(
@@ -163,10 +168,9 @@ impl KvClient {
     pub fn run_gc(&self) -> Result<()> {
         let min_active_ts = self.core.snapshots.watermark(&self.core.oracle);
         let sweeps = (0..self.num_servers()).map(|s| (s, KvRequest::Gc { min_active_ts }));
-        round(&self.core, sweeps, self.core.cfg.rpc_max_attempts, |_| {
-            false
-        })
-        .into_iter()
-        .try_for_each(|swept| swept.map(drop))
+        let deadline = Deadline::new(&self.core.cfg, false);
+        round(&self.core, sweeps, &deadline, |_| false)
+            .into_iter()
+            .try_for_each(|swept| swept.map(drop))
     }
 }

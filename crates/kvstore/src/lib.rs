@@ -52,8 +52,9 @@
 //!   `read_only_commit_needs_no_communication` in `tests/integration_kv.rs`
 //!   checks.
 //! * Readers that encounter an object locked by a preparing transaction
-//!   retry briefly: the lock window only spans the coordinator's commit
-//!   round trip.  This preserves snapshot correctness: if a transaction's
+//!   wait for it, until their statement's deadline: the lock window spans
+//!   the coordinator's commit round trip, or the lease of a coordinator
+//!   that died.  This preserves snapshot correctness: if a transaction's
 //!   commit timestamp precedes a reader's snapshot, its locks were already
 //!   held when the reader started, so the reader cannot miss its writes.
 //!

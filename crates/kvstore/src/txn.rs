@@ -1,10 +1,11 @@
 //! Client-side transactions: snapshot reads, buffered writes, and the
 //! two-phase-commit coordinator.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -12,7 +13,7 @@ use yesquel_common::ids::splitmix64;
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, span, Span, SpanKind, TraceCounter};
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
-use yesquel_common::timeutil::sleep_backoff;
+use yesquel_common::timeutil::retry_backoff_us;
 use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_rpc::{Completion, Transport};
 
@@ -21,12 +22,6 @@ use crate::protocol::{KvRequest, KvResponse, WriteOp};
 use crate::server::KvServer;
 use crate::snapshot::SnapshotTracker;
 
-/// How many times [`Txn::get`] re-reads an object it found under a prepare
-/// lock before giving up with [`Error::LockTimeout`].
-const LOCK_READ_RETRIES: usize = 100;
-/// Base backoff, in microseconds, between those re-reads: retry `n` sleeps
-/// `n` times this, capped at 16 times.
-const LOCK_BACKOFF_US: u64 = 50;
 /// How many fetched values a transaction remembers (see [`ReadMemo`]): a
 /// statement's leaves, a few times over.
 const READ_MEMO: usize = 16;
@@ -90,6 +85,11 @@ pub(crate) struct ClientCore {
     pub(crate) retry_salt: AtomicU64,
 }
 
+/// The first backoff's window is the deadline over this...
+const BACKOFF_BASE_DIV: u64 = 10_000;
+/// ...and no backoff's exceeds the deadline over this.
+const BACKOFF_CAP_DIV: u64 = 100;
+
 impl ClientCore {
     pub(crate) fn num_servers(&self) -> usize {
         self.transport.num_servers()
@@ -100,27 +100,35 @@ impl ClientCore {
         obj.home_server(self.num_servers())
     }
 
-    /// Sleeps before retry `attempt` of one retry loop: exponential backoff
-    /// from [`KvConfig::rpc_backoff_us`] with jitter.  `salt` is the loop's
-    /// jitter salt, `None` until the loop first backs off; it is drawn then,
-    /// once per loop, from the client's counter, so concurrent loops do not
-    /// sleep in lockstep and a loop that never retries touches no shared
-    /// state.
-    pub(crate) fn backoff(&self, attempt: usize, salt: &mut Option<u64>) {
+    /// Sleeps before retry `n` of one retry loop if the loop has the time,
+    /// and says whether it had: the one backoff policy, exponential with
+    /// jitter from [`KvConfig::op_deadline_us`] over `BACKOFF_BASE_DIV` up
+    /// to the deadline over `BACKOFF_CAP_DIV` (100 µs to 10 ms by default).
+    /// No backoff is slept that would end past `deadline`, which the first
+    /// wait anchors.  `salt` is the loop's jitter salt, `None` until the
+    /// loop first backs off; it is drawn then, once per loop, from the
+    /// client's counter, so concurrent loops do not sleep in lockstep and a
+    /// loop that never retries touches no shared state.
+    pub(crate) fn backoff(&self, n: usize, salt: &mut Option<u64>, deadline: &Deadline) -> bool {
         let salt = *salt
             .get_or_insert_with(|| splitmix64(self.retry_salt.fetch_add(1, Ordering::Relaxed)));
-        sleep_backoff(
-            attempt,
-            self.cfg.rpc_backoff_us,
-            self.cfg.rpc_backoff_cap_us,
-            salt,
-        );
+        let budget = self.cfg.op_deadline_us;
+        let us = retry_backoff_us(n, budget / BACKOFF_BASE_DIV, budget / BACKOFF_CAP_DIV, salt);
+        if !deadline.allows(us) {
+            return false;
+        }
+        if us == 0 {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(Duration::from_micros(us));
+        }
+        true
     }
 
     /// Issues one RPC with a deadline-and-retry policy: availability-class
-    /// failures ([`Error::Timeout`], [`Error::Unavailable`]) are retried up
-    /// to `max_attempts` times with exponential backoff and jitter; every
-    /// other error propagates immediately.
+    /// failures ([`Error::Timeout`], [`Error::Unavailable`]) are retried
+    /// with [`ClientCore::backoff`] until `deadline`; every other error
+    /// propagates immediately.
     ///
     /// Retrying is safe for every request in the protocol: reads, GC and
     /// status queries are idempotent, allocation merely skips ids, and
@@ -133,28 +141,32 @@ impl ClientCore {
         &self,
         server: ServerId,
         req: KvRequest,
-        max_attempts: usize,
+        deadline: &Deadline,
     ) -> Result<KvResponse> {
-        let _rpc_span = span(SpanKind::Rpc);
-        count(TraceCounter::Rpcs, 1);
-        let mut retry = Retry::new(server, req, max_attempts);
-        loop {
-            match self.transport.call(server, retry.request()) {
-                Err(e) if e.is_availability() && retry.again(self, &e) => {}
-                Err(e) if e.is_availability() => return Err(retry.exhausted(e)),
-                done => return done,
-            }
-        }
+        self.submit(server, req, deadline).wait(self)
     }
 
     /// [`ClientCore::call_retry`]'s policy for a call that is submitted now
-    /// and waited for, or left to finish, later: a failure reported at
-    /// submit — the request was never delivered — is retried before this
-    /// returns, one that arrives later in [`Call::wait`].
-    pub(crate) fn submit(&self, server: ServerId, req: KvRequest, max_attempts: usize) -> Call {
+    /// and waited for later: a failure reported at submit — the request was
+    /// never delivered — is retried before this returns, one that arrives
+    /// later in [`Call::wait`].
+    pub(crate) fn submit<'d>(
+        &self,
+        server: ServerId,
+        req: KvRequest,
+        deadline: &'d Deadline,
+    ) -> Call<'d> {
         count(TraceCounter::Rpcs, 1);
         let span = span(SpanKind::Rpc);
-        let mut retry = Retry::new(server, req, max_attempts);
+        let mut retry = Retry {
+            server,
+            req,
+            deadline,
+            attempt: 0,
+            salt: None,
+            saw_timeout: false,
+            spent: false,
+        };
         let reply = Call::send(&mut retry, self);
         Call {
             retry,
@@ -164,61 +176,109 @@ impl ClientCore {
     }
 }
 
-/// The retry budget of one RPC.
-struct Retry {
+thread_local! {
+    /// The deadline of the [`crate::KvClient::retry_txn`] statement running
+    /// on this thread: `None` outside one, `Some(None)` until it is anchored.
+    static STATEMENT: Cell<Option<Option<Instant>>> = const { Cell::new(None) };
+}
+
+/// Marks the running thread as inside a statement for as long as it lives,
+/// with a deadline not yet anchored; a statement nested in another has its
+/// own, and the outer one's is back once the inner one ends.
+pub(crate) struct Statement(Option<Option<Instant>>);
+
+impl Statement {
+    pub(crate) fn enter() -> Self {
+        Statement(STATEMENT.replace(Some(None)))
+    }
+}
+
+impl Drop for Statement {
+    fn drop(&mut self) {
+        STATEMENT.set(self.0);
+    }
+}
+
+/// The instant one KV call's retry loops stop at: its statement's, for a
+/// call of a transaction a statement began, made on the thread running the
+/// statement; otherwise the call's own.  Either is anchored
+/// [`KvConfig::op_deadline_us`] after the first retry or wait that asks for
+/// it, so a call that never has to wait reads no clock.
+pub(crate) struct Deadline {
+    budget: Duration,
+    statement: bool,
+    own: Cell<Option<Instant>>,
+}
+
+impl Deadline {
+    pub(crate) fn new(cfg: &KvConfig, statement: bool) -> Self {
+        Deadline {
+            budget: Duration::from_micros(cfg.op_deadline_us),
+            statement,
+            own: Cell::new(None),
+        }
+    }
+
+    /// Whether a wait of `us` from now ends before the deadline, anchoring
+    /// it if nothing has yet.  A wait that does not fit spends the deadline
+    /// for every loop under it, so the loops above return at once too.
+    pub(crate) fn allows(&self, us: u64) -> bool {
+        let now = Instant::now();
+        let judge = |at: Option<Instant>| {
+            let until = at.unwrap_or(now + self.budget);
+            let fits = now + Duration::from_micros(us) < until;
+            (if fits { until } else { now }, fits)
+        };
+        if self.statement {
+            let shared = STATEMENT.with(|s| {
+                let (until, fits) = judge(s.get()?);
+                s.set(Some(Some(until)));
+                Some(fits)
+            });
+            if let Some(fits) = shared {
+                return fits;
+            }
+        }
+        let (until, fits) = judge(self.own.get());
+        self.own.set(Some(until));
+        fits
+    }
+}
+
+/// The retry state of one RPC.
+struct Retry<'d> {
     server: ServerId,
-    /// Kept for retries; the final attempt consumes it.
-    req: Option<KvRequest>,
-    max: usize,
+    req: KvRequest,
+    deadline: &'d Deadline,
     attempt: usize,
     salt: Option<u64>,
     saw_timeout: bool,
+    /// Set once a failure found no time for another attempt.
+    spent: bool,
 }
 
-impl Retry {
-    fn new(server: ServerId, req: KvRequest, max_attempts: usize) -> Self {
-        Retry {
-            server,
-            req: Some(req),
-            max: max_attempts.max(1),
-            attempt: 0,
-            salt: None,
-            saw_timeout: false,
-        }
-    }
-
-    fn last_attempt(&self) -> bool {
-        self.attempt + 1 >= self.max
-    }
-
-    /// The request for the next attempt.
-    fn request(&mut self) -> KvRequest {
-        if self.last_attempt() {
-            self.req.take()
-        } else {
-            self.req.clone()
-        }
-        .expect("a request is kept until the final attempt")
-    }
-
-    /// Notes a failed attempt and, if the budget allows another, backs off
-    /// and returns true.
+impl Retry<'_> {
+    /// Notes a failed attempt and, if the deadline allows another, backs
+    /// off and returns true.
     fn again(&mut self, core: &ClientCore, e: &Error) -> bool {
+        if self.spent {
+            return false;
+        }
         if matches!(e, Error::Timeout(_)) {
             self.saw_timeout = true;
             core.stats.counter("rpc.timeouts").inc();
         }
-        if self.last_attempt() {
+        if !core.backoff(self.attempt, &mut self.salt, self.deadline) {
+            self.spent = true;
             return false;
         }
         core.stats.counter("rpc.retries").inc();
         count(TraceCounter::Retries, 1);
-        core.backoff(self.attempt, &mut self.salt);
         self.attempt += 1;
         true
     }
 
-    /// The error a call that ran out of attempts reports.
+    /// The error a call that ran out of time reports.
     fn exhausted(&self, last: Error) -> Error {
         if self.saw_timeout && !matches!(last, Error::Timeout(_)) {
             // An earlier attempt may have been applied even though the final
@@ -234,33 +294,25 @@ impl Retry {
 }
 
 /// One RPC in flight under [`ClientCore::submit`].
-pub(crate) struct Call {
-    retry: Retry,
+pub(crate) struct Call<'d> {
+    retry: Retry<'d>,
     /// The latest attempt's reply.
     reply: Completion<KvResponse>,
     /// Charges the call, retries included, to the op's trace.
     _span: Span,
 }
 
-impl Call {
+impl Call<'_> {
     /// Submits the next attempt, and another after each the transport
-    /// rejects at submit while the budget allows.
-    fn send(retry: &mut Retry, core: &ClientCore) -> Completion<KvResponse> {
+    /// rejects at submit while the deadline allows.
+    fn send(retry: &mut Retry<'_>, core: &ClientCore) -> Completion<KvResponse> {
         loop {
-            let reply = core.transport.submit(retry.server, retry.request());
+            let reply = core.transport.submit(retry.server, retry.req.clone());
             match reply.resolved() {
-                Some(Err(e)) if e.is_availability() && !retry.last_attempt() => {
-                    let e = e.clone();
-                    retry.again(core, &e);
-                }
+                Some(Err(e)) if e.is_availability() && retry.again(core, e) => {}
                 _ => return reply,
             }
         }
-    }
-
-    /// The result, if the call was answered before `submit` returned.
-    fn resolved(&self) -> Option<&Result<KvResponse>> {
-        self.reply.resolved()
     }
 
     /// Waits for the response, retrying availability failures that arrive
@@ -281,34 +333,27 @@ impl Call {
             }
         }
     }
-
-    /// Leaves the call to finish on its own: `then` runs with its result
-    /// once the server answers, wherever that happens.  Failures reported
-    /// at submit have been retried already; one that arrives later is
-    /// handed to `then`.
-    fn then(self, then: impl FnOnce(Result<KvResponse>) + Send + 'static) {
-        self.reply.then(then);
-    }
 }
 
 /// Issues one round — a transaction's prefetch, or the coordinator's
-/// prepares or aborts — of one `(server, request)` call per entry, and
-/// returns each outcome in entry order.  Every call is submitted before any
-/// is waited for, so the round costs its slowest call rather than the sum:
-/// one round trip on a slept network, one flush wait when the servers force
-/// their logs.  Submitting stops early once a call that came back answered
-/// satisfies `stop_after` (a failed prepare, so that later participants are
-/// never locked for a doomed transaction); the outcomes then end with it.
+/// prepares or aborts — of one `(server, request)` call per entry, all
+/// retrying until `deadline`, and returns each outcome in entry order.
+/// Every call is submitted before any is waited for, so the round costs its
+/// slowest call rather than the sum: one round trip on a slept network, one
+/// flush wait when the servers force their logs.  Submitting stops early
+/// once a call that came back answered satisfies `stop_after` (a failed
+/// prepare, so that later participants are never locked for a doomed
+/// transaction); the outcomes then end with it.
 pub(crate) fn round(
     core: &ClientCore,
     reqs: impl IntoIterator<Item = (ServerId, KvRequest)>,
-    max_attempts: usize,
+    deadline: &Deadline,
     stop_after: impl Fn(&Result<KvResponse>) -> bool,
 ) -> Vec<Result<KvResponse>> {
     let mut calls = Vec::new();
     for (server, req) in reqs {
-        let call = core.submit(server, req, max_attempts);
-        let stop = call.resolved().is_some_and(&stop_after);
+        let call = core.submit(server, req, deadline);
+        let stop = call.reply.resolved().is_some_and(&stop_after);
         calls.push(call);
         if stop {
             break;
@@ -317,11 +362,13 @@ pub(crate) fn round(
     calls.into_iter().map(|call| call.wait(core)).collect()
 }
 
-/// Sends a commit decision to one secondary without waiting for it: the
-/// commit already stands at the primary, so the outcome only matters to
-/// bookkeeping, done where the answer lands.  A failure makes the
-/// participant lagging (the reaper converges it).  `kv.commit_apply_us` is
-/// the time from submit to landing, if phase timing is on.
+/// Sends a commit decision to one secondary, once, without waiting for it:
+/// the commit already stands at the primary, so the outcome only matters to
+/// bookkeeping, done where the answer lands.  A failure — a refusal at
+/// submit included — makes the participant lagging, and the secondary
+/// adopts the commit from the primary when a request or a sweep resolves
+/// its prepare.  `kv.commit_apply_us` is the time from submit to landing,
+/// if phase timing is on.
 fn decide_secondary(
     core: &Arc<ClientCore>,
     server: ServerId,
@@ -329,14 +376,14 @@ fn decide_secondary(
     commit_ts: Timestamp,
     timing: bool,
 ) {
+    count(TraceCounter::Rpcs, 1);
+    let _span = span(SpanKind::Rpc);
     let submitted = timing.then(clock::now);
-    let call = core.submit(
-        server,
-        KvRequest::Commit { txn, commit_ts },
-        core.cfg.rpc_max_attempts,
-    );
+    let reply = core
+        .transport
+        .submit(server, KvRequest::Commit { txn, commit_ts });
     let core = Arc::clone(core);
-    call.then(move |resp| {
+    reply.then(move |resp| {
         if let Some(t0) = submitted {
             core.hot.commit_apply_us.record(clock::elapsed_us(t0));
         }
@@ -426,10 +473,15 @@ pub struct Txn {
     start_ts: Timestamp,
     state: Mutex<TxnState>,
     local: Mutex<Local>,
+    /// Whether the transaction's calls retry until its statement's
+    /// deadline (see [`Deadline`]) rather than one each.
+    statement: bool,
 }
 
 impl Txn {
-    pub(crate) fn begin(core: Arc<ClientCore>) -> Self {
+    /// Begins a transaction; `statement` if it is an attempt of a
+    /// [`crate::KvClient::retry_txn`] statement.
+    pub(crate) fn begin(core: Arc<ClientCore>, statement: bool) -> Self {
         let id = core.oracle.next_txn_id();
         let start_ts = core.snapshots.begin(&core.oracle);
         core.hot.txn_started.inc();
@@ -439,7 +491,21 @@ impl Txn {
             start_ts,
             state: Mutex::new(TxnState::Active),
             local: Mutex::new(Local::default()),
+            statement,
         }
+    }
+
+    /// Detaches the transaction from the statement that began it, for one
+    /// that outlives it (a stream handed out with rows still to pull): its
+    /// later calls get a deadline each, not the spent statement's.
+    pub fn leave_statement(mut self) -> Self {
+        self.statement = false;
+        self
+    }
+
+    /// The deadline of one call of this transaction.
+    fn deadline(&self) -> Deadline {
+        Deadline::new(&self.core.cfg, self.statement)
     }
 
     /// The transaction's id.
@@ -487,31 +553,28 @@ impl Txn {
         }
         let _get_span = span(SpanKind::KvGet);
         let server = self.core.home(obj);
-        let mut attempts = 0usize;
+        let deadline = self.deadline();
+        let (mut waits, mut salt) = (0, None);
         loop {
             self.core.hot.get_rpcs.inc();
-            match self.core.call_retry(
-                server,
-                KvRequest::Get {
-                    obj,
-                    ts: self.start_ts,
-                },
-                self.core.cfg.rpc_max_attempts,
-            )? {
+            let get = KvRequest::Get {
+                obj,
+                ts: self.start_ts,
+            };
+            match self.core.call_retry(server, get, &deadline)? {
                 KvResponse::Value(v) => {
                     self.local.lock().reads.remember(obj, v.clone());
                     return Ok(v);
                 }
                 KvResponse::Locked => {
-                    attempts += 1;
                     self.core.hot.get_lock_retries.inc();
-                    if attempts > LOCK_READ_RETRIES {
+                    if !self.core.backoff(waits, &mut salt, &deadline) {
                         return Err(Error::LockTimeout(format!(
-                            "object {obj} still locked after {attempts} read attempts"
+                            "object {obj} still locked at the deadline, after {} reads",
+                            waits + 1
                         )));
                     }
-                    let us = LOCK_BACKOFF_US * attempts.min(16) as u64;
-                    std::thread::sleep(Duration::from_micros(us));
+                    waits += 1;
                 }
                 KvResponse::ServerError { message } => return Err(Error::Io(message)),
                 other => {
@@ -558,7 +621,7 @@ impl Txn {
             (self.core.home(obj), get)
         });
         self.core.hot.get_rpcs.add(wanted.len() as u64);
-        let outcomes = round(&self.core, gets, self.core.cfg.rpc_max_attempts, |_| false);
+        let outcomes = round(&self.core, gets, &self.deadline(), |_| false);
         let mut local = self.local.lock();
         for (obj, resp) in wanted.into_iter().zip(outcomes) {
             if let Ok(KvResponse::Value(v)) = resp {
@@ -625,6 +688,9 @@ impl Txn {
         // Phase timing is pay-as-you-go: no clock is read unless the
         // deployment turned `Obs::timing_on`.
         let timing = self.core.stats.obs().timing_on();
+        // One deadline for the whole commit: the prepares, the decision at
+        // the primary and the aborts of a failed round.
+        let deadline = self.deadline();
 
         // Group writes by participant server, preserving ObjectId order so
         // that servers acquire locks in a deterministic order.
@@ -661,7 +727,7 @@ impl Txn {
                         start_ts: self.start_ts,
                         writes,
                     },
-                    self.core.cfg.rpc_max_attempts,
+                    &deadline,
                 )
                 .map_err(|e| {
                     if matches!(e, Error::Timeout(_)) {
@@ -720,12 +786,9 @@ impl Txn {
         });
         // Each participant validates, locks, and leases its own slice; over
         // a forced log the prepares' flushes overlap, one per server.
-        let outcomes = round(
-            &self.core,
-            prepares,
-            self.core.cfg.rpc_max_attempts,
-            |resp| !matches!(resp, Ok(KvResponse::Prepared)),
-        );
+        let outcomes = round(&self.core, prepares, &deadline, |resp| {
+            !matches!(resp, Ok(KvResponse::Prepared))
+        });
         if let Some(t0) = prepare_t0 {
             self.core
                 .hot
@@ -739,7 +802,7 @@ impl Txn {
             .find(|(_, r)| !matches!(r, Ok(KvResponse::Prepared)));
         if let Some((i, resp)) = failed {
             let server = participants[i];
-            self.abort_participants(&participants);
+            self.abort_participants(&participants, &deadline);
             *self.state.lock() = TxnState::Aborted;
             return Err(match resp {
                 Ok(KvResponse::Conflict { reason }) => {
@@ -753,7 +816,7 @@ impl Txn {
                 Ok(other) => Error::Internal(format!("unexpected prepare response: {other:?}")),
                 Err(e) => {
                     // Coordinator deadline: a participant stayed unreachable
-                    // through the retry budget.  No commit was sent, so the
+                    // until the deadline.  No commit was sent, so the
                     // transaction cannot have committed anywhere — the
                     // others are aborted (best-effort; the reaper collects
                     // whatever the aborts miss) and the failure is a clean,
@@ -776,18 +839,15 @@ impl Txn {
         // its commit timestamp is fixed *at the primary*.
         let commit_ts = self.core.oracle.next_timestamp();
 
-        // Phase two, commit point: the primary, with the larger resolve
-        // budget — once everyone is prepared, pounding on the primary is far
-        // cheaper than surfacing an indeterminate commit.
+        // Phase two, commit point: the primary, until the deadline — once
+        // everyone is prepared, pounding on the primary is far cheaper than
+        // surfacing an indeterminate commit.
         let decide_t0 = timing.then(clock::now);
-        let decide_resp = self.core.call_retry(
-            primary,
-            KvRequest::Commit {
-                txn: self.id,
-                commit_ts,
-            },
-            self.core.cfg.commit_resolve_attempts,
-        );
+        let decide = KvRequest::Commit {
+            txn: self.id,
+            commit_ts,
+        };
+        let decide_resp = self.core.call_retry(primary, decide, &deadline);
         if let Some(t0) = decide_t0 {
             self.core.hot.commit_decide_us.record(clock::elapsed_us(t0));
         }
@@ -797,7 +857,7 @@ impl Txn {
                 // The primary's reaper presumed abort before our commit
                 // arrived (lease expired).  Nothing committed anywhere:
                 // secondaries never commit before the primary.
-                self.abort_participants(&participants);
+                self.abort_participants(&participants, &deadline);
                 *self.state.lock() = TxnState::Aborted;
                 self.core.hot.txn_conflicts.inc();
                 count(TraceCounter::Conflicts, 1);
@@ -812,7 +872,7 @@ impl Txn {
                 // not applied (log-before-apply); the transaction is still
                 // merely prepared.  Abort it cleanly rather than leave it to
                 // the reaper's lease expiry.
-                self.abort_participants(&participants);
+                self.abort_participants(&participants, &deadline);
                 *self.state.lock() = TxnState::Aborted;
                 return Err(Error::Io(message));
             }
@@ -843,18 +903,16 @@ impl Txn {
         Ok(commit_ts)
     }
 
-    /// Best-effort abort round used when a prepare round fails.  Abort is
-    /// idempotent and deduplicated server-side, and participants that miss
-    /// the message are cleaned up by the prepare-lease reaper.  One round:
-    /// a failed prepare round under faults would otherwise serialise several
-    /// full retry budgets.
-    fn abort_participants(&self, participants: &[ServerId]) {
+    /// Best-effort abort round used when a commit fails before its commit
+    /// point, under the commit's deadline: each abort gets one attempt even
+    /// if the deadline has passed.  Abort is idempotent and deduplicated
+    /// server-side, and participants that miss the message resolve the
+    /// prepare once its lease is over.
+    fn abort_participants(&self, participants: &[ServerId], deadline: &Deadline) {
         let aborts = participants
             .iter()
             .map(|&s| (s, KvRequest::Abort { txn: self.id }));
-        let _ = round(&self.core, aborts, self.core.cfg.rpc_max_attempts, |_| {
-            false
-        });
+        let _ = round(&self.core, aborts, deadline, |_| false);
     }
 
     /// Aborts the transaction, discarding its buffered writes.
@@ -938,6 +996,27 @@ mod tests {
         );
         assert_eq!(get_rpcs.get() - before, 2);
         t.commit().unwrap();
+    }
+
+    #[test]
+    fn fault_free_calls_and_statements_anchor_no_deadline() {
+        let db = KvDatabase::with_servers(2);
+        let client = db.client();
+        let (a, b) = (ObjectId::new(1, 1), ObjectId::new(1, 3));
+        client
+            .retry_txn(|txn| {
+                assert_eq!(txn.get(a)?, None);
+                txn.put(a, Bytes::from_static(b"a"))?;
+                txn.put(b, Bytes::from_static(b"b"))?;
+                txn.commit()?;
+                // Nothing waited, so nothing read the clock to anchor.
+                assert_eq!(STATEMENT.get(), Some(None), "the statement anchored");
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(STATEMENT.get(), None, "the statement outlived its call");
+        assert_eq!(db.stats().counter("kv.commit_2pc").get(), 1);
+        assert_eq!(db.stats().counter("kv.txn_retries").get(), 0);
     }
 
     #[test]

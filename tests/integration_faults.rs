@@ -313,6 +313,50 @@ fn lost_secondary_commit_converges_to_committed() {
     t.commit().unwrap();
 }
 
+/// A secondary's commit decision is submitted once.  The secondary crashed
+/// once its prepare was delivered (the prepare's duplicate crashes it, after
+/// the prepare was answered), so the transport refuses the decision at
+/// submit: the commit returns without retrying it on the committing thread,
+/// counting the secondary as lagging, and the secondary adopts the commit
+/// from the primary once it is back.
+#[test]
+fn a_refused_secondary_decision_is_not_retried() {
+    let plans = vec![
+        FaultPlan::healthy(),
+        FaultPlan {
+            duplicate: 1.0,
+            crash_after_requests: Some(2),
+            ..FaultPlan::healthy()
+        },
+    ];
+    let db = KvDatabase::with_faults(impatient(2), TransportKind::Direct, plans);
+    let faults = Arc::clone(db.faults().unwrap());
+    let client = db.client();
+    let retries = db.stats().counter("rpc.retries");
+    let lagging = db.stats().counter("kv.commit_lagging_participants");
+    let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
+
+    let t = client.begin();
+    t.put(o0, &b"once"[..]).unwrap();
+    t.put(o1, &b"once"[..]).unwrap();
+    let (retried, lagged) = (retries.get(), lagging.get());
+    let commit_ts = t.commit().unwrap();
+    assert!(faults.is_crashed(1));
+    assert_eq!(retries.get(), retried, "the refused decision was retried");
+    assert_eq!(lagging.get(), lagged + 1);
+
+    faults.set_plan(1, FaultPlan::healthy());
+    faults.restart(1);
+    std::thread::sleep(Duration::from_millis(5));
+    db.reap_all();
+    assert_eq!(db.prepared_total(), 0);
+    assert_eq!(
+        db.cluster().servers()[1].store().dump_versions(o1),
+        vec![(commit_ts, Some(bytes::Bytes::from_static(b"once")))],
+        "the secondary holds the commit exactly once"
+    );
+}
+
 /// Duplicate deliveries of prepare and commit (retransmissions racing the
 /// original) must not double-apply: one version per object, and the second
 /// commit reports the original timestamp.
@@ -1012,8 +1056,8 @@ fn streamed_queries_ride_out_transient_faults() {
     }
     let by_id = y.prepare("SELECT n FROM t WHERE id = ?").unwrap();
 
-    // Half of all requests now fail, so about one read in sixteen uses up
-    // the four attempts `impatient` gives an RPC and fails as a whole.
+    // Half of all requests now fail; every open retries its reads within
+    // its statement's deadline.
     let faults = Arc::clone(y.db().faults().expect("fault-injected deployment"));
     for server in 0..2 {
         let plan = FaultPlan {
@@ -1023,7 +1067,7 @@ fn streamed_queries_ride_out_transient_faults() {
         };
         faults.set_plan(server, plan);
     }
-    let retries = y.db().stats().counter("kv.txn_retries");
+    let retries = y.db().stats().counter("rpc.retries");
     let before = retries.get();
     for round in 0..10 {
         for i in 0..40i64 {
@@ -1038,6 +1082,49 @@ fn streamed_queries_ride_out_transient_faults() {
     }
     assert!(
         retries.get() > before,
-        "no open was retried: the faults never reached a statement"
+        "no open retried a read: the faults never reached a statement"
     );
+}
+
+/// A statement that cannot succeed gives up at its deadline, whatever the
+/// fault and over either transport: an `impatient` statement (20 ms)
+/// returns within its deadline plus one round trip — and an allowance for
+/// sleeps that overshoot on a loaded machine — having spent most of it.
+#[test]
+fn a_failing_statement_returns_by_its_deadline() {
+    let deadline = Duration::from_micros(KvConfig::impatient().op_deadline_us);
+    let obj = ObjectId::new(1, 0);
+    let threaded = TransportKind::Threaded {
+        workers_per_server: 1,
+    };
+    for transport in [TransportKind::Direct, threaded] {
+        for kind in ["crash", "drop_request", "drop_response", "transient_error"] {
+            let db = KvDatabase::with_faults(impatient(1), transport, vec![]);
+            let client = db.client();
+            let t0 = Instant::now();
+            client.run_txn(|txn| txn.get(obj)).unwrap();
+            let round_trip = t0.elapsed();
+            let faults = db.faults().unwrap();
+            let mut plan = FaultPlan::healthy();
+            match kind {
+                "crash" => faults.crash(0),
+                "drop_request" => plan.drop_request = 1.0,
+                "drop_response" => plan.drop_response = 1.0,
+                _ => plan.transient_error = 1.0,
+            }
+            faults.set_plan(0, plan);
+
+            let t0 = Instant::now();
+            let out = client.run_txn(|txn| txn.get(obj));
+            let took = t0.elapsed();
+            assert!(
+                matches!(out, Err(Error::RetriesExhausted { attempts: 1, .. })),
+                "{kind} over {transport:?}: {out:?}"
+            );
+            assert!(
+                took >= deadline / 2 && took <= deadline + round_trip + Duration::from_millis(10),
+                "{kind} over {transport:?}: gave up after {took:?}"
+            );
+        }
+    }
 }

@@ -3,10 +3,12 @@
 //! first-committer-wins rule, one-phase vs two-phase commit, and the
 //! no-communication read-only commit.
 
+use std::time::Duration;
 use yesquel::common::tempdir::TempDir;
 use yesquel::kv::protocol::{KvRequest, KvResponse, WriteOp};
 use yesquel::rpc::TransportKind;
-use yesquel::{Error, KvDatabase, ObjectId, YesquelConfig};
+
+use yesquel::{Error, KvConfig, KvDatabase, ObjectId, YesquelConfig};
 
 fn obj(oid: u64) -> ObjectId {
     ObjectId::new(1, oid)
@@ -69,7 +71,11 @@ fn repeatable_read_across_a_concurrent_commit_costs_no_get() {
 /// value at the reader's snapshot — not the writer's.
 #[test]
 fn a_read_that_timed_out_on_a_lock_remembers_nothing() {
-    let db = KvDatabase::with_servers(1);
+    // Impatient: the read gives up at a 20 ms deadline, not a second.
+    let db = KvDatabase::new(YesquelConfig {
+        kv: KvConfig::impatient(),
+        ..YesquelConfig::with_servers(1)
+    });
     let client = db.client();
     let gets = db.stats().counter("kv.get_rpcs");
     let transport = db.cluster().transport();
@@ -119,6 +125,56 @@ fn a_read_that_timed_out_on_a_lock_remembers_nothing() {
     assert_eq!(reader.get(obj(8)).unwrap().as_deref(), Some(&b"before"[..]));
     assert_eq!(gets.get() - before, 1, "the read after the lock asks again");
     reader.commit().unwrap();
+}
+
+/// A reader held up by a live prepare lock waits for it until its
+/// statement's deadline — a second by default, two leases — instead of
+/// giving up and restarting: the writer commits 150 ms on, and the read
+/// returns the committed value within its first attempt.
+#[test]
+fn a_reader_outwaits_a_live_lock_without_restarting() {
+    let db = KvDatabase::with_servers(1);
+    let client = db.client();
+    let restarts = db.stats().counter("kv.txn_retries");
+    let transport = db.cluster().transport();
+
+    let setup = client.begin();
+    setup.put(obj(9), b"before".to_vec()).unwrap();
+    setup.commit().unwrap();
+    let writer = 0xB0B;
+    let prepared = transport
+        .call(
+            0,
+            KvRequest::Prepare {
+                txn: writer,
+                start_ts: db.oracle().next_timestamp(),
+                writes: vec![WriteOp {
+                    obj: obj(9),
+                    value: Some(bytes::Bytes::from_static(b"after")),
+                }],
+                primary: 0,
+                lease_us: 600_000_000,
+            },
+        )
+        .unwrap();
+    assert!(matches!(prepared, KvResponse::Prepared), "{prepared:?}");
+    // Drawn before the reader's snapshot: the reader must see the write.
+    let commit_ts = db.oracle().next_timestamp();
+    let before = restarts.get();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(150));
+            let decide = KvRequest::Commit {
+                txn: writer,
+                commit_ts,
+            };
+            let committed = transport.call(0, decide).unwrap();
+            assert!(matches!(committed, KvResponse::Committed { .. }));
+        });
+        let read = client.run_txn(|txn| txn.get(obj(9))).unwrap();
+        assert_eq!(read.as_deref(), Some(&b"after"[..]));
+    });
+    assert_eq!(restarts.get(), before, "the reader restarted");
 }
 
 #[test]
