@@ -2,8 +2,8 @@
 //!
 //! What is here is what a deployment, a test or a benchmark actually sets
 //! to different values: the number of servers, the network model, the log's
-//! directory and flush policy, the statement deadline and the prepare lease
-//! (fault tests shorten both), tree fan-out, and the DBT technique ablations (no client cache,
+//! directory and flush policy, the prepare lease (fault tests shorten
+//! it), tree fan-out, and the DBT technique ablations (no client cache,
 //! no back-down search, no load splits, no replication, synchronous
 //! splits), which are expressed purely as configurations of [`DbtConfig`].
 //! A value with one setting in use is a constant beside the code that
@@ -159,18 +159,6 @@ pub enum WalFsyncPolicy {
 /// Configuration of the transactional key-value store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvConfig {
-    /// How long, in microseconds, a statement keeps retrying once it first
-    /// has to retry or wait: the one time budget of the client's retry
-    /// loops.  A statement is one `KvClient::run_txn` / `retry_txn` call;
-    /// its restarts, an RPC's retries of [`crate::Error::Timeout`] and
-    /// [`crate::Error::Unavailable`], a read's waits on a prepare lock and
-    /// the commit at the primary all stop at its deadline, and a KV call
-    /// made outside a statement gets one of its own.  Every call makes at
-    /// least one attempt.  The backoff between retries starts at a
-    /// ten-thousandth of this and is capped at a hundredth.  Every request
-    /// is safe to retry: reads are idempotent, and prepare / commit / abort
-    /// are deduplicated server-side by transaction id.
-    pub op_deadline_us: u64,
     /// Lease, in microseconds, granted to the coordinator by each prepare.
     /// Once it expires, a participant presumes the coordinator dead and
     /// resolves the prepare when a request runs into it — a read that meets
@@ -178,7 +166,8 @@ pub struct KvConfig {
     /// primary — or, at the latest, on the first request a tenth of a lease
     /// after the server's last sweep: the primary participant aborts; the
     /// others adopt the primary's outcome.  Must comfortably exceed the
-    /// worst-case prepare-to-commit latency.
+    /// worst-case prepare-to-commit latency.  Also sets the client's
+    /// statement deadline ([`KvConfig::op_deadline_us`]).
     pub prepare_lease_us: u64,
     /// Directory under which each storage server keeps its write-ahead log
     /// (server `i` logs in `<wal_dir>/server-<i>`).  `None` — the default —
@@ -191,12 +180,8 @@ pub struct KvConfig {
 }
 
 impl Default for KvConfig {
-    /// A one-second statement deadline — two leases, so a reader that meets
-    /// a coordinator's abandoned lock outwaits its lease and resolves it —
-    /// which makes the backoff run from 100 µs to 10 ms.
     fn default() -> Self {
         KvConfig {
-            op_deadline_us: 1_000_000,
             prepare_lease_us: 500_000,
             wal_dir: None,
             wal_fsync: WalFsyncPolicy::Group { window_us: 100 },
@@ -205,19 +190,27 @@ impl Default for KvConfig {
 }
 
 impl KvConfig {
-    /// A configuration with a short deadline and lease, sized for
-    /// fault-injection tests: a statement that cannot succeed gives up
-    /// 20 ms after it first retried (its backoff runs from 2 µs to 200 µs)
-    /// and an orphaned prepare is resolved 3 ms on, by the first request
-    /// that runs into it or sweeps, so a chaos run converges quickly.  Not
+    /// A configuration with a short lease, sized for fault-injection tests:
+    /// an orphaned prepare is resolved 3 ms on, by the first request that
+    /// runs into it or sweeps, and a statement that cannot succeed gives up
+    /// 6 ms after it first retried, so a chaos run converges quickly.  Not
     /// meant for production-shaped benchmarks (the lease is far too short
     /// for a loaded commit path).
     pub fn impatient() -> Self {
         KvConfig {
-            op_deadline_us: 20_000,
             prepare_lease_us: 3_000,
             ..Self::default()
         }
+    }
+
+    /// The one time budget of the client's retry loops, in microseconds:
+    /// two leases, so a reader that meets a dead coordinator's lock
+    /// outwaits its lease.  A statement (one `KvClient::run_txn` /
+    /// `retry_txn` call) retries — its restarts, its RPCs' timeouts and
+    /// refusals, its reads' lock waits, its commit at the primary — until
+    /// this long after it first had to; any other KV call has its own.
+    pub fn op_deadline_us(&self) -> u64 {
+        2 * self.prepare_lease_us
     }
 }
 
@@ -280,8 +273,8 @@ mod tests {
         let c = YesquelConfig::default();
         assert_eq!(c.dbt.leaf_max_cells, 64);
         assert!(c.dbt.cache_inner_nodes);
-        assert!(c.kv.op_deadline_us >= 2 * c.kv.prepare_lease_us);
-        assert!(KvConfig::impatient().op_deadline_us < c.kv.op_deadline_us);
+        assert_eq!(c.kv.op_deadline_us(), 1_000_000);
+        assert!(KvConfig::impatient().op_deadline_us() < c.kv.op_deadline_us());
         assert_eq!(c.net.one_way_latency_us, 0);
     }
 

@@ -61,19 +61,19 @@ impl KvClient {
     }
 
     /// Runs `body` inside a transaction, committing it afterwards, and
-    /// retries the whole transaction when it aborts for a retryable reason
-    /// — a write-write conflict, a lock timeout, or an availability failure
-    /// (RPC timeout / server temporarily unreachable).  This is the standard
-    /// usage pattern under snapshot isolation and what the layers above use
-    /// for auto-commit operations.
+    /// retries the whole transaction when it aborts for a retryable reason.
+    /// This is the standard usage pattern under snapshot isolation and what
+    /// the layers above use for auto-commit operations.
     ///
     /// The call is one statement with one deadline: its attempts, and every
     /// KV call inside them, retry until [`KvConfig::op_deadline_us`] after
-    /// the statement first had to retry or wait.  Once a failure finds no
-    /// time left the caller receives [`Error::RetriesExhausted`] with the
-    /// number of attempts made and the error from the final one, so
-    /// "retried conflicts until the deadline" and "the cluster is down"
-    /// stay distinguishable.
+    /// the statement first had to retry or wait.  A write-write conflict
+    /// restarts the transaction; a lock wait or an availability failure is
+    /// waited out by the call that met it.  Once a failure finds no time
+    /// left the caller receives [`Error::RetriesExhausted`] with the number
+    /// of attempts made and the error from the final one, so "retried
+    /// conflicts until the deadline" and "the cluster is down" stay
+    /// distinguishable.
     pub fn run_txn<T>(&self, mut body: impl FnMut(&Txn) -> Result<T>) -> Result<T> {
         self.retry_txn(|txn| match body(&txn) {
             Ok(value) => txn.commit().map(|_| value),
@@ -88,8 +88,7 @@ impl KvClient {
     /// transaction themselves: every attempt is handed a fresh transaction
     /// by value, and whatever it returns on success is the result — a
     /// committed value, or the transaction itself still open (a read-only
-    /// stream that outlives the call, which it detaches with
-    /// [`Txn::leave_statement`]).  Failures are classified, counted
+    /// stream that outlives the call).  Failures are classified, counted
     /// (`kv.txn_retries`), backed off and bounded exactly as for `run_txn`.
     pub fn retry_txn<T>(&self, mut attempt: impl FnMut(Txn) -> Result<T>) -> Result<T> {
         let _statement = Statement::enter();
@@ -103,10 +102,9 @@ impl KvClient {
                 Err(e) => return Err(e),
             };
             self.core.hot.txn_retries.inc();
-            // Back off so the conflicting transaction (or the recovering
-            // server) gets a chance; availability failures wait from the
-            // first retry, conflicts only once retries repeat.
-            let again = if last.is_availability() || attempts > 3 {
+            // Once restarts repeat, back off so the conflicting transaction
+            // gets a chance.
+            let again = if attempts > 3 {
                 self.core.backoff(attempts - 1, &mut salt, &deadline)
             } else {
                 deadline.allows(0)
@@ -130,8 +128,9 @@ impl KvClient {
         &self.core.stats
     }
 
-    /// The key-value configuration this client operates under (the
-    /// statement deadline, which also sets the backoff; read-only).
+    /// The key-value configuration this client operates under (the prepare
+    /// lease, which sets the statement deadline and so the backoff;
+    /// read-only).
     pub fn config(&self) -> &KvConfig {
         &self.core.cfg
     }

@@ -85,10 +85,15 @@ pub(crate) struct ClientCore {
     pub(crate) retry_salt: AtomicU64,
 }
 
-/// The first backoff's window is the deadline over this...
+/// The first backoff's window is the deadline over this (1 µs at least)...
 const BACKOFF_BASE_DIV: u64 = 10_000;
 /// ...and no backoff's exceeds the deadline over this.
 const BACKOFF_CAP_DIV: u64 = 100;
+/// A read that meets a lock reads again after this many µs times the reads
+/// so far (16 at most): a live lock lasts a round trip, so it is polled.
+const LOCK_WAIT_STEP_US: u64 = 50;
+/// How often a secondary's decision is submitted while refused at submit.
+const DECISION_SUBMITS: usize = 3;
 
 impl ClientCore {
     pub(crate) fn num_servers(&self) -> usize {
@@ -104,25 +109,16 @@ impl ClientCore {
     /// and says whether it had: the one backoff policy, exponential with
     /// jitter from [`KvConfig::op_deadline_us`] over `BACKOFF_BASE_DIV` up
     /// to the deadline over `BACKOFF_CAP_DIV` (100 µs to 10 ms by default).
-    /// No backoff is slept that would end past `deadline`, which the first
-    /// wait anchors.  `salt` is the loop's jitter salt, `None` until the
-    /// loop first backs off; it is drawn then, once per loop, from the
-    /// client's counter, so concurrent loops do not sleep in lockstep and a
-    /// loop that never retries touches no shared state.
+    /// `salt` is the loop's jitter salt, `None` until the loop first backs
+    /// off; it is drawn then, once per loop, from the client's counter, so
+    /// concurrent loops do not sleep in lockstep and a loop that never
+    /// retries touches no shared state.
     pub(crate) fn backoff(&self, n: usize, salt: &mut Option<u64>, deadline: &Deadline) -> bool {
         let salt = *salt
             .get_or_insert_with(|| splitmix64(self.retry_salt.fetch_add(1, Ordering::Relaxed)));
-        let budget = self.cfg.op_deadline_us;
-        let us = retry_backoff_us(n, budget / BACKOFF_BASE_DIV, budget / BACKOFF_CAP_DIV, salt);
-        if !deadline.allows(us) {
-            return false;
-        }
-        if us == 0 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(Duration::from_micros(us));
-        }
-        true
+        let budget = self.cfg.op_deadline_us();
+        let base = (budget / BACKOFF_BASE_DIV).max(1);
+        deadline.sleep(retry_backoff_us(n, base, budget / BACKOFF_CAP_DIV, salt))
     }
 
     /// Issues one RPC with a deadline-and-retry policy: availability-class
@@ -213,7 +209,7 @@ pub(crate) struct Deadline {
 impl Deadline {
     pub(crate) fn new(cfg: &KvConfig, statement: bool) -> Self {
         Deadline {
-            budget: Duration::from_micros(cfg.op_deadline_us),
+            budget: Duration::from_micros(cfg.op_deadline_us()),
             statement,
             own: Cell::new(None),
         }
@@ -242,6 +238,20 @@ impl Deadline {
         let (until, fits) = judge(self.own.get());
         self.own.set(Some(until));
         fits
+    }
+
+    /// Sleeps `us` (yields for 0) if that ends before the deadline, and
+    /// says whether it did: no wait is slept that would end past it.
+    pub(crate) fn sleep(&self, us: u64) -> bool {
+        if !self.allows(us) {
+            return false;
+        }
+        if us == 0 {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(Duration::from_micros(us));
+        }
+        true
     }
 }
 
@@ -362,13 +372,14 @@ pub(crate) fn round(
     calls.into_iter().map(|call| call.wait(core)).collect()
 }
 
-/// Sends a commit decision to one secondary, once, without waiting for it:
-/// the commit already stands at the primary, so the outcome only matters to
-/// bookkeeping, done where the answer lands.  A failure — a refusal at
-/// submit included — makes the participant lagging, and the secondary
-/// adopts the commit from the primary when a request or a sweep resolves
-/// its prepare.  `kv.commit_apply_us` is the time from submit to landing,
-/// if phase timing is on.
+/// Sends a commit decision to one secondary without waiting for it: the
+/// commit already stands at the primary, so the outcome only matters to
+/// bookkeeping, done where the answer lands.  A refusal at submit is
+/// submitted again at once, never backed off from, so the committing thread
+/// is not held.  A failure that remains makes the participant lagging; the
+/// secondary adopts the commit from the primary when a request or a sweep
+/// resolves its prepare.  `kv.commit_apply_us` is the time from submit to
+/// landing, if phase timing is on.
 fn decide_secondary(
     core: &Arc<ClientCore>,
     server: ServerId,
@@ -379,9 +390,18 @@ fn decide_secondary(
     count(TraceCounter::Rpcs, 1);
     let _span = span(SpanKind::Rpc);
     let submitted = timing.then(clock::now);
-    let reply = core
-        .transport
-        .submit(server, KvRequest::Commit { txn, commit_ts });
+    let decide = KvRequest::Commit { txn, commit_ts };
+    let mut reply = core.transport.submit(server, decide.clone());
+    for _ in 1..DECISION_SUBMITS {
+        match reply.resolved() {
+            Some(Err(Error::Timeout(_))) => core.stats.counter("rpc.timeouts").inc(),
+            Some(Err(Error::Unavailable(_))) => {}
+            _ => break,
+        }
+        core.stats.counter("rpc.retries").inc();
+        count(TraceCounter::Retries, 1);
+        reply = core.transport.submit(server, decide.clone());
+    }
     let core = Arc::clone(core);
     reply.then(move |resp| {
         if let Some(t0) = submitted {
@@ -495,14 +515,6 @@ impl Txn {
         }
     }
 
-    /// Detaches the transaction from the statement that began it, for one
-    /// that outlives it (a stream handed out with rows still to pull): its
-    /// later calls get a deadline each, not the spent statement's.
-    pub fn leave_statement(mut self) -> Self {
-        self.statement = false;
-        self
-    }
-
     /// The deadline of one call of this transaction.
     fn deadline(&self) -> Deadline {
         Deadline::new(&self.core.cfg, self.statement)
@@ -554,7 +566,7 @@ impl Txn {
         let _get_span = span(SpanKind::KvGet);
         let server = self.core.home(obj);
         let deadline = self.deadline();
-        let (mut waits, mut salt) = (0, None);
+        let mut reads = 0;
         loop {
             self.core.hot.get_rpcs.inc();
             let get = KvRequest::Get {
@@ -567,14 +579,13 @@ impl Txn {
                     return Ok(v);
                 }
                 KvResponse::Locked => {
+                    reads += 1;
                     self.core.hot.get_lock_retries.inc();
-                    if !self.core.backoff(waits, &mut salt, &deadline) {
+                    if !deadline.sleep(LOCK_WAIT_STEP_US * reads.min(16)) {
                         return Err(Error::LockTimeout(format!(
-                            "object {obj} still locked at the deadline, after {} reads",
-                            waits + 1
+                            "object {obj} still locked at the deadline, after {reads} reads"
                         )));
                     }
-                    waits += 1;
                 }
                 KvResponse::ServerError { message } => return Err(Error::Io(message)),
                 other => {

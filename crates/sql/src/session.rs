@@ -467,9 +467,9 @@ impl Session {
         let out = self.client.retry_txn(|txn| {
             let plan = self.plan_attempt(stmt, &txn, &mut ran_ddl)?;
             let stream = crate::open_stream(&self.catalog, &txn, &plan, params)?;
-            // The rows still to pull are not this statement's: each pull's
-            // calls get a deadline of their own.
-            Ok((txn.leave_statement(), stream))
+            // The rows still to pull are pulled after the statement has
+            // ended, so each pull's calls get a deadline of their own.
+            Ok((txn, stream))
         });
         let (txn, stream) = self.finish(ran_ddl, out)?;
         Ok(Rows {

@@ -71,7 +71,7 @@ fn repeatable_read_across_a_concurrent_commit_costs_no_get() {
 /// value at the reader's snapshot — not the writer's.
 #[test]
 fn a_read_that_timed_out_on_a_lock_remembers_nothing() {
-    // Impatient: the read gives up at a 20 ms deadline, not a second.
+    // Impatient: the read gives up at a 6 ms deadline, not a second.
     let db = KvDatabase::new(YesquelConfig {
         kv: KvConfig::impatient(),
         ..YesquelConfig::with_servers(1)
