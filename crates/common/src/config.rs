@@ -160,13 +160,13 @@ pub enum WalFsyncPolicy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvConfig {
     /// Lease, in microseconds, granted to the coordinator by each prepare.
-    /// Once it expires, a participant presumes the coordinator dead and
-    /// resolves the prepare when a request runs into it — a read that meets
-    /// its lock, a write that conflicts on it, a status probe at its
-    /// primary — or, at the latest, on the first request a tenth of a lease
-    /// after the server's last sweep: the primary participant aborts; the
-    /// others adopt the primary's outcome.  Must comfortably exceed the
-    /// worst-case prepare-to-commit latency.  Also sets the client's
+    /// A prepare is resolved from the participants' records whenever a
+    /// request runs into it; once the lease has expired, the resolver also
+    /// fences the participants that have no record of the transaction, so
+    /// a coordinator presumed dead cannot commit it afterwards, and an
+    /// orphan nobody meets is resolved on the first request a tenth of a
+    /// lease after the server's last sweep.  Must comfortably exceed the
+    /// worst-case prepare round.  Also sets the client's
     /// statement deadline ([`KvConfig::op_deadline_us`]).
     pub prepare_lease_us: u64,
     /// Directory under which each storage server keeps its write-ahead log
@@ -207,7 +207,7 @@ impl KvConfig {
     /// two leases, so a reader that meets a dead coordinator's lock
     /// outwaits its lease.  A statement (one `KvClient::run_txn` /
     /// `retry_txn` call) retries — its restarts, its RPCs' timeouts and
-    /// refusals, its reads' lock waits, its commit at the primary — until
+    /// refusals, its reads' lock waits, its probes of lost votes — until
     /// this long after it first had to; any other KV call has its own.
     pub fn op_deadline_us(&self) -> u64 {
         2 * self.prepare_lease_us

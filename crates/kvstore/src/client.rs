@@ -31,8 +31,9 @@ impl KvClient {
     ///
     /// Every RPC the client issues is submitted through `transport` and
     /// waited for on the calling thread — a round of them submitted
-    /// together, so their waits overlap — except the secondaries' commit
-    /// decisions, which nobody waits for.  The client starts no thread.
+    /// together, so their waits overlap — except the `Commit`s that follow a
+    /// prepare round every participant voted yes in, which nobody waits
+    /// for.  The client starts no thread.
     pub fn new(
         transport: Arc<dyn Transport<KvServer>>,
         oracle: TimestampOracle,

@@ -18,7 +18,8 @@ use crate::snapshot::SnapshotTracker;
 /// harness instantiate.
 pub struct KvDatabase {
     cluster: Cluster<KvServer>,
-    /// The transport clients (and servers asking a primary) actually use:
+    /// The transport clients (and servers probing other participants)
+    /// actually use:
     /// the cluster transport, optionally wrapped in a [`FaultyTransport`].
     client_transport: Arc<dyn Transport<KvServer>>,
     faults: Option<Arc<FaultyTransport<KvServer>>>,
@@ -51,7 +52,7 @@ impl KvDatabase {
     /// Creates a deployment whose transport injects faults according to
     /// `plans` (one [`FaultPlan`] per server; missing entries are healthy).
     /// Everything — client RPCs and the `TxnStatus` probes a server sends
-    /// a primary to resolve a prepare — goes through the faulty
+    /// the other participants to resolve a prepare — goes through the faulty
     /// transport, so crashes partition a server from its peers too.  When a
     /// plan has [`FaultPlan::amnesia`] set, restarting that crashed server
     /// wipes its volatile state and recovers from its write-ahead log (or
@@ -157,9 +158,10 @@ impl KvDatabase {
             }
         };
         // A server rebuilt from its log replayed it before it had peers to
-        // ask; now that it does, a secondary whose unforced commit record
-        // died with the previous incarnation gets it back from its primary
-        // (which needs no peers to answer) before any client finds the lock.
+        // ask; now that it does, a participant whose unforced commit record
+        // died with the previous incarnation gets the fate back from the
+        // others' records (a probe needs no peers to answer) before any
+        // client finds the lock.
         for srv in cluster.servers() {
             srv.set_peer_transport(&client_transport);
             srv.reap();
@@ -646,6 +648,47 @@ mod tests {
         let t = client.begin();
         assert_eq!(t.get(obj).unwrap().as_deref(), Some(&b"newer"[..]));
         t.commit().unwrap();
+    }
+
+    /// Every `Commit` of an acknowledged two-participant commit is lost —
+    /// its record never reached either disk — and the deployment is rebuilt
+    /// from the logs alone.  The votes came back, so the oracle starts past
+    /// their prepare timestamps, and a fresh snapshot reads the write at the
+    /// acknowledged timestamp, which resolution installs.
+    #[test]
+    fn a_rebuild_whose_commits_were_all_lost_reads_the_acknowledged_write() {
+        let tmp = yesquel_common::tempdir::TempDir::new("kvdb-lost-commits").unwrap();
+        let mut cfg = YesquelConfig::with_servers(2);
+        cfg.kv.wal_dir = Some(tmp.path().to_path_buf());
+        let (a, b) = (ObjectId::new(24, 0), ObjectId::new(24, 1));
+        assert_ne!(a.home_server(2), b.home_server(2));
+        let committed_ts;
+        {
+            let db = KvDatabase::new(cfg.clone());
+            let t = db.client().begin();
+            t.put(a, Bytes::from_static(b"a")).unwrap();
+            t.put(b, Bytes::from_static(b"b")).unwrap();
+            committed_ts = t.commit().unwrap();
+            for srv in db.cluster().servers() {
+                srv.store().wal().unwrap().power_loss().unwrap();
+            }
+        }
+        let db = KvDatabase::new(cfg);
+        assert!(db.oracle().last_timestamp() >= committed_ts);
+        for srv in db.cluster().servers() {
+            assert_eq!(srv.reap_counts(), (1, 0), "the commit was not lost");
+        }
+        let t = db.client().begin();
+        assert_eq!(t.get(a).unwrap().as_deref(), Some(&b"a"[..]));
+        assert_eq!(t.get(b).unwrap().as_deref(), Some(&b"b"[..]));
+        t.commit().unwrap();
+        for (obj, v) in [(a, &b"a"[..]), (b, &b"b"[..])] {
+            let store = db.cluster().servers()[obj.home_server(2)].store();
+            assert_eq!(
+                store.dump_versions(obj),
+                vec![(committed_ts, Some(Bytes::copy_from_slice(v)))]
+            );
+        }
     }
 
     #[test]

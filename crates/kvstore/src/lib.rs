@@ -25,12 +25,18 @@
 //!   submitted, a caller can fetch several objects in one round
 //!   ([`Txn::prefetch`]).
 //! * Commit runs **two-phase commit** over the storage servers holding
-//!   written objects: each participant validates (first-committer-wins:
-//!   no committed version newer than the start timestamp) and locks the
-//!   written objects; the coordinator then obtains a **commit timestamp**
-//!   and tells participants to install the new versions and release locks —
-//!   the primary first, the commit point, after which the commit returns;
-//!   the other participants' decisions are submitted and not waited for.
+//!   written objects, and its prepare round is the commit point (as in
+//!   Sinfonia): each participant validates (first-committer-wins: no
+//!   committed version newer than the start timestamp), locks the written
+//!   objects, draws a **prepare timestamp** under the same shard guards,
+//!   and forces its yes vote to its log before answering.  Once every
+//!   participant has voted yes the transaction is committed, at the
+//!   largest prepare timestamp, and the commit returns; the `Commit`s that
+//!   install the versions and release the locks are submitted and not
+//!   waited for.  A yes vote is never revoked: a transaction aborts only
+//!   on a participant's refusal, or on a fence a participant with no
+//!   record writes when probed, and an undecided prepare is resolved from
+//!   the participants' records alone ([`server`]).
 //! * Every RPC is submitted through the transport and answered on a
 //!   [`Completion`](yesquel_rpc::Completion), and so is every wait for the
 //!   log: a server acknowledges a prepare with the completion its log's
@@ -51,12 +57,15 @@
 //!   property the paper calls out, and which
 //!   `read_only_commit_needs_no_communication` in `tests/integration_kv.rs`
 //!   checks.
-//! * Readers that encounter an object locked by a preparing transaction
-//!   wait for it, until their statement's deadline: the lock window spans
-//!   the coordinator's commit round trip, or the lease of a coordinator
-//!   that died.  This preserves snapshot correctness: if a transaction's
-//!   commit timestamp precedes a reader's snapshot, its locks were already
-//!   held when the reader started, so the reader cannot miss its writes.
+//! * A read that meets an object locked by a preparing transaction has
+//!   the server resolve the lock — the commit is installed at once if
+//!   every participant has voted — or waits for it, until its statement's
+//!   deadline: the lock window spans the prepare round and the `Commit`'s
+//!   trip, or the lease of a coordinator that died.  This preserves
+//!   snapshot correctness: a participant draws its prepare timestamp
+//!   while its locks are in, so if a transaction's commit timestamp
+//!   precedes a reader's snapshot, every one of its locks was already held
+//!   when the reader started, and the reader cannot miss its writes.
 //!
 //! The isolation level is **snapshot isolation**, exactly as stated in the
 //! paper (write-write conflicts abort; write skew is permitted).  The

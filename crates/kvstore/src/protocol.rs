@@ -30,7 +30,10 @@ pub enum KvRequest {
         /// Snapshot timestamp of the reading transaction.
         ts: Timestamp,
     },
-    /// Phase one of two-phase commit: validate and lock `writes`.
+    /// Phase one of two-phase commit, and its commit point: validate and
+    /// lock `writes`, draw a prepare timestamp, and force the vote to the
+    /// log before answering `Prepared`.  Once every participant has voted
+    /// yes the transaction is committed, at the maximum prepare timestamp.
     Prepare {
         /// Transaction id (used to identify the lock owner).
         txn: TxnId,
@@ -39,21 +42,22 @@ pub enum KvRequest {
         start_ts: Timestamp,
         /// Writes destined for objects homed at this server.
         writes: Vec<WriteOp>,
-        /// The transaction's primary participant — the 2PC commit point.  A
-        /// participant whose prepare lease expires resolves the transaction
-        /// by asking the primary (see [`KvRequest::TxnStatus`]); the primary
-        /// itself may unilaterally presume abort.
-        primary: ServerId,
-        /// Coordinator lease in microseconds: how long this participant
-        /// holds the prepare locks before presuming the coordinator dead.
+        /// Every participant of the transaction, this one included: whoever
+        /// resolves an undecided prepare asks the others
+        /// ([`KvRequest::TxnStatus`]).
+        participants: Vec<ServerId>,
+        /// Coordinator lease in microseconds: how long a resolver waits
+        /// before it fences a participant that has no record.
         lease_us: u64,
     },
-    /// Phase two of two-phase commit: install the versions staged by
-    /// `Prepare` at `commit_ts` and release the locks.
+    /// Install the versions staged by `Prepare` at `commit_ts` and release
+    /// the locks.  Submitted to every participant once all voted yes, and
+    /// never waited for: the transaction is already committed.
     Commit {
         /// Transaction id.
         txn: TxnId,
-        /// Commit timestamp chosen by the coordinator.
+        /// Commit timestamp: the maximum of the participants' prepare
+        /// timestamps.
         commit_ts: Timestamp,
     },
     /// One-phase commit for transactions whose writes all live on this
@@ -91,31 +95,33 @@ pub enum KvRequest {
         /// snapshot.
         min_active_ts: Timestamp,
     },
-    /// Ask this server (as a transaction's primary participant) what it
-    /// knows about the transaction's fate.  Sent server-to-server by the
-    /// prepare-lease reaper on a secondary participant.
+    /// Ask this participant what its records say about a transaction.  Sent
+    /// server-to-server by a resolver, and by a coordinator whose prepare
+    /// round lost an answer.  Answered from the records alone: a probe
+    /// never asks another server.
     TxnStatus {
         /// Transaction being resolved.
         txn: TxnId,
+        /// With no record of the transaction, record (forced) an abort
+        /// before answering, so that a prepare arriving later is refused.
+        fence: bool,
     },
 }
 
-/// What a server knows about a transaction's fate, in response to
+/// What a participant's records say about a transaction, in response to
 /// [`KvRequest::TxnStatus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnStatusKind {
     /// The transaction committed at this timestamp.
     Committed(Timestamp),
-    /// The transaction aborted (explicitly or by presumed abort).
+    /// The transaction aborted: refused or fenced here, or aborted after a
+    /// refusal or fence elsewhere.
     Aborted,
-    /// The transaction is still prepared here; its lease has not expired.
-    /// The asking participant should keep waiting.
-    Pending,
-    /// Nothing is known about the transaction.  Under presumed abort this
-    /// reads as "aborted": the primary records every commit in its outcome
-    /// table, so an unknown transaction never committed (or committed so
-    /// long ago that the record was evicted, which the generous retention
-    /// bound makes unreachable while any participant is still prepared).
+    /// This participant voted yes, with this prepare timestamp, and the
+    /// vote is on its disk.
+    Prepared(Timestamp),
+    /// Nothing is known about the transaction, and the probe did not
+    /// fence: its prepare may still be on the way.
     Unknown,
 }
 
@@ -128,23 +134,27 @@ pub enum KvResponse {
     /// The object is currently locked by a preparing transaction; the
     /// client should retry the read shortly.
     Locked,
-    /// Prepare succeeded; locks are held until `Commit` or `Abort`.
-    Prepared,
+    /// Prepare succeeded and the vote is durable; locks are held until
+    /// `Commit` or `Abort`.
+    Prepared {
+        /// Timestamp this participant drew under its shard guards.
+        prepare_ts: Timestamp,
+    },
     /// Prepare or one-phase commit failed validation (write-write conflict
     /// or lock conflict); the transaction must abort.
     Conflict {
         /// Human-readable reason, used in error messages and abort stats.
         reason: String,
     },
-    /// Commit applied.  For one-phase commit carries the server-assigned
-    /// commit timestamp.
+    /// Commit applied — or, in answer to a `Prepare`, the transaction was
+    /// already resolved committed here.  For one-phase commit carries the
+    /// server-assigned commit timestamp.
     Committed {
         /// Commit timestamp of the transaction.
         commit_ts: Timestamp,
     },
-    /// Abort processed — or, in response to a `Commit`, the transaction was
-    /// already aborted here (its prepare lease expired and the reaper
-    /// presumed abort), so the commit could not be applied.
+    /// Abort processed — or, in response to a `Commit`, the transaction is
+    /// not prepared here and not known committed, so nothing was installed.
     Aborted,
     /// Response to [`KvRequest::TxnStatus`].
     TxnOutcome {
@@ -214,7 +224,7 @@ mod tests {
             txn: 1,
             start_ts: 1,
             writes: vec![w],
-            primary: 0,
+            participants: vec![0, 1],
             lease_us: 500_000,
         };
         assert!(big.wire_size() > small.wire_size() + 900);

@@ -1,44 +1,42 @@
 //! The storage-server process: dispatches protocol requests to the store.
 //!
 //! Besides plain dispatch, the server **resolves undecided prepares**
-//! whose coordinator may have gone silent.  The protocol is presumed-abort
-//! with a primary participant acting as the commit point:
+//! whose coordinator may have gone silent.  The prepare round is the
+//! commit point:
 //!
-//! * the coordinator commits the **primary first**; only after the primary
-//!   acknowledges does it commit the remaining participants;
-//! * a primary whose lease expires may therefore **unilaterally abort** —
-//!   no secondary can have committed before it;
-//! * a secondary whose lease expires asks the primary (over the peer
-//!   transport) what happened and **adopts** the primary's outcome:
-//!   committed → install, aborted/unknown → release.  If the primary is
-//!   unreachable the secondary conservatively stays prepared and asks
-//!   again on a later sweep or meeting;
-//! * a secondary **restored from its log** does not wait for the lease to
-//!   learn of a commit.  Its own `Commit` record is unforced (only the
-//!   primary's is waited for), so a crash can leave it prepared for a
-//!   transaction the primary has durably committed.  It asks the primary
-//!   at once and adopts `Committed`.  That is always safe: the primary
-//!   reports a commit only once it is on its disk, and a commit is never
-//!   revoked.  Anything else the primary says — pending, unknown, even
-//!   aborted — is acted on only after the lease, exactly as above:
-//!   "unknown" before the lease may just mean the coordinator's prepare has
-//!   not reached the primary yet.
+//! * each participant locks, draws a prepare timestamp under its shard
+//!   guards and forces its yes vote to its log before answering; a
+//!   transaction is committed once every participant has voted yes, at the
+//!   maximum prepare timestamp, and the coordinator's `Commit`s only apply
+//!   that fate;
+//! * **a yes vote is never revoked**: a transaction aborts only on a
+//!   *refusal* (a prepare that failed validation) or a *fence* (an abort a
+//!   participant with no record of the transaction writes when a probe asks
+//!   for one, after which its prepare is refused), and either is forced
+//!   before anybody hears of it.
 //!
-//! One routine, `KvServer::resolve`, applies these rules, and it runs
-//! where an undecided prepare is met: a `Get` that finds its lock, a
-//! `Prepare` or one-phase commit that conflicts on it, a `TxnStatus` probe
-//! at its primary (local: the primary sends nothing), and
-//! [`KvServer::reap`], which restart and deployment build call.  A live
-//! lock inside its lease costs a holder lookup on a path that is already
-//! slow, and nothing else.
+//! So an undecided prepare is settled from the participants' records
+//! alone.  `KvServer::resolve` asks every other participant
+//! ([`KvRequest::TxnStatus`]): a `Committed(ts)` anywhere installs at `ts`;
+//! a yes vote from every one commits at the maximum at once, lease or not;
+//! a refusal or fence anywhere aborts; anything else waits.  Once the lease
+//! has passed, the probes fence: a participant that never saw the prepare
+//! records an abort, and the transaction aborts.  A probe is answered from
+//! the probed server's records and never asks another server.
+//!
+//! The routine runs where an undecided prepare is met: a `Get` that finds
+//! its lock, and a `Prepare` or one-phase commit that conflicts on it, at
+//! once; and [`KvServer::reap`], which restart and deployment build call.
+//! A resolver counts its own vote only once it is durable.
 //!
 //! **An orphan nobody meets is still resolved in bounded time.**  Every
-//! request but a `TxnStatus` sweeps the due prepares once a tenth of the
-//! lease has passed since the last sweep, while anything is prepared.  The
-//! bound matters: a primary remembers an outcome only for its next
-//! `OUTCOME_RETENTION` decisions, so a secondary that asked only when met
-//! could find its primary's commit forgotten, hear `Unknown`, and presume
-//! abort on a transaction the primary committed.
+//! request but a `TxnStatus` sweeps the overdue prepares, and those
+//! restored from the log, once a tenth of the lease has passed since the
+//! last sweep, while anything is prepared.  The bound matters: a server
+//! remembers an outcome only for its next `OUTCOME_RETENTION` decisions, so
+//! a participant that lost its `Commit` and asked only when met could find
+//! every other participant's record of the commit forgotten, fence, and
+//! abort a transaction that committed.
 //!
 //! **A server keeps a worker free.**  Only one resolution that must ask
 //! another server runs at a time per server; a request that finds one
@@ -57,22 +55,21 @@ use yesquel_wal::Wal;
 
 use crate::oracle::TimestampOracle;
 use crate::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
-use crate::store::{
-    CommitOnePhaseOutcome, CommitOutcome, PrepareOutcome, ReadOutcome, ServerStore, TxnOutcome,
-};
+use crate::store::{PrepareOutcome, ReadOutcome, ServerStore, TxnOutcome, Undecided};
 
 /// One storage server: a [`ServerStore`], a handle to the timestamp oracle
-/// (used only for one-phase commits, where the server assigns the commit
-/// timestamp itself), and what resolving an undecided prepare needs.
+/// (prepares draw their prepare timestamps and one-phase commits their
+/// commit timestamps from it), and what resolving an undecided prepare
+/// needs.
 pub struct KvServer {
     id: ServerId,
     store: ServerStore,
     oracle: TimestampOracle,
-    /// Transport to the sibling servers, used to ask a transaction's
-    /// primary for its outcome.  `Weak` because the transport owns the
-    /// servers — an `Arc` here would leak the whole cluster.
+    /// Transport to the sibling servers, used to probe the other
+    /// participants of a transaction.  `Weak` because the transport owns
+    /// the servers — an `Arc` here would leak the whole cluster.
     peer: Mutex<Option<Weak<dyn Transport<KvServer>>>>,
-    /// Held while a resolution asks another server: one at a time, so the
+    /// Held while a resolution asks other servers: one at a time, so the
     /// other workers stay free to answer the `TxnStatus` probes of peers.
     asking: Mutex<()>,
     /// When the last sweep ran, in microseconds since `started`.
@@ -111,7 +108,7 @@ impl KvServer {
     ) -> Result<Self> {
         let server = KvServer {
             id,
-            store: ServerStore::with_wal(id, wal.clone()),
+            store: ServerStore::with_wal(wal.clone()),
             oracle,
             peer: Mutex::new(None),
             asking: Mutex::new(()),
@@ -134,8 +131,8 @@ impl KvServer {
     /// have taken it), and the store is rebuilt by replaying the clean
     /// prefix.  Without a log this is a plain amnesia crash: everything
     /// volatile is simply gone, as on a real diskless server.  Prepared
-    /// transactions that come back undecided are looked up at their
-    /// primaries before the call returns ([`KvServer::reap`]).
+    /// transactions that come back undecided are looked up at the other
+    /// participants before the call returns ([`KvServer::reap`]).
     pub fn amnesia_restart(&self) -> Result<()> {
         let wal = self.store().wal().cloned();
         self.store.wipe_volatile();
@@ -166,7 +163,7 @@ impl KvServer {
         &self.store
     }
 
-    /// Connects this server to its siblings, to ask primaries for outcomes.
+    /// Connects this server to its siblings, to probe other participants.
     /// Called once at deployment build time.
     pub fn set_peer_transport(&self, transport: &Arc<dyn Transport<KvServer>>) {
         *self.peer.lock() = Some(Arc::downgrade(transport));
@@ -183,8 +180,8 @@ impl KvServer {
             .collect()
     }
 
-    /// Transactions resolved by this server so far, as `(adopted commits,
-    /// presumed aborts)`.
+    /// Transactions resolved by this server so far, as `(commits,
+    /// aborts)`.
     pub fn reap_counts(&self) -> (u64, u64) {
         (
             self.reaped_commits.load(Ordering::Relaxed),
@@ -193,10 +190,9 @@ impl KvServer {
     }
 
     /// Resolves every prepared transaction that is due: overdue, or
-    /// restored from the log with another server as its primary.  Restart
-    /// and deployment build call it, and tests force convergence with it
-    /// after healing faults.  Unlike a request, it waits its turn to ask a
-    /// primary.
+    /// restored from the log.  Restart and deployment build call it, and
+    /// tests force convergence with it after healing faults.  Unlike a
+    /// request, it waits its turn to ask.
     pub fn reap(&self) {
         self.resolve(None, true);
     }
@@ -225,42 +221,25 @@ impl KvServer {
 
     /// The one routine that resolves an undecided prepare: `txn` — one
     /// somebody just met — or, when `None`, every one that is due; `wait`
-    /// queues for the turn to ask a primary instead of skipping the ask.  At its
-    /// primary an overdue prepare is presumed aborted: the coordinator
-    /// commits the primary before any secondary, so none can have
-    /// committed.  A secondary asks the primary and adopts `Committed` at
-    /// once — always safe, the primary reports it only once durable — but
-    /// releases on `Aborted` or `Unknown` only once overdue: before the
-    /// lease, "unknown" may just mean the coordinator's prepare has not
-    /// reached the primary yet.  On an unreachable primary, a `Pending`
-    /// answer, a failed log append, or another resolution already asking,
+    /// queues for the turn to ask instead of skipping the ask.  The fate
+    /// comes from the participants' records (see the module docs); on no
+    /// verdict, a failed log append, or another resolution already asking,
     /// the prepare stays as it is for the next meeting.  Returns whether a
     /// fate was settled, so a caller it blocked can look again.
     fn resolve(&self, txn: Option<TxnId>, wait: bool) -> bool {
         let mut settled = false;
-        for (txn, primary, overdue) in self.store.due(txn) {
-            let want = if primary == self.id {
-                TxnOutcome::Aborted
-            } else {
-                match self.ask_primary(txn, primary, wait) {
-                    Some(TxnStatusKind::Committed(ts)) => TxnOutcome::Committed(ts),
-                    Some(TxnStatusKind::Aborted | TxnStatusKind::Unknown) if overdue => {
-                        TxnOutcome::Aborted
-                    }
-                    _ => continue,
-                }
+        for p in self.store.undecided(txn) {
+            let Some(want) = self.ask_participants(&p, wait) else {
+                continue;
             };
             let fate = match want {
-                TxnOutcome::Committed(ts) => self.store.commit(txn, ts).map(|o| match o {
-                    CommitOutcome::Committed(ts) => TxnOutcome::Committed(ts),
-                    CommitOutcome::AlreadyAborted => TxnOutcome::Aborted,
-                }),
-                TxnOutcome::Aborted => self.store.abort(txn),
+                TxnOutcome::Committed(ts) => self.store.commit(p.txn, ts),
+                TxnOutcome::Aborted => self.store.abort(p.txn),
             };
             let Ok(fate) = fate else { continue };
             settled = true;
-            // Tally only the fate this call reached for: a presumed abort
-            // that lost to a commit is no presumed abort.
+            // Tally only the fate this call reached for: one that lost to a
+            // decision landing meanwhile is not this resolution's.
             if fate == want {
                 let tally = match fate {
                     TxnOutcome::Committed(_) => &self.reaped_commits,
@@ -272,21 +251,42 @@ impl KvServer {
         settled
     }
 
-    /// Asks `primary` for `txn`'s fate, holding the `asking` turn for the
-    /// call: `wait` queues for it, otherwise a turn already taken means no
-    /// answer.  `None` too on no peer transport, an unreachable primary or
-    /// a malformed answer.
-    fn ask_primary(&self, txn: TxnId, primary: ServerId, wait: bool) -> Option<TxnStatusKind> {
+    /// Probes every other participant of an undecided prepare in one round,
+    /// fencing if it is overdue, and returns the fate their records settle:
+    /// a commit any of them installed, an abort on any refusal or fence, a
+    /// commit at the maximum prepare timestamp when every one voted yes —
+    /// this server's own vote counting once it is durable.  `None` when they
+    /// do not settle it, or when no probe could be sent: another resolution
+    /// holds the `asking` turn and `wait` is false, or there is no peer
+    /// transport.
+    fn ask_participants(&self, p: &Undecided, wait: bool) -> Option<TxnOutcome> {
         let _turn = if wait {
             self.asking.lock()
         } else {
             self.asking.try_lock()?
         };
-        let peer = self.peer.lock().as_ref().and_then(Weak::upgrade)?;
-        match peer.call(primary, KvRequest::TxnStatus { txn }) {
-            Ok(KvResponse::TxnOutcome { status }) => Some(status),
-            _ => None,
+        self.store.durable(p.vote).wait().ok()?;
+        let peer = self.peer.lock().as_ref().and_then(Weak::upgrade);
+        let probe = KvRequest::TxnStatus {
+            txn: p.txn,
+            fence: p.overdue,
+        };
+        let answers = (p.participants.iter().filter(|&&s| s != self.id))
+            .map(|&s| Some(peer.as_ref()?.submit(s, probe.clone())))
+            .collect::<Option<Vec<_>>>()?;
+        let mut all_voted = Some(p.prepare_ts);
+        for answer in answers {
+            match answer.wait() {
+                Ok(KvResponse::TxnOutcome { status }) => match status {
+                    TxnStatusKind::Committed(ts) => return Some(TxnOutcome::Committed(ts)),
+                    TxnStatusKind::Aborted => return Some(TxnOutcome::Aborted),
+                    TxnStatusKind::Prepared(ts) => all_voted = all_voted.map(|max| max.max(ts)),
+                    TxnStatusKind::Unknown => all_voted = None,
+                },
+                _ => all_voted = None,
+            }
         }
+        all_voted.map(TxnOutcome::Committed)
     }
 
     /// Resolves the prepare holding `obj`'s lock, unless it is `own`'s.
@@ -315,14 +315,14 @@ impl KvServer {
         }
     }
 
-    /// What this server knows about a transaction, for `TxnStatus`.
-    fn txn_status(&self, txn: TxnId) -> TxnStatusKind {
-        match self.store.outcome(txn) {
-            Some(TxnOutcome::Committed(ts)) => TxnStatusKind::Committed(ts),
-            Some(TxnOutcome::Aborted) => TxnStatusKind::Aborted,
-            None if self.store.is_prepared(txn) => TxnStatusKind::Pending,
-            None => TxnStatusKind::Unknown,
-        }
+    /// Answers `resp` once `durable` — the completion of the log record the
+    /// answer promises — answers `Ok`, or `ServerError` if the record could
+    /// not be made durable.  The log's flusher answers, and no thread waits
+    /// meanwhile.
+    fn when_durable(durable: Completion<()>, resp: KvResponse) -> Completion<KvResponse> {
+        durable.chain(move |(flushed, due)| {
+            (Ok(flushed.map_or_else(Self::server_error, |()| resp)), due)
+        })
     }
 }
 
@@ -350,31 +350,33 @@ impl Service for KvServer {
                 txn,
                 start_ts,
                 writes,
-                primary,
+                participants,
                 lease_us,
-            } => match self.store.prepare_leased(
-                txn,
-                start_ts,
-                &writes,
-                primary,
-                Duration::from_micros(lease_us.max(1)),
-            ) {
-                Ok((PrepareOutcome::Prepared, Some(durable))) => {
-                    // Acknowledged once the record is durable: the log's
-                    // flusher answers, and no thread waits meanwhile.
-                    return durable.chain(|(flushed, due)| {
-                        let ack =
-                            flushed.map_or_else(Self::server_error, |()| KvResponse::Prepared);
-                        (Ok(ack), due)
-                    });
+            } => {
+                let lease = Duration::from_micros(lease_us.max(1));
+                let next_ts = || self.oracle.next_timestamp();
+                match self
+                    .store
+                    .prepare(txn, start_ts, &writes, &participants, lease, next_ts)
+                {
+                    Ok((outcome, durable)) => {
+                        let resp = match outcome {
+                            PrepareOutcome::Prepared(prepare_ts) => {
+                                KvResponse::Prepared { prepare_ts }
+                            }
+                            PrepareOutcome::Committed(commit_ts) => {
+                                KvResponse::Committed { commit_ts }
+                            }
+                            PrepareOutcome::Conflict(reason) => self.conflict(txn, &writes, reason),
+                        };
+                        return Self::when_durable(durable, resp);
+                    }
+                    Err(e) => Self::server_error(e),
                 }
-                Ok((PrepareOutcome::Prepared, None)) => KvResponse::Prepared,
-                Ok((PrepareOutcome::Conflict(reason), _)) => self.conflict(txn, &writes, reason),
-                Err(e) => Self::server_error(e),
-            },
+            }
             KvRequest::Commit { txn, commit_ts } => match self.store.commit(txn, commit_ts) {
-                Ok(CommitOutcome::Committed(ts)) => KvResponse::Committed { commit_ts: ts },
-                Ok(CommitOutcome::AlreadyAborted) => KvResponse::Aborted,
+                Ok(TxnOutcome::Committed(ts)) => KvResponse::Committed { commit_ts: ts },
+                Ok(TxnOutcome::Aborted) => KvResponse::Aborted,
                 Err(e) => Self::server_error(e),
             },
             KvRequest::CommitOnePhase {
@@ -391,11 +393,10 @@ impl Service for KvServer {
                     .store
                     .commit_one_phase(txn, start_ts, &writes, || self.oracle.next_timestamp())
                 {
-                    Ok(CommitOnePhaseOutcome::Committed(ts)) => {
-                        KvResponse::Committed { commit_ts: ts }
-                    }
-                    Ok(CommitOnePhaseOutcome::Conflict(reason)) => {
-                        self.conflict(txn, &writes, reason)
+                    Ok(PrepareOutcome::Committed(ts)) => KvResponse::Committed { commit_ts: ts },
+                    Ok(PrepareOutcome::Conflict(reason)) => self.conflict(txn, &writes, reason),
+                    Ok(PrepareOutcome::Prepared(_)) => {
+                        unreachable!("a one-phase commit leaves nothing prepared")
                     }
                     Err(e) => Self::server_error(e),
                 }
@@ -412,12 +413,12 @@ impl Service for KvServer {
                 self.store.gc(min_active_ts);
                 KvResponse::Ok
             }
-            KvRequest::TxnStatus { txn } => {
-                self.resolve(Some(txn), false);
-                KvResponse::TxnOutcome {
-                    status: self.txn_status(txn),
+            KvRequest::TxnStatus { txn, fence } => match self.store.status(txn, fence) {
+                Ok((status, durable)) => {
+                    return Self::when_durable(durable, KvResponse::TxnOutcome { status })
                 }
-            }
+                Err(e) => Self::server_error(e),
+            },
         };
         Completion::ready(Ok(resp))
     }
@@ -445,56 +446,10 @@ mod tests {
             txn,
             start_ts,
             writes,
-            primary: 0,
+            // Server 1 does not exist: the prepare stays until decided.
+            participants: vec![0, 1],
             lease_us: 1_000_000,
         }
-    }
-
-    /// An overdue probe at a primary whose decision is on its way to the
-    /// disk answers `Pending` at once: the fate is taken, and resolving it
-    /// would only hold this worker for the flush.
-    #[test]
-    fn a_probe_does_not_wait_for_a_decision_in_flight() {
-        let dir = yesquel_common::tempdir::TempDir::new("srv-deciding").unwrap();
-        let stats = yesquel_common::stats::StatsRegistry::new();
-        let wal = Wal::open(dir.path(), yesquel_common::WalFsyncPolicy::Always, &stats).unwrap();
-        let oracle = TimestampOracle::new();
-        let cfg = KvConfig::default();
-        let srv = KvServer::with_wal(0, oracle.clone(), &cfg, Some(Arc::new(wal))).unwrap();
-        let obj = ObjectId::new(1, 1);
-        let (txn, start_ts) = (9, oracle.next_timestamp());
-        let prepare = KvRequest::Prepare {
-            txn,
-            start_ts,
-            writes: vec![WriteOp {
-                obj,
-                value: Some(Bytes::from_static(b"v")),
-            }],
-            primary: 0,
-            lease_us: 1,
-        };
-        assert!(matches!(call(&srv, prepare), KvResponse::Prepared));
-        let commit_ts = oracle.next_timestamp();
-        srv.store()
-            .start_deciding(txn, TxnOutcome::Committed(commit_ts));
-        std::thread::sleep(Duration::from_millis(2));
-
-        let status = |srv: &KvServer| match call(srv, KvRequest::TxnStatus { txn }) {
-            KvResponse::TxnOutcome { status } => status,
-            other => panic!("unexpected response {other:?}"),
-        };
-        assert_eq!(status(&srv), TxnStatusKind::Pending);
-        let ts = oracle.next_timestamp();
-        let read = call(&srv, KvRequest::Get { obj, ts });
-        assert!(matches!(read, KvResponse::Locked), "{read:?}");
-        assert_eq!(srv.store().prepared_count(), 1);
-        assert_eq!(srv.reap_counts(), (0, 0));
-        // The flush ends; the commit stands.
-        assert_eq!(
-            srv.store().commit(txn, commit_ts).unwrap(),
-            CommitOutcome::Committed(commit_ts)
-        );
-        assert_eq!(status(&srv), TxnStatusKind::Committed(commit_ts));
     }
 
     #[test]
@@ -554,7 +509,7 @@ mod tests {
                 }],
             ),
         ) {
-            KvResponse::Prepared => {}
+            KvResponse::Prepared { prepare_ts } => assert!(prepare_ts > start),
             other => panic!("unexpected response {other:?}"),
         }
         match call(&srv, KvRequest::Get { obj, ts: start }) {
@@ -599,21 +554,20 @@ mod tests {
             obj,
             value: Some(Bytes::from_static(b"v")),
         };
-        // Unknown before anything happens.
-        match call(&srv, KvRequest::TxnStatus { txn: 42 }) {
-            KvResponse::TxnOutcome {
-                status: TxnStatusKind::Unknown,
-            } => {}
+        let status = |txn| match call(&srv, KvRequest::TxnStatus { txn, fence: false }) {
+            KvResponse::TxnOutcome { status } => status,
             other => panic!("unexpected response {other:?}"),
-        }
-        // Pending while prepared.
-        call(&srv, prepare_req(42, oracle.next_timestamp(), vec![w]));
-        match call(&srv, KvRequest::TxnStatus { txn: 42 }) {
-            KvResponse::TxnOutcome {
-                status: TxnStatusKind::Pending,
-            } => {}
+        };
+        // Unknown before anything happens, and an unfenced probe records
+        // nothing.
+        assert_eq!(status(42), TxnStatusKind::Unknown);
+        assert_eq!(srv.store().outcome(42), None);
+        // The vote while prepared.
+        let prepare_ts = match call(&srv, prepare_req(42, oracle.next_timestamp(), vec![w])) {
+            KvResponse::Prepared { prepare_ts } => prepare_ts,
             other => panic!("unexpected response {other:?}"),
-        }
+        };
+        assert_eq!(status(42), TxnStatusKind::Prepared(prepare_ts));
         // Committed after commit.
         let cts = oracle.next_timestamp();
         call(
@@ -623,66 +577,52 @@ mod tests {
                 commit_ts: cts,
             },
         );
-        match call(&srv, KvRequest::TxnStatus { txn: 42 }) {
-            KvResponse::TxnOutcome {
-                status: TxnStatusKind::Committed(ts),
-            } => assert_eq!(ts, cts),
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert_eq!(status(42), TxnStatusKind::Committed(cts));
         // Aborted for an aborted transaction.
         call(&srv, KvRequest::Abort { txn: 43 });
-        match call(&srv, KvRequest::TxnStatus { txn: 43 }) {
-            KvResponse::TxnOutcome {
-                status: TxnStatusKind::Aborted,
-            } => {}
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert_eq!(status(43), TxnStatusKind::Aborted);
     }
 
+    /// A fenced probe of a transaction this server never saw records an
+    /// abort, forced, before it answers; the transaction's prepare arriving
+    /// afterwards is refused — also once the server has restarted from its
+    /// log with no memory.
     #[test]
-    fn primary_reaper_presumes_abort_on_expired_lease() {
+    fn a_fenced_probe_refuses_a_later_prepare() {
+        let dir = yesquel_common::tempdir::TempDir::new("srv-fence").unwrap();
+        let stats = yesquel_common::stats::StatsRegistry::new();
+        let wal = Wal::open(dir.path(), yesquel_common::WalFsyncPolicy::Always, &stats).unwrap();
         let oracle = TimestampOracle::new();
-        let cfg = KvConfig {
-            prepare_lease_us: 1,
-            ..Default::default()
-        };
-        let srv = KvServer::with_config(0, oracle.clone(), &cfg);
+        let cfg = KvConfig::default();
+        let srv = KvServer::with_wal(0, oracle.clone(), &cfg, Some(Arc::new(wal))).unwrap();
         let obj = ObjectId::new(1, 1);
-        match call(
-            &srv,
-            KvRequest::Prepare {
-                txn: 9,
-                start_ts: oracle.next_timestamp(),
-                writes: vec![crate::protocol::WriteOp {
-                    obj,
-                    value: Some(Bytes::from_static(b"v")),
-                }],
-                primary: 0, // this server is the primary
-                lease_us: 1,
-            },
-        ) {
-            KvResponse::Prepared => {}
+        let (txn, start_ts) = (9, oracle.next_timestamp());
+        match call(&srv, KvRequest::TxnStatus { txn, fence: true }) {
+            KvResponse::TxnOutcome { status } => assert_eq!(status, TxnStatusKind::Aborted),
             other => panic!("unexpected response {other:?}"),
         }
-        std::thread::sleep(Duration::from_millis(2));
-        // Any ordinary request sweeps the overdue prepare.
-        let _ = call(&srv, KvRequest::Get { obj, ts: 1 });
-        assert_eq!(srv.store().prepared_count(), 0, "reaper must have fired");
-        assert_eq!(srv.reap_counts().1, 1);
-        // The coordinator's late commit is refused.
-        match call(
-            &srv,
-            KvRequest::Commit {
-                txn: 9,
-                commit_ts: oracle.next_timestamp(),
-            },
-        ) {
-            KvResponse::Aborted => {}
-            other => panic!("unexpected response {other:?}"),
-        }
-        match call(&srv, KvRequest::Get { obj, ts: 1_000 }) {
-            KvResponse::Value(None) => {}
-            other => panic!("unexpected response {other:?}"),
+        assert_eq!(srv.store().outcome(txn), Some(TxnOutcome::Aborted));
+        let prepare = || KvRequest::Prepare {
+            txn,
+            start_ts,
+            writes: vec![WriteOp {
+                obj,
+                value: Some(Bytes::from_static(b"late")),
+            }],
+            participants: vec![0, 1],
+            lease_us: 1_000_000,
+        };
+        for restarted in [false, true] {
+            if restarted {
+                srv.amnesia_restart().unwrap();
+                assert_eq!(srv.store().outcome(txn), Some(TxnOutcome::Aborted));
+            }
+            let resp = call(&srv, prepare());
+            assert!(matches!(resp, KvResponse::Conflict { .. }), "{resp:?}");
+            assert_eq!(srv.store().prepared_count(), 0);
+            let ts = oracle.next_timestamp();
+            let read = call(&srv, KvRequest::Get { obj, ts });
+            assert!(matches!(read, KvResponse::Value(None)), "{read:?}");
         }
     }
 }

@@ -34,43 +34,30 @@
 //! the ones recovery can get back some other way:
 //!
 //! * **Forced** — appended, then waited for until an `fdatasync` covers
-//!   them: every prepare (the ack promises the coordinator that the locks
-//!   and staged writes survive a crash), the decision of a transaction at
-//!   its **primary** (commit, abort, presumed abort — the 2PC commit point,
-//!   which a `TxnStatus` probe may report only once it cannot be lost), the
-//!   presumed abort that answers a commit for an unknown transaction,
-//!   one-phase commits and allocations.
+//!   them: every yes vote ([`WalRecord::Vote`]: a transaction is committed
+//!   once every participant's vote is durable), every *refusal* (a prepare
+//!   that failed validation, or arrived for a transaction already aborted
+//!   here) and every *fence* (an abort recorded for a transaction this
+//!   server had no record of, when a probe asks for one), one-phase commits
+//!   and allocations.  A refusal or a fence is what makes an abort final:
+//!   no prepare of the transaction can vote yes here afterwards.
 //! * **Unforced** — appended in order and left to ride this log's next
-//!   flush: the decision of a transaction at a **secondary**, whether it
-//!   arrives from the coordinator or is adopted from the primary, and an
-//!   abort of a transaction never prepared here.  If a crash drops such a
-//!   record, replay finds the transaction still prepared, and the server
-//!   re-derives the decision from the primary, whose copy was forced before
-//!   anyone heard of it.
+//!   flush: every commit, and every other abort.  Each only applies a fate
+//!   that the forced records already settled, so if a crash drops one,
+//!   replay finds the transaction still prepared and the server learns the
+//!   fate again from the other participants' records
+//!   ([`ServerStore::undecided`]): a commit one of them remembers, a yes
+//!   vote from every one (commit at the maximum prepare timestamp), or a
+//!   refusal or fence (abort).
 //!
-//! The safety argument for re-deriving is lopsided, and the code follows it.
-//! **Adopting a commit is always safe**: the primary reports `Committed`
-//! only once the record is on its disk, and never takes it back; so a
-//! restored prepare is due for resolution at once ([`ServerStore::due`]):
-//! the server asks the primary when it restarts, on its next sweep, and
-//! whenever a read or a write runs into the lock, and installs a commit
-//! without waiting for any lease.  **Presuming an abort is never safe before the lease**:
-//! "unknown" or "pending" at the primary may just mean the coordinator is
-//! alive and slow, so every other answer is acted on only after the lease
-//! the restored prepare was given has expired, exactly as for a live one.
-//!
-//! No lock is held across a flush.  Decision records are appended while
-//! holding the outcomes lock, so log order always matches the order in
-//! which this store decided transaction fates and replay reconstructs
-//! exactly that history; a forced decision then waits for the disk
-//! *outside* the lock, behind a `deciding` mark that keeps resolutions and
-//! duplicate deliveries from deciding the transaction again and keeps its
-//! fate unobservable until it is durable (see `ServerStore::decide`).
-//! A prepare does not wait at all: it returns the completion the log's
-//! flusher answers once its record is durable ([`Wal::durable`]), and the
-//! server acknowledges the prepare with it, so neither a lock nor a thread
-//! is held across that flush (the prepare locks already fence conflicting
-//! writers).  The exception is the
+//! No lock is held across a flush.  Votes, refusals, fences and decisions
+//! are appended while holding the transaction table's lock, so log order
+//! matches the order in which this store learnt fates and replay
+//! reconstructs exactly that history.  A forced record is then waited for
+//! by nobody here: the store returns the completion the log's flusher
+//! answers once it is durable ([`Wal::durable`]), and the server answers
+//! with it, so neither a lock nor a thread is held across that flush (the
+//! prepare locks already fence conflicting writers).  The exception is the
 //! one-phase commit, which appends and waits while holding its shard
 //! guards — they are what orders it against every conflicting operation.
 //! GC is the one deliberately volatile operation: versions it dropped
@@ -85,12 +72,11 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use yesquel_common::ids::{shard_index, splitmix64};
-use yesquel_common::obs::trace::{span, SpanKind};
-use yesquel_common::{Completion, Error, ObjectId, Result, ServerId, Timestamp, TxnId};
+use yesquel_common::{Completion, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalPosition, WalRecord};
 
 use crate::mvcc::VersionChain;
-use crate::protocol::WriteOp;
+use crate::protocol::{TxnStatusKind, WriteOp};
 
 /// Number of lock stripes per server store.  Power of two; sized so that a
 /// few dozen client threads rarely collide on a stripe while keeping the
@@ -106,24 +92,17 @@ pub enum ReadOutcome {
     Locked,
 }
 
-/// Result of prepare / one-phase-commit validation.
+/// Result of a prepare or a one-phase commit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrepareOutcome {
-    /// Validation passed and locks are held.
-    Prepared,
-    /// Validation failed; nothing is locked.
-    Conflict(String),
-}
-
-/// Result of a one-phase commit.  Distinct from [`PrepareOutcome`] because a
-/// deduplicated retry must report the *original* commit timestamp, not the
-/// one freshly drawn for the retry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CommitOnePhaseOutcome {
-    /// Validation passed and the writes are installed at this timestamp.
+    /// Validation passed, the locks are held, and this server's vote
+    /// carries this prepare timestamp.
+    Prepared(Timestamp),
+    /// Committed at this timestamp: a one-phase commit installed, or a
+    /// prepare that arrived after its transaction was resolved committed.
     Committed(Timestamp),
-    /// Validation failed (or the transaction had already aborted); nothing
-    /// was installed.
+    /// Refused: validation failed, or the transaction had already aborted
+    /// here.  Nothing is locked.
     Conflict(String),
 }
 
@@ -144,14 +123,34 @@ struct PreparedTxn {
     /// checkpoint images so a recovered prepare is indistinguishable from a
     /// live one).
     start_ts: Timestamp,
-    /// The transaction's primary participant (2PC commit point).
-    primary: ServerId,
-    /// When the coordinator's lease expires and whoever the prepare blocks
-    /// may resolve it.
+    /// This server's vote: the timestamp it drew under its shard guards.
+    prepare_ts: Timestamp,
+    /// Every participant, this server included.
+    participants: Vec<ServerId>,
+    /// When the coordinator's lease expires and a resolver may fence the
+    /// participants that have no record.
     lease_deadline: Instant,
     /// Restored from the log rather than prepared by a live coordinator:
-    /// the decision may have been taken, and lost here, before the crash.
+    /// the fate may have been settled, and its record lost here, before the
+    /// crash.
     recovered: bool,
+    /// Where the vote is in the log, while it may not be durable yet.
+    vote: Option<WalPosition>,
+}
+
+/// A prepared transaction as [`ServerStore::undecided`] reports it.
+#[derive(Debug, Clone)]
+pub struct Undecided {
+    /// Transaction id.
+    pub txn: TxnId,
+    /// This server's prepare timestamp.
+    pub prepare_ts: Timestamp,
+    /// Every participant, this server included.
+    pub participants: Vec<ServerId>,
+    /// The lease has expired: the participants with no record get fenced.
+    pub overdue: bool,
+    /// Where this server's vote is in the log, while it may not be durable.
+    pub vote: Option<WalPosition>,
 }
 
 /// Recorded fate of a finished transaction, kept in a bounded FIFO so that
@@ -161,19 +160,9 @@ struct PreparedTxn {
 pub enum TxnOutcome {
     /// The transaction committed here at this timestamp.
     Committed(Timestamp),
-    /// The transaction aborted here (explicitly or by presumed abort).
+    /// The transaction aborted here: refused, fenced, or aborted once a
+    /// refusal or fence elsewhere settled it.
     Aborted,
-}
-
-/// Result of applying a `Commit` message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitOutcome {
-    /// The staged writes were installed (or had already been installed by an
-    /// earlier delivery of the same commit) at this timestamp.
-    Committed(Timestamp),
-    /// The transaction was already aborted here — presumed aborted once its
-    /// lease expired — so there was nothing to install.
-    AlreadyAborted,
 }
 
 /// One-round [`splitmix64`] hasher for `TxnId` keys.  The outcome and
@@ -199,33 +188,23 @@ impl std::hash::Hasher for TxnIdHasher {
 
 type TxnIdMap<V> = HashMap<TxnId, V, std::hash::BuildHasherDefault<TxnIdHasher>>;
 
-/// A decision whose log record is written, in decision order, but not yet
-/// known durable.  Until it is, the transaction still reads as prepared;
-/// every other delivery that reaches it waits for the same position instead
-/// of deciding again.
-#[derive(Debug, Clone, Copy)]
-struct Deciding {
-    fate: TxnOutcome,
-    pos: WalPosition,
-}
-
 /// Number of transaction outcomes (committed / aborted) a server retains for
 /// deduplicating retried or duplicated prepare / commit / abort messages and
 /// for answering `TxnStatus`.  It must exceed, by a wide margin, the number
 /// of decisions that can land between a message and its last retry — and
-/// between a secondary's prepare and the moment it asks its primary.
+/// between a participant's prepare and the moment another one asks it.
 const OUTCOME_RETENTION: usize = 4_096;
 
-/// FIFO of the last [`OUTCOME_RETENTION`] transaction outcomes, plus the
-/// decisions on their way to the disk.
+/// What a server knows of transactions: the prepared ones, and the fates of
+/// the last [`OUTCOME_RETENTION`] finished ones in a FIFO.
 #[derive(Default)]
-struct OutcomeTable {
+struct TxnTable {
+    prepared: TxnIdMap<PreparedTxn>,
     map: TxnIdMap<TxnOutcome>,
     order: VecDeque<TxnId>,
-    deciding: TxnIdMap<Deciding>,
 }
 
-impl OutcomeTable {
+impl TxnTable {
     fn get(&self, txn: TxnId) -> Option<TxnOutcome> {
         self.map.get(&txn).copied()
     }
@@ -254,7 +233,7 @@ impl OutcomeTable {
 
     /// The retained outcomes in FIFO order, as checkpoint images
     /// (`Some(ts)` committed, `None` aborted).  Replaying these through
-    /// [`OutcomeTable::record`] in order reconstructs the table exactly,
+    /// [`TxnTable::record`] in order reconstructs the table exactly,
     /// eviction behavior included.
     fn fifo(&self) -> Vec<(TxnId, Option<Timestamp>)> {
         self.order
@@ -269,9 +248,9 @@ impl OutcomeTable {
     }
 
     fn clear(&mut self) {
+        self.prepared.clear();
         self.map.clear();
         self.order.clear();
-        self.deciding.clear();
     }
 }
 
@@ -343,23 +322,19 @@ struct Shard {
 /// object state is partitioned over [`SHARD_COUNT`] independently locked
 /// shards, so requests for different objects proceed in parallel.
 pub struct ServerStore {
-    /// This server's id: a transaction whose primary it names is decided
-    /// here, and only those decisions are forced to disk.
-    id: ServerId,
     shards: Vec<Mutex<Shard>>,
-    /// In-flight prepared transactions (objects locked, primary, lease), so
-    /// commit and abort do not need to scan the whole store.  Touched once
-    /// per prepare/commit/abort, never per object, so one small mutex
-    /// suffices.
-    prepared: Mutex<TxnIdMap<PreparedTxn>>,
-    /// Lock-free hint mirroring `prepared.len()`, so the server's sweep of
-    /// overdue prepares skips clock reads and locking entirely while no
-    /// transaction is in the prepared state (the overwhelmingly common
-    /// case).  Only a hint: the sweep re-checks under the real lock.
+    /// Prepared transactions (objects locked, vote, participants, lease) and
+    /// the fates of finished ones, for deduplicating retried and duplicated
+    /// messages and answering probes.  Touched once per prepare, commit or
+    /// abort, never per object, so one small mutex suffices; it is never
+    /// held while a shard is locked.
+    txns: Mutex<TxnTable>,
+    /// Lock-free hint mirroring the number of prepared transactions, so
+    /// the server's sweep of overdue prepares skips clock reads and locking
+    /// entirely while no transaction is in the prepared state (the
+    /// overwhelmingly common case).  Only a hint: the sweep re-checks under
+    /// the real lock.
     prepared_hint: AtomicU64,
-    /// Fates of finished transactions, for deduplicating retried and
-    /// duplicated prepare / commit / abort messages.
-    outcomes: Mutex<OutcomeTable>,
     /// Non-transactional allocation counters (a handful of objects per tree;
     /// not on the read/commit hot path).
     counters: Mutex<HashMap<ObjectId, u64>>,
@@ -383,22 +358,20 @@ impl Default for ServerStore {
 impl ServerStore {
     /// Creates an empty in-memory store.
     pub fn new() -> Self {
-        Self::with_wal(0, None)
+        Self::with_wal(None)
     }
 
-    /// Creates the empty store of server `id`, backed by `wal` (when
-    /// `Some`): every acknowledgeable state change is logged before it is
-    /// acknowledged.  Call [`ServerStore::replay`] with the log's recovered
-    /// records to restore pre-crash state.
-    pub fn with_wal(id: ServerId, wal: Option<Arc<Wal>>) -> Self {
+    /// Creates an empty store backed by `wal` (when `Some`): every
+    /// acknowledgeable state change is logged before it is acknowledged.
+    /// Call [`ServerStore::replay`] with the log's recovered records to
+    /// restore pre-crash state.
+    pub fn with_wal(wal: Option<Arc<Wal>>) -> Self {
         ServerStore {
-            id,
             shards: (0..SHARD_COUNT)
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
-            prepared: Mutex::new(TxnIdMap::default()),
+            txns: Mutex::new(TxnTable::default()),
             prepared_hint: AtomicU64::new(0),
-            outcomes: Mutex::new(OutcomeTable::default()),
             counters: Mutex::new(HashMap::new()),
             wal,
             ckpt_gate: RwLock::new(()),
@@ -417,6 +390,24 @@ impl ServerStore {
         match &self.wal {
             Some(w) => w.append(rec),
             None => Ok(()),
+        }
+    }
+
+    /// Appends `rec` without waiting for the disk, if this store has a log,
+    /// and returns its position.
+    fn log(&self, rec: &WalRecord) -> Result<Option<WalPosition>> {
+        self.wal
+            .as_ref()
+            .map(|w| w.append_unforced(rec))
+            .transpose()
+    }
+
+    /// The completion that answers once the record at `pos` is durable,
+    /// answered already when there is no record to wait for.
+    pub fn durable(&self, pos: Option<WalPosition>) -> Completion<()> {
+        match (&self.wal, pos) {
+            (Some(wal), Some(pos)) => wal.durable(pos),
+            _ => Completion::ready(Ok(())),
         }
     }
 
@@ -468,70 +459,35 @@ impl ServerStore {
     }
 
     /// Validates and locks `writes` on behalf of transaction `txn` reading
-    /// at `start_ts`, with a generous lease and this server as primary, and
-    /// waits for the prepare record to be durable.  Convenience wrapper used
-    /// by single-store tests; the server dispatch path goes through
-    /// [`ServerStore::prepare_leased`].
+    /// at `start_ts`, then draws its prepare timestamp from `next_ts` (the
+    /// server passes its oracle handle).  Either all writes are locked or
+    /// none are.  The locks are leased: once `lease` has passed without a
+    /// decision, whoever resolves the transaction fences the participants
+    /// that have no record of it.
+    ///
+    /// The timestamp is drawn **while the shard guards are held**, after
+    /// the locks are in, as [`ServerStore::commit_one_phase`] draws its
+    /// commit timestamp: every snapshot above it is issued afterwards and
+    /// finds the locks, so the commit, at the maximum prepare timestamp of
+    /// all participants, is visible to exactly the snapshots above it.
+    ///
+    /// Idempotent under retries and duplicate deliveries: a prepared
+    /// transaction reports its vote again, a committed one `Committed`, and
+    /// an aborted one is refused again.  A refusal is recorded as an abort
+    /// and logged, and both it and a vote come with the log's completion
+    /// for the record ([`Wal::durable`]): the answer may be given only once
+    /// it answers `Ok`, so no crash can undo what a coordinator was told.
+    /// An `Err` means the log append failed; nothing is acknowledged and the
+    /// locks taken for this prepare are released.
     pub fn prepare(
         &self,
         txn: TxnId,
         start_ts: Timestamp,
         writes: &[WriteOp],
-    ) -> Result<PrepareOutcome> {
-        let (outcome, durable) =
-            self.prepare_leased(txn, start_ts, writes, 0, Duration::from_secs(3600))?;
-        if let Some(durable) = durable {
-            durable.wait()?;
-        }
-        Ok(outcome)
-    }
-
-    /// Validates and locks `writes` on behalf of transaction `txn` reading
-    /// at `start_ts`.  Either all writes are locked or none are.  The locks
-    /// are leased: if neither `Commit` nor `Abort` arrives within `lease`,
-    /// whoever the locks block may resolve the transaction through its
-    /// `primary` participant (presumed abort).
-    ///
-    /// Idempotent under retries and duplicate deliveries: re-preparing an
-    /// already-prepared transaction refreshes its lease and reports
-    /// `Prepared`; re-preparing one that already committed reports
-    /// `Prepared` (the coordinator will proceed to a deduplicated commit);
-    /// re-preparing one that was already aborted reports a conflict so the
-    /// coordinator cannot resurrect a reaped transaction.
-    ///
-    /// Durable stores log the prepare — staged writes, primary, snapshot —
-    /// before returning, and return the log's completion for the record
-    /// ([`Wal::durable`]): `Prepared` may be reported only once it answers
-    /// `Ok`, so a crash after the ack leaves the prepared state (and the
-    /// coordinator's ability to commit it) recoverable.  An `Err` means the
-    /// log append failed; nothing is acknowledged and the locks taken for
-    /// this prepare are released.  A flush that fails later leaves the
-    /// prepare in place, unacknowledged, for the coordinator's abort or a
-    /// resolution to release.
-    pub fn prepare_leased(
-        &self,
-        txn: TxnId,
-        start_ts: Timestamp,
-        writes: &[WriteOp],
-        primary: ServerId,
+        participants: &[ServerId],
         lease: Duration,
-    ) -> Result<(PrepareOutcome, Option<Completion<()>>)> {
-        match self.outcomes.lock().get(txn) {
-            Some(TxnOutcome::Committed(_)) => {
-                self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((PrepareOutcome::Prepared, None));
-            }
-            Some(TxnOutcome::Aborted) => {
-                self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((
-                    PrepareOutcome::Conflict(format!(
-                        "txn {txn} was already aborted (presumed abort)"
-                    )),
-                    None,
-                ));
-            }
-            None => {}
-        }
+        next_ts: impl FnOnce() -> Timestamp,
+    ) -> Result<(PrepareOutcome, Completion<()>)> {
         let _ckpt = self.ckpt_gate.read();
         let mut guards = self.lock_shards_for(writes);
         // Validation pass: no lock held by another transaction, and no
@@ -539,64 +495,100 @@ impl ServerStore {
         for w in writes {
             let shard = self.guard_for(&mut guards, w.obj);
             if let Some(reason) = Self::validate_one(shard, txn, start_ts, w) {
+                drop(guards);
+                let mut txns = self.txns.lock();
+                if let Some(known) = self.known_vote(&mut txns, txn)? {
+                    return Ok(known);
+                }
                 self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
-                return Ok((PrepareOutcome::Conflict(reason), None));
+                let refused = self.log_abort(&mut txns, txn)?;
+                return Ok((PrepareOutcome::Conflict(reason), refused));
             }
         }
         // Lock pass.
-        let mut locked = Vec::with_capacity(writes.len());
         for w in writes {
             let shard = self.guard_for(&mut guards, w.obj);
-            let state = shard.objects.entry(w.obj).or_default();
-            state.lock = Some(PrepareLock {
+            shard.objects.entry(w.obj).or_default().lock = Some(PrepareLock {
                 txn,
                 staged: w.value.clone(),
             });
-            locked.push(w.obj);
         }
+        let prepare_ts = next_ts();
         drop(guards);
-        // Log before the ack, but after dropping the shard guards: the
-        // prepare locks already block conflicting validations, and
-        // same-shard readers are not stalled behind the append.  The
-        // checkpoint gate is still held, so a checkpoint cannot rotate the
-        // log between this append and the prepared-table insert below.
-        let durable = match &self.wal {
-            None => None,
-            Some(wal) => {
-                let rec = WalRecord::Prepare {
-                    txn,
-                    start_ts,
-                    primary,
-                    writes: writes.to_vec(),
-                };
-                match wal.append_unforced(&rec) {
-                    Ok(pos) => Some(wal.durable(pos)),
-                    Err(e) => {
-                        // The prepare is not acknowledged; roll the locks back.
-                        self.release_locks_of(txn, writes.iter().map(|w| w.obj));
-                        return Err(e);
-                    }
-                }
+        // Log after dropping the shard guards: the prepare locks already
+        // block conflicting validations, and same-shard readers are not
+        // stalled behind the append.  The checkpoint gate is still held, so
+        // a checkpoint cannot rotate the log between the append and the
+        // table insert.
+        let mut txns = self.txns.lock();
+        // A duplicate of this prepare, or a fence, may have got here first.
+        if let Some(known) = self.known_vote(&mut txns, txn)? {
+            drop(txns);
+            self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            if !matches!(known.0, PrepareOutcome::Prepared(_)) {
+                self.release_locks_of(txn, writes.iter().map(|w| w.obj));
+            }
+            return Ok(known);
+        }
+        let image = PreparedImage {
+            txn,
+            start_ts,
+            prepare_ts,
+            participants: participants.to_vec(),
+            writes: writes.to_vec(),
+        };
+        let vote = match self.log(&WalRecord::Vote(image)) {
+            Ok(vote) => vote,
+            Err(e) => {
+                drop(txns);
+                // The prepare is not acknowledged; roll the locks back.
+                self.release_locks_of(txn, writes.iter().map(|w| w.obj));
+                return Err(e);
             }
         };
-        // Insert (not extend): a duplicate prepare carries the same writes,
-        // so replacing the entry both deduplicates the object list and
-        // refreshes the coordinator's lease.
-        let replaced = self.prepared.lock().insert(
+        txns.prepared.insert(
             txn,
             PreparedTxn {
-                objs: locked,
+                objs: writes.iter().map(|w| w.obj).collect(),
                 start_ts,
-                primary,
+                prepare_ts,
+                participants: participants.to_vec(),
                 lease_deadline: Instant::now() + lease,
                 recovered: false,
+                vote,
             },
         );
-        if replaced.is_none() {
-            self.prepared_hint.fetch_add(1, Ordering::Relaxed);
-        }
+        self.prepared_hint.fetch_add(1, Ordering::Relaxed);
         self.stats.prepares.fetch_add(1, Ordering::Relaxed);
-        Ok((PrepareOutcome::Prepared, durable))
+        Ok((PrepareOutcome::Prepared(prepare_ts), self.durable(vote)))
+    }
+
+    /// What a prepare of `txn` is answered without validating, if this
+    /// server already has a record of it: its vote, its commit, or a
+    /// refusal of an aborted one (see `ServerStore::record_of`).
+    fn known_vote(
+        &self,
+        txns: &mut TxnTable,
+        txn: TxnId,
+    ) -> Result<Option<(PrepareOutcome, Completion<()>)>> {
+        let (status, durable) = self.record_of(txns, txn, false)?;
+        let vote = match status {
+            TxnStatusKind::Unknown => return Ok(None),
+            TxnStatusKind::Prepared(ts) => PrepareOutcome::Prepared(ts),
+            TxnStatusKind::Committed(ts) => PrepareOutcome::Committed(ts),
+            TxnStatusKind::Aborted => {
+                PrepareOutcome::Conflict(format!("txn {txn} was already aborted here"))
+            }
+        };
+        Ok(Some((vote, durable)))
+    }
+
+    /// Records `txn` aborted — it is not prepared here — and logs it;
+    /// returns the completion that answers once the record is durable.
+    fn log_abort(&self, txns: &mut TxnTable, txn: TxnId) -> Result<Completion<()>> {
+        let pos = self.log(&WalRecord::Abort { txn })?;
+        txns.record(txn, TxnOutcome::Aborted);
+        Ok(self.durable(pos))
     }
 
     /// Releases any prepare locks held by `txn` on `objs` (rollback path).
@@ -630,111 +622,49 @@ impl ServerStore {
         None
     }
 
-    /// Decides the fate of `txn` as `want` unless it already has one, and
-    /// returns the fate that holds, and whether this call is the one that
-    /// made it observable (and applied it to the objects).
+    /// Decides the fate of `txn` as `want` unless this server already knows
+    /// it, and returns the fate that holds and whether this call applied
+    /// it.  The record is appended unforced under the table's lock, so the
+    /// log's record order is the order fates became known here.  Unforced
+    /// is enough: a commit or an abort only applies a fate the votes,
+    /// refusals and fences have already settled, and a replay that misses
+    /// it finds the transaction prepared and learns the fate again.
     ///
-    /// Every fate-deciding path comes through here and serializes on the
-    /// outcomes lock, under which the decision record is appended: the log's
-    /// record order is the decision order, so replay reconstructs the same
-    /// history even when a commit raced a presumed abort.  The lock is **not**
-    /// held while the record reaches the disk.  A decision that must be
-    /// durable before anyone may learn of it — this server is the
-    /// transaction's primary, or it answers a commit for a transaction it
-    /// does not know — leaves a [`Deciding`] mark instead: the transaction
-    /// keeps reading as prepared (`TxnStatus` says pending), a duplicate
-    /// delivery or a resolution finding the mark waits for the same log
-    /// position, and whoever sees it durable first records the outcome.
-    /// Decisions on one server therefore share flushes instead of queueing
-    /// for the lock behind one another's `fdatasync`.
-    ///
-    /// A decision at a secondary, and an abort of a transaction not
-    /// prepared here, is appended **unforced** and observable at once: the
-    /// record rides this log's next flush, and if a crash drops it first,
-    /// recovery finds the transaction prepared (or unknown) and resolves it
-    /// through the primary again.
+    /// A stale abort after the commit is ignored, and a repeat for a
+    /// transaction no longer prepared here is answered from the table.  An
+    /// abort of a transaction never prepared here is recorded, so that its
+    /// prepare is refused if it arrives after all.  A commit of one has
+    /// nothing to install and records nothing: its fate may live on at the
+    /// other participants.
     fn decide(&self, txn: TxnId, want: TxnOutcome) -> Result<(TxnOutcome, bool)> {
-        let mut outcomes = self.outcomes.lock();
-        let mark = match outcomes.deciding.get(&txn) {
-            Some(mark) => *mark,
-            None => {
-                let primary = self.prepared.lock().get(&txn).map(|p| p.primary);
-                let recorded = outcomes.get(txn);
-                // A stale abort after the commit is ignored; anything for a
-                // transaction no longer prepared here is a duplicate
-                // delivery.  Both are answered from the table.
-                let stale_abort = want == TxnOutcome::Aborted
-                    && matches!(recorded, Some(TxnOutcome::Committed(_)));
-                if let Some(fate) = recorded.filter(|_| primary.is_none() || stale_abort) {
-                    self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((fate, false));
-                }
-                let (fate, forced) = match primary {
-                    Some(primary) => (want, primary == self.id),
-                    // Never prepared here, or already reaped: presume abort.
-                    // Answering a *commit* that way is itself a decision the
-                    // coordinator will act on, so it must be durable before
-                    // the answer, or a post-crash duplicate of this commit
-                    // could succeed after its coordinator was told "aborted".
-                    None => (TxnOutcome::Aborted, want != TxnOutcome::Aborted),
-                };
-                let rec = match fate {
-                    TxnOutcome::Committed(commit_ts) => WalRecord::Commit { txn, commit_ts },
-                    TxnOutcome::Aborted => WalRecord::Abort { txn },
-                };
-                let pos = self
-                    .wal
-                    .as_ref()
-                    .map(|wal| wal.append_unforced(&rec))
-                    .transpose()?;
-                match pos.filter(|_| forced) {
-                    Some(pos) => {
-                        let mark = Deciding { fate, pos };
-                        outcomes.deciding.insert(txn, mark);
-                        mark
-                    }
-                    None => {
-                        self.settle(outcomes, txn, fate);
-                        return Ok((fate, true));
-                    }
-                }
-            }
-        };
-        drop(outcomes);
-        let wal = self.wal.as_ref().expect("only a logged decision is marked");
-        let waited = {
-            let _wal_span = span(SpanKind::Wal);
-            wal.durable(mark.pos).wait()
-        };
-        let mut outcomes = self.outcomes.lock();
-        if outcomes.deciding.remove(&txn).is_some() {
-            // First to see the wait end.  A failed flush leaves the
-            // transaction prepared and undecided, as before the attempt.
-            waited?;
-            self.settle(outcomes, txn, mark.fate);
-            return Ok((mark.fate, true));
+        let txns = self.txns.lock();
+        if let Some(fate) = txns.get(txn) {
+            self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((fate, false));
         }
-        // Another delivery saw it end first: its verdict stands.
-        match outcomes.get(txn) {
-            Some(fate) => Ok((fate, false)),
-            None => Err(waited
-                .err()
-                .unwrap_or_else(|| Error::Internal(format!("the decision of txn {txn} vanished")))),
+        if !txns.prepared.contains_key(&txn) && want != TxnOutcome::Aborted {
+            return Ok((TxnOutcome::Aborted, false));
         }
+        self.log(&match want {
+            TxnOutcome::Committed(commit_ts) => WalRecord::Commit { txn, commit_ts },
+            TxnOutcome::Aborted => WalRecord::Abort { txn },
+        })?;
+        self.settle(txns, txn, want);
+        Ok((want, true))
     }
 
     /// Makes a decision observable — the outcome enters the table, the
-    /// transaction leaves the prepared set — then, with the outcomes lock
+    /// transaction leaves the prepared set — then, with the table's lock
     /// released, applies it to the objects: a commit installs the staged
     /// values at its timestamp, an abort discards them; both release the
     /// prepare locks.
-    fn settle(&self, mut outcomes: MutexGuard<'_, OutcomeTable>, txn: TxnId, fate: TxnOutcome) {
-        let entry = self.prepared.lock().remove(&txn);
+    fn settle(&self, mut txns: MutexGuard<'_, TxnTable>, txn: TxnId, fate: TxnOutcome) {
+        let entry = txns.prepared.remove(&txn);
         if entry.is_some() {
             self.prepared_hint.fetch_sub(1, Ordering::Relaxed);
         }
-        outcomes.record(txn, fate);
-        drop(outcomes);
+        txns.record(txn, fate);
+        drop(txns);
         for obj in entry.map(|p| p.objs).unwrap_or_default() {
             let mut shard = self.shards[self.shard_of(obj)].lock();
             let Some(state) = shard.objects.get_mut(&obj) else {
@@ -751,33 +681,23 @@ impl ServerStore {
     }
 
     /// Installs the versions staged by a successful prepare of `txn` at
-    /// `commit_ts` and releases the locks.  Idempotent, as phase two must
-    /// be: a re-delivered commit answers from the outcome table, and a
-    /// commit for a transaction this store has never heard of is treated as
-    /// presumed-aborted (the only way a commit can reference an unknown
-    /// transaction is that a presumed abort already released its prepare).
-    ///
-    /// On a durable store the decision record — `Commit`, or `Abort` for
-    /// the presumed-abort branch — is logged per `ServerStore::decide`: at
-    /// the transaction's primary the call returns, and the fate becomes
-    /// observable (to a `TxnStatus` probe, and through it to a secondary),
-    /// only once the record is durable; at a secondary the record is
-    /// unforced.
-    pub fn commit(&self, txn: TxnId, commit_ts: Timestamp) -> Result<CommitOutcome> {
+    /// `commit_ts`, releases the locks, and returns the fate that holds.
+    /// Idempotent: a re-delivered commit answers from the outcome table.  A
+    /// commit for a transaction not prepared here and not known committed
+    /// installs nothing and reports `Aborted`.  Logged unforced, per
+    /// `ServerStore::decide`.
+    pub fn commit(&self, txn: TxnId, commit_ts: Timestamp) -> Result<TxnOutcome> {
         let _ckpt = self.ckpt_gate.read();
-        match self.decide(txn, TxnOutcome::Committed(commit_ts))? {
-            (TxnOutcome::Committed(ts), settled) => {
-                if settled {
-                    self.stats.commits.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(CommitOutcome::Committed(ts))
-            }
-            (TxnOutcome::Aborted, _) => Ok(CommitOutcome::AlreadyAborted),
+        let (fate, applied) = self.decide(txn, TxnOutcome::Committed(commit_ts))?;
+        if applied {
+            self.stats.commits.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(fate)
     }
 
     /// Validates and installs `writes` in one step, at the timestamp drawn
-    /// from `next_ts` (the server passes its oracle handle).
+    /// from `next_ts` (the server passes its oracle handle), and reports
+    /// `Committed` or `Conflict`.
     ///
     /// The timestamp is drawn **while the shard guards are held**, after
     /// validation.  Drawn any earlier, a transaction could begin between the
@@ -800,19 +720,19 @@ impl ServerStore {
         start_ts: Timestamp,
         writes: &[WriteOp],
         next_ts: impl FnOnce() -> Timestamp,
-    ) -> Result<CommitOnePhaseOutcome> {
+    ) -> Result<PrepareOutcome> {
         // Dedup: a retried one-phase commit (its first response was lost)
         // must report the original fate, not re-validate — re-validation
         // would see the transaction's own installed versions as "newer than
         // snapshot" and wrongly report a conflict.
-        match self.outcomes.lock().get(txn) {
+        match self.txns.lock().get(txn) {
             Some(TxnOutcome::Committed(ts)) => {
                 self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(CommitOnePhaseOutcome::Committed(ts));
+                return Ok(PrepareOutcome::Committed(ts));
             }
             Some(TxnOutcome::Aborted) => {
                 self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(CommitOnePhaseOutcome::Conflict(format!(
+                return Ok(PrepareOutcome::Conflict(format!(
                     "txn {txn} already aborted (duplicate one-phase commit)"
                 )));
             }
@@ -827,8 +747,8 @@ impl ServerStore {
                 // A conflict changes no state, so it is not logged; the
                 // in-memory abort record only serves duplicate deliveries
                 // within this incarnation.
-                self.outcomes.lock().record(txn, TxnOutcome::Aborted);
-                return Ok(CommitOnePhaseOutcome::Conflict(reason));
+                self.txns.lock().record(txn, TxnOutcome::Aborted);
+                return Ok(PrepareOutcome::Conflict(reason));
             }
         }
         let commit_ts = next_ts();
@@ -844,26 +764,20 @@ impl ServerStore {
         }
         // Record the fate before the shard guards drop so a racing duplicate
         // cannot slip between installation and the record.
-        self.outcomes
+        self.txns
             .lock()
             .record(txn, TxnOutcome::Committed(commit_ts));
         drop(guards);
         self.stats.commits.fetch_add(1, Ordering::Relaxed);
-        Ok(CommitOnePhaseOutcome::Committed(commit_ts))
+        Ok(PrepareOutcome::Committed(commit_ts))
     }
 
     /// Releases every lock held by `txn` and discards its staged writes,
     /// and returns the fate that holds: `Aborted`, or `Committed` when the
-    /// transaction had already committed here — a commit that landed first,
-    /// or one this call found on its way to the disk — in which case the
-    /// commit stands.  Idempotent; records an `Aborted` outcome (never
-    /// overwriting a commit) so duplicate prepares and commits of this
-    /// transaction are refused from then on.
-    ///
-    /// Durable stores log the abort per `ServerStore::decide` — forced,
-    /// and durable before it is observable, at the transaction's primary;
-    /// a duplicate abort of an already-aborted, no-longer-prepared
-    /// transaction is answered without touching the log.
+    /// transaction had already committed here, in which case the commit
+    /// stands.  Idempotent; records an `Aborted` outcome (never overwriting
+    /// a commit) so duplicate prepares of this transaction are refused from
+    /// then on.  Logged unforced, per `ServerStore::decide`.
     pub fn abort(&self, txn: TxnId) -> Result<TxnOutcome> {
         let _ckpt = self.ckpt_gate.read();
         let (fate, _) = self.decide(txn, TxnOutcome::Aborted)?;
@@ -873,21 +787,53 @@ impl ServerStore {
         Ok(fate)
     }
 
+    /// What this store's records say about `txn`, for a `TxnStatus` probe,
+    /// and the completion the answer waits for: a yes vote is reported once
+    /// it is durable, an abort once an abort record is, and with no record
+    /// `fence` records (forced) an abort, so that a prepare arriving later is
+    /// refused; without it the answer is `Unknown`.
+    pub fn status(&self, txn: TxnId, fence: bool) -> Result<(TxnStatusKind, Completion<()>)> {
+        let _ckpt = self.ckpt_gate.read();
+        self.record_of(&mut self.txns.lock(), txn, fence)
+    }
+
+    /// What this store's records say about `txn`, and the completion the
+    /// answer waits for.  A yes vote is reported once it is durable, and an
+    /// abort once an abort record is: logged again here, so the answer never
+    /// outruns the refusal or fence that made it.  With no record, `fence`
+    /// records an abort the same way, so that a prepare arriving later is
+    /// refused; without it the answer is `Unknown`.
+    fn record_of(
+        &self,
+        txns: &mut TxnTable,
+        txn: TxnId,
+        fence: bool,
+    ) -> Result<(TxnStatusKind, Completion<()>)> {
+        if let Some(p) = txns.prepared.get(&txn) {
+            return Ok((TxnStatusKind::Prepared(p.prepare_ts), self.durable(p.vote)));
+        }
+        Ok(match txns.get(txn) {
+            Some(TxnOutcome::Committed(ts)) => (TxnStatusKind::Committed(ts), self.durable(None)),
+            None if !fence => (TxnStatusKind::Unknown, self.durable(None)),
+            _ => (TxnStatusKind::Aborted, self.log_abort(txns, txn)?),
+        })
+    }
+
     /// What this store knows about `txn`'s fate (outcome table only; a
     /// still-prepared transaction reports `None` — see
     /// [`ServerStore::is_prepared`]).
     pub fn outcome(&self, txn: TxnId) -> Option<TxnOutcome> {
-        self.outcomes.lock().get(txn)
+        self.txns.lock().get(txn)
     }
 
     /// True if `txn` is currently prepared (locks held) at this store.
     pub fn is_prepared(&self, txn: TxnId) -> bool {
-        self.prepared.lock().contains_key(&txn)
+        self.txns.lock().prepared.contains_key(&txn)
     }
 
     /// Number of transactions currently holding prepare locks.
     pub fn prepared_count(&self) -> usize {
-        self.prepared.lock().len()
+        self.txns.lock().prepared.len()
     }
 
     /// The transaction holding the prepare lock on `obj`, if any.
@@ -903,36 +849,31 @@ impl ServerStore {
         self.prepared_hint.load(Ordering::Relaxed) != 0
     }
 
-    /// The prepared transactions due for resolution — `txn` alone, or all
-    /// of them when `None` — each with its primary participant and whether
-    /// its lease has expired.  A prepare is due once its lease has expired,
-    /// and at once if it was restored from the log and another server is
-    /// its primary: that server may have committed it, and this one lost
-    /// the record in a crash.  A transaction whose decision is on its way
-    /// to the disk is not due: it is decided, and resolving it would only
-    /// wait for that flush.  Returned by value so the server can resolve
-    /// them, RPCs included, without holding any store lock.
-    pub fn due(&self, txn: Option<TxnId>) -> Vec<(TxnId, ServerId, bool)> {
+    /// The prepared transactions to resolve: `txn` alone, whenever it is
+    /// prepared (somebody met it), or, when `None`, those a sweep resolves —
+    /// every one whose lease has expired, and every one restored from the
+    /// log, whose fate may have been settled before the crash.  Returned by
+    /// value so the server can resolve them, RPCs included, without holding
+    /// any store lock.
+    pub fn undecided(&self, txn: Option<TxnId>) -> Vec<Undecided> {
         let now = Instant::now();
-        let mut due: Vec<_> = {
-            let prepared = self.prepared.lock();
-            let due = |(txn, p): (&TxnId, &PreparedTxn)| {
-                let overdue = p.lease_deadline <= now;
-                (overdue || p.recovered && p.primary != self.id)
-                    .then_some((*txn, p.primary, overdue))
-            };
-            match txn {
-                Some(txn) => Vec::from_iter(prepared.get_key_value(&txn).and_then(due)),
-                None => prepared.iter().filter_map(due).collect(),
-            }
+        let txns = self.txns.lock();
+        let undecided = |(txn, p): (&TxnId, &PreparedTxn)| Undecided {
+            txn: *txn,
+            prepare_ts: p.prepare_ts,
+            participants: p.participants.clone(),
+            overdue: p.lease_deadline <= now,
+            vote: p.vote,
         };
-        // Not under the prepared lock: a checkpoint takes the two the other
-        // way round.
-        if !due.is_empty() {
-            let outcomes = self.outcomes.lock();
-            due.retain(|(txn, ..)| !outcomes.deciding.contains_key(txn));
+        match txn {
+            Some(txn) => Vec::from_iter(txns.prepared.get_key_value(&txn).map(undecided)),
+            None => txns
+                .prepared
+                .iter()
+                .filter(|(_, p)| p.recovered || p.lease_deadline <= now)
+                .map(undecided)
+                .collect(),
         }
-        due
     }
 
     /// Committed version history of `obj`, newest first, as
@@ -984,18 +925,17 @@ impl ServerStore {
         for shard in &self.shards {
             shard.lock().objects.clear();
         }
-        self.prepared.lock().clear();
+        self.txns.lock().clear();
         self.prepared_hint.store(0, Ordering::Relaxed);
-        self.outcomes.lock().clear();
         self.counters.lock().clear();
     }
 
     /// Replays the clean-prefix records recovered from the log into this
     /// store.  Must run on a freshly wiped (or freshly constructed) store
-    /// before it serves traffic.  Recovered prepares get `lease` from now:
-    /// their coordinators may be gone, so once the lease runs out they are
-    /// resolved through their primary ([`ServerStore::due`]).
-    /// Returns the number of transaction fates restored.
+    /// before it serves traffic.  Recovered prepares get `lease` from now
+    /// and are resolved through the other participants
+    /// ([`ServerStore::undecided`]).  Returns the number of transaction
+    /// fates restored.
     pub fn replay(&self, records: &[WalRecord], lease: Duration) -> u64 {
         let mut recovered = 0u64;
         for rec in records {
@@ -1003,27 +943,22 @@ impl ServerStore {
                 WalRecord::Checkpoint(snap) => {
                     recovered += self.apply_checkpoint(snap, lease);
                 }
-                WalRecord::Prepare {
-                    txn,
-                    start_ts,
-                    primary,
-                    writes,
-                } => {
-                    // A prepare whose fate appears earlier in the log was
+                // Nothing in the store writes the earlier protocol's record.
+                WalRecord::Prepare { .. } => {}
+                WalRecord::Vote(p) => {
+                    // A vote whose fate appears earlier in the log was
                     // already resolved; do not resurrect its locks.
-                    if self.outcomes.lock().get(*txn).is_some() {
-                        continue;
+                    if self.txns.lock().get(p.txn).is_none() {
+                        self.restore_prepared(p, lease);
                     }
-                    self.restore_prepared(*txn, *start_ts, *primary, writes, lease);
                 }
                 WalRecord::Commit { txn, commit_ts } => {
                     // Install the staged writes of the restored prepare; a
-                    // commit record without one lost a race to an abort
-                    // record earlier in the log and is skipped, exactly as
-                    // the live path skipped it.
-                    let outcomes = self.outcomes.lock();
-                    if self.prepared.lock().contains_key(txn) {
-                        self.settle(outcomes, *txn, TxnOutcome::Committed(*commit_ts));
+                    // commit record without one was answered from the
+                    // table live, and is skipped here too.
+                    let txns = self.txns.lock();
+                    if txns.prepared.contains_key(txn) {
+                        self.settle(txns, *txn, TxnOutcome::Committed(*commit_ts));
                         recovered += 1;
                     }
                 }
@@ -1032,10 +967,7 @@ impl ServerStore {
                     commit_ts,
                     writes,
                 } => {
-                    if matches!(
-                        self.outcomes.lock().get(*txn),
-                        Some(TxnOutcome::Committed(_))
-                    ) {
+                    if matches!(self.txns.lock().get(*txn), Some(TxnOutcome::Committed(_))) {
                         continue;
                     }
                     for w in writes {
@@ -1047,17 +979,17 @@ impl ServerStore {
                             .chain
                             .install(*commit_ts, w.value.clone());
                     }
-                    self.outcomes
+                    self.txns
                         .lock()
                         .record(*txn, TxnOutcome::Committed(*commit_ts));
                     recovered += 1;
                 }
                 WalRecord::Abort { txn } => {
-                    let outcomes = self.outcomes.lock();
-                    if matches!(outcomes.get(*txn), Some(TxnOutcome::Committed(_))) {
+                    let txns = self.txns.lock();
+                    if matches!(txns.get(*txn), Some(TxnOutcome::Committed(_))) {
                         continue;
                     }
-                    self.settle(outcomes, *txn, TxnOutcome::Aborted);
+                    self.settle(txns, *txn, TxnOutcome::Aborted);
                     recovered += 1;
                 }
                 WalRecord::Alloc { obj, value } => {
@@ -1070,32 +1002,27 @@ impl ServerStore {
         recovered
     }
 
-    /// Restores one prepared transaction: its locks, staged writes, and
-    /// prepared-table entry with a fresh lease.
-    fn restore_prepared(
-        &self,
-        txn: TxnId,
-        start_ts: Timestamp,
-        primary: ServerId,
-        writes: &[WriteOp],
-        lease: Duration,
-    ) {
-        for w in writes {
+    /// Restores one prepared transaction from its vote: its locks, staged
+    /// writes, and table entry with a fresh lease.
+    fn restore_prepared(&self, p: &PreparedImage, lease: Duration) {
+        for w in &p.writes {
             let mut shard = self.shards[self.shard_of(w.obj)].lock();
             let state = shard.objects.entry(w.obj).or_default();
             state.lock = Some(PrepareLock {
-                txn,
+                txn: p.txn,
                 staged: w.value.clone(),
             });
         }
-        let replaced = self.prepared.lock().insert(
-            txn,
+        let replaced = self.txns.lock().prepared.insert(
+            p.txn,
             PreparedTxn {
-                objs: writes.iter().map(|w| w.obj).collect(),
-                start_ts,
-                primary,
+                objs: p.writes.iter().map(|w| w.obj).collect(),
+                start_ts: p.start_ts,
+                prepare_ts: p.prepare_ts,
+                participants: p.participants.clone(),
                 lease_deadline: Instant::now() + lease,
                 recovered: true,
+                vote: None,
             },
         );
         if replaced.is_none() {
@@ -1122,17 +1049,17 @@ impl ServerStore {
             }
         }
         {
-            let mut outcomes = self.outcomes.lock();
+            let mut txns = self.txns.lock();
             for (txn, fate) in &snap.outcomes {
                 let outcome = match fate {
                     Some(ts) => TxnOutcome::Committed(*ts),
                     None => TxnOutcome::Aborted,
                 };
-                outcomes.record(*txn, outcome);
+                txns.record(*txn, outcome);
             }
         }
         for p in &snap.prepared {
-            self.restore_prepared(p.txn, p.start_ts, p.primary, &p.writes, lease);
+            self.restore_prepared(p, lease);
         }
         snap.outcomes.len() as u64
     }
@@ -1149,8 +1076,7 @@ impl ServerStore {
         };
         let _gate = self.ckpt_gate.write();
         let guards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(|s| s.lock()).collect();
-        let prepared = self.prepared.lock();
-        let outcomes = self.outcomes.lock();
+        let txns = self.txns.lock();
         let counters = self.counters.lock();
         let mut versions = Vec::new();
         for guard in &guards {
@@ -1166,12 +1092,14 @@ impl ServerStore {
                 }
             }
         }
-        let prepared_images = prepared
+        let prepared_images = txns
+            .prepared
             .iter()
             .map(|(txn, p)| PreparedImage {
                 txn: *txn,
                 start_ts: p.start_ts,
-                primary: p.primary,
+                prepare_ts: p.prepare_ts,
+                participants: p.participants.clone(),
                 writes: p
                     .objs
                     .iter()
@@ -1192,7 +1120,7 @@ impl ServerStore {
         let snap = CheckpointSnapshot {
             versions,
             counters: counters.iter().map(|(k, v)| (*k, *v)).collect(),
-            outcomes: outcomes.fifo(),
+            outcomes: txns.fifo(),
             prepared: prepared_images,
         };
         wal.checkpoint(snap)
@@ -1250,11 +1178,13 @@ impl ServerStore {
     }
 
     /// Highest timestamp and transaction id observable in this store: the
-    /// maximum over installed versions, prepare locks, prepared entries and
-    /// retained outcomes.  The deployment layer calls this after recovery to
-    /// advance the timestamp oracle past everything the previous incarnation
-    /// issued — otherwise fresh snapshots could not see recovered versions,
-    /// and reused transaction ids would collide with the outcome table.
+    /// maximum over installed versions, prepare locks, prepared entries
+    /// (their prepare timestamps) and retained outcomes.  The deployment
+    /// layer calls this after recovery to advance the timestamp oracle past
+    /// everything the previous incarnation issued — otherwise fresh
+    /// snapshots could not see recovered versions, nor a commit that
+    /// resolution may still make at a restored prepare timestamp, and
+    /// reused transaction ids would collide with the outcome table.
     pub fn high_water(&self) -> (Timestamp, TxnId) {
         let mut ts: Timestamp = 0;
         let mut txn: TxnId = 0;
@@ -1269,11 +1199,12 @@ impl ServerStore {
                 }
             }
         }
-        for (id, p) in self.prepared.lock().iter() {
+        let txns = self.txns.lock();
+        for (id, p) in txns.prepared.iter() {
             txn = txn.max(*id);
-            ts = ts.max(p.start_ts);
+            ts = ts.max(p.prepare_ts);
         }
-        for (id, commit_ts) in self.outcomes.lock().fifo() {
+        for (id, commit_ts) in txns.fifo() {
             txn = txn.max(id);
             if let Some(c) = commit_ts {
                 ts = ts.max(c);
@@ -1285,18 +1216,14 @@ impl ServerStore {
 
 #[cfg(test)]
 impl ServerStore {
-    /// Takes `fate` for `txn` as the first half of [`ServerStore::decide`]
-    /// does at a primary, and stops there: the record is appended and the
-    /// transaction marked, as while a real decision's flush is under way.
-    pub(crate) fn start_deciding(&self, txn: TxnId, fate: TxnOutcome) {
-        let rec = match fate {
-            TxnOutcome::Committed(commit_ts) => WalRecord::Commit { txn, commit_ts },
-            TxnOutcome::Aborted => WalRecord::Abort { txn },
-        };
-        let mut outcomes = self.outcomes.lock();
-        let wal = self.wal.as_ref().expect("only a logged decision is marked");
-        let pos = wal.append_unforced(&rec).expect("append");
-        outcomes.deciding.insert(txn, Deciding { fate, pos });
+    /// Prepares `writes` for `txn` with a generous lease and its snapshot as
+    /// its prepare timestamp, and waits for the vote to be durable: the
+    /// single-store tests' way to get a transaction prepared.
+    fn vote(&self, txn: TxnId, start_ts: Timestamp, writes: &[WriteOp]) -> Result<PrepareOutcome> {
+        let lease = Duration::from_secs(3600);
+        let (outcome, durable) = self.prepare(txn, start_ts, writes, &[0], lease, || start_ts)?;
+        durable.wait()?;
+        Ok(outcome)
     }
 }
 
@@ -1326,8 +1253,8 @@ mod tests {
     fn prepare_commit_read_cycle() {
         let s = ServerStore::new();
         assert_eq!(
-            s.prepare(1, 5, &[w(1, "a"), w(2, "b")]).unwrap(),
-            PrepareOutcome::Prepared
+            s.vote(1, 5, &[w(1, "a"), w(2, "b")]).unwrap(),
+            PrepareOutcome::Prepared(5)
         );
         // Reads see the lock, not the staged value.
         assert_eq!(s.get(obj(1), 100), ReadOutcome::Locked);
@@ -1345,20 +1272,20 @@ mod tests {
     fn conflict_on_newer_version() {
         let s = ServerStore::new();
         assert_eq!(
-            s.prepare(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared
+            s.vote(1, 5, &[w(1, "a")]).unwrap(),
+            PrepareOutcome::Prepared(5)
         );
         s.commit(1, 10).unwrap();
         // A transaction that started before ts 10 cannot overwrite object 1.
-        match s.prepare(2, 5, &[w(1, "b")]).unwrap() {
+        match s.vote(2, 5, &[w(1, "b")]).unwrap() {
             PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
         assert_eq!(s.stats().conflicts, 1);
         // A later snapshot can.
         assert_eq!(
-            s.prepare(3, 11, &[w(1, "c")]).unwrap(),
-            PrepareOutcome::Prepared
+            s.vote(3, 11, &[w(1, "c")]).unwrap(),
+            PrepareOutcome::Prepared(11)
         );
         s.commit(3, 12).unwrap();
         assert_eq!(
@@ -1371,20 +1298,26 @@ mod tests {
     fn conflict_on_foreign_lock_and_abort_releases() {
         let s = ServerStore::new();
         assert_eq!(
-            s.prepare(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared
+            s.vote(1, 5, &[w(1, "a")]).unwrap(),
+            PrepareOutcome::Prepared(5)
         );
-        match s.prepare(2, 6, &[w(1, "b")]).unwrap() {
+        match s.vote(2, 6, &[w(1, "b")]).unwrap() {
             PrepareOutcome::Conflict(msg) => assert!(msg.contains("locked")),
             other => panic!("expected conflict, got {other:?}"),
         }
         s.abort(1).unwrap();
         assert_eq!(s.get(obj(1), 100), ReadOutcome::Value(None));
+        // The refusal is final: the refused transaction stays refused, and
+        // another with the same writes goes through.
+        assert!(matches!(
+            s.vote(2, 6, &[w(1, "b")]).unwrap(),
+            PrepareOutcome::Conflict(_)
+        ));
         assert_eq!(
-            s.prepare(2, 6, &[w(1, "b")]).unwrap(),
-            PrepareOutcome::Prepared
+            s.vote(3, 6, &[w(1, "b")]).unwrap(),
+            PrepareOutcome::Prepared(6)
         );
-        s.commit(2, 7).unwrap();
+        s.commit(3, 7).unwrap();
         assert_eq!(
             s.get(obj(1), 100),
             ReadOutcome::Value(Some(Bytes::from_static(b"b")))
@@ -1394,9 +1327,9 @@ mod tests {
     #[test]
     fn delete_writes_tombstone() {
         let s = ServerStore::new();
-        s.prepare(1, 1, &[w(1, "a")]).unwrap();
+        s.vote(1, 1, &[w(1, "a")]).unwrap();
         s.commit(1, 2).unwrap();
-        s.prepare(2, 3, &[del(1)]).unwrap();
+        s.vote(2, 3, &[del(1)]).unwrap();
         s.commit(2, 4).unwrap();
         assert_eq!(
             s.get(obj(1), 3),
@@ -1410,7 +1343,7 @@ mod tests {
         let s = ServerStore::new();
         assert_eq!(
             s.commit_one_phase(1, 1, &[w(1, "a")], || 5).unwrap(),
-            CommitOnePhaseOutcome::Committed(5)
+            PrepareOutcome::Committed(5)
         );
         assert_eq!(
             s.get(obj(1), 10),
@@ -1418,7 +1351,7 @@ mod tests {
         );
         // Stale snapshot conflicts.
         match s.commit_one_phase(2, 1, &[w(1, "b")], || 6).unwrap() {
-            CommitOnePhaseOutcome::Conflict(_) => {}
+            PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
         assert_eq!(
@@ -1440,7 +1373,7 @@ mod tests {
     fn gc_drops_old_versions_and_dead_objects() {
         let s = ServerStore::new();
         for i in 0..5u64 {
-            s.prepare(i, 2 * i, &[w(1, &format!("v{i}"))]).unwrap();
+            s.vote(i, 2 * i, &[w(1, &format!("v{i}"))]).unwrap();
             s.commit(i, 2 * i + 1).unwrap();
         }
         assert_eq!(s.version_count(), 5);
@@ -1448,7 +1381,7 @@ mod tests {
         assert_eq!(dropped, 4);
         assert_eq!(s.version_count(), 1);
         // Delete the object entirely, then GC removes it from the map.
-        s.prepare(10, 50, &[del(1)]).unwrap();
+        s.vote(10, 50, &[del(1)]).unwrap();
         s.commit(10, 51).unwrap();
         // A snapshot at 50 still reads the value: the object stays.
         s.gc(50);
@@ -1463,7 +1396,7 @@ mod tests {
         let s = ServerStore::new();
         // A commit for a transaction this store never prepared can only be
         // the tail of a reaped transaction: refuse it.
-        assert_eq!(s.commit(999, 5).unwrap(), CommitOutcome::AlreadyAborted);
+        assert_eq!(s.commit(999, 5).unwrap(), TxnOutcome::Aborted);
         s.abort(999).unwrap();
         assert_eq!(s.object_count(), 0);
         assert_eq!(s.outcome(999), Some(TxnOutcome::Aborted));
@@ -1473,12 +1406,12 @@ mod tests {
     fn duplicate_commit_and_abort_are_deduped() {
         let s = ServerStore::new();
         assert_eq!(
-            s.prepare(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared
+            s.vote(1, 5, &[w(1, "a")]).unwrap(),
+            PrepareOutcome::Prepared(5)
         );
-        assert_eq!(s.commit(1, 10).unwrap(), CommitOutcome::Committed(10));
+        assert_eq!(s.commit(1, 10).unwrap(), TxnOutcome::Committed(10));
         // Retried commit (response was lost): same answer, nothing re-done.
-        assert_eq!(s.commit(1, 10).unwrap(), CommitOutcome::Committed(10));
+        assert_eq!(s.commit(1, 10).unwrap(), TxnOutcome::Committed(10));
         // A stale abort after the commit must not erase it.
         s.abort(1).unwrap();
         assert_eq!(s.outcome(1), Some(TxnOutcome::Committed(10)));
@@ -1493,15 +1426,15 @@ mod tests {
     #[test]
     fn abort_reports_the_fate_that_holds() {
         let s = ServerStore::new();
-        s.prepare(1, 5, &[w(1, "a")]).unwrap();
+        s.vote(1, 5, &[w(1, "a")]).unwrap();
         s.commit(1, 10).unwrap();
-        // A presumed abort that lost to the commit: the commit stands.
+        // An abort that lost to the commit: the commit stands.
         assert_eq!(s.abort(1).unwrap(), TxnOutcome::Committed(10));
         assert_eq!(
             s.dump_versions(obj(1)),
             vec![(10, Some(Bytes::from_static(b"a")))]
         );
-        s.prepare(2, 11, &[w(1, "b")]).unwrap();
+        s.vote(2, 11, &[w(1, "b")]).unwrap();
         assert_eq!(s.abort(2).unwrap(), TxnOutcome::Aborted);
         assert_eq!(
             s.get(obj(1), 20),
@@ -1513,14 +1446,14 @@ mod tests {
     fn duplicate_prepare_is_idempotent() {
         let s = ServerStore::new();
         assert_eq!(
-            s.prepare(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared
+            s.vote(1, 5, &[w(1, "a")]).unwrap(),
+            PrepareOutcome::Prepared(5)
         );
         // Duplicate delivery of the same prepare: still prepared, exactly
         // one lock, exactly one prepared entry.
         assert_eq!(
-            s.prepare(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared
+            s.vote(1, 5, &[w(1, "a")]).unwrap(),
+            PrepareOutcome::Prepared(5)
         );
         assert_eq!(s.prepared_count(), 1);
         s.commit(1, 10).unwrap();
@@ -1531,29 +1464,27 @@ mod tests {
     #[test]
     fn lease_expiry_feeds_the_reaper_and_blocks_resurrection() {
         let s = ServerStore::new();
-        assert_eq!(
-            s.prepare_leased(7, 5, &[w(1, "a")], 3, Duration::from_micros(1))
-                .unwrap()
-                .0,
-            PrepareOutcome::Prepared
-        );
+        let prepare = |lease| s.prepare(7, 5, &[w(1, "a")], &[1, 3], lease, || 6);
+        let voted = prepare(Duration::from_micros(1)).unwrap().0;
+        assert_eq!(voted, PrepareOutcome::Prepared(6));
+        assert_eq!(s.undecided(Some(7)).len(), 1, "met, it is resolved at once");
         std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(s.due(None), vec![(7, 3, true)]);
-        // The reaper presumes abort...
+        let due = s.undecided(None);
+        assert_eq!(due.len(), 1);
+        assert_eq!((due[0].txn, due[0].prepare_ts), (7, 6));
+        assert_eq!(due[0].participants, vec![1, 3]);
+        assert!(due[0].overdue);
+        // A resolver learns of a fence and aborts...
         s.abort(7).unwrap();
         assert_eq!(s.prepared_count(), 0);
         assert_eq!(s.get(obj(1), 100), ReadOutcome::Value(None));
         // ...after which neither a late prepare nor a late commit of the
         // same transaction may resurrect it.
-        match s
-            .prepare_leased(7, 5, &[w(1, "a")], 3, Duration::from_secs(10))
-            .unwrap()
-            .0
-        {
+        match prepare(Duration::from_secs(10)).unwrap().0 {
             PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
-        assert_eq!(s.commit(7, 20).unwrap(), CommitOutcome::AlreadyAborted);
+        assert_eq!(s.commit(7, 20).unwrap(), TxnOutcome::Aborted);
         assert_eq!(s.version_count(), 0);
     }
 
@@ -1562,23 +1493,23 @@ mod tests {
         let s = ServerStore::new();
         assert_eq!(
             s.commit_one_phase(1, 1, &[w(1, "a")], || 5).unwrap(),
-            CommitOnePhaseOutcome::Committed(5)
+            PrepareOutcome::Committed(5)
         );
         // Retry with a fresh timestamp: the original fate is reported and
         // nothing is re-installed.
         assert_eq!(
             s.commit_one_phase(1, 1, &[w(1, "a")], || 9).unwrap(),
-            CommitOnePhaseOutcome::Committed(5)
+            PrepareOutcome::Committed(5)
         );
         assert_eq!(s.version_count(), 1);
         // A conflicted one-phase commit is remembered as aborted.
         match s.commit_one_phase(2, 1, &[w(1, "b")], || 10).unwrap() {
-            CommitOnePhaseOutcome::Conflict(_) => {}
+            PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
         assert_eq!(s.outcome(2), Some(TxnOutcome::Aborted));
         match s.commit_one_phase(2, 1, &[w(1, "b")], || 11).unwrap() {
-            CommitOnePhaseOutcome::Conflict(_) => {}
+            PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict on retry, got {other:?}"),
         }
     }
@@ -1591,7 +1522,7 @@ mod tests {
             assert_eq!(
                 s.commit_one_phase(i + 1, 2 * i + 1, &[w(i, "v")], || 2 * i + 2)
                     .unwrap(),
-                CommitOnePhaseOutcome::Committed(2 * i + 2)
+                PrepareOutcome::Committed(2 * i + 2)
             );
         }
         // Old outcomes were evicted, recent ones retained.
@@ -1604,9 +1535,9 @@ mod tests {
     #[test]
     fn dump_versions_reports_history() {
         let s = ServerStore::new();
-        s.prepare(1, 1, &[w(1, "a")]).unwrap();
+        s.vote(1, 1, &[w(1, "a")]).unwrap();
         s.commit(1, 2).unwrap();
-        s.prepare(2, 3, &[del(1)]).unwrap();
+        s.vote(2, 3, &[del(1)]).unwrap();
         s.commit(2, 4).unwrap();
         let hist = s.dump_versions(obj(1));
         assert_eq!(hist.len(), 2);
@@ -1621,12 +1552,12 @@ mod tests {
         // Spread writes over many shards; make one of them conflict.
         let mut writes: Vec<WriteOp> = (0..64).map(|i| w(i, "x")).collect();
         assert_eq!(
-            s.prepare(1, 5, &[w(33, "old")]).unwrap(),
-            PrepareOutcome::Prepared
+            s.vote(1, 5, &[w(33, "old")]).unwrap(),
+            PrepareOutcome::Prepared(5)
         );
         s.commit(1, 10).unwrap();
         writes[33] = w(33, "conflicting");
-        match s.prepare(2, 5, &writes).unwrap() {
+        match s.vote(2, 5, &writes).unwrap() {
             PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
@@ -1657,7 +1588,7 @@ mod tests {
                     assert_eq!(
                         s.commit_one_phase(txn, ts, &[w(o, "v")], || ts + 1)
                             .unwrap(),
-                        CommitOnePhaseOutcome::Committed(ts + 1)
+                        PrepareOutcome::Committed(ts + 1)
                     );
                 }
             }));
@@ -1692,8 +1623,9 @@ mod tests {
                         .commit_one_phase(txn, start, &[w(7, "contended")], || commit)
                         .unwrap()
                     {
-                        CommitOnePhaseOutcome::Committed(_) => wins.fetch_add(1, Ordering::SeqCst),
-                        CommitOnePhaseOutcome::Conflict(_) => losses.fetch_add(1, Ordering::SeqCst),
+                        PrepareOutcome::Committed(_) => wins.fetch_add(1, Ordering::SeqCst),
+                        PrepareOutcome::Conflict(_) => losses.fetch_add(1, Ordering::SeqCst),
+                        other => panic!("a one-phase commit answered {other:?}"),
                     };
                 }
             }));

@@ -1,5 +1,5 @@
 //! Client-side transactions: snapshot reads, buffered writes, and the
-//! two-phase-commit coordinator.
+//! two-phase-commit coordinator, whose prepare round is the commit point.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -18,7 +18,7 @@ use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, Timestamp, Txn
 use yesquel_rpc::{Completion, Transport};
 
 use crate::oracle::TimestampOracle;
-use crate::protocol::{KvRequest, KvResponse, WriteOp};
+use crate::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
 use crate::server::KvServer;
 use crate::snapshot::SnapshotTracker;
 
@@ -42,9 +42,9 @@ pub(crate) struct KvHot {
     pub(crate) get_lock_retries: Arc<Counter>,
     pub(crate) txn_retries: Arc<Counter>,
     /// Commit-phase latencies, recorded only while `Obs::timing_on`:
-    /// `prepare` is the whole phase-one round, `decide` the commit-point RPC
-    /// at the primary (1PC charges its single round here too), `apply` one
-    /// secondary's decision, from its submit to its landing — off the
+    /// `prepare` is the whole phase-one round of a two-phase commit, the
+    /// commit point; `decide` a one-phase commit's single round; `apply`
+    /// one participant's `Commit`, from its submit to its landing — off the
     /// commit's critical path wherever it lands after the submit returns.
     pub(crate) commit_prepare_us: Arc<Histogram>,
     pub(crate) commit_decide_us: Arc<Histogram>,
@@ -92,7 +92,7 @@ const BACKOFF_CAP_DIV: u64 = 100;
 /// A read that meets a lock reads again after this many µs times the reads
 /// so far (16 at most): a live lock lasts a round trip, so it is polled.
 const LOCK_WAIT_STEP_US: u64 = 50;
-/// How often a secondary's decision is submitted while refused at submit.
+/// How often a participant's `Commit` is submitted while refused at submit.
 const DECISION_SUBMITS: usize = 3;
 
 impl ClientCore {
@@ -372,15 +372,15 @@ pub(crate) fn round(
     calls.into_iter().map(|call| call.wait(core)).collect()
 }
 
-/// Sends a commit decision to one secondary without waiting for it: the
-/// commit already stands at the primary, so the outcome only matters to
-/// bookkeeping, done where the answer lands.  A refusal at submit is
-/// submitted again at once, never backed off from, so the committing thread
-/// is not held.  A failure that remains makes the participant lagging; the
-/// secondary adopts the commit from the primary when a request or a sweep
-/// resolves its prepare.  `kv.commit_apply_us` is the time from submit to
-/// landing, if phase timing is on.
-fn decide_secondary(
+/// Sends a `Commit` to one participant without waiting for it: every
+/// participant has voted yes, so the transaction is committed and the
+/// outcome only matters to bookkeeping, done where the answer lands.  A
+/// refusal at submit is submitted again at once, never backed off from, so
+/// the committing thread is not held.  A failure that remains makes the
+/// participant lagging; it learns the commit from the other participants
+/// when a request or a sweep resolves its prepare.  `kv.commit_apply_us` is
+/// the time from submit to landing, if phase timing is on.
+fn send_commit(
     core: &Arc<ClientCore>,
     server: ServerId,
     txn: TxnId,
@@ -680,12 +680,13 @@ impl Txn {
     ///
     /// Read-only transactions commit locally with no communication.  Single-
     /// participant transactions use one-phase commit (one RPC).  Multi-
-    /// participant transactions use two-phase commit: one prepare RPC per
-    /// participant, then the decision at the primary — the commit point,
-    /// after which this returns — and at every other participant.  The
-    /// secondaries' decisions are submitted and not waited for: a secondary
-    /// that misses one adopts the commit from the primary, and a reader that
-    /// meets its lock meanwhile waits for it.
+    /// participant transactions use two-phase commit, and its prepare round
+    /// is the commit point: once every participant has voted yes — locked,
+    /// drawn a prepare timestamp and forced its vote — the transaction is
+    /// committed at the largest prepare timestamp, and this returns.  The
+    /// participants' `Commit`s are submitted and not waited for: one that
+    /// misses its `Commit` learns the fate from the others, and a reader
+    /// that meets its lock meanwhile gets it resolved.
     pub fn commit(self) -> Result<Timestamp> {
         self.check_active()?;
 
@@ -699,8 +700,8 @@ impl Txn {
         // Phase timing is pay-as-you-go: no clock is read unless the
         // deployment turned `Obs::timing_on`.
         let timing = self.core.stats.obs().timing_on();
-        // One deadline for the whole commit: the prepares, the decision at
-        // the primary and the aborts of a failed round.
+        // One deadline for the whole commit: the prepares, the probes of
+        // lost votes and the aborts of a failed round.
         let deadline = self.deadline();
 
         // Group writes by participant server, preserving ObjectId order so
@@ -740,16 +741,12 @@ impl Txn {
                     },
                     &deadline,
                 )
-                .map_err(|e| {
-                    if matches!(e, Error::Timeout(_)) {
-                        self.core.stats.counter("kv.commit_indeterminate").inc();
-                        Error::Indeterminate(format!(
-                            "one-phase commit of txn {} to server {server}: {e}",
-                            self.id
-                        ))
-                    } else {
-                        e
-                    }
+                .map_err(|e| match e {
+                    Error::Timeout(_) => self.indeterminate(format!(
+                        "one-phase commit of txn {} to server {server}: {e}",
+                        self.id
+                    )),
+                    e => e,
                 })?;
             if let Some(t0) = t0 {
                 self.core.hot.commit_decide_us.record(clock::elapsed_us(t0));
@@ -779,26 +776,23 @@ impl Txn {
             };
         }
 
-        // Phase one: prepare at every participant.  The lowest-numbered
-        // participant is the primary — the 2PC commit point the reaper
-        // protocol revolves around (see `crate::server`).
+        // The prepare round, and the commit point.  Each participant
+        // validates, locks, draws its prepare timestamp and forces its vote;
+        // over forced logs the votes' flushes overlap, one per server.
         self.core.hot.commit_2pc.inc();
         let prepare_t0 = timing.then(clock::now);
-        let primary = participants[0];
         let prepares = by_server.into_iter().map(|(server, writes)| {
             let req = KvRequest::Prepare {
                 txn: self.id,
                 start_ts: self.start_ts,
                 writes,
-                primary,
+                participants: participants.clone(),
                 lease_us: self.core.cfg.prepare_lease_us,
             };
             (server, req)
         });
-        // Each participant validates, locks, and leases its own slice; over
-        // a forced log the prepares' flushes overlap, one per server.
-        let outcomes = round(&self.core, prepares, &deadline, |resp| {
-            !matches!(resp, Ok(KvResponse::Prepared))
+        let votes = round(&self.core, prepares, &deadline, |resp| {
+            !matches!(resp, Ok(KvResponse::Prepared { .. }))
         });
         if let Some(t0) = prepare_t0 {
             self.core
@@ -806,124 +800,121 @@ impl Txn {
                 .commit_prepare_us
                 .record(clock::elapsed_us(t0));
         }
-        // Judge the round in server order: the first failure is reported.
-        let failed = outcomes
-            .into_iter()
-            .enumerate()
-            .find(|(_, r)| !matches!(r, Ok(KvResponse::Prepared)));
-        if let Some((i, resp)) = failed {
-            let server = participants[i];
-            self.abort_participants(&participants, &deadline);
-            *self.state.lock() = TxnState::Aborted;
-            return Err(match resp {
-                Ok(KvResponse::Conflict { reason }) => {
-                    self.core.hot.txn_conflicts.inc();
-                    count(TraceCounter::Conflicts, 1);
-                    Error::Conflict(reason)
+        match self.tally(&participants, votes, &deadline) {
+            Ok(commit_ts) => {
+                for &server in &participants {
+                    send_commit(&self.core, server, self.id, commit_ts, timing);
                 }
-                // The participant could not make the prepare durable, so
-                // nothing can have committed.
-                Ok(KvResponse::ServerError { message }) => Error::Io(message),
-                Ok(other) => Error::Internal(format!("unexpected prepare response: {other:?}")),
-                Err(e) => {
-                    // Coordinator deadline: a participant stayed unreachable
-                    // until the deadline.  No commit was sent, so the
-                    // transaction cannot have committed anywhere — the
-                    // others are aborted (best-effort; the reaper collects
-                    // whatever the aborts miss) and the failure is a clean,
-                    // retryable one.
-                    self.core.stats.counter("kv.prepare_deadline_aborts").inc();
-                    if e.is_availability() {
-                        Error::Unavailable(format!(
-                            "prepare of txn {} at server {server} failed ({e}); \
-                             transaction aborted",
-                            self.id
-                        ))
-                    } else {
-                        e
-                    }
-                }
-            });
-        }
-
-        // All participants prepared: the transaction is committed as soon as
-        // its commit timestamp is fixed *at the primary*.
-        let commit_ts = self.core.oracle.next_timestamp();
-
-        // Phase two, commit point: the primary, until the deadline — once
-        // everyone is prepared, pounding on the primary is far cheaper than
-        // surfacing an indeterminate commit.
-        let decide_t0 = timing.then(clock::now);
-        let decide = KvRequest::Commit {
-            txn: self.id,
-            commit_ts,
-        };
-        let decide_resp = self.core.call_retry(primary, decide, &deadline);
-        if let Some(t0) = decide_t0 {
-            self.core.hot.commit_decide_us.record(clock::elapsed_us(t0));
-        }
-        let commit_ts = match decide_resp {
-            Ok(KvResponse::Committed { commit_ts }) => commit_ts,
-            Ok(KvResponse::Aborted) => {
-                // The primary's reaper presumed abort before our commit
-                // arrived (lease expired).  Nothing committed anywhere:
-                // secondaries never commit before the primary.
-                self.abort_participants(&participants, &deadline);
-                *self.state.lock() = TxnState::Aborted;
-                self.core.hot.txn_conflicts.inc();
-                count(TraceCounter::Conflicts, 1);
-                return Err(Error::Conflict(format!(
-                    "txn {} aborted by the prepare-lease reaper before commit reached \
-                     the primary",
-                    self.id
-                )));
-            }
-            Ok(KvResponse::ServerError { message }) => {
-                // The primary could not log the commit decision, so it was
-                // not applied (log-before-apply); the transaction is still
-                // merely prepared.  Abort it cleanly rather than leave it to
-                // the reaper's lease expiry.
-                self.abort_participants(&participants, &deadline);
-                *self.state.lock() = TxnState::Aborted;
-                return Err(Error::Io(message));
-            }
-            Ok(other) => {
-                *self.state.lock() = TxnState::Aborted;
-                return Err(Error::Internal(format!(
-                    "unexpected commit response: {other:?}"
-                )));
+                *self.state.lock() = TxnState::Committed;
+                self.core.hot.txn_committed.inc();
+                Ok(commit_ts)
             }
             Err(e) => {
-                // The commit decision is in flight but unconfirmed: the
-                // primary may have installed it, or its reaper may abort it.
-                // Only the primary knows; blindly retrying the transaction
-                // could double-apply, so surface the in-doubt state.
-                self.core.stats.counter("kv.commit_indeterminate").inc();
-                return Err(Error::Indeterminate(format!(
-                    "commit of txn {} unconfirmed by primary server {primary}: {e}",
-                    self.id
-                )));
+                *self.state.lock() = TxnState::Aborted;
+                Err(e)
             }
-        };
-
-        for &server in &participants[1..] {
-            decide_secondary(&self.core, server, self.id, commit_ts, timing);
         }
-        *self.state.lock() = TxnState::Committed;
-        self.core.hot.txn_committed.inc();
-        Ok(commit_ts)
     }
 
-    /// Best-effort abort round used when a commit fails before its commit
-    /// point, under the commit's deadline: each abort gets one attempt even
-    /// if the deadline has passed.  Abort is idempotent and deduplicated
-    /// server-side, and participants that miss the message resolve the
-    /// prepare once its lease is over.
-    fn abort_participants(&self, participants: &[ServerId], deadline: &Deadline) {
+    /// Judges a prepare round, in participant order, and returns the commit
+    /// timestamp — the largest prepare timestamp — once every participant
+    /// has voted yes, or the error to report.
+    ///
+    /// A refusal aborts.  Every other vote not heard — an answer lost, a
+    /// failure, a prepare the round never sent — is asked for with a
+    /// fencing probe, after which its participant has voted yes or never
+    /// will: a clean abort, reported as the failure that caused it.  Only a
+    /// participant that cannot be reached by the deadline leaves the fate
+    /// unknown (`Indeterminate`), and then nobody is told to abort, since
+    /// the transaction may have committed.  A clean abort is sent to every
+    /// participant, best-effort.
+    fn tally(
+        &self,
+        participants: &[ServerId],
+        votes: Vec<Result<KvResponse>>,
+        deadline: &Deadline,
+    ) -> Result<Timestamp> {
+        let failed = |server: ServerId, why: String| {
+            Error::Unavailable(format!(
+                "prepare of txn {} at server {server} failed ({why}); transaction aborted",
+                self.id
+            ))
+        };
+        let mut commit_ts = self.start_ts;
+        let mut unheard = Vec::new();
+        let mut votes = votes.into_iter();
+        for &server in participants {
+            let failure = match votes.next() {
+                Some(Ok(KvResponse::Prepared { prepare_ts })) => {
+                    commit_ts = commit_ts.max(prepare_ts);
+                    continue;
+                }
+                // Resolved committed already, by a participant that met it.
+                Some(Ok(KvResponse::Committed { commit_ts })) => return Ok(commit_ts),
+                Some(Ok(KvResponse::Conflict { reason })) => {
+                    self.core.hot.txn_conflicts.inc();
+                    count(TraceCounter::Conflicts, 1);
+                    return Err(self.aborted(participants, deadline, Error::Conflict(reason)));
+                }
+                Some(Ok(KvResponse::ServerError { message })) => Error::Io(message),
+                Some(Ok(other)) => {
+                    Error::Internal(format!("unexpected prepare response: {other:?}"))
+                }
+                Some(Err(e)) => failed(server, e.to_string()),
+                None => failed(server, "never sent".into()),
+            };
+            unheard.push((server, failure));
+        }
+        let fence = KvRequest::TxnStatus {
+            txn: self.id,
+            fence: true,
+        };
+        let probes = unheard.iter().map(|(server, _)| (*server, fence.clone()));
+        let answers = round(&self.core, probes, deadline, |_| false);
+        let mut unknown = None;
+        for ((server, failure), answer) in unheard.into_iter().zip(answers) {
+            match answer {
+                Ok(KvResponse::TxnOutcome { status }) => match status {
+                    TxnStatusKind::Prepared(ts) => commit_ts = commit_ts.max(ts),
+                    TxnStatusKind::Committed(ts) => return Ok(ts),
+                    TxnStatusKind::Aborted => {
+                        return Err(self.aborted(participants, deadline, failure))
+                    }
+                    TxnStatusKind::Unknown => unknown = unknown.or(Some((server, failure))),
+                },
+                _ => unknown = unknown.or(Some((server, failure))),
+            }
+        }
+        match unknown {
+            Some((server, failure)) => Err(self.indeterminate(format!(
+                "the vote of server {server} on txn {} is unknown: {failure}",
+                self.id
+            ))),
+            None => Ok(commit_ts),
+        }
+    }
+
+    /// An in-doubt commit, counted.
+    fn indeterminate(&self, what: String) -> Error {
+        self.core.stats.counter("kv.commit_indeterminate").inc();
+        Error::Indeterminate(what)
+    }
+
+    /// Best-effort abort round used when a prepare round fails, under the
+    /// commit's deadline, returning `failure`: each abort gets one attempt
+    /// even if the deadline has passed.  Abort is idempotent and
+    /// deduplicated server-side, and a participant that misses the message
+    /// learns the abort from the refusal or fence that caused it when its
+    /// prepare is resolved.
+    fn aborted(&self, participants: &[ServerId], deadline: &Deadline, failure: Error) -> Error {
         let aborts = participants
             .iter()
             .map(|&s| (s, KvRequest::Abort { txn: self.id }));
         let _ = round(&self.core, aborts, deadline, |_| false);
+        if matches!(failure, Error::Unavailable(_)) {
+            self.core.stats.counter("kv.prepare_deadline_aborts").inc();
+        }
+        failure
     }
 
     /// Aborts the transaction, discarding its buffered writes.

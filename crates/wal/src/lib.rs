@@ -173,17 +173,21 @@ pub struct WalWrite {
     pub value: Option<Bytes>,
 }
 
-/// A prepared-but-undecided transaction as carried by a checkpoint: enough
-/// to restore the prepare locks, the staged writes and the primary so the
-/// presumed-abort reaper can still resolve the transaction after recovery.
+/// A participant's yes vote on a transaction: its prepare record, and how
+/// a checkpoint carries a prepared-but-undecided transaction.  Enough to
+/// restore the prepare locks and staged writes, and for anyone resolving
+/// the transaction to ask the other participants and commit it at the
+/// maximum of their prepare timestamps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedImage {
     /// Transaction id.
     pub txn: TxnId,
     /// Snapshot timestamp the prepare validated against.
     pub start_ts: Timestamp,
-    /// The transaction's primary participant (2PC commit point).
-    pub primary: ServerId,
+    /// Timestamp this participant drew once it held the locks.
+    pub prepare_ts: Timestamp,
+    /// Every participant of the transaction, this one included.
+    pub participants: Vec<ServerId>,
     /// The staged writes.
     pub writes: Vec<WalWrite>,
 }
@@ -198,7 +202,7 @@ pub type VersionImage = (ObjectId, Vec<(Timestamp, Option<Bytes>)>);
 
 /// Full image of a server store at checkpoint time.  Everything recovery
 /// needs: committed version chains, allocation counters, the outcome table
-/// (for dedup and the presumed-abort protocol) and in-flight prepares.
+/// (for dedup and for answering other participants) and in-flight prepares.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckpointSnapshot {
     /// Committed versions per object, oldest first within each object.
@@ -214,22 +218,27 @@ pub struct CheckpointSnapshot {
 /// One record of the write-ahead log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// Phase one of 2PC: logged *before* the prepare is acknowledged, so
-    /// the prepared state (locks, staged writes, primary) survives a crash
-    /// and the coordinator's lease semantics keep holding.
+    /// The prepare record of the earlier protocol, whose commit point was a
+    /// primary participant's forced decision.  The store writes
+    /// [`WalRecord::Vote`] instead and replay skips this one; it still
+    /// encodes and decodes because `ybench`'s ladder appends it to time a
+    /// synced prepare-sized append.
     Prepare {
         /// Transaction id.
         txn: TxnId,
         /// Snapshot timestamp the prepare validated against.
         start_ts: Timestamp,
-        /// Primary participant (2PC commit point).
+        /// Primary participant.
         primary: ServerId,
         /// The staged writes.
         writes: Vec<WalWrite>,
     },
-    /// Phase two of 2PC: the commit decision.  Logged before the in-memory
-    /// outcome becomes observable, so a secondary can never adopt a commit
-    /// that the primary would forget in a crash.
+    /// A participant's yes vote, forced before it answers `Prepared`: once
+    /// every participant's is on its disk the transaction is committed, at
+    /// the maximum of their prepare timestamps, and a crash cannot undo it.
+    Vote(PreparedImage),
+    /// A commit, unforced: a participant that loses it replays as
+    /// prepared and learns the fate again from the other participants.
     Commit {
         /// Transaction id.
         txn: TxnId,
@@ -246,10 +255,11 @@ pub enum WalRecord {
         /// The installed writes.
         writes: Vec<WalWrite>,
     },
-    /// An abort decision (explicit abort or the reaper's presumed abort).
-    /// Logged before the abort is observable so a duplicate commit arriving
-    /// after recovery cannot resurrect a transaction whose coordinator was
-    /// already told "aborted".
+    /// An abort.  Forced when it is a *refusal* (a prepare that failed
+    /// validation) or a *fence* (a probe found no record of the
+    /// transaction): the participant answers only once it is durable, so a
+    /// delayed prepare can never vote yes afterwards.  Unforced when the
+    /// fate was already settled by such a record elsewhere.
     Abort {
         /// Transaction id.
         txn: TxnId,
@@ -273,6 +283,7 @@ const TAG_COMMIT_1PC: u8 = 3;
 const TAG_ABORT: u8 = 4;
 const TAG_ALLOC: u8 = 5;
 const TAG_CHECKPOINT: u8 = 6;
+const TAG_VOTE: u8 = 8;
 // Tag 7 is retired: it marked a bulk-load record that nothing writes any
 // more.  It decodes as corruption like every unknown tag; do not reuse it.
 
@@ -310,6 +321,25 @@ fn get_writes(r: &mut Reader<'_>) -> Result<Vec<WalWrite>> {
     Ok(out)
 }
 
+fn put_prepared(w: &mut Writer, p: &PreparedImage) {
+    let n = p.participants.len() as u64;
+    let w = w.u64(p.txn).u64(p.start_ts).u64(p.prepare_ts).uvarint(n);
+    let w = p.participants.iter().fold(w, |w, &s| w.uvarint(s as u64));
+    put_writes(w, &p.writes);
+}
+
+fn get_prepared(r: &mut Reader<'_>) -> Result<PreparedImage> {
+    Ok(PreparedImage {
+        txn: r.u64()?,
+        start_ts: r.u64()?,
+        prepare_ts: r.u64()?,
+        participants: (0..r.uvarint()?)
+            .map(|_| Ok(r.uvarint()? as ServerId))
+            .collect::<Result<_>>()?,
+        writes: get_writes(r)?,
+    })
+}
+
 impl WalRecord {
     /// Encodes the record payload (the bytes the frame checksum covers).
     pub fn encode(&self) -> Vec<u8> {
@@ -324,6 +354,10 @@ impl WalRecord {
                 w.u8(TAG_PREPARE).u64(*txn).u64(*start_ts);
                 w.uvarint(*primary as u64);
                 put_writes(&mut w, writes);
+            }
+            WalRecord::Vote(p) => {
+                w.u8(TAG_VOTE);
+                put_prepared(&mut w, p);
             }
             WalRecord::Commit { txn, commit_ts } => {
                 w.u8(TAG_COMMIT).u64(*txn).u64(*commit_ts);
@@ -378,9 +412,7 @@ impl WalRecord {
                 }
                 w.uvarint(snap.prepared.len() as u64);
                 for p in &snap.prepared {
-                    w.u64(p.txn).u64(p.start_ts);
-                    w.uvarint(p.primary as u64);
-                    put_writes(&mut w, &p.writes);
+                    put_prepared(&mut w, p);
                 }
             }
         }
@@ -399,6 +431,7 @@ impl WalRecord {
                 primary: r.uvarint()? as ServerId,
                 writes: get_writes(&mut r)?,
             },
+            TAG_VOTE => WalRecord::Vote(get_prepared(&mut r)?),
             TAG_COMMIT => WalRecord::Commit {
                 txn: r.u64()?,
                 commit_ts: r.u64()?,
@@ -456,12 +489,7 @@ impl WalRecord {
                 let n_prepared = r.uvarint()? as usize;
                 let mut prepared = Vec::with_capacity(n_prepared.min(4096));
                 for _ in 0..n_prepared {
-                    prepared.push(PreparedImage {
-                        txn: r.u64()?,
-                        start_ts: r.u64()?,
-                        primary: r.uvarint()? as ServerId,
-                        writes: get_writes(&mut r)?,
-                    });
+                    prepared.push(get_prepared(&mut r)?);
                 }
                 WalRecord::Checkpoint(Box::new(CheckpointSnapshot {
                     versions,
@@ -1314,6 +1342,13 @@ mod tests {
                     },
                 ],
             },
+            WalRecord::Vote(PreparedImage {
+                txn: 7,
+                start_ts: 40,
+                prepare_ts: 41,
+                participants: vec![0, 2, 300],
+                writes: vec![wr(3, "c")],
+            }),
             WalRecord::Commit {
                 txn: 7,
                 commit_ts: 41,
@@ -1362,7 +1397,8 @@ mod tests {
             prepared: vec![PreparedImage {
                 txn: 11,
                 start_ts: 12,
-                primary: 1,
+                prepare_ts: 14,
+                participants: vec![1, 3],
                 writes: vec![wr(5, "staged")],
             }],
         };

@@ -3,10 +3,12 @@
 //! about absence of deadlock, lost updates and torn reads under real
 //! parallelism, not about throughput.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use yesquel::{KvDatabase, ObjectId, Yesquel};
+use yesquel::rpc::{FaultPlan, TransportKind};
+use yesquel::{KvDatabase, NetConfig, ObjectId, Yesquel, YesquelConfig};
 
 #[test]
 fn concurrent_disjoint_writers_all_commit() {
@@ -332,4 +334,109 @@ fn gc_never_drops_what_a_starting_snapshot_reads() {
     db.run_gc().unwrap();
     assert_eq!(db.total_objects(), OBJECTS);
     assert_eq!(db.total_versions(), db.total_objects());
+}
+
+/// Snapshot isolation at the commit point, over worker threads, with
+/// messages — `Commit`s among them — delayed at random, so a commit's
+/// `Commit`s land one by one, the last well after the first.  A writer
+/// commits transactions that write the same counter to an object on each
+/// of two servers, while readers draw snapshots and read both:
+///
+/// * a snapshot drawn after a commit was acknowledged reads its writes;
+/// * one drawn before its first prepare reads none of them;
+/// * no snapshot reads one of its writes without the other.
+#[test]
+fn snapshots_see_a_commit_whole_from_its_acknowledgement_on() {
+    let mut cfg = YesquelConfig::with_servers(2);
+    cfg.net = NetConfig {
+        one_way_latency_us: 50,
+        sleep_latency: true,
+        service_time_us: 100,
+        ..NetConfig::default()
+    };
+    let plans = (0..2)
+        .map(|seed| FaultPlan {
+            seed,
+            delay: 0.5,
+            delay_us: (50, 600),
+            ..FaultPlan::healthy()
+        })
+        .collect();
+    let threaded = TransportKind::Threaded {
+        workers_per_server: 2,
+    };
+    let db = KvDatabase::with_faults(cfg, threaded, plans);
+    let on = |server| {
+        (0..)
+            .map(|o| ObjectId::new(1, o))
+            .find(|o| o.home_server(2) == server)
+            .unwrap()
+    };
+    let (a, b) = (on(0), on(1));
+    let client = db.client();
+    let read_both = |t: &yesquel::kv::Txn| {
+        let [va, vb] = [a, b].map(|o| t.get(o).unwrap().map(|v| v.to_vec()));
+        assert_eq!(va, vb, "snapshot {} read a mix", t.start_ts());
+        va
+    };
+    // Retried on a conflict: the last commit's `Commit` may not have
+    // released its lock at the second server yet.
+    let put_both = |n: u64| {
+        client
+            .run_txn(|t| {
+                for o in [a, b] {
+                    t.put(o, n.to_string())?;
+                }
+                Ok(())
+            })
+            .unwrap()
+    };
+    put_both(0);
+    let stop = AtomicBool::new(false);
+    /// Stops the readers however the writer ends, so that a failed
+    /// assertion fails the test instead of hanging it.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let client = db.client();
+                    let mut snapshots = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        let t = client.begin();
+                        read_both(&t);
+                        t.commit().unwrap();
+                        snapshots += 1;
+                        // Leave the CPU to the tests running beside this one.
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                    snapshots
+                })
+            })
+            .collect();
+        let stopping = Stop(&stop);
+        for n in 1..=40u64 {
+            let before = client.begin();
+            put_both(n);
+            let after = client.begin();
+            let value = |n: u64| Some(n.to_string().into_bytes());
+            assert_eq!(read_both(&after), value(n), "after the ack");
+            assert_eq!(read_both(&before), value(n - 1), "before the prepares");
+            before.commit().unwrap();
+            after.commit().unwrap();
+        }
+        drop(stopping);
+        for reader in readers {
+            assert!(reader.join().unwrap() > 0);
+        }
+    });
+    let locked: u64 = (db.cluster().servers().iter())
+        .map(|s| s.store().stats().locked_reads)
+        .sum();
+    assert!(locked > 0, "no read met a lock: the window was never open");
 }

@@ -5,11 +5,13 @@
 //! speaking the wire protocol directly to stand in for a coordinator that
 //! dies at a precise point.
 //!
-//! The invariants under test are the 2PC safety rules: a transaction whose
-//! coordinator vanishes after prepare leaves *no* orphaned prepared locks
-//! once leases expire and the reaper runs; a transaction committed at its
-//! primary participant is eventually committed everywhere; and in every
-//! scenario the outcome is all-or-nothing across shards.
+//! The invariants under test are the commit rules of a protocol whose
+//! prepare round is the commit point: a transaction every participant voted
+//! yes on is committed, at the largest prepare timestamp, and every
+//! participant ends up installing it, whoever else forgot or never heard
+//! the decision; one that some participant refused, or was fenced from,
+//! leaves *no* orphaned prepared locks once the resolvers have run; and in
+//! every scenario the outcome is all-or-nothing across shards.
 
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -37,9 +39,9 @@ fn impatient(nservers: usize) -> YesquelConfig {
 }
 
 /// Waits up to five seconds for `done`.  Over a transport that makes calls
-/// wait — a fault layer counts — a commit returns once its primary has
-/// decided, with the secondaries' decisions still in flight, so what a test
-/// inspects at a secondary has to be waited for.
+/// wait — a fault layer counts — a commit returns once every participant
+/// has voted, with its `Commit`s still in flight, so what a test inspects
+/// at a participant has to be waited for.
 fn eventually(mut done: impl FnMut() -> bool) -> bool {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while !done() {
@@ -58,9 +60,29 @@ fn write(obj: ObjectId, val: &[u8]) -> WriteOp {
     }
 }
 
-/// A coordinator that prepares on two shards and then goes silent forever.
-/// The prepare leases expire, the primary presumes abort, the secondary
-/// learns the abort from the primary, and every lock is released.
+/// A prepare of `obj` for `txn` whose participants are servers 0 and 1.
+fn prepare2(txn: u64, start_ts: u64, obj: ObjectId, val: &[u8], lease_us: u64) -> KvRequest {
+    KvRequest::Prepare {
+        txn,
+        start_ts,
+        writes: vec![write(obj, val)],
+        participants: vec![0, 1],
+        lease_us,
+    }
+}
+
+/// The prepare timestamp of a yes vote.
+fn voted(resp: KvResponse) -> u64 {
+    match resp {
+        KvResponse::Prepared { prepare_ts } => prepare_ts,
+        other => panic!("expected a yes vote, got {other:?}"),
+    }
+}
+
+/// A coordinator whose prepare reached one of its two participants goes
+/// silent forever.  Once the lease expires the prepared participant fences
+/// the other, which never heard of the transaction, and aborts: every lock
+/// is released, and the prepare that never arrived can no longer vote yes.
 #[test]
 fn silent_coordinator_is_presumed_aborted() {
     let db = KvDatabase::with_servers(2);
@@ -69,39 +91,22 @@ fn silent_coordinator_is_presumed_aborted() {
     let start_ts = db.oracle().next_timestamp();
     let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
 
-    for (server, obj) in [(0usize, o0), (1usize, o1)] {
-        let resp = transport
-            .call(
-                server,
-                KvRequest::Prepare {
-                    txn,
-                    start_ts,
-                    writes: vec![write(obj, b"never")],
-                    primary: 0,
-                    lease_us: 2_000,
-                },
-            )
-            .unwrap();
-        assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
-    }
-    assert_eq!(db.prepared_total(), 2);
+    let resp = transport
+        .call(1, prepare2(txn, start_ts, o1, b"never", 2_000))
+        .unwrap();
+    voted(resp);
+    assert_eq!(db.prepared_total(), 1);
 
-    // The locks are real: a conflicting prepare is refused while they hold.
+    // The lock is real: a conflicting prepare is refused while it holds.
     let other = transport
         .call(
-            0,
-            KvRequest::Prepare {
-                txn: 0xBEEF,
-                start_ts: db.oracle().next_timestamp(),
-                writes: vec![write(o0, b"blocked")],
-                primary: 0,
-                lease_us: 2_000,
-            },
+            1,
+            prepare2(0xBEEF, db.oracle().next_timestamp(), o1, b"blocked", 2_000),
         )
         .unwrap();
     assert!(matches!(other, KvResponse::Conflict { .. }), "{other:?}");
 
-    // Coordinator never comes back.  Let the leases lapse and reap.
+    // Coordinator never comes back.  Let the lease lapse and reap.
     std::thread::sleep(Duration::from_millis(5));
     db.reap_all();
 
@@ -120,10 +125,14 @@ fn silent_coordinator_is_presumed_aborted() {
     t.put(o1, &b"after"[..]).unwrap();
     t.commit().unwrap();
 
-    // The late coordinator's commit is refused: presumed abort won.
+    // The late coordinator's prepare is refused: server 0 was fenced.
+    let late = transport
+        .call(0, prepare2(txn, start_ts, o0, b"never", 2_000))
+        .unwrap();
+    assert!(matches!(late, KvResponse::Conflict { .. }), "{late:?}");
     let late = transport
         .call(
-            0,
+            1,
             KvRequest::Commit {
                 txn,
                 commit_ts: db.oracle().next_timestamp(),
@@ -133,9 +142,49 @@ fn silent_coordinator_is_presumed_aborted() {
     assert!(matches!(late, KvResponse::Aborted), "{late:?}");
 }
 
-/// The coordinator commits at the primary and then dies.  The secondary's
-/// lease expires, it asks the primary for the verdict, and adopts the
-/// commit — the transaction lands atomically on both shards.
+/// The coordinator goes silent right after both participants voted yes:
+/// the transaction is committed, at the larger prepare timestamp, though
+/// no `Commit` was ever sent.  A read that meets a lock asks the other
+/// participant, finds its yes vote, and installs the commit at once — long
+/// before the lease would let anybody fence.
+#[test]
+fn a_read_commits_a_fully_voted_transaction_before_its_lease() {
+    let db = KvDatabase::with_servers(2);
+    let transport = db.cluster().transport();
+    let txn = 0xAC4;
+    let start_ts = db.oracle().next_timestamp();
+    let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
+    let lease_us = 600_000_000;
+    let votes = [(0, o0), (1, o1)].map(|(server, obj)| {
+        voted(
+            transport
+                .call(server, prepare2(txn, start_ts, obj, b"voted", lease_us))
+                .unwrap(),
+        )
+    });
+    let commit_ts = votes[0].max(votes[1]);
+
+    let ts = db.oracle().next_timestamp();
+    for (server, obj) in [(1, o1), (0, o0)] {
+        match transport.call(server, KvRequest::Get { obj, ts }).unwrap() {
+            KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"voted"),
+            other => panic!("server {server}: expected the committed value, got {other:?}"),
+        }
+    }
+    let servers = db.cluster().servers();
+    for (server, obj) in [(0, o0), (1, o1)] {
+        assert_eq!(
+            servers[server].store().dump_versions(obj),
+            vec![(commit_ts, Some(bytes::Bytes::from_static(b"voted")))]
+        );
+    }
+    assert_eq!(db.prepared_total(), 0);
+}
+
+/// The coordinator's `Commit` reaches one participant, and the coordinator
+/// dies.  The other's lease expires, it asks the first for the verdict,
+/// and installs the commit — the transaction lands atomically on both
+/// shards.
 #[test]
 fn secondary_adopts_commit_from_primary() {
     let db = KvDatabase::with_servers(2);
@@ -144,29 +193,22 @@ fn secondary_adopts_commit_from_primary() {
     let start_ts = db.oracle().next_timestamp();
     let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
 
-    for (server, obj) in [(0usize, o0), (1usize, o1)] {
-        transport
-            .call(
-                server,
-                KvRequest::Prepare {
-                    txn,
-                    start_ts,
-                    writes: vec![write(obj, b"both")],
-                    primary: 0,
-                    lease_us: 2_000,
-                },
-            )
-            .unwrap();
-    }
+    let votes = [(0, o0), (1, o1)].map(|(server, obj)| {
+        voted(
+            transport
+                .call(server, prepare2(txn, start_ts, obj, b"both", 2_000))
+                .unwrap(),
+        )
+    });
 
-    // Commit reaches the primary only; the coordinator dies before telling
-    // the secondary.
-    let commit_ts = db.oracle().next_timestamp();
+    // Commit reaches server 0 only; the coordinator dies before telling
+    // server 1.
+    let commit_ts = votes[0].max(votes[1]);
     let resp = transport
         .call(0, KvRequest::Commit { txn, commit_ts })
         .unwrap();
     assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");
-    assert_eq!(db.prepared_total(), 1, "secondary still in doubt");
+    assert_eq!(db.prepared_total(), 1, "server 1 still in doubt");
 
     std::thread::sleep(Duration::from_millis(5));
     db.reap_all();
@@ -180,7 +222,7 @@ fn secondary_adopts_commit_from_primary() {
         );
     }
     let (adopted, presumed) = servers[1].reap_counts();
-    assert_eq!((adopted, presumed), (1, 0), "secondary adopted the commit");
+    assert_eq!((adopted, presumed), (1, 0), "server 1 adopted the commit");
 
     // Both writes visible at the same timestamp: atomic across shards.
     assert_eq!(
@@ -199,49 +241,37 @@ fn secondary_adopts_commit_from_primary() {
     t.commit().unwrap();
 }
 
-/// A secondary participant crashes immediately after processing its prepare
-/// (the response is lost), driven through the real client.  The coordinator
-/// aborts, the crashed server restarts with the prepared transaction still
-/// on its books, and the reaper resolves it to abort by asking the primary.
-/// Nothing is ever visible on either shard.
+/// A participant is down when the real client's prepare round reaches it:
+/// server 0 votes yes, server 1 never hears of the transaction.  The
+/// coordinator cannot fence server 1 either, so it reports the commit in
+/// doubt and tells nobody to abort.  Once server 1 is back and the lease
+/// is over, server 0 fences it, learns the abort, and lets go.  Nothing is
+/// ever visible on either shard.
 #[test]
 fn server_crash_between_prepare_and_commit_resolves_to_abort() {
-    // Server 1 (the secondary: the primary is the lowest participant id)
-    // crashes after delivering exactly one request — the prepare.
-    let plans = vec![
-        FaultPlan::healthy(),
-        FaultPlan {
-            crash_after_requests: Some(1),
-            ..FaultPlan::healthy()
-        },
-    ];
-    let db = KvDatabase::with_faults(impatient(2), TransportKind::Direct, plans);
+    let db = KvDatabase::with_faults(impatient(2), TransportKind::Direct, vec![]);
     let faults = Arc::clone(db.faults().unwrap());
     let client = db.client();
     let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
 
+    faults.crash(1);
     let t = client.begin();
     t.put(o0, &b"half"[..]).unwrap();
     t.put(o1, &b"half"[..]).unwrap();
     match t.commit() {
-        Err(Error::Unavailable(_)) => {}
-        other => panic!("expected Unavailable from prepare deadline, got {other:?}"),
+        Err(Error::Indeterminate(_)) => {}
+        other => panic!("expected Indeterminate from an unreachable vote, got {other:?}"),
     }
-    assert!(db.stats().counter("kv.prepare_deadline_aborts").get() >= 1);
-    assert!(faults.is_crashed(1));
+    assert!(db.stats().counter("kv.commit_indeterminate").get() >= 1);
+    assert_eq!(db.prepared_total(), 1, "server 0's vote stands");
 
-    // The crashed server still holds the prepared transaction — the abort
-    // fan-out could not reach it.
-    assert_eq!(db.prepared_total(), 1, "orphan pending recovery");
-
-    // Restart healthy (the scripted crash plan would otherwise re-fire on
-    // the next delivery); the lease has long expired (impatient config).
-    // The reaper asks the primary, which recorded the abort.
-    faults.set_plan(1, FaultPlan::healthy());
+    // The lease has long expired (impatient config) once server 1 is back.
     faults.restart(1);
     std::thread::sleep(Duration::from_millis(5));
     db.reap_all();
     assert_eq!(db.prepared_total(), 0, "no orphaned prepared locks");
+    let servers = db.cluster().servers();
+    assert_eq!(servers[0].reap_counts(), (0, 1));
 
     // All-or-nothing held: neither shard shows the write, and the objects
     // are usable again.
@@ -257,9 +287,10 @@ fn server_crash_between_prepare_and_commit_resolves_to_abort() {
     t.commit().unwrap();
 }
 
-/// The commit message to a secondary is lost (the primary committed).  The
-/// client still reports success; the secondary converges to the commit via
-/// the reaper rather than losing the write.
+/// The `Commit` to one participant is lost (every participant voted yes,
+/// so the transaction is committed).  The client still reports success;
+/// the participant converges to the commit via the resolver rather than
+/// losing the write.
 #[test]
 fn lost_secondary_commit_converges_to_committed() {
     let db = KvDatabase::with_faults(impatient(2), TransportKind::Direct, vec![]);
@@ -267,11 +298,11 @@ fn lost_secondary_commit_converges_to_committed() {
     let client = db.client();
     let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
 
-    // Drop every response from server 1 *after* the prepare phase: flip the
-    // plan between prepare and commit is impossible from outside one
-    // `commit()` call, so instead crash server 1 after it has delivered two
-    // requests — the prepare (request 1) and the phase-two commit would be
-    // request 2, whose response is lost.
+    // Lose server 1's answer to its `Commit`: flipping the plan between
+    // prepare and commit is impossible from outside one `commit()` call, so
+    // instead crash server 1 after it has delivered two requests — the
+    // prepare (request 1) and the `Commit` (request 2), whose response is
+    // lost.
     faults.set_plan(
         1,
         FaultPlan {
@@ -283,9 +314,9 @@ fn lost_secondary_commit_converges_to_committed() {
     let t = client.begin();
     t.put(o0, &b"kept"[..]).unwrap();
     t.put(o1, &b"kept"[..]).unwrap();
-    // The commit succeeds: the primary confirmed it; the secondary's lost
-    // ack only makes it a lagging participant, once its retries run out
-    // against the crashed server.
+    // The commit succeeds: both voted yes; server 1's lost ack only makes
+    // it a lagging participant, once its submits run out against the
+    // crashed server.
     let commit_ts = t.commit().unwrap();
     assert!(eventually(|| db
         .stats()
@@ -293,8 +324,8 @@ fn lost_secondary_commit_converges_to_committed() {
         .get()
         >= 1));
 
-    // Did the secondary apply before crashing, or is it still prepared?
-    // Either is legal; what matters is convergence after restart.
+    // Did server 1 apply before crashing, or is it still prepared?  Either
+    // is legal; what matters is convergence after restart.
     faults.set_plan(1, FaultPlan::healthy());
     faults.restart(1);
     std::thread::sleep(Duration::from_millis(5));
@@ -305,7 +336,7 @@ fn lost_secondary_commit_converges_to_committed() {
     assert_eq!(
         servers[1].store().dump_versions(o1),
         vec![(commit_ts, Some(bytes::Bytes::from_static(b"kept")))],
-        "secondary converged to the commit, applied exactly once"
+        "server 1 converged to the commit, applied exactly once"
     );
     let t = client.begin();
     assert_eq!(t.get(o0).unwrap().as_deref(), Some(&b"kept"[..]));
@@ -313,12 +344,12 @@ fn lost_secondary_commit_converges_to_committed() {
     t.commit().unwrap();
 }
 
-/// A secondary's commit decision that the transport refuses at submit is
-/// submitted again at once, three times in all, never backed off from.  The
-/// secondary crashed once its prepare was delivered (the prepare's
-/// duplicate crashes it, after the prepare was answered), so every submit is
-/// refused: the commit returns counting the secondary as lagging, and the
-/// secondary adopts the commit from the primary once it is back.
+/// A participant's `Commit` that the transport refuses at submit is
+/// submitted again at once, three times in all, never backed off from.
+/// Server 1 crashed once its prepare was delivered (the prepare's duplicate
+/// crashes it, after the prepare was answered), so every submit is
+/// refused: the commit returns counting server 1 as lagging, and server 1
+/// learns the commit from server 0 once it is back.
 #[test]
 fn a_refused_secondary_decision_is_resubmitted_without_backoff() {
     let plans = vec![
@@ -353,13 +384,14 @@ fn a_refused_secondary_decision_is_resubmitted_without_backoff() {
     assert_eq!(
         db.cluster().servers()[1].store().dump_versions(o1),
         vec![(commit_ts, Some(bytes::Bytes::from_static(b"once")))],
-        "the secondary holds the commit exactly once"
+        "server 1 holds the commit exactly once"
     );
 }
 
 /// Duplicate deliveries of prepare and commit (retransmissions racing the
-/// original) must not double-apply: one version per object, and the second
-/// commit reports the original timestamp.
+/// original) must not double-apply: one version per object, the second
+/// prepare reports the same vote, and the second commit the original
+/// timestamp.
 #[test]
 fn duplicate_prepare_and_commit_are_idempotent() {
     let db = KvDatabase::with_servers(1);
@@ -372,20 +404,13 @@ fn duplicate_prepare_and_commit_are_idempotent() {
         txn,
         start_ts,
         writes: vec![write(obj, b"once")],
-        primary: 0,
+        participants: vec![0],
         lease_us: 1_000_000,
     };
-    assert!(matches!(
-        transport.call(0, prep.clone()).unwrap(),
-        KvResponse::Prepared
-    ));
-    assert!(matches!(
-        transport.call(0, prep).unwrap(),
-        KvResponse::Prepared
-    ));
+    let commit_ts = voted(transport.call(0, prep.clone()).unwrap());
+    assert_eq!(voted(transport.call(0, prep.clone()).unwrap()), commit_ts);
     assert_eq!(db.prepared_total(), 1);
 
-    let commit_ts = db.oracle().next_timestamp();
     for _ in 0..2 {
         match transport
             .call(0, KvRequest::Commit { txn, commit_ts })
@@ -398,26 +423,21 @@ fn duplicate_prepare_and_commit_are_idempotent() {
     let store = db.cluster().servers()[0].store();
     assert_eq!(store.dump_versions(obj).len(), 1, "applied exactly once");
     assert!(
-        store.stats().dedup_hits >= 1,
-        "duplicate commit answered from the outcome table"
+        store.stats().dedup_hits >= 2,
+        "duplicates answered from the table"
     );
 
-    // A duplicate prepare arriving after the commit reports Prepared (the
-    // transaction succeeded; the retransmission is stale) and re-acquires
-    // nothing.
-    let stale_prep = KvRequest::Prepare {
-        txn,
-        start_ts,
-        writes: vec![write(obj, b"once")],
-        primary: 0,
-        lease_us: 1_000_000,
-    };
-    assert!(matches!(
-        transport.call(0, stale_prep).unwrap(),
-        KvResponse::Prepared
-    ));
+    // A duplicate prepare arriving after the commit reports the commit
+    // (the retransmission is stale) and re-acquires nothing.
+    match transport.call(0, prep).unwrap() {
+        KvResponse::Committed { commit_ts: ts } => assert_eq!(ts, commit_ts),
+        other => panic!("expected Committed, got {other:?}"),
+    }
     assert_eq!(db.prepared_total(), 0);
     assert_eq!(store.dump_versions(obj).len(), 1);
+    let ts = db.oracle().next_timestamp();
+    let read = transport.call(0, KvRequest::Get { obj, ts }).unwrap();
+    assert!(matches!(read, KvResponse::Value(Some(_))), "{read:?}");
 }
 
 /// The wire-level `TxnStatus` query reports each fate correctly, through
@@ -428,27 +448,23 @@ fn txn_status_over_the_wire() {
     let transport = db.cluster().transport();
     let obj = oid_on(0, 1, 0);
 
-    let status = |txn| match transport.call(0, KvRequest::TxnStatus { txn }).unwrap() {
-        KvResponse::TxnOutcome { status } => status,
-        other => panic!("expected TxnOutcome, got {other:?}"),
+    let status = |txn| {
+        let probe = KvRequest::TxnStatus { txn, fence: false };
+        match transport.call(0, probe).unwrap() {
+            KvResponse::TxnOutcome { status } => status,
+            other => panic!("expected TxnOutcome, got {other:?}"),
+        }
     };
 
     assert_eq!(status(42), TxnStatusKind::Unknown);
 
     let start_ts = db.oracle().next_timestamp();
-    transport
-        .call(
-            0,
-            KvRequest::Prepare {
-                txn: 42,
-                start_ts,
-                writes: vec![write(obj, b"x")],
-                primary: 0,
-                lease_us: 1_000_000,
-            },
-        )
-        .unwrap();
-    assert_eq!(status(42), TxnStatusKind::Pending);
+    let prepare_ts = voted(
+        transport
+            .call(0, prepare2(42, start_ts, obj, b"x", 1_000_000))
+            .unwrap(),
+    );
+    assert_eq!(status(42), TxnStatusKind::Prepared(prepare_ts));
 
     let commit_ts = db.oracle().next_timestamp();
     transport
@@ -553,12 +569,13 @@ fn logged(nservers: usize, lease_us: u64, plans: Vec<FaultPlan>) -> (TempDir, Kv
     (tmp, db)
 }
 
-/// A secondary logs its `Commit` without waiting for the disk, so a crash
-/// right after the acknowledgement takes the record with it and recovery
-/// finds the transaction merely prepared.  The primary forced its decision
-/// before anyone was told, and the secondary adopts it the moment it can
-/// ask: when it restarts, or — if the primary was unreachable then — when a
-/// read runs into the lock.  Never by waiting out the lease.
+/// Every participant logs its `Commit` without waiting for the disk, so a
+/// crash right after the acknowledgement takes the record with it and
+/// recovery finds the transaction merely prepared.  Every vote was forced
+/// before the commit was acknowledged, and a restarted participant learns
+/// the commit the moment it can ask another: when it restarts, or — if
+/// none was reachable then — when a read runs into the lock.  Never by
+/// waiting out the lease.
 #[test]
 fn unforced_secondary_commit_comes_back_from_the_primary() {
     // A lease no test run outlives: anything that needed it would hang the
@@ -576,32 +593,34 @@ fn unforced_secondary_commit_comes_back_from_the_primary() {
     }
     let commit_ts = t.commit().unwrap();
 
-    // The commit is acknowledged, and once the secondaries' decisions land
-    // both hold it in an unsynced log tail; the primary does not.
+    // The commit is acknowledged, and once the `Commit`s land every
+    // participant holds it in an unsynced log tail.
     assert!(eventually(
-        || (1..3).all(|s| !servers[s].store().dump_versions(objs[s]).is_empty())
+        || (0..3).all(|s| !servers[s].store().dump_versions(objs[s]).is_empty())
     ));
-    for (server, unsynced) in [(0, false), (1, true), (2, true)] {
-        let wal = servers[server].store().wal().unwrap();
-        assert_eq!(wal.durable_len() < wal.len(), unsynced, "server {server}");
+    for (server, srv) in servers.iter().enumerate().take(3) {
+        let wal = srv.store().wal().unwrap();
+        assert!(wal.durable_len() < wal.len(), "server {server}");
     }
 
-    // Secondary 1 loses its memory and its log tail, and comes back with
-    // the primary reachable: the commit is reinstalled during the restart.
+    // Server 1 loses its memory and its log tail, and comes back with the
+    // others reachable: the commit is reinstalled during the restart.
     servers[1].amnesia_restart().unwrap();
     assert_eq!(servers[1].store().prepared_count(), 0);
     assert_eq!(servers[1].reap_counts(), (1, 0));
 
-    // Secondary 2 comes back while the primary is unreachable, so it stays
+    // Server 2 comes back while the others are unreachable, so it stays
     // prepared — and must not guess.
     faults.crash(0);
+    faults.crash(1);
     servers[2].amnesia_restart().unwrap();
     assert!(servers[2].store().is_prepared(txn));
     assert_eq!(servers[2].reap_counts(), (0, 0));
     faults.restart(0);
+    faults.restart(1);
 
     // A fresh client's read finds the lock and gets the committed value at
-    // once: the server asked the primary instead of answering "locked".
+    // once: the server asked the others instead of answering "locked".
     let fresh = db.client();
     let r = fresh.begin();
     for o in objs {
@@ -611,9 +630,10 @@ fn unforced_secondary_commit_comes_back_from_the_primary() {
     assert_eq!(db.stats().counter("kv.get_lock_retries").get(), 0);
     assert_eq!(servers[2].reap_counts(), (1, 0));
 
-    // The primary says committed at the acknowledged timestamp, and every
-    // participant holds exactly that version.
-    match faults.call(0, KvRequest::TxnStatus { txn }).unwrap() {
+    // Every participant says committed at the acknowledged timestamp, and
+    // holds exactly that version.
+    let probe = KvRequest::TxnStatus { txn, fence: false };
+    match faults.call(0, probe).unwrap() {
         KvResponse::TxnOutcome { status } => {
             assert_eq!(status, TxnStatusKind::Committed(commit_ts))
         }
@@ -632,45 +652,26 @@ fn unforced_secondary_commit_comes_back_from_the_primary() {
     }
 }
 
-/// The converse: a restarted secondary that cannot learn of a commit keeps
-/// its lock.  Its coordinator is alive and its prepare to the primary is
-/// merely slow (every message to the primary takes 30 ms), so the primary
-/// answers "unknown" or "pending" — and the transaction then commits.
-/// Releasing the lock on either answer would have torn it in half.
+/// The converse: a restarted participant that cannot learn the fate keeps
+/// its lock.  Its coordinator is alive and its prepare to server 0 is
+/// merely slow, so server 0 answers "unknown" — and the transaction then
+/// commits.  Releasing the lock on that answer would have torn it in half.
 #[test]
 fn restarted_secondary_keeps_its_lock_while_the_primary_is_undecided() {
-    let slow_primary = FaultPlan {
-        delay: 1.0,
-        delay_us: (30_000, 30_000),
-        ..FaultPlan::healthy()
-    };
-    let (_tmp, db) = logged(2, 600_000_000, vec![slow_primary]);
+    let (_tmp, db) = logged(2, 600_000_000, vec![]);
     let faults = Arc::clone(db.faults().unwrap());
     let servers = db.cluster().servers();
     let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
     let txn = 0xFEED;
     let start_ts = db.oracle().next_timestamp();
-    let prepare = |obj| KvRequest::Prepare {
-        txn,
-        start_ts,
-        writes: vec![write(obj, b"whole")],
-        primary: 0,
-        lease_us: 600_000_000,
-    };
+    let prepare = |obj| prepare2(txn, start_ts, obj, b"whole", 600_000_000);
 
-    let resp = faults.call(1, prepare(o1)).unwrap();
-    assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
-    std::thread::scope(|scope| {
-        // The coordinator's prepare to the primary, on its slow way ...
-        let in_flight = scope.spawn(|| faults.call(0, prepare(o0)).unwrap());
-        // ... while the secondary crashes, restarts and asks the primary.
-        servers[1].amnesia_restart().unwrap();
-        assert!(servers[1].store().is_prepared(txn));
-        let resp = in_flight.join().unwrap();
-        assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
-    });
-    // Prepared at the primary now: "pending".  Reads and reaper passes at
-    // the secondary ask again and still keep the lock.
+    let vote1 = voted(faults.call(1, prepare(o1)).unwrap());
+    // The prepare to server 0 is still on its way while server 1 crashes,
+    // restarts and asks: "unknown".  Reads and reaper passes at server 1
+    // ask again and keep the lock.
+    servers[1].amnesia_restart().unwrap();
+    assert!(servers[1].store().is_prepared(txn));
     let ts = db.oracle().next_timestamp();
     let resp = faults.call(1, KvRequest::Get { obj: o1, ts }).unwrap();
     assert!(matches!(resp, KvResponse::Locked), "{resp:?}");
@@ -678,46 +679,42 @@ fn restarted_secondary_keeps_its_lock_while_the_primary_is_undecided() {
     assert!(servers[1].store().is_prepared(txn));
     assert_eq!(servers[1].reap_counts(), (0, 0));
 
-    // The coordinator decides; the next read at the secondary adopts it.
-    let commit_ts = db.oracle().next_timestamp();
-    let resp = faults
-        .call(0, KvRequest::Commit { txn, commit_ts })
-        .unwrap();
-    assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");
+    // Server 0 votes; the next read at server 1 finds both votes and
+    // commits at the larger prepare timestamp.
+    let vote0 = voted(faults.call(0, prepare(o0)).unwrap());
     let ts = db.oracle().next_timestamp();
     match faults.call(1, KvRequest::Get { obj: o1, ts }).unwrap() {
         KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"whole"),
         other => panic!("unexpected response {other:?}"),
     }
     assert_eq!(servers[1].reap_counts(), (1, 0));
+    assert_eq!(
+        servers[1].store().outcome(txn),
+        Some(TxnOutcome::Committed(vote0.max(vote1)))
+    );
 }
 
-/// Presuming abort still takes the lease: a restarted secondary whose
-/// primary never heard of the transaction holds its lock until the lease
-/// given to recovered prepares runs out, and only then lets go.
+/// Presuming abort still takes the lease: a restarted participant whose
+/// fellow never heard of the transaction holds its lock until the lease
+/// given to recovered prepares runs out, and only then fences it and lets
+/// go.
 #[test]
 fn restarted_secondary_presumes_abort_only_after_its_lease() {
     let lease = Duration::from_millis(40);
-    let (_tmp, db) = logged(2, lease.as_micros() as u64, vec![]);
+    let lease_us = lease.as_micros() as u64;
+    let (_tmp, db) = logged(2, lease_us, vec![]);
     let faults = Arc::clone(db.faults().unwrap());
     let servers = db.cluster().servers();
     let o1 = oid_on(1, 2, 0);
     let txn = 0xF00D;
-    let resp = faults
-        .call(
-            1,
-            KvRequest::Prepare {
-                txn,
-                start_ts: db.oracle().next_timestamp(),
-                writes: vec![write(o1, b"orphan")],
-                primary: 0,
-                lease_us: lease.as_micros() as u64,
-            },
-        )
-        .unwrap();
-    assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+    let start_ts = db.oracle().next_timestamp();
+    voted(
+        faults
+            .call(1, prepare2(txn, start_ts, o1, b"orphan", lease_us))
+            .unwrap(),
+    );
 
-    // Restarted; the primary answers "unknown"; the lease has just begun.
+    // Restarted; server 0 answers "unknown"; the lease has just begun.
     let restarted = std::time::Instant::now();
     servers[1].amnesia_restart().unwrap();
     servers[1].reap();
@@ -732,6 +729,7 @@ fn restarted_secondary_presumes_abort_only_after_its_lease() {
     servers[1].reap();
     assert_eq!(servers[1].reap_counts(), (0, 1));
     assert_eq!(servers[1].store().outcome(txn), Some(TxnOutcome::Aborted));
+    assert_eq!(servers[0].store().outcome(txn), Some(TxnOutcome::Aborted));
     let resp = faults.call(1, KvRequest::Get { obj: o1, ts }).unwrap();
     assert!(matches!(resp, KvResponse::Value(None)), "{resp:?}");
 }
@@ -741,33 +739,28 @@ fn restarted_secondary_presumes_abort_only_after_its_lease() {
 const ORPHAN_LEASE_US: u64 = 20_000;
 const ORPHAN_OVERDUE: Duration = Duration::from_millis(25);
 
-/// A prepare of `obj` for `txn`, decided at `primary`, whose coordinator is
-/// never heard from again.
-fn orphan(txn: u64, start_ts: u64, obj: ObjectId, primary: usize) -> KvRequest {
-    KvRequest::Prepare {
-        txn,
-        start_ts,
-        writes: vec![write(obj, b"orphan")],
-        primary,
-        lease_us: ORPHAN_LEASE_US,
-    }
+/// A prepare of `obj` for `txn`, whose participants are servers 0 and 1,
+/// whose coordinator is never heard from again.
+fn orphan(txn: u64, start_ts: u64, obj: ObjectId) -> KvRequest {
+    prepare2(txn, start_ts, obj, b"orphan", ORPHAN_LEASE_US)
 }
 
 /// A read that meets an orphaned prepare past its lease resolves it then
-/// and there, with no `reap()` and no other request coming by first: it
+/// and there, with no `reap()` and no other request coming by first: the
+/// other participant never heard of it and is fenced, and the read
 /// answers the committed value under the lock.
 #[test]
 fn a_read_resolves_the_overdue_prepare_it_meets() {
-    let db = KvDatabase::with_servers(1);
+    let db = KvDatabase::with_servers(2);
     let transport = db.cluster().transport();
-    let obj = oid_on(0, 1, 0);
+    let obj = oid_on(0, 2, 0);
     let t = db.client().begin();
     t.put(obj, &b"before"[..]).unwrap();
     t.commit().unwrap();
     let resp = transport
-        .call(0, orphan(0xA1, db.oracle().next_timestamp(), obj, 0))
+        .call(0, orphan(0xA1, db.oracle().next_timestamp(), obj))
         .unwrap();
-    assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+    voted(resp);
 
     std::thread::sleep(ORPHAN_OVERDUE);
     let ts = db.oracle().next_timestamp();
@@ -779,31 +772,9 @@ fn a_read_resolves_the_overdue_prepare_it_meets() {
     assert_eq!(db.cluster().servers()[0].reap_counts(), (0, 1));
 }
 
-/// A status probe at the primary of an overdue prepare resolves it there,
-/// without asking anyone: a secondary asking learns `Aborted`, not
-/// `Pending`.
-#[test]
-fn a_status_probe_at_an_overdue_primary_answers_aborted() {
-    let db = KvDatabase::with_servers(1);
-    let transport = db.cluster().transport();
-    let txn = 0xB2;
-    let start_ts = db.oracle().next_timestamp();
-    let resp = transport
-        .call(0, orphan(txn, start_ts, oid_on(0, 1, 0), 0))
-        .unwrap();
-    assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
-
-    std::thread::sleep(ORPHAN_OVERDUE);
-    match transport.call(0, KvRequest::TxnStatus { txn }).unwrap() {
-        KvResponse::TxnOutcome { status } => assert_eq!(status, TxnStatusKind::Aborted),
-        other => panic!("expected TxnOutcome, got {other:?}"),
-    }
-    assert_eq!(db.prepared_total(), 0);
-}
-
 /// A blind write — no read first, the way replica copies are written —
-/// whose prepare conflicts with an overdue orphan at a secondary resolves
-/// the orphan through its primary, and `run_txn`'s retry commits.
+/// whose prepare conflicts with an overdue orphan resolves the orphan by
+/// fencing its other participant, and `run_txn`'s retry commits.
 #[test]
 fn a_blind_write_resolves_the_overdue_prepare_it_conflicts_with() {
     let db = KvDatabase::with_servers(2);
@@ -811,12 +782,7 @@ fn a_blind_write_resolves_the_overdue_prepare_it_conflicts_with() {
     let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
     let txn = 0xC3;
     let start_ts = db.oracle().next_timestamp();
-    for (server, obj) in [(0, o0), (1, o1)] {
-        let resp = transport
-            .call(server, orphan(txn, start_ts, obj, 0))
-            .unwrap();
-        assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
-    }
+    voted(transport.call(1, orphan(txn, start_ts, o1)).unwrap());
 
     std::thread::sleep(ORPHAN_OVERDUE);
     let beside = oid_on(0, 2, o0.oid + 1);
@@ -837,13 +803,13 @@ fn a_blind_write_resolves_the_overdue_prepare_it_conflicts_with() {
     t.commit().unwrap();
 }
 
-/// A secondary whose `Commit` was lost learns the commit from its primary
-/// while the primary still remembers it, even though nobody reads the
-/// locked object: any request sweeps the overdue prepares.  The primary then
+/// A participant whose `Commit` was lost learns the commit from the other
+/// while that one still remembers it, even though nobody reads the locked
+/// object: any request sweeps the overdue prepares.  The other then
 /// decides more transactions than it keeps outcomes for, and a read of the
-/// secondary's object still answers the committed value — had the secondary
-/// waited to be met, it would have heard `Unknown` and presumed abort on a
-/// transaction its primary committed.
+/// first one's object still answers the committed value — had it waited to
+/// be met, it would have found the commit forgotten, fenced, and aborted a
+/// committed transaction.
 #[test]
 fn a_lost_commit_is_learnt_before_the_primary_forgets_it() {
     let db = KvDatabase::new(impatient(2));
@@ -851,15 +817,11 @@ fn a_lost_commit_is_learnt_before_the_primary_forgets_it() {
     let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
     let txn = 0xE5;
     let start_ts = db.oracle().next_timestamp();
-    for (server, obj) in [(0, o0), (1, o1)] {
-        let resp = transport
-            .call(server, orphan(txn, start_ts, obj, 0))
-            .unwrap();
-        assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
-    }
-    // The coordinator commits the primary, and its commit to the secondary
+    let votes = [(0, o0), (1, o1)]
+        .map(|(server, obj)| voted(transport.call(server, orphan(txn, start_ts, obj)).unwrap()));
+    // The coordinator's `Commit` reaches server 0, and the one to server 1
     // is lost.
-    let commit_ts = db.oracle().next_timestamp();
+    let commit_ts = votes[0].max(votes[1]);
     let resp = transport
         .call(0, KvRequest::Commit { txn, commit_ts })
         .unwrap();
@@ -877,7 +839,7 @@ fn a_lost_commit_is_learnt_before_the_primary_forgets_it() {
         .unwrap();
     assert!(matches!(resp, KvResponse::Value(None)), "{resp:?}");
 
-    // More decisions at the primary than it retains outcomes for (4 096).
+    // More decisions at server 0 than it retains outcomes for (4 096).
     let mut from = o0.oid + 1;
     for i in 0..5_000 {
         let obj = oid_on(0, 2, from);
@@ -906,13 +868,14 @@ fn a_lost_commit_is_learnt_before_the_primary_forgets_it() {
 }
 
 /// Resolutions that must ask another server take one worker at a time.
-/// Two servers with two workers each hold orphans whose primaries cross —
-/// locks on server 1 decided at server 0, locks on server 0 decided at
-/// server 1 — and four readers per server run into them at once.  A
-/// millisecond of service time per request lines the workers up.  Every
-/// read gets a value, because each server keeps a worker free to answer
-/// its peer's `TxnStatus`; were all four workers waiting on each other,
-/// none would.
+/// Two servers with two workers each hold orphans that every read must
+/// resolve by asking the other server — reads of server 1's locks probe
+/// server 0, reads of server 0's locks probe server 1 — and four readers
+/// per server run into them at once.  A millisecond of service time per
+/// request lines the workers up.  Every read gets the committed value
+/// (both participants voted yes), because each server keeps a worker free
+/// to answer its peer's `TxnStatus`; were all four workers waiting on each
+/// other, none would.
 #[test]
 fn crossing_resolutions_keep_a_worker_free() {
     let mut cfg = YesquelConfig::with_servers(2);
@@ -931,17 +894,17 @@ fn crossing_resolutions_keep_a_worker_free() {
     let mut locked = Vec::new();
     let mut from = 0;
     for i in 0..8u64 {
-        let (primary, secondary) = if i % 2 == 0 { (0, 1) } else { (1, 0) };
-        let (at_primary, at_secondary) = (oid_on(primary, 2, from), oid_on(secondary, 2, from));
-        from = at_primary.oid.max(at_secondary.oid) + 1;
+        let (asked, read) = if i % 2 == 0 { (0, 1) } else { (1, 0) };
+        let (at_asked, at_read) = (oid_on(asked, 2, from), oid_on(read, 2, from));
+        from = at_asked.oid.max(at_read.oid) + 1;
         let start_ts = db.oracle().next_timestamp();
-        for (server, obj) in [(primary, at_primary), (secondary, at_secondary)] {
+        for (server, obj) in [(asked, at_asked), (read, at_read)] {
             let resp = transport
-                .call(server, orphan(0xD0 + i, start_ts, obj, primary))
+                .call(server, orphan(0xD0 + i, start_ts, obj))
                 .unwrap();
-            assert!(matches!(resp, KvResponse::Prepared), "{resp:?}");
+            voted(resp);
         }
-        locked.push((secondary, at_secondary));
+        locked.push((read, at_read));
     }
     assert_eq!(db.prepared_total(), 16);
 
@@ -969,15 +932,17 @@ fn crossing_resolutions_keep_a_worker_free() {
     let deadline = Instant::now() + Duration::from_secs(5);
     for _ in 0..readers.len() {
         match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-            Ok(Ok(KvResponse::Value(None))) => {}
-            Ok(read) => panic!("expected a value, got {read:?}"),
+            Ok(Ok(KvResponse::Value(Some(v)))) => assert_eq!(&v[..], b"orphan"),
+            Ok(read) => panic!("expected the committed value, got {read:?}"),
             Err(_) => panic!("a reader got no value within 5 s"),
         }
     }
     for reader in readers {
         reader.join().unwrap();
     }
-    assert!(eventually(|| db.prepared_total() == 0));
+    // The copies nobody read learn the commit from the ones that were.
+    db.reap_all();
+    assert_eq!(db.prepared_total(), 0);
 }
 
 /// With every server down an autocommit statement gives up with a clean

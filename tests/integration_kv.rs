@@ -97,12 +97,17 @@ fn a_read_that_timed_out_on_a_lock_remembers_nothing() {
                     obj: obj(8),
                     value: Some(bytes::Bytes::from_static(b"after")),
                 }],
-                primary: 0,
+                // The other participant never answers a probe, so the lock
+                // stays live until the decision arrives.
+                participants: vec![0, 1],
                 lease_us: 600_000_000,
             },
         )
         .unwrap();
-    assert!(matches!(prepared, KvResponse::Prepared), "{prepared:?}");
+    assert!(
+        matches!(prepared, KvResponse::Prepared { .. }),
+        "{prepared:?}"
+    );
     match reader.get(obj(8)) {
         Err(Error::LockTimeout(_)) => {}
         other => panic!("expected a lock timeout, got {other:?}"),
@@ -152,12 +157,17 @@ fn a_reader_outwaits_a_live_lock_without_restarting() {
                     obj: obj(9),
                     value: Some(bytes::Bytes::from_static(b"after")),
                 }],
-                primary: 0,
+                // The other participant never answers a probe, so the lock
+                // stays live until the decision arrives.
+                participants: vec![0, 1],
                 lease_us: 600_000_000,
             },
         )
         .unwrap();
-    assert!(matches!(prepared, KvResponse::Prepared), "{prepared:?}");
+    assert!(
+        matches!(prepared, KvResponse::Prepared { .. }),
+        "{prepared:?}"
+    );
     // Drawn before the reader's snapshot: the reader must see the write.
     let commit_ts = db.oracle().next_timestamp();
     let before = restarts.get();
@@ -317,13 +327,13 @@ fn one_object_per_server(n: usize) -> Vec<ObjectId> {
 /// What a three-participant commit costs, counted: in memory, nothing but
 /// the calls, all on the committing thread — no thread is started at all;
 /// over forced logs, one prepare round whose three flushes overlap on the
-/// logs' flushers, plus the primary's decision: four flushes, the
-/// secondaries' commit records riding along unforced.  Both halves are one
+/// logs' flushers — the commit point, so one flush wait — and three commit
+/// records riding along unforced.  Both halves are one
 /// test because the first asserts something about the whole process: no
 /// other test in this file may start a thread of the system's, or this one
 /// can see it.
 #[test]
-fn three_participant_commit_is_serial_in_memory_and_two_flush_waits_on_disk() {
+fn three_participant_commit_is_serial_in_memory_one_flush_wait_on_disk() {
     let commit_three = |db: &KvDatabase| {
         let client = db.client();
         let t = client.begin();
@@ -348,16 +358,8 @@ fn three_participant_commit_is_serial_in_memory_and_two_flush_waits_on_disk() {
     let c = |name: &str| logged.stats().counter(name).get();
     let (fsyncs, appends) = (c("wal.fsyncs"), c("wal.appends"));
     commit_three(&logged);
-    assert_eq!(
-        c("wal.appends") - appends,
-        6,
-        "a prepare and a decision each"
-    );
-    assert_eq!(
-        c("wal.fsyncs") - fsyncs,
-        4,
-        "prepares + the primary's decision"
-    );
+    assert_eq!(c("wal.appends") - appends, 6, "a vote and a commit each");
+    assert_eq!(c("wal.fsyncs") - fsyncs, 3, "the votes alone");
     assert_eq!(c("wal.group_solo"), 0, "a lone appender sleeps no window");
     if let (Some(flushers), Some(all)) =
         (threads_named("yesquel-wal-flu"), threads_named("yesquel-"))

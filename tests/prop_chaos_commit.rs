@@ -12,7 +12,7 @@
 //!   outcome table says `Committed` at the reported timestamp;
 //! * a reported abort (conflict / unavailable) was applied nowhere;
 //! * an indeterminate commit resolved to exactly one of the two, decided by
-//!   the primary participant, and all participants agree;
+//!   the participants' votes, and all participants agree;
 //! * no write is ever double-applied: each object's version chain equals,
 //!   as a multiset, the writes of the transactions that actually committed
 //!   to it — one version per (txn, object), no more, no less;
@@ -45,7 +45,7 @@ enum Reported {
     Committed(u64),
     /// Conflict or clean unavailability: guaranteed not applied.
     NotApplied,
-    /// Timeout / indeterminate: only the primary knows.
+    /// Timeout / indeterminate: the participants' records decide.
     Maybe,
 }
 
@@ -237,16 +237,22 @@ fn storm_case(seed: u64) {
         "seed {seed}: orphaned prepared locks survived heal + reap"
     );
 
-    // Resolve ground truth per transaction from the primary participant's
-    // outcome table, and cross-check every participant agrees.
+    // Resolve ground truth per transaction from the participants' outcome
+    // tables, and cross-check every participant agrees.
     let servers = db.cluster().servers();
     let mut actually_committed: Vec<(&TxnRecord, u64)> = Vec::new();
     for rec in &records {
         let ps = participants(&rec.writes);
-        let primary = ps[0];
-        let primary_outcome = servers[primary].store().outcome(rec.id);
-        let actual_ts = match (&rec.reported, primary_outcome) {
-            (Reported::Committed(ts), Some(TxnOutcome::Committed(actual))) => {
+        // Committed at any participant means committed: every one of
+        // them voted yes, and the rest install the same timestamp.
+        let committed = ps
+            .iter()
+            .find_map(|&p| match servers[p].store().outcome(rec.id) {
+                Some(TxnOutcome::Committed(ts)) => Some(ts),
+                _ => None,
+            });
+        let actual_ts = match (&rec.reported, committed) {
+            (Reported::Committed(ts), Some(actual)) => {
                 assert_eq!(
                     actual, *ts,
                     "seed {seed}: txn {} committed at a different timestamp than reported",
@@ -254,17 +260,16 @@ fn storm_case(seed: u64) {
                 );
                 Some(*ts)
             }
-            (Reported::Committed(ts), other) => panic!(
-                "seed {seed}: txn {} reported committed at {ts} but primary says {other:?}",
+            (Reported::Committed(ts), None) => panic!(
+                "seed {seed}: txn {} reported committed at {ts} but committed nowhere",
                 rec.id
             ),
-            (Reported::NotApplied, Some(TxnOutcome::Committed(ts))) => panic!(
-                "seed {seed}: txn {} reported aborted but committed at {ts}",
+            (Reported::NotApplied, Some(ts)) => panic!(
+                "seed {seed}: txn {} reported not applied but committed at {ts}",
                 rec.id
             ),
-            (Reported::NotApplied, _) => None,
-            (Reported::Maybe, Some(TxnOutcome::Committed(ts))) => Some(ts),
-            (Reported::Maybe, _) => None,
+            (Reported::NotApplied, None) => None,
+            (Reported::Maybe, committed) => committed,
         };
         match actual_ts {
             Some(ts) => {
@@ -273,7 +278,7 @@ fn storm_case(seed: u64) {
                     assert_eq!(
                         servers[p].store().outcome(rec.id),
                         Some(TxnOutcome::Committed(ts)),
-                        "seed {seed}: participant {p} of txn {} disagrees with its primary",
+                        "seed {seed}: participant {p} of txn {} disagrees with the others",
                         rec.id
                     );
                 }
@@ -286,7 +291,7 @@ fn storm_case(seed: u64) {
                             servers[p].store().outcome(rec.id),
                             Some(TxnOutcome::Committed(_))
                         ),
-                        "seed {seed}: txn {} aborted at its primary but committed at {p}",
+                        "seed {seed}: txn {} committed nowhere else but at {p}",
                         rec.id
                     );
                 }

@@ -11,23 +11,29 @@
 //! back from its log alone.  The invariant checked throughout is
 //! **committed iff acknowledged**:
 //!
-//! * every commit acknowledged to the client survives every restart — the
-//!   primary still reports `Committed` at the reported timestamp, all
+//! * every commit acknowledged to the client survives every restart — a
+//!   restarted participant still has it committed, or still prepared with
+//!   its vote, until resolution installs it at the reported timestamp; all
 //!   participants agree, and the version chains contain exactly the
 //!   acknowledged writes (no loss, no double-apply, no phantoms);
 //! * every transaction reported cleanly as not-applied committed nowhere;
 //! * in-doubt transactions resolve to exactly one fate, decided by the
-//!   primary, even when the deciding state was itself recovered from a log.
+//!   participants' votes, even when the votes were themselves recovered
+//!   from the logs.
+//!
+//! A second storm checks the commit point itself: transactions prepared as
+//! the coordinator prepares them, acknowledged once every vote is in, whose
+//! every `Commit` is lost, on participants restarted with no memory.
 //!
 //! Each seed runs over two deployments: direct calls, and per-server worker
 //! threads (two per server) over a slept network of 50 µs one way.  On the
-//! second, prepares answered by the logs' flushers, secondaries' decisions
-//! still landing after their commit returned, and amnesia restarts that
-//! must wait for both meet in one run.
+//! second, prepares answered by the logs' flushers, `Commit`s still landing
+//! after their commit returned, and amnesia restarts that must wait for
+//! both meet in one run.
 //!
 //! All randomness flows from the per-case seed, so a failure reproduces.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,8 +41,9 @@ use rand::Rng;
 use yesquel::common::rand_util::seeded_rng;
 use yesquel::common::tempdir::TempDir;
 use yesquel::common::WalFsyncPolicy;
+use yesquel::kv::protocol::{KvRequest, KvResponse, WriteOp};
 use yesquel::kv::store::TxnOutcome;
-use yesquel::rpc::{FaultPlan, TransportKind};
+use yesquel::rpc::{FaultPlan, Transport, TransportKind};
 use yesquel::{Error, KvConfig, KvDatabase, NetConfig, ObjectId, YesquelConfig};
 
 const SERVERS: usize = 4;
@@ -54,7 +61,7 @@ enum Reported {
     Committed(u64),
     /// Conflict or clean unavailability: guaranteed not applied.
     NotApplied,
-    /// Timeout / indeterminate: only the primary knows.
+    /// Timeout / indeterminate: the participants' records decide.
     Maybe,
 }
 
@@ -84,20 +91,20 @@ fn participants(writes: &[(ObjectId, Option<Vec<u8>>)]) -> Vec<usize> {
     ps
 }
 
-/// After a restart of `server`, every commit previously acknowledged whose
-/// primary is that server must still be known-committed there: the commit
-/// record was durable before the ack, so amnesia cannot erase it.
+/// After a restart of `server`, every commit previously acknowledged that
+/// `server` took part in is still committed there at the acknowledged
+/// timestamp, or still prepared: its vote was durable before the ack, so
+/// amnesia cannot erase it, and resolution installs the commit.
 fn assert_acks_survived(db: &KvDatabase, records: &[TxnRecord], server: usize, seed: u64) {
-    let servers = db.cluster().servers();
+    let store = db.cluster().servers()[server].store();
     for rec in records {
         if let Reported::Committed(ts) = rec.reported {
-            let primary = participants(&rec.writes)[0];
-            if primary != server {
+            if !participants(&rec.writes).contains(&server) {
                 continue;
             }
-            assert_eq!(
-                servers[primary].store().outcome(rec.id),
-                Some(TxnOutcome::Committed(ts)),
+            assert!(
+                store.outcome(rec.id) == Some(TxnOutcome::Committed(ts))
+                    || store.is_prepared(rec.id),
                 "seed {seed}: restart of server {server} lost acknowledged txn {}",
                 rec.id
             );
@@ -113,9 +120,9 @@ const TRANSPORTS: [TransportKind; 2] = [
     },
 ];
 
-fn recovery_case(seed: u64, transport: TransportKind) {
-    let mut rng = seeded_rng(seed, 1);
-    let tmp = TempDir::new("yesquel-crash-recovery").unwrap();
+/// The deployment both storms run: logging servers (group commit) with
+/// impatient leases, over `transport` — on a slept network when threaded.
+fn logged(transport: TransportKind, tmp: &TempDir) -> YesquelConfig {
     let mut cfg = YesquelConfig::with_servers(SERVERS);
     cfg.kv = KvConfig::impatient();
     cfg.kv.wal_dir = Some(tmp.path().to_path_buf());
@@ -127,6 +134,13 @@ fn recovery_case(seed: u64, transport: TransportKind) {
             ..NetConfig::default()
         };
     }
+    cfg
+}
+
+fn recovery_case(seed: u64, transport: TransportKind) {
+    let mut rng = seeded_rng(seed, 1);
+    let tmp = TempDir::new("yesquel-crash-recovery").unwrap();
+    let cfg = logged(transport, &tmp);
 
     // Every server weathers the same storm under an amnesia plan; one
     // additionally crash-loops on a scripted schedule, losing its memory on
@@ -277,35 +291,39 @@ fn recovery_case(seed: u64, transport: TransportKind) {
         );
     }
 
-    // Ground truth from the primary participant, with every participant in
-    // agreement — all of it reconstructed from the logs.
+    // Ground truth from the participants, every one of them in agreement —
+    // all of it reconstructed from the logs.
     let servers = db.cluster().servers();
     let mut actually_committed: Vec<(&TxnRecord, u64)> = Vec::new();
     for rec in &records {
         let ps = participants(&rec.writes);
-        let primary = ps[0];
-        let primary_outcome = servers[primary].store().outcome(rec.id);
-        let actual_ts = match (&rec.reported, primary_outcome) {
-            (Reported::Committed(ts), Some(TxnOutcome::Committed(actual))) => {
+        // Committed at any participant means committed: every one of
+        // them voted yes, and the rest install the same timestamp.
+        let committed = ps
+            .iter()
+            .find_map(|&p| match servers[p].store().outcome(rec.id) {
+                Some(TxnOutcome::Committed(ts)) => Some(ts),
+                _ => None,
+            });
+        let actual_ts = match (&rec.reported, committed) {
+            (Reported::Committed(ts), Some(actual)) => {
                 assert_eq!(
                     actual, *ts,
-                    "seed {seed}: txn {} recovered at a different timestamp than acknowledged",
+                    "seed {seed}: txn {} committed at a different timestamp than reported",
                     rec.id
                 );
                 Some(*ts)
             }
-            (Reported::Committed(ts), other) => panic!(
-                "seed {seed}: txn {} was acknowledged at {ts} but after recovery \
-                 the primary says {other:?}",
+            (Reported::Committed(ts), None) => panic!(
+                "seed {seed}: txn {} reported committed at {ts} but committed nowhere",
                 rec.id
             ),
-            (Reported::NotApplied, Some(TxnOutcome::Committed(ts))) => panic!(
-                "seed {seed}: txn {} was reported not-applied but committed at {ts}",
+            (Reported::NotApplied, Some(ts)) => panic!(
+                "seed {seed}: txn {} reported not applied but committed at {ts}",
                 rec.id
             ),
-            (Reported::NotApplied, _) => None,
-            (Reported::Maybe, Some(TxnOutcome::Committed(ts))) => Some(ts),
-            (Reported::Maybe, _) => None,
+            (Reported::NotApplied, None) => None,
+            (Reported::Maybe, committed) => committed,
         };
         match actual_ts {
             Some(ts) => {
@@ -313,7 +331,7 @@ fn recovery_case(seed: u64, transport: TransportKind) {
                     assert_eq!(
                         servers[p].store().outcome(rec.id),
                         Some(TxnOutcome::Committed(ts)),
-                        "seed {seed}: participant {p} of txn {} disagrees with its primary \
+                        "seed {seed}: participant {p} of txn {} disagrees with the others \
                          after recovery",
                         rec.id
                     );
@@ -327,7 +345,7 @@ fn recovery_case(seed: u64, transport: TransportKind) {
                             servers[p].store().outcome(rec.id),
                             Some(TxnOutcome::Committed(_))
                         ),
-                        "seed {seed}: txn {} aborted at its primary but committed at {p}",
+                        "seed {seed}: txn {} committed nowhere else but at {p}",
                         rec.id
                     );
                 }
@@ -382,6 +400,141 @@ fn recovery_case(seed: u64, transport: TransportKind) {
     t.commit().unwrap();
 }
 
+/// How many transactions the lost-commit storm prepares.
+const LOST_TXNS: u64 = 60;
+
+/// The prepare round is the commit point: a coordinator that dies right
+/// after the last vote is acknowledged has committed.  This storm prepares
+/// each transaction at two to four participants in one round, as the
+/// client's coordinator does, and counts it acknowledged, at the largest
+/// prepare timestamp, once every participant has voted yes; one in five
+/// reuses a key of the transaction before it, whose lock refuses it.  Every
+/// `Commit` — and every abort — is then lost: none is sent.  Participants
+/// are restarted with no memory along the way, and the whole cluster at
+/// the end.  After `reap`, every acknowledged transaction is installed at
+/// its acknowledged timestamp on every participant, a refused one
+/// nowhere, and nothing stays prepared.
+fn lost_commits_case(seed: u64, transport: TransportKind) {
+    let mut rng = seeded_rng(seed, 2);
+    let tmp = TempDir::new("yesquel-lost-commits").unwrap();
+    let plans = vec![
+        FaultPlan {
+            amnesia: true,
+            ..FaultPlan::healthy()
+        };
+        SERVERS
+    ];
+    let db = KvDatabase::with_faults(logged(transport, &tmp), transport, plans);
+    let faults = Arc::clone(db.faults().unwrap());
+    let mut voted = Vec::new();
+    let mut last: Vec<ObjectId> = Vec::new();
+    for i in 0..LOST_TXNS {
+        let mut by_server: BTreeMap<usize, Vec<WriteOp>> = BTreeMap::new();
+        let n = rng.gen_range(2..=4u64);
+        for j in 0..n {
+            let obj = match last.first() {
+                Some(&reused) if j == 0 && rng.gen_bool(0.2) => reused,
+                _ => ObjectId::new(2, 4 * i + j),
+            };
+            let value = format!("s{seed}-t{i}-{j}").into_bytes();
+            by_server
+                .entry(obj.home_server(SERVERS))
+                .or_default()
+                .push(WriteOp {
+                    obj,
+                    value: Some(value.into()),
+                });
+        }
+        if by_server.len() < 2 {
+            continue;
+        }
+        let (txn, start_ts) = (0x5_0000 + i, db.oracle().next_timestamp());
+        let participants: Vec<usize> = by_server.keys().copied().collect();
+        let writes: Vec<WriteOp> = by_server.values().flatten().cloned().collect();
+        last = writes.iter().map(|w| w.obj).collect();
+        let round: Vec<_> = by_server
+            .into_iter()
+            .map(|(server, writes)| {
+                let prepare = KvRequest::Prepare {
+                    txn,
+                    start_ts,
+                    writes,
+                    participants: participants.clone(),
+                    lease_us: db.config().kv.prepare_lease_us,
+                };
+                faults.submit(server, prepare)
+            })
+            .collect();
+        let votes: Option<Vec<u64>> = round
+            .into_iter()
+            .map(|vote| match vote.wait() {
+                Ok(KvResponse::Prepared { prepare_ts }) => Some(prepare_ts),
+                _ => None,
+            })
+            .collect();
+        let acked = votes.map(|votes| votes.into_iter().max().expect("two votes"));
+        voted.push((txn, participants, writes, acked));
+        if i % 8 == 7 {
+            let victim = rng.gen_range(0..SERVERS as u64) as usize;
+            faults.crash(victim);
+            faults.restart(victim);
+        }
+    }
+    for server in 0..SERVERS {
+        faults.crash(server);
+        faults.restart(server);
+    }
+    db.reap_all();
+    assert_eq!(
+        db.prepared_total(),
+        0,
+        "seed {seed} {transport:?}: votes left undecided after reap"
+    );
+
+    let servers = db.cluster().servers();
+    let mut acked = 0;
+    for (txn, participants, writes, commit_ts) in &voted {
+        for &p in participants {
+            let outcome = servers[p].store().outcome(*txn);
+            match commit_ts {
+                Some(ts) => assert_eq!(
+                    outcome,
+                    Some(TxnOutcome::Committed(*ts)),
+                    "seed {seed} {transport:?}: acknowledged txn {txn} at participant {p}"
+                ),
+                None => assert_ne!(
+                    outcome.map(|o| o == TxnOutcome::Aborted),
+                    Some(false),
+                    "seed {seed} {transport:?}: refused txn {txn} committed at {p}"
+                ),
+            }
+        }
+        for w in writes {
+            let versions = servers[w.obj.home_server(SERVERS)]
+                .store()
+                .dump_versions(w.obj);
+            let installed = versions
+                .iter()
+                .any(|(ts, v)| Some(*ts) == *commit_ts && *v == w.value);
+            assert_eq!(
+                installed,
+                commit_ts.is_some(),
+                "seed {seed} {transport:?}: txn {txn} at {}",
+                w.obj
+            );
+        }
+        acked += commit_ts.is_some() as usize;
+    }
+    assert!(
+        acked > 0,
+        "seed {seed} {transport:?}: nothing was acknowledged"
+    );
+    eprintln!(
+        "seed {seed} {transport:?}: lost commits: acknowledged={acked} refused={}",
+        voted.len() - acked
+    );
+}
+
 #[test]
 fn crash_recovery_seed_matrix() {
     // The CI recovery job pins RECOVERY_SEED to fan the matrix out across
@@ -393,6 +546,7 @@ fn crash_recovery_seed_matrix() {
     for seed in seeds {
         for transport in TRANSPORTS {
             recovery_case(seed, transport);
+            lost_commits_case(seed, transport);
         }
     }
 }

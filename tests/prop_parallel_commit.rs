@@ -2,11 +2,11 @@
 //! multi-server write transactions while a deterministic fault storm
 //! (dropped requests and responses, duplicates, transient errors, delays,
 //! one crash-looping server) batters the transport.  Every prepare round is
-//! submitted whole before it is waited for, and every secondary's decision
-//! is submitted and not waited for.  Each seed runs over both transports:
+//! submitted whole before it is waited for — it is the commit point — and
+//! every participant's `Commit` is submitted and not waited for.  Each seed runs over both transports:
 //! direct calls, and per-server worker threads resolving completions over a
 //! slept network (50 µs one way, as the `net_mixed` benchmark deploys), so
-//! that a thread's next transaction starts while its last one's decisions
+//! that a thread's next transaction starts while its last one's `Commit`s
 //! are still in flight.
 //!
 //! The safety bar is the same as `prop_chaos_commit`, now under real
@@ -14,7 +14,7 @@
 //!
 //! * committed-iff-acknowledged — a commit reported to any client thread
 //!   is `Committed` at every participant; a reported abort is applied
-//!   nowhere; an in-doubt result resolves to whatever the primary decided,
+//!   nowhere; an in-doubt result resolves to whatever the votes decided,
 //!   and all participants agree;
 //! * no write is double-applied: each object's version chain equals, as a
 //!   multiset, the writes of the transactions that actually committed it;
@@ -44,7 +44,7 @@ enum Reported {
     Committed(u64),
     /// Conflict or clean unavailability: guaranteed not applied.
     NotApplied,
-    /// Timeout / indeterminate: only the primary knows.
+    /// Timeout / indeterminate: the participants' records decide.
     Maybe,
 }
 
@@ -194,15 +194,21 @@ fn storm_case(seed: u64, transport: TransportKind) {
         "seed {seed}: orphaned prepared locks survived heal + reap"
     );
 
-    // Ground truth per transaction from the primary's outcome table.
+    // Ground truth per transaction from the participants' outcome tables.
     let servers = db.cluster().servers();
     let mut actually_committed: Vec<(&TxnRecord, u64)> = Vec::new();
     for rec in &records {
         let ps = participants(&rec.writes);
-        let primary = ps[0];
-        let primary_outcome = servers[primary].store().outcome(rec.id);
-        let actual_ts = match (&rec.reported, primary_outcome) {
-            (Reported::Committed(ts), Some(TxnOutcome::Committed(actual))) => {
+        // Committed at any participant means committed: every one of
+        // them voted yes, and the rest install the same timestamp.
+        let committed = ps
+            .iter()
+            .find_map(|&p| match servers[p].store().outcome(rec.id) {
+                Some(TxnOutcome::Committed(ts)) => Some(ts),
+                _ => None,
+            });
+        let actual_ts = match (&rec.reported, committed) {
+            (Reported::Committed(ts), Some(actual)) => {
                 assert_eq!(
                     actual, *ts,
                     "seed {seed}: txn {} committed at a different timestamp than reported",
@@ -210,17 +216,16 @@ fn storm_case(seed: u64, transport: TransportKind) {
                 );
                 Some(*ts)
             }
-            (Reported::Committed(ts), other) => panic!(
-                "seed {seed}: txn {} reported committed at {ts} but primary says {other:?}",
+            (Reported::Committed(ts), None) => panic!(
+                "seed {seed}: txn {} reported committed at {ts} but committed nowhere",
                 rec.id
             ),
-            (Reported::NotApplied, Some(TxnOutcome::Committed(ts))) => panic!(
-                "seed {seed}: txn {} reported aborted but committed at {ts}",
+            (Reported::NotApplied, Some(ts)) => panic!(
+                "seed {seed}: txn {} reported not applied but committed at {ts}",
                 rec.id
             ),
-            (Reported::NotApplied, _) => None,
-            (Reported::Maybe, Some(TxnOutcome::Committed(ts))) => Some(ts),
-            (Reported::Maybe, _) => None,
+            (Reported::NotApplied, None) => None,
+            (Reported::Maybe, committed) => committed,
         };
         match actual_ts {
             Some(ts) => {
@@ -228,7 +233,7 @@ fn storm_case(seed: u64, transport: TransportKind) {
                     assert_eq!(
                         servers[p].store().outcome(rec.id),
                         Some(TxnOutcome::Committed(ts)),
-                        "seed {seed}: participant {p} of txn {} disagrees with its primary",
+                        "seed {seed}: participant {p} of txn {} disagrees with the others",
                         rec.id
                     );
                 }
@@ -241,7 +246,7 @@ fn storm_case(seed: u64, transport: TransportKind) {
                             servers[p].store().outcome(rec.id),
                             Some(TxnOutcome::Committed(_))
                         ),
-                        "seed {seed}: txn {} aborted at its primary but committed at {p}",
+                        "seed {seed}: txn {} committed nowhere else but at {p}",
                         rec.id
                     );
                 }
