@@ -1,5 +1,6 @@
 //! Benchmarks of the transactional key-value hot paths: snapshot gets,
-//! one-phase and two-phase commit, and the no-communication read-only
+//! commits with one participant (`1pc`: one prepare, whose vote is the
+//! commit) and with several (`2pc`), and the no-communication read-only
 //! commit.  Run with `cargo bench -p yesquel-bench --bench kv_ops`; set
 //! `BENCH_JSON_OUT=<file>` to also record JSON lines (see BENCH_1.json).
 
@@ -62,7 +63,7 @@ fn bench_commit(c: &mut Criterion) {
     c.bench_function("kv/commit_1pc", |b| {
         let mut i = 0u64;
         b.iter(|| {
-            // One object -> one participant -> one-phase commit.
+            // One object -> one participant -> one prepare, the commit.
             i += 1;
             let txn = client.begin();
             txn.put(ObjectId::new(TREE, 1_000_000 + (i % 512)), b"x".to_vec())

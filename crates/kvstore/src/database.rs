@@ -293,8 +293,9 @@ impl KvDatabase {
 mod tests {
     use super::*;
     use crate::protocol::{KvRequest, KvResponse};
+    use crate::store::TxnOutcome;
     use bytes::Bytes;
-    use yesquel_common::{Error, ObjectId};
+    use yesquel_common::{Error, KvConfig, ObjectId};
     use yesquel_rpc::Completion;
 
     #[test]
@@ -538,9 +539,9 @@ mod tests {
     }
 
     /// Forwards to the deployment's transport, but first sweeps every server
-    /// at the current watermark whenever a commit's validating message
-    /// (`Prepare` / `CommitOnePhase`) goes out: garbage collection landing
-    /// at the worst moment of every commit.
+    /// at the current watermark whenever a commit's validating message (a
+    /// `Prepare`) goes out: garbage collection landing at the worst moment
+    /// of every commit.
     struct SweepBeforeValidate {
         inner: Arc<dyn Transport<KvServer>>,
         snapshots: SnapshotTracker,
@@ -549,10 +550,7 @@ mod tests {
 
     impl Transport<KvServer> for SweepBeforeValidate {
         fn submit(&self, server: usize, req: KvRequest) -> Completion<KvResponse> {
-            if matches!(
-                req,
-                KvRequest::Prepare { .. } | KvRequest::CommitOnePhase { .. }
-            ) {
+            if matches!(req, KvRequest::Prepare { .. }) {
                 let min_active_ts = self.snapshots.watermark(&self.oracle);
                 for s in 0..self.inner.num_servers() {
                     if let Err(e) = self.inner.call(s, KvRequest::Gc { min_active_ts }) {
@@ -617,6 +615,109 @@ mod tests {
             assert_eq!(db.total_objects(), 0);
             assert_eq!(db.snapshots.active_count(), 0);
         }
+    }
+
+    /// Forwards to the deployment's transport, except that every `Prepare`
+    /// is answered `Timeout`, as a lost message would be: delivered and its
+    /// answer lost when `deliver`, held back for the test to deliver late
+    /// otherwise.
+    struct LosePrepares {
+        inner: Arc<dyn Transport<KvServer>>,
+        deliver: bool,
+        held: parking_lot::Mutex<Vec<(usize, KvRequest)>>,
+    }
+
+    impl LosePrepares {
+        /// A client of `db` whose prepares are lost this way, with the
+        /// impatient configuration's short deadline.
+        fn client(db: &KvDatabase, deliver: bool) -> (Arc<Self>, KvClient) {
+            let lossy = Arc::new(LosePrepares {
+                inner: Arc::clone(&db.client_transport),
+                deliver,
+                held: Default::default(),
+            });
+            let transport: Arc<dyn Transport<KvServer>> = lossy.clone();
+            let (oracle, snapshots) = (db.oracle.clone(), db.snapshots.clone());
+            let cfg = KvConfig::impatient();
+            let client = KvClient::new(transport, oracle, snapshots, cfg, db.stats.clone());
+            (lossy, client)
+        }
+    }
+
+    impl Transport<KvServer> for LosePrepares {
+        fn submit(&self, server: usize, req: KvRequest) -> Completion<KvResponse> {
+            if !matches!(req, KvRequest::Prepare { .. }) {
+                return self.inner.submit(server, req);
+            }
+            if self.deliver {
+                let _ = self.inner.call(server, req);
+            } else {
+                self.held.lock().push((server, req));
+            }
+            Completion::ready(Err(Error::Timeout("the answer was lost".into())))
+        }
+
+        fn finishes_after_submit(&self) -> bool {
+            self.inner.finishes_after_submit()
+        }
+
+        fn num_servers(&self) -> usize {
+            self.inner.num_servers()
+        }
+    }
+
+    /// Every answer to a one-participant prepare is lost, but the fencing
+    /// probe gets through: it finds the transaction committed, and the
+    /// commit is reported, not left in doubt.
+    #[test]
+    fn a_sole_prepare_whose_answers_are_lost_is_settled_by_the_probe() {
+        let db = KvDatabase::with_servers(1);
+        let (_, client) = LosePrepares::client(&db, true);
+        let indeterminate = db.stats().counter("kv.commit_indeterminate");
+        let obj = ObjectId::new(25, 1);
+        let t = client.begin();
+        let txn = t.id();
+        t.put(obj, Bytes::from_static(b"v")).unwrap();
+        let commit_ts = t.commit().unwrap();
+        assert_eq!(indeterminate.get(), 0);
+        let store = db.cluster().servers()[0].store();
+        assert_eq!(store.outcome(txn), Some(TxnOutcome::Committed(commit_ts)));
+        assert_eq!(
+            store.dump_versions(obj),
+            vec![(commit_ts, Some(Bytes::from_static(b"v")))]
+        );
+    }
+
+    /// A fencing probe reaches the server before the one-participant
+    /// prepare it asks about: the commit is a clean abort, and the prepare,
+    /// delivered late, is refused and installs nothing.
+    #[test]
+    fn a_fence_that_overtakes_a_sole_prepare_aborts_it_cleanly() {
+        let db = KvDatabase::with_servers(1);
+        let (lossy, client) = LosePrepares::client(&db, false);
+        let indeterminate = db.stats().counter("kv.commit_indeterminate");
+        let obj = ObjectId::new(25, 2);
+        let t = client.begin();
+        let txn = t.id();
+        t.put(obj, Bytes::from_static(b"late")).unwrap();
+        match t.commit() {
+            Err(Error::Unavailable(_)) => {}
+            other => panic!("expected a clean abort, got {other:?}"),
+        }
+        assert_eq!(indeterminate.get(), 0);
+        let held = std::mem::take(&mut *lossy.held.lock());
+        assert!(!held.is_empty());
+        for (server, prepare) in held {
+            let resp = db.client_transport.call(server, prepare).unwrap();
+            assert!(matches!(resp, KvResponse::Conflict { .. }), "{resp:?}");
+        }
+        let store = db.cluster().servers()[0].store();
+        assert_eq!(store.outcome(txn), Some(TxnOutcome::Aborted));
+        assert_eq!(store.prepared_count(), 0);
+        assert!(store.dump_versions(obj).is_empty());
+        let r = db.client().begin();
+        assert_eq!(r.get(obj).unwrap(), None);
+        r.commit().unwrap();
     }
 
     #[test]

@@ -50,9 +50,10 @@
 //!   the client starts no thread.  A write travels as the log's own type
 //!   ([`WriteOp`] is [`yesquel_wal::WalWrite`]), so a participant logs what
 //!   it received without converting it.
-//! * Transactions that wrote to a single server always use one-phase
-//!   commit (the server validates, assigns the commit timestamp and
-//!   installs versions in one round trip).
+//! * A transaction that wrote to a single server commits by the same
+//!   rule, with one voter: its prepare is the only round trip, and the
+//!   server, once its vote is durable, installs the versions at the prepare
+//!   timestamp and answers `Committed`, so no `Commit` is sent.
 //! * **Read-only transactions commit with no communication at all** — a
 //!   property the paper calls out, and which
 //!   `read_only_commit_needs_no_communication` in `tests/integration_kv.rs`

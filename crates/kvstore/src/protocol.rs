@@ -30,10 +30,12 @@ pub enum KvRequest {
         /// Snapshot timestamp of the reading transaction.
         ts: Timestamp,
     },
-    /// Phase one of two-phase commit, and its commit point: validate and
-    /// lock `writes`, draw a prepare timestamp, and force the vote to the
-    /// log before answering `Prepared`.  Once every participant has voted
-    /// yes the transaction is committed, at the maximum prepare timestamp.
+    /// The prepare round, and the commit point: validate and lock
+    /// `writes`, draw a prepare timestamp, and force the vote to the log
+    /// before answering `Prepared`.  Once every participant has voted yes
+    /// the transaction is committed, at the maximum prepare timestamp; a
+    /// participant that is the only one applies that commit itself and
+    /// answers `Committed`.
     Prepare {
         /// Transaction id (used to identify the lock owner).
         txn: TxnId,
@@ -59,16 +61,6 @@ pub enum KvRequest {
         /// Commit timestamp: the maximum of the participants' prepare
         /// timestamps.
         commit_ts: Timestamp,
-    },
-    /// One-phase commit for transactions whose writes all live on this
-    /// server: validate, assign a commit timestamp server-side, install.
-    CommitOnePhase {
-        /// Transaction id.
-        txn: TxnId,
-        /// Snapshot timestamp of the transaction.
-        start_ts: Timestamp,
-        /// All writes of the transaction.
-        writes: Vec<WriteOp>,
     },
     /// Abort: release this transaction's locks and discard staged writes.
     Abort {
@@ -140,15 +132,16 @@ pub enum KvResponse {
         /// Timestamp this participant drew under its shard guards.
         prepare_ts: Timestamp,
     },
-    /// Prepare or one-phase commit failed validation (write-write conflict
-    /// or lock conflict); the transaction must abort.
+    /// Prepare refused: validation failed (write-write conflict or lock
+    /// conflict), or the transaction had already aborted here; the
+    /// transaction must abort.
     Conflict {
         /// Human-readable reason, used in error messages and abort stats.
         reason: String,
     },
-    /// Commit applied — or, in answer to a `Prepare`, the transaction was
-    /// already resolved committed here.  For one-phase commit carries the
-    /// server-assigned commit timestamp.
+    /// Commit applied — or, in answer to a `Prepare`, the transaction is
+    /// committed here: this server is its only participant and its vote is
+    /// durable, or it was already resolved committed.
     Committed {
         /// Commit timestamp of the transaction.
         commit_ts: Timestamp,
@@ -185,7 +178,6 @@ impl KvRequest {
             KvRequest::Get { .. } => 32,
             KvRequest::Prepare { writes, .. } => 32 + writes_wire_size(writes),
             KvRequest::Commit { .. } => 24,
-            KvRequest::CommitOnePhase { writes, .. } => 32 + writes_wire_size(writes),
             KvRequest::Abort { .. } => 16,
             KvRequest::Allocate { .. } => 28,
             KvRequest::Gc { .. } => 16,

@@ -8,7 +8,9 @@
 //!   guards and forces its yes vote to its log before answering; a
 //!   transaction is committed once every participant has voted yes, at the
 //!   maximum prepare timestamp, and the coordinator's `Commit`s only apply
-//!   that fate;
+//!   that fate.  A participant that is the only one is the only voter: it
+//!   waits for its vote to be durable, applies the commit itself and
+//!   answers `Committed`, so no `Commit` is sent;
 //! * **a yes vote is never revoked**: a transaction aborts only on a
 //!   *refusal* (a prepare that failed validation) or a *fence* (an abort a
 //!   participant with no record of the transaction writes when a probe asks
@@ -16,18 +18,19 @@
 //!   before anybody hears of it.
 //!
 //! So an undecided prepare is settled from the participants' records
-//! alone.  `KvServer::resolve` asks every other participant
-//! ([`KvRequest::TxnStatus`]): a `Committed(ts)` anywhere installs at `ts`;
-//! a yes vote from every one commits at the maximum at once, lease or not;
-//! a refusal or fence anywhere aborts; anything else waits.  Once the lease
+//! alone — a sole participant's from its own vote.  `KvServer::resolve`
+//! asks every other participant ([`KvRequest::TxnStatus`]): a
+//! `Committed(ts)` anywhere installs at `ts`; a yes vote from every one
+//! commits at the maximum at once, lease or not; a refusal or fence
+//! anywhere aborts; anything else waits.  Once the lease
 //! has passed, the probes fence: a participant that never saw the prepare
 //! records an abort, and the transaction aborts.  A probe is answered from
 //! the probed server's records and never asks another server.
 //!
 //! The routine runs where an undecided prepare is met: a `Get` that finds
-//! its lock, and a `Prepare` or one-phase commit that conflicts on it, at
-//! once; and [`KvServer::reap`], which restart and deployment build call.
-//! A resolver counts its own vote only once it is durable.
+//! its lock, and a `Prepare` that conflicts on it, at once; and
+//! [`KvServer::reap`], which restart and deployment build call.  A
+//! resolver counts its own vote only once it is durable.
 //!
 //! **An orphan nobody meets is still resolved in bounded time.**  Every
 //! request but a `TxnStatus` sweeps the overdue prepares, and those
@@ -42,14 +45,15 @@
 //! another server runs at a time per server; a request that finds one
 //! under way answers as it would for a live lock instead of waiting.  With
 //! two workers per server, two servers whose workers all waited on each
-//! other's `TxnStatus` would otherwise deadlock.
+//! other's `TxnStatus` would otherwise deadlock.  A resolution with no
+//! other participant to ask takes no turn.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, TxnId};
+use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_rpc::{Completion, Service, Transport};
 use yesquel_wal::Wal;
 
@@ -58,9 +62,8 @@ use crate::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
 use crate::store::{PrepareOutcome, ReadOutcome, ServerStore, TxnOutcome, Undecided};
 
 /// One storage server: a [`ServerStore`], a handle to the timestamp oracle
-/// (prepares draw their prepare timestamps and one-phase commits their
-/// commit timestamps from it), and what resolving an undecided prepare
-/// needs.
+/// (prepares draw their prepare timestamps from it), and what resolving an
+/// undecided prepare needs.
 pub struct KvServer {
     id: ServerId,
     store: ServerStore,
@@ -255,15 +258,17 @@ impl KvServer {
     /// fencing if it is overdue, and returns the fate their records settle:
     /// a commit any of them installed, an abort on any refusal or fence, a
     /// commit at the maximum prepare timestamp when every one voted yes —
-    /// this server's own vote counting once it is durable.  `None` when they
-    /// do not settle it, or when no probe could be sent: another resolution
-    /// holds the `asking` turn and `wait` is false, or there is no peer
-    /// transport.
+    /// this server's own vote counting once it is durable, and settling a
+    /// prepare that names no other participant on its own.  `None` when
+    /// they do not settle it, or when no probe could be sent: another
+    /// resolution holds the `asking` turn and `wait` is false, or there is
+    /// no peer transport.
     fn ask_participants(&self, p: &Undecided, wait: bool) -> Option<TxnOutcome> {
-        let _turn = if wait {
-            self.asking.lock()
-        } else {
-            self.asking.try_lock()?
+        let alone = p.participants.iter().all(|&s| s == self.id);
+        let _turn = match (alone, wait) {
+            (true, _) => None,
+            (false, true) => Some(self.asking.lock()),
+            (false, false) => Some(self.asking.try_lock()?),
         };
         self.store.durable(p.vote).wait().ok()?;
         let peer = self.peer.lock().as_ref().and_then(Weak::upgrade);
@@ -315,6 +320,34 @@ impl KvServer {
         }
     }
 
+    /// The answer to a `Commit`, or to a sole participant's `Prepare`: the
+    /// fate that holds.
+    fn decided(fate: TxnOutcome) -> KvResponse {
+        match fate {
+            TxnOutcome::Committed(commit_ts) => KvResponse::Committed { commit_ts },
+            TxnOutcome::Aborted => KvResponse::Aborted,
+        }
+    }
+
+    /// Commits the prepare of `txn` that names this server as its only
+    /// participant: its vote, once `durable`, is the commit, at
+    /// `prepare_ts`.  Waited for on the calling thread, with no lock held.
+    /// Once the vote is durable the answer is `Committed` even if the commit
+    /// record fails to append: the prepare then stays for
+    /// [`KvServer::resolve`], which commits it from the vote alone.
+    fn commit_sole_vote(
+        &self,
+        txn: TxnId,
+        prepare_ts: Timestamp,
+        durable: Completion<()>,
+    ) -> KvResponse {
+        if let Err(e) = durable.wait() {
+            return Self::server_error(e);
+        }
+        let fate = self.store.commit(txn, prepare_ts);
+        Self::decided(fate.unwrap_or(TxnOutcome::Committed(prepare_ts)))
+    }
+
     /// Answers `resp` once `durable` — the completion of the log record the
     /// answer promises — answers `Ok`, or `ServerError` if the record could
     /// not be made durable.  The log's flusher answers, and no thread waits
@@ -361,6 +394,10 @@ impl Service for KvServer {
                 {
                     Ok((outcome, durable)) => {
                         let resp = match outcome {
+                            PrepareOutcome::Prepared(prepare_ts) if participants.len() == 1 => {
+                                let resp = self.commit_sole_vote(txn, prepare_ts, durable);
+                                return Completion::ready(Ok(resp));
+                            }
                             PrepareOutcome::Prepared(prepare_ts) => {
                                 KvResponse::Prepared { prepare_ts }
                             }
@@ -375,32 +412,9 @@ impl Service for KvServer {
                 }
             }
             KvRequest::Commit { txn, commit_ts } => match self.store.commit(txn, commit_ts) {
-                Ok(TxnOutcome::Committed(ts)) => KvResponse::Committed { commit_ts: ts },
-                Ok(TxnOutcome::Aborted) => KvResponse::Aborted,
+                Ok(fate) => Self::decided(fate),
                 Err(e) => Self::server_error(e),
             },
-            KvRequest::CommitOnePhase {
-                txn,
-                start_ts,
-                writes,
-            } => {
-                // The store draws the commit timestamp itself, once it holds
-                // the locks that make validation and installation atomic, so
-                // any snapshot issued after the timestamp observes the
-                // installed versions.  A deduplicated retry draws nothing
-                // and reports the original timestamp.
-                match self
-                    .store
-                    .commit_one_phase(txn, start_ts, &writes, || self.oracle.next_timestamp())
-                {
-                    Ok(PrepareOutcome::Committed(ts)) => KvResponse::Committed { commit_ts: ts },
-                    Ok(PrepareOutcome::Conflict(reason)) => self.conflict(txn, &writes, reason),
-                    Ok(PrepareOutcome::Prepared(_)) => {
-                        unreachable!("a one-phase commit leaves nothing prepared")
-                    }
-                    Err(e) => Self::server_error(e),
-                }
-            }
             KvRequest::Abort { txn } => match self.store.abort(txn) {
                 Ok(_) => KvResponse::Aborted,
                 Err(e) => Self::server_error(e),
@@ -458,16 +472,19 @@ mod tests {
         let srv = KvServer::new(0, oracle.clone());
         let obj = ObjectId::new(5, 7);
 
-        // One-phase commit a value, then read it back.
+        // Commit a value with a prepare that names this server alone, then
+        // read it back.
         let resp = call(
             &srv,
-            KvRequest::CommitOnePhase {
+            KvRequest::Prepare {
                 txn: 1,
                 start_ts: oracle.next_timestamp(),
                 writes: vec![crate::protocol::WriteOp {
                     obj,
                     value: Some(Bytes::from_static(b"x")),
                 }],
+                participants: vec![0],
+                lease_us: 1_000_000,
             },
         );
         let commit_ts = match resp {
@@ -490,6 +507,7 @@ mod tests {
         }
         assert_eq!(srv.store().object_count(), 1);
         assert_eq!(srv.store().stats().commits, 1);
+        assert_eq!(srv.store().prepared_count(), 0);
     }
 
     #[test]
@@ -624,5 +642,126 @@ mod tests {
             let read = call(&srv, KvRequest::Get { obj, ts });
             assert!(matches!(read, KvResponse::Value(None)), "{read:?}");
         }
+    }
+
+    /// A one-participant prepare refused on another transaction's lock is
+    /// recorded, forced, like any refusal: delivered again after the lock is
+    /// gone and the server has restarted from its log with no memory, it is
+    /// refused again, and nothing is installed.
+    #[test]
+    fn a_refused_sole_prepare_stays_refused_across_a_restart() {
+        let dir = yesquel_common::tempdir::TempDir::new("srv-sole-refusal").unwrap();
+        let stats = yesquel_common::stats::StatsRegistry::new();
+        let wal = Wal::open(dir.path(), yesquel_common::WalFsyncPolicy::Always, &stats).unwrap();
+        let oracle = TimestampOracle::new();
+        let cfg = KvConfig::default();
+        let srv = KvServer::with_wal(0, oracle.clone(), &cfg, Some(Arc::new(wal))).unwrap();
+        let obj = ObjectId::new(1, 1);
+        let value = |v: &'static [u8]| WriteOp {
+            obj,
+            value: Some(Bytes::from_static(v)),
+        };
+        // T1's coordinator went silent after its prepare here: an orphan.
+        let t1 = prepare_req(1, oracle.next_timestamp(), vec![value(b"orphan")]);
+        assert!(matches!(call(&srv, t1), KvResponse::Prepared { .. }));
+        let t2 = KvRequest::Prepare {
+            txn: 2,
+            start_ts: oracle.next_timestamp(),
+            writes: vec![value(b"late")],
+            participants: vec![0],
+            lease_us: 1_000_000,
+        };
+        let resp = call(&srv, t2.clone());
+        assert!(matches!(resp, KvResponse::Conflict { .. }), "{resp:?}");
+        assert!(matches!(
+            call(&srv, KvRequest::Abort { txn: 1 }),
+            KvResponse::Aborted
+        ));
+        // T1's unforced abort reaches the disk, as the next forced record
+        // of any transaction would carry it there.
+        srv.store().wal().unwrap().sync().unwrap();
+        srv.amnesia_restart().unwrap();
+        assert_eq!(srv.store().outcome(2), Some(TxnOutcome::Aborted));
+        let resp = call(&srv, t2);
+        assert!(matches!(resp, KvResponse::Conflict { .. }), "{resp:?}");
+        assert_eq!(srv.store().prepared_count(), 0);
+        let ts = oracle.next_timestamp();
+        let read = call(&srv, KvRequest::Get { obj, ts });
+        assert!(matches!(read, KvResponse::Value(None)), "{read:?}");
+    }
+
+    /// A one-participant commit whose unforced commit record a power loss
+    /// took comes back from its vote alone: replay restores the prepare,
+    /// and the restart's `reap` commits it at the acknowledged timestamp,
+    /// with nobody to ask.
+    #[test]
+    fn a_sole_vote_restored_without_its_commit_commits_on_restart() {
+        let dir = yesquel_common::tempdir::TempDir::new("srv-sole-vote").unwrap();
+        let stats = yesquel_common::stats::StatsRegistry::new();
+        let wal = Wal::open(dir.path(), yesquel_common::WalFsyncPolicy::Always, &stats).unwrap();
+        let wal = Arc::new(wal);
+        let oracle = TimestampOracle::new();
+        let cfg = KvConfig::default();
+        let srv = KvServer::with_wal(0, oracle.clone(), &cfg, Some(Arc::clone(&wal))).unwrap();
+        let obj = ObjectId::new(1, 1);
+        let sole = KvRequest::Prepare {
+            txn: 1,
+            start_ts: oracle.next_timestamp(),
+            writes: vec![WriteOp {
+                obj,
+                value: Some(Bytes::from_static(b"v")),
+            }],
+            participants: vec![0],
+            lease_us: 1_000_000,
+        };
+        let commit_ts = match call(&srv, sole) {
+            KvResponse::Committed { commit_ts } => commit_ts,
+            other => panic!("unexpected response {other:?}"),
+        };
+        assert!(
+            wal.durable_len() < wal.len(),
+            "the commit record is unsynced"
+        );
+        srv.amnesia_restart().unwrap();
+        assert_eq!(srv.reap_counts(), (1, 0));
+        assert_eq!(srv.store().prepared_count(), 0);
+        assert_eq!(
+            srv.store().dump_versions(obj),
+            vec![(commit_ts, Some(Bytes::from_static(b"v")))]
+        );
+    }
+
+    /// A reader that meets the lock of a prepare that names no other
+    /// participant resolves it without the turn to ask, even while another
+    /// resolution holds that turn, and reads the committed value.
+    #[test]
+    fn a_sole_prepare_is_resolved_without_the_turn_to_ask() {
+        let oracle = TimestampOracle::new();
+        let srv = KvServer::new(0, oracle.clone());
+        let obj = ObjectId::new(1, 1);
+        let write = WriteOp {
+            obj,
+            value: Some(Bytes::from_static(b"v")),
+        };
+        let lease = Duration::from_secs(3600);
+        let start_ts = oracle.next_timestamp();
+        let next_ts = || oracle.next_timestamp();
+        let store = srv.store();
+        let (voted, _) = store
+            .prepare(1, start_ts, &[write], &[0], lease, next_ts)
+            .unwrap();
+        let PrepareOutcome::Prepared(prepare_ts) = voted else {
+            panic!("unexpected outcome {voted:?}");
+        };
+        let _turn = srv.asking.lock();
+        let ts = oracle.next_timestamp();
+        match call(&srv, KvRequest::Get { obj, ts }) {
+            KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"v"),
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert_eq!(
+            srv.store().outcome(1),
+            Some(TxnOutcome::Committed(prepare_ts))
+        );
     }
 }

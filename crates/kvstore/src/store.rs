@@ -17,14 +17,13 @@
 //! stays flat as client concurrency grows (the scale-independence argument
 //! of the SCADS line of work).
 //!
-//! Multi-object operations (`prepare`, `commit_one_phase`) acquire the
-//! shards they touch in **ascending shard order**, which makes concurrent
-//! multi-shard validations deadlock-free.  `commit`/`abort` release locks
-//! shard by shard; a reader that catches a transaction between two shards
-//! simply sees a still-held prepare lock and retries, exactly as it would
-//! had the commit message not arrived at that server yet — per-object
-//! atomicity (the invariant snapshot isolation needs) is preserved by the
-//! per-shard critical sections.
+//! A prepare acquires the shards it touches in **ascending shard order**,
+//! which makes concurrent multi-shard validations deadlock-free.
+//! `commit`/`abort` release locks shard by shard; a reader that catches a
+//! transaction between two shards simply sees a still-held prepare lock
+//! and retries, exactly as it would had the commit message not arrived at
+//! that server yet — per-object atomicity (the invariant snapshot
+//! isolation needs) is preserved by the per-shard critical sections.
 //!
 //! ## Durability
 //!
@@ -38,9 +37,9 @@
 //!   once every participant's vote is durable), every *refusal* (a prepare
 //!   that failed validation, or arrived for a transaction already aborted
 //!   here) and every *fence* (an abort recorded for a transaction this
-//!   server had no record of, when a probe asks for one), one-phase commits
-//!   and allocations.  A refusal or a fence is what makes an abort final:
-//!   no prepare of the transaction can vote yes here afterwards.
+//!   server had no record of, when a probe asks for one) and every
+//!   allocation.  A refusal or a fence is what makes an abort final: no
+//!   prepare of the transaction can vote yes here afterwards.
 //! * **Unforced** — appended in order and left to ride this log's next
 //!   flush: every commit, and every other abort.  Each only applies a fate
 //!   that the forced records already settled, so if a crash drops one,
@@ -56,13 +55,12 @@
 //! reconstructs exactly that history.  A forced record is then waited for
 //! by nobody here: the store returns the completion the log's flusher
 //! answers once it is durable ([`Wal::durable`]), and the server answers
-//! with it, so neither a lock nor a thread is held across that flush (the
-//! prepare locks already fence conflicting writers).  The exception is the
-//! one-phase commit, which appends and waits while holding its shard
-//! guards — they are what orders it against every conflicting operation.
-//! GC is the one deliberately volatile operation: versions it dropped
-//! reappear after recovery (a harmless superset of committed state) until
-//! the next checkpoint prunes them from the log.
+//! with it, or, when it is the transaction's only participant, waits for
+//! it with no lock held (the prepare locks already fence conflicting
+//! writers).  An allocation is appended and waited for under no shard,
+//! table or counter lock.  GC is the one deliberately volatile operation:
+//! versions it dropped reappear after recovery (a harmless superset of
+//! committed state) until the next checkpoint prunes them from the log.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,14 +90,14 @@ pub enum ReadOutcome {
     Locked,
 }
 
-/// Result of a prepare or a one-phase commit.
+/// Result of a prepare.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrepareOutcome {
     /// Validation passed, the locks are held, and this server's vote
     /// carries this prepare timestamp.
     Prepared(Timestamp),
-    /// Committed at this timestamp: a one-phase commit installed, or a
-    /// prepare that arrived after its transaction was resolved committed.
+    /// Committed at this timestamp: a prepare that arrived after its
+    /// transaction was resolved committed.
     Committed(Timestamp),
     /// Refused: validation failed, or the transaction had already aborted
     /// here.  Nothing is locked.
@@ -268,7 +266,7 @@ pub struct StoreStats {
     pub gets: u64,
     /// Number of prepares that acquired locks.
     pub prepares: u64,
-    /// Number of commits applied (two-phase or one-phase).
+    /// Number of commits applied.
     pub commits: u64,
     /// Number of aborts processed.
     pub aborts: u64,
@@ -384,21 +382,13 @@ impl ServerStore {
         self.wal.as_ref()
     }
 
-    /// Appends to the write-ahead log (durable per the log's fsync policy
-    /// before returning), or does nothing for an in-memory store.
-    fn wal_append(&self, rec: &WalRecord) -> Result<()> {
-        match &self.wal {
-            Some(w) => w.append(rec),
-            None => Ok(()),
-        }
-    }
-
-    /// Appends `rec` without waiting for the disk, if this store has a log,
-    /// and returns its position.
-    fn log(&self, rec: &WalRecord) -> Result<Option<WalPosition>> {
+    /// Appends the record `rec` builds without waiting for the disk, if
+    /// this store has a log, and returns its position.  The record is built
+    /// only then: an in-memory store copies no writes into a record.
+    fn log(&self, rec: impl FnOnce() -> WalRecord) -> Result<Option<WalPosition>> {
         self.wal
             .as_ref()
-            .map(|w| w.append_unforced(rec))
+            .map(|w| w.append_unforced(&rec()))
             .transpose()
     }
 
@@ -466,10 +456,12 @@ impl ServerStore {
     /// that have no record of it.
     ///
     /// The timestamp is drawn **while the shard guards are held**, after
-    /// the locks are in, as [`ServerStore::commit_one_phase`] draws its
-    /// commit timestamp: every snapshot above it is issued afterwards and
+    /// the locks are in: every snapshot above it is issued afterwards and
     /// finds the locks, so the commit, at the maximum prepare timestamp of
     /// all participants, is visible to exactly the snapshots above it.
+    /// Drawn any earlier, a transaction could begin between the draw and
+    /// the locks, read the old version at a snapshot above the commit, pass
+    /// first-committer-wins against it and overwrite: a lost update.
     ///
     /// Idempotent under retries and duplicate deliveries: a prepared
     /// transaction reports its vote again, a committed one `Committed`, and
@@ -530,14 +522,16 @@ impl ServerStore {
             }
             return Ok(known);
         }
-        let image = PreparedImage {
-            txn,
-            start_ts,
-            prepare_ts,
-            participants: participants.to_vec(),
-            writes: writes.to_vec(),
-        };
-        let vote = match self.log(&WalRecord::Vote(image)) {
+        let vote = self.log(|| {
+            WalRecord::Vote(PreparedImage {
+                txn,
+                start_ts,
+                prepare_ts,
+                participants: participants.to_vec(),
+                writes: writes.to_vec(),
+            })
+        });
+        let vote = match vote {
             Ok(vote) => vote,
             Err(e) => {
                 drop(txns);
@@ -586,7 +580,7 @@ impl ServerStore {
     /// Records `txn` aborted — it is not prepared here — and logs it;
     /// returns the completion that answers once the record is durable.
     fn log_abort(&self, txns: &mut TxnTable, txn: TxnId) -> Result<Completion<()>> {
-        let pos = self.log(&WalRecord::Abort { txn })?;
+        let pos = self.log(|| WalRecord::Abort { txn })?;
         txns.record(txn, TxnOutcome::Aborted);
         Ok(self.durable(pos))
     }
@@ -645,7 +639,7 @@ impl ServerStore {
         if !txns.prepared.contains_key(&txn) && want != TxnOutcome::Aborted {
             return Ok((TxnOutcome::Aborted, false));
         }
-        self.log(&match want {
+        self.log(|| match want {
             TxnOutcome::Committed(commit_ts) => WalRecord::Commit { txn, commit_ts },
             TxnOutcome::Aborted => WalRecord::Abort { txn },
         })?;
@@ -693,83 +687,6 @@ impl ServerStore {
             self.stats.commits.fetch_add(1, Ordering::Relaxed);
         }
         Ok(fate)
-    }
-
-    /// Validates and installs `writes` in one step, at the timestamp drawn
-    /// from `next_ts` (the server passes its oracle handle), and reports
-    /// `Committed` or `Conflict`.
-    ///
-    /// The timestamp is drawn **while the shard guards are held**, after
-    /// validation.  Drawn any earlier, a transaction could begin between the
-    /// draw and the guards, read the old version at a snapshot *later* than
-    /// this commit, pass first-committer-wins against it (nothing newer than
-    /// its snapshot once this version lands below it) and overwrite: a lost
-    /// update.  Under the guards, every snapshot that can see past the
-    /// timestamp is issued after it, and reads of these objects queue behind
-    /// the guards until the versions are in.
-    ///
-    /// Durable stores append the record while still holding the shard
-    /// guards, after validation and before installation: the guards order
-    /// the append against every conflicting writer, and log-before-install
-    /// means an `Err` return guarantees nothing was applied.  The append is
-    /// the group-commit hot path — concurrent one-phase committers on
-    /// disjoint shards coalesce into a single fsync.
-    pub fn commit_one_phase(
-        &self,
-        txn: TxnId,
-        start_ts: Timestamp,
-        writes: &[WriteOp],
-        next_ts: impl FnOnce() -> Timestamp,
-    ) -> Result<PrepareOutcome> {
-        // Dedup: a retried one-phase commit (its first response was lost)
-        // must report the original fate, not re-validate — re-validation
-        // would see the transaction's own installed versions as "newer than
-        // snapshot" and wrongly report a conflict.
-        match self.txns.lock().get(txn) {
-            Some(TxnOutcome::Committed(ts)) => {
-                self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(PrepareOutcome::Committed(ts));
-            }
-            Some(TxnOutcome::Aborted) => {
-                self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(PrepareOutcome::Conflict(format!(
-                    "txn {txn} already aborted (duplicate one-phase commit)"
-                )));
-            }
-            None => {}
-        }
-        let _ckpt = self.ckpt_gate.read();
-        let mut guards = self.lock_shards_for(writes);
-        for w in writes {
-            let shard = self.guard_for(&mut guards, w.obj);
-            if let Some(reason) = Self::validate_one(shard, txn, start_ts, w) {
-                self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
-                // A conflict changes no state, so it is not logged; the
-                // in-memory abort record only serves duplicate deliveries
-                // within this incarnation.
-                self.txns.lock().record(txn, TxnOutcome::Aborted);
-                return Ok(PrepareOutcome::Conflict(reason));
-            }
-        }
-        let commit_ts = next_ts();
-        self.wal_append(&WalRecord::CommitOnePhase {
-            txn,
-            commit_ts,
-            writes: writes.to_vec(),
-        })?;
-        for w in writes {
-            let shard = self.guard_for(&mut guards, w.obj);
-            let state = shard.objects.entry(w.obj).or_default();
-            state.chain.install(commit_ts, w.value.clone());
-        }
-        // Record the fate before the shard guards drop so a racing duplicate
-        // cannot slip between installation and the record.
-        self.txns
-            .lock()
-            .record(txn, TxnOutcome::Committed(commit_ts));
-        drop(guards);
-        self.stats.commits.fetch_add(1, Ordering::Relaxed);
-        Ok(PrepareOutcome::Committed(commit_ts))
     }
 
     /// Releases every lock held by `txn` and discards its staged writes,
@@ -911,7 +828,9 @@ impl ServerStore {
         };
         // On append failure the in-memory counter stays advanced: the ids
         // are burned, never re-issued, which is safe for id allocation.
-        self.wal_append(&WalRecord::Alloc { obj, value })?;
+        if let Some(wal) = &self.wal {
+            wal.append(&WalRecord::Alloc { obj, value })?;
+        }
         Ok(start)
     }
 
@@ -961,28 +880,6 @@ impl ServerStore {
                         self.settle(txns, *txn, TxnOutcome::Committed(*commit_ts));
                         recovered += 1;
                     }
-                }
-                WalRecord::CommitOnePhase {
-                    txn,
-                    commit_ts,
-                    writes,
-                } => {
-                    if matches!(self.txns.lock().get(*txn), Some(TxnOutcome::Committed(_))) {
-                        continue;
-                    }
-                    for w in writes {
-                        let mut shard = self.shards[self.shard_of(w.obj)].lock();
-                        shard
-                            .objects
-                            .entry(w.obj)
-                            .or_default()
-                            .chain
-                            .install(*commit_ts, w.value.clone());
-                    }
-                    self.txns
-                        .lock()
-                        .record(*txn, TxnOutcome::Committed(*commit_ts));
-                    recovered += 1;
                 }
                 WalRecord::Abort { txn } => {
                     let txns = self.txns.lock();
@@ -1225,6 +1122,28 @@ impl ServerStore {
         durable.wait()?;
         Ok(outcome)
     }
+
+    /// Commits `writes` for `txn` as the server does when this store's
+    /// server is the only participant: the prepare draws `prepare_ts`, and
+    /// once the vote is durable it is the commit.
+    fn commit_alone(
+        &self,
+        txn: TxnId,
+        start_ts: Timestamp,
+        writes: &[WriteOp],
+        prepare_ts: Timestamp,
+    ) -> Result<PrepareOutcome> {
+        let lease = Duration::from_secs(3600);
+        let (outcome, durable) = self.prepare(txn, start_ts, writes, &[0], lease, || prepare_ts)?;
+        durable.wait()?;
+        Ok(match outcome {
+            PrepareOutcome::Prepared(ts) => match self.commit(txn, ts)? {
+                TxnOutcome::Committed(ts) => PrepareOutcome::Committed(ts),
+                TxnOutcome::Aborted => PrepareOutcome::Conflict(format!("txn {txn} aborted")),
+            },
+            decided => decided,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1342,7 +1261,7 @@ mod tests {
     fn one_phase_commit_validates_and_installs() {
         let s = ServerStore::new();
         assert_eq!(
-            s.commit_one_phase(1, 1, &[w(1, "a")], || 5).unwrap(),
+            s.commit_alone(1, 1, &[w(1, "a")], 5).unwrap(),
             PrepareOutcome::Committed(5)
         );
         assert_eq!(
@@ -1350,7 +1269,7 @@ mod tests {
             ReadOutcome::Value(Some(Bytes::from_static(b"a")))
         );
         // Stale snapshot conflicts.
-        match s.commit_one_phase(2, 1, &[w(1, "b")], || 6).unwrap() {
+        match s.commit_alone(2, 1, &[w(1, "b")], 6).unwrap() {
             PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
@@ -1492,23 +1411,23 @@ mod tests {
     fn one_phase_commit_retry_reports_original_fate() {
         let s = ServerStore::new();
         assert_eq!(
-            s.commit_one_phase(1, 1, &[w(1, "a")], || 5).unwrap(),
+            s.commit_alone(1, 1, &[w(1, "a")], 5).unwrap(),
             PrepareOutcome::Committed(5)
         );
         // Retry with a fresh timestamp: the original fate is reported and
         // nothing is re-installed.
         assert_eq!(
-            s.commit_one_phase(1, 1, &[w(1, "a")], || 9).unwrap(),
+            s.commit_alone(1, 1, &[w(1, "a")], 9).unwrap(),
             PrepareOutcome::Committed(5)
         );
         assert_eq!(s.version_count(), 1);
-        // A conflicted one-phase commit is remembered as aborted.
-        match s.commit_one_phase(2, 1, &[w(1, "b")], || 10).unwrap() {
+        // A refused prepare is remembered as aborted.
+        match s.commit_alone(2, 1, &[w(1, "b")], 10).unwrap() {
             PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict, got {other:?}"),
         }
         assert_eq!(s.outcome(2), Some(TxnOutcome::Aborted));
-        match s.commit_one_phase(2, 1, &[w(1, "b")], || 11).unwrap() {
+        match s.commit_alone(2, 1, &[w(1, "b")], 11).unwrap() {
             PrepareOutcome::Conflict(_) => {}
             other => panic!("expected conflict on retry, got {other:?}"),
         }
@@ -1520,7 +1439,7 @@ mod tests {
         let n = OUTCOME_RETENTION as u64 + 100;
         for i in 0..n {
             assert_eq!(
-                s.commit_one_phase(i + 1, 2 * i + 1, &[w(i, "v")], || 2 * i + 2)
+                s.commit_alone(i + 1, 2 * i + 1, &[w(i, "v")], 2 * i + 2)
                     .unwrap(),
                 PrepareOutcome::Committed(2 * i + 2)
             );
@@ -1586,8 +1505,7 @@ mod tests {
                     let txn = o + 1;
                     let ts = 2 * o + 1;
                     assert_eq!(
-                        s.commit_one_phase(txn, ts, &[w(o, "v")], || ts + 1)
-                            .unwrap(),
+                        s.commit_alone(txn, ts, &[w(o, "v")], ts + 1).unwrap(),
                         PrepareOutcome::Committed(ts + 1)
                     );
                 }
@@ -1620,12 +1538,12 @@ mod tests {
                     let commit = ts.fetch_add(1, Ordering::SeqCst);
                     let txn = t * 1000 + i + 1;
                     match s
-                        .commit_one_phase(txn, start, &[w(7, "contended")], || commit)
+                        .commit_alone(txn, start, &[w(7, "contended")], commit)
                         .unwrap()
                     {
                         PrepareOutcome::Committed(_) => wins.fetch_add(1, Ordering::SeqCst),
                         PrepareOutcome::Conflict(_) => losses.fetch_add(1, Ordering::SeqCst),
-                        other => panic!("a one-phase commit answered {other:?}"),
+                        other => panic!("a one-participant commit answered {other:?}"),
                     };
                 }
             }));

@@ -42,9 +42,10 @@ pub(crate) struct KvHot {
     pub(crate) get_lock_retries: Arc<Counter>,
     pub(crate) txn_retries: Arc<Counter>,
     /// Commit-phase latencies, recorded only while `Obs::timing_on`:
-    /// `prepare` is the whole phase-one round of a two-phase commit, the
-    /// commit point; `decide` a one-phase commit's single round; `apply`
-    /// one participant's `Commit`, from its submit to its landing — off the
+    /// `prepare` is the whole prepare round of a commit with several
+    /// participants, the commit point; `decide` the same round of a commit
+    /// with one participant, whose vote is the commit; `apply` one
+    /// participant's `Commit`, from its submit to its landing — off the
     /// commit's critical path wherever it lands after the submit returns.
     pub(crate) commit_prepare_us: Arc<Histogram>,
     pub(crate) commit_decide_us: Arc<Histogram>,
@@ -429,8 +430,8 @@ pub enum TxnState {
 /// Exact under snapshot isolation: a value read at `start_ts` cannot change
 /// later.  A prepared writer answers `Locked`, never a value, and nothing
 /// that answer carries is remembered; any commit that had not prepared at
-/// the server when it answered draws its timestamp afterwards, above
-/// `start_ts` (1PC draws it under the server's shard guards).  Bounded:
+/// the server when it answered draws its prepare timestamp afterwards,
+/// above `start_ts`, under the server's shard guards.  Bounded:
 /// the newest [`READ_MEMO`] values, oldest replaced first.
 #[derive(Default)]
 struct ReadMemo {
@@ -658,7 +659,7 @@ impl Txn {
     /// Buffers a write of the same `value` to every object in `objs` — the
     /// write-all primitive behind replicated objects.  The payload is shared
     /// (`Bytes` is reference-counted), so the per-copy cost is one buffered
-    /// entry, and commit fans the copies out through the ordinary 1PC/2PC
+    /// entry, and commit fans the copies out through the ordinary commit
     /// path: either every copy becomes visible or none does.
     pub fn put_many(&self, objs: impl IntoIterator<Item = ObjectId>, value: Bytes) -> Result<()> {
         self.check_active()?;
@@ -678,12 +679,12 @@ impl Txn {
 
     /// Commits the transaction, returning its commit timestamp.
     ///
-    /// Read-only transactions commit locally with no communication.  Single-
-    /// participant transactions use one-phase commit (one RPC).  Multi-
-    /// participant transactions use two-phase commit, and its prepare round
-    /// is the commit point: once every participant has voted yes — locked,
-    /// drawn a prepare timestamp and forced its vote — the transaction is
-    /// committed at the largest prepare timestamp, and this returns.  The
+    /// Read-only transactions commit locally with no communication.  Every
+    /// other commits through one prepare round, its commit point: once
+    /// every participant has voted yes — locked, drawn a prepare timestamp
+    /// and forced its vote — the transaction is committed at the largest
+    /// prepare timestamp, and this returns.  A participant that is the only
+    /// one applies the commit itself before it answers.  Otherwise the
     /// participants' `Commit`s are submitted and not waited for: one that
     /// misses its `Commit` learns the fate from the others, and a reader
     /// that meets its lock meanwhile gets it resolved.
@@ -717,70 +718,20 @@ impl Txn {
                 });
         }
         let participants: Vec<ServerId> = by_server.keys().copied().collect();
-        self.core
-            .hot
-            .commit_participants
-            .add(participants.len() as u64);
-
-        // One-phase commit when a single server holds every written object.
-        // Retries are deduplicated server-side, so a lost response does not
-        // double-apply; only full exhaustion with a possible application
-        // (timeout) escalates to `Indeterminate`.
-        if participants.len() == 1 {
-            let (server, writes) = by_server.into_iter().next().expect("one participant");
-            self.core.hot.commit_1pc.inc();
-            let t0 = timing.then(clock::now);
-            let resp = self
-                .core
-                .call_retry(
-                    server,
-                    KvRequest::CommitOnePhase {
-                        txn: self.id,
-                        start_ts: self.start_ts,
-                        writes,
-                    },
-                    &deadline,
-                )
-                .map_err(|e| match e {
-                    Error::Timeout(_) => self.indeterminate(format!(
-                        "one-phase commit of txn {} to server {server}: {e}",
-                        self.id
-                    )),
-                    e => e,
-                })?;
-            if let Some(t0) = t0 {
-                self.core.hot.commit_decide_us.record(clock::elapsed_us(t0));
-            }
-            return match resp {
-                KvResponse::Committed { commit_ts } => {
-                    *self.state.lock() = TxnState::Committed;
-                    self.core.hot.txn_committed.inc();
-                    Ok(commit_ts)
-                }
-                KvResponse::Conflict { reason } => {
-                    *self.state.lock() = TxnState::Aborted;
-                    self.core.hot.txn_conflicts.inc();
-                    count(TraceCounter::Conflicts, 1);
-                    Err(Error::Conflict(reason))
-                }
-                KvResponse::ServerError { message } => {
-                    // The server's log-before-apply ordering guarantees the
-                    // commit was not applied; this is a definite abort, not
-                    // an in-doubt outcome.
-                    *self.state.lock() = TxnState::Aborted;
-                    Err(Error::Io(message))
-                }
-                other => Err(Error::Internal(format!(
-                    "unexpected 1PC response: {other:?}"
-                ))),
-            };
-        }
+        let hot = &self.core.hot;
+        hot.commit_participants.add(participants.len() as u64);
+        let alone = participants.len() == 1;
+        let (kind, phase) = if alone {
+            (&hot.commit_1pc, &hot.commit_decide_us)
+        } else {
+            (&hot.commit_2pc, &hot.commit_prepare_us)
+        };
+        kind.inc();
 
         // The prepare round, and the commit point.  Each participant
         // validates, locks, draws its prepare timestamp and forces its vote;
         // over forced logs the votes' flushes overlap, one per server.
-        self.core.hot.commit_2pc.inc();
-        let prepare_t0 = timing.then(clock::now);
+        let t0 = timing.then(clock::now);
         let prepares = by_server.into_iter().map(|(server, writes)| {
             let req = KvRequest::Prepare {
                 txn: self.id,
@@ -794,19 +745,18 @@ impl Txn {
         let votes = round(&self.core, prepares, &deadline, |resp| {
             !matches!(resp, Ok(KvResponse::Prepared { .. }))
         });
-        if let Some(t0) = prepare_t0 {
-            self.core
-                .hot
-                .commit_prepare_us
-                .record(clock::elapsed_us(t0));
+        if let Some(t0) = t0 {
+            phase.record(clock::elapsed_us(t0));
         }
         match self.tally(&participants, votes, &deadline) {
             Ok(commit_ts) => {
-                for &server in &participants {
-                    send_commit(&self.core, server, self.id, commit_ts, timing);
+                if !alone {
+                    for &server in &participants {
+                        send_commit(&self.core, server, self.id, commit_ts, timing);
+                    }
                 }
                 *self.state.lock() = TxnState::Committed;
-                self.core.hot.txn_committed.inc();
+                hot.txn_committed.inc();
                 Ok(commit_ts)
             }
             Err(e) => {
@@ -820,14 +770,16 @@ impl Txn {
     /// timestamp — the largest prepare timestamp — once every participant
     /// has voted yes, or the error to report.
     ///
-    /// A refusal aborts.  Every other vote not heard — an answer lost, a
-    /// failure, a prepare the round never sent — is asked for with a
-    /// fencing probe, after which its participant has voted yes or never
-    /// will: a clean abort, reported as the failure that caused it.  Only a
-    /// participant that cannot be reached by the deadline leaves the fate
-    /// unknown (`Indeterminate`), and then nobody is told to abort, since
-    /// the transaction may have committed.  A clean abort is sent to every
-    /// participant, best-effort.
+    /// A `Committed` answer is the commit: a sole participant's, or one
+    /// that resolved the transaction already.  A refusal aborts.  Every
+    /// other vote not heard — an answer lost, a failure, a prepare the round
+    /// never sent — is asked for with a fencing probe, after which its
+    /// participant has voted yes or never will: a clean abort, reported as
+    /// the failure that caused it.  Only a participant that cannot be
+    /// reached by the deadline leaves the fate unknown (`Indeterminate`),
+    /// and then nobody is told to abort, since the transaction may have
+    /// committed.  A clean abort is sent to the other participants,
+    /// best-effort.
     fn tally(
         &self,
         participants: &[ServerId],
@@ -849,12 +801,13 @@ impl Txn {
                     commit_ts = commit_ts.max(prepare_ts);
                     continue;
                 }
-                // Resolved committed already, by a participant that met it.
+                // A sole participant's vote, or a commit resolved already.
                 Some(Ok(KvResponse::Committed { commit_ts })) => return Ok(commit_ts),
                 Some(Ok(KvResponse::Conflict { reason })) => {
                     self.core.hot.txn_conflicts.inc();
                     count(TraceCounter::Conflicts, 1);
-                    return Err(self.aborted(participants, deadline, Error::Conflict(reason)));
+                    let conflict = Error::Conflict(reason);
+                    return Err(self.aborted(participants, server, deadline, conflict));
                 }
                 Some(Ok(KvResponse::ServerError { message })) => Error::Io(message),
                 Some(Ok(other)) => {
@@ -878,7 +831,7 @@ impl Txn {
                     TxnStatusKind::Prepared(ts) => commit_ts = commit_ts.max(ts),
                     TxnStatusKind::Committed(ts) => return Ok(ts),
                     TxnStatusKind::Aborted => {
-                        return Err(self.aborted(participants, deadline, failure))
+                        return Err(self.aborted(participants, server, deadline, failure))
                     }
                     TxnStatusKind::Unknown => unknown = unknown.or(Some((server, failure))),
                 },
@@ -902,13 +855,21 @@ impl Txn {
 
     /// Best-effort abort round used when a prepare round fails, under the
     /// commit's deadline, returning `failure`: each abort gets one attempt
-    /// even if the deadline has passed.  Abort is idempotent and
-    /// deduplicated server-side, and a participant that misses the message
-    /// learns the abort from the refusal or fence that caused it when its
-    /// prepare is resolved.
-    fn aborted(&self, participants: &[ServerId], deadline: &Deadline, failure: Error) -> Error {
-        let aborts = participants
-            .iter()
+    /// even if the deadline has passed.  `settled_at` — the participant
+    /// whose refusal or fence settled the abort — has recorded it already
+    /// and is sent none, so a transaction with one participant sends no
+    /// abort at all.  Abort is idempotent and deduplicated server-side, and
+    /// a participant that misses the message learns the abort from the
+    /// refusal or fence that caused it when its prepare is resolved.
+    fn aborted(
+        &self,
+        participants: &[ServerId],
+        settled_at: ServerId,
+        deadline: &Deadline,
+        failure: Error,
+    ) -> Error {
+        let aborts = (participants.iter())
+            .filter(|&&s| s != settled_at)
             .map(|&s| (s, KvRequest::Abort { txn: self.id }));
         let _ = round(&self.core, aborts, deadline, |_| false);
         if matches!(failure, Error::Unavailable(_)) {

@@ -41,7 +41,8 @@ pub enum SpanKind {
     Dbt = 1,
     /// A KV read RPC round (get / scan-next leg).
     KvGet = 2,
-    /// A KV transaction commit (1PC or the whole 2PC).
+    /// A KV transaction commit: its whole prepare round, one participant
+    /// or several.
     KvCommit = 3,
     /// One RPC round trip, including retries and backoff.
     Rpc = 4,

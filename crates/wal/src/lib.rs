@@ -245,16 +245,6 @@ pub enum WalRecord {
         /// Commit timestamp.
         commit_ts: Timestamp,
     },
-    /// A one-phase commit: validation, timestamp assignment and
-    /// installation in one step, so the record carries the writes itself.
-    CommitOnePhase {
-        /// Transaction id.
-        txn: TxnId,
-        /// Commit timestamp assigned by the server.
-        commit_ts: Timestamp,
-        /// The installed writes.
-        writes: Vec<WalWrite>,
-    },
     /// An abort.  Forced when it is a *refusal* (a prepare that failed
     /// validation) or a *fence* (a probe found no record of the
     /// transaction): the participant answers only once it is durable, so a
@@ -279,13 +269,13 @@ pub enum WalRecord {
 
 const TAG_PREPARE: u8 = 1;
 const TAG_COMMIT: u8 = 2;
-const TAG_COMMIT_1PC: u8 = 3;
 const TAG_ABORT: u8 = 4;
 const TAG_ALLOC: u8 = 5;
 const TAG_CHECKPOINT: u8 = 6;
 const TAG_VOTE: u8 = 8;
-// Tag 7 is retired: it marked a bulk-load record that nothing writes any
-// more.  It decodes as corruption like every unknown tag; do not reuse it.
+// Tags 3 and 7 are retired: they marked a one-phase commit and a bulk
+// load, which nothing writes any more.  They decode as corruption like
+// every unknown tag; do not reuse them.
 
 fn put_writes(w: &mut Writer, writes: &[WalWrite]) {
     w.uvarint(writes.len() as u64);
@@ -362,14 +352,6 @@ impl WalRecord {
             WalRecord::Commit { txn, commit_ts } => {
                 w.u8(TAG_COMMIT).u64(*txn).u64(*commit_ts);
             }
-            WalRecord::CommitOnePhase {
-                txn,
-                commit_ts,
-                writes,
-            } => {
-                w.u8(TAG_COMMIT_1PC).u64(*txn).u64(*commit_ts);
-                put_writes(&mut w, writes);
-            }
             WalRecord::Abort { txn } => {
                 w.u8(TAG_ABORT).u64(*txn);
             }
@@ -435,11 +417,6 @@ impl WalRecord {
             TAG_COMMIT => WalRecord::Commit {
                 txn: r.u64()?,
                 commit_ts: r.u64()?,
-            },
-            TAG_COMMIT_1PC => WalRecord::CommitOnePhase {
-                txn: r.u64()?,
-                commit_ts: r.u64()?,
-                writes: get_writes(&mut r)?,
             },
             TAG_ABORT => WalRecord::Abort { txn: r.u64()? },
             TAG_ALLOC => WalRecord::Alloc {
@@ -1353,24 +1330,28 @@ mod tests {
                 txn: 7,
                 commit_ts: 41,
             },
-            WalRecord::CommitOnePhase {
+            WalRecord::Vote(PreparedImage {
                 txn: 8,
-                commit_ts: 50,
+                start_ts: 49,
+                prepare_ts: 50,
+                participants: vec![1],
                 writes: vec![wr(3, "b")],
-            },
+            }),
             WalRecord::Abort { txn: 9 },
             WalRecord::Alloc {
                 obj: obj(0),
                 value: 128,
             },
-            WalRecord::CommitOnePhase {
+            WalRecord::Vote(PreparedImage {
                 txn: 10,
-                commit_ts: 51,
+                start_ts: 50,
+                prepare_ts: 51,
+                participants: vec![0],
                 writes: vec![WalWrite {
                     obj: obj(4),
                     value: None,
                 }],
-            },
+            }),
         ]
     }
 
@@ -1858,14 +1839,16 @@ mod tests {
         let wal = Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap();
         wal.append(&sample_records()[0]).unwrap();
         await_prealloc_syncs(&reg, 1);
-        let big = WalRecord::CommitOnePhase {
+        let big = WalRecord::Vote(PreparedImage {
             txn: 1,
-            commit_ts: 2,
+            start_ts: 1,
+            prepare_ts: 2,
+            participants: vec![0],
             writes: vec![WalWrite {
                 obj: obj(1),
                 value: Some(Bytes::from(vec![7u8; PREALLOC_LEN as usize + 4096])),
             }],
-        };
+        });
         wal.append(&big).unwrap();
         // The next fill starts at the cursor, past the record, not where
         // the last one ended.

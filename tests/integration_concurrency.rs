@@ -93,12 +93,13 @@ fn concurrent_counter_increments_never_lose_updates() {
 
 #[test]
 fn one_phase_commit_counter_totals_exactly() {
-    // Two threads read-modify-write one object, each transaction a
-    // single-server one-phase commit.  The server must fix
-    // the commit timestamp only once it holds the object: drawn before, a
-    // transaction that begins in between reads the old value at a snapshot
-    // above that timestamp, passes first-committer-wins and overwrites.
-    // The window is a few instructions wide and was hit about once in 10^4
+    // Two threads read-modify-write one object, each transaction one
+    // participant's prepare, whose vote is the commit.  The server must
+    // draw the prepare timestamp, which is the commit timestamp, only once
+    // its lock on the object is in: drawn before, a transaction that
+    // begins in between reads the old value at a snapshot above that
+    // timestamp, passes first-committer-wins and overwrites.  The window
+    // is a few instructions wide and was hit about once in 10^4
     // increments, hence the volume.
     const THREADS: u64 = 2;
     const INCREMENTS: u64 = 60_000;
@@ -142,7 +143,7 @@ fn one_phase_commit_counter_totals_exactly() {
     assert_eq!(
         db.stats().counter("kv.commit_2pc").get(),
         0,
-        "every commit took the one-phase path"
+        "every commit had one participant"
     );
 }
 
@@ -259,7 +260,7 @@ fn gc_never_drops_what_a_starting_snapshot_reads() {
         Err(e) => panic!("{e:?}"),
     };
     std::thread::scope(|s| {
-        // Writer one: single-object increments (one-phase commits).
+        // Writer one: single-object increments (one participant each).
         s.spawn(|| {
             let client = db.client();
             let mut i = 0;

@@ -391,22 +391,17 @@ fn a_refused_secondary_decision_is_resubmitted_without_backoff() {
 /// Duplicate deliveries of prepare and commit (retransmissions racing the
 /// original) must not double-apply: one version per object, the second
 /// prepare reports the same vote, and the second commit the original
-/// timestamp.
+/// timestamp.  The prepare names two participants, so that server 0's vote
+/// is not the commit by itself.
 #[test]
 fn duplicate_prepare_and_commit_are_idempotent() {
-    let db = KvDatabase::with_servers(1);
+    let db = KvDatabase::with_servers(2);
     let transport = db.cluster().transport();
     let txn = 0xD0D0;
     let start_ts = db.oracle().next_timestamp();
-    let obj = oid_on(0, 1, 0);
+    let obj = oid_on(0, 2, 0);
 
-    let prep = KvRequest::Prepare {
-        txn,
-        start_ts,
-        writes: vec![write(obj, b"once")],
-        participants: vec![0],
-        lease_us: 1_000_000,
-    };
+    let prep = prepare2(txn, start_ts, obj, b"once", 1_000_000);
     let commit_ts = voted(transport.call(0, prep.clone()).unwrap());
     assert_eq!(voted(transport.call(0, prep.clone()).unwrap()), commit_ts);
     assert_eq!(db.prepared_total(), 1);
@@ -844,10 +839,12 @@ fn a_lost_commit_is_learnt_before_the_primary_forgets_it() {
     for i in 0..5_000 {
         let obj = oid_on(0, 2, from);
         from = obj.oid + 1;
-        let req = KvRequest::CommitOnePhase {
+        let req = KvRequest::Prepare {
             txn: 0x10_000 + i,
             start_ts: db.oracle().next_timestamp(),
             writes: vec![write(obj, b"filler")],
+            participants: vec![0],
+            lease_us: ORPHAN_LEASE_US,
         };
         let resp = transport.call(0, req).unwrap();
         assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");

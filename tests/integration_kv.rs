@@ -1,6 +1,6 @@
 //! Integration tests of the transactional key-value store, exercised
 //! through the public `yesquel` facade: snapshot isolation, the
-//! first-committer-wins rule, one-phase vs two-phase commit, and the
+//! first-committer-wins rule, one- vs several-participant commits, and the
 //! no-communication read-only commit.
 
 use std::time::Duration;
@@ -217,18 +217,22 @@ fn single_server_transactions_use_one_phase_commit() {
     // One object -> exactly one participant server.
     let t = client.begin();
     t.put(obj(3), b"single".to_vec()).unwrap();
+    let rpcs_before = db.stats().counter("rpc.calls").get();
     t.commit().unwrap();
 
     assert_eq!(db.stats().counter("kv.commit_1pc").get(), before_1pc + 1);
     assert_eq!(db.stats().counter("kv.commit_2pc").get(), before_2pc);
-    // A one-phase commit is a single RPC: no prepare recorded server-side.
-    let prepares: u64 = db
-        .cluster()
-        .servers()
-        .iter()
-        .map(|s| s.store().stats().prepares)
-        .sum();
-    assert_eq!(prepares, 0);
+    // A one-participant commit is a single RPC, its prepare, whose vote
+    // is the commit: the server prepares and commits, and no `Commit` is
+    // sent.
+    assert_eq!(db.stats().counter("rpc.calls").get(), rpcs_before + 1);
+    let sum = |f: fn(&yesquel::kv::store::StoreStats) -> u64| -> u64 {
+        let servers = db.cluster().servers();
+        servers.iter().map(|s| f(&s.store().stats())).sum()
+    };
+    assert_eq!(sum(|s| s.prepares), 1);
+    assert_eq!(sum(|s| s.commits), 1);
+    assert_eq!(db.prepared_total(), 0);
 }
 
 #[test]

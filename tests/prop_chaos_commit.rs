@@ -1,8 +1,9 @@
 //! Randomized chaos test of commit safety under fault injection: a
 //! deterministic, seeded fault storm (dropped requests, dropped responses,
 //! duplicate deliveries, transient errors, delays, and a server on a
-//! scripted crash/restart cycle) runs under a mixed workload of one-phase,
-//! two-phase, delete-heavy and read-only transactions.
+//! scripted crash/restart cycle) runs under a mixed workload of
+//! one-participant, several-participant, delete-heavy and read-only
+//! transactions.
 //!
 //! Every transaction's reported fate is checked against the cluster's
 //! ground truth after the storm ends and the prepare-lease reaper has
@@ -136,7 +137,7 @@ fn storm_case(seed: u64) {
             continue;
         }
 
-        // A write transaction: one-phase (single server) or two-phase.
+        // A write transaction: one participant or several.
         let writes: Vec<(ObjectId, Option<Vec<u8>>)> = if kind < 6 {
             let s = rng.gen_range(0..SERVERS as u64) as usize;
             let n = rng.gen_range(1..=3u64) as usize;

@@ -181,7 +181,7 @@ fn recovery_case(seed: u64, transport: TransportKind) {
             checkpoints += 1;
         }
 
-        // Mixed workload: one-phase (single-server) or two-phase writes,
+        // Mixed workload: one-participant or several-participant writes,
         // with occasional deletes, mirroring the chaos commit test.
         let kind = rng.gen_range(0..10u32);
         let writes: Vec<(ObjectId, Option<Vec<u8>>)> = if kind < 5 {
