@@ -715,6 +715,7 @@ mod tests {
         assert_eq!(store.outcome(txn), Some(TxnOutcome::Aborted));
         assert_eq!(store.prepared_count(), 0);
         assert!(store.dump_versions(obj).is_empty());
+        assert_eq!(db.total_objects(), 0, "the refused prepare left an object");
         let r = db.client().begin();
         assert_eq!(r.get(obj).unwrap(), None);
         r.commit().unwrap();

@@ -30,7 +30,12 @@
 //! The routine runs where an undecided prepare is met: a `Get` that finds
 //! its lock, and a `Prepare` that conflicts on it, at once; and
 //! [`KvServer::reap`], which restart and deployment build call.  A
-//! resolver counts its own vote only once it is durable.
+//! resolver counts its own vote only once it is durable.  A `Get` that
+//! finds a lock always reads again after resolving its holder, which waits
+//! for the store's transaction table (a prepare is in it before anyone can
+//! wait for it), so a `Locked` answer means the holder is still undecided
+//! after resolution: the other participants' records did not settle it,
+//! or another resolution held the turn to ask.
 //!
 //! **An orphan nobody meets is still resolved in bounded time.**  Every
 //! request but a `TxnStatus` sweeps the overdue prepares, and those
@@ -227,10 +232,8 @@ impl KvServer {
     /// queues for the turn to ask instead of skipping the ask.  The fate
     /// comes from the participants' records (see the module docs); on no
     /// verdict, a failed log append, or another resolution already asking,
-    /// the prepare stays as it is for the next meeting.  Returns whether a
-    /// fate was settled, so a caller it blocked can look again.
-    fn resolve(&self, txn: Option<TxnId>, wait: bool) -> bool {
-        let mut settled = false;
+    /// the prepare stays as it is for the next meeting.
+    fn resolve(&self, txn: Option<TxnId>, wait: bool) {
         for p in self.store.undecided(txn) {
             let Some(want) = self.ask_participants(&p, wait) else {
                 continue;
@@ -240,7 +243,6 @@ impl KvServer {
                 TxnOutcome::Aborted => self.store.abort(p.txn),
             };
             let Ok(fate) = fate else { continue };
-            settled = true;
             // Tally only the fate this call reached for: one that lost to a
             // decision landing meanwhile is not this resolution's.
             if fate == want {
@@ -251,7 +253,6 @@ impl KvServer {
                 tally.fetch_add(1, Ordering::Relaxed);
             }
         }
-        settled
     }
 
     /// Probes every other participant of an undecided prepare in one round,
@@ -295,10 +296,10 @@ impl KvServer {
     }
 
     /// Resolves the prepare holding `obj`'s lock, unless it is `own`'s.
-    fn resolve_holder(&self, obj: ObjectId, own: Option<TxnId>) -> bool {
+    fn resolve_holder(&self, obj: ObjectId, own: Option<TxnId>) {
         match self.store.lock_holder(obj) {
             Some(holder) if Some(holder) != own => self.resolve(Some(holder), false),
-            _ => false,
+            _ => {}
         }
     }
 
@@ -320,20 +321,13 @@ impl KvServer {
         }
     }
 
-    /// The answer to a `Commit`, or to a sole participant's `Prepare`: the
-    /// fate that holds.
-    fn decided(fate: TxnOutcome) -> KvResponse {
-        match fate {
-            TxnOutcome::Committed(commit_ts) => KvResponse::Committed { commit_ts },
-            TxnOutcome::Aborted => KvResponse::Aborted,
-        }
-    }
-
     /// Commits the prepare of `txn` that names this server as its only
     /// participant: its vote, once `durable`, is the commit, at
     /// `prepare_ts`.  Waited for on the calling thread, with no lock held.
-    /// Once the vote is durable the answer is `Committed` even if the commit
-    /// record fails to append: the prepare then stays for
+    /// Once the vote is durable the answer is `Committed`, whatever applying
+    /// it here reports: a reader that met the lock may have committed it
+    /// already, and its outcome may since have left the table; a commit
+    /// record that fails to append leaves the prepare for
     /// [`KvServer::resolve`], which commits it from the vote alone.
     fn commit_sole_vote(
         &self,
@@ -344,8 +338,10 @@ impl KvServer {
         if let Err(e) = durable.wait() {
             return Self::server_error(e);
         }
-        let fate = self.store.commit(txn, prepare_ts);
-        Self::decided(fate.unwrap_or(TxnOutcome::Committed(prepare_ts)))
+        let _ = self.store.commit(txn, prepare_ts);
+        KvResponse::Committed {
+            commit_ts: prepare_ts,
+        }
     }
 
     /// Answers `resp` once `durable` — the completion of the log record the
@@ -371,7 +367,8 @@ impl Service for KvServer {
         let resp = match req {
             KvRequest::Get { obj, ts } => {
                 let mut read = self.store.get(obj, ts);
-                if read == ReadOutcome::Locked && self.resolve_holder(obj, None) {
+                if read == ReadOutcome::Locked {
+                    self.resolve_holder(obj, None);
                     read = self.store.get(obj, ts);
                 }
                 match read {
@@ -412,7 +409,8 @@ impl Service for KvServer {
                 }
             }
             KvRequest::Commit { txn, commit_ts } => match self.store.commit(txn, commit_ts) {
-                Ok(fate) => Self::decided(fate),
+                Ok(TxnOutcome::Committed(commit_ts)) => KvResponse::Committed { commit_ts },
+                Ok(TxnOutcome::Aborted) => KvResponse::Aborted,
                 Err(e) => Self::server_error(e),
             },
             KvRequest::Abort { txn } => match self.store.abort(txn) {
@@ -762,6 +760,53 @@ mod tests {
         assert_eq!(
             srv.store().outcome(1),
             Some(TxnOutcome::Committed(prepare_ts))
+        );
+    }
+
+    /// A sole prepare that a reader met and committed, and whose outcome
+    /// then left the table behind 5 000 later fates, is still answered
+    /// `Committed` at its prepare timestamp when its own thread gets round
+    /// to it: the durable vote was the commit.
+    #[test]
+    fn a_sole_vote_a_reader_committed_is_answered_committed() {
+        let oracle = TimestampOracle::new();
+        let srv = KvServer::new(0, oracle.clone());
+        let write = |oid, v: &'static [u8]| WriteOp {
+            obj: ObjectId::new(1, oid),
+            value: Some(Bytes::from_static(v)),
+        };
+        let (lease, start_ts) = (Duration::from_secs(3600), oracle.next_timestamp());
+        let next_ts = || oracle.next_timestamp();
+        let (voted, durable) = (srv.store())
+            .prepare(1, start_ts, &[write(0, b"v")], &[0], lease, next_ts)
+            .unwrap();
+        let PrepareOutcome::Prepared(prepare_ts) = voted else {
+            panic!("unexpected outcome {voted:?}");
+        };
+        let (obj, ts) = (ObjectId::new(1, 0), oracle.next_timestamp());
+        match call(&srv, KvRequest::Get { obj, ts }) {
+            KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"v"),
+            other => panic!("unexpected response {other:?}"),
+        }
+        for txn in 2..5_002 {
+            let sole = KvRequest::Prepare {
+                txn,
+                start_ts: oracle.next_timestamp(),
+                writes: vec![write(txn, b"w")],
+                participants: vec![0],
+                lease_us: 1_000_000,
+            };
+            let resp = call(&srv, sole);
+            assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");
+        }
+        assert_eq!(srv.store().outcome(1), None, "the outcome was forgotten");
+        match srv.commit_sole_vote(1, prepare_ts, durable) {
+            KvResponse::Committed { commit_ts } => assert_eq!(commit_ts, prepare_ts),
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert_eq!(
+            srv.store().dump_versions(obj),
+            vec![(prepare_ts, Some(Bytes::from_static(b"v")))]
         );
     }
 }

@@ -17,13 +17,20 @@
 //! stays flat as client concurrency grows (the scale-independence argument
 //! of the SCADS line of work).
 //!
-//! A prepare acquires the shards it touches in **ascending shard order**,
-//! which makes concurrent multi-shard validations deadlock-free.
-//! `commit`/`abort` release locks shard by shard; a reader that catches a
-//! transaction between two shards simply sees a still-held prepare lock
-//! and retries, exactly as it would had the commit message not arrived at
-//! that server yet — per-object atomicity (the invariant snapshot
-//! isolation needs) is preserved by the per-shard critical sections.
+//! ## Lock order
+//!
+//! One lock orders every change to a transaction's fate here: the
+//! transaction table's.  Whatever takes it takes it first, then the shards
+//! it needs in **ascending shard order**, then the allocation counters:
+//! table → shards → counters.  A prepare answers from the table, or
+//! validates, locks, draws its timestamp, logs its vote and enters the
+//! table; a commit or abort logs its record and installs or discards the
+//! staged values; both before they release the table.  A checkpoint and a
+//! wipe lock in the same order, so no thread can observe a prepare lock
+//! whose transaction is not in the table, or a fate that is recorded but
+//! not yet applied.  A `Get` takes only its shard: a reader that meets a
+//! lock asks the server to resolve its holder, which waits for the table,
+//! and reads again.
 //!
 //! ## Durability
 //!
@@ -50,9 +57,11 @@
 //!   refusal or fence (abort).
 //!
 //! No lock is held across a flush.  Votes, refusals, fences and decisions
-//! are appended while holding the transaction table's lock, so log order
-//! matches the order in which this store learnt fates and replay
-//! reconstructs exactly that history.  A forced record is then waited for
+//! are appended and applied while holding the transaction table's lock, so
+//! log order matches the order in which this store learnt fates, replay
+//! reconstructs exactly that history, and a checkpoint, which holds the
+//! table while it snapshots and rotates the log, finds every record it
+//! drops already applied.  A forced record is then waited for
 //! by nobody here: the store returns the completion the log's flusher
 //! answers once it is durable ([`Wal::durable`]), and the server answers
 //! with it, or, when it is the transaction's only participant, waits for
@@ -68,7 +77,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 use yesquel_common::ids::{shard_index, splitmix64};
 use yesquel_common::{Completion, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalPosition, WalRecord};
@@ -323,9 +332,10 @@ pub struct ServerStore {
     shards: Vec<Mutex<Shard>>,
     /// Prepared transactions (objects locked, vote, participants, lease) and
     /// the fates of finished ones, for deduplicating retried and duplicated
-    /// messages and answering probes.  Touched once per prepare, commit or
-    /// abort, never per object, so one small mutex suffices; it is never
-    /// held while a shard is locked.
+    /// messages and answering probes.  The outer lock of every change to a
+    /// transaction's fate: taken before any shard, and shards before the
+    /// counters (see the module docs), and held until the change is logged
+    /// and applied to the objects.
     txns: Mutex<TxnTable>,
     /// Lock-free hint mirroring the number of prepared transactions, so
     /// the server's sweep of overdue prepares skips clock reads and locking
@@ -339,11 +349,6 @@ pub struct ServerStore {
     /// The write-ahead log, if this store is durable.  `None` keeps the
     /// store purely in-memory with zero logging overhead.
     wal: Option<Arc<Wal>>,
-    /// Checkpoint gate: every mutating operation holds `read` across its
-    /// append-then-apply critical section; [`ServerStore::checkpoint`] takes
-    /// `write`, so a snapshot can never observe (and a log rotation can
-    /// never drop) a record whose in-memory effect is still in flight.
-    ckpt_gate: RwLock<()>,
     stats: StatsCells,
 }
 
@@ -372,7 +377,6 @@ impl ServerStore {
             prepared_hint: AtomicU64::new(0),
             counters: Mutex::new(HashMap::new()),
             wal,
-            ckpt_gate: RwLock::new(()),
             stats: StatsCells::default(),
         }
     }
@@ -465,12 +469,16 @@ impl ServerStore {
     ///
     /// Idempotent under retries and duplicate deliveries: a prepared
     /// transaction reports its vote again, a committed one `Committed`, and
-    /// an aborted one is refused again.  A refusal is recorded as an abort
-    /// and logged, and both it and a vote come with the log's completion
-    /// for the record ([`Wal::durable`]): the answer may be given only once
-    /// it answers `Ok`, so no crash can undo what a coordinator was told.
-    /// An `Err` means the log append failed; nothing is acknowledged and the
+    /// an aborted one is refused again, all answered from the table before
+    /// anything is validated.  A refusal is recorded as an abort and
+    /// logged, and both it and a vote come with the log's completion for
+    /// the record ([`Wal::durable`]): the answer may be given only once it
+    /// answers `Ok`, so no crash can undo what a coordinator was told.  An
+    /// `Err` means the log append failed; nothing is acknowledged and the
     /// locks taken for this prepare are released.
+    ///
+    /// The table is held throughout (see the module docs), so its entry is
+    /// in before any thread that waits for the table can meet the locks.
     pub fn prepare(
         &self,
         txn: TxnId,
@@ -480,7 +488,11 @@ impl ServerStore {
         lease: Duration,
         next_ts: impl FnOnce() -> Timestamp,
     ) -> Result<(PrepareOutcome, Completion<()>)> {
-        let _ckpt = self.ckpt_gate.read();
+        let mut txns = self.txns.lock();
+        if let Some(known) = self.known_vote(&mut txns, txn)? {
+            self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(known);
+        }
         let mut guards = self.lock_shards_for(writes);
         // Validation pass: no lock held by another transaction, and no
         // committed version newer than the snapshot (first-committer-wins).
@@ -488,10 +500,6 @@ impl ServerStore {
             let shard = self.guard_for(&mut guards, w.obj);
             if let Some(reason) = Self::validate_one(shard, txn, start_ts, w) {
                 drop(guards);
-                let mut txns = self.txns.lock();
-                if let Some(known) = self.known_vote(&mut txns, txn)? {
-                    return Ok(known);
-                }
                 self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
                 let refused = self.log_abort(&mut txns, txn)?;
                 return Ok((PrepareOutcome::Conflict(reason), refused));
@@ -509,19 +517,7 @@ impl ServerStore {
         drop(guards);
         // Log after dropping the shard guards: the prepare locks already
         // block conflicting validations, and same-shard readers are not
-        // stalled behind the append.  The checkpoint gate is still held, so
-        // a checkpoint cannot rotate the log between the append and the
-        // table insert.
-        let mut txns = self.txns.lock();
-        // A duplicate of this prepare, or a fence, may have got here first.
-        if let Some(known) = self.known_vote(&mut txns, txn)? {
-            drop(txns);
-            self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            if !matches!(known.0, PrepareOutcome::Prepared(_)) {
-                self.release_locks_of(txn, writes.iter().map(|w| w.obj));
-            }
-            return Ok(known);
-        }
+        // stalled behind the append.
         let vote = self.log(|| {
             WalRecord::Vote(PreparedImage {
                 txn,
@@ -534,9 +530,8 @@ impl ServerStore {
         let vote = match vote {
             Ok(vote) => vote,
             Err(e) => {
-                drop(txns);
                 // The prepare is not acknowledged; roll the locks back.
-                self.release_locks_of(txn, writes.iter().map(|w| w.obj));
+                self.release_locks_of(txn, writes);
                 return Err(e);
             }
         };
@@ -585,14 +580,18 @@ impl ServerStore {
         Ok(self.durable(pos))
     }
 
-    /// Releases any prepare locks held by `txn` on `objs` (rollback path).
-    fn release_locks_of(&self, txn: TxnId, objs: impl Iterator<Item = ObjectId>) {
-        for obj in objs {
-            let mut shard = self.shards[self.shard_of(obj)].lock();
-            if let Some(state) = shard.objects.get_mut(&obj) {
-                if state.lock.as_ref().map(|l| l.txn == txn).unwrap_or(false) {
-                    state.lock = None;
-                }
+    /// Releases the prepare locks `txn` took on `writes`, dropping each
+    /// object left with neither a lock nor a version (the rollback of a
+    /// vote that could not be logged).
+    fn release_locks_of(&self, txn: TxnId, writes: &[WriteOp]) {
+        for w in writes {
+            let mut shard = self.shards[self.shard_of(w.obj)].lock();
+            let Some(state) = shard.objects.get_mut(&w.obj) else {
+                continue;
+            };
+            state.lock.take_if(|l| l.txn == txn);
+            if state.lock.is_none() && state.chain.is_empty() {
+                shard.objects.remove(&w.obj);
             }
         }
     }
@@ -631,7 +630,7 @@ impl ServerStore {
     /// nothing to install and records nothing: its fate may live on at the
     /// other participants.
     fn decide(&self, txn: TxnId, want: TxnOutcome) -> Result<(TxnOutcome, bool)> {
-        let txns = self.txns.lock();
+        let mut txns = self.txns.lock();
         if let Some(fate) = txns.get(txn) {
             self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((fate, false));
@@ -643,23 +642,21 @@ impl ServerStore {
             TxnOutcome::Committed(commit_ts) => WalRecord::Commit { txn, commit_ts },
             TxnOutcome::Aborted => WalRecord::Abort { txn },
         })?;
-        self.settle(txns, txn, want);
+        self.settle(&mut txns, txn, want);
         Ok((want, true))
     }
 
-    /// Makes a decision observable — the outcome enters the table, the
-    /// transaction leaves the prepared set — then, with the table's lock
-    /// released, applies it to the objects: a commit installs the staged
-    /// values at its timestamp, an abort discards them; both release the
-    /// prepare locks.
-    fn settle(&self, mut txns: MutexGuard<'_, TxnTable>, txn: TxnId, fate: TxnOutcome) {
-        let entry = txns.prepared.remove(&txn);
-        if entry.is_some() {
-            self.prepared_hint.fetch_sub(1, Ordering::Relaxed);
-        }
+    /// Applies a decision under the table's lock, which the caller holds:
+    /// the outcome enters the table, the transaction leaves the prepared
+    /// set, and a commit installs the staged values at its timestamp, an
+    /// abort discards them; both release the prepare locks.
+    fn settle(&self, txns: &mut TxnTable, txn: TxnId, fate: TxnOutcome) {
         txns.record(txn, fate);
-        drop(txns);
-        for obj in entry.map(|p| p.objs).unwrap_or_default() {
+        let Some(entry) = txns.prepared.remove(&txn) else {
+            return;
+        };
+        self.prepared_hint.fetch_sub(1, Ordering::Relaxed);
+        for obj in entry.objs {
             let mut shard = self.shards[self.shard_of(obj)].lock();
             let Some(state) = shard.objects.get_mut(&obj) else {
                 continue;
@@ -681,7 +678,6 @@ impl ServerStore {
     /// installs nothing and reports `Aborted`.  Logged unforced, per
     /// `ServerStore::decide`.
     pub fn commit(&self, txn: TxnId, commit_ts: Timestamp) -> Result<TxnOutcome> {
-        let _ckpt = self.ckpt_gate.read();
         let (fate, applied) = self.decide(txn, TxnOutcome::Committed(commit_ts))?;
         if applied {
             self.stats.commits.fetch_add(1, Ordering::Relaxed);
@@ -696,7 +692,6 @@ impl ServerStore {
     /// a commit) so duplicate prepares of this transaction are refused from
     /// then on.  Logged unforced, per `ServerStore::decide`.
     pub fn abort(&self, txn: TxnId) -> Result<TxnOutcome> {
-        let _ckpt = self.ckpt_gate.read();
         let (fate, _) = self.decide(txn, TxnOutcome::Aborted)?;
         if fate == TxnOutcome::Aborted {
             self.stats.aborts.fetch_add(1, Ordering::Relaxed);
@@ -710,7 +705,6 @@ impl ServerStore {
     /// `fence` records (forced) an abort, so that a prepare arriving later is
     /// refused; without it the answer is `Unknown`.
     pub fn status(&self, txn: TxnId, fence: bool) -> Result<(TxnStatusKind, Completion<()>)> {
-        let _ckpt = self.ckpt_gate.read();
         self.record_of(&mut self.txns.lock(), txn, fence)
     }
 
@@ -818,7 +812,8 @@ impl ServerStore {
     /// allocations commute); losing an acknowledged allocation would hand
     /// out already-used ids after recovery.
     pub fn allocate(&self, obj: ObjectId, delta: u64) -> Result<u64> {
-        let _ckpt = self.ckpt_gate.read();
+        // The counter advances before the append, so a checkpoint that
+        // rotates the record away has already captured its value.
         let (start, value) = {
             let mut g = self.counters.lock();
             let c = g.entry(obj).or_insert(0);
@@ -840,11 +835,11 @@ impl ServerStore {
     /// observability, not state, and resetting them mid-chaos-run would
     /// hide what happened before the crash.
     pub fn wipe_volatile(&self) {
-        let _gate = self.ckpt_gate.write();
+        let mut txns = self.txns.lock();
         for shard in &self.shards {
             shard.lock().objects.clear();
         }
-        self.txns.lock().clear();
+        txns.clear();
         self.prepared_hint.store(0, Ordering::Relaxed);
         self.counters.lock().clear();
     }
@@ -867,26 +862,27 @@ impl ServerStore {
                 WalRecord::Vote(p) => {
                     // A vote whose fate appears earlier in the log was
                     // already resolved; do not resurrect its locks.
-                    if self.txns.lock().get(p.txn).is_none() {
-                        self.restore_prepared(p, lease);
+                    let mut txns = self.txns.lock();
+                    if txns.get(p.txn).is_none() {
+                        self.restore_prepared(&mut txns, p, lease);
                     }
                 }
                 WalRecord::Commit { txn, commit_ts } => {
                     // Install the staged writes of the restored prepare; a
                     // commit record without one was answered from the
                     // table live, and is skipped here too.
-                    let txns = self.txns.lock();
+                    let mut txns = self.txns.lock();
                     if txns.prepared.contains_key(txn) {
-                        self.settle(txns, *txn, TxnOutcome::Committed(*commit_ts));
+                        self.settle(&mut txns, *txn, TxnOutcome::Committed(*commit_ts));
                         recovered += 1;
                     }
                 }
                 WalRecord::Abort { txn } => {
-                    let txns = self.txns.lock();
+                    let mut txns = self.txns.lock();
                     if matches!(txns.get(*txn), Some(TxnOutcome::Committed(_))) {
                         continue;
                     }
-                    self.settle(txns, *txn, TxnOutcome::Aborted);
+                    self.settle(&mut txns, *txn, TxnOutcome::Aborted);
                     recovered += 1;
                 }
                 WalRecord::Alloc { obj, value } => {
@@ -900,8 +896,9 @@ impl ServerStore {
     }
 
     /// Restores one prepared transaction from its vote: its locks, staged
-    /// writes, and table entry with a fresh lease.
-    fn restore_prepared(&self, p: &PreparedImage, lease: Duration) {
+    /// writes, and table entry with a fresh lease, under the table's lock,
+    /// which the caller holds.
+    fn restore_prepared(&self, txns: &mut TxnTable, p: &PreparedImage, lease: Duration) {
         for w in &p.writes {
             let mut shard = self.shards[self.shard_of(w.obj)].lock();
             let state = shard.objects.entry(w.obj).or_default();
@@ -910,7 +907,7 @@ impl ServerStore {
                 staged: w.value.clone(),
             });
         }
-        let replaced = self.txns.lock().prepared.insert(
+        let replaced = txns.prepared.insert(
             p.txn,
             PreparedTxn {
                 objs: p.writes.iter().map(|w| w.obj).collect(),
@@ -945,35 +942,33 @@ impl ServerStore {
                 *c = (*c).max(*value);
             }
         }
-        {
-            let mut txns = self.txns.lock();
-            for (txn, fate) in &snap.outcomes {
-                let outcome = match fate {
-                    Some(ts) => TxnOutcome::Committed(*ts),
-                    None => TxnOutcome::Aborted,
-                };
-                txns.record(*txn, outcome);
-            }
+        let mut txns = self.txns.lock();
+        for (txn, fate) in &snap.outcomes {
+            let outcome = match fate {
+                Some(ts) => TxnOutcome::Committed(*ts),
+                None => TxnOutcome::Aborted,
+            };
+            txns.record(*txn, outcome);
         }
         for p in &snap.prepared {
-            self.restore_prepared(p, lease);
+            self.restore_prepared(&mut txns, p, lease);
         }
         snap.outcomes.len() as u64
     }
 
     /// Snapshots the entire store into a fresh log segment and truncates
-    /// the older ones ([`Wal::checkpoint`]).  Takes the checkpoint gate in
-    /// write mode plus every store lock, so the snapshot is a consistent
-    /// cut: no operation can be between its log append and its in-memory
-    /// application while the snapshot is taken.  No-op for an in-memory
+    /// the older ones ([`Wal::checkpoint`]).  Takes every store lock in the
+    /// store's order, table first, and holds them until the log is rotated,
+    /// so the snapshot is a consistent cut: every record the rotation drops
+    /// was appended and applied under the table's lock, or, for an
+    /// allocation, after its counter advanced.  No-op for an in-memory
     /// store.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(wal) = self.wal.clone() else {
             return Ok(());
         };
-        let _gate = self.ckpt_gate.write();
-        let guards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(|s| s.lock()).collect();
         let txns = self.txns.lock();
+        let guards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(|s| s.lock()).collect();
         let counters = self.counters.lock();
         let mut versions = Vec::new();
         for guard in &guards {

@@ -1204,8 +1204,10 @@ impl Wal {
 
     /// Writes `snapshot` as the sole record of a fresh segment, syncs it,
     /// and deletes every older segment — the log-truncation half of
-    /// checkpointing.  The caller must guarantee no append is in flight
-    /// (the kv store holds its checkpoint gate across this call).
+    /// checkpointing.  The caller must guarantee that `snapshot` holds the
+    /// effect of every record appended so far (the kv store appends and
+    /// applies every fate under its transaction table's lock, and holds
+    /// that lock across this call).
     pub fn checkpoint(&self, snapshot: CheckpointSnapshot) -> Result<()> {
         let mut inner = self.log.inner.lock().unwrap();
         let mut sync = self.log.sync.lock().unwrap();

@@ -4,11 +4,14 @@
 //! parallelism, not about throughput.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
+use yesquel::common::tempdir::TempDir;
+use yesquel::common::WalFsyncPolicy;
+use yesquel::kv::store::ReadOutcome;
 use yesquel::rpc::{FaultPlan, TransportKind};
-use yesquel::{KvDatabase, NetConfig, ObjectId, Yesquel, YesquelConfig};
+use yesquel::{Error, KvDatabase, NetConfig, ObjectId, Yesquel, YesquelConfig};
 
 #[test]
 fn concurrent_disjoint_writers_all_commit() {
@@ -440,4 +443,114 @@ fn snapshots_see_a_commit_whole_from_its_acknowledgement_on() {
         .map(|s| s.store().stats().locked_reads)
         .sum();
     assert!(locked > 0, "no read met a lock: the window was never open");
+}
+
+/// Checkpoints racing commits, over logging servers.  Two writers commit
+/// one- and three-participant transactions over a shared key pool, each
+/// attempt writing a value of its own, while a third thread loops: it
+/// checkpoints every server, then, between two of the writers'
+/// transactions, restarts every server with no memory, from its log alone.
+/// A checkpoint drops every record before it, so it must capture each
+/// one's effect: one taken between a commit's fate entering the
+/// transaction table and its versions entering the objects would keep the
+/// fate and drop the write.  Restarting before the next checkpoint is what
+/// shows it: that one would capture the versions again.  Every
+/// acknowledged write must read back at its commit timestamp, and no other
+/// version may appear.
+#[test]
+fn checkpoints_racing_commits_lose_no_acknowledged_write() {
+    const SERVERS: usize = 3;
+    const RUN: Duration = Duration::from_secs(2);
+    let tmp = TempDir::new("yesquel-ckpt-race").unwrap();
+    let mut cfg = YesquelConfig::with_servers(SERVERS);
+    cfg.kv.wal_dir = Some(tmp.path().to_path_buf());
+    cfg.kv.wal_fsync = WalFsyncPolicy::Group { window_us: 50 };
+    let db = KvDatabase::new(cfg);
+    let mut by_server = vec![Vec::new(); SERVERS];
+    for o in 0..96 {
+        let key = ObjectId::new(6, o);
+        by_server[key.home_server(SERVERS)].push(key);
+    }
+    let stop = AtomicBool::new(false);
+    // Held shared by a writer's transaction, exclusively by a restart.
+    let between = RwLock::new(());
+    let attempts = AtomicU64::new(0);
+    let rounds = AtomicU64::new(0);
+    let acked: Mutex<Vec<(ObjectId, u64, Vec<u8>)>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for writer in 0..2usize {
+            let (db, by_server, stop, between) = (&db, &by_server, &stop, &between);
+            let (attempts, acked) = (&attempts, &acked);
+            scope.spawn(move || {
+                let client = db.client();
+                let mut i = writer;
+                while !stop.load(Ordering::Relaxed) {
+                    i += 2;
+                    let pick = |s: usize, j: usize| by_server[s][(i * 5 + j) % by_server[s].len()];
+                    // Sixteen writes at one server, or five at each: the
+                    // more objects a commit installs, the wider the window
+                    // a checkpoint must not fall into.
+                    let keys: Vec<ObjectId> = if i % 4 < 2 {
+                        (0..16).map(|j| pick(i % SERVERS, j)).collect()
+                    } else {
+                        (0..SERVERS * 5).map(|j| pick(j % SERVERS, j)).collect()
+                    };
+                    let mut value = Vec::new();
+                    let _turn = between.read().unwrap();
+                    let committed = client.retry_txn(|t| {
+                        value = format!("a{}", attempts.fetch_add(1, Ordering::Relaxed)).into();
+                        for &key in &keys {
+                            t.put(key, value.clone())?;
+                        }
+                        t.commit()
+                    });
+                    match committed {
+                        Ok(ts) => {
+                            let mut acked = acked.lock().unwrap();
+                            acked.extend(keys.iter().map(|&key| (key, ts, value.clone())));
+                        }
+                        Err(Error::RetriesExhausted { last, .. })
+                            if matches!(*last, Error::Conflict(_)) => {}
+                        Err(e) => panic!("{e:?}"),
+                    }
+                }
+            });
+        }
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                db.checkpoint_all().unwrap();
+                let _quiet = between.write().unwrap();
+                for server in db.cluster().servers() {
+                    server.amnesia_restart().unwrap();
+                }
+                rounds.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        std::thread::sleep(RUN);
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(db.prepared_total(), 0, "a restored prepare stayed open");
+    let acked = acked.into_inner().unwrap();
+    let rounds = rounds.load(Ordering::Relaxed);
+    let summary = format!(
+        "{} acknowledged writes of {} attempts, {rounds} checkpoint and restart rounds",
+        acked.len(),
+        attempts.load(Ordering::Relaxed)
+    );
+    assert!(rounds > 0 && !acked.is_empty(), "{summary}");
+    let store = |key: ObjectId| db.cluster().servers()[key.home_server(SERVERS)].store();
+    let lost = (acked.iter())
+        .filter(|(key, ts, value)| {
+            store(*key).get(*key, *ts) != ReadOutcome::Value(Some(value.clone().into()))
+        })
+        .count();
+    assert_eq!(lost, 0, "acknowledged writes lost: {summary}");
+    let versions: usize = (by_server.iter().flatten())
+        .map(|&key| store(key).dump_versions(key).len())
+        .sum();
+    assert_eq!(
+        versions,
+        acked.len(),
+        "versions not acknowledged: {summary}"
+    );
 }
