@@ -9,6 +9,15 @@
 //! network delivers the reply — when the server answered plus the round
 //! trip — and [`Completion::wait`] sleeps until then, so calls submitted
 //! together overlap their round trips.
+//!
+//! Work left on a pending completion ([`Completion::then`],
+//! [`Completion::chain`], [`Completion::all`]) is a *continuation*: it runs
+//! on whichever thread answers — a server worker, another server's worker,
+//! a log flusher.  So a continuation never blocks (it takes no lock that is
+//! held across a wait, and waits for no completion) and never submits an
+//! RPC: only a request's own thread submits.  A storage server keeps both
+//! rules, which is why it never waits; its `reap` is the one entry point
+//! that does.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -157,14 +166,59 @@ impl<T: Send + 'static> Completion<T> {
         result
     }
 
-    /// Runs `then` with the result once the call is answered — now if it
-    /// is, else on the answering thread — without waiting for the reply's
-    /// due instant.  `then` must not block.
-    pub fn then(self, then: impl FnOnce(Result<T>) + Send + 'static) {
-        match self.0 {
-            State::Ready((result, _)) => then(result),
-            State::Pending(slot) => slot.then(Box::new(move |(result, _)| then(result))),
+    /// The instant the reply is due, if answered already with one.
+    pub fn due(&self) -> Option<Instant> {
+        match &self.0 {
+            State::Ready((_, due)) => *due,
+            State::Pending(_) => None,
         }
+    }
+
+    /// Runs `then` with the result, and the instant its reply is due, once
+    /// the call is answered — now if it is, else on the answering thread —
+    /// without waiting for that instant.  `then` must not block.
+    pub fn then(self, then: impl FnOnce(Reply<T>) + Send + 'static) {
+        match self.0 {
+            State::Ready(reply) => then(reply),
+            State::Pending(slot) => slot.then(Box::new(then)),
+        }
+    }
+
+    /// The completion answered with every one of `parts`' results, in
+    /// order, once the last of them is answered, due when the latest of
+    /// their replies is: at once, allocating no slot, if all are answered.
+    pub fn all(parts: Vec<Completion<T>>) -> Completion<Vec<Result<T>>> {
+        if parts.iter().all(|p| p.resolved().is_some()) {
+            let mut due = None;
+            let results = parts.into_iter().map(|p| {
+                let (result, d) = p.settle();
+                due = due.max(d);
+                result
+            });
+            return Completion(State::Ready((Ok(results.collect()), due)));
+        }
+        let (joined, resolver) = Completion::pending();
+        let slots = parts.iter().map(|_| None).collect::<Vec<_>>();
+        let join = Arc::new(Mutex::new((slots, parts.len(), None, Some(resolver))));
+        for (i, part) in parts.into_iter().enumerate() {
+            let join = Arc::clone(&join);
+            part.then(move |(result, due)| {
+                let mut j = join.lock().unwrap_or_else(|e| e.into_inner());
+                let (results, left, latest, resolver) = &mut *j;
+                results[i] = Some(result);
+                *latest = (*latest).max(due);
+                *left -= 1;
+                if *left == 0 {
+                    let results = std::mem::take(results).into_iter().flatten().collect();
+                    let (latest, resolver) = (*latest, resolver.take());
+                    drop(j);
+                    if let Some(resolver) = resolver {
+                        resolver.resolve_due(Ok(results), latest);
+                    }
+                }
+            });
+        }
+        joined
     }
 
     /// Blocks until the call is answered, but not until its reply is due.
@@ -212,7 +266,7 @@ mod tests {
         assert_eq!(c.wait(), Ok(7));
         let seen = Arc::new(AtomicU64::new(0));
         let s = Arc::clone(&seen);
-        Completion::ready(Ok(3u64)).then(move |r| {
+        Completion::ready(Ok(3u64)).then(move |(r, _)| {
             s.store(r.unwrap(), Ordering::SeqCst);
         });
         assert_eq!(seen.load(Ordering::SeqCst), 3, "ran inline");
@@ -233,10 +287,29 @@ mod tests {
         let seen = Arc::new(AtomicU64::new(0));
         let s = Arc::clone(&seen);
         c.chain(|(r, due): Reply<u64>| (r.map(|v| v * 2), due))
-            .then(move |r| s.store(r.unwrap(), Ordering::SeqCst));
+            .then(move |(r, _)| s.store(r.unwrap(), Ordering::SeqCst));
         assert_eq!(seen.load(Ordering::SeqCst), 0);
         resolver.resolve(Ok(21));
         assert_eq!(seen.load(Ordering::SeqCst), 42);
+    }
+
+    #[test]
+    fn all_answers_every_part_in_order_once_the_last_is_answered() {
+        let later = Instant::now() + Duration::from_millis(5);
+        let (first, answer_first) = Completion::pending();
+        let ready = Completion(State::Ready((Ok(2u64), Some(later))));
+        let (third, answer_third) = Completion::pending();
+        let joined = Completion::all(vec![first, ready, third]);
+        assert!(joined.resolved().is_none());
+        answer_third.resolve(Err(Error::Timeout("lost".into())));
+        assert!(joined.resolved().is_none());
+        answer_first.resolve(Ok(1));
+        let (results, due) = joined.settle();
+        let lost = Err(Error::Timeout("lost".into()));
+        assert_eq!(results, Ok(vec![Ok(1), Ok(2), lost]));
+        assert_eq!(due, Some(later), "due with the latest part");
+        let none = Completion::<u64>::all(Vec::new());
+        assert_eq!(none.resolved(), Some(&Ok(Vec::new())));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!   guards and forces its yes vote to its log before answering; a
 //!   transaction is committed once every participant has voted yes, at the
 //!   maximum prepare timestamp, and the coordinator's `Commit`s only apply
-//!   that fate.  A participant that is the only one is the only voter: it
-//!   waits for its vote to be durable, applies the commit itself and
-//!   answers `Committed`, so no `Commit` is sent;
+//!   that fate.  A participant that is the only one is the only voter:
+//!   once its vote is durable it applies the commit itself and answers
+//!   `Committed`, so no `Commit` is sent;
 //! * **a yes vote is never revoked**: a transaction aborts only on a
 //!   *refusal* (a prepare that failed validation) or a *fence* (an abort a
 //!   participant with no record of the transaction writes when a probe asks
@@ -31,11 +31,11 @@
 //! its lock, and a `Prepare` that conflicts on it, at once; and
 //! [`KvServer::reap`], which restart and deployment build call.  A
 //! resolver counts its own vote only once it is durable.  A `Get` that
-//! finds a lock always reads again after resolving its holder, which waits
-//! for the store's transaction table (a prepare is in it before anyone can
-//! wait for it), so a `Locked` answer means the holder is still undecided
-//! after resolution: the other participants' records did not settle it,
-//! or another resolution held the turn to ask.
+//! finds a lock always reads again once its holder's resolution is done,
+//! which waits for the store's transaction table (a prepare is in it
+//! before anyone can wait for it), so a `Locked` answer means the holder is
+//! still undecided after resolution: the other participants' records did
+//! not settle it.
 //!
 //! **An orphan nobody meets is still resolved in bounded time.**  Every
 //! request but a `TxnStatus` sweeps the overdue prepares, and those
@@ -46,12 +46,15 @@
 //! every other participant's record of the commit forgotten, fence, and
 //! abort a transaction that committed.
 //!
-//! **A server keeps a worker free.**  Only one resolution that must ask
-//! another server runs at a time per server; a request that finds one
-//! under way answers as it would for a live lock instead of waiting.  With
-//! two workers per server, two servers whose workers all waited on each
-//! other's `TxnStatus` would otherwise deadlock.  A resolution with no
-//! other participant to ask takes no turn.
+//! **A server never waits.**  What a request must wait for — its vote's
+//! flush, the other participants' answers to its probes, the holders of the
+//! locks it met — it leaves a continuation on, and its answer is the
+//! completion that continuation answers; the worker moves on to the next
+//! request.  So two servers whose every worker resolves a prepare by
+//! probing the other still answer each other's `TxnStatus`, with one
+//! worker each.  A continuation never blocks and never submits: a request's
+//! probes are all submitted by the request's own thread before it returns.
+//! [`KvServer::reap`] is the one entry point that waits.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -63,7 +66,7 @@ use yesquel_rpc::{Completion, Service, Transport};
 use yesquel_wal::Wal;
 
 use crate::oracle::TimestampOracle;
-use crate::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
+use crate::protocol::{KvRequest, KvResponse, TxnStatusKind};
 use crate::store::{PrepareOutcome, ReadOutcome, ServerStore, TxnOutcome, Undecided};
 
 /// One storage server: a [`ServerStore`], a handle to the timestamp oracle
@@ -71,24 +74,30 @@ use crate::store::{PrepareOutcome, ReadOutcome, ServerStore, TxnOutcome, Undecid
 /// undecided prepare needs.
 pub struct KvServer {
     id: ServerId,
-    store: ServerStore,
+    /// Shared with the continuations that commit a sole vote, read again
+    /// after a resolution, or apply a resolution's fate.
+    store: Arc<ServerStore>,
     oracle: TimestampOracle,
     /// Transport to the sibling servers, used to probe the other
     /// participants of a transaction.  `Weak` because the transport owns
     /// the servers — an `Arc` here would leak the whole cluster.
     peer: Mutex<Option<Weak<dyn Transport<KvServer>>>>,
-    /// Held while a resolution asks other servers: one at a time, so the
-    /// other workers stay free to answer the `TxnStatus` probes of peers.
-    asking: Mutex<()>,
     /// When the last sweep ran, in microseconds since `started`.
     last_sweep_us: AtomicU64,
     started: Instant,
-    reaped_aborts: AtomicU64,
-    reaped_commits: AtomicU64,
+    /// Shared with the continuations that apply a resolution's fate.
+    reaped: Arc<Reaped>,
     /// The configured prepare lease.  Prepared transactions restored from
     /// the log get it, since their coordinator may be gone; and sweeps run
     /// at most once per tenth of it.
     lease: Duration,
+}
+
+/// Prepares a server resolved, by the fate its resolution reached.
+#[derive(Default)]
+struct Reaped {
+    commits: AtomicU64,
+    aborts: AtomicU64,
 }
 
 impl KvServer {
@@ -116,14 +125,12 @@ impl KvServer {
     ) -> Result<Self> {
         let server = KvServer {
             id,
-            store: ServerStore::with_wal(wal.clone()),
+            store: Arc::new(ServerStore::with_wal(wal.clone())),
             oracle,
             peer: Mutex::new(None),
-            asking: Mutex::new(()),
             last_sweep_us: AtomicU64::new(0),
             started: Instant::now(),
-            reaped_aborts: AtomicU64::new(0),
-            reaped_commits: AtomicU64::new(0),
+            reaped: Arc::default(),
             lease: Duration::from_micros(cfg.prepare_lease_us.max(1)),
         };
         if let Some(wal) = wal {
@@ -192,20 +199,20 @@ impl KvServer {
     /// aborts)`.
     pub fn reap_counts(&self) -> (u64, u64) {
         (
-            self.reaped_commits.load(Ordering::Relaxed),
-            self.reaped_aborts.load(Ordering::Relaxed),
+            self.reaped.commits.load(Ordering::Relaxed),
+            self.reaped.aborts.load(Ordering::Relaxed),
         )
     }
 
     /// Resolves every prepared transaction that is due: overdue, or
-    /// restored from the log.  Restart and deployment build call it, and
-    /// tests force convergence with it after healing faults.  Unlike a
-    /// request, it waits its turn to ask.
+    /// restored from the log, and waits until each resolution is done.
+    /// Restart and deployment build call it, and tests force convergence
+    /// with it after healing faults.  The one entry point that waits.
     pub fn reap(&self) {
-        self.resolve(None, true);
+        let _ = self.resolve(None).wait();
     }
 
-    /// Sweeps the due prepares, without waiting for a turn to ask, if a
+    /// Starts resolving the due prepares, without waiting for them, if a
     /// tenth of the lease has passed since the last sweep.  The fast path
     /// is one relaxed atomic load: unless some transaction is actually
     /// prepared, neither the clock (tens of nanoseconds — measurable on a
@@ -223,66 +230,69 @@ impl KvServer {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, due)
             .is_ok()
         {
-            self.resolve(None, false);
+            let _ = self.resolve(None);
         }
     }
 
     /// The one routine that resolves an undecided prepare: `txn` — one
-    /// somebody just met — or, when `None`, every one that is due; `wait`
-    /// queues for the turn to ask instead of skipping the ask.  The fate
-    /// comes from the participants' records (see the module docs); on no
-    /// verdict, a failed log append, or another resolution already asking,
-    /// the prepare stays as it is for the next meeting.
-    fn resolve(&self, txn: Option<TxnId>, wait: bool) {
-        for p in self.store.undecided(txn) {
-            let Some(want) = self.ask_participants(&p, wait) else {
-                continue;
-            };
-            let fate = match want {
-                TxnOutcome::Committed(ts) => self.store.commit(p.txn, ts),
-                TxnOutcome::Aborted => self.store.abort(p.txn),
-            };
-            let Ok(fate) = fate else { continue };
-            // Tally only the fate this call reached for: one that lost to a
-            // decision landing meanwhile is not this resolution's.
-            if fate == want {
-                let tally = match fate {
-                    TxnOutcome::Committed(_) => &self.reaped_commits,
-                    TxnOutcome::Aborted => &self.reaped_aborts,
-                };
-                tally.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    /// somebody just met — or, when `None`, every one that is due.  The
+    /// fate comes from the participants' records (see the module docs) and
+    /// a continuation applies it once they have answered; the returned
+    /// completion answers after that.  On no verdict, or a failed log
+    /// append, the prepare stays as it is for the next meeting.
+    fn resolve(&self, txn: Option<TxnId>) -> Completion<()> {
+        let resolutions = self.store.undecided(txn).into_iter().map(|p| {
+            let (store, reaped) = (Arc::clone(&self.store), Arc::clone(&self.reaped));
+            self.ask_participants(&p).chain(move |(want, due)| {
+                if let Ok(Some(want)) = want {
+                    let (fate, tally) = match want {
+                        TxnOutcome::Committed(ts) => (store.commit(p.txn, ts), &reaped.commits),
+                        TxnOutcome::Aborted => (store.abort(p.txn), &reaped.aborts),
+                    };
+                    // Tally only the fate this call reached for: one that
+                    // lost to a decision landing meanwhile is not this
+                    // resolution's.
+                    if matches!(fate, Ok(fate) if fate == want) {
+                        tally.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                (Ok(()), due)
+            })
+        });
+        Self::all_of(resolutions)
     }
 
     /// Probes every other participant of an undecided prepare in one round,
-    /// fencing if it is overdue, and returns the fate their records settle:
-    /// a commit any of them installed, an abort on any refusal or fence, a
-    /// commit at the maximum prepare timestamp when every one voted yes —
-    /// this server's own vote counting once it is durable, and settling a
-    /// prepare that names no other participant on its own.  `None` when
-    /// they do not settle it, or when no probe could be sent: another
-    /// resolution holds the `asking` turn and `wait` is false, or there is
-    /// no peer transport.
-    fn ask_participants(&self, p: &Undecided, wait: bool) -> Option<TxnOutcome> {
-        let alone = p.participants.iter().all(|&s| s == self.id);
-        let _turn = match (alone, wait) {
-            (true, _) => None,
-            (false, true) => Some(self.asking.lock()),
-            (false, false) => Some(self.asking.try_lock()?),
-        };
-        self.store.durable(p.vote).wait().ok()?;
+    /// fencing if it is overdue, and answers with the fate their records
+    /// settle: a commit any of them installed, an abort on any refusal or
+    /// fence, a commit at the maximum prepare timestamp when every one voted
+    /// yes — this server's own vote counting once it is durable, and
+    /// settling a prepare that names no other participant on its own.
+    /// `None` when they do not settle it, or when there is no peer
+    /// transport to probe with.
+    fn ask_participants(&self, p: &Undecided) -> Completion<Option<TxnOutcome>> {
+        let status = TxnStatusKind::Prepared(p.prepare_ts);
+        let own = (self.store.durable(p.vote))
+            .chain(move |(voted, due)| (voted.map(|()| KvResponse::TxnOutcome { status }), due));
         let peer = self.peer.lock().as_ref().and_then(Weak::upgrade);
         let probe = KvRequest::TxnStatus {
             txn: p.txn,
             fence: p.overdue,
         };
-        let answers = (p.participants.iter().filter(|&&s| s != self.id))
-            .map(|&s| Some(peer.as_ref()?.submit(s, probe.clone())))
-            .collect::<Option<Vec<_>>>()?;
-        let mut all_voted = Some(p.prepare_ts);
+        let probes = (p.participants.iter().filter(|&&s| s != self.id))
+            .map(|&s| Some(peer.as_ref()?.submit(s, probe.clone())));
+        let Some(answers) = std::iter::once(Some(own)).chain(probes).collect() else {
+            return Completion::ready(Ok(None));
+        };
+        Completion::all(answers).chain(|(answers, due)| (answers.map(Self::tally), due))
+    }
+
+    /// The fate one round of answers settles, own vote included (see
+    /// [`KvServer::ask_participants`]).
+    fn tally(answers: Vec<Result<KvResponse>>) -> Option<TxnOutcome> {
+        let mut all_voted = Some(0);
         for answer in answers {
-            match answer.wait() {
+            match answer {
                 Ok(KvResponse::TxnOutcome { status }) => match status {
                     TxnStatusKind::Committed(ts) => return Some(TxnOutcome::Committed(ts)),
                     TxnStatusKind::Aborted => return Some(TxnOutcome::Aborted),
@@ -296,20 +306,18 @@ impl KvServer {
     }
 
     /// Resolves the prepare holding `obj`'s lock, unless it is `own`'s.
-    fn resolve_holder(&self, obj: ObjectId, own: Option<TxnId>) {
+    fn resolve_holder(&self, obj: ObjectId, own: Option<TxnId>) -> Completion<()> {
         match self.store.lock_holder(obj) {
-            Some(holder) if Some(holder) != own => self.resolve(Some(holder), false),
-            _ => {}
+            Some(holder) if Some(holder) != own => self.resolve(Some(holder)),
+            _ => Completion::ready(Ok(())),
         }
     }
 
-    /// Answers a write that conflicted, once the prepares whose locks it
-    /// met are resolved where due: its retry finds those locks gone.
-    fn conflict(&self, txn: TxnId, writes: &[WriteOp], reason: String) -> KvResponse {
-        for w in writes {
-            self.resolve_holder(w.obj, Some(txn));
-        }
-        KvResponse::Conflict { reason }
+    /// The completion that answers once every one of `waits` has, with the
+    /// first failure among them.
+    fn all_of(waits: impl Iterator<Item = Completion<()>>) -> Completion<()> {
+        Completion::all(waits.collect())
+            .chain(|(all, due)| (all.and_then(|all| all.into_iter().collect()), due))
     }
 
     /// Renders a store-level failure (log append / fsync) as a response.
@@ -323,25 +331,32 @@ impl KvServer {
 
     /// Commits the prepare of `txn` that names this server as its only
     /// participant: its vote, once `durable`, is the commit, at
-    /// `prepare_ts`.  Waited for on the calling thread, with no lock held.
-    /// Once the vote is durable the answer is `Committed`, whatever applying
-    /// it here reports: a reader that met the lock may have committed it
-    /// already, and its outcome may since have left the table; a commit
-    /// record that fails to append leaves the prepare for
-    /// [`KvServer::resolve`], which commits it from the vote alone.
+    /// `prepare_ts`.  Applied here at once when the vote is durable already
+    /// (no log), else by a continuation on the vote's flush.  Once the vote
+    /// is durable the answer is `Committed`, whatever applying it reports: a
+    /// reader that met the lock may have committed it already, and its
+    /// outcome may since have left the table; a commit record that fails to
+    /// append leaves the prepare for [`KvServer::resolve`], which commits it
+    /// from the vote alone.
     fn commit_sole_vote(
         &self,
         txn: TxnId,
         prepare_ts: Timestamp,
         durable: Completion<()>,
-    ) -> KvResponse {
-        if let Err(e) = durable.wait() {
-            return Self::server_error(e);
+    ) -> Completion<KvResponse> {
+        let commit = move |store: &ServerStore, flushed: Result<()>| match flushed {
+            Ok(()) => {
+                let _ = store.commit(txn, prepare_ts);
+                let commit_ts = prepare_ts;
+                KvResponse::Committed { commit_ts }
+            }
+            Err(e) => Self::server_error(e),
+        };
+        if let Some(flushed) = durable.resolved() {
+            return Completion::ready(Ok(commit(&self.store, flushed.clone())));
         }
-        let _ = self.store.commit(txn, prepare_ts);
-        KvResponse::Committed {
-            commit_ts: prepare_ts,
-        }
+        let store = Arc::clone(&self.store);
+        durable.chain(move |(flushed, due)| (Ok(commit(&store, flushed)), due))
     }
 
     /// Answers `resp` once `durable` — the completion of the log record the
@@ -360,20 +375,23 @@ impl Service for KvServer {
     type Response = KvResponse;
 
     fn call(&self, req: KvRequest) -> Completion<KvResponse> {
-        // A probe never sweeps, so it never asks another server.
+        // A probe never sweeps, so answering one never asks another server.
         if !matches!(req, KvRequest::TxnStatus { .. }) {
             self.maybe_sweep();
         }
         let resp = match req {
             KvRequest::Get { obj, ts } => {
-                let mut read = self.store.get(obj, ts);
-                if read == ReadOutcome::Locked {
-                    self.resolve_holder(obj, None);
-                    read = self.store.get(obj, ts);
-                }
-                match read {
+                let read = move |store: &ServerStore| match store.get(obj, ts) {
                     ReadOutcome::Value(v) => KvResponse::Value(v),
                     ReadOutcome::Locked => KvResponse::Locked,
+                };
+                match read(&self.store) {
+                    KvResponse::Locked => {
+                        let store = Arc::clone(&self.store);
+                        let met = self.resolve_holder(obj, None);
+                        return met.chain(move |(_, due)| (Ok(read(&store)), due));
+                    }
+                    value => value,
                 }
             }
             KvRequest::Prepare {
@@ -389,11 +407,10 @@ impl Service for KvServer {
                     .store
                     .prepare(txn, start_ts, &writes, &participants, lease, next_ts)
                 {
-                    Ok((outcome, durable)) => {
+                    Ok((outcome, mut durable)) => {
                         let resp = match outcome {
                             PrepareOutcome::Prepared(prepare_ts) if participants.len() == 1 => {
-                                let resp = self.commit_sole_vote(txn, prepare_ts, durable);
-                                return Completion::ready(Ok(resp));
+                                return self.commit_sole_vote(txn, prepare_ts, durable);
                             }
                             PrepareOutcome::Prepared(prepare_ts) => {
                                 KvResponse::Prepared { prepare_ts }
@@ -401,7 +418,15 @@ impl Service for KvServer {
                             PrepareOutcome::Committed(commit_ts) => {
                                 KvResponse::Committed { commit_ts }
                             }
-                            PrepareOutcome::Conflict(reason) => self.conflict(txn, &writes, reason),
+                            PrepareOutcome::Conflict(reason) => {
+                                // Answered once the prepares whose locks it
+                                // met are resolved too: its retry finds
+                                // those locks gone.
+                                let met =
+                                    (writes.iter()).map(|w| self.resolve_holder(w.obj, Some(txn)));
+                                durable = Self::all_of(std::iter::once(durable).chain(met));
+                                KvResponse::Conflict { reason }
+                            }
                         };
                         return Self::when_durable(durable, resp);
                     }
@@ -418,7 +443,9 @@ impl Service for KvServer {
                 Err(e) => Self::server_error(e),
             },
             KvRequest::Allocate { obj, delta } => match self.store.allocate(obj, delta) {
-                Ok(start) => KvResponse::Allocated { start },
+                Ok((start, durable)) => {
+                    return Self::when_durable(durable, KvResponse::Allocated { start })
+                }
                 Err(e) => Self::server_error(e),
             },
             KvRequest::Gc { min_active_ts } => {
@@ -447,6 +474,7 @@ impl Service for KvServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::WriteOp;
     use bytes::Bytes;
 
     fn call(srv: &KvServer, req: KvRequest) -> KvResponse {
@@ -730,10 +758,10 @@ mod tests {
     }
 
     /// A reader that meets the lock of a prepare that names no other
-    /// participant resolves it without the turn to ask, even while another
-    /// resolution holds that turn, and reads the committed value.
+    /// participant commits it from its vote alone, with nobody to ask, and
+    /// reads the committed value.
     #[test]
-    fn a_sole_prepare_is_resolved_without_the_turn_to_ask() {
+    fn a_reader_commits_a_sole_prepare_it_meets_from_its_vote() {
         let oracle = TimestampOracle::new();
         let srv = KvServer::new(0, oracle.clone());
         let obj = ObjectId::new(1, 1);
@@ -751,7 +779,6 @@ mod tests {
         let PrepareOutcome::Prepared(prepare_ts) = voted else {
             panic!("unexpected outcome {voted:?}");
         };
-        let _turn = srv.asking.lock();
         let ts = oracle.next_timestamp();
         match call(&srv, KvRequest::Get { obj, ts }) {
             KvResponse::Value(Some(v)) => assert_eq!(&v[..], b"v"),
@@ -800,8 +827,8 @@ mod tests {
             assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");
         }
         assert_eq!(srv.store().outcome(1), None, "the outcome was forgotten");
-        match srv.commit_sole_vote(1, prepare_ts, durable) {
-            KvResponse::Committed { commit_ts } => assert_eq!(commit_ts, prepare_ts),
+        match srv.commit_sole_vote(1, prepare_ts, durable).wait() {
+            Ok(KvResponse::Committed { commit_ts }) => assert_eq!(commit_ts, prepare_ts),
             other => panic!("unexpected response {other:?}"),
         }
         assert_eq!(

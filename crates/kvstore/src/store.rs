@@ -62,12 +62,13 @@
 //! reconstructs exactly that history, and a checkpoint, which holds the
 //! table while it snapshots and rotates the log, finds every record it
 //! drops already applied.  A forced record is then waited for
-//! by nobody here: the store returns the completion the log's flusher
-//! answers once it is durable ([`Wal::durable`]), and the server answers
-//! with it, or, when it is the transaction's only participant, waits for
-//! it with no lock held (the prepare locks already fence conflicting
-//! writers).  An allocation is appended and waited for under no shard,
-//! table or counter lock.  GC is the one deliberately volatile operation:
+//! by nobody here: the store makes no blocking append, and returns the
+//! completion the log's flusher answers once the record is durable
+//! ([`Wal::durable`]).  The server answers with it, and what must follow a
+//! flush is a continuation on it: a sole participant's commit of its vote
+//! (the prepare locks already fence conflicting writers), and an
+//! allocation's answer.  An allocation is appended under no shard, table
+//! or counter lock.  GC is the one deliberately volatile operation:
 //! versions it dropped reappear after recovery (a harmless superset of
 //! committed state) until the next checkpoint prunes them from the log.
 
@@ -807,11 +808,12 @@ impl ServerStore {
     }
 
     /// Atomically adds `delta` to the counter at `obj`, returning the
-    /// pre-increment value.  Durable stores log the post-increment value
-    /// before acknowledging (replay takes the maximum, so concurrent
-    /// allocations commute); losing an acknowledged allocation would hand
-    /// out already-used ids after recovery.
-    pub fn allocate(&self, obj: ObjectId, delta: u64) -> Result<u64> {
+    /// pre-increment value and the completion that answers once it is
+    /// durable, which the server waits for before acknowledging.  Durable
+    /// stores log the post-increment value (replay takes the maximum, so
+    /// concurrent allocations commute); losing an acknowledged allocation
+    /// would hand out already-used ids after recovery.
+    pub fn allocate(&self, obj: ObjectId, delta: u64) -> Result<(u64, Completion<()>)> {
         // The counter advances before the append, so a checkpoint that
         // rotates the record away has already captured its value.
         let (start, value) = {
@@ -823,10 +825,8 @@ impl ServerStore {
         };
         // On append failure the in-memory counter stays advanced: the ids
         // are burned, never re-issued, which is safe for id allocation.
-        if let Some(wal) = &self.wal {
-            wal.append(&WalRecord::Alloc { obj, value })?;
-        }
-        Ok(start)
+        let pos = self.log(|| WalRecord::Alloc { obj, value })?;
+        Ok((start, self.durable(pos)))
     }
 
     /// Drops every piece of volatile state — committed versions, prepare
@@ -1277,10 +1277,10 @@ mod tests {
     #[test]
     fn allocate_is_monotone() {
         let s = ServerStore::new();
-        assert_eq!(s.allocate(obj(9), 10).unwrap(), 0);
-        assert_eq!(s.allocate(obj(9), 5).unwrap(), 10);
-        assert_eq!(s.allocate(obj(9), 1).unwrap(), 15);
-        assert_eq!(s.allocate(obj(8), 1).unwrap(), 0);
+        assert_eq!(s.allocate(obj(9), 10).unwrap().0, 0);
+        assert_eq!(s.allocate(obj(9), 5).unwrap().0, 10);
+        assert_eq!(s.allocate(obj(9), 1).unwrap().0, 15);
+        assert_eq!(s.allocate(obj(8), 1).unwrap().0, 0);
     }
 
     #[test]

@@ -404,7 +404,7 @@ fn send_commit(
         reply = core.transport.submit(server, decide.clone());
     }
     let core = Arc::clone(core);
-    reply.then(move |resp| {
+    reply.then(move |(resp, _)| {
         if let Some(t0) = submitted {
             core.hot.commit_apply_us.record(clock::elapsed_us(t0));
         }

@@ -13,8 +13,9 @@
 //! per message, a fixed one-way latency plus a bandwidth term proportional
 //! to its size.  The cost is always added to the `net.charged_us` counter
 //! and, if `sleep_latency` is set, dates the reply: its completion is due
-//! that far after the server answered, and whoever waits for it sleeps
-//! until then.
+//! that far after the server answered — or after the reply the server
+//! answered on was due, when it asked a peer first — and whoever waits for
+//! it sleeps until then.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -154,14 +155,16 @@ impl TransportStats {
     }
 
     /// Accounts one answered call, its network cost included, and returns
-    /// when its reply is due: the modelled round trip from now, if it is
-    /// slept.
+    /// when its reply is due, if the round trip is slept: the round trip
+    /// from now, or from `inner` if later — the instant the reply the server
+    /// answered on is due (a peer's reply it asked for).
     fn answered<S: Service>(
         &self,
         server: ServerId,
         req_bytes: usize,
         resp: &Result<S::Response>,
         started: Option<Instant>,
+        inner: Option<Instant>,
     ) -> Option<Instant> {
         if let Some(t0) = started {
             self.service_us.record(clock::elapsed_us(t0));
@@ -178,8 +181,10 @@ impl TransportStats {
             return None;
         }
         self.charged_us.add(lat);
-        self.sleeps()
-            .then(|| Instant::now() + Duration::from_micros(lat))
+        self.sleeps().then(|| {
+            let now = Instant::now();
+            inner.map_or(now, |inner| inner.max(now)) + Duration::from_micros(lat)
+        })
     }
 }
 
@@ -214,12 +219,12 @@ impl<S: Service> Transport<S> for DirectTransport<S> {
         if let Some(resp) = reply.resolved() {
             // The common case allocates nothing and, with no latency slept
             // and timing off, reads no clock.
-            let due = self.stats.answered::<S>(server, req_bytes, resp, started);
+            let due = (self.stats).answered::<S>(server, req_bytes, resp, started, reply.due());
             return reply.chain(move |(resp, _)| (resp, due));
         }
         let stats = Arc::clone(&self.stats);
-        reply.chain(move |(resp, _)| {
-            let due = stats.answered::<S>(server, req_bytes, &resp, started);
+        reply.chain(move |(resp, inner)| {
+            let due = stats.answered::<S>(server, req_bytes, &resp, started, inner);
             (resp, due)
         })
     }
@@ -313,8 +318,9 @@ impl<S: Service> ThreadedTransport<S> {
                                 ..
                             } = env;
                             let stats = Arc::clone(&stats);
-                            srv.call(req).then(move |resp| {
-                                let due = stats.answered::<S>(sid, req_bytes, &resp, started);
+                            srv.call(req).then(move |(resp, inner)| {
+                                let due =
+                                    stats.answered::<S>(sid, req_bytes, &resp, started, inner);
                                 reply.resolve_due(resp, due);
                             });
                         }

@@ -58,9 +58,11 @@
 //! the first wait that needs it and stopped when the log is dropped.  While
 //! anybody waits, the flusher issues one `fdatasync` covering every frame
 //! written so far and answers every wait it covers; waits arriving during a
-//! sync ride the next one.  So concurrent appenders share flushes, and the
-//! logs of different servers flush in parallel with no caller thread
-//! blocked on any of them.  Per [`WalFsyncPolicy`]:
+//! sync ride the next one.  It is the only thread that answers a pending
+//! wait, also one that a checkpoint or a power loss settled.  So concurrent
+//! appenders share flushes, and the logs of different servers flush in
+//! parallel with no caller thread blocked on any of them.  Per
+//! [`WalFsyncPolicy`]:
 //!
 //! * `Always` — the flusher syncs as soon as somebody waits.
 //! * `Group { window_us }` — the same, except that the flusher first
@@ -753,29 +755,20 @@ impl Log {
     }
 
     /// Ends the active generation — the segment is being replaced or
-    /// truncated, its zero tail with it — and returns the waits it leaves
-    /// answered.  The caller has set `inner.len` to the new segment's end.
-    /// `kept` is how many of the old segment's bytes survive, when not all
-    /// of them do.  Both guards are taken by the caller, so a holder of
-    /// either sees the counters move together.
-    fn end_generation(
-        inner: &mut Inner,
-        sync: &mut SyncState,
-        kept: Option<u64>,
-    ) -> Vec<(Waiter, Result<()>)> {
+    /// truncated, its zero tail with it.  The caller has set `inner.len` to
+    /// the new segment's end.  `kept` is how many of the old segment's bytes
+    /// survive, when not all of them do.  Both guards are taken by the
+    /// caller, so a holder of either sees the counters move together.  The
+    /// waits the change answers are left to the flusher, which answers them
+    /// outside every lock: the caller may hold one that a continuation on a
+    /// wait takes (a checkpointing store holds its transaction table).
+    fn end_generation(inner: &mut Inner, sync: &mut SyncState, kept: Option<u64>) {
         if let Some(kept) = kept {
             sync.cuts.push((inner.generation, kept));
         }
         inner.zeroed = inner.len;
         inner.generation += 1;
         sync.generation = inner.generation;
-        std::mem::take(&mut sync.waiters)
-            .into_iter()
-            .map(|w| {
-                let r = sync.settled(w.generation, w.end).unwrap_or(Ok(()));
-                (w, r)
-            })
-            .collect()
     }
 
     /// Syncs everything written so far, on the calling thread.
@@ -845,12 +838,9 @@ impl Log {
             let mut s = self.sync.lock().unwrap();
             let mut answers = Vec::new();
             for w in std::mem::take(&mut s.waiters) {
-                match synced
-                    .clone()
-                    .err()
-                    .map(Err)
-                    .or_else(|| s.settled(w.generation, w.end))
-                {
+                // A wait whose generation ended is judged by how it ended.
+                let failed = (w.generation == s.generation).then(|| synced.clone().err());
+                match (failed.flatten().map(Err)).or_else(|| s.settled(w.generation, w.end)) {
                     Some(r) => answers.push((w, r)),
                     None => s.waiters.push(w),
                 }
@@ -1101,9 +1091,7 @@ impl Wal {
         // The surviving prefix is on stable storage by definition.
         sync.durable = scanned.clean_len;
         sync.durable_frames = scanned.frames;
-        let answers = Log::end_generation(&mut inner, &mut sync, Some(kept));
-        drop((inner, sync));
-        self.log.answer(answers);
+        Log::end_generation(&mut inner, &mut sync, Some(kept));
         Ok(scanned.records)
     }
 
@@ -1152,8 +1140,10 @@ impl Wal {
     /// The completion that answers once `pos` is durable per the fsync
     /// policy: ready at once, allocating nothing, under `Off` or when a sync
     /// already covers it; otherwise pending until this log's flusher syncs
-    /// it and answers, outside its locks — so a continuation left on it
-    /// runs on the flusher and must not block.  The answer is
+    /// it, or sees its segment replaced or truncated, and answers, outside
+    /// its locks.  Only the flusher answers a pending wait, so a
+    /// continuation left on one runs there: it must never block and never
+    /// submit an RPC ([`Completion`]'s rules).  The answer is
     /// [`Error::Io`] if that sync failed, if a power loss took the record
     /// first, or if the flusher cannot start or has exited.  The flusher
     /// starts with the first wait that needs it and exits when the log is
@@ -1207,7 +1197,10 @@ impl Wal {
     /// checkpointing.  The caller must guarantee that `snapshot` holds the
     /// effect of every record appended so far (the kv store appends and
     /// applies every fate under its transaction table's lock, and holds
-    /// that lock across this call).
+    /// that lock across this call).  The waits this answers — every record
+    /// of the old segment is durable in the new one — are answered by the
+    /// flusher, never on this thread: a continuation on one may take the
+    /// lock the caller holds.
     pub fn checkpoint(&self, snapshot: CheckpointSnapshot) -> Result<()> {
         let mut inner = self.log.inner.lock().unwrap();
         let mut sync = self.log.sync.lock().unwrap();
@@ -1235,9 +1228,8 @@ impl Wal {
         inner.frames = 1;
         sync.durable = buf.len() as u64;
         sync.durable_frames = 1;
-        let answers = Log::end_generation(&mut inner, &mut sync, None);
+        Log::end_generation(&mut inner, &mut sync, None);
         drop((inner, sync));
-        self.log.answer(answers);
         let _ = std::fs::remove_file(old_path);
         for seq in list_segments(&self.dir)?
             .into_iter()
@@ -1264,9 +1256,7 @@ impl Wal {
         inner.len = sync.durable;
         inner.frames = sync.durable_frames;
         let kept = sync.durable;
-        let answers = Log::end_generation(&mut inner, &mut sync, Some(kept));
-        drop((inner, sync));
-        self.log.answer(answers);
+        Log::end_generation(&mut inner, &mut sync, Some(kept));
         Ok(())
     }
 }
@@ -1670,8 +1660,48 @@ mod tests {
         wal.checkpoint(CheckpointSnapshot::default()).unwrap();
         wal.durable(pos).wait().unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
-        wal.durable(pos).then(move |r| tx.send(r).unwrap());
+        wal.durable(pos).then(move |(r, _)| tx.send(r).unwrap());
         rx.recv().unwrap().unwrap();
+    }
+
+    /// A checkpoint taken while holding a lock that a continuation on a
+    /// pending wait takes returns: the wait it settles is answered by the
+    /// flusher once the lock is free, not on the checkpointing thread, as a
+    /// kv store that checkpoints under its transaction table needs.
+    #[test]
+    fn a_checkpoint_leaves_the_waits_it_settles_to_the_flusher() {
+        let t = TempDir::new("wal-ckpt-wait").unwrap();
+        let reg = registry();
+        let wal = Arc::new(Wal::open(t.path(), WalFsyncPolicy::Always, &reg).unwrap());
+        let (entered, release) = hold_next_sync(&wal);
+        let table = Arc::new(Mutex::new(()));
+        let pos = wal.append_unforced(&sample_records()[0]).unwrap();
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+        let taken = Arc::clone(&table);
+        wal.durable(pos).then(move |(r, _)| {
+            let _table = taken.lock().unwrap();
+            ran_tx.send(r).unwrap();
+        });
+        // The flusher is inside its sync, the wait still pending.
+        entered.recv().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (checkpointer, held) = (Arc::clone(&wal), Arc::clone(&table));
+        let checkpointing = std::thread::spawn(move || {
+            let _table = held.lock().unwrap();
+            done_tx
+                .send(checkpointer.checkpoint(CheckpointSnapshot::default()))
+                .unwrap();
+        });
+        let five_s = Duration::from_secs(5);
+        let checkpointed = done_rx.recv_timeout(five_s);
+        assert!(
+            matches!(checkpointed, Ok(Ok(()))),
+            "the checkpoint did not return: {checkpointed:?}"
+        );
+        assert!(ran_rx.try_recv().is_err(), "answered under the lock");
+        release.send(()).unwrap();
+        assert_eq!(ran_rx.recv_timeout(five_s).unwrap(), Ok(()));
+        checkpointing.join().unwrap();
     }
 
     #[test]
@@ -1689,7 +1719,7 @@ mod tests {
         // waited for.
         assert!(matches!(wal.durable(lost).wait(), Err(Error::Io(_))));
         let (tx, rx) = std::sync::mpsc::channel();
-        wal.durable(lost).then(move |r| tx.send(r).unwrap());
+        wal.durable(lost).then(move |(r, _)| tx.send(r).unwrap());
         assert!(matches!(rx.recv().unwrap(), Err(Error::Io(_))));
         assert_eq!(wal.recover().unwrap(), sample_records()[..1].to_vec());
         assert!(matches!(wal.durable(lost).wait(), Err(Error::Io(_))));

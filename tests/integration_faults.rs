@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use yesquel::common::tempdir::TempDir;
 use yesquel::kv::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
-use yesquel::kv::store::TxnOutcome;
+use yesquel::kv::store::{PrepareOutcome, TxnOutcome};
 use yesquel::rpc::{FaultPlan, Transport, TransportKind};
 use yesquel::{
     params, Error, KvConfig, KvDatabase, NetConfig, ObjectId, Value, Yesquel, YesquelConfig,
@@ -57,6 +57,27 @@ fn write(obj: ObjectId, val: &[u8]) -> WriteOp {
     WriteOp {
         obj,
         value: Some(bytes::Bytes::copy_from_slice(val)),
+    }
+}
+
+/// Prepares `obj` for `txn`, whose participants are servers 0 and 1,
+/// straight at `server`'s store, as a prepare request would — but with no
+/// service time and no sweep — and returns the vote's prepare timestamp.
+fn prepare_at(
+    db: &KvDatabase,
+    server: usize,
+    txn: u64,
+    start_ts: u64,
+    obj: ObjectId,
+    lease: Duration,
+) -> u64 {
+    let next_ts = || db.oracle().next_timestamp();
+    let store = db.cluster().servers()[server].store();
+    let writes = [write(obj, b"voted")];
+    match store.prepare(txn, start_ts, &writes, &[0, 1], lease, next_ts) {
+        Ok((PrepareOutcome::Prepared(prepare_ts), _)) => prepare_ts,
+        Ok((other, _)) => panic!("expected a yes vote, got {other:?}"),
+        Err(e) => panic!("the prepare failed: {e}"),
     }
 }
 
@@ -864,17 +885,17 @@ fn a_lost_commit_is_learnt_before_the_primary_forgets_it() {
     assert_eq!(db.prepared_total(), 0);
 }
 
-/// Resolutions that must ask another server take one worker at a time.
-/// Two servers with two workers each hold orphans that every read must
-/// resolve by asking the other server — reads of server 1's locks probe
-/// server 0, reads of server 0's locks probe server 1 — and four readers
-/// per server run into them at once.  A millisecond of service time per
-/// request lines the workers up.  Every read gets the committed value
-/// (both participants voted yes), because each server keeps a worker free
-/// to answer its peer's `TxnStatus`; were all four workers waiting on each
-/// other, none would.
+/// A server never waits, so two servers that resolve prepares by asking
+/// each other settle them with one worker each.  Each holds orphans that
+/// every read must resolve by asking the other server — reads of server
+/// 1's locks probe server 0, reads of server 0's locks probe server 1 — and
+/// four readers per server run into them at once.  A millisecond of
+/// service time per request lines the requests up behind the one worker.
+/// Every read gets the committed value (both participants voted yes); a
+/// worker that waited for its probe's answer would never free itself to
+/// answer the probe the other server's worker waits for.
 #[test]
-fn crossing_resolutions_keep_a_worker_free() {
+fn crossing_resolutions_settle_with_one_worker_per_server() {
     let mut cfg = YesquelConfig::with_servers(2);
     cfg.net = NetConfig {
         sleep_latency: true,
@@ -884,22 +905,23 @@ fn crossing_resolutions_keep_a_worker_free() {
     let db = KvDatabase::with_transport(
         cfg,
         TransportKind::Threaded {
-            workers_per_server: 2,
+            workers_per_server: 1,
         },
     );
     let transport = db.cluster().transport();
     let mut locked = Vec::new();
     let mut from = 0;
+    // Prepared straight at the stores: over the transport, 16 prepares at
+    // a millisecond each could outlast the lease, and a sweep would resolve
+    // the first ones before the check below.
+    let lease = Duration::from_micros(ORPHAN_LEASE_US);
     for i in 0..8u64 {
         let (asked, read) = if i % 2 == 0 { (0, 1) } else { (1, 0) };
         let (at_asked, at_read) = (oid_on(asked, 2, from), oid_on(read, 2, from));
         from = at_asked.oid.max(at_read.oid) + 1;
         let start_ts = db.oracle().next_timestamp();
         for (server, obj) in [(asked, at_asked), (read, at_read)] {
-            let resp = transport
-                .call(server, orphan(0xD0 + i, start_ts, obj))
-                .unwrap();
-            voted(resp);
+            prepare_at(&db, server, 0xD0 + i, start_ts, obj, lease);
         }
         locked.push((read, at_read));
     }
@@ -929,7 +951,7 @@ fn crossing_resolutions_keep_a_worker_free() {
     let deadline = Instant::now() + Duration::from_secs(5);
     for _ in 0..readers.len() {
         match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-            Ok(Ok(KvResponse::Value(Some(v)))) => assert_eq!(&v[..], b"orphan"),
+            Ok(Ok(KvResponse::Value(Some(v)))) => assert_eq!(&v[..], b"voted"),
             Ok(read) => panic!("expected the committed value, got {read:?}"),
             Err(_) => panic!("a reader got no value within 5 s"),
         }
@@ -940,6 +962,51 @@ fn crossing_resolutions_keep_a_worker_free() {
     // The copies nobody read learn the commit from the ones that were.
     db.reap_all();
     assert_eq!(db.prepared_total(), 0);
+}
+
+/// A read that resolves the prepare it meets by asking the other
+/// participant costs two round trips on a slept network, its own and its
+/// probe's, although its server answers it from a continuation on the
+/// probe's answer instead of a worker that sleeps until the probe's reply
+/// is due: the read's round trip starts when that reply is due.
+#[test]
+fn a_read_that_asks_a_peer_pays_for_both_round_trips() {
+    let mut cfg = YesquelConfig::with_servers(2);
+    cfg.net = NetConfig {
+        one_way_latency_us: 2_000,
+        sleep_latency: true,
+        ..NetConfig::default()
+    };
+    let db = KvDatabase::with_transport(
+        cfg,
+        TransportKind::Threaded {
+            workers_per_server: 1,
+        },
+    );
+    let (o0, o1) = (oid_on(0, 2, 0), oid_on(1, 2, 0));
+    let (txn, start_ts) = (0xB7, db.oracle().next_timestamp());
+    let lease = Duration::from_secs(600);
+    let votes =
+        [(0, o0), (1, o1)].map(|(server, obj)| prepare_at(&db, server, txn, start_ts, obj, lease));
+
+    let ts = db.oracle().next_timestamp();
+    let started = Instant::now();
+    let read = db
+        .cluster()
+        .transport()
+        .call(0, KvRequest::Get { obj: o0, ts });
+    let took = started.elapsed();
+    match read {
+        Ok(KvResponse::Value(Some(v))) => assert_eq!(&v[..], b"voted"),
+        other => panic!("expected the committed value, got {other:?}"),
+    }
+    assert!(
+        took >= Duration::from_millis(8),
+        "two 4 ms round trips took {took:?}"
+    );
+    let servers = db.cluster().servers();
+    let committed = TxnOutcome::Committed(votes[0].max(votes[1]));
+    assert_eq!(servers[0].store().outcome(txn), Some(committed));
 }
 
 /// With every server down an autocommit statement gives up with a clean
