@@ -19,6 +19,16 @@ pub enum Error {
     /// under snapshot isolation.  The transaction has been aborted and the
     /// caller may retry it.
     Conflict(String),
+    /// A participant refused to apply a cell edit to a leaf the transaction
+    /// had not read (not a leaf at the snapshot, a key outside its fences,
+    /// or a replicated leaf).  The transaction has been aborted; a retry
+    /// fetches `obj` and edits it locally.
+    EditRefused {
+        /// The leaf the edit was for.
+        obj: crate::ObjectId,
+        /// Why it was refused.
+        reason: String,
+    },
     /// The transaction was explicitly aborted (by the user or by the system)
     /// and can no longer be used.
     Aborted(String),
@@ -99,7 +109,11 @@ impl Error {
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            Error::Conflict(_) | Error::LockTimeout(_) | Error::Timeout(_) | Error::Unavailable(_)
+            Error::Conflict(_)
+                | Error::EditRefused { .. }
+                | Error::LockTimeout(_)
+                | Error::Timeout(_)
+                | Error::Unavailable(_)
         )
     }
 
@@ -117,6 +131,7 @@ impl Error {
         match self {
             Error::NotFound(_) => "not_found",
             Error::Conflict(_) => "conflict",
+            Error::EditRefused { .. } => "edit_refused",
             Error::Aborted(_) => "aborted",
             Error::LockTimeout(_) => "lock_timeout",
             Error::ServerUnavailable(_) => "server_unavailable",
@@ -144,6 +159,7 @@ impl fmt::Display for Error {
         match self {
             Error::NotFound(m) => write!(f, "not found: {m}"),
             Error::Conflict(m) => write!(f, "transaction conflict: {m}"),
+            Error::EditRefused { obj, reason } => write!(f, "cell edit of {obj} refused: {reason}"),
             Error::Aborted(m) => write!(f, "transaction aborted: {m}"),
             Error::LockTimeout(m) => write!(f, "lock timeout: {m}"),
             Error::ServerUnavailable(m) => write!(f, "server unavailable: {m}"),

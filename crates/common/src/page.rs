@@ -2,7 +2,7 @@
 //! edits the write path is made of.
 //!
 //! Every node of a YDBT is stored as one key-value pair in the transactional
-//! key-value store: the key is the node's [`ObjectId`](yesquel_common::ObjectId)
+//! key-value store: the key is the node's [`ObjectId`](crate::ObjectId)
 //! and the value is the page defined here.  Nodes carry their **fence
 //! interval** `[lower, upper)` — the range of keys the node is responsible
 //! for — which is what lets clients detect that a cached path is stale (the
@@ -44,7 +44,7 @@
 //! count followed by that many `u64` replica oids — sits between the fence
 //! keys and the cell payloads: the node is additionally stored, byte for
 //! byte, under each listed oid (read-any/write-all replication; see
-//! `replica.rs`).  Pages written before replication existed have bit 5
+//! `yesquel_ydbt::replica`).  Pages written before replication existed have bit 5
 //! clear and parse unchanged.
 //! Offsets are absolute page offsets; the directory is validated once at
 //! view-construction time (in range, monotonically increasing) and each
@@ -76,12 +76,24 @@
 //! ([`LeafView::build`], [`InnerView::build`]: a new tree's root, the new
 //! root of a root split, tests) share one page writer, so an edited page is
 //! byte-identical to the page the builder makes for the same contents.
+//!
+//! ## Cell edits: the same edits, where the leaf lives
+//!
+//! The codec lives below the key-value store so that a storage server can
+//! make the same edits.  A transaction that only puts or removes keys in a
+//! leaf need not fetch it: it ships the [`CellEdit`]s, and the participant
+//! applies them with [`edit_leaf`] to the version the transaction's
+//! snapshot reads — the same `put` / `remove`, so the page it stages is
+//! byte-identical to the one the fetch path would have written.  A page
+//! that is not a leaf, a key outside the leaf's fences, or a page that
+//! lists replicas (every copy must be written) is refused, never guessed
+//! at.
 
 use std::ops::{Deref, Range};
 
+use crate::encoding::Reader;
+use crate::{Error, Oid, Result};
 use bytes::Bytes;
-use yesquel_common::encoding::Reader;
-use yesquel_common::{Error, Oid, Result};
 
 /// One endpoint of a fence interval, borrowing its key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1035,6 +1047,53 @@ fn inner_page(height: u8, mid: Mid<'_>, routes: Routes<'_>) -> Result<Bytes> {
     })
 }
 
+/// One cell a transaction puts (`Some(value)`) or removes (`None`) in a
+/// leaf it has not read: the whole of what a [`LeafView::put`] or
+/// [`LeafView::remove`] needs besides the page.
+pub type CellEdit = (Bytes, Option<Bytes>);
+
+/// Applies `edits`, in order, to `page`, the version of a leaf that a
+/// transaction's snapshot reads, with the edits the fetch path makes: the
+/// result, returned with its cell count, is byte-identical to the page a
+/// client that had fetched `page` would write.  Refused, with the reason,
+/// when there is no page or it is not a leaf, when an edited key lies
+/// outside the leaf's fences, or when the page lists replicas; a page that
+/// does not parse is refused too.
+pub fn edit_leaf(
+    page: Option<Bytes>,
+    edits: &[CellEdit],
+) -> std::result::Result<(Bytes, usize), String> {
+    let mut leaf = match page.map(NodeView::parse) {
+        Some(Ok(NodeView::Leaf(leaf))) => leaf,
+        Some(Ok(NodeView::Inner(_))) | None => return Err("not a leaf".into()),
+        Some(Err(e)) => return Err(e.to_string()),
+    };
+    if leaf.has_replicas() {
+        return Err("the leaf lists replicas".into());
+    }
+    if edits.iter().any(|(key, _)| !leaf.fence_contains(key)) {
+        return Err("a key lies outside the leaf's fences".into());
+    }
+    let mut edited = (leaf.page().clone(), leaf.len());
+    for (i, (key, value)) in edits.iter().enumerate() {
+        if i > 0 {
+            // Each edit starts from the page the last one made.
+            leaf = LeafView::parse(edited.0).map_err(|e| e.to_string())?;
+        }
+        let n = leaf.len();
+        edited = match value {
+            Some(v) => leaf
+                .put(key, v)
+                .map(|(page, hit)| (page, n + usize::from(!hit))),
+            None => {
+                (leaf.remove(key)).map(|page| page.map_or((leaf.page().clone(), n), |p| (p, n - 1)))
+            }
+        }
+        .map_err(|e| e.to_string())?;
+    }
+    Ok(edited)
+}
+
 /// A parsed node of either kind: what the fetch path hands back.
 #[derive(Debug, Clone)]
 pub enum NodeView {
@@ -1159,7 +1218,7 @@ mod tests {
     fn varint_len_matches_the_framing() {
         for len in [0usize, 1, 127, 128, 16_383, 16_384, 2_097_151, 2_097_152] {
             let mut framed = Vec::new();
-            yesquel_common::encoding::put_uvarint(&mut framed, len as u64);
+            crate::encoding::put_uvarint(&mut framed, len as u64);
             assert_eq!(varint_len(len), framed.len(), "len {len}");
         }
     }

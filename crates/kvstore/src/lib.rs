@@ -24,6 +24,12 @@
 //!   the start timestamp never changes).  Where a call finishes after it is
 //!   submitted, a caller can fetch several objects in one round
 //!   ([`Txn::prefetch`]).
+//! * A write to a tree leaf the transaction has not read may be buffered as
+//!   a **cell edit** ([`Txn::edit_cell`]): a key to put or remove, which the
+//!   leaf's participant applies at prepare time to the version the
+//!   snapshot reads ([`store`]).  A read of the leaf applies the edits at
+//!   the client, and an edit the participant refuses aborts the attempt,
+//!   whose retry fetches that leaf ([`KvClient::retry_txn`]).
 //! * Commit runs **two-phase commit** over the storage servers holding
 //!   written objects, and its prepare round is the commit point (as in
 //!   Sinfonia): each participant validates (first-committer-wins: no

@@ -6,18 +6,40 @@
 //! feed the bandwidth model.
 
 use bytes::Bytes;
+use yesquel_common::page::CellEdit;
 use yesquel_common::{ObjectId, ServerId, Timestamp, TxnId};
 
 /// A buffered write shipped to a participant at prepare time: the log's
 /// write type, so a participant logs what it received as is.
 pub use yesquel_wal::WalWrite as WriteOp;
 
-/// Approximate number of bytes `writes` occupy on the wire.
-fn writes_wire_size(writes: &[WriteOp]) -> usize {
-    writes
-        .iter()
+/// The cell edits a transaction made to one tree leaf it never read,
+/// shipped to the leaf's participant at prepare time.  The participant
+/// applies them to the version the transaction's snapshot reads
+/// ([`yesquel_common::page::edit_leaf`]) and stages, logs and installs the
+/// page that results like any [`WriteOp`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LeafEdit {
+    /// The leaf.
+    pub obj: ObjectId,
+    /// The cells to put or remove, in key order.
+    pub cells: Vec<CellEdit>,
+    /// The participant names the leaf in its vote when the edited page holds
+    /// more cells than this, so that the client asks for its split.
+    pub max_cells: u32,
+}
+
+/// Approximate number of bytes `writes` and `edits` occupy on the wire.
+fn writes_wire_size(writes: &[WriteOp], edits: &[LeafEdit]) -> usize {
+    let writes: usize = (writes.iter())
         .map(|w| 16 + w.value.as_ref().map_or(0, |v| v.len()))
-        .sum()
+        .sum();
+    let cells = |e: &LeafEdit| -> usize {
+        (e.cells.iter())
+            .map(|(k, v)| 8 + k.len() + v.as_ref().map_or(0, |v| v.len()))
+            .sum()
+    };
+    writes + edits.iter().map(|e| 20 + cells(e)).sum::<usize>()
 }
 
 /// Requests a client can send to one storage server.
@@ -44,6 +66,9 @@ pub enum KvRequest {
         start_ts: Timestamp,
         /// Writes destined for objects homed at this server.
         writes: Vec<WriteOp>,
+        /// Cell edits of leaves homed at this server that the transaction
+        /// did not read: validated like `writes`, then applied here.
+        edits: Vec<LeafEdit>,
         /// Every participant of the transaction, this one included: whoever
         /// resolves an undecided prepare asks the others
         /// ([`KvRequest::TxnStatus`]).
@@ -131,6 +156,8 @@ pub enum KvResponse {
     Prepared {
         /// Timestamp this participant drew under its shard guards.
         prepare_ts: Timestamp,
+        /// The edited leaves now over their `max_cells`.
+        full: Vec<ObjectId>,
     },
     /// Prepare refused: validation failed (write-write conflict or lock
     /// conflict), or the transaction had already aborted here; the
@@ -139,12 +166,25 @@ pub enum KvResponse {
         /// Human-readable reason, used in error messages and abort stats.
         reason: String,
     },
+    /// Prepare refused because a cell edit cannot be applied to the
+    /// version the snapshot reads: it is not a leaf, the key is outside its
+    /// fences, or it lists replicas.  Recorded and answered like a
+    /// conflict; the client's retry fetches that leaf.
+    EditRefused {
+        /// The leaf.
+        obj: ObjectId,
+        /// Why the edit was refused.
+        reason: String,
+    },
     /// Commit applied — or, in answer to a `Prepare`, the transaction is
     /// committed here: this server is its only participant and its vote is
     /// durable, or it was already resolved committed.
     Committed {
         /// Commit timestamp of the transaction.
         commit_ts: Timestamp,
+        /// In answer to a sole participant's `Prepare`: the edited leaves
+        /// now over their `max_cells`.
+        full: Vec<ObjectId>,
     },
     /// Abort processed — or, in response to a `Commit`, the transaction is
     /// not prepared here and not known committed, so nothing was installed.
@@ -176,7 +216,7 @@ impl KvRequest {
     pub fn wire_size(&self) -> usize {
         match self {
             KvRequest::Get { .. } => 32,
-            KvRequest::Prepare { writes, .. } => 32 + writes_wire_size(writes),
+            KvRequest::Prepare { writes, edits, .. } => 32 + writes_wire_size(writes, edits),
             KvRequest::Commit { .. } => 24,
             KvRequest::Abort { .. } => 16,
             KvRequest::Allocate { .. } => 28,
@@ -192,6 +232,10 @@ impl KvResponse {
         match self {
             KvResponse::Value(v) => 16 + v.as_ref().map(|b| b.len()).unwrap_or(0),
             KvResponse::Conflict { reason } => 16 + reason.len(),
+            KvResponse::EditRefused { reason, .. } => 32 + reason.len(),
+            KvResponse::Prepared { full, .. } | KvResponse::Committed { full, .. } => {
+                16 + 16 * full.len()
+            }
             KvResponse::ServerError { message } => 16 + message.len(),
             _ => 16,
         }
@@ -216,6 +260,7 @@ mod tests {
             txn: 1,
             start_ts: 1,
             writes: vec![w],
+            edits: Vec::new(),
             participants: vec![0, 1],
             lease_us: 500_000,
         };
@@ -232,6 +277,16 @@ mod tests {
             obj: ObjectId::new(1, 2),
             value: None,
         };
-        assert_eq!(writes_wire_size(&[del]), 16);
+        assert_eq!(writes_wire_size(&[del], &[]), 16);
+    }
+
+    #[test]
+    fn a_cell_edit_costs_its_bytes_not_its_page() {
+        let edit = LeafEdit {
+            obj: ObjectId::new(1, 2),
+            cells: vec![(Bytes::from_static(b"key"), None)],
+            max_cells: 64,
+        };
+        assert_eq!(writes_wire_size(&[], &[edit]), 20 + 8 + 3);
     }
 }

@@ -331,7 +331,8 @@ impl KvServer {
 
     /// Commits the prepare of `txn` that names this server as its only
     /// participant: its vote, once `durable`, is the commit, at
-    /// `prepare_ts`.  Applied here at once when the vote is durable already
+    /// `prepare_ts`, and the answer names the edited leaves `full`.
+    /// Applied here at once when the vote is durable already
     /// (no log), else by a continuation on the vote's flush.  Once the vote
     /// is durable the answer is `Committed`, whatever applying it reports: a
     /// reader that met the lock may have committed it already, and its
@@ -342,13 +343,14 @@ impl KvServer {
         &self,
         txn: TxnId,
         prepare_ts: Timestamp,
+        full: Vec<ObjectId>,
         durable: Completion<()>,
     ) -> Completion<KvResponse> {
         let commit = move |store: &ServerStore, flushed: Result<()>| match flushed {
             Ok(()) => {
                 let _ = store.commit(txn, prepare_ts);
                 let commit_ts = prepare_ts;
-                KvResponse::Committed { commit_ts }
+                KvResponse::Committed { commit_ts, full }
             }
             Err(e) => Self::server_error(e),
         };
@@ -398,34 +400,48 @@ impl Service for KvServer {
                 txn,
                 start_ts,
                 writes,
+                edits,
                 participants,
                 lease_us,
             } => {
                 let lease = Duration::from_micros(lease_us.max(1));
                 let next_ts = || self.oracle.next_timestamp();
-                match self
-                    .store
-                    .prepare(txn, start_ts, &writes, &participants, lease, next_ts)
-                {
+                let prepared = (self.store).prepare(
+                    txn,
+                    start_ts,
+                    &writes,
+                    &edits,
+                    &participants,
+                    lease,
+                    next_ts,
+                );
+                match prepared {
                     Ok((outcome, mut durable)) => {
                         let resp = match outcome {
-                            PrepareOutcome::Prepared(prepare_ts) if participants.len() == 1 => {
-                                return self.commit_sole_vote(txn, prepare_ts, durable);
+                            PrepareOutcome::Prepared(prepare_ts, full)
+                                if participants.len() == 1 =>
+                            {
+                                return self.commit_sole_vote(txn, prepare_ts, full, durable);
                             }
-                            PrepareOutcome::Prepared(prepare_ts) => {
-                                KvResponse::Prepared { prepare_ts }
+                            PrepareOutcome::Prepared(prepare_ts, full) => {
+                                KvResponse::Prepared { prepare_ts, full }
                             }
-                            PrepareOutcome::Committed(commit_ts) => {
-                                KvResponse::Committed { commit_ts }
-                            }
+                            PrepareOutcome::Committed(commit_ts) => KvResponse::Committed {
+                                commit_ts,
+                                full: Vec::new(),
+                            },
                             PrepareOutcome::Conflict(reason) => {
                                 // Answered once the prepares whose locks it
                                 // met are resolved too: its retry finds
                                 // those locks gone.
-                                let met =
-                                    (writes.iter()).map(|w| self.resolve_holder(w.obj, Some(txn)));
+                                let objs = (writes.iter().map(|w| w.obj))
+                                    .chain(edits.iter().map(|e| e.obj));
+                                let met = objs.map(|obj| self.resolve_holder(obj, Some(txn)));
                                 durable = Self::all_of(std::iter::once(durable).chain(met));
                                 KvResponse::Conflict { reason }
+                            }
+                            PrepareOutcome::EditRefused { obj, reason } => {
+                                KvResponse::EditRefused { obj, reason }
                             }
                         };
                         return Self::when_durable(durable, resp);
@@ -434,7 +450,10 @@ impl Service for KvServer {
                 }
             }
             KvRequest::Commit { txn, commit_ts } => match self.store.commit(txn, commit_ts) {
-                Ok(TxnOutcome::Committed(commit_ts)) => KvResponse::Committed { commit_ts },
+                Ok(TxnOutcome::Committed(commit_ts)) => KvResponse::Committed {
+                    commit_ts,
+                    full: Vec::new(),
+                },
                 Ok(TxnOutcome::Aborted) => KvResponse::Aborted,
                 Err(e) => Self::server_error(e),
             },
@@ -486,6 +505,7 @@ mod tests {
             txn,
             start_ts,
             writes,
+            edits: Vec::new(),
             // Server 1 does not exist: the prepare stays until decided.
             participants: vec![0, 1],
             lease_us: 1_000_000,
@@ -509,12 +529,13 @@ mod tests {
                     obj,
                     value: Some(Bytes::from_static(b"x")),
                 }],
+                edits: Vec::new(),
                 participants: vec![0],
                 lease_us: 1_000_000,
             },
         );
         let commit_ts = match resp {
-            KvResponse::Committed { commit_ts } => commit_ts,
+            KvResponse::Committed { commit_ts, .. } => commit_ts,
             other => panic!("unexpected response {other:?}"),
         };
         match call(&srv, KvRequest::Get { obj, ts: commit_ts }) {
@@ -553,7 +574,7 @@ mod tests {
                 }],
             ),
         ) {
-            KvResponse::Prepared { prepare_ts } => assert!(prepare_ts > start),
+            KvResponse::Prepared { prepare_ts, .. } => assert!(prepare_ts > start),
             other => panic!("unexpected response {other:?}"),
         }
         match call(&srv, KvRequest::Get { obj, ts: start }) {
@@ -608,7 +629,7 @@ mod tests {
         assert_eq!(srv.store().outcome(42), None);
         // The vote while prepared.
         let prepare_ts = match call(&srv, prepare_req(42, oracle.next_timestamp(), vec![w])) {
-            KvResponse::Prepared { prepare_ts } => prepare_ts,
+            KvResponse::Prepared { prepare_ts, .. } => prepare_ts,
             other => panic!("unexpected response {other:?}"),
         };
         assert_eq!(status(42), TxnStatusKind::Prepared(prepare_ts));
@@ -653,6 +674,7 @@ mod tests {
                 obj,
                 value: Some(Bytes::from_static(b"late")),
             }],
+            edits: Vec::new(),
             participants: vec![0, 1],
             lease_us: 1_000_000,
         };
@@ -694,6 +716,7 @@ mod tests {
             txn: 2,
             start_ts: oracle.next_timestamp(),
             writes: vec![value(b"late")],
+            edits: Vec::new(),
             participants: vec![0],
             lease_us: 1_000_000,
         };
@@ -737,11 +760,12 @@ mod tests {
                 obj,
                 value: Some(Bytes::from_static(b"v")),
             }],
+            edits: Vec::new(),
             participants: vec![0],
             lease_us: 1_000_000,
         };
         let commit_ts = match call(&srv, sole) {
-            KvResponse::Committed { commit_ts } => commit_ts,
+            KvResponse::Committed { commit_ts, .. } => commit_ts,
             other => panic!("unexpected response {other:?}"),
         };
         assert!(
@@ -774,9 +798,9 @@ mod tests {
         let next_ts = || oracle.next_timestamp();
         let store = srv.store();
         let (voted, _) = store
-            .prepare(1, start_ts, &[write], &[0], lease, next_ts)
+            .prepare(1, start_ts, &[write], &[], &[0], lease, next_ts)
             .unwrap();
-        let PrepareOutcome::Prepared(prepare_ts) = voted else {
+        let PrepareOutcome::Prepared(prepare_ts, _) = voted else {
             panic!("unexpected outcome {voted:?}");
         };
         let ts = oracle.next_timestamp();
@@ -805,9 +829,9 @@ mod tests {
         let (lease, start_ts) = (Duration::from_secs(3600), oracle.next_timestamp());
         let next_ts = || oracle.next_timestamp();
         let (voted, durable) = (srv.store())
-            .prepare(1, start_ts, &[write(0, b"v")], &[0], lease, next_ts)
+            .prepare(1, start_ts, &[write(0, b"v")], &[], &[0], lease, next_ts)
             .unwrap();
-        let PrepareOutcome::Prepared(prepare_ts) = voted else {
+        let PrepareOutcome::Prepared(prepare_ts, _) = voted else {
             panic!("unexpected outcome {voted:?}");
         };
         let (obj, ts) = (ObjectId::new(1, 0), oracle.next_timestamp());
@@ -820,6 +844,7 @@ mod tests {
                 txn,
                 start_ts: oracle.next_timestamp(),
                 writes: vec![write(txn, b"w")],
+                edits: Vec::new(),
                 participants: vec![0],
                 lease_us: 1_000_000,
             };
@@ -827,8 +852,11 @@ mod tests {
             assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");
         }
         assert_eq!(srv.store().outcome(1), None, "the outcome was forgotten");
-        match srv.commit_sole_vote(1, prepare_ts, durable).wait() {
-            Ok(KvResponse::Committed { commit_ts }) => assert_eq!(commit_ts, prepare_ts),
+        match srv
+            .commit_sole_vote(1, prepare_ts, Vec::new(), durable)
+            .wait()
+        {
+            Ok(KvResponse::Committed { commit_ts, .. }) => assert_eq!(commit_ts, prepare_ts),
             other => panic!("unexpected response {other:?}"),
         }
         assert_eq!(

@@ -32,6 +32,25 @@
 //! lock asks the server to resolve its holder, which waits for the table,
 //! and reads again.
 //!
+//! ## Cell edits
+//!
+//! A prepare carries, beside whole-object writes, the **cell edits** a
+//! transaction made to tree leaves it never read ([`LeafEdit`]).
+//! [`ServerStore::prepare`] applies each leaf's edits to the version the
+//! transaction's snapshot reads, with the tree's own page edits
+//! ([`edit_leaf`]), and stages the result only if the leaf passes the same
+//! first-committer-wins validation under the same shard guards: the
+//! snapshot's version is then the newest.  The page is built before the
+//! locks are taken when the leaf is unlocked — a version at or below the
+//! snapshot that is not installed yet is always locked, since its writer
+//! locked before the snapshot's timestamp was drawn — so the transaction
+//! table is not held while pages are copied.  The page that results is
+//! staged, voted, logged and installed exactly like a page the client
+//! wrote, so the log, replay and checkpoints only ever see whole pages.  A version that is not a leaf, a key outside the leaf's fences,
+//! or a leaf that lists replicas refuses the prepare like a conflict; a
+//! leaf left over its `max_cells` is named in the vote, for the client to
+//! ask for its split.
+//!
 //! ## Durability
 //!
 //! When constructed with a write-ahead log ([`ServerStore::with_wal`]), the
@@ -80,11 +99,12 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 use yesquel_common::ids::{shard_index, splitmix64};
+use yesquel_common::page::edit_leaf;
 use yesquel_common::{Completion, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalPosition, WalRecord};
 
 use crate::mvcc::VersionChain;
-use crate::protocol::{TxnStatusKind, WriteOp};
+use crate::protocol::{LeafEdit, TxnStatusKind, WriteOp};
 
 /// Number of lock stripes per server store.  Power of two; sized so that a
 /// few dozen client threads rarely collide on a stripe while keeping the
@@ -104,14 +124,23 @@ pub enum ReadOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrepareOutcome {
     /// Validation passed, the locks are held, and this server's vote
-    /// carries this prepare timestamp.
-    Prepared(Timestamp),
+    /// carries this prepare timestamp; the edited leaves left over their
+    /// `max_cells` are listed.
+    Prepared(Timestamp, Vec<ObjectId>),
     /// Committed at this timestamp: a prepare that arrived after its
     /// transaction was resolved committed.
     Committed(Timestamp),
     /// Refused: validation failed, or the transaction had already aborted
     /// here.  Nothing is locked.
     Conflict(String),
+    /// Refused: a cell edit of `obj` could not be applied to the version
+    /// the snapshot reads.  Nothing is locked.
+    EditRefused {
+        /// The leaf.
+        obj: ObjectId,
+        /// Why.
+        reason: String,
+    },
 }
 
 /// A prepare lock: the owning transaction and the value it intends to
@@ -412,10 +441,13 @@ impl ServerStore {
         shard_index(obj.tree, obj.oid, 0x5851_f42d_4c95_7f2d, SHARD_COUNT)
     }
 
-    /// Locks, in ascending shard order, every shard touched by `writes`.
+    /// Locks, in ascending shard order, every shard touched by `objs`.
     /// Returns the sorted deduplicated shard ids alongside their guards.
-    fn lock_shards_for(&self, writes: &[WriteOp]) -> Vec<(usize, MutexGuard<'_, Shard>)> {
-        let mut ids: Vec<usize> = writes.iter().map(|w| self.shard_of(w.obj)).collect();
+    fn lock_shards_for(
+        &self,
+        objs: impl Iterator<Item = ObjectId>,
+    ) -> Vec<(usize, MutexGuard<'_, Shard>)> {
+        let mut ids: Vec<usize> = objs.map(|obj| self.shard_of(obj)).collect();
         ids.sort_unstable();
         ids.dedup();
         ids.into_iter()
@@ -453,12 +485,20 @@ impl ServerStore {
         }
     }
 
-    /// Validates and locks `writes` on behalf of transaction `txn` reading
-    /// at `start_ts`, then draws its prepare timestamp from `next_ts` (the
-    /// server passes its oracle handle).  Either all writes are locked or
-    /// none are.  The locks are leased: once `lease` has passed without a
-    /// decision, whoever resolves the transaction fences the participants
-    /// that have no record of it.
+    /// Validates and locks `writes` and the leaves `edits` name on behalf
+    /// of transaction `txn` reading at `start_ts`, then draws its prepare
+    /// timestamp from `next_ts` (the server passes its oracle handle).
+    /// Either all objects are locked or none are.  The locks are leased:
+    /// once `lease` has passed without a decision, whoever resolves the
+    /// transaction fences the participants that have no record of it.
+    ///
+    /// Each leaf's cell edits are applied to the version the snapshot reads
+    /// ([`edit_leaf`]), which validation then proves the newest: built
+    /// before any lock is taken when the leaf is not locked, else under the
+    /// guards after validation.  The page that results is staged, logged
+    /// and installed exactly like a page the client wrote, and a leaf left
+    /// over its `max_cells` is named in the vote.  An edit that cannot be
+    /// applied refuses the prepare like a conflict.
     ///
     /// The timestamp is drawn **while the shard guards are held**, after
     /// the locks are in: every snapshot above it is issued afterwards and
@@ -480,34 +520,83 @@ impl ServerStore {
     ///
     /// The table is held throughout (see the module docs), so its entry is
     /// in before any thread that waits for the table can meet the locks.
+    #[allow(clippy::too_many_arguments)]
     pub fn prepare(
         &self,
         txn: TxnId,
         start_ts: Timestamp,
         writes: &[WriteOp],
+        edits: &[LeafEdit],
         participants: &[ServerId],
         lease: Duration,
         next_ts: impl FnOnce() -> Timestamp,
     ) -> Result<(PrepareOutcome, Completion<()>)> {
+        // Each edited leaf's page, built before any lock is held, from the
+        // version the snapshot reads — final once the leaf is found
+        // unlocked: a writer that commits at or below `start_ts` holds its
+        // lock from before `start_ts` was drawn until it installs.  A leaf
+        // found locked is built under the guards below, if validation lets
+        // the prepare that far.
+        let mut prebuilt: Vec<_> = (edits.iter())
+            .map(|e| {
+                let shard = self.shards[self.shard_of(e.obj)].lock();
+                let state = shard.objects.get(&e.obj);
+                let base = match state {
+                    Some(state) if state.lock.is_some() => return None,
+                    Some(state) => state.chain.read_at(start_ts),
+                    None => None,
+                };
+                drop(shard);
+                Some(edit_leaf(base, &e.cells))
+            })
+            .collect();
         let mut txns = self.txns.lock();
         if let Some(known) = self.known_vote(&mut txns, txn)? {
             self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(known);
         }
-        let mut guards = self.lock_shards_for(writes);
+        let objs = || (writes.iter().map(|w| w.obj)).chain(edits.iter().map(|e| e.obj));
+        let mut guards = self.lock_shards_for(objs());
         // Validation pass: no lock held by another transaction, and no
         // committed version newer than the snapshot (first-committer-wins).
-        for w in writes {
-            let shard = self.guard_for(&mut guards, w.obj);
-            if let Some(reason) = Self::validate_one(shard, txn, start_ts, w) {
+        for obj in objs() {
+            let shard = self.guard_for(&mut guards, obj);
+            if let Some(reason) = Self::validate_one(shard, txn, start_ts, obj) {
                 drop(guards);
                 self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
                 let refused = self.log_abort(&mut txns, txn)?;
                 return Ok((PrepareOutcome::Conflict(reason), refused));
             }
         }
+        // Edit pass: each edited leaf's page, from the snapshot's version.
+        let mut edited = Vec::with_capacity(edits.len());
+        let mut full = Vec::new();
+        for (e, built) in edits.iter().zip(&mut prebuilt) {
+            let built = built.take().unwrap_or_else(|| {
+                let shard = self.guard_for(&mut guards, e.obj);
+                let base = (shard.objects.get(&e.obj)).and_then(|s| s.chain.read_at(start_ts));
+                edit_leaf(base, &e.cells)
+            });
+            match built {
+                Ok((page, len)) => {
+                    if len > e.max_cells as usize {
+                        full.push(e.obj);
+                    }
+                    edited.push(WriteOp {
+                        obj: e.obj,
+                        value: Some(page),
+                    });
+                }
+                Err(reason) => {
+                    drop(guards);
+                    let refused = self.log_abort(&mut txns, txn)?;
+                    let outcome = PrepareOutcome::EditRefused { obj: e.obj, reason };
+                    return Ok((outcome, refused));
+                }
+            }
+        }
         // Lock pass.
-        for w in writes {
+        for w in writes.iter().chain(&edited) {
             let shard = self.guard_for(&mut guards, w.obj);
             shard.objects.entry(w.obj).or_default().lock = Some(PrepareLock {
                 txn,
@@ -518,28 +607,29 @@ impl ServerStore {
         drop(guards);
         // Log after dropping the shard guards: the prepare locks already
         // block conflicting validations, and same-shard readers are not
-        // stalled behind the append.
+        // stalled behind the append.  The vote logs whole pages, the edited
+        // ones included, so replay and checkpoints never apply an edit.
         let vote = self.log(|| {
             WalRecord::Vote(PreparedImage {
                 txn,
                 start_ts,
                 prepare_ts,
                 participants: participants.to_vec(),
-                writes: writes.to_vec(),
+                writes: writes.iter().chain(&edited).cloned().collect(),
             })
         });
         let vote = match vote {
             Ok(vote) => vote,
             Err(e) => {
                 // The prepare is not acknowledged; roll the locks back.
-                self.release_locks_of(txn, writes);
+                self.release_locks_of(txn, objs());
                 return Err(e);
             }
         };
         txns.prepared.insert(
             txn,
             PreparedTxn {
-                objs: writes.iter().map(|w| w.obj).collect(),
+                objs: objs().collect(),
                 start_ts,
                 prepare_ts,
                 participants: participants.to_vec(),
@@ -550,7 +640,10 @@ impl ServerStore {
         );
         self.prepared_hint.fetch_add(1, Ordering::Relaxed);
         self.stats.prepares.fetch_add(1, Ordering::Relaxed);
-        Ok((PrepareOutcome::Prepared(prepare_ts), self.durable(vote)))
+        Ok((
+            PrepareOutcome::Prepared(prepare_ts, full),
+            self.durable(vote),
+        ))
     }
 
     /// What a prepare of `txn` is answered without validating, if this
@@ -564,7 +657,7 @@ impl ServerStore {
         let (status, durable) = self.record_of(txns, txn, false)?;
         let vote = match status {
             TxnStatusKind::Unknown => return Ok(None),
-            TxnStatusKind::Prepared(ts) => PrepareOutcome::Prepared(ts),
+            TxnStatusKind::Prepared(ts) => PrepareOutcome::Prepared(ts, Vec::new()),
             TxnStatusKind::Committed(ts) => PrepareOutcome::Committed(ts),
             TxnStatusKind::Aborted => {
                 PrepareOutcome::Conflict(format!("txn {txn} was already aborted here"))
@@ -581,35 +674,39 @@ impl ServerStore {
         Ok(self.durable(pos))
     }
 
-    /// Releases the prepare locks `txn` took on `writes`, dropping each
+    /// Releases the prepare locks `txn` took on `objs`, dropping each
     /// object left with neither a lock nor a version (the rollback of a
     /// vote that could not be logged).
-    fn release_locks_of(&self, txn: TxnId, writes: &[WriteOp]) {
-        for w in writes {
-            let mut shard = self.shards[self.shard_of(w.obj)].lock();
-            let Some(state) = shard.objects.get_mut(&w.obj) else {
+    fn release_locks_of(&self, txn: TxnId, objs: impl Iterator<Item = ObjectId>) {
+        for obj in objs {
+            let mut shard = self.shards[self.shard_of(obj)].lock();
+            let Some(state) = shard.objects.get_mut(&obj) else {
                 continue;
             };
             state.lock.take_if(|l| l.txn == txn);
             if state.lock.is_none() && state.chain.is_empty() {
-                shard.objects.remove(&w.obj);
+                shard.objects.remove(&obj);
             }
         }
     }
 
-    /// First-committer-wins and lock-conflict validation of one write within
-    /// its (locked) shard; returns a failure reason or `None`.
-    fn validate_one(shard: &Shard, txn: TxnId, start_ts: Timestamp, w: &WriteOp) -> Option<String> {
-        if let Some(state) = shard.objects.get(&w.obj) {
+    /// First-committer-wins and lock-conflict validation of one written
+    /// object within its (locked) shard; returns a failure reason or `None`.
+    fn validate_one(
+        shard: &Shard,
+        txn: TxnId,
+        start_ts: Timestamp,
+        obj: ObjectId,
+    ) -> Option<String> {
+        if let Some(state) = shard.objects.get(&obj) {
             if let Some(lock) = &state.lock {
                 if lock.txn != txn {
-                    return Some(format!("object {} locked by txn {}", w.obj, lock.txn));
+                    return Some(format!("object {obj} locked by txn {}", lock.txn));
                 }
             }
             if state.chain.has_newer_than(start_ts) {
                 return Some(format!(
-                    "object {} has a version newer than snapshot {}",
-                    w.obj, start_ts
+                    "object {obj} has a version newer than snapshot {start_ts}"
                 ));
             }
         }
@@ -1113,7 +1210,8 @@ impl ServerStore {
     /// single-store tests' way to get a transaction prepared.
     fn vote(&self, txn: TxnId, start_ts: Timestamp, writes: &[WriteOp]) -> Result<PrepareOutcome> {
         let lease = Duration::from_secs(3600);
-        let (outcome, durable) = self.prepare(txn, start_ts, writes, &[0], lease, || start_ts)?;
+        let (outcome, durable) =
+            self.prepare(txn, start_ts, writes, &[], &[0], lease, || start_ts)?;
         durable.wait()?;
         Ok(outcome)
     }
@@ -1129,10 +1227,11 @@ impl ServerStore {
         prepare_ts: Timestamp,
     ) -> Result<PrepareOutcome> {
         let lease = Duration::from_secs(3600);
-        let (outcome, durable) = self.prepare(txn, start_ts, writes, &[0], lease, || prepare_ts)?;
+        let (outcome, durable) =
+            self.prepare(txn, start_ts, writes, &[], &[0], lease, || prepare_ts)?;
         durable.wait()?;
         Ok(match outcome {
-            PrepareOutcome::Prepared(ts) => match self.commit(txn, ts)? {
+            PrepareOutcome::Prepared(ts, _) => match self.commit(txn, ts)? {
                 TxnOutcome::Committed(ts) => PrepareOutcome::Committed(ts),
                 TxnOutcome::Aborted => PrepareOutcome::Conflict(format!("txn {txn} aborted")),
             },
@@ -1168,7 +1267,7 @@ mod tests {
         let s = ServerStore::new();
         assert_eq!(
             s.vote(1, 5, &[w(1, "a"), w(2, "b")]).unwrap(),
-            PrepareOutcome::Prepared(5)
+            PrepareOutcome::Prepared(5, vec![])
         );
         // Reads see the lock, not the staged value.
         assert_eq!(s.get(obj(1), 100), ReadOutcome::Locked);
@@ -1187,7 +1286,7 @@ mod tests {
         let s = ServerStore::new();
         assert_eq!(
             s.vote(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared(5)
+            PrepareOutcome::Prepared(5, vec![])
         );
         s.commit(1, 10).unwrap();
         // A transaction that started before ts 10 cannot overwrite object 1.
@@ -1199,7 +1298,7 @@ mod tests {
         // A later snapshot can.
         assert_eq!(
             s.vote(3, 11, &[w(1, "c")]).unwrap(),
-            PrepareOutcome::Prepared(11)
+            PrepareOutcome::Prepared(11, vec![])
         );
         s.commit(3, 12).unwrap();
         assert_eq!(
@@ -1213,7 +1312,7 @@ mod tests {
         let s = ServerStore::new();
         assert_eq!(
             s.vote(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared(5)
+            PrepareOutcome::Prepared(5, vec![])
         );
         match s.vote(2, 6, &[w(1, "b")]).unwrap() {
             PrepareOutcome::Conflict(msg) => assert!(msg.contains("locked")),
@@ -1229,7 +1328,7 @@ mod tests {
         ));
         assert_eq!(
             s.vote(3, 6, &[w(1, "b")]).unwrap(),
-            PrepareOutcome::Prepared(6)
+            PrepareOutcome::Prepared(6, vec![])
         );
         s.commit(3, 7).unwrap();
         assert_eq!(
@@ -1321,7 +1420,7 @@ mod tests {
         let s = ServerStore::new();
         assert_eq!(
             s.vote(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared(5)
+            PrepareOutcome::Prepared(5, vec![])
         );
         assert_eq!(s.commit(1, 10).unwrap(), TxnOutcome::Committed(10));
         // Retried commit (response was lost): same answer, nothing re-done.
@@ -1361,13 +1460,13 @@ mod tests {
         let s = ServerStore::new();
         assert_eq!(
             s.vote(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared(5)
+            PrepareOutcome::Prepared(5, vec![])
         );
         // Duplicate delivery of the same prepare: still prepared, exactly
         // one lock, exactly one prepared entry.
         assert_eq!(
             s.vote(1, 5, &[w(1, "a")]).unwrap(),
-            PrepareOutcome::Prepared(5)
+            PrepareOutcome::Prepared(5, vec![])
         );
         assert_eq!(s.prepared_count(), 1);
         s.commit(1, 10).unwrap();
@@ -1378,9 +1477,9 @@ mod tests {
     #[test]
     fn lease_expiry_feeds_the_reaper_and_blocks_resurrection() {
         let s = ServerStore::new();
-        let prepare = |lease| s.prepare(7, 5, &[w(1, "a")], &[1, 3], lease, || 6);
+        let prepare = |lease| s.prepare(7, 5, &[w(1, "a")], &[], &[1, 3], lease, || 6);
         let voted = prepare(Duration::from_micros(1)).unwrap().0;
-        assert_eq!(voted, PrepareOutcome::Prepared(6));
+        assert_eq!(voted, PrepareOutcome::Prepared(6, vec![]));
         assert_eq!(s.undecided(Some(7)).len(), 1, "met, it is resolved at once");
         std::thread::sleep(Duration::from_millis(1));
         let due = s.undecided(None);
@@ -1467,7 +1566,7 @@ mod tests {
         let mut writes: Vec<WriteOp> = (0..64).map(|i| w(i, "x")).collect();
         assert_eq!(
             s.vote(1, 5, &[w(33, "old")]).unwrap(),
-            PrepareOutcome::Prepared(5)
+            PrepareOutcome::Prepared(5, vec![])
         );
         s.commit(1, 10).unwrap();
         writes[33] = w(33, "conflicting");

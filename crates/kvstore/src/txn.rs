@@ -12,13 +12,14 @@ use parking_lot::Mutex;
 use yesquel_common::ids::splitmix64;
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, span, Span, SpanKind, TraceCounter};
+use yesquel_common::page::edit_leaf;
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::timeutil::retry_backoff_us;
 use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_rpc::{Completion, Transport};
 
 use crate::oracle::TimestampOracle;
-use crate::protocol::{KvRequest, KvResponse, TxnStatusKind, WriteOp};
+use crate::protocol::{KvRequest, KvResponse, LeafEdit, TxnStatusKind, WriteOp};
 use crate::server::KvServer;
 use crate::snapshot::SnapshotTracker;
 
@@ -41,6 +42,10 @@ pub(crate) struct KvHot {
     pub(crate) commit_2pc: Arc<Counter>,
     pub(crate) get_lock_retries: Arc<Counter>,
     pub(crate) txn_retries: Arc<Counter>,
+    /// Cell edits buffered, and prepares refused over one.  Named for the
+    /// tree layer, whose leaves they edit.
+    pub(crate) cell_edits: Arc<Counter>,
+    pub(crate) cell_edit_refusals: Arc<Counter>,
     /// Commit-phase latencies, recorded only while `Obs::timing_on`:
     /// `prepare` is the whole prepare round of a commit with several
     /// participants, the commit point; `decide` the same round of a commit
@@ -65,6 +70,8 @@ impl KvHot {
             commit_2pc: stats.counter("kv.commit_2pc"),
             get_lock_retries: stats.counter("kv.get_lock_retries"),
             txn_retries: stats.counter("kv.txn_retries"),
+            cell_edits: stats.counter("dbt.cell_edits"),
+            cell_edit_refusals: stats.counter("dbt.cell_edit_refusals"),
             commit_prepare_us: stats.histogram("kv.commit_prepare_us"),
             commit_decide_us: stats.histogram("kv.commit_decide_us"),
             commit_apply_us: stats.histogram("kv.commit_apply_us"),
@@ -460,11 +467,45 @@ impl ReadMemo {
     }
 }
 
+/// What the participant of a leaf that a transaction edited unread
+/// reported about it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafReport {
+    /// The edits took the leaf over its `max_cells`; reported once the
+    /// transaction has committed.
+    Full,
+    /// The participant refused the edits, and the transaction aborted.
+    Refused,
+}
+
+/// Called with a leaf a transaction edited unread and its participant's
+/// report: how the tree layer asks for the split a fetched insert would
+/// have asked for, and learns to fetch a leaf whose edits were refused.
+pub type OnReport = Arc<dyn Fn(ObjectId, LeafReport) + Send + Sync>;
+
+/// The cell edits a transaction buffered for one leaf it has not read.
+struct Edits {
+    /// Key → new value (`None` removes), the last edit of a key winning.
+    cells: BTreeMap<Bytes, Option<Bytes>>,
+    max_cells: u32,
+    on_report: OnReport,
+}
+
+impl Edits {
+    fn cells(&self) -> Vec<(Bytes, Option<Bytes>)> {
+        (self.cells.iter())
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    }
+}
+
 /// What a transaction can answer without a server: its buffered writes and
-/// the values it fetched, under one lock.
+/// the values it fetched, under one lock.  Its cell edits are here too; an
+/// object has buffered edits or a buffered write, never both.
 #[derive(Default)]
 struct Local {
     writes: BTreeMap<ObjectId, Option<Bytes>>,
+    edits: BTreeMap<ObjectId, Edits>,
     reads: ReadMemo,
 }
 
@@ -473,6 +514,30 @@ impl Local {
     /// first, else a value it fetched; `None` if it has to ask.
     fn read(&self, obj: ObjectId) -> Option<&Option<Bytes>> {
         self.writes.get(&obj).or_else(|| self.reads.get(obj))
+    }
+
+    /// Remembers `value`, fetched for `obj`.  If the transaction edited
+    /// `obj` unread, its edits are applied to `value` as the participant
+    /// would, and the page becomes an ordinary write; edits the participant
+    /// would refuse are refused here, and reported, and stay buffered, so
+    /// that the commit is refused too.  Returns what a read of `obj`
+    /// answers.
+    fn fetched(&mut self, obj: ObjectId, value: Option<Bytes>) -> Result<Option<Bytes>> {
+        let Some(edits) = self.edits.get(&obj) else {
+            self.reads.remember(obj, value.clone());
+            return Ok(value);
+        };
+        match edit_leaf(value, &edits.cells()) {
+            Ok((page, _)) => {
+                self.edits.remove(&obj);
+                self.writes.insert(obj, Some(page.clone()));
+                Ok(Some(page))
+            }
+            Err(reason) => {
+                (edits.on_report)(obj, LeafReport::Refused);
+                Err(Error::EditRefused { obj, reason })
+            }
+        }
     }
 }
 
@@ -497,12 +562,16 @@ pub struct Txn {
     /// Whether the transaction's calls retry until its statement's
     /// deadline (see [`Deadline`]) rather than one each.
     statement: bool,
+    /// Leaves a participant refused to edit unread in an earlier attempt of
+    /// this statement: they take the fetch path.
+    refused: Vec<ObjectId>,
 }
 
 impl Txn {
     /// Begins a transaction; `statement` if it is an attempt of a
-    /// [`crate::KvClient::retry_txn`] statement.
-    pub(crate) fn begin(core: Arc<ClientCore>, statement: bool) -> Self {
+    /// [`crate::KvClient::retry_txn`] statement, whose earlier attempts had
+    /// the cell edits of the leaves `refused` refused.
+    pub(crate) fn begin(core: Arc<ClientCore>, statement: bool, refused: Vec<ObjectId>) -> Self {
         let id = core.oracle.next_txn_id();
         let start_ts = core.snapshots.begin(&core.oracle);
         core.hot.txn_started.inc();
@@ -513,6 +582,7 @@ impl Txn {
             state: Mutex::new(TxnState::Active),
             local: Mutex::new(Local::default()),
             statement,
+            refused,
         }
     }
 
@@ -539,12 +609,14 @@ impl Txn {
     /// True if the transaction has not written anything (such transactions
     /// commit without any communication).
     pub fn is_read_only(&self) -> bool {
-        self.local.lock().writes.is_empty()
+        let local = self.local.lock();
+        local.writes.is_empty() && local.edits.is_empty()
     }
 
-    /// Number of objects written so far.
+    /// Number of objects written so far, edited leaves included.
     pub fn write_count(&self) -> usize {
-        self.local.lock().writes.len()
+        let local = self.local.lock();
+        local.writes.len() + local.edits.len()
     }
 
     fn check_active(&self) -> Result<()> {
@@ -558,7 +630,10 @@ impl Txn {
     }
 
     /// Reads `obj` at this transaction's snapshot (observing its own writes,
-    /// and fetching it only if it has not already).
+    /// and fetching it only if it has not already).  A leaf the transaction
+    /// edited unread is fetched and answered with its edits applied; from
+    /// then on it is an ordinary write.  If they cannot be applied, this
+    /// fails as the participant would have refused them.
     pub fn get(&self, obj: ObjectId) -> Result<Option<Bytes>> {
         self.check_active()?;
         if let Some(v) = self.local.lock().read(obj).cloned() {
@@ -575,10 +650,7 @@ impl Txn {
                 ts: self.start_ts,
             };
             match self.core.call_retry(server, get, &deadline)? {
-                KvResponse::Value(v) => {
-                    self.local.lock().reads.remember(obj, v.clone());
-                    return Ok(v);
-                }
+                KvResponse::Value(v) => return self.local.lock().fetched(obj, v),
                 KvResponse::Locked => {
                     reads += 1;
                     self.core.hot.get_lock_retries.inc();
@@ -605,9 +677,9 @@ impl Txn {
     /// costs one round trip instead of one per object.  Elsewhere a call is
     /// CPU on this thread, and `get` pays the same later, so nothing is
     /// fetched.
-    /// Advisory: objects the transaction wrote or already fetched are
-    /// skipped, and only values are remembered — a locked object, or a call
-    /// that failed, is left to `get`, which waits or reports it.
+    /// Advisory: objects the transaction wrote, edited or already fetched
+    /// are skipped, and only values are remembered — a locked object, or a
+    /// call that failed, is left to `get`, which waits or reports it.
     pub fn prefetch(&self, objs: &[ObjectId]) {
         if !self.prefetches() || self.state() != TxnState::Active {
             return;
@@ -616,7 +688,8 @@ impl Txn {
         {
             let local = self.local.lock();
             for &obj in objs {
-                if local.read(obj).is_none() && !wanted.contains(&obj) {
+                let known = local.read(obj).is_some() || local.edits.contains_key(&obj);
+                if !known && !wanted.contains(&obj) {
                     wanted.push(obj);
                 }
             }
@@ -649,10 +722,53 @@ impl Txn {
         self.core.transport.finishes_after_submit()
     }
 
-    /// Buffers a write of `value` to `obj`.
+    /// Buffers a write of `value` to `obj`.  The page replaces any cell
+    /// edits buffered for it: a page is written from what was read, and
+    /// reading an edited leaf applied its edits.
     pub fn put(&self, obj: ObjectId, value: impl Into<Bytes>) -> Result<()> {
         self.check_active()?;
-        self.local.lock().writes.insert(obj, Some(value.into()));
+        let mut local = self.local.lock();
+        local.edits.remove(&obj);
+        local.writes.insert(obj, Some(value.into()));
+        Ok(())
+    }
+
+    /// Whether a cell edit of `obj` may go unread: the transaction holds no
+    /// page for it — fetched or written — and no earlier attempt of its
+    /// statement had an edit of it refused.  A leaf it holds is edited
+    /// where it is held.
+    pub fn may_edit_unread(&self, obj: ObjectId) -> bool {
+        !self.refused.contains(&obj) && self.local.lock().read(obj).is_none()
+    }
+
+    /// Buffers a cell edit of the leaf `obj`, which the transaction has not
+    /// read ([`Txn::may_edit_unread`]): put `key` → `value`, or remove `key`
+    /// if `value` is `None`.  The leaf's participant applies the edits to
+    /// the version this transaction's snapshot reads, after validating the
+    /// leaf like any write, or refuses the prepare when that version is not
+    /// a leaf, does not fence `key` or lists replicas
+    /// ([`Error::EditRefused`]).  `on_report` is called with the leaf when
+    /// its participant refuses the edits, and, once the transaction has
+    /// committed, when it found the leaf over `max_cells`.
+    pub fn edit_cell(
+        &self,
+        obj: ObjectId,
+        key: &[u8],
+        value: Option<&[u8]>,
+        max_cells: usize,
+        on_report: &OnReport,
+    ) -> Result<()> {
+        self.check_active()?;
+        let mut local = self.local.lock();
+        debug_assert!(local.read(obj).is_none(), "{obj} is held: edit it locally");
+        let edits = local.edits.entry(obj).or_insert_with(|| Edits {
+            cells: BTreeMap::new(),
+            max_cells: u32::try_from(max_cells).unwrap_or(u32::MAX),
+            on_report: Arc::clone(on_report),
+        });
+        let key = Bytes::copy_from_slice(key);
+        edits.cells.insert(key, value.map(Bytes::copy_from_slice));
+        self.core.hot.cell_edits.inc();
         Ok(())
     }
 
@@ -670,17 +786,21 @@ impl Txn {
         Ok(())
     }
 
-    /// Buffers a deletion of `obj`.
+    /// Buffers a deletion of `obj`, which replaces any cell edits buffered
+    /// for it.
     pub fn delete(&self, obj: ObjectId) -> Result<()> {
         self.check_active()?;
-        self.local.lock().writes.insert(obj, None);
+        let mut local = self.local.lock();
+        local.edits.remove(&obj);
+        local.writes.insert(obj, None);
         Ok(())
     }
 
     /// Commits the transaction, returning its commit timestamp.
     ///
     /// Read-only transactions commit locally with no communication.  Every
-    /// other commits through one prepare round, its commit point: once
+    /// other commits through one prepare round, its commit point, which
+    /// carries its writes and its cell edits: once
     /// every participant has voted yes — locked, drawn a prepare timestamp
     /// and forced its vote — the transaction is committed at the largest
     /// prepare timestamp, and this returns.  A participant that is the only
@@ -691,8 +811,14 @@ impl Txn {
     pub fn commit(self) -> Result<Timestamp> {
         self.check_active()?;
 
-        let writes = std::mem::take(&mut self.local.lock().writes);
-        if writes.is_empty() {
+        let (writes, edits) = {
+            let mut local = self.local.lock();
+            (
+                std::mem::take(&mut local.writes),
+                std::mem::take(&mut local.edits),
+            )
+        };
+        if writes.is_empty() && edits.is_empty() {
             *self.state.lock() = TxnState::Committed;
             self.core.hot.readonly_commits.inc();
             return Ok(self.start_ts);
@@ -705,17 +831,23 @@ impl Txn {
         // lost votes and the aborts of a failed round.
         let deadline = self.deadline();
 
-        // Group writes by participant server, preserving ObjectId order so
-        // that servers acquire locks in a deterministic order.
-        let mut by_server: BTreeMap<ServerId, Vec<WriteOp>> = BTreeMap::new();
+        // Group writes and edits by participant server, preserving ObjectId
+        // order so that servers acquire locks in a deterministic order.
+        let mut by_server: BTreeMap<ServerId, (Vec<WriteOp>, Vec<LeafEdit>)> = BTreeMap::new();
         for (obj, value) in &writes {
-            by_server
-                .entry(self.core.home(*obj))
-                .or_default()
-                .push(WriteOp {
-                    obj: *obj,
-                    value: value.clone(),
-                });
+            let server = by_server.entry(self.core.home(*obj)).or_default();
+            server.0.push(WriteOp {
+                obj: *obj,
+                value: value.clone(),
+            });
+        }
+        for (obj, e) in &edits {
+            let server = by_server.entry(self.core.home(*obj)).or_default();
+            server.1.push(LeafEdit {
+                obj: *obj,
+                cells: e.cells(),
+                max_cells: e.max_cells,
+            });
         }
         let participants: Vec<ServerId> = by_server.keys().copied().collect();
         let hot = &self.core.hot;
@@ -732,11 +864,12 @@ impl Txn {
         // validates, locks, draws its prepare timestamp and forces its vote;
         // over forced logs the votes' flushes overlap, one per server.
         let t0 = timing.then(clock::now);
-        let prepares = by_server.into_iter().map(|(server, writes)| {
+        let prepares = by_server.into_iter().map(|(server, (writes, edits))| {
             let req = KvRequest::Prepare {
                 txn: self.id,
                 start_ts: self.start_ts,
                 writes,
+                edits,
                 participants: participants.clone(),
                 lease_us: self.core.cfg.prepare_lease_us,
             };
@@ -748,7 +881,13 @@ impl Txn {
         if let Some(t0) = t0 {
             phase.record(clock::elapsed_us(t0));
         }
-        match self.tally(&participants, votes, &deadline) {
+        let report = |obj: ObjectId, what: LeafReport| {
+            if let Some(e) = edits.get(&obj) {
+                (e.on_report)(obj, what);
+            }
+        };
+        let mut full = Vec::new();
+        match self.tally(&participants, votes, &deadline, &mut full) {
             Ok(commit_ts) => {
                 if !alone {
                     for &server in &participants {
@@ -757,10 +896,15 @@ impl Txn {
                 }
                 *self.state.lock() = TxnState::Committed;
                 hot.txn_committed.inc();
+                full.into_iter()
+                    .for_each(|obj| report(obj, LeafReport::Full));
                 Ok(commit_ts)
             }
             Err(e) => {
                 *self.state.lock() = TxnState::Aborted;
+                if let Error::EditRefused { obj, .. } = e {
+                    report(obj, LeafReport::Refused);
+                }
                 Err(e)
             }
         }
@@ -768,10 +912,12 @@ impl Txn {
 
     /// Judges a prepare round, in participant order, and returns the commit
     /// timestamp — the largest prepare timestamp — once every participant
-    /// has voted yes, or the error to report.
+    /// has voted yes, or the error to report.  The edited leaves the votes
+    /// name as full are added to `full`.
     ///
     /// A `Committed` answer is the commit: a sole participant's, or one
-    /// that resolved the transaction already.  A refusal aborts.  Every
+    /// that resolved the transaction already.  A refusal aborts; a refused
+    /// cell edit is counted on its own, not as a conflict.  Every
     /// other vote not heard — an answer lost, a failure, a prepare the round
     /// never sent — is asked for with a fencing probe, after which its
     /// participant has voted yes or never will: a clean abort, reported as
@@ -785,6 +931,7 @@ impl Txn {
         participants: &[ServerId],
         votes: Vec<Result<KvResponse>>,
         deadline: &Deadline,
+        full: &mut Vec<ObjectId>,
     ) -> Result<Timestamp> {
         let failed = |server: ServerId, why: String| {
             Error::Unavailable(format!(
@@ -797,17 +944,32 @@ impl Txn {
         let mut votes = votes.into_iter();
         for &server in participants {
             let failure = match votes.next() {
-                Some(Ok(KvResponse::Prepared { prepare_ts })) => {
+                Some(Ok(KvResponse::Prepared {
+                    prepare_ts,
+                    full: named,
+                })) => {
                     commit_ts = commit_ts.max(prepare_ts);
+                    full.extend(named);
                     continue;
                 }
                 // A sole participant's vote, or a commit resolved already.
-                Some(Ok(KvResponse::Committed { commit_ts })) => return Ok(commit_ts),
+                Some(Ok(KvResponse::Committed {
+                    commit_ts,
+                    full: named,
+                })) => {
+                    full.extend(named);
+                    return Ok(commit_ts);
+                }
                 Some(Ok(KvResponse::Conflict { reason })) => {
                     self.core.hot.txn_conflicts.inc();
                     count(TraceCounter::Conflicts, 1);
                     let conflict = Error::Conflict(reason);
                     return Err(self.aborted(participants, server, deadline, conflict));
+                }
+                Some(Ok(KvResponse::EditRefused { obj, reason })) => {
+                    self.core.hot.cell_edit_refusals.inc();
+                    let refused = Error::EditRefused { obj, reason };
+                    return Err(self.aborted(participants, server, deadline, refused));
                 }
                 Some(Ok(KvResponse::ServerError { message })) => Error::Io(message),
                 Some(Ok(other)) => {

@@ -48,6 +48,21 @@
 //! read (first entry of the range, or a reverse fence descent for `MAX`).
 //! UPDATE/DELETE materialise their match set before mutating so the scan
 //! never observes its own writes (the classic Halloween problem).
+//!
+//! ## Index maintenance
+//!
+//! A write statement reads only the leaves it needs an answer from: the
+//! row's leaf (an INSERT's occupancy check; an UPDATE's or DELETE's match,
+//! which its scan already fetched) and, for an INSERT, each unique index's
+//! leaf, whose probe is the uniqueness check — a violation belongs to the
+//! statement, not to the commit.  Every other index write needs no answer:
+//! removing an entry, or adding a non-unique one (its key carries the
+//! rowid).  Those go through [`Dbt::put_unread`] / [`Dbt::remove_unread`],
+//! which buffer a cell edit that the leaf's server applies at commit, with
+//! no fetch, wherever the client's cache names the leaf.  So a DELETE by id
+//! and an index-moving UPDATE read one leaf and commit: two round trips on
+//! a slept network.  The leaves a statement does read are fetched together
+//! first (`prefetch_leaves`).
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
@@ -1779,7 +1794,8 @@ fn index_entry_key(ix: &IndexInfo, vals: &[Value], rid: i64) -> (Vec<u8>, bool) 
     }
 }
 
-/// Inserts one index entry, enforcing uniqueness.
+/// Inserts one index entry, enforcing uniqueness; a non-unique entry is
+/// put unread (module docs, "Index maintenance").
 fn insert_index_entry(
     itree: &Dbt,
     txn: &Txn,
@@ -1798,15 +1814,13 @@ fn insert_index_entry(
                     ix.name
                 )));
             }
+            Ok(())
         }
-        (key, false) => {
-            itree.insert(txn, &key, &[])?;
-        }
+        (key, false) => itree.put_unread(txn, &key, &[]),
     }
-    Ok(())
 }
 
-/// Removes the index entry a row contributed.
+/// Removes the index entry a row contributed, unread.
 fn delete_index_entry(
     itree: &Dbt,
     txn: &Txn,
@@ -1814,8 +1828,18 @@ fn delete_index_entry(
     vals: &[Value],
     rid: i64,
 ) -> Result<()> {
-    itree.delete(txn, &index_entry_key(ix, vals, rid).0)?;
-    Ok(())
+    itree.remove_unread(txn, &index_entry_key(ix, vals, rid).0)
+}
+
+/// `(itree, key)` if writing the index entry `key` fetches its leaf: a
+/// unique insert (`unique`) always does, any other write only when it
+/// cannot go unread ([`Dbt::edits_unread`]).
+fn entry_leaf_to_fetch<'t>(
+    txn: &Txn,
+    itree: &'t Dbt,
+    (key, unique): (Vec<u8>, bool),
+) -> Option<(&'t Dbt, Vec<u8>)> {
+    (unique || !itree.edits_unread(txn, &key)).then_some((itree, key))
 }
 
 /// Fetches, in one round, the leaves a statement is about to search for
@@ -1910,10 +1934,8 @@ fn exec_insert(cx: &ExecCtx<'_>, p: &InsertPlan) -> Result<ResultSet> {
         prefetch_leaves(cx, || {
             let mut keys = vec![(&table, encode_rowid_key(first.0))];
             for (ix, itree) in schema.indexes.iter().zip(&itrees) {
-                keys.push((
-                    itree,
-                    index_entry_key(ix, &index_values(ix, &row), first.0).0,
-                ));
+                let entry = index_entry_key(ix, &index_values(ix, &row), first.0);
+                keys.extend(entry_leaf_to_fetch(cx.txn, itree, entry));
             }
             keys
         });
@@ -1961,8 +1983,9 @@ fn collect_matches(cx: &ExecCtx<'_>, target: &DmlTarget) -> Result<Vec<(i64, Vec
 
 /// Every row an UPDATE (or a DELETE) changes was fetched by
 /// [`collect_matches`], so rewriting its row leaf costs no round trip — the
-/// transaction remembers the leaf — and the index leaves it changes are
-/// fetched together, first.
+/// transaction remembers the leaf.  Its index entries are edited unread
+/// where they may be (module docs, "Index maintenance"); the leaves it must
+/// read are fetched together, first.
 fn exec_update(cx: &ExecCtx<'_>, p: &crate::plan::UpdatePlan) -> Result<ResultSet> {
     let schema = &p.target.schema;
     let table = cx.catalog.engine().tree(schema.tree);
@@ -2004,10 +2027,11 @@ fn exec_update(cx: &ExecCtx<'_>, p: &crate::plan::UpdatePlan) -> Result<ResultSe
             let mut keys: Vec<_> = moved
                 .iter()
                 .flat_map(|(ix, itree, old, new)| {
-                    [
-                        (*itree, index_entry_key(ix, old, rid).0),
-                        (*itree, index_entry_key(ix, new, new_rid).0),
-                    ]
+                    let old = (index_entry_key(ix, old, rid).0, false);
+                    let new = index_entry_key(ix, new, new_rid);
+                    [old, new]
+                        .into_iter()
+                        .filter_map(|entry| entry_leaf_to_fetch(cx.txn, itree, entry))
                 })
                 .collect();
             if new_rid != rid {
@@ -2046,11 +2070,11 @@ fn exec_delete(cx: &ExecCtx<'_>, p: &crate::plan::DeletePlan) -> Result<ResultSe
     let mut affected = 0u64;
     for (rid, row) in matches {
         prefetch_leaves(cx, || {
-            schema
-                .indexes
-                .iter()
-                .zip(&itrees)
-                .map(|(ix, itree)| (itree, index_entry_key(ix, &index_values(ix, &row), rid).0))
+            (schema.indexes.iter().zip(&itrees))
+                .filter_map(|(ix, itree)| {
+                    let key = index_entry_key(ix, &index_values(ix, &row), rid).0;
+                    entry_leaf_to_fetch(cx.txn, itree, (key, false))
+                })
                 .collect()
         });
         for (ix, itree) in schema.indexes.iter().zip(&itrees) {

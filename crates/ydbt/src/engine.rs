@@ -6,12 +6,17 @@
 //! client's map of known replica sets, and (when splits are delegated or
 //! hot-node replication is enabled) the background maintenance task.
 
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Weak};
+
+use parking_lot::Mutex;
 
 use yesquel_common::config::SplitMode;
 use yesquel_common::ids::ROOT_OID;
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::{DbtConfig, Error, ObjectId, Oid, Result, TreeId};
+use yesquel_kv::txn::{LeafReport, OnReport};
 use yesquel_kv::KvClient;
 
 use crate::alloc::OidAllocator;
@@ -19,7 +24,7 @@ use crate::cache::NodeCache;
 use crate::load::LoadTracker;
 use crate::node::{LeafView, NodeView};
 use crate::replica::{PlacementTracker, ReplicaMap};
-use crate::split::{MaintRequest, SplitContext, SplitRequest, Splitter};
+use crate::split::{MaintRequest, SplitContext, SplitReason, SplitRequest, Splitter};
 use crate::tree::Dbt;
 
 /// Counters bumped on the per-operation hot paths, resolved from the
@@ -81,6 +86,16 @@ pub struct DbtEngine {
     /// Resolved once: replication needs opt-in, a factor, and more than one
     /// server to replicate onto.
     replication_on: bool,
+    /// What a participant's report on this client's cell edits of a leaf
+    /// does: a full leaf is split, a refused one is noted in `refused`.
+    on_report: OnReport,
+    /// Leaves whose cell edits a participant refused: they take the fetch
+    /// path until it writes them (see `Dbt::edits_unread`).
+    refused: Mutex<HashSet<ObjectId>>,
+    /// Whether `refused` may hold a leaf, read with no lock by every write.
+    /// Only a hint (`Relaxed`): a leaf edited unread that should have been
+    /// fetched costs a refusal, never a wrong page.
+    any_refused: AtomicBool,
 }
 
 impl DbtEngine {
@@ -111,19 +126,65 @@ impl DbtEngine {
         } else {
             None
         };
-        Arc::new(DbtEngine {
-            kv,
-            cfg,
-            cache,
-            load,
-            alloc,
-            counters: HotCounters::new(&stats),
-            stats,
-            replicas,
-            placement,
-            splitter,
-            replication_on,
+        Arc::new_cyclic(|engine: &Weak<DbtEngine>| {
+            let engine = Weak::clone(engine);
+            let on_report: OnReport = Arc::new(move |obj: ObjectId, what| {
+                let Some(engine) = engine.upgrade() else {
+                    return;
+                };
+                match what {
+                    LeafReport::Full => engine.request_split(SplitRequest {
+                        tree: obj.tree,
+                        oid: obj.oid,
+                        reason: SplitReason::Size,
+                    }),
+                    LeafReport::Refused => {
+                        let mut refused = engine.refused.lock();
+                        refused.insert(obj);
+                        engine.any_refused.store(true, Ordering::Relaxed);
+                    }
+                }
+            });
+            DbtEngine {
+                kv,
+                cfg,
+                cache,
+                load,
+                alloc,
+                counters: HotCounters::new(&stats),
+                stats,
+                replicas,
+                placement,
+                splitter,
+                replication_on,
+                on_report,
+                refused: Mutex::new(HashSet::new()),
+                any_refused: AtomicBool::new(false),
+            }
         })
+    }
+
+    /// What a cell edit calls with its leaf and its participant's report
+    /// ([`yesquel_kv::Txn::edit_cell`]).
+    pub(crate) fn on_report(&self) -> &OnReport {
+        &self.on_report
+    }
+
+    /// Whether a participant refused this client's cell edits of `obj`
+    /// since the fetch path last wrote it.
+    pub(crate) fn was_refused(&self, obj: ObjectId) -> bool {
+        self.any_refused.load(Ordering::Relaxed) && self.refused.lock().contains(&obj)
+    }
+
+    /// Notes that the fetch path wrote `obj`: the route to it is fresh, and
+    /// its replicas known.
+    pub(crate) fn wrote_fetched(&self, obj: ObjectId) {
+        if self.any_refused.load(Ordering::Relaxed) {
+            let mut refused = self.refused.lock();
+            refused.remove(&obj);
+            self.any_refused
+                .store(!refused.is_empty(), Ordering::Relaxed);
+        }
     }
 
     /// The key-value client this engine issues its operations through.

@@ -39,6 +39,37 @@
 //! **edit the page**: the destination leaf's next page is built from the
 //! fetched bytes in one allocation and one copy ([`LeafView::put`] /
 //! [`LeafView::remove`]) and buffered in the transaction as it is.
+//!
+//! ## Edits that go unread
+//!
+//! A write whose caller needs no answer from the leaf — [`Dbt::put_unread`]
+//! and [`Dbt::remove_unread`]: an index entry removed, a non-unique entry
+//! added — need not fetch the leaf at all.  It is buffered as a **cell
+//! edit** ([`Txn::edit_cell`]) and applied by the leaf's participant at
+//! prepare time, to the version the transaction's snapshot reads, which is
+//! the page the fetch path would have edited.  An edit goes unread when all
+//! of these hold, and takes the fetch path otherwise:
+//!
+//! - the inner-node cache names the leaf: phase 1 ends under a cached node
+//!   of height 1, or, with no inner node of the tree cached, at the root (a
+//!   one-leaf tree; a root that turns out to be inner is refused once, and
+//!   the fetch that follows warms the cache);
+//! - the client's [`ReplicaMap`](crate::ReplicaMap) lists no replicas for
+//!   it (every copy must be written, so a replicated leaf is fetched);
+//! - the transaction holds no page of it ([`Txn::may_edit_unread`]): a leaf
+//!   it fetched or wrote is edited where it is held, and a leaf refused
+//!   earlier in the statement is fetched;
+//! - no participant refused this client's edits of it since the fetch path
+//!   last wrote it (a refusal ends one transaction, not every later one:
+//!   an explicit transaction retried by its application fetches the leaf,
+//!   and that fetch refreshes the route);
+//! - splits are delegated: a client that splits synchronously, in the
+//!   writing transaction, edits what it reads.
+//!
+//! The participant refuses an edit whose leaf is not a leaf, does not fence
+//! the key or lists replicas; the statement's retry fetches that leaf.  A
+//! leaf an edit fills past `leaf_max_cells` is named in the vote, and the
+//! engine asks for its split, as a fetched insert does.
 
 use std::sync::Arc;
 
@@ -396,6 +427,8 @@ impl Dbt {
     /// the fetched page had).  A leaf left over its size bound is split in
     /// this transaction, or the splitter is asked to.
     fn write_leaf(&self, txn: &Txn, lr: &LeafRef, page: Bytes, new_len: usize) -> Result<()> {
+        self.engine
+            .wrote_fetched(ObjectId::new(self.tree, lr.oid()));
         put_node_all(
             txn,
             self.tree,
@@ -420,6 +453,74 @@ impl Dbt {
                     });
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// The leaf a cell edit of `key` goes to without fetching it, if it may
+    /// (module docs, "Edits that go unread").  No RPC.
+    fn unread_leaf(&self, txn: &Txn, key: &[u8]) -> Option<ObjectId> {
+        let cfg = self.engine.config();
+        if !cfg.cache_inner_nodes || cfg.split_mode != SplitMode::Delegated {
+            return None;
+        }
+        let path = self.cached_path(key);
+        if let [.., parent, _] = path[..] {
+            if self.engine.cache().get(self.tree, parent)?.height() != 1 {
+                return None;
+            }
+        }
+        let leaf = *path.last().expect("path never empty");
+        let obj = ObjectId::new(self.tree, leaf);
+        let listed = self.engine.replicas().lists(self.tree, leaf);
+        let fetch = listed || self.engine.was_refused(obj);
+        (!fetch && txn.may_edit_unread(obj)).then_some(obj)
+    }
+
+    /// Whether a [`Dbt::put_unread`] or [`Dbt::remove_unread`] of `key`
+    /// would go unread now, so that a statement leaves its leaf out of the
+    /// leaves it fetches first.
+    pub fn edits_unread(&self, txn: &Txn, key: &[u8]) -> bool {
+        self.unread_leaf(txn, key).is_some()
+    }
+
+    /// Buffers a cell edit of `key`'s leaf unread, if it may; false if the
+    /// write must take the fetch path.
+    fn edit_unread(&self, txn: &Txn, key: &[u8], value: Option<&[u8]>) -> Result<bool> {
+        let Some(obj) = self.unread_leaf(txn, key) else {
+            return Ok(false);
+        };
+        let _dbt_span = span(SpanKind::Dbt);
+        let (cfg, counters) = (self.engine.config(), self.engine.counters());
+        let kind = if value.is_some() {
+            &counters.inserts
+        } else {
+            &counters.deletes
+        };
+        kind.inc();
+        txn.edit_cell(obj, key, value, cfg.leaf_max_cells, self.engine.on_report())?;
+        // The leaf's length is not known here; 2 lets a write-hot leaf be
+        // load-split, and the splitter checks the length it reads.
+        self.track_access(obj.oid, 2, true);
+        Ok(true)
+    }
+
+    /// Inserts or replaces `key` → `value` for a caller that needs no
+    /// answer from the leaf: unread where it may go unread (module docs),
+    /// else through [`Dbt::insert`].
+    pub fn put_unread(&self, txn: &Txn, key: &[u8], value: &[u8]) -> Result<()> {
+        if !self.edit_unread(txn, key, Some(value))? {
+            self.insert(txn, key, value)?;
+        }
+        Ok(())
+    }
+
+    /// Removes `key`, if present, for a caller that needs no answer from
+    /// the leaf: unread where it may go unread (module docs), else through
+    /// [`Dbt::delete`].
+    pub fn remove_unread(&self, txn: &Txn, key: &[u8]) -> Result<()> {
+        if !self.edit_unread(txn, key, None)? {
+            self.delete(txn, key)?;
         }
         Ok(())
     }

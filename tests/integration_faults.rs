@@ -74,8 +74,8 @@ fn prepare_at(
     let next_ts = || db.oracle().next_timestamp();
     let store = db.cluster().servers()[server].store();
     let writes = [write(obj, b"voted")];
-    match store.prepare(txn, start_ts, &writes, &[0, 1], lease, next_ts) {
-        Ok((PrepareOutcome::Prepared(prepare_ts), _)) => prepare_ts,
+    match store.prepare(txn, start_ts, &writes, &[], &[0, 1], lease, next_ts) {
+        Ok((PrepareOutcome::Prepared(prepare_ts, _), _)) => prepare_ts,
         Ok((other, _)) => panic!("expected a yes vote, got {other:?}"),
         Err(e) => panic!("the prepare failed: {e}"),
     }
@@ -87,6 +87,7 @@ fn prepare2(txn: u64, start_ts: u64, obj: ObjectId, val: &[u8], lease_us: u64) -
         txn,
         start_ts,
         writes: vec![write(obj, val)],
+        edits: Vec::new(),
         participants: vec![0, 1],
         lease_us,
     }
@@ -95,7 +96,7 @@ fn prepare2(txn: u64, start_ts: u64, obj: ObjectId, val: &[u8], lease_us: u64) -
 /// The prepare timestamp of a yes vote.
 fn voted(resp: KvResponse) -> u64 {
     match resp {
-        KvResponse::Prepared { prepare_ts } => prepare_ts,
+        KvResponse::Prepared { prepare_ts, .. } => prepare_ts,
         other => panic!("expected a yes vote, got {other:?}"),
     }
 }
@@ -432,7 +433,7 @@ fn duplicate_prepare_and_commit_are_idempotent() {
             .call(0, KvRequest::Commit { txn, commit_ts })
             .unwrap()
         {
-            KvResponse::Committed { commit_ts: ts } => assert_eq!(ts, commit_ts),
+            KvResponse::Committed { commit_ts: ts, .. } => assert_eq!(ts, commit_ts),
             other => panic!("expected Committed, got {other:?}"),
         }
     }
@@ -446,7 +447,7 @@ fn duplicate_prepare_and_commit_are_idempotent() {
     // A duplicate prepare arriving after the commit reports the commit
     // (the retransmission is stale) and re-acquires nothing.
     match transport.call(0, prep).unwrap() {
-        KvResponse::Committed { commit_ts: ts } => assert_eq!(ts, commit_ts),
+        KvResponse::Committed { commit_ts: ts, .. } => assert_eq!(ts, commit_ts),
         other => panic!("expected Committed, got {other:?}"),
     }
     assert_eq!(db.prepared_total(), 0);
@@ -864,6 +865,7 @@ fn a_lost_commit_is_learnt_before_the_primary_forgets_it() {
             txn: 0x10_000 + i,
             start_ts: db.oracle().next_timestamp(),
             writes: vec![write(obj, b"filler")],
+            edits: Vec::new(),
             participants: vec![0],
             lease_us: ORPHAN_LEASE_US,
         };

@@ -97,6 +97,7 @@ fn a_read_that_timed_out_on_a_lock_remembers_nothing() {
                     obj: obj(8),
                     value: Some(bytes::Bytes::from_static(b"after")),
                 }],
+                edits: Vec::new(),
                 // The other participant never answers a probe, so the lock
                 // stays live until the decision arrives.
                 participants: vec![0, 1],
@@ -157,6 +158,7 @@ fn a_reader_outwaits_a_live_lock_without_restarting() {
                     obj: obj(9),
                     value: Some(bytes::Bytes::from_static(b"after")),
                 }],
+                edits: Vec::new(),
                 // The other participant never answers a probe, so the lock
                 // stays live until the decision arrives.
                 participants: vec![0, 1],

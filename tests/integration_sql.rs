@@ -1475,8 +1475,10 @@ fn autocommit_statements_retry_conflicts_to_success() {
 fn insert_probes_each_leaf_once() {
     // The wiki fixture has one unique and one plain index.  An INSERT writes
     // three leaves; the row leaf's and the unique-index leaf's own probes
-    // are the uniqueness checks, so a warm statement fetches three nodes —
-    // not five (a lookup and then an insert on two of the trees).
+    // are the uniqueness checks, and the plain index's entry is a cell edit
+    // its leaf's server applies, so a warm statement fetches two nodes —
+    // not five (a lookup and then an insert on two of the trees, and the
+    // plain index's leaf).
     let y = wiki_fixture();
     let stats = y.db().stats();
     let insert = y
@@ -1486,7 +1488,7 @@ fn insert_probes_each_leaf_once() {
     y.engine().wait_for_splits();
     let fetches = stats.counter("dbt.node_fetches").get();
     insert.execute(params![1001, "measured", 2, "b"]).unwrap();
-    assert_eq!(stats.counter("dbt.node_fetches").get() - fetches, 3);
+    assert_eq!(stats.counter("dbt.node_fetches").get() - fetches, 2);
     assert_eq!(
         rows_i64(&y, "SELECT id FROM pages WHERE title = 'measured'"),
         vec![vec![1001]]
@@ -1588,6 +1590,157 @@ fn warm_updates_fetch_the_row_leaf_once() {
     assert_eq!(rs.rows, vec![vec![Value::Text("edited".into())]]);
 }
 
+/// `threaded_wiki` over `rows` rows: enough, at 300, that every tree has
+/// inner nodes.
+fn threaded_wiki_rows(one_way_latency_us: u64, rows: i64) -> Yesquel {
+    let y = threaded_wiki(one_way_latency_us);
+    {
+        let insert = y.prepare(WIKI_INSERT).unwrap();
+        for i in 8..rows {
+            insert
+                .execute(params![i, format!("page-{i:02}"), i * 10, "body"])
+                .unwrap();
+        }
+    }
+    y.engine().wait_for_splits();
+    y
+}
+
+/// A statement that edits index entries reads only the leaves it needs an
+/// answer from, counted as `Get`s on warm caches: a DELETE by id and an
+/// index-moving UPDATE read the row's leaf, and an INSERT the row's leaf and
+/// its unique-index leaf.  The index leaves they only edit take cell edits,
+/// applied by the leaves' servers.  This holds on one-leaf trees, where the
+/// edit goes to the root, and on trees with inner nodes, where it goes to
+/// the leaf a cached parent names.
+#[test]
+fn index_edits_fetch_no_index_leaf() {
+    for rows in [8, 300] {
+        let y = threaded_wiki_rows(0, rows);
+        let stats = y.db().stats();
+        let gets = stats.counter("kv.get_rpcs");
+        let refusals = stats.counter("dbt.cell_edit_refusals");
+        let delete = y.prepare("DELETE FROM pages WHERE id = ?").unwrap();
+        let update = y
+            .prepare("UPDATE pages SET views = views + 1 WHERE id = ?")
+            .unwrap();
+        let insert = y.prepare(WIKI_INSERT).unwrap();
+        let count_gets = |run: &dyn Fn()| {
+            y.engine().wait_for_splits();
+            let before = gets.get();
+            run();
+            gets.get() - before
+        };
+        // Warm every cache, with one statement of each kind.
+        delete.execute(params![1]).unwrap();
+        update.execute(params![2]).unwrap();
+        insert.execute(params![1, "page-01", 10, "body"]).unwrap();
+
+        // Each measured statement leaves every leaf's size as it found it,
+        // so none asks for a split whose reads would be counted here.
+        let refused = refusals.get();
+        let deleted = count_gets(&|| {
+            assert_eq!(delete.execute(params![5]).unwrap().rows_affected, 1);
+        });
+        assert_eq!(
+            deleted, 1,
+            "{rows} rows: a DELETE by id fetches its row leaf"
+        );
+        let updated = count_gets(&|| {
+            assert_eq!(update.execute(params![6]).unwrap().rows_affected, 1);
+        });
+        assert_eq!(
+            updated, 1,
+            "{rows} rows: an index-moving UPDATE fetches its row leaf"
+        );
+        let inserted = count_gets(&|| {
+            insert.execute(params![5, "page-05", 50, "body"]).unwrap();
+        });
+        assert_eq!(
+            inserted, 2,
+            "{rows} rows: an INSERT fetches its row and title leaves"
+        );
+        assert_eq!(
+            refusals.get(),
+            refused,
+            "{rows} rows: a warm edit was refused"
+        );
+
+        // The rows and both indexes agree with the model.
+        let views = |i: i64| i * 10 + i64::from(i == 2 || i == 6);
+        assert_eq!(
+            rows_i64(&y, "SELECT id, views FROM pages ORDER BY id"),
+            (0..rows).map(|i| vec![i, views(i)]).collect::<Vec<_>>()
+        );
+        for i in [2, 5, 6] {
+            let by_views = format!("SELECT id FROM pages WHERE views = {}", views(i));
+            assert_eq!(rows_i64(&y, &by_views), vec![vec![i]]);
+            let by_title = format!("SELECT id FROM pages WHERE title = 'page-{i:02}'");
+            assert_eq!(rows_i64(&y, &by_title), vec![vec![i]]);
+        }
+        assert_eq!(
+            rows_i64(&y, "SELECT id FROM pages WHERE views = 60"),
+            Vec::<Vec<i64>>::new()
+        );
+    }
+}
+
+/// An explicit transaction that deletes a row and moves another's index
+/// entry, then reads through both indexes, sees its own cell edits: the
+/// read applies them to the leaf it fetches.
+#[test]
+fn a_transaction_reads_its_own_index_edits() {
+    let y = threaded_wiki_rows(0, 300);
+    let refusals = y.db().stats().counter("dbt.cell_edit_refusals");
+    y.prepare("DELETE FROM pages WHERE id = ?")
+        .unwrap()
+        .execute(params![1])
+        .unwrap();
+    let refused = refusals.get();
+    let none = Vec::<Vec<i64>>::new();
+
+    y.execute("BEGIN", &[]).unwrap();
+    y.execute("DELETE FROM pages WHERE id = 150", &[]).unwrap();
+    y.execute("UPDATE pages SET views = 7 WHERE id = 151", &[])
+        .unwrap();
+    assert_eq!(
+        rows_i64(&y, "SELECT id FROM pages WHERE views = 1500"),
+        none
+    );
+    assert_eq!(
+        rows_i64(&y, "SELECT id FROM pages WHERE title = 'page-150'"),
+        none
+    );
+    assert_eq!(
+        rows_i64(&y, "SELECT id FROM pages WHERE views = 1510"),
+        none
+    );
+    assert_eq!(
+        rows_i64(&y, "SELECT id FROM pages WHERE views < 10 ORDER BY views"),
+        vec![vec![0], vec![151]]
+    );
+    y.execute("COMMIT", &[]).unwrap();
+    assert_eq!(refusals.get(), refused);
+
+    let mut model: Vec<Vec<i64>> = (2..300)
+        .filter(|&i| i != 150)
+        .map(|i| vec![i, if i == 151 { 7 } else { i * 10 }])
+        .collect();
+    model.insert(0, vec![0, 0]);
+    assert_eq!(
+        rows_i64(&y, "SELECT id, views FROM pages ORDER BY id"),
+        model
+    );
+    model.sort_by_key(|r| (r[1], r[0]));
+    assert_eq!(
+        rows_i64(
+            &y,
+            "SELECT id, views FROM pages WHERE views >= 0 ORDER BY views"
+        ),
+        model
+    );
+}
+
 /// The shortest of `runs` timings of `op`, each after a pause of `settle`
 /// that lets the last statement's `Commit`s land: a leaf still locked by
 /// them would cost the next one a wait that is not its own.
@@ -1652,6 +1805,43 @@ fn an_index_moving_update_takes_under_four_round_trips() {
     });
     assert!(
         update_time < round_trip * 4,
+        "an index-moving UPDATE took {update_time:?}, a round trip {round_trip:?}"
+    );
+}
+
+/// A DELETE by id reads the row's leaf, edits its index entries where they
+/// live and returns once every participant has voted: two round trips.
+#[test]
+fn a_delete_by_id_takes_under_three_round_trips() {
+    let y = threaded_wiki(1_000);
+    let delete = y.prepare("DELETE FROM pages WHERE id = ?").unwrap();
+    assert_eq!(delete.execute(params![0]).unwrap().rows_affected, 1);
+    let round_trip = round_trip(&y);
+    let delete_time = fastest(1..6, round_trip * 2, |id| {
+        assert_eq!(delete.execute(params![id]).unwrap().rows_affected, 1);
+    });
+    assert!(
+        delete_time < round_trip * 3,
+        "a DELETE took {delete_time:?}, a round trip {round_trip:?}"
+    );
+}
+
+/// An UPDATE that moves a row's index entry reads the row's leaf, edits the
+/// entry where it lives and returns once every participant has voted: two
+/// round trips.
+#[test]
+fn an_index_moving_update_takes_under_three_round_trips() {
+    let y = threaded_wiki(1_000);
+    let update = y
+        .prepare("UPDATE pages SET views = views + 1 WHERE id = ?")
+        .unwrap();
+    assert_eq!(update.execute(params![2]).unwrap().rows_affected, 1);
+    let round_trip = round_trip(&y);
+    let update_time = fastest(3..8, round_trip * 2, |id| {
+        assert_eq!(update.execute(params![id]).unwrap().rows_affected, 1);
+    });
+    assert!(
+        update_time < round_trip * 3,
         "an index-moving UPDATE took {update_time:?}, a round trip {round_trip:?}"
     );
 }

@@ -459,6 +459,7 @@ fn lost_commits_case(seed: u64, transport: TransportKind) {
                     txn,
                     start_ts,
                     writes,
+                    edits: Vec::new(),
                     participants: participants.clone(),
                     lease_us: db.config().kv.prepare_lease_us,
                 };
@@ -468,7 +469,7 @@ fn lost_commits_case(seed: u64, transport: TransportKind) {
         let votes: Option<Vec<u64>> = round
             .into_iter()
             .map(|vote| match vote.wait() {
-                Ok(KvResponse::Prepared { prepare_ts }) => Some(prepare_ts),
+                Ok(KvResponse::Prepared { prepare_ts, .. }) => Some(prepare_ts),
                 _ => None,
             })
             .collect();

@@ -10,13 +10,27 @@
 //! **byte-identical** to `build(model)`: pages are canonical, which is what
 //! replica byte-identity (`prop_replica`) and any deterministic replay of a
 //! write rest on.
+//!
+//! Cell edits are in the storm too: a storage server's store, as a
+//! transaction's participant, applies a few puts and removes to a leaf the
+//! transaction never read, and the page it installs must be the one the
+//! client's fetch path would have written and the builder's.  An edit the
+//! participant must refuse — a key outside the leaf's fences, a leaf that
+//! lists replicas — must be refused, leaving the leaf as it was.
 
 use std::collections::BTreeMap;
+
+use std::time::Duration;
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use yesquel::common::page::CellEdit;
+use yesquel::kv::protocol::LeafEdit;
+use yesquel::kv::store::{PrepareOutcome, ReadOutcome, ServerStore};
+use yesquel::kv::WriteOp;
 use yesquel::ydbt::{Bound, InnerView, LeafView, NodeView};
+use yesquel::ObjectId;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Fence {
@@ -122,6 +136,58 @@ impl InnerModel {
     }
 }
 
+/// A storage server's store, applying cell edits as a participant would:
+/// each leaf is installed as a version, and a later transaction prepares
+/// its edits against that version and commits.
+struct Participant {
+    store: ServerStore,
+    ts: u64,
+}
+
+impl Participant {
+    const LEAF: ObjectId = ObjectId { tree: 1, oid: 1 };
+
+    /// Commits `writes` and `edits` as one sole-participant transaction
+    /// reading at the newest timestamp; `Err` with the refusal if refused.
+    fn commit(&mut self, writes: &[WriteOp], edits: &[LeafEdit]) -> Result<(), String> {
+        let (txn, start_ts) = (self.ts + 1, self.ts);
+        self.ts += 1;
+        let lease = Duration::from_secs(60);
+        let next_ts = || start_ts + 1;
+        let (vote, _) = (self.store)
+            .prepare(txn, start_ts, writes, edits, &[0], lease, next_ts)
+            .unwrap();
+        match vote {
+            PrepareOutcome::Prepared(ts, _) => {
+                self.store.commit(txn, ts).unwrap();
+                Ok(())
+            }
+            PrepareOutcome::EditRefused { reason, .. } => Err(reason),
+            other => panic!("unexpected vote {other:?}"),
+        }
+    }
+
+    /// The page a transaction that never read `page` leaves once its
+    /// participant applied `cells` to it, or the refusal.
+    fn edit(&mut self, page: &Bytes, cells: Vec<CellEdit>) -> Result<Bytes, String> {
+        let install = WriteOp {
+            obj: Self::LEAF,
+            value: Some(page.clone()),
+        };
+        self.commit(&[install], &[]).unwrap();
+        let edit = LeafEdit {
+            obj: Self::LEAF,
+            cells,
+            max_cells: 64,
+        };
+        let edited = self.commit(&[], &[edit]);
+        match self.store.get(Self::LEAF, self.ts) {
+            ReadOutcome::Value(Some(now)) => edited.map(|()| now),
+            other => panic!("the leaf is gone: {other:?}"),
+        }
+    }
+}
+
 /// Short keys over a small alphabet, so random puts hit existing cells and
 /// their neighbours often; the empty key is in the domain.
 fn random_key(rng: &mut StdRng) -> Vec<u8> {
@@ -186,12 +252,74 @@ fn storm_case(seed: u64) {
     }];
     let mut next_oid = 10u64;
     let (mut leaf_splits, mut inner_splits, mut replaced, mut removed) = (0, 0, 0, 0);
+    let mut participant = Participant {
+        store: ServerStore::new(),
+        ts: 1,
+    };
+    let (mut cell_edits, mut refusals) = (0, 0);
 
     for step in 0..6_000 {
         let what = format!("seed {seed} step {step}");
         // Every step starts from the parsed bytes of the previous result:
         // the builder's page, which the previous check proved identical.
-        if rng.gen_range(0u32..10) < 7 {
+        let pick = rng.gen_range(0u32..20);
+        if pick < 3 {
+            // Cell edits, applied by a participant to a leaf it stores.
+            let at = rng.gen_range(0usize..leaves.len());
+            let m = &mut leaves[at];
+            let page = m.build();
+            let mut edits: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+            for _ in 0..rng.gen_range(1usize..4) {
+                // Mostly keys the leaf fences: existing ones, or fresh ones
+                // drawn until one falls inside.
+                let existing = m
+                    .cells
+                    .keys()
+                    .nth(rng.gen_range(0usize..m.cells.len().max(1)));
+                let key = match (existing, rng.gen_range(0u32..8)) {
+                    (_, 0) => random_key(&mut rng),
+                    (Some(k), 1..=3) => k.clone(),
+                    _ => (0..16)
+                        .map(|_| random_key(&mut rng))
+                        .find(|k| contains(&m.lower, &m.upper, k))
+                        .unwrap_or_else(|| random_key(&mut rng)),
+                };
+                let value = (rng.gen_range(0u32..3) > 0).then(|| random_value(&mut rng));
+                edits.insert(key, value);
+            }
+            let cells: Vec<CellEdit> = (edits.iter())
+                .map(|(k, v)| (Bytes::from(k.clone()), v.clone().map(Bytes::from)))
+                .collect();
+            let refused =
+                !m.replicas.is_empty() || edits.keys().any(|k| !contains(&m.lower, &m.upper, k));
+            match participant.edit(&page, cells) {
+                Err(reason) => {
+                    assert!(refused, "{what}: refused a valid edit: {reason}");
+                    refusals += 1;
+                }
+                Ok(edited) => {
+                    assert!(!refused, "{what}: applied an edit it must refuse");
+                    // The page the client's fetch path would have written.
+                    let mut fetched = LeafView::parse(page).unwrap();
+                    for (key, value) in &edits {
+                        let next = match value {
+                            Some(v) => Some(fetched.put(key, v).unwrap().0),
+                            None => fetched.remove(key).unwrap(),
+                        };
+                        if let Some(next) = next {
+                            fetched = LeafView::parse(next).unwrap();
+                        }
+                        match value {
+                            Some(v) => m.cells.insert(key.clone(), v.clone()),
+                            None => m.cells.remove(key),
+                        };
+                    }
+                    assert_eq!(&edited, fetched.page(), "{what}: not the fetch path's page");
+                    m.check(&edited, &mut rng, &what);
+                    cell_edits += 1;
+                }
+            }
+        } else if pick < 15 {
             let at = rng.gen_range(0usize..leaves.len());
             let m = &mut leaves[at];
             let view = LeafView::parse(m.build()).unwrap();
@@ -326,10 +454,12 @@ fn storm_case(seed: u64) {
     }
     println!(
         "seed {seed}: leaf_splits={leaf_splits} inner_splits={inner_splits} \
-         replaced={replaced} removed={removed} oids={next_oid}"
+         replaced={replaced} removed={removed} oids={next_oid} \
+         cell_edits={cell_edits} refusals={refusals}"
     );
     // The storm must have reached every kind of edit.
     assert!(leaf_splits > 10 && inner_splits > 5 && replaced > 100 && removed > 100);
+    assert!(cell_edits > 100 && refusals > 50);
 }
 
 #[test]

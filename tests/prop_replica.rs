@@ -18,7 +18,12 @@
 //!   listed by a page is byte-identical to its primary at one snapshot
 //!   (no divergence), and a full scan agrees with the client-side model;
 //! * the machinery actually engaged under fire: faults were injected, and
-//!   the replica-read, promotion, and load-split counters all moved.
+//!   the replica-read, promotion, load-split and cell-edit counters all
+//!   moved.
+//!
+//! Half the storm's writes are cell edits ([`yesquel::Dbt::put_unread`]),
+//! applied by the leaves' servers; the replicated leaf, which this client
+//! knows to be replicated, takes the fetch path and writes every copy.
 //!
 //! All randomness flows from the per-case seed, so a failure reproduces.
 
@@ -157,8 +162,15 @@ fn storm_case(seed: u64) {
                     rng.gen_range(0..KEYS)
                 };
                 let v = format!("s{seed}-op{i}").into_bytes();
-                match client.run_txn(|txn| dbt.insert(txn, &key(k), &v)) {
-                    Ok(_) => {
+                // Half the writes are cell edits the leaf's server applies,
+                // where the leaf may take one (not the replicated one).
+                let unread = rng.gen_range(0..2u32) == 0;
+                let write = |txn: &yesquel::Txn| match unread {
+                    true => dbt.put_unread(txn, &key(k), &v),
+                    false => dbt.insert(txn, &key(k), &v).map(drop),
+                };
+                match client.run_txn(write) {
+                    Ok(()) => {
                         admissible.insert(k, vec![v]);
                     }
                     Err(_) => {
@@ -223,12 +235,15 @@ fn storm_case(seed: u64) {
     let promotions = stats.counter("dbt.replica_promotions").get();
     let replica_reads = stats.counter("dbt.replica_reads").get();
     let load_splits = stats.counter("dbt.load_splits").get();
+    let cell_edits = stats.counter("dbt.cell_edits").get();
     eprintln!(
         "seed {seed}: faults={} promotions={promotions} replica_reads={replica_reads} \
-         load_splits={load_splits} fanout_writes={}",
+         load_splits={load_splits} fanout_writes={} cell_edits={cell_edits} refusals={}",
         faults.faults_injected(),
         stats.counter("dbt.replica_fanout_writes").get(),
+        stats.counter("dbt.cell_edit_refusals").get(),
     );
+    assert!(cell_edits >= 1, "seed {seed}: no write went unread");
     assert!(
         promotions >= 1,
         "seed {seed}: no hot node was ever promoted"
