@@ -22,7 +22,7 @@ pub mod config;
 pub mod encoding;
 pub mod error;
 pub mod ids;
-pub mod page;
+pub mod node;
 pub mod rand_util;
 pub mod stats;
 pub mod tempdir;

@@ -6,7 +6,7 @@
 //! feed the bandwidth model.
 
 use bytes::Bytes;
-use yesquel_common::page::CellEdit;
+use yesquel_common::node::CellEdit;
 use yesquel_common::{ObjectId, ServerId, Timestamp, TxnId};
 
 /// A buffered write shipped to a participant at prepare time: the log's
@@ -16,7 +16,7 @@ pub use yesquel_wal::WalWrite as WriteOp;
 /// The cell edits a transaction made to one tree leaf it never read,
 /// shipped to the leaf's participant at prepare time.  The participant
 /// applies them to the version the transaction's snapshot reads
-/// ([`yesquel_common::page::edit_leaf`]) and stages, logs and installs the
+/// ([`yesquel_common::node::edit_leaf`]) and stages, logs and installs the
 /// page that results like any [`WriteOp`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeafEdit {

@@ -99,7 +99,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 use yesquel_common::ids::{shard_index, splitmix64};
-use yesquel_common::page::edit_leaf;
+use yesquel_common::node::edit_leaf;
 use yesquel_common::{Completion, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalPosition, WalRecord};
 

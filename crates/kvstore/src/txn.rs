@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use yesquel_common::ids::splitmix64;
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, span, Span, SpanKind, TraceCounter};
-use yesquel_common::page::edit_leaf;
+use yesquel_common::node::edit_leaf;
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::timeutil::retry_backoff_us;
 use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};

@@ -30,7 +30,7 @@ pub mod cache;
 pub mod engine;
 pub mod iter;
 pub mod load;
-pub use yesquel_common::page as node;
+pub use yesquel_common::node;
 pub mod replica;
 pub mod split;
 pub mod tree;

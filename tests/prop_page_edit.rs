@@ -25,7 +25,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use yesquel::common::page::CellEdit;
+use yesquel::common::node::CellEdit;
 use yesquel::kv::protocol::LeafEdit;
 use yesquel::kv::store::{PrepareOutcome, ReadOutcome, ServerStore};
 use yesquel::kv::WriteOp;
