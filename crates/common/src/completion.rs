@@ -251,6 +251,26 @@ impl<T: Send + 'static> Completion<T> {
             }
         }
     }
+
+    /// The completion answered as the one `f` starts with this one's result
+    /// is, and due when the later of the two replies is: `f` runs at once
+    /// if this one is answered, else on its answering thread, so it must
+    /// neither block nor submit.
+    pub fn and_then<U: Send + 'static>(
+        self,
+        f: impl FnOnce(Result<T>) -> Completion<U> + Send + 'static,
+    ) -> Completion<U> {
+        match self.0 {
+            State::Ready((result, due)) => f(result).chain(move |(r, d)| (r, due.max(d))),
+            State::Pending(slot) => {
+                let (chained, resolver) = Completion::pending();
+                slot.then(Box::new(move |(result, due)| {
+                    f(result).then(move |(r, d)| resolver.resolve_due(r, due.max(d)));
+                }));
+                chained
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -310,6 +330,23 @@ mod tests {
         assert_eq!(due, Some(later), "due with the latest part");
         let none = Completion::<u64>::all(Vec::new());
         assert_eq!(none.resolved(), Some(&Ok(Vec::new())));
+    }
+
+    #[test]
+    fn and_then_answers_as_the_completion_it_starts() {
+        let later = Instant::now() + Duration::from_millis(5);
+        let (first, answer_first) = Completion::pending();
+        let (second, answer_second) = Completion::pending();
+        let joined = first.and_then(move |r: Result<u64>| {
+            assert_eq!(r, Ok(1));
+            second
+        });
+        answer_first.resolve_due(Ok(1), Some(later));
+        assert!(joined.resolved().is_none());
+        answer_second.resolve(Ok(2u64));
+        assert_eq!(joined.settle(), (Ok(2), Some(later)), "due with the later");
+        let ready = Completion::ready(Ok(3u64)).and_then(|r| Completion::ready(r.map(|v| v + 1)));
+        assert_eq!(ready.resolved(), Some(&Ok(4)));
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl KvClient {
     /// Starts a new transaction.  Each of its calls retries until a
     /// deadline of its own ([`KvConfig::op_deadline_us`]).
     pub fn begin(&self) -> Txn {
-        Txn::begin(Arc::clone(&self.core), false, Vec::new())
+        Txn::begin(Arc::clone(&self.core), false)
     }
 
     /// Runs `body` inside a transaction, committing it afterwards, and
@@ -92,32 +92,32 @@ impl KvClient {
     /// stream that outlives the call).  Failures are classified, counted
     /// (`kv.txn_retries`), backed off and bounded exactly as for `run_txn`.
     ///
-    /// An attempt whose cell edit of a leaf was refused is not counted as a
-    /// retry and not backed off from (the refusal is counted, as
-    /// `dbt.cell_edit_refusals`): the next attempt begins at once and edits
-    /// that leaf where it fetches it, so no leaf is refused twice in one
-    /// statement.
+    /// An attempt whose cell edit of a leaf was refused is counted as an
+    /// attempt, but not as a retry (the refusal is counted, as
+    /// `dbt.cell_edit_refusals`), and is not backed off from: the refusal
+    /// was reported to the edit's caller, which fetches that leaf in the
+    /// next attempt, and that attempt begins at once.
     pub fn retry_txn<T>(&self, mut attempt: impl FnMut(Txn) -> Result<T>) -> Result<T> {
         let _statement = Statement::enter();
         let deadline = Deadline::new(&self.core.cfg, true);
         let (mut attempts, mut salt) = (0, None);
-        let mut refused = Vec::new();
         loop {
-            let txn = Txn::begin(Arc::clone(&self.core), true, refused.clone());
-            let last = match attempt(txn) {
+            let txn = Txn::begin(Arc::clone(&self.core), true);
+            let (last, refused) = match attempt(txn) {
                 Ok(value) => return Ok(value),
-                Err(Error::EditRefused { obj, .. }) if !refused.contains(&obj) => {
-                    refused.push(obj);
-                    continue;
-                }
-                Err(e) if e.is_retryable() => e,
+                Err(e @ Error::EditRefused { .. }) => (e, true),
+                Err(e) if e.is_retryable() => (e, false),
                 Err(e) => return Err(e),
             };
             attempts += 1;
-            self.core.hot.txn_retries.inc();
+            if !refused {
+                self.core.hot.txn_retries.inc();
+            }
             // Once restarts repeat, back off so the conflicting transaction
             // gets a chance.
-            let again = if attempts > 3 {
+            let again = if refused {
+                deadline.allows(0)
+            } else if attempts > 3 {
                 self.core.backoff(attempts - 1, &mut salt, &deadline)
             } else {
                 deadline.allows(0)

@@ -28,14 +28,16 @@
 //! the probed server's records and never asks another server.
 //!
 //! The routine runs where an undecided prepare is met: a `Get` that finds
-//! its lock, and a `Prepare` that conflicts on it, at once; and
-//! [`KvServer::reap`], which restart and deployment build call.  A
-//! resolver counts its own vote only once it is durable.  A `Get` that
-//! finds a lock always reads again once its holder's resolution is done,
-//! which waits for the store's transaction table (a prepare is in it
-//! before anyone can wait for it), so a `Locked` answer means the holder is
-//! still undecided after resolution: the other participants' records did
-//! not settle it.
+//! its lock, and a `Prepare` that conflicts on it or finds it on a leaf it
+//! edits, at once; and [`KvServer::reap`], which restart and deployment
+//! build call.  A resolver counts its own vote only once it is durable.  A
+//! `Get` that finds a lock always reads again once its holder's resolution
+//! is done, and a `Prepare` that found one only on the leaves it edits
+//! prepares again ([`PrepareOutcome::Locked`]).  A resolution waits for
+//! the store's transaction table (a prepare is in it before anyone can
+//! wait for it), so a `Locked` answer, or a refusal on such a lock, means
+//! the holder is still undecided after resolution: the other participants'
+//! records did not settle it.
 //!
 //! **An orphan nobody meets is still resolved in bounded time.**  Every
 //! request but a `TxnStatus` sweeps the overdue prepares, and those
@@ -66,7 +68,7 @@ use yesquel_rpc::{Completion, Service, Transport};
 use yesquel_wal::Wal;
 
 use crate::oracle::TimestampOracle;
-use crate::protocol::{KvRequest, KvResponse, TxnStatusKind};
+use crate::protocol::{KvRequest, KvResponse, LeafEdit, TxnStatusKind, WriteOp};
 use crate::store::{PrepareOutcome, ReadOutcome, ServerStore, TxnOutcome, Undecided};
 
 /// One storage server: a [`ServerStore`], a handle to the timestamp oracle
@@ -91,6 +93,43 @@ pub struct KvServer {
     /// the log get it, since their coordinator may be gone; and sweeps run
     /// at most once per tenth of it.
     lease: Duration,
+}
+
+/// A `Prepare` request, kept whole so that it can be run again once the
+/// holders of the locks it met are resolved.
+struct PrepareCall {
+    txn: TxnId,
+    start_ts: Timestamp,
+    writes: Vec<WriteOp>,
+    edits: Vec<LeafEdit>,
+    participants: Vec<ServerId>,
+    lease: Duration,
+}
+
+impl PrepareCall {
+    /// Validates, locks and votes at `store`, drawing from `oracle`.
+    fn run(
+        &self,
+        store: &ServerStore,
+        oracle: &TimestampOracle,
+    ) -> Result<(PrepareOutcome, Completion<()>)> {
+        let next_ts = || oracle.next_timestamp();
+        let (writes, edits) = (&self.writes, &self.edits);
+        store.prepare(
+            self.txn,
+            self.start_ts,
+            writes,
+            edits,
+            &self.participants,
+            self.lease,
+            next_ts,
+        )
+    }
+
+    /// Every object the prepare locks.
+    fn objs(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        (self.writes.iter().map(|w| w.obj)).chain(self.edits.iter().map(|e| e.obj))
+    }
 }
 
 /// Prepares a server resolved, by the fate its resolution reached.
@@ -340,7 +379,7 @@ impl KvServer {
     /// append leaves the prepare for [`KvServer::resolve`], which commits it
     /// from the vote alone.
     fn commit_sole_vote(
-        &self,
+        store: &Arc<ServerStore>,
         txn: TxnId,
         prepare_ts: Timestamp,
         full: Vec<ObjectId>,
@@ -355,10 +394,73 @@ impl KvServer {
             Err(e) => Self::server_error(e),
         };
         if let Some(flushed) = durable.resolved() {
-            return Completion::ready(Ok(commit(&self.store, flushed.clone())));
+            return Completion::ready(Ok(commit(store, flushed.clone())));
         }
-        let store = Arc::clone(&self.store);
+        let store = Arc::clone(store);
         durable.chain(move |(flushed, due)| (Ok(commit(&store, flushed)), due))
+    }
+
+    /// Prepares `call`, and answers once its vote or refusal is durable.
+    /// A refusal is answered once the prepares whose locks it met are
+    /// resolved too, so that its retry finds those locks gone.  A prepare
+    /// that met only the locks of other transactions on the leaves it edits
+    /// ([`PrepareOutcome::Locked`]) has their holders resolved, as a `Get`
+    /// does, and is prepared again by the continuation on that resolution;
+    /// what it meets then, it is refused on.
+    fn prepare(&self, call: PrepareCall) -> Completion<KvResponse> {
+        let prepared = match call.run(&self.store, &self.oracle) {
+            Ok((PrepareOutcome::Locked(held), _)) => {
+                let met = held
+                    .iter()
+                    .map(|&obj| self.resolve_holder(obj, Some(call.txn)));
+                let (store, oracle) = (Arc::clone(&self.store), self.oracle.clone());
+                return Self::all_of(met).and_then(move |_| {
+                    let prepared = call.run(&store, &oracle);
+                    Self::answer_prepare(&store, &call, prepared)
+                });
+            }
+            Ok((PrepareOutcome::Conflict(reason), durable)) => {
+                let met = call
+                    .objs()
+                    .map(|obj| self.resolve_holder(obj, Some(call.txn)));
+                let durable = Self::all_of(std::iter::once(durable).chain(met));
+                Ok((PrepareOutcome::Conflict(reason), durable))
+            }
+            prepared => prepared,
+        };
+        Self::answer_prepare(&self.store, &call, prepared)
+    }
+
+    /// The answer to `call` that `prepared` settles, once the completion it
+    /// comes with answers: a sole participant's vote is its commit, and a
+    /// prepare that is `Locked` again is refused.
+    fn answer_prepare(
+        store: &Arc<ServerStore>,
+        call: &PrepareCall,
+        prepared: Result<(PrepareOutcome, Completion<()>)>,
+    ) -> Completion<KvResponse> {
+        let prepared = prepared.and_then(|(outcome, durable)| match outcome {
+            PrepareOutcome::Locked(held) => store.refuse(call.txn, &held),
+            outcome => Ok((outcome, durable)),
+        });
+        let (outcome, durable) = match prepared {
+            Ok(prepared) => prepared,
+            Err(e) => return Completion::ready(Ok(Self::server_error(e))),
+        };
+        let resp = match outcome {
+            PrepareOutcome::Prepared(prepare_ts, full) if call.participants.len() == 1 => {
+                return Self::commit_sole_vote(store, call.txn, prepare_ts, full, durable);
+            }
+            PrepareOutcome::Prepared(prepare_ts, full) => KvResponse::Prepared { prepare_ts, full },
+            PrepareOutcome::Committed(commit_ts) => KvResponse::Committed {
+                commit_ts,
+                full: Vec::new(),
+            },
+            PrepareOutcome::Conflict(reason) => KvResponse::Conflict { reason },
+            PrepareOutcome::EditRefused { obj, reason } => KvResponse::EditRefused { obj, reason },
+            PrepareOutcome::Locked(_) => unreachable!("a lock met again is refused above"),
+        };
+        Self::when_durable(durable, resp)
     }
 
     /// Answers `resp` once `durable` — the completion of the log record the
@@ -404,50 +506,14 @@ impl Service for KvServer {
                 participants,
                 lease_us,
             } => {
-                let lease = Duration::from_micros(lease_us.max(1));
-                let next_ts = || self.oracle.next_timestamp();
-                let prepared = (self.store).prepare(
+                return self.prepare(PrepareCall {
                     txn,
                     start_ts,
-                    &writes,
-                    &edits,
-                    &participants,
-                    lease,
-                    next_ts,
-                );
-                match prepared {
-                    Ok((outcome, mut durable)) => {
-                        let resp = match outcome {
-                            PrepareOutcome::Prepared(prepare_ts, full)
-                                if participants.len() == 1 =>
-                            {
-                                return self.commit_sole_vote(txn, prepare_ts, full, durable);
-                            }
-                            PrepareOutcome::Prepared(prepare_ts, full) => {
-                                KvResponse::Prepared { prepare_ts, full }
-                            }
-                            PrepareOutcome::Committed(commit_ts) => KvResponse::Committed {
-                                commit_ts,
-                                full: Vec::new(),
-                            },
-                            PrepareOutcome::Conflict(reason) => {
-                                // Answered once the prepares whose locks it
-                                // met are resolved too: its retry finds
-                                // those locks gone.
-                                let objs = (writes.iter().map(|w| w.obj))
-                                    .chain(edits.iter().map(|e| e.obj));
-                                let met = objs.map(|obj| self.resolve_holder(obj, Some(txn)));
-                                durable = Self::all_of(std::iter::once(durable).chain(met));
-                                KvResponse::Conflict { reason }
-                            }
-                            PrepareOutcome::EditRefused { obj, reason } => {
-                                KvResponse::EditRefused { obj, reason }
-                            }
-                        };
-                        return Self::when_durable(durable, resp);
-                    }
-                    Err(e) => Self::server_error(e),
-                }
+                    writes,
+                    edits,
+                    participants,
+                    lease: Duration::from_micros(lease_us.max(1)),
+                })
             }
             KvRequest::Commit { txn, commit_ts } => match self.store.commit(txn, commit_ts) {
                 Ok(TxnOutcome::Committed(commit_ts)) => KvResponse::Committed {
@@ -493,7 +559,6 @@ impl Service for KvServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::WriteOp;
     use bytes::Bytes;
 
     fn call(srv: &KvServer, req: KvRequest) -> KvResponse {
@@ -852,10 +917,7 @@ mod tests {
             assert!(matches!(resp, KvResponse::Committed { .. }), "{resp:?}");
         }
         assert_eq!(srv.store().outcome(1), None, "the outcome was forgotten");
-        match srv
-            .commit_sole_vote(1, prepare_ts, Vec::new(), durable)
-            .wait()
-        {
+        match KvServer::commit_sole_vote(&srv.store, 1, prepare_ts, Vec::new(), durable).wait() {
             Ok(KvResponse::Committed { commit_ts, .. }) => assert_eq!(commit_ts, prepare_ts),
             other => panic!("unexpected response {other:?}"),
         }
@@ -863,5 +925,79 @@ mod tests {
             srv.store().dump_versions(obj),
             vec![(prepare_ts, Some(Bytes::from_static(b"v")))]
         );
+    }
+
+    /// A prepare of an empty leaf's page for `txn`, sole or with server 1,
+    /// which does not exist, then the edit of `key` into that leaf by
+    /// another transaction whose snapshot is drawn after the first voted.
+    fn leaf_and_edit(srv: &KvServer, oracle: &TimestampOracle, sole: bool) -> (u64, KvRequest) {
+        let obj = ObjectId::new(1, 1);
+        let page = yesquel_common::node::LeafView::empty_root();
+        let write = WriteOp {
+            obj,
+            value: Some(page),
+        };
+        let participants: &[ServerId] = if sole { &[0] } else { &[0, 1] };
+        let (lease, start_ts) = (Duration::from_secs(3600), oracle.next_timestamp());
+        let next_ts = || oracle.next_timestamp();
+        let (voted, _) = (srv.store())
+            .prepare(1, start_ts, &[write], &[], participants, lease, next_ts)
+            .unwrap();
+        let PrepareOutcome::Prepared(prepare_ts, _) = voted else {
+            panic!("unexpected outcome {voted:?}");
+        };
+        let edit = LeafEdit {
+            obj,
+            cells: vec![(Bytes::from_static(b"k"), Some(Bytes::from_static(b"v")))],
+            max_cells: 8,
+        };
+        let prepare = KvRequest::Prepare {
+            txn: 2,
+            start_ts: oracle.next_timestamp(),
+            writes: Vec::new(),
+            edits: vec![edit],
+            participants: vec![0],
+            lease_us: 1_000_000,
+        };
+        (prepare_ts, prepare)
+    }
+
+    /// A cell edit that meets the lock of a prepare that voted before its
+    /// snapshot was drawn is no conflict: the server resolves the holder,
+    /// as a read would, and prepares the edit again on the committed page.
+    #[test]
+    fn an_edit_that_meets_a_decided_lock_resolves_it_and_commits() {
+        let oracle = TimestampOracle::new();
+        let srv = KvServer::new(0, oracle.clone());
+        let (holder_ts, edit) = leaf_and_edit(&srv, &oracle, true);
+        let resp = call(&srv, edit);
+        let KvResponse::Committed { commit_ts, .. } = resp else {
+            panic!("unexpected response {resp:?}");
+        };
+        assert_eq!(
+            srv.store().outcome(1),
+            Some(TxnOutcome::Committed(holder_ts))
+        );
+        let obj = ObjectId::new(1, 1);
+        let ReadOutcome::Value(Some(page)) = srv.store().get(obj, commit_ts) else {
+            panic!("the edited leaf is gone");
+        };
+        let leaf = yesquel_common::node::LeafView::parse(page).unwrap();
+        assert_eq!(leaf.find(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!(srv.store().stats().conflicts, 0);
+    }
+
+    /// A holder that its resolution leaves undecided still refuses the
+    /// edit, as a conflict, and the refusal is recorded.
+    #[test]
+    fn an_edit_that_meets_an_undecided_lock_is_refused() {
+        let oracle = TimestampOracle::new();
+        let srv = KvServer::new(0, oracle.clone());
+        let (_, edit) = leaf_and_edit(&srv, &oracle, false);
+        let resp = call(&srv, edit);
+        assert!(matches!(resp, KvResponse::Conflict { .. }), "{resp:?}");
+        assert_eq!(srv.store().outcome(2), Some(TxnOutcome::Aborted));
+        assert_eq!(srv.store().stats().conflicts, 1);
+        assert!(srv.store().is_prepared(1));
     }
 }

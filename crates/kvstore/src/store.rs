@@ -43,13 +43,24 @@
 //! snapshot's version is then the newest.  The page is built before the
 //! locks are taken when the leaf is unlocked — a version at or below the
 //! snapshot that is not installed yet is always locked, since its writer
-//! locked before the snapshot's timestamp was drawn — so the transaction
-//! table is not held while pages are copied.  The page that results is
-//! staged, voted, logged and installed exactly like a page the client
-//! wrote, so the log, replay and checkpoints only ever see whole pages.  A version that is not a leaf, a key outside the leaf's fences,
+//! locked before the snapshot's timestamp was drawn — so that the
+//! transaction table is not held while pages are copied; a leaf found
+//! locked is built under the guards after validation.  The page that
+//! results is staged, voted, logged and installed exactly like a page the
+//! client wrote, so the log, replay and checkpoints only ever see whole
+//! pages.  A version that is not a leaf, a key outside the leaf's fences,
 //! or a leaf that lists replicas refuses the prepare like a conflict; a
 //! leaf left over its `max_cells` is named in the vote, for the client to
 //! ask for its split.
+//!
+//! An edited leaf that validation finds locked by another transaction, and
+//! with no version newer than the snapshot, does not refuse the prepare:
+//! the prepare answers [`PrepareOutcome::Locked`] having recorded nothing,
+//! and the server resolves the holder and prepares again, as a `Get` that
+//! meets a lock reads again.  The transaction never read the leaf, so a
+//! holder that voted before its snapshot was drawn, and whose commit is on
+//! its way, is no conflict: once it is installed, at or below the
+//! snapshot, the edit applies to it.
 //!
 //! ## Durability
 //!
@@ -133,6 +144,11 @@ pub enum PrepareOutcome {
     /// Refused: validation failed, or the transaction had already aborted
     /// here.  Nothing is locked.
     Conflict(String),
+    /// Not yet judged: another transaction holds the lock of each of these
+    /// edited leaves, and validation found nothing else against the
+    /// prepare.  Nothing is locked or recorded; the caller resolves the
+    /// holders and prepares again, or refuses ([`ServerStore::refuse`]).
+    Locked(Vec<ObjectId>),
     /// Refused: a cell edit of `obj` could not be applied to the version
     /// the snapshot reads.  Nothing is locked.
     EditRefused {
@@ -492,13 +508,16 @@ impl ServerStore {
     /// once `lease` has passed without a decision, whoever resolves the
     /// transaction fences the participants that have no record of it.
     ///
-    /// Each leaf's cell edits are applied to the version the snapshot reads
-    /// ([`edit_leaf`]), which validation then proves the newest: built
-    /// before any lock is taken when the leaf is not locked, else under the
-    /// guards after validation.  The page that results is staged, logged
-    /// and installed exactly like a page the client wrote, and a leaf left
-    /// over its `max_cells` is named in the vote.  An edit that cannot be
-    /// applied refuses the prepare like a conflict.
+    /// Each leaf's cell edits are applied to the version the snapshot
+    /// reads ([`edit_leaf`]), which validation then proves the newest:
+    /// before any lock is taken when the leaf is not locked, else under
+    /// the guards after validation.  The page that results is staged,
+    /// logged and installed exactly like a page the client wrote, and a
+    /// leaf left over its `max_cells` is named in the vote.  An edit that
+    /// cannot be applied refuses the prepare like a conflict.  An edited
+    /// leaf that validation finds locked by another transaction, with no
+    /// newer version, answers `Locked` if nothing else refuses the prepare
+    /// (see the module docs).
     ///
     /// The timestamp is drawn **while the shard guards are held**, after
     /// the locks are in: every snapshot above it is issued afterwards and
@@ -531,21 +550,20 @@ impl ServerStore {
         lease: Duration,
         next_ts: impl FnOnce() -> Timestamp,
     ) -> Result<(PrepareOutcome, Completion<()>)> {
-        // Each edited leaf's page, built before any lock is held, from the
-        // version the snapshot reads — final once the leaf is found
-        // unlocked: a writer that commits at or below `start_ts` holds its
-        // lock from before `start_ts` was drawn until it installs.  A leaf
-        // found locked is built under the guards below, if validation lets
-        // the prepare that far.
+        // Each edited leaf's page, built from the version the snapshot
+        // reads before any lock is held, so that the table is not held
+        // while pages are copied.  Final if the leaf is unlocked: a writer
+        // that commits at or below `start_ts` holds its lock from before
+        // `start_ts` was drawn until it installs.  A leaf found locked is
+        // built under the guards, once validation has found it unlocked.
         let mut prebuilt: Vec<_> = (edits.iter())
             .map(|e| {
                 let shard = self.shards[self.shard_of(e.obj)].lock();
                 let state = shard.objects.get(&e.obj);
-                let base = match state {
-                    Some(state) if state.lock.is_some() => return None,
-                    Some(state) => state.chain.read_at(start_ts),
-                    None => None,
-                };
+                if state.is_some_and(|s| s.lock.is_some()) {
+                    return None;
+                }
+                let base = state.and_then(|s| s.chain.read_at(start_ts));
                 drop(shard);
                 Some(edit_leaf(base, &e.cells))
             })
@@ -559,16 +577,28 @@ impl ServerStore {
         let mut guards = self.lock_shards_for(objs());
         // Validation pass: no lock held by another transaction, and no
         // committed version newer than the snapshot (first-committer-wins).
-        for obj in objs() {
+        let mut held = Vec::new();
+        for (i, obj) in objs().enumerate() {
             let shard = self.guard_for(&mut guards, obj);
-            if let Some(reason) = Self::validate_one(shard, txn, start_ts, obj) {
-                drop(guards);
-                self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
-                let refused = self.log_abort(&mut txns, txn)?;
-                return Ok((PrepareOutcome::Conflict(reason), refused));
+            let Some(reason) = Self::validate_one(shard, txn, start_ts, obj) else {
+                continue;
+            };
+            // An edited leaf that is only locked: its holder may be decided
+            // already, its commit not yet installed here.
+            if i >= writes.len() && !shard.objects[&obj].chain.has_newer_than(start_ts) {
+                held.push(obj);
+                continue;
             }
+            drop(guards);
+            self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
+            let refused = self.log_abort(&mut txns, txn)?;
+            return Ok((PrepareOutcome::Conflict(reason), refused));
         }
-        // Edit pass: each edited leaf's page, from the snapshot's version.
+        if !held.is_empty() {
+            return Ok((PrepareOutcome::Locked(held), self.durable(None)));
+        }
+        // Edit pass: validation has proved each snapshot version the
+        // newest.
         let mut edited = Vec::with_capacity(edits.len());
         let mut full = Vec::new();
         for (e, built) in edits.iter().zip(&mut prebuilt) {
@@ -644,6 +674,26 @@ impl ServerStore {
             PrepareOutcome::Prepared(prepare_ts, full),
             self.durable(vote),
         ))
+    }
+
+    /// Refuses the prepare of `txn` whose edited leaves were still locked
+    /// by others once their holders were resolved (`held`), as a prepare
+    /// that fails validation is refused: recorded as an abort and logged.
+    /// A record of `txn` that arrived meanwhile answers instead.
+    pub fn refuse(
+        &self,
+        txn: TxnId,
+        held: &[ObjectId],
+    ) -> Result<(PrepareOutcome, Completion<()>)> {
+        let mut txns = self.txns.lock();
+        if let Some(known) = self.known_vote(&mut txns, txn)? {
+            self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(known);
+        }
+        self.stats.conflicts.fetch_add(1, Ordering::Relaxed);
+        let refused = self.log_abort(&mut txns, txn)?;
+        let reason = format!("leaves {held:?} still locked once their holders were resolved");
+        Ok((PrepareOutcome::Conflict(reason), refused))
     }
 
     /// What a prepare of `txn` is answered without validating, if this

@@ -10,9 +10,9 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use yesquel_common::ids::splitmix64;
+use yesquel_common::node::edit_leaf;
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, span, Span, SpanKind, TraceCounter};
-use yesquel_common::node::edit_leaf;
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
 use yesquel_common::timeutil::retry_backoff_us;
 use yesquel_common::{Error, KvConfig, ObjectId, Result, ServerId, Timestamp, TxnId};
@@ -501,7 +501,11 @@ impl Edits {
 
 /// What a transaction can answer without a server: its buffered writes and
 /// the values it fetched, under one lock.  Its cell edits are here too; an
-/// object has buffered edits or a buffered write, never both.
+/// object has buffered edits or a buffered write, never both: fetching the
+/// leaf itself turns its edits into a write, [`Txn::put`] and
+/// [`Txn::delete`] replace them, and [`Txn::put_many`] refuses an object
+/// that has them, since a page read from a replica copy of the leaf does
+/// not include its edits.
 #[derive(Default)]
 struct Local {
     writes: BTreeMap<ObjectId, Option<Bytes>>,
@@ -562,16 +566,12 @@ pub struct Txn {
     /// Whether the transaction's calls retry until its statement's
     /// deadline (see [`Deadline`]) rather than one each.
     statement: bool,
-    /// Leaves a participant refused to edit unread in an earlier attempt of
-    /// this statement: they take the fetch path.
-    refused: Vec<ObjectId>,
 }
 
 impl Txn {
     /// Begins a transaction; `statement` if it is an attempt of a
-    /// [`crate::KvClient::retry_txn`] statement, whose earlier attempts had
-    /// the cell edits of the leaves `refused` refused.
-    pub(crate) fn begin(core: Arc<ClientCore>, statement: bool, refused: Vec<ObjectId>) -> Self {
+    /// [`crate::KvClient::retry_txn`] statement.
+    pub(crate) fn begin(core: Arc<ClientCore>, statement: bool) -> Self {
         let id = core.oracle.next_txn_id();
         let start_ts = core.snapshots.begin(&core.oracle);
         core.hot.txn_started.inc();
@@ -582,7 +582,6 @@ impl Txn {
             state: Mutex::new(TxnState::Active),
             local: Mutex::new(Local::default()),
             statement,
-            refused,
         }
     }
 
@@ -650,7 +649,13 @@ impl Txn {
                 ts: self.start_ts,
             };
             match self.core.call_retry(server, get, &deadline)? {
-                KvResponse::Value(v) => return self.local.lock().fetched(obj, v),
+                KvResponse::Value(v) => {
+                    let read = self.local.lock().fetched(obj, v);
+                    if let Err(Error::EditRefused { .. }) = read {
+                        self.core.hot.cell_edit_refusals.inc();
+                    }
+                    return read;
+                }
                 KvResponse::Locked => {
                     reads += 1;
                     self.core.hot.get_lock_retries.inc();
@@ -724,7 +729,9 @@ impl Txn {
 
     /// Buffers a write of `value` to `obj`.  The page replaces any cell
     /// edits buffered for it: a page is written from what was read, and
-    /// reading an edited leaf applied its edits.
+    /// reading the edited leaf itself applied its edits.  (A page read from
+    /// one of its replica copies did not, but a replicated leaf is written
+    /// with [`Txn::put_many`], which refuses it.)
     pub fn put(&self, obj: ObjectId, value: impl Into<Bytes>) -> Result<()> {
         self.check_active()?;
         let mut local = self.local.lock();
@@ -734,11 +741,10 @@ impl Txn {
     }
 
     /// Whether a cell edit of `obj` may go unread: the transaction holds no
-    /// page for it — fetched or written — and no earlier attempt of its
-    /// statement had an edit of it refused.  A leaf it holds is edited
-    /// where it is held.
+    /// page for it, fetched or written.  A leaf it holds is edited where it
+    /// is held.
     pub fn may_edit_unread(&self, obj: ObjectId) -> bool {
-        !self.refused.contains(&obj) && self.local.lock().read(obj).is_none()
+        self.local.lock().read(obj).is_none()
     }
 
     /// Buffers a cell edit of the leaf `obj`, which the transaction has not
@@ -777,9 +783,20 @@ impl Txn {
     /// (`Bytes` is reference-counted), so the per-copy cost is one buffered
     /// entry, and commit fans the copies out through the ordinary commit
     /// path: either every copy becomes visible or none does.
+    ///
+    /// An object with buffered cell edits is refused, as its participant
+    /// would refuse them, and nothing is buffered: the page was read from a
+    /// replica copy, which lacks the edits, and writing it would lose them.
     pub fn put_many(&self, objs: impl IntoIterator<Item = ObjectId>, value: Bytes) -> Result<()> {
         self.check_active()?;
         let mut local = self.local.lock();
+        let objs: Vec<ObjectId> = objs.into_iter().collect();
+        if let Some((&obj, edits)) = objs.iter().find_map(|o| local.edits.get_key_value(o)) {
+            (edits.on_report)(obj, LeafReport::Refused);
+            self.core.hot.cell_edit_refusals.inc();
+            let reason = "written whole from a replica copy, which lacks the edits".into();
+            return Err(Error::EditRefused { obj, reason });
+        }
         for obj in objs {
             local.writes.insert(obj, Some(value.clone()));
         }
@@ -1142,6 +1159,30 @@ mod tests {
         assert_eq!(STATEMENT.get(), None, "the statement outlived its call");
         assert_eq!(db.stats().counter("kv.commit_2pc").get(), 1);
         assert_eq!(db.stats().counter("kv.txn_retries").get(), 0);
+    }
+
+    /// A leaf edited unread and then written whole with its copies — a page
+    /// read from a replica copy, which lacks the edits — is refused, and
+    /// nothing is buffered.
+    #[test]
+    fn a_write_all_of_an_edited_leaf_is_refused() {
+        let db = KvDatabase::with_servers(1);
+        let t = db.client().begin();
+        let (leaf, copy) = (ObjectId::new(1, 1), ObjectId::new(1, 2));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s = Arc::clone(&seen);
+        let on_report: OnReport = Arc::new(move |obj, what| s.lock().push((obj, what)));
+        t.edit_cell(leaf, b"k", Some(b"v"), 8, &on_report).unwrap();
+        let page = Bytes::from_static(b"page");
+        let refused = t.put_many([copy, leaf], page).unwrap_err();
+        assert!(
+            matches!(refused, Error::EditRefused { obj, .. } if obj == leaf),
+            "{refused:?}"
+        );
+        assert_eq!(*seen.lock(), vec![(leaf, LeafReport::Refused)]);
+        assert_eq!(t.write_count(), 1, "only the edited leaf");
+        let refusals = db.stats().counter("dbt.cell_edit_refusals");
+        assert_eq!(refusals.get(), 1);
     }
 
     #[test]

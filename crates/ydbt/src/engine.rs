@@ -7,7 +7,6 @@
 //! hot-node replication is enabled) the background maintenance task.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -92,10 +91,6 @@ pub struct DbtEngine {
     /// Leaves whose cell edits a participant refused: they take the fetch
     /// path until it writes them (see `Dbt::edits_unread`).
     refused: Mutex<HashSet<ObjectId>>,
-    /// Whether `refused` may hold a leaf, read with no lock by every write.
-    /// Only a hint (`Relaxed`): a leaf edited unread that should have been
-    /// fetched costs a refusal, never a wrong page.
-    any_refused: AtomicBool,
 }
 
 impl DbtEngine {
@@ -139,9 +134,7 @@ impl DbtEngine {
                         reason: SplitReason::Size,
                     }),
                     LeafReport::Refused => {
-                        let mut refused = engine.refused.lock();
-                        refused.insert(obj);
-                        engine.any_refused.store(true, Ordering::Relaxed);
+                        engine.refused.lock().insert(obj);
                     }
                 }
             });
@@ -159,7 +152,6 @@ impl DbtEngine {
                 replication_on,
                 on_report,
                 refused: Mutex::new(HashSet::new()),
-                any_refused: AtomicBool::new(false),
             }
         })
     }
@@ -173,18 +165,13 @@ impl DbtEngine {
     /// Whether a participant refused this client's cell edits of `obj`
     /// since the fetch path last wrote it.
     pub(crate) fn was_refused(&self, obj: ObjectId) -> bool {
-        self.any_refused.load(Ordering::Relaxed) && self.refused.lock().contains(&obj)
+        self.refused.lock().contains(&obj)
     }
 
     /// Notes that the fetch path wrote `obj`: the route to it is fresh, and
     /// its replicas known.
     pub(crate) fn wrote_fetched(&self, obj: ObjectId) {
-        if self.any_refused.load(Ordering::Relaxed) {
-            let mut refused = self.refused.lock();
-            refused.remove(&obj);
-            self.any_refused
-                .store(!refused.is_empty(), Ordering::Relaxed);
-        }
+        self.refused.lock().remove(&obj);
     }
 
     /// The key-value client this engine issues its operations through.

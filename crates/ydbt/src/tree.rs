@@ -57,12 +57,12 @@
 //! - the client's [`ReplicaMap`](crate::ReplicaMap) lists no replicas for
 //!   it (every copy must be written, so a replicated leaf is fetched);
 //! - the transaction holds no page of it ([`Txn::may_edit_unread`]): a leaf
-//!   it fetched or wrote is edited where it is held, and a leaf refused
-//!   earlier in the statement is fetched;
+//!   it fetched or wrote is edited where it is held;
 //! - no participant refused this client's edits of it since the fetch path
-//!   last wrote it (a refusal ends one transaction, not every later one:
-//!   an explicit transaction retried by its application fetches the leaf,
-//!   and that fetch refreshes the route);
+//!   last wrote it: the engine notes each refusal before the statement's
+//!   next attempt begins, so that attempt fetches the leaf, and so does an
+//!   explicit transaction its application retries; the fetch refreshes the
+//!   route;
 //! - splits are delegated: a client that splits synchronously, in the
 //!   writing transaction, edits what it reads.
 //!

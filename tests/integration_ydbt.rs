@@ -393,13 +393,22 @@ fn a_transaction_after_a_refusal_fetches_the_leaf() {
 #[test]
 fn a_read_that_would_refuse_an_edit_fails_and_the_commit_with_it() {
     let (y, dbt) = warm_tree(edit_cfg(), 0..32);
+    let refusals = y.db().stats().counter("dbt.cell_edit_refusals");
     let cold = DbtEngine::new(y.db().client(), edit_cfg()).tree(1);
     let txn = y.begin();
     cold.put_unread(&txn, &key(40), b"a").unwrap();
     let read = cold.lookup(&txn, &key(40)).unwrap_err();
-    assert!(matches!(read, yesquel::Error::EditRefused { .. }), "{read:?}");
+    assert!(
+        matches!(read, yesquel::Error::EditRefused { .. }),
+        "{read:?}"
+    );
+    assert_eq!(refusals.get(), 1, "the read's refusal is counted");
     let commit = txn.commit().unwrap_err();
-    assert!(matches!(commit, yesquel::Error::EditRefused { .. }), "{commit:?}");
+    assert!(
+        matches!(commit, yesquel::Error::EditRefused { .. }),
+        "{commit:?}"
+    );
+    assert_eq!(refusals.get(), 2, "and so is the commit's");
     let model: BTreeMap<u64, Vec<u8>> = (0..32).map(|i| (i, b"v".to_vec())).collect();
     assert_rows(&y, &dbt, &model);
 }
