@@ -29,6 +29,16 @@ pub enum Error {
         /// Why it was refused.
         reason: String,
     },
+    /// A put-if-absent cell edit found its key present in the version of
+    /// the leaf the transaction's snapshot reads.  The transaction has
+    /// been aborted; not retryable: the caller owns the key's meaning (a
+    /// SQL insert reports the uniqueness violation).
+    KeyPresent {
+        /// The leaf.
+        obj: crate::ObjectId,
+        /// The key that was present.
+        key: bytes::Bytes,
+    },
     /// The transaction was explicitly aborted (by the user or by the system)
     /// and can no longer be used.
     Aborted(String),
@@ -132,6 +142,7 @@ impl Error {
             Error::NotFound(_) => "not_found",
             Error::Conflict(_) => "conflict",
             Error::EditRefused { .. } => "edit_refused",
+            Error::KeyPresent { .. } => "key_present",
             Error::Aborted(_) => "aborted",
             Error::LockTimeout(_) => "lock_timeout",
             Error::ServerUnavailable(_) => "server_unavailable",
@@ -160,6 +171,7 @@ impl fmt::Display for Error {
             Error::NotFound(m) => write!(f, "not found: {m}"),
             Error::Conflict(m) => write!(f, "transaction conflict: {m}"),
             Error::EditRefused { obj, reason } => write!(f, "cell edit of {obj} refused: {reason}"),
+            Error::KeyPresent { obj, key } => write!(f, "key {key:?} already present in {obj}"),
             Error::Aborted(m) => write!(f, "transaction aborted: {m}"),
             Error::LockTimeout(m) => write!(f, "lock timeout: {m}"),
             Error::ServerUnavailable(m) => write!(f, "server unavailable: {m}"),

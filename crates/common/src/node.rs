@@ -2,7 +2,7 @@
 //! edits the write path is made of.
 //!
 //! Every node of a YDBT is stored as one key-value pair in the transactional
-//! key-value store: the key is the node's [`ObjectId`](crate::ObjectId)
+//! key-value store: the key is the node's [`ObjectId`]
 //! and the value is the page defined here.  Nodes carry their **fence
 //! interval** `[lower, upper)` — the range of keys the node is responsible
 //! for — which is what lets clients detect that a cached path is stale (the
@@ -80,19 +80,21 @@
 //! ## Cell edits: the same edits, where the leaf lives
 //!
 //! The codec lives below the key-value store so that a storage server can
-//! make the same edits.  A transaction that only puts or removes keys in a
-//! leaf need not fetch it: it ships the [`CellEdit`]s, and the participant
-//! applies them with [`edit_leaf`] to the version the transaction's
-//! snapshot reads — the same `put` / `remove`, so the page it stages is
-//! byte-identical to the one the fetch path would have written.  A page
-//! that is not a leaf, a key outside the leaf's fences, or a page that
+//! make the same edits.  A transaction that only puts, puts if absent or
+//! removes keys in a leaf need not fetch it: it ships the [`CellEdit`]s,
+//! and the participant applies them with [`edit_leaf`] to the version the
+//! transaction's snapshot reads — the same `put` / `put_if_absent` /
+//! `remove`, so the page it stages is byte-identical to the one the fetch
+//! path would have written, and a key a put-if-absent finds present fails
+//! the edit as the fetch path's probe would have failed the statement.  A
+//! page that is not a leaf, a key outside the leaf's fences, or a page that
 //! lists replicas (every copy must be written) is refused, never guessed
 //! at.
 
 use std::ops::{Deref, Range};
 
 use crate::encoding::Reader;
-use crate::{Error, Oid, Result};
+use crate::{Error, ObjectId, Oid, Result};
 use bytes::Bytes;
 
 /// One endpoint of a fence interval, borrowing its key.
@@ -1047,51 +1049,106 @@ fn inner_page(height: u8, mid: Mid<'_>, routes: Routes<'_>) -> Result<Bytes> {
     })
 }
 
-/// One cell a transaction puts (`Some(value)`) or removes (`None`) in a
-/// leaf it has not read: the whole of what a [`LeafView::put`] or
+/// One cell a transaction edits in a leaf it has not read: the whole of
+/// what a [`LeafView::put`], [`LeafView::put_if_absent`] or
 /// [`LeafView::remove`] needs besides the page.
-pub type CellEdit = (Bytes, Option<Bytes>);
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellEdit {
+    /// The key.
+    pub key: Bytes,
+    /// The value to put, or `None` to remove the key.
+    pub value: Option<Bytes>,
+    /// Only if the key is absent from the page: a present key fails the
+    /// edit ([`Error::KeyPresent`]).  With `value` `None` the edit only
+    /// checks: what a put-if-absent of a key and a later remove of it in
+    /// one transaction leave.
+    pub if_absent: bool,
+}
 
-/// Applies `edits`, in order, to `page`, the version of a leaf that a
-/// transaction's snapshot reads, with the edits the fetch path makes: the
+impl CellEdit {
+    /// Puts `key` → `value`, replacing any value it has.
+    pub fn put(key: Bytes, value: Bytes) -> CellEdit {
+        CellEdit {
+            key,
+            value: Some(value),
+            if_absent: false,
+        }
+    }
+
+    /// Puts `key` → `value` if `key` is absent.
+    pub fn put_if_absent(key: Bytes, value: Bytes) -> CellEdit {
+        CellEdit {
+            key,
+            value: Some(value),
+            if_absent: true,
+        }
+    }
+
+    /// Removes `key`, if present.
+    pub fn remove(key: Bytes) -> CellEdit {
+        CellEdit {
+            key,
+            value: None,
+            if_absent: false,
+        }
+    }
+}
+
+/// Applies `edits`, in order, to `page`, the version of the leaf `obj` that
+/// a transaction's snapshot reads, with the edits the fetch path makes: the
 /// result, returned with its cell count, is byte-identical to the page a
-/// client that had fetched `page` would write.  Refused, with the reason,
-/// when there is no page or it is not a leaf, when an edited key lies
-/// outside the leaf's fences, or when the page lists replicas; a page that
-/// does not parse is refused too.
-pub fn edit_leaf(
-    page: Option<Bytes>,
-    edits: &[CellEdit],
-) -> std::result::Result<(Bytes, usize), String> {
+/// client that had fetched `page` would write.  Refused
+/// ([`Error::EditRefused`], with the reason) when there is no page or it is
+/// not a leaf, when an edited key lies outside the leaf's fences, or when
+/// the page lists replicas; a page that does not parse is refused too.  A
+/// put-if-absent of a key the page holds fails with [`Error::KeyPresent`];
+/// refusals are judged first.
+pub fn edit_leaf(obj: ObjectId, page: Option<Bytes>, edits: &[CellEdit]) -> Result<(Bytes, usize)> {
+    let refused = |reason: String| Error::EditRefused { obj, reason };
     let mut leaf = match page.map(NodeView::parse) {
         Some(Ok(NodeView::Leaf(leaf))) => leaf,
-        Some(Ok(NodeView::Inner(_))) | None => return Err("not a leaf".into()),
-        Some(Err(e)) => return Err(e.to_string()),
+        Some(Ok(NodeView::Inner(_))) | None => return Err(refused("not a leaf".into())),
+        Some(Err(e)) => return Err(refused(e.to_string())),
     };
     if leaf.has_replicas() {
-        return Err("the leaf lists replicas".into());
+        return Err(refused("the leaf lists replicas".into()));
     }
-    if edits.iter().any(|(key, _)| !leaf.fence_contains(key)) {
-        return Err("a key lies outside the leaf's fences".into());
+    if edits.iter().any(|e| !leaf.fence_contains(&e.key)) {
+        return Err(refused("a key lies outside the leaf's fences".into()));
     }
     let mut edited = (leaf.page().clone(), leaf.len());
-    for (i, (key, value)) in edits.iter().enumerate() {
+    for (i, edit) in edits.iter().enumerate() {
         if i > 0 {
             // Each edit starts from the page the last one made.
-            leaf = LeafView::parse(edited.0).map_err(|e| e.to_string())?;
+            leaf = LeafView::parse(edited.0).map_err(|e| refused(e.to_string()))?;
         }
-        let n = leaf.len();
-        edited = match value {
-            Some(v) => leaf
-                .put(key, v)
-                .map(|(page, hit)| (page, n + usize::from(!hit))),
+        edited = match apply_cell_edit(&leaf, edit).map_err(|e| refused(e.to_string()))? {
+            Some(next) => next,
             None => {
-                (leaf.remove(key)).map(|page| page.map_or((leaf.page().clone(), n), |p| (p, n - 1)))
+                let key = edit.key.clone();
+                return Err(Error::KeyPresent { obj, key });
             }
-        }
-        .map_err(|e| e.to_string())?;
+        };
     }
     Ok(edited)
+}
+
+/// `edit` applied to `leaf`: the page and its cell count, or `None` for a
+/// put-if-absent whose key the leaf holds.
+fn apply_cell_edit(leaf: &LeafView, edit: &CellEdit) -> Result<Option<(Bytes, usize)>> {
+    let (key, n) = (&edit.key[..], leaf.len());
+    Ok(match &edit.value {
+        Some(v) if edit.if_absent => leaf.put_if_absent(key, v)?.map(|page| (page, n + 1)),
+        Some(v) => {
+            let (page, hit) = leaf.put(key, v)?;
+            Some((page, n + usize::from(!hit)))
+        }
+        None if edit.if_absent && leaf.find(key)?.is_some() => None,
+        None => Some(match leaf.remove(key)? {
+            Some(page) => (page, n - 1),
+            None => (leaf.page().clone(), n),
+        }),
+    })
 }
 
 /// A parsed node of either kind: what the fetch path hands back.

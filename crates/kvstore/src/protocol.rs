@@ -22,7 +22,7 @@ pub use yesquel_wal::WalWrite as WriteOp;
 pub struct LeafEdit {
     /// The leaf.
     pub obj: ObjectId,
-    /// The cells to put or remove, in key order.
+    /// The cells to put, put if absent, or remove, in key order.
     pub cells: Vec<CellEdit>,
     /// The participant names the leaf in its vote when the edited page holds
     /// more cells than this, so that the client asks for its split.
@@ -36,7 +36,7 @@ fn writes_wire_size(writes: &[WriteOp], edits: &[LeafEdit]) -> usize {
         .sum();
     let cells = |e: &LeafEdit| -> usize {
         (e.cells.iter())
-            .map(|(k, v)| 8 + k.len() + v.as_ref().map_or(0, |v| v.len()))
+            .map(|c| 8 + c.key.len() + c.value.as_ref().map_or(0, |v| v.len()))
             .sum()
     };
     writes + edits.iter().map(|e| 20 + cells(e)).sum::<usize>()
@@ -176,6 +176,16 @@ pub enum KvResponse {
         /// Why the edit was refused.
         reason: String,
     },
+    /// Prepare refused because a put-if-absent cell edit found its key
+    /// present in the version of the leaf the snapshot reads.  Recorded and
+    /// answered like a refusal, also to a prepare delivered again; not
+    /// retried by the client.
+    KeyPresent {
+        /// The leaf.
+        obj: ObjectId,
+        /// The key that was present.
+        key: Bytes,
+    },
     /// Commit applied — or, in answer to a `Prepare`, the transaction is
     /// committed here: this server is its only participant and its vote is
     /// durable, or it was already resolved committed.
@@ -233,6 +243,7 @@ impl KvResponse {
             KvResponse::Value(v) => 16 + v.as_ref().map(|b| b.len()).unwrap_or(0),
             KvResponse::Conflict { reason } => 16 + reason.len(),
             KvResponse::EditRefused { reason, .. } => 32 + reason.len(),
+            KvResponse::KeyPresent { key, .. } => 32 + key.len(),
             KvResponse::Prepared { full, .. } | KvResponse::Committed { full, .. } => {
                 16 + 16 * full.len()
             }
@@ -284,9 +295,24 @@ mod tests {
     fn a_cell_edit_costs_its_bytes_not_its_page() {
         let edit = LeafEdit {
             obj: ObjectId::new(1, 2),
-            cells: vec![(Bytes::from_static(b"key"), None)],
+            cells: vec![CellEdit::remove(Bytes::from_static(b"key"))],
             max_cells: 64,
         };
         assert_eq!(writes_wire_size(&[], &[edit]), 20 + 8 + 3);
+    }
+
+    /// A put-if-absent costs its key and value bytes, as a put does.
+    #[test]
+    fn a_put_if_absent_costs_its_key_and_value() {
+        let (key, value) = (Bytes::from_static(b"key"), Bytes::from_static(b"value"));
+        let edit = |cell| LeafEdit {
+            obj: ObjectId::new(1, 2),
+            cells: vec![cell],
+            max_cells: 64,
+        };
+        let if_absent = edit(CellEdit::put_if_absent(key.clone(), value.clone()));
+        assert_eq!(writes_wire_size(&[], &[if_absent]), 20 + 8 + 3 + 5);
+        let put = edit(CellEdit::put(key, value));
+        assert_eq!(writes_wire_size(&[], &[put]), 20 + 8 + 3 + 5);
     }
 }

@@ -458,6 +458,7 @@ impl KvServer {
             },
             PrepareOutcome::Conflict(reason) => KvResponse::Conflict { reason },
             PrepareOutcome::EditRefused { obj, reason } => KvResponse::EditRefused { obj, reason },
+            PrepareOutcome::KeyPresent { obj, key } => KvResponse::KeyPresent { obj, key },
             PrepareOutcome::Locked(_) => unreachable!("a lock met again is refused above"),
         };
         Self::when_durable(durable, resp)
@@ -560,6 +561,7 @@ impl Service for KvServer {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use yesquel_common::node::{CellEdit, LeafView};
 
     fn call(srv: &KvServer, req: KvRequest) -> KvResponse {
         Service::call(srv, req).wait().expect("a server answers")
@@ -804,6 +806,90 @@ mod tests {
         assert!(matches!(read, KvResponse::Value(None)), "{read:?}");
     }
 
+    /// A put-if-absent of a key the snapshot's leaf holds refuses the
+    /// prepare as `KeyPresent` and installs nothing, not even the other
+    /// edits and writes of the transaction.  The refusal is logged: the
+    /// prepare delivered again, before and after a restart from the log
+    /// with no memory, is answered `KeyPresent` again.
+    #[test]
+    fn a_present_key_installs_nothing_and_is_answered_again_after_a_restart() {
+        let dir = yesquel_common::tempdir::TempDir::new("srv-key-present").unwrap();
+        let stats = yesquel_common::stats::StatsRegistry::new();
+        let wal = Wal::open(dir.path(), yesquel_common::WalFsyncPolicy::Always, &stats).unwrap();
+        let oracle = TimestampOracle::new();
+        let cfg = KvConfig::default();
+        let srv = KvServer::with_wal(0, oracle.clone(), &cfg, Some(Arc::new(wal))).unwrap();
+        let (full, empty, plain) = (
+            ObjectId::new(1, 1),
+            ObjectId::new(1, 2),
+            ObjectId::new(1, 3),
+        );
+        let root = LeafView::parse(LeafView::empty_root()).unwrap();
+        let (holding_k, _) = root.put(b"k", b"old").unwrap();
+        let pages = vec![
+            WriteOp {
+                obj: full,
+                value: Some(holding_k),
+            },
+            WriteOp {
+                obj: empty,
+                value: Some(LeafView::empty_root()),
+            },
+        ];
+        let load = KvRequest::Prepare {
+            txn: 1,
+            start_ts: oracle.next_timestamp(),
+            writes: pages,
+            edits: Vec::new(),
+            participants: vec![0],
+            lease_us: 1_000_000,
+        };
+        assert!(matches!(call(&srv, load), KvResponse::Committed { .. }));
+        let (k, v) = (Bytes::from_static(b"k"), Bytes::from_static(b"new"));
+        let leaf_edit = |obj, cell| LeafEdit {
+            obj,
+            cells: vec![cell],
+            max_cells: 8,
+        };
+        let insert = KvRequest::Prepare {
+            txn: 2,
+            start_ts: oracle.next_timestamp(),
+            writes: vec![WriteOp {
+                obj: plain,
+                value: Some(Bytes::from_static(b"plain")),
+            }],
+            edits: vec![
+                leaf_edit(full, CellEdit::put_if_absent(k.clone(), v.clone())),
+                leaf_edit(empty, CellEdit::put_if_absent(k.clone(), v)),
+            ],
+            participants: vec![0],
+            lease_us: 1_000_000,
+        };
+        for restarted in [false, false, true] {
+            if restarted {
+                // The load's unforced commit record goes to the disk too.
+                srv.store().wal().unwrap().sync().unwrap();
+                srv.amnesia_restart().unwrap();
+            }
+            let resp = call(&srv, insert.clone());
+            assert!(
+                matches!(&resp, KvResponse::KeyPresent { obj, key } if *obj == full && *key == k),
+                "restarted {restarted}: {resp:?}"
+            );
+            assert_eq!(srv.store().outcome(2), Some(TxnOutcome::Aborted));
+            assert_eq!(srv.store().prepared_count(), 0);
+            let ts = oracle.next_timestamp();
+            let read = |obj| match call(&srv, KvRequest::Get { obj, ts }) {
+                KvResponse::Value(v) => v,
+                other => panic!("unexpected response {other:?}"),
+            };
+            let page = |obj| LeafView::parse(read(obj).unwrap()).unwrap();
+            assert_eq!(page(full).find(b"k").unwrap().as_deref(), Some(&b"old"[..]));
+            assert_eq!(page(empty).len(), 0);
+            assert_eq!(read(plain), None);
+        }
+    }
+
     /// A one-participant commit whose unforced commit record a power loss
     /// took comes back from its vote alone: replay restores the prepare,
     /// and the restart's `reap` commits it at the acknowledged timestamp,
@@ -932,7 +1018,7 @@ mod tests {
     /// another transaction whose snapshot is drawn after the first voted.
     fn leaf_and_edit(srv: &KvServer, oracle: &TimestampOracle, sole: bool) -> (u64, KvRequest) {
         let obj = ObjectId::new(1, 1);
-        let page = yesquel_common::node::LeafView::empty_root();
+        let page = LeafView::empty_root();
         let write = WriteOp {
             obj,
             value: Some(page),
@@ -948,7 +1034,10 @@ mod tests {
         };
         let edit = LeafEdit {
             obj,
-            cells: vec![(Bytes::from_static(b"k"), Some(Bytes::from_static(b"v")))],
+            cells: vec![CellEdit::put(
+                Bytes::from_static(b"k"),
+                Bytes::from_static(b"v"),
+            )],
             max_cells: 8,
         };
         let prepare = KvRequest::Prepare {
@@ -982,7 +1071,7 @@ mod tests {
         let ReadOutcome::Value(Some(page)) = srv.store().get(obj, commit_ts) else {
             panic!("the edited leaf is gone");
         };
-        let leaf = yesquel_common::node::LeafView::parse(page).unwrap();
+        let leaf = LeafView::parse(page).unwrap();
         assert_eq!(leaf.find(b"k").unwrap().as_deref(), Some(&b"v"[..]));
         assert_eq!(srv.store().stats().conflicts, 0);
     }

@@ -53,6 +53,15 @@
 //! leaf left over its `max_cells` is named in the vote, for the client to
 //! ask for its split.
 //!
+//! A **put-if-absent** edit checks its key on the snapshot's version too.
+//! Validation proves that version the newest under the shard guards, so a
+//! key absent at the snapshot is absent at the commit point, and snapshot
+//! isolation is unchanged.  A key present there refuses the prepare with
+//! [`PrepareOutcome::KeyPresent`], recorded and logged as an abort like
+//! any refusal; a prepare delivered again, after a restart too, finds the
+//! abort and is answered `KeyPresent` again from the page it builds before
+//! any lock (the version an unlocked leaf has at the snapshot is final).
+//!
 //! An edited leaf that validation finds locked by another transaction, and
 //! with no version newer than the snapshot, does not refuse the prepare:
 //! the prepare answers [`PrepareOutcome::Locked`] having recorded nothing,
@@ -111,7 +120,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 use yesquel_common::ids::{shard_index, splitmix64};
 use yesquel_common::node::edit_leaf;
-use yesquel_common::{Completion, ObjectId, Result, ServerId, Timestamp, TxnId};
+use yesquel_common::{Completion, Error, ObjectId, Result, ServerId, Timestamp, TxnId};
 use yesquel_wal::{CheckpointSnapshot, PreparedImage, Wal, WalPosition, WalRecord};
 
 use crate::mvcc::VersionChain;
@@ -157,6 +166,25 @@ pub enum PrepareOutcome {
         /// Why.
         reason: String,
     },
+    /// Refused: a put-if-absent cell edit of `obj` found `key` present in
+    /// the version the snapshot reads.  Nothing is locked.
+    KeyPresent {
+        /// The leaf.
+        obj: ObjectId,
+        /// The key.
+        key: Bytes,
+    },
+}
+
+impl PrepareOutcome {
+    /// The refusal an edit that [`edit_leaf`] failed answers.
+    fn edit_failed(e: Error) -> PrepareOutcome {
+        match e {
+            Error::KeyPresent { obj, key } => PrepareOutcome::KeyPresent { obj, key },
+            Error::EditRefused { obj, reason } => PrepareOutcome::EditRefused { obj, reason },
+            e => PrepareOutcome::Conflict(e.to_string()),
+        }
+    }
 }
 
 /// A prepare lock: the owning transaction and the value it intends to
@@ -514,7 +542,8 @@ impl ServerStore {
     /// the guards after validation.  The page that results is staged,
     /// logged and installed exactly like a page the client wrote, and a
     /// leaf left over its `max_cells` is named in the vote.  An edit that
-    /// cannot be applied refuses the prepare like a conflict.  An edited
+    /// cannot be applied refuses the prepare like a conflict, and a
+    /// put-if-absent of a present key refuses it as `KeyPresent`.  An edited
     /// leaf that validation finds locked by another transaction, with no
     /// newer version, answers `Locked` if nothing else refuses the prepare
     /// (see the module docs).
@@ -565,12 +594,19 @@ impl ServerStore {
                 }
                 let base = state.and_then(|s| s.chain.read_at(start_ts));
                 drop(shard);
-                Some(edit_leaf(base, &e.cells))
+                Some(edit_leaf(e.obj, base, &e.cells))
             })
             .collect();
         let mut txns = self.txns.lock();
-        if let Some(known) = self.known_vote(&mut txns, txn)? {
+        if let Some(mut known) = self.known_vote(&mut txns, txn)? {
             self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            // A key present at the snapshot is answered again as present:
+            // the version an unlocked leaf has at the snapshot is final.
+            if let (PrepareOutcome::Conflict(_), Some(Err(e @ Error::KeyPresent { .. }))) =
+                (&known.0, prebuilt.iter().flatten().find(|b| b.is_err()))
+            {
+                known.0 = PrepareOutcome::edit_failed(e.clone());
+            }
             return Ok(known);
         }
         let objs = || (writes.iter().map(|w| w.obj)).chain(edits.iter().map(|e| e.obj));
@@ -605,7 +641,7 @@ impl ServerStore {
             let built = built.take().unwrap_or_else(|| {
                 let shard = self.guard_for(&mut guards, e.obj);
                 let base = (shard.objects.get(&e.obj)).and_then(|s| s.chain.read_at(start_ts));
-                edit_leaf(base, &e.cells)
+                edit_leaf(e.obj, base, &e.cells)
             });
             match built {
                 Ok((page, len)) => {
@@ -617,11 +653,10 @@ impl ServerStore {
                         value: Some(page),
                     });
                 }
-                Err(reason) => {
+                Err(failed) => {
                     drop(guards);
                     let refused = self.log_abort(&mut txns, txn)?;
-                    let outcome = PrepareOutcome::EditRefused { obj: e.obj, reason };
-                    return Ok((outcome, refused));
+                    return Ok((PrepareOutcome::edit_failed(failed), refused));
                 }
             }
         }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use yesquel_common::ids::splitmix64;
-use yesquel_common::node::edit_leaf;
+use yesquel_common::node::{edit_leaf, CellEdit};
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, span, Span, SpanKind, TraceCounter};
 use yesquel_common::stats::{Counter, Histogram, StatsRegistry};
@@ -485,17 +485,31 @@ pub type OnReport = Arc<dyn Fn(ObjectId, LeafReport) + Send + Sync>;
 
 /// The cell edits a transaction buffered for one leaf it has not read.
 struct Edits {
-    /// Key → new value (`None` removes), the last edit of a key winning.
-    cells: BTreeMap<Bytes, Option<Bytes>>,
+    /// Key → its edit: the value of the last edit of the key, and whether
+    /// any edit of it asked for the key to be absent at the snapshot.
+    cells: BTreeMap<Bytes, CellEdit>,
     max_cells: u32,
     on_report: OnReport,
 }
 
 impl Edits {
-    fn cells(&self) -> Vec<(Bytes, Option<Bytes>)> {
-        (self.cells.iter())
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    fn cells(&self) -> Vec<CellEdit> {
+        self.cells.values().cloned().collect()
+    }
+
+    /// Adds `edit` to the edits of its key; false, adding nothing, for a
+    /// put-if-absent of a key this transaction has put.
+    fn add(&mut self, edit: CellEdit) -> bool {
+        match self.cells.get_mut(&edit.key) {
+            Some(held) if edit.if_absent && held.value.is_some() => return false,
+            // An earlier put-if-absent's check stands; after a remove the
+            // key is absent, whatever the snapshot holds.
+            Some(held) => held.value = edit.value,
+            None => {
+                self.cells.insert(edit.key.clone(), edit);
+            }
+        }
+        true
     }
 }
 
@@ -523,23 +537,25 @@ impl Local {
     /// Remembers `value`, fetched for `obj`.  If the transaction edited
     /// `obj` unread, its edits are applied to `value` as the participant
     /// would, and the page becomes an ordinary write; edits the participant
-    /// would refuse are refused here, and reported, and stay buffered, so
-    /// that the commit is refused too.  Returns what a read of `obj`
-    /// answers.
+    /// would refuse are refused here, and reported, and a put-if-absent of
+    /// a present key fails here; either way the edits stay buffered, so
+    /// that the commit fails too.  Returns what a read of `obj` answers.
     fn fetched(&mut self, obj: ObjectId, value: Option<Bytes>) -> Result<Option<Bytes>> {
         let Some(edits) = self.edits.get(&obj) else {
             self.reads.remember(obj, value.clone());
             return Ok(value);
         };
-        match edit_leaf(value, &edits.cells()) {
+        match edit_leaf(obj, value, &edits.cells()) {
             Ok((page, _)) => {
                 self.edits.remove(&obj);
                 self.writes.insert(obj, Some(page.clone()));
                 Ok(Some(page))
             }
-            Err(reason) => {
-                (edits.on_report)(obj, LeafReport::Refused);
-                Err(Error::EditRefused { obj, reason })
+            Err(e) => {
+                if let Error::EditRefused { .. } = e {
+                    (edits.on_report)(obj, LeafReport::Refused);
+                }
+                Err(e)
             }
         }
     }
@@ -748,22 +764,23 @@ impl Txn {
     }
 
     /// Buffers a cell edit of the leaf `obj`, which the transaction has not
-    /// read ([`Txn::may_edit_unread`]): put `key` → `value`, or remove `key`
-    /// if `value` is `None`.  The leaf's participant applies the edits to
-    /// the version this transaction's snapshot reads, after validating the
-    /// leaf like any write, or refuses the prepare when that version is not
-    /// a leaf, does not fence `key` or lists replicas
-    /// ([`Error::EditRefused`]).  `on_report` is called with the leaf when
-    /// its participant refuses the edits, and, once the transaction has
-    /// committed, when it found the leaf over `max_cells`.
+    /// read ([`Txn::may_edit_unread`]): a put, a put-if-absent or a remove
+    /// of one key.  The leaf's participant applies the edits to the version
+    /// this transaction's snapshot reads, after validating the leaf like any
+    /// write, or refuses the prepare when that version is not a leaf, does
+    /// not fence the key or lists replicas ([`Error::EditRefused`]), or
+    /// when a put-if-absent finds its key there ([`Error::KeyPresent`]).
+    /// False, buffering nothing, for a put-if-absent of a key the
+    /// transaction has put in this leaf already.  `on_report` is called
+    /// with the leaf when its participant refuses the edits, and, once the
+    /// transaction has committed, when it found the leaf over `max_cells`.
     pub fn edit_cell(
         &self,
         obj: ObjectId,
-        key: &[u8],
-        value: Option<&[u8]>,
+        edit: CellEdit,
         max_cells: usize,
         on_report: &OnReport,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         self.check_active()?;
         let mut local = self.local.lock();
         debug_assert!(local.read(obj).is_none(), "{obj} is held: edit it locally");
@@ -772,10 +789,11 @@ impl Txn {
             max_cells: u32::try_from(max_cells).unwrap_or(u32::MAX),
             on_report: Arc::clone(on_report),
         });
-        let key = Bytes::copy_from_slice(key);
-        edits.cells.insert(key, value.map(Bytes::copy_from_slice));
-        self.core.hot.cell_edits.inc();
-        Ok(())
+        let added = edits.add(edit);
+        if added {
+            self.core.hot.cell_edits.inc();
+        }
+        Ok(added)
     }
 
     /// Buffers a write of the same `value` to every object in `objs` — the
@@ -934,7 +952,8 @@ impl Txn {
     ///
     /// A `Committed` answer is the commit: a sole participant's, or one
     /// that resolved the transaction already.  A refusal aborts; a refused
-    /// cell edit is counted on its own, not as a conflict.  Every
+    /// cell edit is counted on its own, not as a conflict, and a key a
+    /// put-if-absent found present is not counted here.  Every
     /// other vote not heard — an answer lost, a failure, a prepare the round
     /// never sent — is asked for with a fencing probe, after which its
     /// participant has voted yes or never will: a clean abort, reported as
@@ -987,6 +1006,10 @@ impl Txn {
                     self.core.hot.cell_edit_refusals.inc();
                     let refused = Error::EditRefused { obj, reason };
                     return Err(self.aborted(participants, server, deadline, refused));
+                }
+                Some(Ok(KvResponse::KeyPresent { obj, key })) => {
+                    let present = Error::KeyPresent { obj, key };
+                    return Err(self.aborted(participants, server, deadline, present));
                 }
                 Some(Ok(KvResponse::ServerError { message })) => Error::Io(message),
                 Some(Ok(other)) => {
@@ -1172,7 +1195,8 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s = Arc::clone(&seen);
         let on_report: OnReport = Arc::new(move |obj, what| s.lock().push((obj, what)));
-        t.edit_cell(leaf, b"k", Some(b"v"), 8, &on_report).unwrap();
+        let edit = CellEdit::put(Bytes::from_static(b"k"), Bytes::from_static(b"v"));
+        assert!(t.edit_cell(leaf, edit, 8, &on_report).unwrap());
         let page = Bytes::from_static(b"page");
         let refused = t.put_many([copy, leaf], page).unwrap_err();
         assert!(

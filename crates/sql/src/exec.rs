@@ -63,12 +63,27 @@
 //! and an index-moving UPDATE read one leaf and commit: two round trips on
 //! a slept network.  The leaves a statement does read are fetched together
 //! first (`prefetch_leaves`).
+//!
+//! An **autocommit** INSERT is its own transaction, so its commit is still
+//! the statement and a violation found there still belongs to it: its
+//! occupancy check and unique-index probes go unread too
+//! ([`Dbt::insert_if_absent_unread`], a put-if-absent the leaf's server
+//! checks on the snapshot's version), it fetches nothing, and it costs one
+//! round trip.  A key found present at the commit fails the statement
+//! ([`execute_and_commit`]) with the text the fetch path's probe gives,
+//! except a rowid the allocator chose: that one retries the statement
+//! through the fetch path, which skips taken ids.  Inside `BEGIN … COMMIT`
+//! an INSERT keeps its probes, so its violation surfaces at the statement;
+//! so does an UPDATE that moves a unique entry.  A leaf that the client
+//! knows to be replicated, or whose edits were refused, takes the fetch
+//! path in autocommit too.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use yesquel_common::obs::clock;
 use yesquel_common::obs::trace::{count, counter_value, TraceCounter};
 use yesquel_common::stats::Histogram;
@@ -170,6 +185,11 @@ pub struct ExecCtx<'a> {
     pub txn: &'a Txn,
     /// Positional parameters bound to the statement.
     pub params: &'a [Value],
+    /// The statement is its own transaction, committed once it has run, so
+    /// a uniqueness violation found at the commit still belongs to it: an
+    /// INSERT's probes then go unread (module docs, "Index maintenance").
+    /// `false` is always safe.
+    pub autocommit: bool,
 }
 
 /// A pull-based row operator: the executor's one interface.  `next_row`
@@ -220,8 +240,52 @@ pub fn execute_plan(
     plan: &Plan,
     params: &[Value],
 ) -> Result<ResultSet> {
+    let cx = ExecCtx {
+        catalog,
+        txn,
+        params,
+        autocommit: false,
+    };
+    execute_timed(&cx, plan)
+}
+
+/// Executes an already-built plan as a statement that is its own
+/// transaction, `txn`, and commits it — one attempt of an autocommit
+/// statement.  An INSERT's row and unique-index entries then go to their
+/// leaves unread, and a key one of them finds present at the commit fails
+/// the statement as the fetch path's probe would have (module docs, "Index
+/// maintenance").
+pub fn execute_and_commit(
+    catalog: &Catalog,
+    txn: Txn,
+    plan: &Plan,
+    params: &[Value],
+) -> Result<ResultSet> {
+    let cx = ExecCtx {
+        catalog,
+        txn: &txn,
+        params,
+        autocommit: true,
+    };
+    let out = match execute_timed(&cx, plan) {
+        Ok(rs) => txn.commit().map(|_| rs),
+        Err(e) => {
+            txn.abort();
+            Err(e)
+        }
+    };
+    // A read of a leaf can meet a put-if-absent of the statement as well.
+    out.map_err(|e| match e {
+        Error::KeyPresent { obj, key } => key_present(catalog, plan, params, obj, key),
+        e => e,
+    })
+}
+
+/// [`execute_plan_inner`], recording the statement's latency.
+fn execute_timed(cx: &ExecCtx<'_>, plan: &Plan) -> Result<ResultSet> {
+    let catalog = cx.catalog;
     let t0 = catalog.engine().stats().obs().timing_on().then(clock::now);
-    let res = execute_plan_inner(catalog, txn, plan, params);
+    let res = execute_plan_inner(cx, plan);
     if let Some(t0) = t0 {
         if res.is_ok() {
             stmt_hist(catalog, plan).record(clock::elapsed_us(t0));
@@ -263,22 +327,13 @@ fn result_capacity(plan: &Plan) -> usize {
 
 /// [`execute_plan`] without the latency record (so EXPLAIN ANALYZE's inner
 /// execution is not charged twice).
-fn execute_plan_inner(
-    catalog: &Catalog,
-    txn: &Txn,
-    plan: &Plan,
-    params: &[Value],
-) -> Result<ResultSet> {
-    let cx = ExecCtx {
-        catalog,
-        txn,
-        params,
-    };
+fn execute_plan_inner(cx: &ExecCtx<'_>, plan: &Plan) -> Result<ResultSet> {
+    let (catalog, txn, params) = (cx.catalog, cx.txn, cx.params);
     match plan {
         Plan::ConstSelect(_) | Plan::Select(_) | Plan::Explain(_) => {
             let mut stream = open_stream(catalog, txn, plan, params)?;
             let mut rows = Vec::with_capacity(result_capacity(plan));
-            while let Some(row) = stream.next_row(&cx)? {
+            while let Some(row) = stream.next_row(cx)? {
                 rows.push(row);
             }
             Ok(ResultSet {
@@ -288,10 +343,10 @@ fn execute_plan_inner(
                 last_rowid: None,
             })
         }
-        Plan::ExplainAnalyze(inner) => exec_explain_analyze(&cx, inner),
-        Plan::Insert(p) => exec_insert(&cx, p),
-        Plan::Update(p) => exec_update(&cx, p),
-        Plan::Delete(p) => exec_delete(&cx, p),
+        Plan::ExplainAnalyze(inner) => exec_explain_analyze(cx, inner),
+        Plan::Insert(p) => exec_insert(cx, p),
+        Plan::Update(p) => exec_update(cx, p),
+        Plan::Delete(p) => exec_delete(cx, p),
         Plan::CreateTable(ct) => {
             catalog.create_table(txn, ct)?;
             Ok(ResultSet::empty())
@@ -320,6 +375,7 @@ pub fn open_stream(
         catalog,
         txn,
         params,
+        autocommit: false,
     };
     match plan {
         Plan::ConstSelect(output) => Ok(RowStream {
@@ -1703,7 +1759,7 @@ fn exec_explain_analyze(cx: &ExecCtx<'_>, inner: &Plan) -> Result<ResultSet> {
             (meter.report(), n)
         }
         other => {
-            let rs = execute_plan_inner(cx.catalog, cx.txn, other, cx.params)?;
+            let rs = execute_plan_inner(cx, other)?;
             let n = if rs.rows.is_empty() {
                 rs.rows_affected
             } else {
@@ -1795,29 +1851,88 @@ fn index_entry_key(ix: &IndexInfo, vals: &[Value], rid: i64) -> (Vec<u8>, bool) 
 }
 
 /// Inserts one index entry, enforcing uniqueness; a non-unique entry is
-/// put unread (module docs, "Index maintenance").
+/// put unread, and so is a unique one whose check may answer at the commit
+/// (`at_commit`: an autocommit INSERT; module docs, "Index maintenance").
 fn insert_index_entry(
     itree: &Dbt,
     txn: &Txn,
     ix: &IndexInfo,
     table_name: &str,
-    vals: &[Value],
-    rid: i64,
+    (vals, rid): (&[Value], i64),
+    at_commit: bool,
 ) -> Result<()> {
     match index_entry_key(ix, vals, rid) {
         (key, true) => {
             // One descent decides and writes: the leaf's probe is the
-            // uniqueness check.
-            if !itree.insert_if_absent(txn, &key, &encode_row(&[Value::Int(rid)]))? {
-                return Err(Error::Constraint(format!(
-                    "UNIQUE constraint failed: {table_name} index {}",
-                    ix.name
-                )));
+            // uniqueness check, here or at the commit.
+            let value = encode_row(&[Value::Int(rid)]);
+            let inserted = if at_commit {
+                itree.insert_if_absent_unread(txn, &key, &value)?
+            } else {
+                itree.insert_if_absent(txn, &key, &value)?
+            };
+            if !inserted {
+                return Err(index_taken(table_name, ix));
             }
             Ok(())
         }
         (key, false) => itree.put_unread(txn, &key, &[]),
     }
+}
+
+/// The violation of the unique index `ix` of `table_name`.
+fn index_taken(table_name: &str, ix: &IndexInfo) -> Error {
+    Error::Constraint(format!(
+        "UNIQUE constraint failed: {table_name} index {}",
+        ix.name
+    ))
+}
+
+/// The violation of the rowid column of `schema`, which has one.
+fn rowid_taken(schema: &TableSchema) -> Error {
+    let rc = schema.rowid_col.expect("a rowid column");
+    Error::Constraint(format!(
+        "UNIQUE constraint failed: {}.{}",
+        schema.name, schema.columns[rc].name
+    ))
+}
+
+/// What an autocommit statement answers for a put-if-absent that found
+/// `key` present in the leaf `obj` at its commit: the uniqueness violation
+/// the fetch path's probe reports for a unique-index entry or a rowid the
+/// INSERT was given; for a rowid the allocator chose, a refusal of the
+/// leaf's edits, whose retry takes the fetch path, which skips taken ids.
+fn key_present(
+    catalog: &Catalog,
+    plan: &Plan,
+    params: &[Value],
+    obj: ObjectId,
+    key: Bytes,
+) -> Error {
+    let p = match plan {
+        Plan::Insert(p) => p,
+        Plan::ExplainAnalyze(inner) => return key_present(catalog, inner, params, obj, key),
+        _ => return Error::KeyPresent { obj, key },
+    };
+    let schema = &p.schema;
+    if let Some(ix) = schema.indexes.iter().find(|ix| ix.tree == obj.tree) {
+        return index_taken(&schema.name, ix);
+    }
+    let rid = match decode_rowid_key(&key) {
+        Ok(rid) if obj.tree == schema.tree => rid,
+        _ => return Error::KeyPresent { obj, key },
+    };
+    let given = |exprs: &Vec<Expr>| -> bool {
+        let row = new_row(p, exprs, params);
+        let rid_of = |row: Vec<Value>| schema.rowid_col.and_then(|rc| value_to_rowid(&row[rc]));
+        row.ok().and_then(rid_of) == Some(rid)
+    };
+    if p.rows.iter().any(given) {
+        return rowid_taken(schema);
+    }
+    catalog.engine().refuse_unread(obj);
+    let reason = format!("rowid {rid}, chosen by the allocator, is taken");
+    Error::EditRefused { obj, reason }
 }
 
 /// Removes the index entry a row contributed, unread.
@@ -1831,15 +1946,16 @@ fn delete_index_entry(
     itree.remove_unread(txn, &index_entry_key(ix, vals, rid).0)
 }
 
-/// `(itree, key)` if writing the index entry `key` fetches its leaf: a
-/// unique insert (`unique`) always does, any other write only when it
-/// cannot go unread ([`Dbt::edits_unread`]).
-fn entry_leaf_to_fetch<'t>(
+/// `(tree, key)` if writing `key` fetches its leaf: a write whose answer
+/// the statement needs now (`answer_now`: an insert that checks the key is
+/// absent, outside autocommit) always does, any other only when it cannot
+/// go unread ([`Dbt::edits_unread`]).
+fn leaf_to_fetch<'t>(
     txn: &Txn,
-    itree: &'t Dbt,
-    (key, unique): (Vec<u8>, bool),
+    tree: &'t Dbt,
+    (key, answer_now): (Vec<u8>, bool),
 ) -> Option<(&'t Dbt, Vec<u8>)> {
-    (unique || !itree.edits_unread(txn, &key)).then_some((itree, key))
+    (answer_now || !tree.edits_unread(txn, &key)).then_some((tree, key))
 }
 
 /// Fetches, in one round, the leaves a statement is about to search for
@@ -1880,33 +1996,47 @@ fn first_rowid(catalog: &Catalog, schema: &TableSchema, row: &mut [Value]) -> Re
 /// [`first_rowid`], and if that was allocated and is taken, the next free id
 /// from the table's allocator.  The row leaf's own probe is the occupancy
 /// check, so each candidate rowid costs one descent, and an occupied one
-/// buffers nothing.
+/// buffers nothing; in autocommit the probe goes unread, and answers at
+/// the commit ([`key_present`]) unless the fetch path takes it.
 fn insert_row(
-    catalog: &Catalog,
-    txn: &Txn,
+    cx: &ExecCtx<'_>,
     schema: &TableSchema,
     table: &Dbt,
     row: &mut [Value],
     (mut rid, explicit): (i64, bool),
 ) -> Result<i64> {
     loop {
-        if table.insert_if_absent(txn, &encode_rowid_key(rid), &encode_row(row))? {
+        let (key, value) = (encode_rowid_key(rid), encode_row(row));
+        let inserted = if cx.autocommit {
+            table.insert_if_absent_unread(cx.txn, &key, &value)?
+        } else {
+            table.insert_if_absent(cx.txn, &key, &value)?
+        };
+        if inserted {
             return Ok(rid);
         }
-        if let (true, Some(rc)) = (explicit, schema.rowid_col) {
-            return Err(Error::Constraint(format!(
-                "UNIQUE constraint failed: {}.{}",
-                schema.name, schema.columns[rc].name
-            )));
+        if explicit && schema.rowid_col.is_some() {
+            return Err(rowid_taken(schema));
         }
         // The allocator is non-transactional (ids burned by aborts are lost,
         // like SQLite's AUTOINCREMENT under concurrency); explicit inserts
         // may have taken ids ahead of the counter, so skip occupied ones.
-        rid = catalog.allocate_rowids(schema, 1)?;
+        rid = cx.catalog.allocate_rowids(schema, 1)?;
         if let Some(rc) = schema.rowid_col {
             row[rc] = Value::Int(rid);
         }
     }
+}
+
+/// One row of an INSERT's `VALUES`, each given column coerced to its type
+/// and every other NULL.
+fn new_row(p: &InsertPlan, exprs: &[Expr], params: &[Value]) -> Result<Vec<Value>> {
+    let schema = &p.schema;
+    let mut row = vec![Value::Null; schema.columns.len()];
+    for (e, &col) in exprs.iter().zip(&p.columns) {
+        row[col] = const_eval(e, params)?.coerce(schema.columns[col].ctype);
+    }
+    Ok(row)
 }
 
 /// The trees of a table's secondary indexes, in `schema.indexes` order.
@@ -1924,31 +2054,24 @@ fn exec_insert(cx: &ExecCtx<'_>, p: &InsertPlan) -> Result<ResultSet> {
     let itrees = index_trees(cx, schema);
     let mut affected = 0u64;
     let mut last_rowid = None;
+    // A probe's answer is needed now unless the statement commits alone.
+    let answer_now = !cx.autocommit;
     for value_exprs in &p.rows {
-        let mut row = vec![Value::Null; schema.columns.len()];
-        for (i, e) in value_exprs.iter().enumerate() {
-            let col = p.columns[i];
-            row[col] = const_eval(e, cx.params)?.coerce(schema.columns[col].ctype);
-        }
+        let mut row = new_row(p, value_exprs, cx.params)?;
         let first = first_rowid(cx.catalog, schema, &mut row)?;
         prefetch_leaves(cx, || {
-            let mut keys = vec![(&table, encode_rowid_key(first.0))];
+            let row_key = (encode_rowid_key(first.0), answer_now);
+            let mut keys: Vec<_> = leaf_to_fetch(cx.txn, &table, row_key).into_iter().collect();
             for (ix, itree) in schema.indexes.iter().zip(&itrees) {
-                let entry = index_entry_key(ix, &index_values(ix, &row), first.0);
-                keys.extend(entry_leaf_to_fetch(cx.txn, itree, entry));
+                let (key, unique) = index_entry_key(ix, &index_values(ix, &row), first.0);
+                keys.extend(leaf_to_fetch(cx.txn, itree, (key, unique && answer_now)));
             }
             keys
         });
-        let rid = insert_row(cx.catalog, cx.txn, schema, &table, &mut row, first)?;
+        let rid = insert_row(cx, schema, &table, &mut row, first)?;
         for (ix, itree) in schema.indexes.iter().zip(&itrees) {
-            insert_index_entry(
-                itree,
-                cx.txn,
-                ix,
-                &schema.name,
-                &index_values(ix, &row),
-                rid,
-            )?;
+            let entry = (&index_values(ix, &row)[..], rid);
+            insert_index_entry(itree, cx.txn, ix, &schema.name, entry, cx.autocommit)?;
         }
         affected += 1;
         last_rowid = Some(rid);
@@ -2031,7 +2154,7 @@ fn exec_update(cx: &ExecCtx<'_>, p: &crate::plan::UpdatePlan) -> Result<ResultSe
                     let new = index_entry_key(ix, new, new_rid);
                     [old, new]
                         .into_iter()
-                        .filter_map(|entry| entry_leaf_to_fetch(cx.txn, itree, entry))
+                        .filter_map(|entry| leaf_to_fetch(cx.txn, itree, entry))
                 })
                 .collect();
             if new_rid != rid {
@@ -2041,17 +2164,14 @@ fn exec_update(cx: &ExecCtx<'_>, p: &crate::plan::UpdatePlan) -> Result<ResultSe
         });
         if new_rid != rid {
             if table.lookup(cx.txn, &encode_rowid_key(new_rid))?.is_some() {
-                return Err(Error::Constraint(format!(
-                    "UNIQUE constraint failed: {}.{}",
-                    schema.name,
-                    schema.columns[schema.rowid_col.expect("rowid change")].name
-                )));
+                return Err(rowid_taken(schema));
             }
             table.delete(cx.txn, &encode_rowid_key(rid))?;
         }
         for (ix, itree, old_vals, new_vals) in &moved {
             delete_index_entry(itree, cx.txn, ix, old_vals, rid)?;
-            insert_index_entry(itree, cx.txn, ix, &schema.name, new_vals, new_rid)?;
+            let entry = (&new_vals[..], new_rid);
+            insert_index_entry(itree, cx.txn, ix, &schema.name, entry, false)?;
         }
         table.insert(cx.txn, &encode_rowid_key(new_rid), &encode_row(&new_row))?;
         affected += 1;
@@ -2073,7 +2193,7 @@ fn exec_delete(cx: &ExecCtx<'_>, p: &crate::plan::DeletePlan) -> Result<ResultSe
             (schema.indexes.iter().zip(&itrees))
                 .filter_map(|(ix, itree)| {
                     let key = index_entry_key(ix, &index_values(ix, &row), rid).0;
-                    entry_leaf_to_fetch(cx.txn, itree, (key, false))
+                    leaf_to_fetch(cx.txn, itree, (key, false))
                 })
                 .collect()
         });

@@ -31,7 +31,8 @@ pub mod types;
 pub use ast::Statement;
 pub use catalog::{Catalog, SqlCounters};
 pub use exec::{
-    execute, execute_plan, open_stream, ExecCtx, ResultRows, ResultSet, RowSource, RowStream,
+    execute, execute_and_commit, execute_plan, open_stream, ExecCtx, ResultRows, ResultSet,
+    RowSource, RowStream,
 };
 pub use params::ParamInfo;
 pub use parser::{parse, parse_script, parse_with_params};

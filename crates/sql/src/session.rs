@@ -13,9 +13,10 @@
 //!    cannot drift apart.
 //! 2. **Run it**: `run` collects a [`ResultSet`], `open` streams [`Rows`].
 //!    Inside an explicit transaction the statement joins it; otherwise it
-//!    autocommits through [`KvClient::run_txn`] — one snapshot-isolated
-//!    transaction per attempt, retried on conflicts, lock timeouts and
-//!    availability failures.  The pin is revalidated against the catalog
+//!    autocommits through [`KvClient::retry_txn`] and
+//!    [`crate::execute_and_commit`] — one snapshot-isolated transaction per
+//!    attempt, retried on conflicts, lock timeouts and availability
+//!    failures.  The pin is revalidated against the catalog
 //!    generation inside the attempt's transaction, and a stale one replans
 //!    from the AST there: never a reparse, never a throwaway transaction.
 //!
@@ -437,9 +438,15 @@ impl Session {
             return out;
         }
         let mut ran_ddl = false;
-        let out = self.client.run_txn(|txn| {
-            let plan = self.plan_attempt(stmt, txn, &mut ran_ddl)?;
-            crate::execute_plan(&self.catalog, txn, &plan, params)
+        let out = self.client.retry_txn(|txn| {
+            let plan = match self.plan_attempt(stmt, &txn, &mut ran_ddl) {
+                Ok(plan) => plan,
+                Err(e) => {
+                    txn.abort();
+                    return Err(e);
+                }
+            };
+            crate::execute_and_commit(&self.catalog, txn, &plan, params)
         });
         self.finish(ran_ddl, out)
     }
@@ -658,6 +665,7 @@ impl Iterator for Rows {
                     catalog: &self.catalog,
                     txn: txn.as_ref()?,
                     params: &self.params,
+                    autocommit: false,
                 };
                 match stream.next_row(&cx) {
                     Ok(Some(values)) => values,

@@ -133,9 +133,7 @@ impl DbtEngine {
                         oid: obj.oid,
                         reason: SplitReason::Size,
                     }),
-                    LeafReport::Refused => {
-                        engine.refused.lock().insert(obj);
-                    }
+                    LeafReport::Refused => engine.refuse_unread(obj),
                 }
             });
             DbtEngine {
@@ -166,6 +164,14 @@ impl DbtEngine {
     /// since the fetch path last wrote it.
     pub(crate) fn was_refused(&self, obj: ObjectId) -> bool {
         self.refused.lock().contains(&obj)
+    }
+
+    /// Sends this client's writes of the leaf `obj` down the fetch path
+    /// until it writes `obj`, as a participant's refusal of its edits does:
+    /// for a caller whose unread edit failed in a way the fetch path
+    /// answers better (a SQL rowid the allocator chose, found taken).
+    pub fn refuse_unread(&self, obj: ObjectId) {
+        self.refused.lock().insert(obj);
     }
 
     /// Notes that the fetch path wrote `obj`: the route to it is fresh, and

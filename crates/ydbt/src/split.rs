@@ -26,6 +26,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use yesquel_common::ids::ROOT_OID;
@@ -36,7 +37,7 @@ use yesquel_kv::{KvClient, Txn};
 use crate::alloc::OidAllocator;
 use crate::cache::NodeCache;
 use crate::load::LoadTracker;
-use crate::node::{Bound, InnerView, NodeView};
+use crate::node::{Bound, InnerView, LeafView, NodeView};
 use crate::replica::{execute_replication, put_node_all, PlacementTracker, ReplicaMap};
 use crate::tree::fetch_view;
 
@@ -103,6 +104,9 @@ impl SplitContext {
 
 /// Splits the node at `path[idx]` inside the caller's transaction, updating
 /// its parent and cascading upward if the parent becomes over-full.
+/// Returns the halves of a split leaf that are still over
+/// `leaf_max_cells`: a leaf that unread inserts grew past twice its bound
+/// before its split ran.
 ///
 /// `path` is the chain of object ids from the root (`path[0] == ROOT_OID`)
 /// down to the node; it must have been built from nodes read in the same
@@ -114,7 +118,7 @@ pub(crate) fn split_node_in_txn(
     path: &[Oid],
     idx: usize,
     reason: SplitReason,
-) -> Result<()> {
+) -> Result<Vec<Oid>> {
     let oid = path[idx];
     let node = fetch_view(txn, tree, oid)?
         .ok_or_else(|| Error::Internal(format!("node {tree}:{oid} vanished during split")))?;
@@ -124,12 +128,12 @@ pub(crate) fn split_node_in_txn(
         NodeView::Inner(i) => (i.len(), 3, ctx.cfg.inner_max_children),
     };
     if len < min_len {
-        return Ok(());
+        return Ok(Vec::new());
     }
     if reason == SplitReason::Size && len <= max_len {
         // Someone else already split it.
         ctx.stats.counter("dbt.split_skipped").inc();
-        return Ok(());
+        return Ok(Vec::new());
     }
     // A split retires the node's replica set: the halves cover different key
     // ranges, so the old copies are meaningless.  Delete the replica objects
@@ -152,6 +156,17 @@ pub(crate) fn split_node_in_txn(
         ctx.stats.counter("dbt.load_splits").inc();
     }
     ctx.stats.counter("dbt.splits").inc();
+    let still_over = |halves: [(Oid, &Bytes); 2]| -> Result<Vec<Oid>> {
+        let mut over = Vec::new();
+        if let NodeView::Leaf(_) = node {
+            for (oid, page) in halves {
+                if LeafView::parse(page.clone())?.len() > max_len {
+                    over.push(oid);
+                }
+            }
+        }
+        Ok(over)
+    };
 
     if idx == 0 {
         // The root split.  The root keeps its well-known object id, so both
@@ -167,15 +182,17 @@ pub(crate) fn split_node_in_txn(
             &[left_oid, right_oid],
             &[&split_key],
         )?;
+        let over = still_over([(left_oid, &left), (right_oid, &right)])?;
         txn.put(ObjectId::new(tree, left_oid), left)?;
         txn.put(ObjectId::new(tree, right_oid), right)?;
         txn.put(ObjectId::new(tree, ROOT_OID), new_root)?;
         ctx.cache.invalidate(tree, ROOT_OID);
         ctx.load.forget(tree, ROOT_OID);
         ctx.stats.counter("dbt.root_splits").inc();
-        return Ok(());
+        return Ok(over);
     }
 
+    let over = still_over([(oid, &left), (right_oid, &right)])?;
     txn.put(ObjectId::new(tree, oid), left)?;
     txn.put(ObjectId::new(tree, right_oid), right)?;
 
@@ -211,18 +228,19 @@ pub(crate) fn split_node_in_txn(
     if parent.len() + 1 > ctx.cfg.inner_max_children {
         split_node_in_txn(ctx, txn, tree, path, idx - 1, SplitReason::Size)?;
     }
-    Ok(())
+    Ok(over)
 }
 
 /// Performs a delegated split in its own transaction, retrying a few times
-/// on write-write conflicts.  Returns true if a split was committed.
-pub(crate) fn execute_delegated_split(ctx: &SplitContext, req: &SplitRequest) -> Result<bool> {
+/// on write-write conflicts.  Returns the halves of a committed leaf split
+/// that are still over `leaf_max_cells`, for the caller to split in turn.
+pub(crate) fn execute_delegated_split(ctx: &SplitContext, req: &SplitRequest) -> Result<Vec<Oid>> {
     const ATTEMPTS: usize = 4;
     for attempt in 0..ATTEMPTS {
         let txn = ctx.kv.begin();
         let Some(target) = fetch_view(&txn, req.tree, req.oid)? else {
             txn.abort();
-            return Ok(false);
+            return Ok(Vec::new());
         };
         // Re-check that the split is still warranted at this snapshot.
         let (warranted, lower) = match &target {
@@ -236,7 +254,7 @@ pub(crate) fn execute_delegated_split(ctx: &SplitContext, req: &SplitRequest) ->
         if !warranted {
             txn.abort();
             ctx.stats.counter("dbt.split_skipped").inc();
-            return Ok(false);
+            return Ok(Vec::new());
         }
         // Any key of the target routes to it: its lower fence does.
         let nav_key: &[u8] = match lower {
@@ -264,11 +282,11 @@ pub(crate) fn execute_delegated_split(ctx: &SplitContext, req: &SplitRequest) ->
         if !found {
             txn.abort();
             ctx.stats.counter("dbt.split_skipped").inc();
-            return Ok(false);
+            return Ok(Vec::new());
         }
 
         let idx = path.len() - 1;
-        split_node_in_txn(ctx, &txn, req.tree, &path, idx, req.reason)?;
+        let over = split_node_in_txn(ctx, &txn, req.tree, &path, idx, req.reason)?;
         match txn.commit() {
             Ok(_) => {
                 ctx.load.forget(req.tree, req.oid);
@@ -279,7 +297,7 @@ pub(crate) fn execute_delegated_split(ctx: &SplitContext, req: &SplitRequest) ->
                 // tree's first split this is what bootstraps them.  No-op if
                 // the root already has its full factor.
                 let _ = execute_replication(ctx, req.tree, ROOT_OID);
-                return Ok(true);
+                return Ok(over);
             }
             Err(e) if e.is_retryable() && attempt + 1 < ATTEMPTS => {
                 ctx.stats.counter("dbt.split_retries").inc();
@@ -287,12 +305,12 @@ pub(crate) fn execute_delegated_split(ctx: &SplitContext, req: &SplitRequest) ->
             }
             Err(e) if e.is_retryable() => {
                 ctx.stats.counter("dbt.split_abandoned").inc();
-                return Ok(false);
+                return Ok(Vec::new());
             }
             Err(e) => return Err(e),
         }
     }
-    Ok(false)
+    Ok(Vec::new())
 }
 
 /// Kind of maintenance work, used to deduplicate the queue per node: a
@@ -348,9 +366,20 @@ impl Splitter {
                     // traffic will flag it again.
                     match &req {
                         MaintRequest::Split(split) => {
-                            if let Err(e) = execute_delegated_split(&ctx, split) {
-                                ctx.stats.counter("dbt.split_errors").inc();
-                                let _ = e;
+                            // A half still over its bound is split before
+                            // the request counts as done.
+                            let mut todo = vec![*split];
+                            while let Some(split) = todo.pop() {
+                                match execute_delegated_split(&ctx, &split) {
+                                    Ok(over) => {
+                                        todo.extend(over.into_iter().map(|oid| SplitRequest {
+                                            oid,
+                                            reason: SplitReason::Size,
+                                            ..split
+                                        }))
+                                    }
+                                    Err(_) => ctx.stats.counter("dbt.split_errors").inc(),
+                                }
                             }
                         }
                         MaintRequest::Replicate { tree, oid } => {

@@ -44,11 +44,16 @@
 //!
 //! A write whose caller needs no answer from the leaf — [`Dbt::put_unread`]
 //! and [`Dbt::remove_unread`]: an index entry removed, a non-unique entry
-//! added — need not fetch the leaf at all.  It is buffered as a **cell
+//! added — need not fetch the leaf at all, and neither does one whose
+//! caller can take its answer at the commit —
+//! [`Dbt::insert_if_absent_unread`]: the row and the unique-index entries
+//! of a SQL INSERT that is its own transaction.  It is buffered as a **cell
 //! edit** ([`Txn::edit_cell`]) and applied by the leaf's participant at
 //! prepare time, to the version the transaction's snapshot reads, which is
-//! the page the fetch path would have edited.  An edit goes unread when all
-//! of these hold, and takes the fetch path otherwise:
+//! the page the fetch path would have edited; a put-if-absent whose key
+//! that version holds fails the commit with [`Error::KeyPresent`], as the
+//! fetch path's probe would have answered `false`.  An edit goes unread
+//! when all of these hold, and takes the fetch path otherwise:
 //!
 //! - the inner-node cache names the leaf: phase 1 ends under a cached node
 //!   of height 1, or, with no inner node of the tree cached, at the root (a
@@ -82,7 +87,7 @@ use yesquel_kv::Txn;
 
 use crate::engine::DbtEngine;
 use crate::iter::{DbtCursor, RawCursor};
-use crate::node::{LeafView, NodeView};
+use crate::node::{CellEdit, LeafView, NodeView};
 use crate::replica::put_node_all;
 use crate::split::{split_node_in_txn, SplitReason, SplitRequest};
 
@@ -477,49 +482,68 @@ impl Dbt {
         (!fetch && txn.may_edit_unread(obj)).then_some(obj)
     }
 
-    /// Whether a [`Dbt::put_unread`] or [`Dbt::remove_unread`] of `key`
-    /// would go unread now, so that a statement leaves its leaf out of the
-    /// leaves it fetches first.
+    /// Whether a [`Dbt::put_unread`], [`Dbt::insert_if_absent_unread`] or
+    /// [`Dbt::remove_unread`] of `key` would go unread now, so that a
+    /// statement leaves its leaf out of the leaves it fetches first.
     pub fn edits_unread(&self, txn: &Txn, key: &[u8]) -> bool {
         self.unread_leaf(txn, key).is_some()
     }
 
-    /// Buffers a cell edit of `key`'s leaf unread, if it may; false if the
-    /// write must take the fetch path.
-    fn edit_unread(&self, txn: &Txn, key: &[u8], value: Option<&[u8]>) -> Result<bool> {
-        let Some(obj) = self.unread_leaf(txn, key) else {
-            return Ok(false);
+    /// Buffers `edit` of its key's leaf unread, if it may: `None` if the
+    /// write must take the fetch path, else what [`Txn::edit_cell`]
+    /// answers.
+    fn edit_unread(&self, txn: &Txn, edit: CellEdit) -> Result<Option<bool>> {
+        let Some(obj) = self.unread_leaf(txn, &edit.key) else {
+            return Ok(None);
         };
         let _dbt_span = span(SpanKind::Dbt);
         let (cfg, counters) = (self.engine.config(), self.engine.counters());
-        let kind = if value.is_some() {
+        let kind = if edit.value.is_some() {
             &counters.inserts
         } else {
             &counters.deletes
         };
         kind.inc();
-        txn.edit_cell(obj, key, value, cfg.leaf_max_cells, self.engine.on_report())?;
+        let added = txn.edit_cell(obj, edit, cfg.leaf_max_cells, self.engine.on_report())?;
         // The leaf's length is not known here; 2 lets a write-hot leaf be
         // load-split, and the splitter checks the length it reads.
         self.track_access(obj.oid, 2, true);
-        Ok(true)
+        Ok(Some(added))
     }
 
     /// Inserts or replaces `key` → `value` for a caller that needs no
     /// answer from the leaf: unread where it may go unread (module docs),
     /// else through [`Dbt::insert`].
     pub fn put_unread(&self, txn: &Txn, key: &[u8], value: &[u8]) -> Result<()> {
-        if !self.edit_unread(txn, key, Some(value))? {
+        let edit = CellEdit::put(Bytes::copy_from_slice(key), Bytes::copy_from_slice(value));
+        if self.edit_unread(txn, edit)?.is_none() {
             self.insert(txn, key, value)?;
         }
         Ok(())
+    }
+
+    /// Inserts `key` → `value` unless `key` is present, answering at the
+    /// commit: unread where it may go unread (module docs), the put-if-absent
+    /// the leaf's participant applies, which fails the commit with
+    /// [`Error::KeyPresent`] if the snapshot's leaf holds `key`; else
+    /// through [`Dbt::insert_if_absent`].  False only if `key` is known
+    /// present now: found by the fetch path, or put by this transaction.
+    pub fn insert_if_absent_unread(&self, txn: &Txn, key: &[u8], value: &[u8]) -> Result<bool> {
+        let (k, v) = (Bytes::copy_from_slice(key), Bytes::copy_from_slice(value));
+        match self.edit_unread(txn, CellEdit::put_if_absent(k, v))? {
+            Some(added) => Ok(added),
+            None => self.insert_if_absent(txn, key, value),
+        }
     }
 
     /// Removes `key`, if present, for a caller that needs no answer from
     /// the leaf: unread where it may go unread (module docs), else through
     /// [`Dbt::delete`].
     pub fn remove_unread(&self, txn: &Txn, key: &[u8]) -> Result<()> {
-        if !self.edit_unread(txn, key, None)? {
+        if self
+            .edit_unread(txn, CellEdit::remove(Bytes::copy_from_slice(key)))?
+            .is_none()
+        {
             self.delete(txn, key)?;
         }
         Ok(())

@@ -1474,11 +1474,13 @@ fn autocommit_statements_retry_conflicts_to_success() {
 #[test]
 fn insert_probes_each_leaf_once() {
     // The wiki fixture has one unique and one plain index.  An INSERT writes
-    // three leaves; the row leaf's and the unique-index leaf's own probes
-    // are the uniqueness checks, and the plain index's entry is a cell edit
-    // its leaf's server applies, so a warm statement fetches two nodes —
-    // not five (a lookup and then an insert on two of the trees, and the
-    // plain index's leaf).
+    // three leaves.  Inside an explicit transaction the row leaf's and the
+    // unique-index leaf's own probes are the uniqueness checks, and the
+    // plain index's entry is a cell edit its leaf's server applies, so a
+    // warm statement fetches two nodes — not five (a lookup and then an
+    // insert on two of the trees, and the plain index's leaf).  An
+    // autocommit INSERT leaves both checks to the leaves' servers, as
+    // puts-if-absent, and fetches none.
     let y = wiki_fixture();
     let stats = y.db().stats();
     let insert = y
@@ -1488,11 +1490,17 @@ fn insert_probes_each_leaf_once() {
     y.engine().wait_for_splits();
     let fetches = stats.counter("dbt.node_fetches").get();
     insert.execute(params![1001, "measured", 2, "b"]).unwrap();
-    assert_eq!(stats.counter("dbt.node_fetches").get() - fetches, 2);
+    assert_eq!(stats.counter("dbt.node_fetches").get() - fetches, 0);
     assert_eq!(
         rows_i64(&y, "SELECT id FROM pages WHERE title = 'measured'"),
         vec![vec![1001]]
     );
+    y.engine().wait_for_splits();
+    let fetches = stats.counter("dbt.node_fetches").get();
+    y.execute("BEGIN", &[]).unwrap();
+    insert.execute(params![1003, "explicit", 3, "b"]).unwrap();
+    assert_eq!(stats.counter("dbt.node_fetches").get() - fetches, 2);
+    y.execute("COMMIT", &[]).unwrap();
 
     // A duplicate primary key is refused by the row leaf's probe, before
     // anything is buffered in the transaction.
@@ -1503,12 +1511,13 @@ fn insert_probes_each_leaf_once() {
     assert!(matches!(err, Error::Constraint(_)), "{err:?}");
     assert_eq!(txn.write_count(), writes);
     txn.abort();
-    // So is a duplicate of the unique index, by that index leaf's probe.
+    // So is a duplicate of the unique index, by that index leaf's server
+    // at the autocommit's commit.
     let err = insert
         .execute(params![1002, "measured", 3, "b"])
         .unwrap_err();
     assert!(matches!(err, Error::Constraint(_)), "{err:?}");
-    assert_eq!(rows_i64(&y, "SELECT count(*) FROM pages").concat(), [52]);
+    assert_eq!(rows_i64(&y, "SELECT count(*) FROM pages").concat(), [53]);
 }
 
 /// The wiki fixture's table over per-server worker threads, on a network
@@ -1608,11 +1617,13 @@ fn threaded_wiki_rows(one_way_latency_us: u64, rows: i64) -> Yesquel {
 
 /// A statement that edits index entries reads only the leaves it needs an
 /// answer from, counted as `Get`s on warm caches: a DELETE by id and an
-/// index-moving UPDATE read the row's leaf, and an INSERT the row's leaf and
-/// its unique-index leaf.  The index leaves they only edit take cell edits,
-/// applied by the leaves' servers.  This holds on one-leaf trees, where the
-/// edit goes to the root, and on trees with inner nodes, where it goes to
-/// the leaf a cached parent names.
+/// index-moving UPDATE read the row's leaf, an autocommit INSERT none (its
+/// checks are puts-if-absent, answered at its commit), and an INSERT in an
+/// explicit transaction the row's leaf and its unique-index leaf.  The
+/// index leaves they only edit take cell edits, applied by the leaves'
+/// servers.  This holds on one-leaf trees, where the edit goes to the root,
+/// and on trees with inner nodes, where it goes to the leaf a cached parent
+/// names.
 #[test]
 fn index_edits_fetch_no_index_leaf() {
     for rows in [8, 300] {
@@ -1656,9 +1667,19 @@ fn index_edits_fetch_no_index_leaf() {
         let inserted = count_gets(&|| {
             insert.execute(params![5, "page-05", 50, "body"]).unwrap();
         });
+        assert_eq!(inserted, 0, "{rows} rows: an autocommit INSERT fetches");
+        let deleted = count_gets(&|| {
+            assert_eq!(delete.execute(params![7]).unwrap().rows_affected, 1);
+        });
+        assert_eq!(deleted, 1);
+        let inserted_in_txn = count_gets(&|| {
+            y.execute("BEGIN", &[]).unwrap();
+            insert.execute(params![7, "page-07", 70, "body"]).unwrap();
+            y.execute("COMMIT", &[]).unwrap();
+        });
         assert_eq!(
-            inserted, 2,
-            "{rows} rows: an INSERT fetches its row and title leaves"
+            inserted_in_txn, 2,
+            "{rows} rows: an INSERT in a transaction fetches its row and title leaves"
         );
         assert_eq!(
             refusals.get(),
@@ -1765,13 +1786,14 @@ fn round_trip(y: &Yesquel) -> Duration {
     })
 }
 
-/// Over a slept network an INSERT into a two-index table fetches its three
-/// leaves in one round and returns once every participant has voted: two
-/// round trips, whether or not one server holds every leaf, where fetching
-/// the leaves one by one and waiting for a decision after the votes took
-/// six.
+/// Over a slept network an autocommit INSERT into a two-index table sends
+/// its three leaves' edits — the row's and the title's as puts-if-absent —
+/// in its prepare round and returns once every participant has voted: one
+/// round trip, whether or not one server holds every leaf, where fetching
+/// the row and title leaves first took two, and fetching the leaves one by
+/// one and waiting for a decision after the votes took six.
 #[test]
-fn an_insert_into_a_two_index_table_takes_under_three_round_trips() {
+fn an_insert_into_a_two_index_table_takes_under_two_round_trips() {
     let y = threaded_wiki(1_000);
     let insert = y.prepare(WIKI_INSERT).unwrap();
     insert
@@ -1784,28 +1806,31 @@ fn an_insert_into_a_two_index_table_takes_under_three_round_trips() {
             .unwrap();
     });
     assert!(
-        insert_time < round_trip * 3,
+        insert_time < round_trip * 2,
         "an INSERT took {insert_time:?}, a round trip {round_trip:?}"
     );
 }
 
-/// An UPDATE that moves a row's index entry reads the row's leaf, then the
-/// two index leaves it rewrites in one round, and returns once every
-/// participant has voted: three round trips.
+/// An INSERT inside `BEGIN … COMMIT` keeps its probes: it fetches its row
+/// and title leaves in one round, and the `COMMIT` is the prepare round —
+/// two round trips.
 #[test]
-fn an_index_moving_update_takes_under_four_round_trips() {
+fn an_insert_in_a_transaction_takes_under_three_round_trips() {
     let y = threaded_wiki(1_000);
-    let update = y
-        .prepare("UPDATE pages SET views = views + 1 WHERE id = ?")
-        .unwrap();
-    assert_eq!(update.execute(params![2]).unwrap().rows_affected, 1);
+    let insert = y.prepare(WIKI_INSERT).unwrap();
+    let in_txn = |id: i64| {
+        y.execute("BEGIN", &[]).unwrap();
+        insert
+            .execute(params![id, format!("new-{id}"), id, "body"])
+            .unwrap();
+        y.execute("COMMIT", &[]).unwrap();
+    };
+    in_txn(100);
     let round_trip = round_trip(&y);
-    let update_time = fastest(3..8, round_trip * 2, |id| {
-        assert_eq!(update.execute(params![id]).unwrap().rows_affected, 1);
-    });
+    let insert_time = fastest(101..106, round_trip * 2, in_txn);
     assert!(
-        update_time < round_trip * 4,
-        "an index-moving UPDATE took {update_time:?}, a round trip {round_trip:?}"
+        insert_time < round_trip * 3,
+        "BEGIN; INSERT; COMMIT took {insert_time:?}, a round trip {round_trip:?}"
     );
 }
 
@@ -1843,5 +1868,158 @@ fn an_index_moving_update_takes_under_three_round_trips() {
     assert!(
         update_time < round_trip * 3,
         "an index-moving UPDATE took {update_time:?}, a round trip {round_trip:?}"
+    );
+}
+
+/// The error a duplicate `INSERT` gets inside `BEGIN … COMMIT`, where its
+/// probes fetch their leaves: the text an autocommit INSERT must match.
+fn fetch_path_error(y: &Yesquel, id: i64, title: &str) -> String {
+    y.execute("BEGIN", &[]).unwrap();
+    let err = y
+        .execute(WIKI_INSERT, params![id, title, 0, "dup"])
+        .unwrap_err();
+    assert!(
+        !y.session().in_transaction(),
+        "the error ends the transaction"
+    );
+    err.to_string()
+}
+
+/// An autocommit INSERT whose id or title is taken fails, at its commit,
+/// with the very error the fetch path's probe gives, and leaves the table
+/// and its title index as they were.  It fetched no leaf: the leaves'
+/// servers found the keys.
+#[test]
+fn a_duplicate_autocommit_insert_fails_as_the_fetch_path_does() {
+    // One-leaf trees: no split, so no refused or stale route sends an edit
+    // down the fetch path.
+    let y = threaded_wiki(0);
+    let gets = y.db().stats().counter("kv.get_rpcs");
+    let insert = y.prepare(WIKI_INSERT).unwrap();
+    let count = || rows_i64(&y, "SELECT count(*) FROM pages").concat();
+    let by_title = |title: &str| {
+        let sql = format!("SELECT id FROM pages WHERE title = '{title}'");
+        rows_i64(&y, &sql)
+    };
+    for (id, title) in [(3, "fresh-title"), (1_000, "page-03")] {
+        let expected = fetch_path_error(&y, id, title);
+        assert!(expected.contains("UNIQUE constraint failed"), "{expected}");
+        // The error emptied the schema cache; this reloads it.
+        assert_eq!(count(), [8]);
+        let before = gets.get();
+        let err = insert.execute(params![id, title, 0, "dup"]).unwrap_err();
+        assert_eq!(gets.get(), before, "{title}: the INSERT fetched a leaf");
+        assert!(matches!(err, Error::Constraint(_)), "{err:?}");
+        assert_eq!(err.to_string(), expected);
+        assert_eq!(count(), [8]);
+        assert_eq!(by_title("page-03"), vec![vec![3]]);
+        assert!(by_title("fresh-title").is_empty());
+        assert!(rows_i64(&y, "SELECT id FROM pages WHERE id = 1000").is_empty());
+    }
+}
+
+/// Two sessions INSERT rows of one title at once, round after round:
+/// exactly one of each pair commits, the other fails on the title.
+#[test]
+fn racing_inserts_of_one_title_commit_once() {
+    let y = threaded_wiki(0);
+    let barrier = std::sync::Barrier::new(2);
+    let wins: Vec<Vec<bool>> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..2i64)
+            .map(|side| {
+                let (y, barrier) = (&y, &barrier);
+                s.spawn(move || {
+                    let session = y.new_session().unwrap();
+                    (0..20i64)
+                        .map(|round| {
+                            let id = 1_000 + 2 * round + side;
+                            barrier.wait();
+                            let title = format!("raced-{round}");
+                            let out = session.execute(WIKI_INSERT, params![id, title, 0, "b"]);
+                            match out {
+                                Ok(_) => true,
+                                Err(Error::Constraint(_)) => false,
+                                Err(e) => panic!("round {round}: {e}"),
+                            }
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for round in 0..20 {
+        assert!(wins[0][round] != wins[1][round], "round {round}: {wins:?}");
+        let sql = format!("SELECT count(*) FROM pages WHERE title = 'raced-{round}'");
+        assert_eq!(rows_i64(&y, &sql).concat(), [1]);
+    }
+    assert_eq!(rows_i64(&y, "SELECT count(*) FROM pages").concat(), [28]);
+}
+
+/// A multi-row autocommit INSERT that repeats an id, or a title, fails as
+/// a whole: none of its rows is stored.
+#[test]
+fn a_multi_row_insert_that_repeats_a_key_fails_whole() {
+    let y = threaded_wiki(0);
+    for values in [
+        "(100, 'a-100', 1, 'b'), (101, 'a-101', 1, 'b'), (100, 'a-102', 1, 'b')",
+        "(100, 'a-100', 1, 'b'), (101, 'a-100', 1, 'b')",
+    ] {
+        let sql = format!("INSERT INTO pages (id, title, views, body) VALUES {values}");
+        let err = y.execute(&sql, &[]).unwrap_err();
+        assert!(matches!(err, Error::Constraint(_)), "{err:?}");
+        assert_eq!(rows_i64(&y, "SELECT count(*) FROM pages").concat(), [8]);
+        assert!(rows_i64(&y, "SELECT id FROM pages WHERE title = 'a-100'").is_empty());
+    }
+}
+
+/// Inside `BEGIN … COMMIT` a duplicate INSERT fails at the statement, which
+/// ends the transaction, not at the `COMMIT`.
+#[test]
+fn a_duplicate_insert_in_a_transaction_fails_at_the_statement() {
+    let y = threaded_wiki(0);
+    for (id, title) in [(3, "new-title"), (100, "page-03")] {
+        y.execute("BEGIN", &[]).unwrap();
+        y.execute(WIKI_INSERT, params![50, "before", 0, "b"])
+            .unwrap();
+        let err = y
+            .execute(WIKI_INSERT, params![id, title, 0, "b"])
+            .unwrap_err();
+        assert!(matches!(err, Error::Constraint(_)), "{err:?}");
+        assert!(!y.session().in_transaction());
+        assert!(y.execute("COMMIT", &[]).is_err(), "no transaction is open");
+        assert_eq!(rows_i64(&y, "SELECT count(*) FROM pages").concat(), [8]);
+    }
+}
+
+/// A rowid-less autocommit INSERT whose allocated rowid an explicit INSERT
+/// took ahead of the allocator is retried through the fetch path, which
+/// skips the taken id: it succeeds with the next free one.
+#[test]
+fn an_allocated_rowid_found_taken_takes_the_next_free_one() {
+    let y = threaded_wiki(0);
+    let gets = y.db().stats().counter("kv.get_rpcs");
+    let insert = y
+        .prepare("INSERT INTO pages (title, views, body) VALUES (?, ?, ?)")
+        .unwrap();
+    let first = insert.execute(params!["alloc-1", 1, "b"]).unwrap();
+    let rid = first.last_rowid.unwrap();
+    y.execute(WIKI_INSERT, params![rid + 1, "ahead", 2, "b"])
+        .unwrap();
+    y.engine().wait_for_splits();
+    let before = gets.get();
+    let next = insert.execute(params!["alloc-2", 3, "b"]).unwrap();
+    assert!(gets.get() > before, "the retry fetched no leaf");
+    assert_eq!(next.last_rowid, Some(rid + 2));
+    assert_eq!(
+        rows_i64(
+            &y,
+            &format!("SELECT id FROM pages WHERE id > {} ORDER BY id", rid - 1)
+        ),
+        vec![vec![rid], vec![rid + 1], vec![rid + 2]]
+    );
+    assert_eq!(
+        rows_i64(&y, "SELECT id FROM pages WHERE title = 'alloc-2'"),
+        vec![vec![rid + 2]]
     );
 }

@@ -412,3 +412,91 @@ fn a_read_that_would_refuse_an_edit_fails_and_the_commit_with_it() {
     let model: BTreeMap<u64, Vec<u8>> = (0..32).map(|i| (i, b"v".to_vec())).collect();
     assert_rows(&y, &dbt, &model);
 }
+
+/// A read of a leaf with a buffered put-if-absent of a key the leaf holds
+/// fails as the commit would, with `KeyPresent`, and the edit stays
+/// buffered: the commit fails too, writes nothing, and neither counts as a
+/// refusal.  A put-if-absent of an absent key reads back as put.
+#[test]
+fn a_read_of_a_present_put_if_absent_fails_and_the_commit_with_it() {
+    let (y, dbt) = warm_tree(edit_cfg(), 0..32);
+    let stats = y.db().stats();
+    let (refusals, gets) = (
+        stats.counter("dbt.cell_edit_refusals"),
+        stats.counter("kv.get_rpcs"),
+    );
+    let txn = y.begin();
+    let before = gets.get();
+    assert!(dbt.insert_if_absent_unread(&txn, &key(40), b"a").unwrap());
+    assert!(dbt.insert_if_absent_unread(&txn, &key(5), b"a").unwrap());
+    assert!(
+        !dbt.insert_if_absent_unread(&txn, &key(40), b"b").unwrap(),
+        "the transaction put key 40 itself"
+    );
+    assert_eq!(
+        gets.get(),
+        before,
+        "an unread put-if-absent fetches nothing"
+    );
+    assert_eq!(
+        dbt.lookup(&txn, &key(40)).unwrap().as_deref(),
+        Some(&b"a"[..])
+    );
+    let read = dbt.lookup(&txn, &key(5)).unwrap_err();
+    assert!(
+        matches!(&read, yesquel::Error::KeyPresent { key: k, .. } if k[..] == key(5)),
+        "{read:?}"
+    );
+    assert!(!read.is_retryable());
+    let commit = txn.commit().unwrap_err();
+    assert!(
+        matches!(&commit, yesquel::Error::KeyPresent { key: k, .. } if k[..] == key(5)),
+        "{commit:?}"
+    );
+    assert_eq!(refusals.get(), 0);
+    let model: BTreeMap<u64, Vec<u8>> = (0..32).map(|i| (i, b"v".to_vec())).collect();
+    assert_rows(&y, &dbt, &model);
+}
+
+/// The number of cells of every leaf of tree 1, read at a fresh snapshot.
+fn leaf_sizes(y: &Yesquel) -> Vec<usize> {
+    let txn = y.begin();
+    let (mut sizes, mut todo) = (Vec::new(), vec![0]);
+    while let Some(oid) = todo.pop() {
+        let page = txn.get(ObjectId::new(1, oid)).unwrap().unwrap();
+        match NodeView::parse(page).unwrap() {
+            NodeView::Leaf(leaf) => sizes.push(leaf.len()),
+            NodeView::Inner(inner) => todo.extend(inner.children()),
+        }
+    }
+    txn.commit().unwrap();
+    sizes
+}
+
+/// Inserts that go unread grow a leaf past its bound before the split it
+/// asked for runs.  A split that leaves a half still over the bound asks
+/// for that half's split, so once the splitter is idle every leaf is
+/// within its bound, with no later write to ask again.
+#[test]
+fn a_split_that_leaves_a_half_over_its_bound_splits_it_too() {
+    let mut ycfg = YesquelConfig::with_servers(4);
+    ycfg.dbt = edit_cfg();
+    let y = Yesquel::open_with(ycfg);
+    let dbt = y.create_tree(1).unwrap();
+    for i in 0..32 {
+        let client = y.db().client();
+        client
+            .run_txn(|txn| dbt.put_unread(txn, &key(i), b"v"))
+            .unwrap();
+    }
+    y.engine().wait_for_splits();
+    let sizes = leaf_sizes(&y);
+    assert!(
+        sizes.iter().all(|&n| n <= 8),
+        "leaf sizes {sizes:?}\n{}",
+        y.db().stats().render_counters()
+    );
+    assert_eq!(sizes.iter().sum::<usize>(), 32);
+    let model: BTreeMap<u64, Vec<u8>> = (0..32).map(|i| (i, b"v".to_vec())).collect();
+    assert_rows(&y, &dbt, &model);
+}

@@ -12,11 +12,13 @@
 //! write rest on.
 //!
 //! Cell edits are in the storm too: a storage server's store, as a
-//! transaction's participant, applies a few puts and removes to a leaf the
-//! transaction never read, and the page it installs must be the one the
-//! client's fetch path would have written and the builder's.  An edit the
-//! participant must refuse — a key outside the leaf's fences, a leaf that
-//! lists replicas — must be refused, leaving the leaf as it was.
+//! transaction's participant, applies a few puts, puts-if-absent and
+//! removes to a leaf the transaction never read, and the page it installs
+//! must be the one the client's fetch path would have written and the
+//! builder's.  An edit the participant must refuse — a key outside the
+//! leaf's fences, a leaf that lists replicas — must be refused, and a
+//! put-if-absent of a key the leaf holds must fail as the fetch path's
+//! `put_if_absent` does, naming that key; either leaves the leaf as it was.
 
 use std::collections::BTreeMap;
 
@@ -149,7 +151,7 @@ impl Participant {
 
     /// Commits `writes` and `edits` as one sole-participant transaction
     /// reading at the newest timestamp; `Err` with the refusal if refused.
-    fn commit(&mut self, writes: &[WriteOp], edits: &[LeafEdit]) -> Result<(), String> {
+    fn commit(&mut self, writes: &[WriteOp], edits: &[LeafEdit]) -> Result<(), PrepareOutcome> {
         let (txn, start_ts) = (self.ts + 1, self.ts);
         self.ts += 1;
         let lease = Duration::from_secs(60);
@@ -162,14 +164,17 @@ impl Participant {
                 self.store.commit(txn, ts).unwrap();
                 Ok(())
             }
-            PrepareOutcome::EditRefused { reason, .. } => Err(reason),
+            refused @ (PrepareOutcome::EditRefused { .. } | PrepareOutcome::KeyPresent { .. }) => {
+                Err(refused)
+            }
             other => panic!("unexpected vote {other:?}"),
         }
     }
 
     /// The page a transaction that never read `page` leaves once its
-    /// participant applied `cells` to it, or the refusal.
-    fn edit(&mut self, page: &Bytes, cells: Vec<CellEdit>) -> Result<Bytes, String> {
+    /// participant applied `cells` to it, or the refusal, which leaves
+    /// `page`.
+    fn edit(&mut self, page: &Bytes, cells: Vec<CellEdit>) -> Result<Bytes, PrepareOutcome> {
         let install = WriteOp {
             obj: Self::LEAF,
             value: Some(page.clone()),
@@ -182,7 +187,13 @@ impl Participant {
         };
         let edited = self.commit(&[], &[edit]);
         match self.store.get(Self::LEAF, self.ts) {
-            ReadOutcome::Value(Some(now)) => edited.map(|()| now),
+            ReadOutcome::Value(Some(now)) => {
+                assert!(
+                    edited.is_ok() || now == *page,
+                    "a refused edit changed the leaf"
+                );
+                edited.map(|()| now)
+            }
             other => panic!("the leaf is gone: {other:?}"),
         }
     }
@@ -257,18 +268,21 @@ fn storm_case(seed: u64) {
         ts: 1,
     };
     let (mut cell_edits, mut refusals) = (0, 0);
+    // Puts-if-absent the participant applied, and ones it found present.
+    let (mut absent, mut present) = (0, 0);
 
     for step in 0..6_000 {
         let what = format!("seed {seed} step {step}");
         // Every step starts from the parsed bytes of the previous result:
         // the builder's page, which the previous check proved identical.
         let pick = rng.gen_range(0u32..20);
-        if pick < 3 {
+        if pick < 5 {
             // Cell edits, applied by a participant to a leaf it stores.
             let at = rng.gen_range(0usize..leaves.len());
             let m = &mut leaves[at];
             let page = m.build();
-            let mut edits: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+            // Key → (value or remove, put only if absent).
+            let mut edits: BTreeMap<Vec<u8>, (Option<Vec<u8>>, bool)> = BTreeMap::new();
             for _ in 0..rng.gen_range(1usize..4) {
                 // Mostly keys the leaf fences: existing ones, or fresh ones
                 // drawn until one falls inside.
@@ -284,25 +298,55 @@ fn storm_case(seed: u64) {
                         .find(|k| contains(&m.lower, &m.upper, k))
                         .unwrap_or_else(|| random_key(&mut rng)),
                 };
-                let value = (rng.gen_range(0u32..3) > 0).then(|| random_value(&mut rng));
-                edits.insert(key, value);
+                let edit = match rng.gen_range(0u32..3) {
+                    0 => (None, false),
+                    1 => (Some(random_value(&mut rng)), false),
+                    _ => (Some(random_value(&mut rng)), true),
+                };
+                edits.insert(key, edit);
             }
             let cells: Vec<CellEdit> = (edits.iter())
-                .map(|(k, v)| (Bytes::from(k.clone()), v.clone().map(Bytes::from)))
+                .map(|(k, (v, if_absent))| CellEdit {
+                    key: Bytes::from(k.clone()),
+                    value: v.clone().map(Bytes::from),
+                    if_absent: *if_absent,
+                })
                 .collect();
             let refused =
                 !m.replicas.is_empty() || edits.keys().any(|k| !contains(&m.lower, &m.upper, k));
+            // The first key, in the order the edits apply, that a
+            // put-if-absent finds present.
+            let held = (edits.iter())
+                .find(|(k, (_, if_absent))| *if_absent && m.cells.contains_key(*k))
+                .map(|(k, _)| k.clone());
             match participant.edit(&page, cells) {
-                Err(reason) => {
+                Err(PrepareOutcome::EditRefused { reason, .. }) => {
                     assert!(refused, "{what}: refused a valid edit: {reason}");
                     refusals += 1;
                 }
+                Err(PrepareOutcome::KeyPresent { key, .. }) => {
+                    assert!(!refused, "{what}: judged an edit it must refuse");
+                    assert_eq!(Some(key.to_vec()), held, "{what}: not the key held");
+                    // The fetch path's probe finds it too.
+                    let fetched = LeafView::parse(page).unwrap();
+                    assert!(
+                        fetched.put_if_absent(&key, b"").unwrap().is_none(),
+                        "{what}"
+                    );
+                    present += 1;
+                }
+                Err(other) => panic!("{what}: unexpected refusal {other:?}"),
                 Ok(edited) => {
                     assert!(!refused, "{what}: applied an edit it must refuse");
+                    assert_eq!(held, None, "{what}: put a key present");
                     // The page the client's fetch path would have written.
                     let mut fetched = LeafView::parse(page).unwrap();
-                    for (key, value) in &edits {
+                    for (key, (value, if_absent)) in &edits {
                         let next = match value {
+                            Some(v) if *if_absent => {
+                                absent += 1;
+                                Some(fetched.put_if_absent(key, v).unwrap().expect("absent"))
+                            }
                             Some(v) => Some(fetched.put(key, v).unwrap().0),
                             None => fetched.remove(key).unwrap(),
                         };
@@ -455,11 +499,13 @@ fn storm_case(seed: u64) {
     println!(
         "seed {seed}: leaf_splits={leaf_splits} inner_splits={inner_splits} \
          replaced={replaced} removed={removed} oids={next_oid} \
-         cell_edits={cell_edits} refusals={refusals}"
+         cell_edits={cell_edits} refusals={refusals} \
+         put_if_absent: applied={absent} present={present}"
     );
     // The storm must have reached every kind of edit.
     assert!(leaf_splits > 10 && inner_splits > 5 && replaced > 100 && removed > 100);
     assert!(cell_edits > 100 && refusals > 50);
+    assert!(absent > 20 && present > 20);
 }
 
 #[test]

@@ -21,6 +21,12 @@
 //! the index before they commit or roll back, and must see their own
 //! edits.
 //!
+//! Duplicate INSERTs — a taken id, a taken title (the table has a unique
+//! index on `title`), or a statement whose rows repeat one — must fail
+//! whole and change nothing, in autocommit, where the leaves' servers find
+//! the key at the commit, and inside `BEGIN`, where the statement's own
+//! probes find it and the transaction ends with its earlier writes undone.
+//!
 //! `CHAOS_SEED` picks one seed, as for the other storms; without it every
 //! seed of the matrix runs.
 
@@ -38,6 +44,7 @@ struct ModelRow {
     cat: Value,
     score: Value,
     note: Value,
+    title: Value,
 }
 
 /// SQL comparison truth: NULL operands never satisfy a comparison.
@@ -248,12 +255,19 @@ fn cat_rows<'a>(rows: impl Iterator<Item = &'a ModelRow>, cat: &Value) -> Vec<St
 fn model_case(seed: u64) {
     let y = Yesquel::open(3);
     y.execute_script(
-        "CREATE TABLE items (id INTEGER PRIMARY KEY, cat TEXT, score INT, note TEXT);
-         CREATE INDEX by_cat_score ON items (cat, score);",
+        "CREATE TABLE items (id INTEGER PRIMARY KEY, cat TEXT, score INT, note TEXT, title TEXT);
+         CREATE INDEX by_cat_score ON items (cat, score);
+         CREATE UNIQUE INDEX by_title ON items (title);",
     )
     .unwrap();
     let mut model: Vec<ModelRow> = Vec::new();
     let mut next_id = 1i64;
+    // Titles are unique but for the NULLs (which never collide); the ids of
+    // the rows duplicate INSERTs try to add lie far above the allocator's.
+    let mut next_title = 0u32;
+    let mut next_stray_id = 1_000_000i64;
+    // Duplicate INSERTs run in autocommit, and inside `BEGIN`.
+    let mut duplicates = [0u32; 2];
     let mut rng = seeded_rng(seed, 7);
 
     // Prepared handles reused across the whole stream, interleaved with
@@ -261,7 +275,7 @@ fn model_case(seed: u64) {
     // with the model, and the handles must survive the mid-stream DDL below
     // (plan revalidation against the catalog generation).
     let prep_insert = y
-        .prepare("INSERT INTO items (cat, score, note) VALUES (:cat, :score, :note)")
+        .prepare("INSERT INTO items (cat, score, note, title) VALUES (:cat, :score, :note, :title)")
         .unwrap();
     let prep_point = y
         .prepare("SELECT id, cat, score, note FROM items WHERE id = ?")
@@ -280,7 +294,69 @@ fn model_case(seed: u64) {
             y.execute("CREATE INDEX by_score ON items (score)", &[])
                 .unwrap();
         }
-        match rng.gen_range(0u32..11) {
+        match rng.gen_range(0u32..12) {
+            // A duplicate INSERT: a taken id, a taken title, or rows of one
+            // statement that repeat an id or a title, in autocommit or
+            // after a good row inside `BEGIN`.  It fails whole.
+            11 if !model.is_empty() => {
+                let taken = model[rng.gen_range(0..model.len())].clone();
+                let mut stray = || {
+                    next_stray_id += 1;
+                    next_stray_id
+                };
+                let fresh_title = |n: i64| Value::Text(format!("stray-{n}"));
+                let (a, b) = (stray(), stray());
+                let rows: Vec<(i64, Value)> = match rng.gen_range(0u32..4) {
+                    0 => vec![(taken.id, fresh_title(a))],
+                    1 if !taken.title.is_null() => vec![(a, taken.title.clone())],
+                    2 => vec![(a, fresh_title(a)), (a, fresh_title(b))],
+                    _ => vec![(a, fresh_title(a)), (b, fresh_title(a))],
+                };
+                let values = vec!["(?, 'cat-0', 1, 'dup', ?)"; rows.len()].join(", ");
+                let sql =
+                    format!("INSERT INTO items (id, cat, score, note, title) VALUES {values}");
+                let params: Vec<Value> = (rows.iter())
+                    .flat_map(|(id, title)| [Value::Int(*id), title.clone()])
+                    .collect();
+                let explicit = rng.gen_range(0u32..2) == 0;
+                duplicates[usize::from(explicit)] += 1;
+                if explicit {
+                    y.execute("BEGIN", &[]).unwrap();
+                    let good = stray();
+                    y.execute(
+                        "INSERT INTO items (id, title) VALUES (?, ?)",
+                        params![good, fresh_title(good)],
+                    )
+                    .unwrap();
+                }
+                let err = y.execute(&sql, &params).unwrap_err();
+                assert!(
+                    matches!(err, yesquel::Error::Constraint(_)),
+                    "step {step}: {rows:?} (explicit {explicit}): {err:?}"
+                );
+                assert!(!y.session().in_transaction(), "step {step}: still open");
+                let count = y.execute("SELECT COUNT(*) FROM items", &[]).unwrap();
+                assert_eq!(count.rows, vec![vec![Value::Int(model.len() as i64)]]);
+                for (id, title) in &rows {
+                    let owner = (model.iter())
+                        .find(|r| cmp_true(&r.title, "=", title))
+                        .map(|r| vec![Value::Int(r.id)]);
+                    let got = y
+                        .execute(
+                            "SELECT id FROM items WHERE title = ?",
+                            std::slice::from_ref(title),
+                        )
+                        .unwrap();
+                    assert_eq!(
+                        got.rows,
+                        Vec::from_iter(owner),
+                        "step {step}: title {title:?}"
+                    );
+                    let got = prep_point.execute(params![*id]).unwrap();
+                    let held = model.iter().filter(|r| r.id == *id).count();
+                    assert_eq!(got.rows.len(), held, "step {step}: id {id}");
+                }
+            }
             // An explicit transaction: delete one row, move another's
             // (cat, score) entry, then read both categories through the
             // index before committing or rolling back.
@@ -337,18 +413,26 @@ fn model_case(seed: u64) {
                 let cat = random_cat(&mut rng);
                 let score = random_score(&mut rng);
                 let note = Value::Text(format!("n{}", rng.gen_range(0u32..30)));
+                let title = match rng.gen_range(0u32..8) {
+                    0 => Value::Null,
+                    _ => {
+                        next_title += 1;
+                        Value::Text(format!("t{next_title}"))
+                    }
+                };
                 let rs = if rng.gen_range(0u32..2) == 0 {
                     prep_insert
                         .execute_named(&[
                             (":cat", cat.clone()),
                             (":score", score.clone()),
                             (":note", note.clone()),
+                            (":title", title.clone()),
                         ])
                         .unwrap()
                 } else {
                     y.execute(
-                        "INSERT INTO items (cat, score, note) VALUES (?, ?, ?)",
-                        &[cat.clone(), score.clone(), note.clone()],
+                        "INSERT INTO items (cat, score, note, title) VALUES (?, ?, ?, ?)",
+                        &[cat.clone(), score.clone(), note.clone(), title.clone()],
                     )
                     .unwrap()
                 };
@@ -360,6 +444,7 @@ fn model_case(seed: u64) {
                     // Stored values are coerced to the declared column type.
                     score: score.coerce(yesquel::sql::ColumnType::Integer),
                     note,
+                    title,
                 });
                 next_id += 1;
             }
@@ -558,6 +643,9 @@ fn model_case(seed: u64) {
             }
         }
     }
+
+    println!("seed {seed}: duplicate INSERTs (autocommit, in BEGIN) = {duplicates:?}");
+    assert!(duplicates.iter().all(|&n| n >= 5), "{duplicates:?}");
 
     // Final invariant: the secondary index agrees with the base table for
     // every category value it can hold — and because `id` is the rowid and
